@@ -7,20 +7,12 @@
 //!
 //! Checks, via the [`idgnn_bench::jsonv`] parser rather than substring
 //! greps: the report version, a plausible file count, a `counts` object
-//! naming exactly the fourteen lint rules, well-typed finding entries whose
-//! rules come from that set, zero `unchecked-access` findings (the bounds
-//! gate: every unsafe access must be certificate-backed, never
-//! grandfathered), well-typed bounds-certificate records with non-empty
-//! proof bases, zero baseline regressions, zero new findings (every finding
-//! grandfathered), exit code 0, and — when the report came from a
-//! `--timing` run — a per-rule `timings_ms` row for every rule and a
+//! naming exactly the twelve lint rules, well-typed finding entries whose
+//! rules come from that set, zero baseline regressions, zero new findings
+//! (every finding grandfathered), exit code 0, and — when the report came
+//! from a `--timing` run — a per-rule `timings_ms` row for every rule and a
 //! `timing_gate` with a positive limit and no offenders. Exits nonzero with
 //! a message on the first violation.
-//!
-//! `lintv --certs <report>` instead prints one canonical line per proven
-//! certificate (sorted, `id<TAB>file:line<TAB>fn<TAB>claim`); `scripts/ci.sh`
-//! diffs that rendering of a fresh run against the committed
-//! `results/lint.json` to catch certificate drift.
 
 use idgnn_bench::jsonv::{self, Json};
 use std::process::ExitCode;
@@ -39,28 +31,20 @@ const RULES: &[&str] = &[
     "ambient-nondeterminism",
     "block-merge-order",
     "malformed-marker",
-    "unchecked-access",
-    "bounds-proof",
 ];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (certs_mode, path) = match args.as_slice() {
-        [p] => (false, p.clone()),
-        [flag, p] if flag == "--certs" => (true, p.clone()),
+    let path = match args.as_slice() {
+        [p] => p.clone(),
         _ => {
-            eprintln!("usage: lintv [--certs] <results/lint.json>");
+            eprintln!("usage: lintv <results/lint.json>");
             return ExitCode::from(2);
         }
     };
-    let outcome = if certs_mode { canonical_certs(&path) } else { validate(&path) };
-    match outcome {
-        Ok(out) => {
-            if certs_mode {
-                print!("{out}");
-            } else {
-                println!("lintv: {path} ok ({out})");
-            }
+    match validate(&path) {
+        Ok(summary) => {
+            println!("lintv: {path} ok ({summary})");
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -68,40 +52,6 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// The sorted canonical one-line-per-certificate rendering used by the CI
-/// drift check (independent of JSON whitespace or basis wording).
-fn canonical_certs(path: &str) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
-    let doc = jsonv::parse(&text)?;
-    let certs = doc
-        .get("certificates")
-        .and_then(Json::as_array)
-        .ok_or("missing or non-array `certificates`")?;
-    let mut lines = Vec::new();
-    for (i, c) in certs.iter().enumerate() {
-        let field = |k: &str| {
-            c.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("certificate {i}: missing `{k}`"))
-        };
-        let line = c
-            .get("line")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("certificate {i}: missing `line`"))?;
-        lines.push(format!(
-            "{}\t{}:{}\t{}\t{}\n",
-            field("id")?,
-            field("file")?,
-            line as u64,
-            field("fn")?,
-            field("claim")?
-        ));
-    }
-    lines.sort();
-    Ok(lines.concat())
 }
 
 fn validate(path: &str) -> Result<String, String> {
@@ -139,15 +89,6 @@ fn validate(path: &str) -> Result<String, String> {
             return Err(format!("`counts.{rule}` = {n} is not a count"));
         }
         total += n;
-    }
-    // The bounds gate: an unsafe access without a proven certificate is
-    // never grandfathered — the count must be exactly zero.
-    let unchecked = counts.get("unchecked-access").and_then(Json::as_f64).unwrap_or(-1.0);
-    if unchecked != 0.0 {
-        return Err(format!(
-            "`counts.unchecked-access` = {unchecked}; every unsafe access must carry a \
-             proven bounds certificate (DESIGN.md §16)"
-        ));
     }
 
     let baseline = doc.get("baseline").ok_or("missing `baseline`")?;
@@ -193,31 +134,6 @@ fn validate(path: &str) -> Result<String, String> {
         }
     }
 
-    // Bounds certificates: every record is fully typed, anchored to a real
-    // line, and backed by a non-empty proof basis.
-    let certs = doc
-        .get("certificates")
-        .and_then(Json::as_array)
-        .ok_or("missing or non-array `certificates`")?;
-    for (i, c) in certs.iter().enumerate() {
-        for key in ["id", "file", "fn", "claim"] {
-            if c.get(key).and_then(Json::as_str).is_none_or(str::is_empty) {
-                return Err(format!("certificate {i}: missing `{key}`"));
-            }
-        }
-        let line = req_f64(c, "line").map_err(|e| format!("certificate {i}: {e}"))?;
-        if line < 1.0 || line.fract() != 0.0 {
-            return Err(format!("certificate {i}: line {line} < 1"));
-        }
-        let basis = c
-            .get("basis")
-            .and_then(Json::as_array)
-            .ok_or_else(|| format!("certificate {i}: missing or non-array `basis`"))?;
-        if basis.is_empty() || basis.iter().any(|b| b.as_str().is_none_or(str::is_empty)) {
-            return Err(format!("certificate {i}: empty proof basis"));
-        }
-    }
-
     // `--timing` runs carry a per-rule wall-clock profile; when present it
     // must cover every rule with a non-negative duration, and the gate must
     // record a positive limit with an empty offender list.
@@ -250,11 +166,7 @@ fn validate(path: &str) -> Result<String, String> {
         timed = ", timing gate clean";
     }
 
-    Ok(format!(
-        "{} file(s), {total} grandfathered finding(s), 0 new, {} certificate(s){timed}",
-        files as u64,
-        certs.len()
-    ))
+    Ok(format!("{} file(s), {total} grandfathered finding(s), 0 new{timed}", files as u64))
 }
 
 /// Fetches a required numeric member of `doc`.

@@ -185,43 +185,6 @@ pub struct ScalingTiming {
     pub efficiency: f64,
 }
 
-/// One cell of the bounds-check comparison: the same kernel on the same
-/// dataset through the default accessor path versus the pinned
-/// always-checked reference path (DESIGN.md §16).
-///
-/// Under a default build both paths bounds-check and the speedup hovers
-/// around 1.0 (the row then measures dispatch noise); under
-/// `--features proven-unchecked` the default path runs the
-/// certificate-backed `get_unchecked` arms and the row reports what the
-/// proven-dead bounds checks actually cost. `unchecked_enabled` records
-/// which build produced the row. Results are bit-identical either way —
-/// that is the lint's proof obligation, re-checked by the
-/// `unchecked_identity` and perturbation proptests — so this table is
-/// purely a cost accounting.
-#[derive(Debug, Clone, Serialize)]
-pub struct BoundsCheckTiming {
-    /// Kernel name (`spgemm` | `spmm`).
-    pub kernel: String,
-    /// Dataset short code.
-    pub dataset: String,
-    /// Operand dimension (rows of the square operator).
-    pub rows: usize,
-    /// Operand nonzeros.
-    pub nnz: usize,
-    /// Minimum wall time of the always-checked reference path, ms.
-    pub checked_ms: f64,
-    /// Minimum wall time of the default (feature-selected) path, ms.
-    pub default_ms: f64,
-    /// `checked_ms / default_ms` — above 1.0 means removing the proven
-    /// bounds checks paid off.
-    pub speedup: f64,
-    /// Samples taken (interleaved min-of-N).
-    pub samples: usize,
-    /// Whether the default path ran the certificate-backed unchecked arms
-    /// (`proven-unchecked` was enabled at build time).
-    pub unchecked_enabled: bool,
-}
-
 /// Roofline-style characterization of one kernel on one dataset at the
 /// baseline thread count: exact FLOPs (from [`OpStats`]) over the minimum
 /// bytes the operands and output occupy (CSR/dense footprints), against the
@@ -492,10 +455,6 @@ pub struct KernelBenchReport {
     /// Locality sweep: kernel wall time and churn survival per vertex
     /// ordering, with the gate verdict.
     pub locality: LocalityReport,
-    /// Checked-vs-default accessor comparison per dataset and kernel
-    /// (DESIGN.md §16); `unchecked_enabled` on the rows records whether the
-    /// build ran the certificate-backed unchecked arms.
-    pub bounds_checks: Vec<BoundsCheckTiming>,
     /// Total ops (mults + adds) avoided by reuse across the delta-rate
     /// sweep's instrumented passes.
     pub delta_saved_total: u64,
@@ -697,69 +656,6 @@ fn measure_scaling(
                     efficiency: speedup * baseline_t as f64 / t as f64,
                 });
             }
-        }
-    }
-    Ok(out)
-}
-
-/// The interleaved min-of-N bounds-check comparison: default accessor path
-/// vs the pinned always-checked reference, single-threaded so the delta is
-/// the per-access cost and not a scheduling artifact. Cell layout is
-/// `(si * 2 + ki) * 2 + vi` — dataset-major, then kernel, then variant.
-// lint: timing-carrier -- interleaved min-of-N wall-clock feeds the report's timing fields, independent of the bit-checked results
-fn measure_bounds_checks(sets: &[Operands], samples: usize) -> Result<Vec<BoundsCheckTiming>> {
-    let samples = samples.max(3);
-    let par = Parallelism::new(1);
-    let mins = interleaved_min_ms(sets.len() * 2 * 2, samples, |cell| {
-        let (vi, ki, si) = (cell % 2, (cell / 2) % 2, cell / 4);
-        // lint: allow(panic-surface) -- in-bounds: `cell` decodes over the same three ranges the driver was sized with
-        let set = &sets[si];
-        let t0 = std::time::Instant::now();
-        Ok(match (ki, vi) {
-            (0, 0) => {
-                let (prod, _) = ops::spgemm_par_with_stats(black_box(&set.a), &set.a, par)?;
-                let el = t0.elapsed().as_secs_f64() * 1e3;
-                idgnn_sparse::workspace::recycle(black_box(prod));
-                el
-            }
-            (0, _) => {
-                let (prod, _) = ops::spgemm_checked_with_stats(black_box(&set.a), &set.a, par)?;
-                let el = t0.elapsed().as_secs_f64() * 1e3;
-                idgnn_sparse::workspace::recycle(black_box(prod));
-                el
-            }
-            (_, 0) => {
-                let (agg, _) = ops::spmm_par_with_stats(black_box(&set.a), &set.x, par)?;
-                let el = t0.elapsed().as_secs_f64() * 1e3;
-                idgnn_sparse::workspace::recycle_dense(black_box(agg));
-                el
-            }
-            _ => {
-                let (agg, _) = ops::spmm_checked_with_stats(black_box(&set.a), &set.x, par)?;
-                let el = t0.elapsed().as_secs_f64() * 1e3;
-                idgnn_sparse::workspace::recycle_dense(black_box(agg));
-                el
-            }
-        })
-    })?;
-    let mut out = Vec::new();
-    for (si, set) in sets.iter().enumerate() {
-        for (ki, kernel) in ["spgemm", "spmm"].into_iter().enumerate() {
-            // lint: allow(panic-surface) -- in-bounds: `mins` was sized over the same three loop ranges
-            let default_ms = mins[(si * 2 + ki) * 2];
-            // lint: allow(panic-surface) -- in-bounds: `mins` was sized over the same three loop ranges
-            let checked_ms = mins[(si * 2 + ki) * 2 + 1];
-            out.push(BoundsCheckTiming {
-                kernel: kernel.to_string(),
-                dataset: set.short.clone(),
-                rows: set.a.rows(),
-                nnz: set.a.nnz(),
-                checked_ms,
-                default_ms,
-                speedup: if default_ms > 0.0 { checked_ms / default_ms } else { 0.0 },
-                samples,
-                unchecked_enabled: cfg!(feature = "proven-unchecked"),
-            });
         }
     }
     Ok(out)
@@ -1259,9 +1155,6 @@ pub fn run(cfg: &KernelBenchConfig) -> Result<KernelBenchReport> {
     // ordering (DESIGN.md §14).
     let locality = measure_locality(cfg, &sets, cfg.samples)?;
 
-    // Checked-vs-default bounds-check comparison (DESIGN.md §16).
-    let bounds_checks = measure_bounds_checks(&sets, cfg.samples)?;
-
     let (pool_hits, pool_misses) = idgnn_sparse::workspace::pool_counters();
     let max_warm_speedup =
         power_chain.iter().map(|p| p.warm_speedup).fold(0.0f64, f64::max);
@@ -1281,7 +1174,6 @@ pub fn run(cfg: &KernelBenchConfig) -> Result<KernelBenchReport> {
         power_chain,
         delta_rates,
         locality,
-        bounds_checks,
         delta_saved_total,
         max_warm_speedup,
         pool_hits,
@@ -1371,35 +1263,6 @@ impl std::fmt::Display for KernelBenchReport {
                 self.triad.dram_gbps,
                 self.triad.dram_elements,
                 self.triad.peak_gbps,
-            )?;
-        }
-        if !self.bounds_checks.is_empty() {
-            let rows: Vec<Vec<String>> = self
-                .bounds_checks
-                .iter()
-                .map(|b| {
-                    vec![
-                        b.dataset.clone(),
-                        b.kernel.clone(),
-                        format!("{:.3}", b.checked_ms),
-                        format!("{:.3}", b.default_ms),
-                        format!("{:.2}x", b.speedup),
-                    ]
-                })
-                .collect();
-            let mode = if self.bounds_checks.iter().any(|b| b.unchecked_enabled) {
-                "default = certificate-backed unchecked"
-            } else {
-                "default = checked (build without proven-unchecked)"
-            };
-            writeln!(
-                f,
-                "{}",
-                table(
-                    &format!("Bounds checks, single thread ({mode})"),
-                    &["dataset", "kernel", "checked ms", "default ms", "speedup"],
-                    &rows,
-                )
             )?;
         }
         let rows: Vec<Vec<String>> = self
@@ -1603,7 +1466,6 @@ pub fn validate_report_json(text: &str) -> std::result::Result<(), String> {
         "\"roofline\"",
         "\"triad\"",
         "\"locality\"",
-        "\"bounds_checks\"",
     ] {
         if !text.contains(key) {
             return Err(format!("missing required key {key}"));
@@ -1976,44 +1838,6 @@ pub fn validate_report_structure(text: &str) -> std::result::Result<(), String> 
              (required {required})"
         ));
     }
-
-    // --- bounds_checks (the proven-unchecked comparison, DESIGN.md §16) ---
-    non_empty_array("bounds_checks")?;
-    let bounds = doc.get("bounds_checks").and_then(Json::as_array).unwrap_or(&[]);
-    let mut bc_kernels: Vec<&str> = Vec::new();
-    for (i, row) in bounds.iter().enumerate() {
-        let kernel = row
-            .get("kernel")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("`bounds_checks[{i}]` lacks string field `kernel`"))?;
-        if !["spgemm", "spmm"].contains(&kernel) {
-            return Err(format!("`bounds_checks[{i}]` times unknown kernel `{kernel}`"));
-        }
-        if !bc_kernels.contains(&kernel) {
-            bc_kernels.push(kernel);
-        }
-        if row.get("dataset").and_then(Json::as_str).is_none_or(str::is_empty) {
-            return Err(format!("`bounds_checks[{i}]` lacks string field `dataset`"));
-        }
-        for field in ["checked_ms", "default_ms", "speedup"] {
-            let v = row.get(field).and_then(Json::as_f64).ok_or_else(|| {
-                format!("`bounds_checks[{i}]` lacks numeric field `{field}`")
-            })?;
-            if v <= 0.0 {
-                return Err(format!("`bounds_checks[{i}]` has non-positive `{field}`"));
-            }
-        }
-        if !matches!(row.get("unchecked_enabled"), Some(Json::Bool(_))) {
-            return Err(format!(
-                "`bounds_checks[{i}]` lacks boolean field `unchecked_enabled`"
-            ));
-        }
-    }
-    if bc_kernels.len() != 2 {
-        return Err(format!(
-            "`bounds_checks` covers kernels {bc_kernels:?}, expected both spgemm and spmm"
-        ));
-    }
     Ok(())
 }
 
@@ -2087,12 +1911,6 @@ mod tests {
         );
         assert!(r.locality.gate.passed, "the smoke gate is unconditional");
         assert_eq!(r.locality.gate.required_wins, 0, "quick scale never enforces the win gate");
-        assert_eq!(r.bounds_checks.len(), 2, "one dataset x {{spgemm, spmm}}");
-        for b in &r.bounds_checks {
-            assert!(b.checked_ms > 0.0 && b.default_ms > 0.0 && b.speedup > 0.0);
-            assert!(b.rows > 0 && b.nnz > 0);
-            assert_eq!(b.unchecked_enabled, cfg!(feature = "proven-unchecked"));
-        }
         let text = r.to_string();
         assert!(text.contains("Power chain"));
         assert!(text.contains("spgemm"));
@@ -2102,7 +1920,6 @@ mod tests {
         assert!(text.contains("triad baseline"));
         assert!(text.contains("Locality"));
         assert!(text.contains("locality gate"));
-        assert!(text.contains("Bounds checks"));
         let json = serde_json::to_string_pretty(&r).unwrap();
         validate_report_json(&json).unwrap();
         validate_report_structure(&json).unwrap();
@@ -2114,16 +1931,14 @@ mod tests {
         let empty_sections = "{\"scale\": \"smoke\", \"samples\": 1, \"thread_counts\": [1], \
              \"kernels\": [], \"power_chain\": [], \"delta_rates\": [], \
              \"host_cores\": 1, \"scaling\": [], \"roofline\": [], \"triad\": {}, \
-             \"locality\": {}, \"bounds_checks\": [], \
-             \"delta_saved_total\": 5, \"max_warm_speedup\": 1.2}";
+             \"locality\": {}, \"delta_saved_total\": 5, \"max_warm_speedup\": 1.2}";
         validate_report_json(empty_sections).unwrap();
         assert!(validate_report_structure(empty_sections).is_err());
 
         let wrong_types = "{\"scale\": 1, \"samples\": \"many\", \"thread_counts\": 1, \
              \"kernels\": {}, \"power_chain\": 0, \"delta_rates\": \"x\", \
              \"host_cores\": \"two\", \"scaling\": 0, \"roofline\": {}, \"triad\": [], \
-             \"locality\": 0, \"bounds_checks\": \"none\", \
-             \"delta_saved_total\": [], \"max_warm_speedup\": \"big\"}";
+             \"locality\": 0, \"delta_saved_total\": [], \"max_warm_speedup\": \"big\"}";
         validate_report_json(wrong_types).unwrap();
         assert!(validate_report_structure(wrong_types).is_err());
 
@@ -2204,15 +2019,9 @@ mod tests {
                   \"delta_rates\": [], \"max_warm_speedup\": 1.0, \"host_cores\": 1, \
                   \"scaling\": [], \"roofline\": [], \"triad\": {}}";
         assert!(validate_report_json(missing_locality).is_err());
-        // …and so is the bounds-check comparison section.
-        let missing_bounds = "{\"kernels\": [], \"power_chain\": [], \"thread_counts\": [1], \
-                  \"delta_rates\": [], \"max_warm_speedup\": 1.0, \"host_cores\": 1, \
-                  \"scaling\": [], \"roofline\": [], \"triad\": {}, \"locality\": {}}";
-        assert!(validate_report_json(missing_bounds).is_err());
         let ok = "{\"kernels\": [], \"power_chain\": [], \"thread_counts\": [1], \
                   \"delta_rates\": [], \"max_warm_speedup\": 1.0, \"host_cores\": 1, \
-                  \"scaling\": [], \"roofline\": [], \"triad\": {}, \"locality\": {}, \
-                  \"bounds_checks\": []}";
+                  \"scaling\": [], \"roofline\": [], \"triad\": {}, \"locality\": {}}";
         validate_report_json(ok).unwrap();
     }
 
@@ -2243,19 +2052,6 @@ mod tests {
         )
     }
 
-    /// A structurally valid bounds-check section: both kernels timed on one
-    /// dataset, checked path slightly slower than the default path.
-    fn bounds_fixture() -> String {
-        let row = |kernel: &str| {
-            format!(
-                "{{\"kernel\": \"{kernel}\", \"dataset\": \"AS\", \"rows\": 1000, \
-                  \"nnz\": 10, \"checked_ms\": 1.1, \"default_ms\": 1.0, \
-                  \"speedup\": 1.1, \"samples\": 3, \"unchecked_enabled\": false}}"
-            )
-        };
-        format!("[{}, {}]", row("spgemm"), row("spmm"))
-    }
-
     /// A structurally complete report with parameterizable scaling/roofline/
     /// triad sections, for exercising the validator's tentpole gates.
     fn report_fixture(host_cores: u32, scaling: &str, roofline: &str, triad: &str) -> String {
@@ -2268,9 +2064,8 @@ mod tests {
               \"delta_rates\": [{{\"dataset\": \"AS\", \"threads\": 1}}], \
               \"delta_saved_total\": 5, \"max_warm_speedup\": 1.2, \
               \"scaling\": [{scaling}], \"roofline\": [{roofline}], \"triad\": {triad}, \
-              \"locality\": {}, \"bounds_checks\": {}}}",
-            locality_fixture(),
-            bounds_fixture()
+              \"locality\": {}}}",
+            locality_fixture()
         )
     }
 
@@ -2395,29 +2190,6 @@ mod tests {
             .replace("\"spgemm_wins\": 1, \"datasets\": 1", "\"spgemm_wins\": 6, \"datasets\": 6");
         let err = validate_report_structure(&hollow_full).unwrap_err();
         assert!(err.contains("required_wins"), "{err}");
-    }
-
-    #[test]
-    fn validator_gates_bounds_check_section() {
-        let good = report_fixture(8, &good_scaling(), GOOD_ROOFLINE, GOOD_TRIAD);
-        validate_report_structure(&good).unwrap();
-
-        // Both kernels must be covered, not just one twice; the only
-        // `spmm` bounds row is rewritten into a second `spgemm` one.
-        let one_kernel = good.replace("\"kernel\": \"spmm\"", "\"kernel\": \"spgemm\"");
-        let err = validate_report_structure(&one_kernel).unwrap_err();
-        assert!(err.contains("both spgemm and spmm"), "{err}");
-
-        // Timings must be real measurements, never zero or negative.
-        let dead_clock = good.replace("\"checked_ms\": 1.1", "\"checked_ms\": 0.0");
-        let err = validate_report_structure(&dead_clock).unwrap_err();
-        assert!(err.contains("checked_ms"), "{err}");
-
-        // The build mode is part of the record: a row without the
-        // `unchecked_enabled` boolean cannot say which path it timed.
-        let no_mode = good.replace("\"unchecked_enabled\": false", "\"unchecked_enabled\": 1");
-        let err = validate_report_structure(&no_mode).unwrap_err();
-        assert!(err.contains("unchecked_enabled"), "{err}");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! manifest-level half of the `unsafe-code` rule.
 
 use crate::rules::{self, FileMarkers, Finding, Rule, Scope};
-use crate::{absint, flows, hwbudget, lexer, parser};
+use crate::{flows, hwbudget, lexer, parser};
 use std::collections::BTreeMap;
 use std::fs;
 use std::io;
@@ -28,8 +28,6 @@ pub struct WorkspaceRun {
     pub findings: Vec<Finding>,
     /// Number of `.rs` files lexed and linted.
     pub files_scanned: usize,
-    /// Bounds certificates proven by the interval interpreter.
-    pub certificates: Vec<absint::CertRecord>,
     /// Per-rule wall-clock profile, when requested with `--timing`.
     pub timings: Option<RuleTimings>,
 }
@@ -139,10 +137,6 @@ const TOKEN_RULES: [Rule; 5] = [
     Rule::MalformedMarker,
 ];
 
-/// The bounds family runs as one fused interpreter pass; both slugs are
-/// timed against a single `absint::analyze` re-run.
-const ABSINT_RULES: [Rule; 2] = [Rule::BoundsProof, Rule::UncheckedAccess];
-
 /// Milliseconds elapsed since `t0`.
 // lint: timing-carrier -- the --timing profile measures the lint itself, never rule findings
 fn ms_since(t0: std::time::Instant) -> f64 {
@@ -185,9 +179,6 @@ pub fn lint_workspace_with(root: &Path, timing: bool) -> io::Result<WorkspaceRun
         flows::FlowAnalysis::new(&parsed, &tokens, &markers, flows::AnalysisMode::Workspace);
     let graph_ms = ms_since(t_graph);
     run.findings.extend(analysis.run());
-    let bounds = absint::analyze(&parsed, &tokens, &markers);
-    run.findings.extend(bounds.findings);
-    run.certificates = bounds.certificates;
     run.findings.extend(hwbudget::check_workspace());
     check_manifests(root, &mut run.findings)?;
     run.findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
@@ -207,8 +198,6 @@ pub fn lint_workspace_with(root: &Path, timing: bool) -> io::Result<WorkspaceRun
                 }
             } else if rule == Rule::HwBudget {
                 hwbudget::check_workspace();
-            } else if ABSINT_RULES.contains(&rule) {
-                absint::analyze(&parsed, &tokens, &markers);
             } else {
                 analysis.run_rule(rule);
             }
@@ -246,20 +235,10 @@ pub fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::R
     Ok(())
 }
 
-/// Manifest half of R3: the workspace lint table must deny `unsafe_code`
-/// (deny, not forbid, so the one certificate-gated accessor module can
-/// `#[allow(unsafe_code)]` under a `// lint: certified(..)` marker) and
-/// every first-party crate must opt into it.
+/// Manifest half of R3: the workspace lint table must forbid `unsafe_code`
+/// and every first-party crate must opt into it.
 fn check_manifests(root: &Path, findings: &mut Vec<Finding>) -> io::Result<()> {
-    let root_manifest = fs::read_to_string(root.join("Cargo.toml"))?;
-    if !toml_has_kv(&root_manifest, "[workspace.lints.rust]", "unsafe_code", "\"deny\"") {
-        findings.push(Finding {
-            rule: Rule::UnsafeCode,
-            file: "Cargo.toml".to_string(),
-            line: 1,
-            message: "workspace manifest must set `unsafe_code = \"deny\"` under [workspace.lints.rust]".to_string(),
-        });
-    }
+    check_root_manifest(&fs::read_to_string(root.join("Cargo.toml"))?, findings);
     // The root package shares Cargo.toml with the workspace table; the
     // member crates each have their own manifest.
     let mut manifests = vec!["Cargo.toml".to_string()];
@@ -287,6 +266,19 @@ fn check_manifests(root: &Path, findings: &mut Vec<Finding>) -> io::Result<()> {
         }
     }
     Ok(())
+}
+
+/// The workspace lint table must say `forbid`: a `deny` (or any weaker
+/// level) can be lifted by a local `#[allow(unsafe_code)]`.
+fn check_root_manifest(text: &str, findings: &mut Vec<Finding>) {
+    if !toml_has_kv(text, "[workspace.lints.rust]", "unsafe_code", "\"forbid\"") {
+        findings.push(Finding {
+            rule: Rule::UnsafeCode,
+            file: "Cargo.toml".to_string(),
+            line: 1,
+            message: "workspace manifest must set `unsafe_code = \"forbid\"` under [workspace.lints.rust]".to_string(),
+        });
+    }
 }
 
 /// True if `text` has a TOML section headed `section` whose body (before the
@@ -354,5 +346,17 @@ mod tests {
         assert!(!toml_has_kv(wrong, "[lints]", "workspace", "true"));
         let after = "[lints]\n[dependencies]\nworkspace = true\n";
         assert!(!toml_has_kv(after, "[lints]", "workspace", "true"));
+    }
+
+    #[test]
+    fn root_manifest_must_forbid_unsafe_code() {
+        let slugs = |text: &str| {
+            let mut findings = Vec::new();
+            check_root_manifest(text, &mut findings);
+            findings.iter().map(|f| f.rule.slug()).collect::<Vec<_>>()
+        };
+        assert!(slugs("[workspace.lints.rust]\nunsafe_code = \"forbid\"\n").is_empty());
+        assert_eq!(slugs("[workspace.lints.rust]\nunsafe_code = \"deny\"\n"), vec!["unsafe-code"]);
+        assert_eq!(slugs("[workspace]\n"), vec!["unsafe-code"]);
     }
 }

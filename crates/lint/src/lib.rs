@@ -30,20 +30,12 @@
 //!   fan-out on any path that feeds an `OpStats` kernel, a JSON emitter,
 //!   or a `// lint: deterministic` root; built on the per-statement
 //!   def/use engine in [`dataflow`]. See DESIGN.md §15.
-//! * the **bounds family** (`bounds-proof`, `unchecked-access`) — an
-//!   interval-domain abstract interpreter ([`absint`]) symbolically
-//!   executes the sparse hot kernels, proves every declared index-in-bounds
-//!   obligation from `// lint: invariant/requires/ensures` contracts, and
-//!   emits machine-checkable bounds certificates into `results/lint.json`;
-//!   `unsafe`/`get_unchecked` is a hard finding anywhere a valid
-//!   certificate does not cover it. See DESIGN.md §16.
 //!
 //! New findings beyond the checked-in `lint.baseline` ratchet ([`baseline`])
 //! fail CI; run `idgnn-lint --explain <rule>` for each rule's rationale.
 //! See DESIGN.md §10–§11 for the full policy, suppression syntax, and the
 //! relationship to the `strict-invariants` runtime feature.
 
-pub mod absint;
 pub mod baseline;
 pub mod dataflow;
 pub mod driver;

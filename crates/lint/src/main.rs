@@ -14,7 +14,7 @@
 use idgnn_lint::baseline::{Baseline, Comparison};
 use idgnn_lint::report::{render_json, render_text, Report};
 use idgnn_lint::rules::{FileMarkers, Finding, Rule, Scope};
-use idgnn_lint::{absint, driver, flows, lexer, parser, rules};
+use idgnn_lint::{driver, flows, lexer, parser, rules};
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
@@ -83,13 +83,13 @@ options:
   --timing            profile per-rule wall-clock; fail when one rule runs
                       past 5x the median (workspace mode only)
   --explain RULE      print the rationale for one rule, the `determinism`
-                      or `bounds` family, or `all`, and exit
+                      family, or `all`, and exit
   -h, --help          print this help and exit
 
 rules: hot-path-alloc, panic-surface, unsafe-code, opstats-literal,
        resource-flow, opstats-flow, hw-budget, unordered-iteration,
        float-reduction-order, ambient-nondeterminism, block-merge-order,
-       bounds-proof, unchecked-access, malformed-marker
+       malformed-marker
 
 exit codes: 0 clean or fully grandfathered; 1 findings beyond the baseline
 (any finding at all in explicit-file mode) or a timing-gate breach; 2 usage
@@ -125,9 +125,9 @@ fn run(args: &[String]) -> i32 {
     }
 }
 
-/// Prints the rationale for one rule slug, the `determinism`/`bounds`
-/// families, or every rule for `all`. Unknown names exit 2 and list every
-/// rule grouped by family, matching what `--help` advertises.
+/// Prints the rationale for one rule slug, the `determinism` family, or
+/// every rule for `all`. Unknown names exit 2 and list every rule grouped
+/// by family, matching what `--help` advertises.
 fn run_explain(slug: &str) -> i32 {
     if slug == "all" {
         for rule in Rule::all() {
@@ -141,12 +141,6 @@ fn run_explain(slug: &str) -> i32 {
         }
         return 0;
     }
-    if slug == "bounds" {
-        for rule in Rule::bounds_family() {
-            println!("[{}]\n{}\n", rule.slug(), rule.explain());
-        }
-        return 0;
-    }
     match Rule::from_slug(slug) {
         Some(rule) => {
             println!("[{}]\n{}", rule.slug(), rule.explain());
@@ -155,18 +149,12 @@ fn run_explain(slug: &str) -> i32 {
         None => {
             let det: Vec<&str> =
                 Rule::determinism_family().iter().map(|r| r.slug()).collect();
-            let bounds: Vec<&str> =
-                Rule::bounds_family().iter().map(|r| r.slug()).collect();
-            let standalone: Vec<&str> = Rule::all()
-                .iter()
-                .map(|r| r.slug())
-                .filter(|s| !det.contains(s) && !bounds.contains(s))
-                .collect();
+            let standalone: Vec<&str> =
+                Rule::all().iter().map(|r| r.slug()).filter(|s| !det.contains(s)).collect();
             eprintln!("unknown rule `{slug}`; known rules and families:");
             eprintln!("  standalone: {}", standalone.join(", "));
             eprintln!("  determinism family: {}", det.join(", "));
-            eprintln!("  bounds family: {}", bounds.join(", "));
-            eprintln!("  aliases: all, determinism, bounds");
+            eprintln!("  aliases: all, determinism");
             2
         }
     }
@@ -191,14 +179,11 @@ fn run_files(cli: &Cli) -> Result<i32, String> {
         tokens.insert(f.clone(), toks);
     }
     findings.extend(flows::analyze(&parsed, &tokens, &markers, flows::AnalysisMode::Explicit));
-    let bounds = absint::analyze(&parsed, &tokens, &markers);
-    findings.extend(bounds.findings);
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     let comparison = Comparison::default();
     let exit_code = if findings.is_empty() { 0 } else { 1 };
     let report = Report {
         findings: &findings,
-        certificates: &bounds.certificates,
         comparison: &comparison,
         files_scanned: cli.files.len(),
         exit_code,
@@ -240,7 +225,6 @@ fn run_workspace(cli: &Cli) -> Result<i32, String> {
     let exit_code = if comparison.ok() && !gate_breached { 0 } else { 1 };
     let report = Report {
         findings: &run.findings,
-        certificates: &run.certificates,
         comparison: &comparison,
         files_scanned: run.files_scanned,
         exit_code,

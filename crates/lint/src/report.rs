@@ -4,7 +4,6 @@
 //! serialize-only and lives on the other side of the dependency fence anyway
 //! — the lint tool deliberately depends on nothing but `std`.
 
-use crate::absint::CertRecord;
 use crate::baseline::Comparison;
 use crate::driver::RuleTimings;
 use crate::rules::{Finding, Rule};
@@ -13,9 +12,6 @@ use crate::rules::{Finding, Rule};
 pub struct Report<'a> {
     /// All findings, sorted by file/line.
     pub findings: &'a [Finding],
-    /// Bounds certificates proven by the interval interpreter, sorted by
-    /// (file, line, id, claim).
-    pub certificates: &'a [CertRecord],
     /// Baseline comparison (empty default when linting explicit files).
     pub comparison: &'a Comparison,
     /// Number of `.rs` files scanned.
@@ -50,15 +46,6 @@ pub fn render_text(r: &Report<'_>) -> String {
         r.comparison.grandfathered,
         total.saturating_sub(r.comparison.grandfathered),
     ));
-    if !r.certificates.is_empty() {
-        let ids: std::collections::BTreeSet<&str> =
-            r.certificates.iter().map(|c| c.id.as_str()).collect();
-        out.push_str(&format!(
-            "{} bounds certificate(s) proven across {} certificate id(s)\n",
-            r.certificates.len(),
-            ids.len(),
-        ));
-    }
     if let Some(t) = r.timings {
         for (slug, ms) in &t.per_rule_ms {
             out.push_str(&format!("timing: {slug}: {ms:.2} ms\n"));
@@ -120,23 +107,6 @@ pub fn render_json(r: &Report<'_>) -> String {
         ));
     }
 
-    out.push_str("  \"certificates\": [\n");
-    for (i, c) in r.certificates.iter().enumerate() {
-        let basis =
-            c.basis.iter().map(|b| json_str(b)).collect::<Vec<_>>().join(", ");
-        out.push_str(&format!(
-            "    {{\"id\": {}, \"file\": {}, \"line\": {}, \"fn\": {}, \"claim\": {}, \"basis\": [{}]}}{}\n",
-            json_str(&c.id),
-            json_str(&c.file),
-            c.line,
-            json_str(&c.fn_name),
-            json_str(&c.claim),
-            basis,
-            if i + 1 < r.certificates.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
-
     out.push_str("  \"findings\": [\n");
     for (i, f) in r.findings.iter().enumerate() {
         out.push_str(&format!(
@@ -190,7 +160,7 @@ mod tests {
     fn text_report_has_one_line_per_finding_plus_summary() {
         let findings = sample();
         let cmp = Comparison::default();
-        let r = Report { findings: &findings, certificates: &[], comparison: &cmp, files_scanned: 3, exit_code: 1, timings: None };
+        let r = Report { findings: &findings, comparison: &cmp, files_scanned: 3, exit_code: 1, timings: None };
         let text = render_text(&r);
         assert!(text.contains("crates/x/src/lib.rs:7: [panic-surface]"));
         assert!(text.contains("3 file(s) scanned, 1 finding(s)"));
@@ -200,7 +170,7 @@ mod tests {
     fn json_report_escapes_and_counts() {
         let findings = sample();
         let cmp = Comparison::default();
-        let r = Report { findings: &findings, certificates: &[], comparison: &cmp, files_scanned: 3, exit_code: 1, timings: None };
+        let r = Report { findings: &findings, comparison: &cmp, files_scanned: 3, exit_code: 1, timings: None };
         let json = render_json(&r);
         assert!(json.contains("\"panic-surface\": 1"));
         assert!(json.contains("\\\"quotes\\\""));
@@ -208,27 +178,6 @@ mod tests {
         // Balanced braces/brackets — cheap structural sanity.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn certificates_render_in_both_formats() {
-        let certs = vec![crate::absint::CertRecord {
-            id: "spgemm-scatter".to_string(),
-            file: "crates/sparse/src/simd.rs".to_string(),
-            line: 42,
-            fn_name: "scatter_fused".to_string(),
-            claim: "c < len(ws.acc)".to_string(),
-            basis: vec!["requires(in-len(c, ws.acc)) of `scatter_fused`".to_string()],
-        }];
-        let cmp = Comparison::default();
-        let r = Report { findings: &[], certificates: &certs, comparison: &cmp, files_scanned: 1, exit_code: 0, timings: None };
-        let text = render_text(&r);
-        assert!(text.contains("1 bounds certificate(s) proven across 1 certificate id(s)"));
-        let json = render_json(&r);
-        assert!(json.contains("\"certificates\": ["));
-        assert!(json.contains("\"id\": \"spgemm-scatter\""));
-        assert!(json.contains("\"claim\": \"c < len(ws.acc)\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]

@@ -19,8 +19,6 @@
 //! | `float-reduction-order` | float reductions whose addition order is unpinned ([`crate::flows`]) |
 //! | `ambient-nondeterminism` | wall-clock / thread-id / env reads on deterministic paths ([`crate::flows`]) |
 //! | `block-merge-order` | thread fan-out outside the audited fixed-order merge helpers ([`crate::flows`]) |
-//! | `bounds-proof` | proof obligations the interval interpreter cannot discharge ([`crate::absint`]) |
-//! | `unchecked-access` | `unsafe`/`get_unchecked` outside a certificate-backed fn ([`crate::absint`]) |
 //! | `malformed-marker` | a `// lint:` marker the tool cannot honor |
 //!
 //! Suppression: `// lint: allow(<slug>) -- <reason>` silences findings of
@@ -35,15 +33,7 @@
 //! suppression of the container-order rules), `timing-carrier -- <reason>`
 //! (the following fn measures wall-clock for a sidecar by design), and
 //! `ordered-merge -- <reason>` (the following fn is a hand-audited
-//! fixed-order merge helper allowed to spawn threads). The bounds family
-//! (DESIGN.md §16) adds the contract markers consumed by [`crate::absint`]:
-//! `invariant(<names>)` (the following fn's CSR params satisfy the named
-//! `strict-invariants`-checked structural invariants), `requires(<facts>)`
-//! (preconditions proven at every call site), `ensures(<facts>)`
-//! (postconditions assumed at call sites; append-facts are re-verified in
-//! the body), and `certified(<id>) -- <reason>` (the following fn may use
-//! `unsafe`/`get_unchecked`; the interpreter must prove every obligation or
-//! `unchecked-access` fires).
+//! fixed-order merge helper allowed to spawn threads).
 
 use crate::lexer::{Token, TokenKind};
 
@@ -74,11 +64,6 @@ pub enum Rule {
     AmbientNondeterminism,
     /// R11: thread fan-out outside the audited fixed-order merge helpers.
     BlockMergeOrder,
-    /// R12: a proof obligation the interval abstract interpreter could not
-    /// discharge (the `bounds` family, DESIGN.md §16).
-    BoundsProof,
-    /// R13: `unsafe`/`get_unchecked` without a valid bounds certificate.
-    UncheckedAccess,
     /// A `// lint:` marker the tool cannot parse or honor.
     MalformedMarker,
 }
@@ -98,8 +83,6 @@ impl Rule {
             Rule::FloatReductionOrder => "float-reduction-order",
             Rule::AmbientNondeterminism => "ambient-nondeterminism",
             Rule::BlockMergeOrder => "block-merge-order",
-            Rule::BoundsProof => "bounds-proof",
-            Rule::UncheckedAccess => "unchecked-access",
             Rule::MalformedMarker => "malformed-marker",
         }
     }
@@ -118,8 +101,6 @@ impl Rule {
             "float-reduction-order" => Some(Rule::FloatReductionOrder),
             "ambient-nondeterminism" => Some(Rule::AmbientNondeterminism),
             "block-merge-order" => Some(Rule::BlockMergeOrder),
-            "bounds-proof" => Some(Rule::BoundsProof),
-            "unchecked-access" => Some(Rule::UncheckedAccess),
             "malformed-marker" => Some(Rule::MalformedMarker),
             _ => None,
         }
@@ -135,13 +116,8 @@ impl Rule {
         ]
     }
 
-    /// The two `bounds` sub-rules (DESIGN.md §16), in report order.
-    pub fn bounds_family() -> [Rule; 2] {
-        [Rule::BoundsProof, Rule::UncheckedAccess]
-    }
-
     /// All rules (the meta-rule last), for reporting.
-    pub fn all() -> [Rule; 14] {
+    pub fn all() -> [Rule; 12] {
         [
             Rule::HotPathAlloc,
             Rule::PanicSurface,
@@ -154,8 +130,6 @@ impl Rule {
             Rule::FloatReductionOrder,
             Rule::AmbientNondeterminism,
             Rule::BlockMergeOrder,
-            Rule::BoundsProof,
-            Rule::UncheckedAccess,
             Rule::MalformedMarker,
         ]
     }
@@ -179,17 +153,17 @@ impl Rule {
                 a panic in the middle of a multi-hour DGNN sweep loses the run. Sites\n\
                 with a locally provable bound carry\n\
                 `// lint: allow(panic-surface) -- <the invariant>`.",
-            Rule::UnsafeCode => "unsafe-code — `unsafe` is banned unless a bounds certificate covers it.\n\n\
-                `[workspace.lints.rust] unsafe_code = \"deny\"` plus this token-level\n\
-                check (which also sees `unsafe` in cfg'd-out code and test modules).\n\
-                The only sanctioned escape hatch is the proof-carrying one: a fn\n\
-                marked `// lint: certified(<id>) -- <reason>` (plus a per-item\n\
-                `#[allow(unsafe_code)]`) whose every access the interval abstract\n\
-                interpreter proves in-bounds — see bounds-proof / unchecked-access\n\
-                and DESIGN.md §16. Outside a certified fn the old rule stands:\n\
-                nothing in the accelerator model needs raw pointers, and keeping the\n\
-                unproven surface at zero keeps the deterministic-parallelism\n\
-                argument (DESIGN.md §7) purely structural.",
+            Rule::UnsafeCode => "unsafe-code — the workspace forbids `unsafe` outright.\n\n\
+                Two halves. The manifest half requires `unsafe_code = \"forbid\"` under\n\
+                `[workspace.lints.rust]` in the root Cargo.toml (`deny` is a finding:\n\
+                it can be overridden by a local `#[allow]`, `forbid` cannot) and\n\
+                `[lints] workspace = true` in every first-party crate manifest. The\n\
+                token half flags every `unsafe` keyword, including in cfg'd-out code\n\
+                and test modules that rustc never sees. There is no allowlist and no\n\
+                marker that lifts it: nothing in the accelerator model needs raw\n\
+                pointers or unchecked indexing, and keeping the surface at zero makes\n\
+                the deterministic-parallelism argument (DESIGN.md §7) purely\n\
+                structural.",
             Rule::OpstatsLiteral => "opstats-literal — operation counts enter through one door.\n\n\
                 `OpStats` powers every figure's work accounting (Eqs. 13–15 savings\n\
                 included), so raw `OpStats { .. }` literals outside its home module\n\
@@ -278,35 +252,6 @@ impl Rule {
                 other function that calls `spawn` or `thread::scope` directly is a\n\
                 finding: route the fan-out through the helpers, or hand-audit the\n\
                 merge and add the marker with its argument.",
-            Rule::BoundsProof => "bounds-proof — every declared bounds obligation must be provable.\n\n\
-                First bounds sub-rule (DESIGN.md §16). The interval abstract\n\
-                interpreter (crates/lint/src/absint.rs) symbolically executes every\n\
-                non-test fn that calls a contract-carrying function\n\
-                (`// lint: requires(<facts>)`) or contains `get_unchecked`,\n\
-                tracking symbolic strict upper bounds (i < len(s), (i+1)*k <=\n\
-                len(s)) with widening at loop heads. Bounds are seeded from\n\
-                declared structural invariants (`// lint: invariant(col-in-bounds,\n\
-                ...)`) — exactly the list the runtime `strict-invariants`\n\
-                `debug_validate` enforces, a contract pinned by test — and from\n\
-                `ensures(...)` postconditions such as the Workspace SPA-width\n\
-                axiom. A finding means a requires-fact at a call site, an intrinsic\n\
-                unchecked index, an append postcondition, or the marker itself\n\
-                (unknown invariant name, malformed fact) could not be discharged.\n\
-                Proven obligations emit machine-checkable bounds certificates into\n\
-                results/lint.json; there is no allow escape — fix the proof or\n\
-                drop the contract.",
-            Rule::UncheckedAccess => "unchecked-access — no `get_unchecked` without a valid certificate.\n\n\
-                Second bounds sub-rule (DESIGN.md §16), the hard gate behind the\n\
-                `proven-unchecked` feature of idgnn-sparse. Every `get_unchecked` /\n\
-                `get_unchecked_mut` in the workspace must sit inside a fn marked\n\
-                `// lint: certified(<id>) -- <reason>` whose proof obligations the\n\
-                interval interpreter fully discharges: a bare unchecked access is\n\
-                flagged token-level (test code included), and a certified fn whose\n\
-                proof fails is flagged by the interpreter with the failing\n\
-                obligation's id. scripts/ci.sh gates on zero findings, so the\n\
-                committed results/lint.json certificate list exactly covers every\n\
-                unsafe access site that `proven-unchecked` switches to\n\
-                `get_unchecked`.",
             Rule::MalformedMarker => "malformed-marker — the lint's own markers must be well-formed.\n\n\
                 A `// lint:` comment the tool cannot honor (unknown rule, missing\n\
                 mandatory `-- <reason>`, `hot-path`/`buffer-carrier` not followed by a\n\
@@ -397,20 +342,6 @@ pub struct FileMarkers {
     /// Lines of `ordered-merge -- <reason>` markers (the following fn is a
     /// hand-audited fixed-order merge helper allowed to spawn threads).
     pub ordered_merges: Vec<usize>,
-    /// `invariant(<names>)` markers: (line, comma-separated invariant names).
-    /// The following fn's CSR-matrix params satisfy the named structural
-    /// invariants (the same list `strict-invariants` checks at runtime).
-    pub invariants: Vec<(usize, String)>,
-    /// `requires(<facts>)` markers: (line, fact list) — preconditions the
-    /// interval interpreter proves at every call site of the following fn.
-    pub requires: Vec<(usize, String)>,
-    /// `ensures(<facts>)` markers: (line, fact list) — postconditions assumed
-    /// at call sites of the following fn (append facts re-verified in body).
-    pub ensures: Vec<(usize, String)>,
-    /// `certified(<id>) -- <reason>` markers: (line, certificate id) — the
-    /// following fn may contain `unsafe`/`get_unchecked`; certificate
-    /// validity is proven by [`crate::absint`].
-    pub certified: Vec<(usize, String)>,
 }
 
 /// Collects the semantic-rule markers from a token stream without emitting
@@ -427,10 +358,6 @@ pub fn file_markers(tokens: &[Token]) -> FileMarkers {
             Some(Marker::OrderInsensitive) => m.order_insensitive.push(tok.line),
             Some(Marker::TimingCarrier) => m.timing_carriers.push(tok.line),
             Some(Marker::OrderedMerge) => m.ordered_merges.push(tok.line),
-            Some(Marker::Invariant(names)) => m.invariants.push((tok.line, names)),
-            Some(Marker::Requires(facts)) => m.requires.push((tok.line, facts)),
-            Some(Marker::Ensures(facts)) => m.ensures.push((tok.line, facts)),
-            Some(Marker::Certified(id)) => m.certified.push((tok.line, id)),
             _ => {}
         }
     }
@@ -455,14 +382,6 @@ enum Marker {
     TimingCarrier,
     /// `ordered-merge -- <reason>`
     OrderedMerge,
-    /// `invariant(<names>)` — declared CSR structural invariants.
-    Invariant(String),
-    /// `requires(<facts>)` — precondition fact list.
-    Requires(String),
-    /// `ensures(<facts>)` — postcondition fact list.
-    Ensures(String),
-    /// `certified(<id>) -- <reason>` — certificate claim for the next fn.
-    Certified(String),
     /// Anything with `lint:` intent the tool cannot honor.
     Malformed(String),
 }
@@ -478,37 +397,6 @@ const REASONED_FN_MARKERS: &[KeywordMarker] = &[
     ("timing-carrier", || Marker::TimingCarrier),
     ("ordered-merge", || Marker::OrderedMerge),
 ];
-
-/// Constructor turning a fact-marker's parenthesized content into a marker.
-type FactCtor = fn(String) -> Marker;
-
-/// Markers of the form `<keyword>(<content>)` carrying a fact/name list that
-/// attaches to the following fn (the bounds family, DESIGN.md §16).
-const FACT_MARKERS: &[(&str, FactCtor)] = &[
-    ("invariant", Marker::Invariant),
-    ("requires", Marker::Requires),
-    ("ensures", Marker::Ensures),
-];
-
-/// Splits `s` (the text after an opening paren) at its balanced closing
-/// paren: `Some((content, rest-after-close))`, or `None` if unbalanced.
-fn balanced_paren_content(s: &str) -> Option<(&str, &str)> {
-    let mut depth = 1usize;
-    for (i, ch) in s.char_indices() {
-        match ch {
-            '(' => depth += 1,
-            ')' => {
-                depth -= 1;
-                if depth == 0 {
-                    // lint: allow(panic-surface) -- `i` is a char boundary from char_indices and `)` is one byte
-                    return Some((&s[..i], &s[i + 1..]));
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
 
 /// Parses the text of a plain line comment; `None` if it carries no
 /// `lint:` marker at all.
@@ -533,51 +421,6 @@ fn parse_marker_text(text: &str) -> Option<Marker> {
                 )));
             }
             return Some(make());
-        }
-    }
-    for (keyword, make) in FACT_MARKERS {
-        if let Some(tail) = rest.strip_prefix(keyword) {
-            if let Some(inner) = tail.strip_prefix('(') {
-                let (content, _after) = match balanced_paren_content(inner) {
-                    Some(p) => p,
-                    None => {
-                        return Some(Marker::Malformed(format!(
-                            "unclosed `{keyword}(` in lint marker"
-                        )))
-                    }
-                };
-                if content.trim().is_empty() {
-                    return Some(Marker::Malformed(format!(
-                        "`{keyword}(..)` marker needs at least one entry"
-                    )));
-                }
-                return Some(make(content.trim().to_string()));
-            }
-        }
-    }
-    if let Some(tail) = rest.strip_prefix("certified") {
-        if let Some(inner) = tail.strip_prefix('(') {
-            let (id, after) = match inner.split_once(')') {
-                Some(p) => p,
-                None => {
-                    return Some(Marker::Malformed(
-                        "unclosed `certified(` in lint marker".to_string(),
-                    ))
-                }
-            };
-            let id = id.trim();
-            if id.is_empty() {
-                return Some(Marker::Malformed(
-                    "`certified(..)` marker needs a certificate id".to_string(),
-                ));
-            }
-            let reason = after.trim().strip_prefix("--").map(str::trim).unwrap_or("");
-            if reason.is_empty() {
-                return Some(Marker::Malformed(format!(
-                    "certified({id}) marker is missing its mandatory `-- <reason>`"
-                )));
-            }
-            return Some(Marker::Certified(id.to_string()));
         }
     }
     if let Some(inner) = rest.strip_prefix("allow(") {
@@ -627,23 +470,10 @@ pub fn lint_tokens_filtered(
     let mut findings = Vec::new();
     let mut allows: Vec<Allow> = Vec::new();
     let mut hot_marker_lines: Vec<usize> = Vec::new();
-    let mut cert_marker_lines: Vec<usize> = Vec::new();
     let mut fn_markers: Vec<(usize, &'static str)> = Vec::new();
 
     for tok in tokens.iter().filter(|t| t.kind == TokenKind::LineComment) {
-        parse_marker(
-            file,
-            tok,
-            &mut allows,
-            &mut hot_marker_lines,
-            &mut cert_marker_lines,
-            &mut fn_markers,
-            &mut findings,
-        );
-    }
-    for &line in &cert_marker_lines {
-        // Placement errors surface through the shared fn-marker check below.
-        regions.mark_certified_fn(&sig, line);
+        parse_marker(file, tok, &mut allows, &mut hot_marker_lines, &mut fn_markers, &mut findings);
     }
     for &line in &hot_marker_lines {
         if !regions.mark_hot_fn(&sig, line) {
@@ -683,13 +513,11 @@ pub fn lint_tokens_filtered(
 }
 
 /// Per-significant-token region flags: inside `#[...]` attributes, inside
-/// `#[cfg(test)]` items, inside `// lint: hot-path` functions, inside
-/// `// lint: certified(..)` functions.
+/// `#[cfg(test)]` items, inside `// lint: hot-path` functions.
 struct Regions {
     in_attr: Vec<bool>,
     in_test: Vec<bool>,
     in_hot: Vec<bool>,
-    in_certified: Vec<bool>,
 }
 
 impl Regions {
@@ -699,7 +527,6 @@ impl Regions {
             in_attr: vec![false; n],
             in_test: vec![false; n],
             in_hot: vec![false; n],
-            in_certified: vec![false; n],
         };
         let mut i = 0usize;
         let mut pending_test = false;
@@ -739,18 +566,6 @@ impl Regions {
     /// Marks the function following a `// lint: hot-path` marker at `line`.
     /// Returns false if no function follows the marker.
     fn mark_hot_fn(&mut self, sig: &[&Token], line: usize) -> bool {
-        Regions::mark_fn_region(&mut self.in_hot, sig, line)
-    }
-
-    /// Marks the function following a `// lint: certified(..)` marker at
-    /// `line` (placement validation is the shared fn-marker check).
-    fn mark_certified_fn(&mut self, sig: &[&Token], line: usize) -> bool {
-        Regions::mark_fn_region(&mut self.in_certified, sig, line)
-    }
-
-    /// Marks the span of the function following `line` in `flags`. Returns
-    /// false if no function follows the marker.
-    fn mark_fn_region(flags: &mut [bool], sig: &[&Token], line: usize) -> bool {
         let start = match sig.iter().position(|t| t.line > line) {
             Some(p) => p,
             None => return false,
@@ -765,7 +580,7 @@ impl Regions {
             None => return false,
         };
         let end = item_end(sig, fn_idx);
-        for flag in flags.iter_mut().take(end + 1).skip(start) {
+        for flag in self.in_hot.iter_mut().take(end + 1).skip(start) {
             *flag = true;
         }
         true
@@ -828,14 +643,13 @@ fn item_end(sig: &[&Token], start: usize) -> usize {
 
 /// Parses a single plain line comment for `lint:` markers, routing each
 /// kind to its collector. `fn_markers` collects the lines of markers that
-/// must be followed by a function (`buffer-carrier`, `opstats-sink`, the
-/// bounds-family contract markers, ...) for placement validation.
+/// must be followed by a function (`buffer-carrier`, `opstats-sink`) for
+/// placement validation.
 fn parse_marker(
     file: &str,
     tok: &Token,
     allows: &mut Vec<Allow>,
     hot_lines: &mut Vec<usize>,
-    cert_lines: &mut Vec<usize>,
     fn_markers: &mut Vec<(usize, &'static str)>,
     findings: &mut Vec<Finding>,
 ) {
@@ -849,13 +663,6 @@ fn parse_marker(
         Some(Marker::OrderInsensitive) => fn_markers.push((tok.line, "order-insensitive")),
         Some(Marker::TimingCarrier) => fn_markers.push((tok.line, "timing-carrier")),
         Some(Marker::OrderedMerge) => fn_markers.push((tok.line, "ordered-merge")),
-        Some(Marker::Invariant(_)) => fn_markers.push((tok.line, "invariant")),
-        Some(Marker::Requires(_)) => fn_markers.push((tok.line, "requires")),
-        Some(Marker::Ensures(_)) => fn_markers.push((tok.line, "ensures")),
-        Some(Marker::Certified(_)) => {
-            cert_lines.push(tok.line);
-            fn_markers.push((tok.line, "certified"));
-        }
         Some(Marker::Malformed(msg)) => findings.push(Finding {
             rule: Rule::MalformedMarker,
             file: file.to_string(),
@@ -899,20 +706,9 @@ fn scan_patterns(
         let in_attr = flag(&regions.in_attr, k);
         let hot = scope.hot_module || flag(&regions.in_hot, k);
 
-        // R3/R13: unsafe and unchecked access anywhere, test code included
-        // (the certificate gate is crate-wide). Inside a certified fn the
-        // syntactic check stands down and the interval interpreter owns the
-        // site (it re-flags certificates whose proofs fail).
+        // R3: unsafe anywhere, test code included (forbid is crate-wide).
         if t.is_ident("unsafe") {
-            if !flag(&regions.in_certified, k) {
-                push(Rule::UnsafeCode, t.line, "`unsafe` outside a certified fn; mark the enclosing fn `// lint: certified(<id>) -- <reason>` so the interval interpreter proves its accesses (DESIGN.md §16)".to_string());
-            }
-            continue;
-        }
-        if (t.is_ident("get_unchecked") || t.is_ident("get_unchecked_mut"))
-            && !flag(&regions.in_certified, k)
-        {
-            push(Rule::UncheckedAccess, t.line, format!("`{}` outside a certified fn; every unchecked access needs a bounds certificate (`// lint: certified(<id>) -- <reason>`, proven by the interval interpreter)", t.text));
+            push(Rule::UnsafeCode, t.line, "`unsafe` is forbidden in this workspace (allowlist is empty)".to_string());
             continue;
         }
         if in_test || in_attr {
@@ -1130,6 +926,16 @@ mod tests {
     }
 
     #[test]
+    fn retired_contract_markers_are_malformed_and_do_not_lift_unsafe() {
+        let src = "// lint: certified(demo) -- proven elsewhere\n\
+                   fn f() { unsafe { } }";
+        assert_eq!(slugs(src), vec!["malformed-marker", "unsafe-code"]);
+        for marker in ["requires(in-len(i, s))", "ensures(spa-width(ws, b))", "invariant(col-in-bounds)"] {
+            assert_eq!(slugs(&format!("// lint: {marker}\nfn f() {{}}")), vec!["malformed-marker"]);
+        }
+    }
+
+    #[test]
     fn hot_path_marker_without_function_is_malformed() {
         assert_eq!(slugs("// lint: hot-path\nstatic X: u8 = 0;"), vec!["malformed-marker"]);
     }
@@ -1149,52 +955,5 @@ mod tests {
         let src = "// lint: allow(panic-surface) -- only here\nfn f() {\n    v[0];\n}";
         // marker line 1 covers lines 1-2; the indexing is on line 3.
         assert_eq!(slugs(src), vec!["panic-surface"]);
-    }
-
-    #[test]
-    fn certified_fn_exempts_unsafe_but_only_inside_its_region() {
-        let src = "// lint: certified(demo) -- proven by the interpreter\n\
-                   fn f(s: &[f32]) { unsafe { s.get_unchecked(0); } }\n\
-                   fn g() { unsafe { } }";
-        assert_eq!(slugs(src), vec!["unsafe-code"]);
-    }
-
-    #[test]
-    fn get_unchecked_outside_certified_fn_is_flagged() {
-        let got = slugs("fn f(s: &[f32]) { unsafe { s.get_unchecked(0); } }");
-        assert_eq!(got, vec!["unsafe-code", "unchecked-access"]);
-        let mutf = slugs("fn f(s: &mut [f32]) { unsafe { s.get_unchecked_mut(0); } }");
-        assert_eq!(mutf, vec!["unsafe-code", "unchecked-access"]);
-    }
-
-    #[test]
-    fn certified_marker_needs_reason_and_a_following_fn() {
-        let got = slugs("// lint: certified(x)\nfn f() { unsafe { } }");
-        // Missing reason: malformed, and the unsafe stays flagged.
-        assert_eq!(got, vec!["malformed-marker", "unsafe-code"]);
-        assert_eq!(slugs("// lint: certified(x) -- why\nstatic Y: u8 = 0;"),
-                   vec!["malformed-marker"]);
-    }
-
-    #[test]
-    fn fact_markers_parse_and_validate_placement() {
-        assert!(slugs("// lint: requires(in-len(i, s))\nfn f() {}").is_empty());
-        assert!(slugs("// lint: invariant(col-in-bounds)\n// lint: ensures(spa-width(self, cols))\nfn f() {}").is_empty());
-        assert_eq!(slugs("// lint: requires()\nfn f() {}"), vec!["malformed-marker"]);
-        assert_eq!(slugs("// lint: requires(in-len(i, s)\nfn f() {}"), vec!["malformed-marker"]);
-        assert_eq!(slugs("// lint: invariant(col-in-bounds)\nstatic X: u8 = 0;"),
-                   vec!["malformed-marker"]);
-    }
-
-    #[test]
-    fn file_markers_collect_contract_payloads() {
-        let src = "// lint: invariant(col-in-bounds, row-ptr-monotone)\n\
-                   // lint: requires(spa-width(ws, b))\n\
-                   // lint: certified(demo) -- reason\n\
-                   fn f() {}";
-        let m = file_markers(&lex(src));
-        assert_eq!(m.invariants, vec![(1, "col-in-bounds, row-ptr-monotone".to_string())]);
-        assert_eq!(m.requires, vec![(2, "spa-width(ws, b)".to_string())]);
-        assert_eq!(m.certified, vec![(3, "demo".to_string())]);
     }
 }

@@ -614,19 +614,16 @@ impl CsrMatrix {
 /// [`CsrMatrix::validate`], in evaluation order.
 ///
 /// These are the structural facts every `CsrMatrix` in the process is
-/// guaranteed to satisfy, which is why the idgnn-lint interval interpreter
-/// may *assume* them when proving bounds certificates: its
-/// `ASSUMED_INVARIANTS` list is pinned to this one by a contract test
-/// (`crates/lint/tests/invariant_contract.rs`), so neither side can grow or
-/// rename an invariant without the other noticing. Each slug names one
-/// `check_*` function below:
+/// guaranteed to satisfy; `tests/invariants.rs` breaks each one in turn and
+/// asserts construction rejects it. Each slug names one `check_*` function
+/// below:
 ///
 /// * `indptr-len` — `indptr` has `rows + 1` entries and is anchored at 0.
 /// * `row-ptr-monotone` — `indptr` is non-decreasing.
 /// * `len-consistent` — `indices`/`values` both hold `indptr[rows]` entries.
 /// * `col-sorted-unique` — each row's column indices strictly increase.
-/// * `col-in-bounds` — each row's column indices are `< cols` (the fact the
-///   bounds prover leans on: `row_indices(r)` elements index the SPA).
+/// * `col-in-bounds` — each row's column indices are `< cols` (what lets a
+///   `row_indices(r)` element index the SpGEMM accumulator).
 pub const CHECKED_INVARIANTS: [&str; 5] =
     ["indptr-len", "row-ptr-monotone", "len-consistent", "col-sorted-unique", "col-in-bounds"];
 

@@ -37,7 +37,6 @@
 //! # }
 //! ```
 
-mod access;
 mod coo;
 mod csr;
 mod dense;

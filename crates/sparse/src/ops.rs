@@ -55,7 +55,6 @@
 //! bit-identical to the blocked two-phase path (property-tested) covers
 //! both transformations at once. See DESIGN.md §13.
 
-use crate::access::UNCHECKED_DEFAULT;
 use crate::error::{Result, SparseError};
 use crate::parallel::{self, Parallelism};
 use crate::workspace::{self, Workspace};
@@ -144,12 +143,12 @@ pub const CACHE_BLOCK_ENTRIES: usize = 16 * 1024;
 /// The Gustavson SpGEMM inner loop over one contiguous row block — the same
 /// code path in the serial and every parallel configuration. Checks a
 /// [`Workspace`] out of the global pool for the duration of the block.
-fn spgemm_block<const CHUNKED: bool, const UNCH: bool>(
+fn spgemm_block<const CHUNKED: bool>(
     a: &CsrMatrix,
     b: &CsrMatrix,
     rows: std::ops::Range<usize>,
 ) -> CsrBlock {
-    workspace::with_workspace(|ws| spgemm_block_in::<CHUNKED, UNCH>(a, b, rows, ws))
+    workspace::with_workspace(|ws| spgemm_block_in::<CHUNKED>(a, b, rows, ws))
 }
 
 /// Runs the scalar numeric pass for a contiguous batch of already-symbolic'd
@@ -192,7 +191,7 @@ fn spgemm_numeric_batch(
 /// (property-tested): per SPA slot the products arrive in the same
 /// ascending-`k` order, the discovered structure is sorted identically, and
 /// blocking only changes when rows are visited, never what they compute.
-fn spgemm_block_in<const CHUNKED: bool, const UNCH: bool>(
+fn spgemm_block_in<const CHUNKED: bool>(
     a: &CsrMatrix,
     b: &CsrMatrix,
     rows: std::ops::Range<usize>,
@@ -205,7 +204,7 @@ fn spgemm_block_in<const CHUNKED: bool, const UNCH: bool>(
     let mut stats = OpStats::default();
     if CHUNKED {
         for r in rows {
-            spgemm_row_fused::<UNCH>(
+            spgemm_row_fused(
                 a,
                 b,
                 r,
@@ -265,9 +264,7 @@ fn spgemm_block_in<const CHUNKED: bool, const UNCH: bool>(
 /// ascending-`k` order; sorting distinct indices is order-deterministic).
 #[allow(clippy::too_many_arguments)]
 #[inline]
-// lint: certified(spgemm-row-fused) -- gathered columns were appended to `indices` bounded by len(ws.acc) in the same pass
-// lint: requires(spa-width(ws, b))
-fn spgemm_row_fused<const UNCH: bool>(
+fn spgemm_row_fused(
     a: &CsrMatrix,
     b: &CsrMatrix,
     r: usize,
@@ -280,13 +277,13 @@ fn spgemm_row_fused<const UNCH: bool>(
     let generation = ws.next_generation();
     let start = indices.len();
     for (k, va) in a.row_iter(r) {
-        crate::simd::spgemm_segment_fused::<UNCH>(b, k, va, ws, generation, indices, stats);
+        crate::simd::spgemm_segment_fused(b, k, va, ws, generation, indices, stats);
     }
     // lint: allow(panic-surface) -- in-bounds: `start` was the length of `indices` above
     indices[start..].sort_unstable();
     row_lens.push(indices.len() - start);
-    // lint: allow(panic-surface) -- in-bounds: `start` was the length of `indices` above
-    values.extend(indices[start..].iter().map(|&c| crate::access::sread::<f32, UNCH>(&ws.acc, c)));
+    // lint: allow(panic-surface) -- in-bounds: `start` was the length of `indices` above; every gathered column is below `ws.acc.len()`
+    values.extend(indices[start..].iter().map(|&c| ws.acc[c]));
 }
 
 /// The symbolic (structure-only) pass over one output row — shared verbatim
@@ -395,24 +392,7 @@ pub fn spgemm_par_with_stats(
     b: &CsrMatrix,
     par: Parallelism,
 ) -> Result<(CsrMatrix, OpStats)> {
-    spgemm_par_impl::<true, UNCHECKED_DEFAULT>(a, b, par)
-}
-
-/// Sparse × sparse product on the default fused path with the bounds-checked
-/// accessors forced on, regardless of the `proven-unchecked` feature — the
-/// in-build reference the feature's `get_unchecked` path is proven
-/// bit-identical to (tests/unchecked_identity.rs, tests/perturbation.rs).
-///
-/// # Errors
-///
-/// Returns [`SparseError::DimensionMismatch`] if `a.cols() != b.rows()`.
-// lint: allow(opstats-flow) -- checked reference path; only the unchecked-identity tests run it
-pub fn spgemm_checked_with_stats(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    par: Parallelism,
-) -> Result<(CsrMatrix, OpStats)> {
-    spgemm_par_impl::<true, false>(a, b, par)
+    spgemm_par_impl::<true>(a, b, par)
 }
 
 /// Sparse × sparse product forced onto the *scalar* numeric pass — the
@@ -429,10 +409,10 @@ pub fn spgemm_scalar_with_stats(
     b: &CsrMatrix,
     par: Parallelism,
 ) -> Result<(CsrMatrix, OpStats)> {
-    spgemm_par_impl::<false, false>(a, b, par)
+    spgemm_par_impl::<false>(a, b, par)
 }
 
-fn spgemm_par_impl<const CHUNKED: bool, const UNCH: bool>(
+fn spgemm_par_impl<const CHUNKED: bool>(
     a: &CsrMatrix,
     b: &CsrMatrix,
     par: Parallelism,
@@ -450,7 +430,7 @@ fn spgemm_par_impl<const CHUNKED: bool, const UNCH: bool>(
         a.rows(),
         par,
         |r| a.row_nnz(r) as u64,
-        |range| spgemm_block::<CHUNKED, UNCH>(a, b, range),
+        |range| spgemm_block::<CHUNKED>(a, b, range),
     );
     Ok(assemble_csr(a.rows(), b.cols(), blocks))
 }
@@ -477,7 +457,7 @@ pub fn spgemm_with_workspace(
             rhs: b.shape(),
         });
     }
-    let block = spgemm_block_in::<true, UNCHECKED_DEFAULT>(a, b, 0..a.rows(), ws);
+    let block = spgemm_block_in::<true>(a, b, 0..a.rows(), ws);
     // lint: allow(hot-path-alloc) -- one-element block list per call, consumed by assemble_csr
     Ok(assemble_csr(a.rows(), b.cols(), vec![block]))
 }
@@ -503,25 +483,7 @@ pub fn row_masked_spgemm_with_workspace(
     rows: &[usize],
     ws: &mut Workspace,
 ) -> Result<(CsrMatrix, OpStats)> {
-    row_masked_spgemm_impl::<true, UNCHECKED_DEFAULT>(a, b, rows, ws)
-}
-
-/// The row-masked product on the default fused path with the bounds-checked
-/// accessors forced on, regardless of the `proven-unchecked` feature — the
-/// in-build reference for the unchecked-identity tests covering the
-/// frontier patcher's kernel.
-///
-/// # Errors
-///
-/// Same contract as [`row_masked_spgemm_with_workspace`].
-// lint: allow(opstats-flow) -- checked reference path; only the unchecked-identity tests run it
-pub fn row_masked_spgemm_with_workspace_checked(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    rows: &[usize],
-    ws: &mut Workspace,
-) -> Result<(CsrMatrix, OpStats)> {
-    row_masked_spgemm_impl::<true, false>(a, b, rows, ws)
+    row_masked_spgemm_impl::<true>(a, b, rows, ws)
 }
 
 /// The row-masked product forced onto the *scalar* numeric pass — the
@@ -538,10 +500,10 @@ pub fn row_masked_spgemm_scalar_with_workspace(
     rows: &[usize],
     ws: &mut Workspace,
 ) -> Result<(CsrMatrix, OpStats)> {
-    row_masked_spgemm_impl::<false, false>(a, b, rows, ws)
+    row_masked_spgemm_impl::<false>(a, b, rows, ws)
 }
 
-fn row_masked_spgemm_impl<const CHUNKED: bool, const UNCH: bool>(
+fn row_masked_spgemm_impl<const CHUNKED: bool>(
     a: &CsrMatrix,
     b: &CsrMatrix,
     rows: &[usize],
@@ -572,7 +534,7 @@ fn row_masked_spgemm_impl<const CHUNKED: bool, const UNCH: bool>(
     let mut stats = OpStats::default();
     if CHUNKED {
         for &r in rows {
-            spgemm_row_fused::<UNCH>(
+            spgemm_row_fused(
                 a,
                 b,
                 r,
@@ -791,7 +753,7 @@ pub fn spmm(a: &CsrMatrix, x: &DenseMatrix) -> Result<DenseMatrix> {
 /// `CHUNKED` selects the vectorizable AXPY in [`crate::simd`] (the default)
 /// or the scalar reference; both are bit-identical because every output
 /// slot accumulates its products in unchanged ascending-`k` order.
-fn spmm_block<const CHUNKED: bool, const UNCH: bool>(
+fn spmm_block<const CHUNKED: bool>(
     a: &CsrMatrix,
     x: &DenseMatrix,
     rows: std::ops::Range<usize>,
@@ -802,7 +764,8 @@ fn spmm_block<const CHUNKED: bool, const UNCH: bool>(
     let mut stats = OpStats::default();
     for (i, r) in rows.enumerate() {
         let row_nnz = a.row_nnz(r) as u64;
-        let orow = crate::access::srow_mut::<UNCH>(&mut out, i, k);
+        // lint: allow(panic-surface) -- in-bounds: `out` holds `rows.len() * k` values
+        let orow = &mut out[i * k..(i + 1) * k];
         for (c, v) in a.row_iter(r) {
             let xrow = x.row(c);
             if CHUNKED {
@@ -848,24 +811,7 @@ pub fn spmm_par_with_stats(
     x: &DenseMatrix,
     par: Parallelism,
 ) -> Result<(DenseMatrix, OpStats)> {
-    spmm_par_impl::<true, UNCHECKED_DEFAULT>(a, x, par)
-}
-
-/// Sparse × dense product on the default chunked path with the
-/// bounds-checked accessors forced on, regardless of the `proven-unchecked`
-/// feature — the in-build reference the feature's `get_unchecked` row slicing
-/// is proven bit-identical to.
-///
-/// # Errors
-///
-/// Returns [`SparseError::DimensionMismatch`] if `a.cols() != x.rows()`.
-// lint: allow(opstats-flow) -- checked reference path; only the unchecked-identity tests run it
-pub fn spmm_checked_with_stats(
-    a: &CsrMatrix,
-    x: &DenseMatrix,
-    par: Parallelism,
-) -> Result<(DenseMatrix, OpStats)> {
-    spmm_par_impl::<true, false>(a, x, par)
+    spmm_par_impl::<true>(a, x, par)
 }
 
 /// Sparse × dense product forced onto the *scalar* inner loop — the
@@ -880,10 +826,10 @@ pub fn spmm_scalar_with_stats(
     x: &DenseMatrix,
     par: Parallelism,
 ) -> Result<(DenseMatrix, OpStats)> {
-    spmm_par_impl::<false, false>(a, x, par)
+    spmm_par_impl::<false>(a, x, par)
 }
 
-fn spmm_par_impl<const CHUNKED: bool, const UNCH: bool>(
+fn spmm_par_impl<const CHUNKED: bool>(
     a: &CsrMatrix,
     x: &DenseMatrix,
     par: Parallelism,
@@ -901,7 +847,7 @@ fn spmm_par_impl<const CHUNKED: bool, const UNCH: bool>(
         a.rows(),
         par,
         |r| a.row_nnz(r) as u64,
-        |range| spmm_block::<CHUNKED, UNCH>(a, x, range),
+        |range| spmm_block::<CHUNKED>(a, x, range),
     );
     let (data, stats) = if blocks.len() == 1 {
         // Single block (the serial path): the chunk *is* the output — move it.

@@ -262,14 +262,14 @@ where
                 scope.spawn(move || {
                     #[cfg(not(any(test, feature = "schedule-perturbation")))]
                     let _ = block;
-                    let result = f(range);
                     // Adversarial schedule: hold this block's completion until
                     // every block the seeded permutation ranks earlier is done.
+                    // The turn is taken when the guard drops, after `f`
+                    // returns or while it unwinds, so a panicking block still
+                    // releases the blocks ranked after it.
                     #[cfg(any(test, feature = "schedule-perturbation"))]
-                    if let Some(g) = gate {
-                        g.wait_turn(block);
-                    }
-                    result
+                    let _turn = gate.map(|g| g.turn_on_drop(block));
+                    f(range)
                 })
             })
             // lint: allow(hot-path-alloc) -- one join-handle vec per fork, O(workers) not O(rows)
@@ -436,6 +436,15 @@ pub mod perturb {
         PerturbScope { _lock: lock }
     }
 
+    /// Holds the scope lock with no seed installed, so a test can observe
+    /// the inert harness without racing a concurrent scope.
+    #[cfg(test)]
+    pub(crate) fn inert() -> PerturbScope {
+        PerturbScope {
+            _lock: SCOPE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner),
+        }
+    }
+
     /// Thin LCG (Knuth MMIX constants); good enough to derange a test
     /// schedule, deliberately not a statistical RNG.
     fn lcg(state: &mut u64) -> u64 {
@@ -499,6 +508,25 @@ pub mod perturb {
             }
             *turn += 1;
             self.cv.notify_all();
+        }
+
+        /// A guard that calls [`Gate::wait_turn`]`(block)` when dropped,
+        /// including during a panic unwind.
+        pub fn turn_on_drop(&self, block: usize) -> Turn<'_> {
+            Turn { gate: self, block }
+        }
+    }
+
+    /// Takes `block`'s turn at the [`Gate`] on drop; see
+    /// [`Gate::turn_on_drop`].
+    pub struct Turn<'a> {
+        gate: &'a Gate,
+        block: usize,
+    }
+
+    impl Drop for Turn<'_> {
+        fn drop(&mut self) {
+            self.gate.wait_turn(self.block);
         }
     }
 }
@@ -627,6 +655,7 @@ mod tests {
 
     #[test]
     fn perturb_inert_without_scope() {
+        let _inert = perturb::inert();
         assert!(perturb::permutation(8).is_none());
         assert!(perturb::gate(8).is_none());
     }
@@ -701,6 +730,22 @@ mod tests {
         assert_eq!(Parallelism::new(8).effective(3), 3);
         assert_eq!(Parallelism::new(2).effective(0), 1);
         assert_eq!(format!("{}", Parallelism::new(4)), "4");
+    }
+
+    #[test]
+    fn worker_panic_under_perturbation_releases_the_turnstile() {
+        // Whichever rank the panicking block gets, the blocks ranked after
+        // it must still complete and the panic must reach the caller.
+        for seed in 0..8u64 {
+            let _scope = perturb::scoped(seed);
+            let run = std::panic::catch_unwind(|| {
+                map_blocks(8, Parallelism::new(4), |r| {
+                    assert!(!r.contains(&0), "boom");
+                    r.len()
+                })
+            });
+            assert!(run.is_err(), "seed {seed}");
+        }
     }
 
     #[test]

@@ -62,12 +62,6 @@ impl Workspace {
     /// patch on a narrower operand — settles at the largest width seen and
     /// never reallocates again, instead of re-growing the SPA on every
     /// width increase past a previous exact fit.
-    ///
-    /// The `ensures` contract below is the bounds prover's one trusted
-    /// axiom (DESIGN.md §16): after this call `acc` and `stamp` both hold
-    /// at least `cols` slots, which is what lets column indices `< cols`
-    /// certify the SPA scatter.
-    // lint: ensures(spa-width(self, cols))
     pub(crate) fn ensure_width(&mut self, cols: usize) {
         if self.stamp.len() < cols {
             let target = cols.next_power_of_two();

@@ -1,25 +1,8 @@
-//! The prover/runtime invariant contract (DESIGN.md §16).
+//! Every named CSR invariant in [`CHECKED_INVARIANTS`] is enforced: one
+//! malformed raw-parts quadruple per invariant, each of which
+//! `CsrMatrix::from_raw_parts` must reject with that invariant's reason.
 //!
-//! The interval interpreter *assumes* the CSR structural invariants when it
-//! proves bounds certificates — most importantly `col-in-bounds`, which is
-//! what makes a `row_indices(r)` element a valid SPA slot. Those assumptions
-//! are only sound because the runtime actually enforces them on every
-//! constructed matrix. This test pins the two lists to each other so neither
-//! side can drift: adding, removing, renaming, or reordering an invariant on
-//! one side fails here until the other side (and its enforcement/proof code)
-//! catches up.
-
-#[test]
-fn prover_assumptions_equal_runtime_checked_invariants() {
-    assert_eq!(
-        idgnn_lint::absint::ASSUMED_INVARIANTS,
-        idgnn_sparse::CHECKED_INVARIANTS,
-        "idgnn-lint's ASSUMED_INVARIANTS and idgnn-sparse's CHECKED_INVARIANTS \
-         must list the same CSR invariants in the same order; change both \
-         sides together (and keep the enforcement in csr.rs::check_csr_parts \
-         and the proof rules in absint.rs in sync)"
-    );
-}
+//! [`CHECKED_INVARIANTS`]: idgnn_sparse::CHECKED_INVARIANTS
 
 /// One malformed raw-parts quadruple breaking exactly the named invariant,
 /// plus the substring its rejection message must carry.

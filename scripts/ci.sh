@@ -10,17 +10,15 @@
 #    through seeded adversarial worker schedules and must stay bit-identical
 #    to the serial path (the runtime half of the determinism contract,
 #    DESIGN.md §15);
-# 5. sparse suite under proven-unchecked (alone and combined with
-#    schedule-perturbation): the certificate-backed unchecked fast path must
-#    stay bit-identical to the checked reference, including under seeded
-#    adversarial schedules (DESIGN.md §16);
-# 6. idgnn-lint workspace scan (with --timing) against the checked-in
-#    lint.baseline ratchet — zero entries with the determinism family on,
-#    zero unchecked-access findings, and no bounds-certificate drift against
-#    the committed results/lint.json;
-# 7. kernel-benchmark smoke run + structural JSON validation;
-# 8. DSE smoke sweep regenerating results/dse.json + structural validation;
-# 9. clippy over every target with warnings denied.
+# 5. idgnn-lint workspace scan (with --timing) against the checked-in
+#    lint.baseline ratchet — zero entries with the determinism family on;
+# 6. kernel-benchmark smoke run + structural JSON validation;
+# 7. DSE smoke sweep regenerating results/dse.json + structural validation;
+# 8. `all` regenerating every figure JSON and results/report.txt, which must
+#    match the committed files byte for byte;
+# 9. the repo benchmark's own tests (perfbench is a separate workspace, so
+#    `cargo test --workspace` never reaches its exact-reference checks);
+# 10. clippy over every target with warnings denied.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,51 +36,19 @@ echo "==> cargo test -p idgnn-sparse --features schedule-perturbation"
 # invocation at parallelism 4, 16 proptest cases) keeps this a few seconds.
 cargo test -q -p idgnn-sparse --features schedule-perturbation --test perturbation
 
-echo "==> cargo test -p idgnn-sparse --features proven-unchecked"
-# The certificate-backed fast path: the full sparse suite with the unchecked
-# accessors live, then the perturbation suite with both features on so the
-# unchecked arm is exercised under every adversarial worker schedule. Both
-# must be bit-identical to the checked build (DESIGN.md §16).
-cargo test -q -p idgnn-sparse --features proven-unchecked
-cargo test -q -p idgnn-sparse --features "schedule-perturbation proven-unchecked" \
-  --test perturbation
-
 echo "==> idgnn-lint (baseline ratchet + per-rule timing + results/lint.json)"
 # --timing profiles each rule in isolation and fails the run when any rule
 # exceeds 5x the median rule time (floored), so a pathological rule cannot
 # silently dominate the lint stage.
 cargo run --release -q -p idgnn-lint -- --timing --json
 # Structural validation of the JSON report from the outside: rule set,
-# typed findings, zero regressions, zero new findings, zero unchecked-access
-# findings (the hard bounds gate), well-typed certificate records, timing
-# gate clean.
+# typed findings, zero regressions, zero new findings, timing gate clean.
 cargo run --release -q -p idgnn-bench --bin lintv -- results/lint.json
-# Certificate drift: the canonical one-line-per-certificate rendering of the
-# fresh scan must match the committed report (results/lint.json is force-added
-# past the results/ ignore, like dse.json), so an edit that silently loses or
-# gains a bounds proof shows up as a reviewable diff. The diff compares only
-# the certificate lines, never the run-varying --timing profile.
-if git cat-file -e HEAD:results/lint.json 2>/dev/null; then
-  fresh_certs="target/lint_certs_fresh.txt"
-  committed_certs="target/lint_certs_committed.txt"
-  cargo run --release -q -p idgnn-bench --bin lintv -- --certs results/lint.json \
-    >"$fresh_certs"
-  git show HEAD:results/lint.json >target/lint_committed.json
-  cargo run --release -q -p idgnn-bench --bin lintv -- --certs target/lint_committed.json \
-    >"$committed_certs"
-  diff -u "$committed_certs" "$fresh_certs" || {
-    echo "error: bounds certificates drifted from the committed results/lint.json" >&2
-    exit 1
-  }
-else
-  echo "note: results/lint.json not in HEAD yet; skipping certificate drift check"
-fi
 # The --explain subcommand must document every rule (smoke: one of each
-# family — a token rule, a flow rule, a determinism dataflow rule, the
-# static config verifier, and a bounds rule — plus the `determinism` and
-# `bounds` family aliases).
+# family — a token rule, a flow rule, a determinism dataflow rule, and the
+# static config verifier — plus the `determinism` family alias).
 for rule in hot-path-alloc resource-flow unordered-iteration hw-budget \
-            unchecked-access determinism bounds; do
+            determinism; do
   cargo run --release -q -p idgnn-lint -- --explain "$rule" >/dev/null
 done
 
@@ -121,6 +87,25 @@ git diff --exit-code -- results/dse.json || {
   echo "error: results/dse.json drifted from the committed sweep" >&2
   exit 1
 }
+
+echo "==> bench all (committed figure results must not drift)"
+# Every figure binary in one run, from the repo root so it rewrites the
+# committed results/*.json and results/report.txt. The figures are
+# deterministic at any parallelism, so any diff is a real behaviour change
+# that must be committed together with the code that caused it.
+# results/lint.json carries the run-varying --timing profile and is
+# excluded; results/timings.json is not tracked.
+cargo run --release -q -p idgnn-bench --bin all
+git diff --exit-code -- results/ ':(exclude)results/lint.json' || {
+  echo "error: results/ drifted from the committed figure outputs; rerun \`all\` and commit" >&2
+  exit 1
+}
+
+echo "==> cargo test --manifest-path perfbench/Cargo.toml"
+# The repo benchmark (BENCHMARK.json) lives outside the workspace; its smoke
+# test runs every workload at a tiny size through the same exact-reference
+# and determinism checks a full run applies.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo clippy --workspace (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
