@@ -1,7 +1,7 @@
 //! `kernels` — the sparse-kernel and power-chain microbenchmark.
 //!
 //! Times spgemm / spmm / sp_add and the cold-vs-warm power chain on the
-//! Fig. 12 datasets at several kernel thread counts, prints the text tables,
+//! Fig. 12 datasets on one kernel thread, prints the text tables,
 //! and writes `BENCH_kernels.json` (default: repository root; `--out <path>`
 //! overrides). `--smoke` runs the seconds-long CI configuration. The binary
 //! re-reads and validates what it wrote and exits non-zero on any failure,

@@ -33,7 +33,6 @@ mod snapshot;
 
 pub mod datasets;
 pub mod generate;
-pub mod reorder;
 
 pub use common::CommonCoreView;
 pub use continuous::{ContinuousGraph, UpdateEvent, UpdateOp};
@@ -41,5 +40,4 @@ pub use delta::{FeatureUpdate, GraphDelta, GraphDeltaBuilder};
 pub use dynamic::DynamicGraph;
 pub use error::{GraphError, Result};
 pub use normalize::Normalization;
-pub use reorder::{Permutation, ReorderStrategy};
 pub use snapshot::{adjacency_from_edges, GraphSnapshot};

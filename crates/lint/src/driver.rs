@@ -3,7 +3,7 @@
 
 use crate::rules::{self, FileMarkers, Finding, Rule, Scope};
 use crate::{flows, hwbudget, lexer, parser};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -87,9 +87,26 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     None
 }
 
+/// The `src/` directories of binary-only packages among the
+/// workspace-relative `files`: those holding a `src/main.rs` and no
+/// `src/lib.rs`. Every module under such a directory compiles into the
+/// binary, so it is binary code exactly like `src/main.rs` itself.
+pub fn binary_src_dirs<'a>(files: impl IntoIterator<Item = &'a str>) -> BTreeSet<String> {
+    let files: BTreeSet<&str> = files.into_iter().collect();
+    files
+        .iter()
+        .filter_map(|f| f.strip_suffix("main.rs"))
+        .filter(|dir| *dir == "src/" || dir.ends_with("/src/"))
+        .filter(|dir| !files.contains(format!("{dir}lib.rs").as_str()))
+        .map(str::to_string)
+        .collect()
+}
+
 /// Decides which rules apply to a workspace-relative path, or `None` when
 /// the file must not be scanned at all (vendored code, seeded fixtures).
-pub fn classify(rel: &str) -> Option<Scope> {
+/// `bin_src_dirs` (from [`binary_src_dirs`]) marks the source trees of
+/// binary-only packages, whose modules are binary code, not library code.
+pub fn classify(rel: &str, bin_src_dirs: &BTreeSet<String>) -> Option<Scope> {
     if rel.starts_with("vendor/")
         || rel.starts_with("target/")
         || rel.contains("tests/fixtures/")
@@ -105,7 +122,8 @@ pub fn classify(rel: &str) -> Option<Scope> {
         || rel.contains("/examples/")
         || rel.contains("/src/bin/")
         || rel.ends_with("src/main.rs")
-        || rel.ends_with("build.rs");
+        || rel.ends_with("build.rs")
+        || bin_src_dirs.iter().any(|dir| rel.starts_with(dir.as_str()));
     Some(Scope {
         hot_module: HOT_MODULES.contains(&rel),
         library_code: !test_code,
@@ -115,7 +133,7 @@ pub fn classify(rel: &str) -> Option<Scope> {
 
 /// Lints one source string under the scope derived from `rel`.
 pub fn lint_source(rel: &str, source: &str) -> Vec<Finding> {
-    match classify(rel) {
+    match classify(rel, &BTreeSet::new()) {
         Some(scope) => rules::lint_tokens(rel, &lexer::lex(source), scope),
         None => Vec::new(),
     }
@@ -154,6 +172,7 @@ pub fn lint_workspace_with(root: &Path, timing: bool) -> io::Result<WorkspaceRun
     let mut files = Vec::new();
     collect_rs_files(root, root, &mut files)?;
     files.sort();
+    let bin_src_dirs = binary_src_dirs(files.iter().map(String::as_str));
 
     let mut run = WorkspaceRun::default();
     let mut parsed: Vec<parser::ParsedFile> = Vec::new();
@@ -162,7 +181,7 @@ pub fn lint_workspace_with(root: &Path, timing: bool) -> io::Result<WorkspaceRun
     let mut scopes: Vec<(String, Scope)> = Vec::new();
     for rel in &files {
         let source = fs::read_to_string(root.join(rel))?;
-        if let Some(scope) = classify(rel) {
+        if let Some(scope) = classify(rel, &bin_src_dirs) {
             let toks = lexer::lex(&source);
             run.findings.extend(rules::lint_tokens(rel, &toks, scope));
             markers.insert(rel.clone(), rules::file_markers(&toks));
@@ -307,6 +326,10 @@ fn toml_has_kv(text: &str, section: &str, key: &str, value: &str) -> bool {
 mod tests {
     use super::*;
 
+    fn classify(rel: &str) -> Option<Scope> {
+        super::classify(rel, &BTreeSet::new())
+    }
+
     #[test]
     fn classify_skips_vendor_and_fixtures() {
         assert!(classify("vendor/rand/src/lib.rs").is_none());
@@ -336,6 +359,33 @@ mod tests {
             assert!(!scope.library_code, "{rel} should not be library scope");
         }
         assert!(classify("src/lib.rs").expect("scanned").library_code);
+    }
+
+    #[test]
+    fn modules_of_a_binary_only_package_are_binary_code() {
+        // `tool` has a binary and no library target, so its helper modules
+        // are binary code; `mixed` has both, so its modules stay library
+        // code. The root package (`src/`) has a library too.
+        let files = [
+            "tools/tool/src/main.rs",
+            "tools/tool/src/calib.rs",
+            "tools/tool/src/nested/trace.rs",
+            "crates/mixed/src/main.rs",
+            "crates/mixed/src/lib.rs",
+            "crates/mixed/src/driver.rs",
+            "crates/mixed/src/bin/extra/main.rs",
+            "crates/notsrc/main.rs",
+            "src/lib.rs",
+            "src/main.rs",
+            "src/model.rs",
+        ];
+        let bins = binary_src_dirs(files);
+        assert_eq!(bins.iter().map(String::as_str).collect::<Vec<_>>(), ["tools/tool/src/"]);
+        let library = |rel: &str| super::classify(rel, &bins).expect("scanned").library_code;
+        assert!(!library("tools/tool/src/calib.rs"));
+        assert!(!library("tools/tool/src/nested/trace.rs"));
+        assert!(library("crates/mixed/src/driver.rs"));
+        assert!(library("src/model.rs"));
     }
 
     #[test]

@@ -92,6 +92,8 @@ pub struct FlowAnalysis<'a> {
     ordered_merges: BTreeSet<usize>,
     /// Every node on a deterministic path (see `determinism_roots`).
     det_paths: BTreeSet<usize>,
+    /// Source trees of binary-only packages (workspace mode only).
+    bin_src_dirs: BTreeSet<String>,
 }
 
 /// The rules this module implements, in canonical report order.
@@ -122,6 +124,12 @@ impl<'a> FlowAnalysis<'a> {
         let det_marked = engine.marked(markers, |m| &m.deterministic);
         let roots = determinism_roots(&engine, &det_marked);
         let det_paths = engine.determinism_paths(&roots);
+        let bin_src_dirs = match mode {
+            AnalysisMode::Workspace => {
+                crate::driver::binary_src_dirs(files.iter().map(|f| f.rel.as_str()))
+            }
+            AnalysisMode::Explicit => BTreeSet::new(),
+        };
         FlowAnalysis {
             engine,
             markers,
@@ -132,6 +140,7 @@ impl<'a> FlowAnalysis<'a> {
             timing_carriers,
             ordered_merges,
             det_paths,
+            bin_src_dirs,
         }
     }
 
@@ -177,9 +186,8 @@ impl<'a> FlowAnalysis<'a> {
             return false;
         }
         match self.mode {
-            AnalysisMode::Workspace => {
-                crate::driver::classify(&node.file).is_some_and(|s| s.library_code)
-            }
+            AnalysisMode::Workspace => crate::driver::classify(&node.file, &self.bin_src_dirs)
+                .is_some_and(|s| s.library_code),
             AnalysisMode::Explicit => true,
         }
     }

@@ -16,7 +16,6 @@ mod incremental;
 mod onepass;
 mod recompute;
 
-pub use idgnn_graph::reorder::ReorderStrategy;
 pub use onepass::{CombinationOrder, OnePassOptions};
 
 use idgnn_graph::DynamicGraph;

@@ -20,8 +20,7 @@
 //! No layer-by-layer intermediate features exist, so the `Intermediate`
 //! DRAM class is structurally zero — the paper's headline claim.
 
-use idgnn_graph::reorder::{self, Permutation, ReorderStrategy};
-use idgnn_graph::{DynamicGraph, GraphSnapshot};
+use idgnn_graph::DynamicGraph;
 use idgnn_sparse::{ops, CsrMatrix, DenseMatrix, OpStats};
 
 use crate::cost::{dense_bytes, DataClass, MemoryModel, Phase, SnapshotCost, Traffic};
@@ -74,13 +73,6 @@ pub struct OnePassOptions {
     /// the full rebuild on every hit (the PR 2 behaviour), which the
     /// ablation benches use as the baseline.
     pub incremental_power_updates: bool,
-    /// Locality-aware vertex reordering (DESIGN.md §14): snapshots are
-    /// permuted once at ingest, the whole power-chain/DIU pipeline runs in
-    /// permuted space, and outputs are mapped back through the inverse
-    /// permutation. A similarity transform — per-phase op counts, DRAM
-    /// traffic, and `saved` accounting are unchanged (test-enforced), only
-    /// cache behaviour moves.
-    pub reorder: ReorderStrategy,
 }
 
 impl Default for OnePassOptions {
@@ -90,7 +82,6 @@ impl Default for OnePassOptions {
             order: CombinationOrder::default(),
             adaptive_refresh: true,
             incremental_power_updates: true,
-            reorder: ReorderStrategy::Identity,
         }
     }
 }
@@ -135,23 +126,9 @@ fn chain_apply(a: &CsrMatrix, x: &DenseMatrix) -> (DenseMatrix, OpStats) {
     (out, st)
 }
 
-/// Maps a permuted-space output pair back to original vertex labels.
-/// Identity (no permutation) takes the legacy clone path, bit-for-bit.
-fn emit_output(
-    x_c: &DenseMatrix,
-    state: &LstmState,
-    perm: Option<&Permutation>,
-) -> Result<SnapshotOutput> {
-    Ok(match perm {
-        None => SnapshotOutput { z: x_c.clone(), state: state.clone() },
-        Some(p) => SnapshotOutput {
-            z: x_c.permute_rows(p.inverse())?,
-            state: LstmState {
-                h: state.h.permute_rows(p.inverse())?,
-                c: state.c.permute_rows(p.inverse())?,
-            },
-        },
-    })
+/// Snapshot output from the resident `X_C` and RNN state.
+fn emit_output(x_c: &DenseMatrix, state: &LstmState) -> SnapshotOutput {
+    SnapshotOutput { z: x_c.clone(), state: state.clone() }
 }
 
 pub(crate) fn run(
@@ -161,33 +138,6 @@ pub(crate) fn run(
     options: &OnePassOptions,
 ) -> Result<ExecutionResult> {
     let snaps = dg.materialize()?;
-    // Locality reordering: relabel every snapshot once at ingest and run the
-    // whole pipeline in permuted space. The permutation comes from the
-    // initial structure so the ΔA stream stays consistent across snapshots.
-    let perm = match options.reorder {
-        ReorderStrategy::Identity => None,
-        strategy => {
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-            Some(reorder::reorder(snaps[0].adjacency(), strategy)?)
-        }
-    };
-    let snaps: Vec<GraphSnapshot> = match &perm {
-        None => snaps,
-        Some(p) => {
-            let mut permuted = Vec::with_capacity(snaps.len());
-            for s in &snaps {
-                // Symmetry is preserved by a symmetric permute, so skip the
-                // O(nnz) re-validation the checked constructor would redo.
-                permuted.push(GraphSnapshot::new_unchecked_symmetry(
-                    s.adjacency().permute_symmetric(p.forward())?,
-                    s.features().permute_rows(p.forward())?,
-                )?);
-            }
-            permuted
-        }
-    };
-    // lint: allow(panic-surface) -- a full-range reslice cannot panic
-    let snaps = &snaps[..];
     let dims = model.dims();
     let v = dg.initial().num_vertices();
     let l = dims.gnn_layers as u32;
@@ -271,7 +221,7 @@ pub(crate) fn run(
     let mut x0_prev = snaps[0].features().clone();
 
     push_rnn(model, &x_c, &mut state, v, dims.rnn_hidden_dim, mem, &mut cost0)?;
-    outputs.push(emit_output(&x_c, &state, perm.as_ref())?);
+    outputs.push(emit_output(&x_c, &state));
     costs.push(cost0);
 
     for (t, snap) in snaps.iter().enumerate().skip(1) {
@@ -373,7 +323,7 @@ pub(crate) fn run(
             }
             x_c = activation.apply(&pre_act);
             push_rnn(model, &x_c, &mut state, v, dims.rnn_hidden_dim, mem, &mut cost)?;
-            outputs.push(emit_output(&x_c, &state, perm.as_ref())?);
+            outputs.push(emit_output(&x_c, &state));
             costs.push(cost);
             a_prev = a_next;
             x0_prev = snap.features().clone();
@@ -496,7 +446,7 @@ pub(crate) fn run(
 
         // RNN consumes X_C in place.
         push_rnn(model, &x_c, &mut state, v, dims.rnn_hidden_dim, mem, &mut cost)?;
-        outputs.push(emit_output(&x_c, &state, perm.as_ref())?);
+        outputs.push(emit_output(&x_c, &state));
         costs.push(cost);
 
         a_prev = a_next;
@@ -841,53 +791,6 @@ mod tests {
         let saved_total =
             |r: &ExecutionResult| r.costs.iter().map(|c| c.saved.total()).sum::<u64>();
         assert!(saved_total(&on) >= saved_total(&off));
-    }
-
-    #[test]
-    fn reordering_preserves_costs_and_outputs_at_parallelism_1_and_4() {
-        // The permuted-space execution contract (DESIGN.md §14): every
-        // ordering is a similarity transform, so per-phase op counts, DRAM
-        // traffic, and `saved` accounting — everything the figure JSON is
-        // built from — must be *byte-identical* to the unordered baseline,
-        // and the inverse-mapped outputs must agree numerically (float
-        // reassociation in permuted visit order allows last-bit drift).
-        let (model, dg) = paper_regime(3);
-        let mem = MemoryModel::default();
-        for threads in [1usize, 4] {
-            let _scope = idgnn_sparse::parallel::kernel_scope(
-                idgnn_sparse::Parallelism::new(threads),
-            );
-            let run_with = |strategy: ReorderStrategy| {
-                crate::exec::run_onepass_with(
-                    &model,
-                    &dg,
-                    &mem,
-                    &OnePassOptions { reorder: strategy, ..Default::default() },
-                )
-                .unwrap()
-            };
-            let base = run_with(ReorderStrategy::Identity);
-            for strategy in reorder::ALL_STRATEGIES {
-                let got = run_with(strategy);
-                assert_eq!(base.costs.len(), got.costs.len());
-                for (t, (a, b)) in base.costs.iter().zip(&got.costs).enumerate() {
-                    assert_eq!(
-                        a.phases, b.phases,
-                        "{strategy} @ {threads} threads, snapshot {t}: phase costs changed"
-                    );
-                    assert_eq!(a.saved, b.saved, "{strategy} @ {threads} threads, snapshot {t}");
-                }
-                for (t, (a, b)) in base.outputs.iter().zip(&got.outputs).enumerate() {
-                    assert!(
-                        a.z.approx_eq(&b.z, 1e-4),
-                        "{strategy} @ {threads} threads, snapshot {t}: z diff {}",
-                        a.z.max_abs_diff(&b.z).unwrap()
-                    );
-                    assert!(a.state.h.approx_eq(&b.state.h, 1e-4));
-                    assert!(a.state.c.approx_eq(&b.state.c, 1e-4));
-                }
-            }
-        }
     }
 
     #[test]

@@ -455,104 +455,6 @@ impl CsrMatrix {
         Ok(out)
     }
 
-    /// Applies a vertex permutation to both dimensions of a square matrix:
-    /// stored entry `(r, c)` of `self` lands at `(forward[r], forward[c])`
-    /// in the output, with `forward[old] = new` a checked bijection on
-    /// `0..n`. `P·A·Pᵀ` in matrix terms — the relabeling the locality
-    /// orderings in `idgnn-graph::reorder` produce.
-    ///
-    /// Applying the inverse permutation afterwards reproduces `self`
-    /// bit-for-bit (property-tested), and because only labels move, nnz,
-    /// per-row entry multisets, and therefore every structural `OpStats`
-    /// count are preserved.
-    ///
-    /// All scratch and output buffers come from the global pool
-    /// ([`crate::workspace`]), so steady-state permutes are allocation-free.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::NotSquare`] for rectangular matrices,
-    /// [`SparseError::DimensionMismatch`] if `forward.len() != n`, and
-    /// [`SparseError::InvalidStructure`] if `forward` is not a bijection on
-    /// `0..n` (out-of-range or duplicate image).
-    // lint: hot-path
-    pub fn permute_symmetric(&self, forward: &[usize]) -> Result<CsrMatrix> {
-        if self.rows != self.cols {
-            return Err(SparseError::NotSquare { shape: self.shape() });
-        }
-        let n = self.rows;
-        if forward.len() != n {
-            return Err(SparseError::DimensionMismatch {
-                op: "permute_symmetric",
-                lhs: (n, n),
-                rhs: (forward.len(), 1),
-            });
-        }
-        // Build the inverse in pooled scratch, validating bijectivity.
-        let mut inverse = crate::workspace::take_index_buffer(n);
-        inverse.resize(n, usize::MAX);
-        for (old, &new) in forward.iter().enumerate() {
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-            if new >= n || inverse[new] != usize::MAX {
-                crate::workspace::recycle_index_buffer(inverse);
-                return Err(SparseError::InvalidStructure {
-                    reason: format!(
-                        "permute_symmetric: forward[{old}] = {new} is {} for n = {n}",
-                        if new >= n { "out of range" } else { "a duplicate image" }
-                    ),
-                });
-            }
-            // lint: allow(panic-surface) -- in-bounds: `inverse` has n slots and `new < n` was validated above
-            inverse[new] = old;
-        }
-        let nnz = self.nnz();
-        let mut indptr = crate::workspace::take_index_buffer(n + 1);
-        let mut indices = crate::workspace::take_index_buffer(nnz);
-        let mut values = crate::workspace::take_value_buffer(nnz);
-        let mut order = crate::workspace::take_index_buffer(0);
-        let mut tmp_idx = crate::workspace::take_index_buffer(0);
-        let mut tmp_val = crate::workspace::take_value_buffer(0);
-        indptr.push(0usize);
-        for &or in inverse.iter().take(n) {
-            let base = indices.len();
-            for &c in self.row_indices(or) {
-                // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-                indices.push(forward[c]);
-            }
-            values.extend_from_slice(self.row_values(or));
-            // Co-sort the fresh segment by relabeled column via a pooled
-            // argsort + gather (bijectivity rules out duplicate columns).
-            // lint: allow(panic-surface) -- in-bounds: `base` was captured as `indices.len()` before the pushes above
-            let seg_idx = &mut indices[base..];
-            // lint: allow(panic-surface) -- in-bounds: `values` grew in lockstep with `indices` this iteration
-            let seg_val = &mut values[base..];
-            order.clear();
-            order.extend(0..seg_idx.len());
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-            order.sort_unstable_by_key(|&i| seg_idx[i]);
-            tmp_idx.clear();
-            tmp_val.clear();
-            for &i in order.iter() {
-                // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-                tmp_idx.push(seg_idx[i]);
-                // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-                tmp_val.push(seg_val[i]);
-            }
-            seg_idx.copy_from_slice(&tmp_idx);
-            seg_val.copy_from_slice(&tmp_val);
-            indptr.push(indices.len());
-        }
-        crate::workspace::recycle_index_buffer(inverse);
-        crate::workspace::recycle_index_buffer(order);
-        crate::workspace::recycle_index_buffer(tmp_idx);
-        crate::workspace::recycle_value_buffer(tmp_val);
-        let out = Self::from_raw_parts(n, n, indptr, indices, values)
-            // lint: allow(panic-surface) -- invariant documented at the call site; grandfathered by the PR5 ratchet-to-zero
-            .expect("permuted CSR is valid: bijective relabel of a valid matrix");
-        out.debug_validate("CsrMatrix::permute_symmetric");
-        Ok(out)
-    }
-
     /// Returns a copy with every stored value scaled by `s`.
     pub fn scale(&self, s: f32) -> CsrMatrix {
         let mut out = self.clone();

@@ -154,58 +154,6 @@ impl DenseMatrix {
         self.data.chunks_exact(self.cols.max(1))
     }
 
-    /// Applies a vertex permutation to the rows: row `i` of `self` lands at
-    /// row `forward[i]` of the output (`P·X` in matrix terms), with
-    /// `forward[old] = new` a checked bijection on `0..rows`. Passing the
-    /// inverse permutation maps a permuted-space result back — each row is
-    /// copied verbatim, so the round trip is bit-identical.
-    ///
-    /// The output buffer comes from the global pool ([`crate::workspace`]),
-    /// so steady-state permutes are allocation-free; release with
-    /// [`crate::workspace::recycle_dense`] when done.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::DimensionMismatch`] if `forward.len() != rows`
-    /// and [`SparseError::InvalidStructure`] if `forward` is not a bijection
-    /// on `0..rows` (out-of-range or duplicate image).
-    // lint: hot-path
-    pub fn permute_rows(&self, forward: &[usize]) -> Result<DenseMatrix> {
-        if forward.len() != self.rows {
-            return Err(SparseError::DimensionMismatch {
-                op: "permute_rows",
-                lhs: (self.rows, self.cols),
-                rhs: (forward.len(), 1),
-            });
-        }
-        let mut data = crate::workspace::take_value_buffer(self.data.len());
-        data.resize(self.data.len(), 0.0);
-        let mut seen = crate::workspace::take_index_buffer(self.rows);
-        seen.resize(self.rows, 0usize);
-        for (old, &new) in forward.iter().enumerate() {
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-            if new >= self.rows || seen[new] != 0 {
-                crate::workspace::recycle_value_buffer(data);
-                crate::workspace::recycle_index_buffer(seen);
-                return Err(SparseError::InvalidStructure {
-                    reason: format!(
-                        "permute_rows: forward[{old}] = {new} is {} for rows = {}",
-                        if new >= self.rows { "out of range" } else { "a duplicate image" },
-                        self.rows
-                    ),
-                });
-            }
-            // lint: allow(panic-surface) -- in-bounds: `seen` has `rows` slots and `new < rows` was validated above
-            seen[new] = 1;
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-            data[new * self.cols..(new + 1) * self.cols]
-                // lint: allow(panic-surface) -- in-bounds: `old` enumerates `forward`, whose length equals `rows`
-                .copy_from_slice(&self.data[old * self.cols..(old + 1) * self.cols]);
-        }
-        crate::workspace::recycle_index_buffer(seen);
-        Ok(Self { rows: self.rows, cols: self.cols, data })
-    }
-
     /// The GEMM inner loop over one contiguous row block of `self` — the same
     /// code path in the serial and every parallel configuration.
     fn matmul_block(&self, rhs: &DenseMatrix, row_range: std::ops::Range<usize>) -> Vec<f32> {

@@ -53,9 +53,10 @@ impl Parallelism {
         }
     }
 
-    /// One worker per hardware thread.
+    /// One worker per hardware thread, as reported by
+    /// [`std::thread::available_parallelism`] (at least 1).
     pub fn available() -> Self {
-        Self { threads: host_cores() }
+        Self { threads: std::thread::available_parallelism().map_or(1, |n| n.get()) }
     }
 
     /// Reads [`PARALLELISM_ENV`]; unset, `0` or unparsable values resolve to
@@ -94,18 +95,6 @@ impl std::fmt::Display for Parallelism {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}", self.threads)
     }
-}
-
-/// The host's hardware thread count (≥ 1), as reported by
-/// [`std::thread::available_parallelism`].
-///
-/// This is the clamp reference for thread-count sweeps: timing more workers
-/// than the host can actually run in parallel only measures
-/// oversubscription noise, so benches drop such counts and record this
-/// value (`host_cores` in `BENCH_kernels.json`) to make clamped runs
-/// self-explaining.
-pub fn host_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Process-wide default (0 = not yet resolved from the environment).

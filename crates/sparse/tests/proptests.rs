@@ -37,41 +37,6 @@ fn dense_of(m: &CsrMatrix) -> DenseMatrix {
     m.to_dense()
 }
 
-/// Strategy: random permutation of `0..n` as a forward map
-/// (`forward[old] = new`), built by arg-sorting random keys.
-fn permutation(n: usize) -> impl Strategy<Value = Vec<usize>> {
-    prop::collection::vec(0u32..1_000_000, n).prop_map(move |keys| {
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&i| (keys[i], i));
-        let mut forward = vec![0usize; n];
-        for (new, &old) in order.iter().enumerate() {
-            forward[old] = new;
-        }
-        forward
-    })
-}
-
-fn invert(forward: &[usize]) -> Vec<usize> {
-    let mut inv = vec![0usize; forward.len()];
-    for (old, &new) in forward.iter().enumerate() {
-        inv[new] = old;
-    }
-    inv
-}
-
-fn bits(values: &[f32]) -> Vec<u32> {
-    values.iter().map(|v| v.to_bits()).collect()
-}
-
-/// A row as `(column, value-bits)` pairs sorted by column — the
-/// label-independent form used to compare permuted-space rows.
-fn relabeled_row(m: &CsrMatrix, r: usize, forward: &[usize]) -> Vec<(usize, u32)> {
-    let mut row: Vec<(usize, u32)> =
-        m.row_iter(r).map(|(c, v)| (forward[c], v.to_bits())).collect();
-    row.sort_unstable();
-    row
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -452,155 +417,6 @@ proptest! {
                 prop_assert!(heaviest * eff <= 2 * total, "spread over 2× the mean");
             }
         }
-    }
-
-    #[test]
-    fn symmetric_permute_roundtrip_is_bit_identical(
-        a in sparse_square(9, 30),
-        forward in permutation(9),
-    ) {
-        // permute ∘ inverse ≡ identity, bit-for-bit, and both intermediate
-        // and final matrices satisfy every CSR structural invariant (the
-        // same checks `strict-invariants` re-asserts inside the kernel).
-        let inverse = invert(&forward);
-        let pa = a.permute_symmetric(&forward).unwrap();
-        prop_assert!(pa.validate().is_ok());
-        prop_assert_eq!(pa.nnz(), a.nnz());
-        let back = pa.permute_symmetric(&inverse).unwrap();
-        prop_assert!(back.validate().is_ok());
-        prop_assert_eq!(back.indptr(), a.indptr());
-        prop_assert_eq!(back.indices(), a.indices());
-        prop_assert_eq!(bits(back.values()), bits(a.values()));
-    }
-
-    #[test]
-    fn permute_rejects_non_bijections(a in sparse_square(6, 12)) {
-        prop_assert!(a.permute_symmetric(&[0, 1, 2]).is_err()); // wrong length
-        prop_assert!(a.permute_symmetric(&[0, 1, 2, 3, 4, 9]).is_err()); // out of range
-        prop_assert!(a.permute_symmetric(&[0, 1, 2, 3, 4, 4]).is_err()); // duplicate
-        let x = DenseMatrix::zeros(6, 2);
-        prop_assert!(x.permute_rows(&[0, 1, 2, 3, 4, 9]).is_err());
-        prop_assert!(x.permute_rows(&[0, 0, 2, 3, 4, 5]).is_err());
-    }
-
-    #[test]
-    fn spgemm_commutes_with_symmetric_permute(
-        a in sparse_square(8, 26),
-        b in sparse_square(8, 26),
-        forward in permutation(8),
-    ) {
-        // P(A)·P(B) = P(A·B) with bit-identical values and *identical*
-        // OpStats: the generator's entries are small multiples of 0.5, so
-        // every per-slot accumulation is exact in f32 and reassociation
-        // under the permuted visit order cannot change a single bit; the
-        // structural op counts depend only on the entry multisets, which a
-        // relabeling preserves.
-        let inverse = invert(&forward);
-        let pa = a.permute_symmetric(&forward).unwrap();
-        let pb = b.permute_symmetric(&forward).unwrap();
-        let (base, base_st) = ops::spgemm_with_stats(&a, &b).unwrap();
-        let (perm, perm_st) = ops::spgemm_with_stats(&pa, &pb).unwrap();
-        let unperm = perm.permute_symmetric(&inverse).unwrap();
-        prop_assert_eq!(unperm.indptr(), base.indptr());
-        prop_assert_eq!(unperm.indices(), base.indices());
-        prop_assert_eq!(bits(unperm.values()), bits(base.values()));
-        prop_assert_eq!(perm_st, base_st);
-    }
-
-    #[test]
-    fn spmm_commutes_with_symmetric_permute(
-        a in sparse_square(8, 26),
-        xs in prop::collection::vec(-4i8..=4, 8 * 3),
-        forward in permutation(8),
-    ) {
-        // Exact-arithmetic features (multiples of 0.5) for the same reason
-        // as the SpGEMM property: the permuted visit order reassociates the
-        // per-slot sums, which only stays bit-identical when every partial
-        // sum is exactly representable.
-        let x = DenseMatrix::from_vec(
-            8, 3, xs.iter().map(|&v| f32::from(v) * 0.5).collect(),
-        ).unwrap();
-        let inverse = invert(&forward);
-        let pa = a.permute_symmetric(&forward).unwrap();
-        let px = x.permute_rows(&forward).unwrap();
-        let (base, base_st) = ops::spmm_with_stats(&a, &x).unwrap();
-        let (perm, perm_st) = ops::spmm_with_stats(&pa, &px).unwrap();
-        let unperm = perm.permute_rows(&inverse).unwrap();
-        prop_assert_eq!(bits(unperm.as_slice()), bits(base.as_slice()));
-        prop_assert_eq!(perm_st, base_st);
-    }
-
-    #[test]
-    fn row_masked_spgemm_commutes_with_symmetric_permute(
-        a in sparse_square(8, 26),
-        b in sparse_square(8, 26),
-        mask in prop::collection::vec(0u8..2, 8),
-        forward in permutation(8),
-    ) {
-        // The incremental dirty-row kernel: recomputing the relabeled mask
-        // in permuted space must reproduce each masked row of the baseline
-        // recompute, entry-for-entry after undoing the column relabeling.
-        let rows: Vec<usize> =
-            mask.iter().enumerate().filter(|(_, &m)| m == 1).map(|(r, _)| r).collect();
-        let mut prows: Vec<usize> = rows.iter().map(|&r| forward[r]).collect();
-        prows.sort_unstable();
-        let pa = a.permute_symmetric(&forward).unwrap();
-        let pb = b.permute_symmetric(&forward).unwrap();
-        let mut ws_b = Workspace::new();
-        let mut ws_p = Workspace::new();
-        let (base, base_st) =
-            ops::row_masked_spgemm_with_workspace(&a, &b, &rows, &mut ws_b).unwrap();
-        let (perm, perm_st) =
-            ops::row_masked_spgemm_with_workspace(&pa, &pb, &prows, &mut ws_p).unwrap();
-        prop_assert_eq!(perm_st, base_st);
-        for (j, &r) in rows.iter().enumerate() {
-            let jp = prows.binary_search(&forward[r]).unwrap();
-            let base_row = relabeled_row(&base, j, &forward);
-            let mut perm_row: Vec<(usize, u32)> =
-                perm.row_iter(jp).map(|(c, v)| (c, v.to_bits())).collect();
-            perm_row.sort_unstable();
-            prop_assert_eq!(perm_row, base_row);
-        }
-    }
-
-    #[test]
-    fn frontier_bfs_commutes_with_symmetric_permute(
-        a in symmetric_square(9, 20),
-        d in symmetric_square(9, 8),
-        seeds_mask in prop::collection::vec(0u8..2, 9),
-        forward in permutation(9),
-        hops in 0usize..4,
-    ) {
-        // BFS levels are vertex sets, so relabeling the graph relabels the
-        // levels: levels(P(A), P(B), P(seeds)) = P(levels(A, B, seeds)).
-        let seeds: Vec<usize> = seeds_mask
-            .iter().enumerate().filter(|(_, &m)| m == 1).map(|(r, _)| r).collect();
-        let b = ops::sp_add(&a, &d).unwrap();
-        let base = frontier::dirty_frontier_levels(&a, &b, &seeds, hops).unwrap();
-        let pa = a.permute_symmetric(&forward).unwrap();
-        let pb = b.permute_symmetric(&forward).unwrap();
-        let pseeds: Vec<usize> = seeds.iter().map(|&s| forward[s]).collect();
-        let perm = frontier::dirty_frontier_levels(&pa, &pb, &pseeds, hops).unwrap();
-        prop_assert_eq!(perm.len(), base.len());
-        for (pl, bl) in perm.iter().zip(&base) {
-            let mut mapped: Vec<usize> = bl.iter().map(|&r| forward[r]).collect();
-            mapped.sort_unstable();
-            prop_assert_eq!(pl.clone(), mapped);
-        }
-    }
-
-    #[test]
-    fn dense_permute_roundtrip_is_bit_identical(
-        xs in prop::collection::vec(-2.0f32..2.0, 7 * 4),
-        forward in permutation(7),
-    ) {
-        let x = DenseMatrix::from_vec(7, 4, xs).unwrap();
-        let px = x.permute_rows(&forward).unwrap();
-        for (old, &new) in forward.iter().enumerate() {
-            prop_assert_eq!(bits(px.row(new)), bits(x.row(old)));
-        }
-        let back = px.permute_rows(&invert(&forward)).unwrap();
-        prop_assert_eq!(bits(back.as_slice()), bits(x.as_slice()));
     }
 
     #[test]
