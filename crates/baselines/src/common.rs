@@ -8,7 +8,7 @@
 
 use idgnn_core::{SimReport, SnapshotSim};
 use idgnn_graph::DynamicGraph;
-use idgnn_hw::utilization::{trace, PhaseUtilization};
+use idgnn_hw::utilization::PhaseUtilization;
 use idgnn_hw::{
     AccessPattern, EnergyBreakdown, Engine, PhaseWork, TrafficPattern,
 };
@@ -109,7 +109,7 @@ pub(crate) fn assemble(
         energy,
         dram_bytes,
         ops,
-        utilization: trace(&util_phases, 16),
+        phases: util_phases,
     }
 }
 

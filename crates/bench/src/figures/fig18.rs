@@ -46,7 +46,7 @@ fn downsample(xs: &[f64], n: usize) -> Vec<f64> {
 pub fn run(ctx: &Context) -> Result<Fig18> {
     let w = ctx.workload("WD");
     let report = ctx.run_idgnn(w, &SimOptions::default())?;
-    let u = &report.utilization;
+    let u = report.utilization();
     let segments = 32usize;
     let chunk = u.mac.len().div_ceil(segments).max(1);
     // Normalize buffer occupancy to the steady-state resident footprint so

@@ -88,6 +88,9 @@ impl SnapshotSim {
     }
 }
 
+/// Bucket width of [`SimReport::utilization`], cycles.
+const UTILIZATION_BUCKET_CYCLES: u64 = 16;
+
 /// Whole-run simulation report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
@@ -103,11 +106,19 @@ pub struct SimReport {
     pub dram_bytes: u64,
     /// Total arithmetic operations executed.
     pub ops: OpStats,
-    /// MAC/buffer utilization trace (Fig. 18), 16-cycle buckets.
-    pub utilization: UtilizationTrace,
+    /// Timed phases with their MAC/buffer utilization inputs, in execution
+    /// order — the source of the Fig. 18 trace ([`SimReport::utilization`]).
+    pub phases: Vec<PhaseUtilization>,
 }
 
 impl SimReport {
+    /// MAC/buffer utilization trace (Fig. 18) in 16-cycle buckets, built
+    /// from [`SimReport::phases`] on demand: a long run has millions of
+    /// buckets, and only the utilization study reads them.
+    pub fn utilization(&self) -> UtilizationTrace {
+        trace(&self.phases, UTILIZATION_BUCKET_CYCLES)
+    }
+
     /// Wall-clock seconds at `frequency_hz`.
     pub fn seconds(&self, frequency_hz: u64) -> f64 {
         self.total_cycles / frequency_hz as f64
@@ -277,7 +288,7 @@ impl IdgnnAccelerator {
             energy,
             dram_bytes: dram_total,
             ops: result.total_ops(),
-            utilization: trace(&util_phases, 16),
+            phases: util_phases,
         })
     }
 
@@ -566,9 +577,12 @@ mod tests {
     fn utilization_trace_is_populated() {
         let (model, dg) = workload();
         let r = small_accel().simulate(&model, &dg, &SimOptions::default()).unwrap();
-        assert!(!r.utilization.mac.is_empty());
-        assert!(r.utilization.mean_mac() > 0.0);
-        assert!(r.utilization.mean_mac() <= 1.0);
+        assert!(!r.phases.is_empty());
+        let u = r.utilization();
+        assert_eq!(u.bucket_cycles, UTILIZATION_BUCKET_CYCLES);
+        assert!(!u.mac.is_empty());
+        assert!(u.mean_mac() > 0.0);
+        assert!(u.mean_mac() <= 1.0);
     }
 
     #[test]

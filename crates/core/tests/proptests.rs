@@ -118,7 +118,7 @@ proptest! {
         prop_assert!(r.total_cycles <= r.serial_cycles + 1e-6);
         prop_assert!(r.energy.total_pj() > 0.0);
         prop_assert!(r.energy.control_share() < 0.03);
-        prop_assert!(r.utilization.mean_mac() <= 1.0 + 1e-9);
+        prop_assert!(r.utilization().mean_mac() <= 1.0 + 1e-9);
         for s in &r.snapshots {
             prop_assert!(s.schedule.alpha >= MIN_SHARE && s.schedule.beta >= MIN_SHARE);
             prop_assert!((s.schedule.alpha + s.schedule.beta - 1.0).abs() < 1e-9);

@@ -138,7 +138,7 @@ impl Rule {
     pub fn explain(self) -> &'static str {
         match self {
             Rule::HotPathAlloc => "hot-path-alloc — no allocation in the sparse kernel hot paths.\n\n\
-                The two-phase SpGEMM/SpMM kernels (DESIGN.md §8) are allocation-free by\n\
+                The fused SpGEMM/SpMM kernels (DESIGN.md §8) are allocation-free by\n\
                 design: every scratch buffer comes from the generation-stamped Workspace\n\
                 arena so steady-state snapshot processing never touches the system\n\
                 allocator. This rule flags `Vec::new`, `Vec::with_capacity`, `vec![..]`,\n\

@@ -8,12 +8,19 @@
 //! ΔA_C = (A + ΔA)^L − A^L = Σ_{i=0}^{L-1} A^i · ΔA · (A + ΔA)^{L-1-i}   (Eq. 13)
 //! ```
 //!
-//! For `L = 3` the seven expanded chained products (Eq. 14) reduce — using
-//! `(M N)ᵀ = Nᵀ Mᵀ` and the symmetry of `A`, `ΔA` — to five products, two of
-//! which are reused via a transpose performed by the PE's post-processing
-//! unit (Eq. 15). [`DissimilarityStrategy`] selects between the naive
-//! expansion and the transpose-optimized form; the ablation bench
-//! (`ablation_transpose`) quantifies the savings.
+//! For `L = 3` the seven expanded chained products (Eq. 14) are rewritten —
+//! using `(M N)ᵀ = Nᵀ Mᵀ` and the symmetry of `A`, `ΔA` — so that every
+//! product has the sparse `ΔA` as an operand: seven products (one shared
+//! `P = ΔA·A`), two of whose results are reused via a transpose performed by
+//! the PE's post-processing unit (Eq. 15). [`DissimilarityStrategy`] selects
+//! between the naive expansion and the transpose-optimized form; the
+//! ablation bench (`ablation_transpose`) quantifies the savings.
+//!
+//! Every path adds its terms with one [`ops::sp_sum_pruned`] pass. The sum
+//! is bit-identical to a left-to-right `sp_add` fold followed by
+//! `pruned(0.0)`, and the reported adds are derived from the unpruned
+//! prefix-sum sizes it returns, so [`Dissimilarity::ops`] counts exactly the
+//! merges such a fold performs.
 //!
 //! ## Cross-snapshot power caching
 //!
@@ -496,7 +503,7 @@ fn general(
     let ChainPhase { a_next, pow_a, pow_n, pn_stats, mut ops, mut products, saved } =
         power_chain_phase(a, da, l_us, &mut cache)?;
 
-    let mut acc = CsrMatrix::zeros(a.rows(), a.cols());
+    let mut terms = Vec::with_capacity(l_us);
     for i in 0..l_us {
         // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         let (left, s1) = ops::spgemm_with_stats(&pow_a[i], da)?;
@@ -507,16 +514,21 @@ fn general(
         workspace::recycle(left);
         ops += s2;
         products += 1;
-        ops.adds += term.nnz().min(acc.nnz()) as u64;
-        let next = ops::sp_add(&acc, &term)?;
-        workspace::recycle(std::mem::replace(&mut acc, next));
-        workspace::recycle(term);
+        terms.push(term);
     }
     for p in pow_a {
         workspace::recycle(p);
     }
-    let delta_ac = acc.pruned(0.0);
-    workspace::recycle(acc);
+    let mut prefix = vec![0usize; l_us];
+    let delta_ac = ops::sp_sum_pruned(&terms.iter().collect::<Vec<_>>(), &mut prefix)?;
+    // Reported adds follow a left-to-right merge: term i joins the unpruned
+    // sum of terms 0..i at min(term nnz, sum nnz) adds; term 0 costs none.
+    for (term, &acc_nnz) in terms.iter().skip(1).zip(&prefix) {
+        ops.adds += term.nnz().min(acc_nnz) as u64;
+    }
+    for term in terms {
+        workspace::recycle(term);
+    }
     match cache {
         Some(c) => c.install(a_next, pow_n, pn_stats),
         None => {
@@ -577,13 +589,11 @@ fn optimized_l2(a: &CsrMatrix, da: &CsrMatrix) -> Result<Dissimilarity> {
     let pt = p.transpose(); // = A·ΔA by symmetry
     let (dd, s2) = ops::spgemm_with_stats(da, da)?; // ΔA²
     ops += s2;
-    let sum = ops::sp_add(&ops::sp_add(&p, &pt)?, &dd)?;
+    let delta_ac = ops::sp_sum_pruned(&[&p, &pt, &dd], &mut [0; 3])?;
     ops.adds += (p.nnz() + dd.nnz()) as u64;
     for m in [p, pt, dd] {
         workspace::recycle(m);
     }
-    let delta_ac = sum.pruned(0.0);
-    workspace::recycle(sum);
     // The transpose substitutes for the mirror product A·ΔA, costed at its
     // twin's recorded cost (exact by symmetry of the operands).
     Ok(Dissimilarity { delta_ac, ops, products: 2, transposes: 1, saved: s1 })
@@ -617,17 +627,19 @@ fn optimized_l3(a: &CsrMatrix, da: &CsrMatrix) -> Result<Dissimilarity> {
     let (daa, s_daa) = mm(&p, a)?; // ΔA·A·A   → its T gives A·A·ΔA
     let (ddd, _) = mm(&dd, da)?; // ΔA³
 
-    let mut acc = ops::sp_add(&ada_a, &da_a_da)?;
-    for term in [&dda, &dda.transpose(), &daa, &daa.transpose(), &ddd] {
-        ops.adds += term.nnz().min(acc.nnz().max(1)) as u64;
-        let next = ops::sp_add(&acc, term)?;
-        workspace::recycle(std::mem::replace(&mut acc, next));
+    let (dda_t, daa_t) = (dda.transpose(), daa.transpose());
+    let terms = [&ada_a, &da_a_da, &dda, &dda_t, &daa, &daa_t, &ddd];
+    let mut prefix = [0usize; 7];
+    let delta_ac = ops::sp_sum_pruned(&terms, &mut prefix)?;
+    // Reported adds follow a left-to-right merge: the first two terms
+    // combine uncounted, then each later term joins the unpruned sum of
+    // the terms before it at min(term nnz, max(sum nnz, 1)) adds.
+    for (term, &acc_nnz) in terms.iter().skip(2).zip(prefix.iter().skip(1)) {
+        ops.adds += term.nnz().min(acc_nnz.max(1)) as u64;
     }
-    for m in [p, ada_a, da_a_da, dd, dda, daa, ddd] {
+    for m in [p, ada_a, da_a_da, dd, dda, dda_t, daa, daa_t, ddd] {
         workspace::recycle(m);
     }
-    let delta_ac = acc.pruned(0.0);
-    workspace::recycle(acc);
     // The two transposes substitute for the mirror products A·ΔA·ΔA and
     // A·A·ΔA, costed at their twins' recorded cost (exact by symmetry).
     Ok(Dissimilarity { delta_ac, ops, products, transposes: 2, saved: s_dda + s_daa })
@@ -1052,6 +1064,166 @@ mod tests {
         for strat in [DissimilarityStrategy::General, DissimilarityStrategy::TransposeOptimized] {
             let r = fused_dissimilarity(&a, &zero, 3, strat).unwrap();
             assert_eq!(r.delta_ac.nnz(), 0, "{strat:?}");
+        }
+    }
+
+    fn power(m: &CsrMatrix, i: usize) -> CsrMatrix {
+        if i == 0 { CsrMatrix::identity(m.rows()) } else { ops::sp_pow(m, i as u32).unwrap() }
+    }
+
+    /// The pairwise-fold evaluation the one-pass term sum replaced: each
+    /// strategy's terms folded left to right with `sp_add`, adds accounted
+    /// from the live accumulator, then `pruned(0.0)`. The General chain
+    /// phase is taken from [`advance_power_chains`] on a cache kept in
+    /// lockstep with the kernel's, so hits and patches line up.
+    fn pairwise_fold_oracle(
+        a: &CsrMatrix,
+        da: &CsrMatrix,
+        l: u32,
+        strategy: DissimilarityStrategy,
+        chain_cache: Option<&mut PowerCache>,
+    ) -> Dissimilarity {
+        let mut ops_acc = OpStats::default();
+        let mm = |x: &CsrMatrix, y: &CsrMatrix, ops_acc: &mut OpStats| {
+            let (m, st) = ops::spgemm_with_stats(x, y).unwrap();
+            *ops_acc += st;
+            (m, st)
+        };
+        let add = |x: &CsrMatrix, y: &CsrMatrix| ops::sp_add(x, y).unwrap();
+        match (strategy, l) {
+            (DissimilarityStrategy::TransposeOptimized, 2) => {
+                let (p, s1) = mm(da, a, &mut ops_acc);
+                let (dd, _) = mm(da, da, &mut ops_acc);
+                let sum = add(&add(&p, &p.transpose()), &dd);
+                ops_acc.adds += (p.nnz() + dd.nnz()) as u64;
+                Dissimilarity {
+                    delta_ac: sum.pruned(0.0),
+                    ops: ops_acc,
+                    products: 2,
+                    transposes: 1,
+                    saved: s1,
+                }
+            }
+            (DissimilarityStrategy::TransposeOptimized, 3) => {
+                let (p, _) = mm(da, a, &mut ops_acc);
+                let (ada_a, _) = mm(&p.transpose(), a, &mut ops_acc);
+                let (da_a_da, _) = mm(&p, da, &mut ops_acc);
+                let (dd, _) = mm(da, da, &mut ops_acc);
+                let (dda, s_dda) = mm(&dd, a, &mut ops_acc);
+                let (daa, s_daa) = mm(&p, a, &mut ops_acc);
+                let (ddd, _) = mm(&dd, da, &mut ops_acc);
+                let mut acc = add(&ada_a, &da_a_da);
+                for term in [&dda, &dda.transpose(), &daa, &daa.transpose(), &ddd] {
+                    ops_acc.adds += term.nnz().min(acc.nnz().max(1)) as u64;
+                    acc = add(&acc, term);
+                }
+                Dissimilarity {
+                    delta_ac: acc.pruned(0.0),
+                    ops: ops_acc,
+                    products: 7,
+                    transposes: 2,
+                    saved: s_dda + s_daa,
+                }
+            }
+            _ => {
+                let l_us = l as usize;
+                let an = add(a, da);
+                let mut acc = CsrMatrix::zeros(a.rows(), a.cols());
+                for i in 0..l_us {
+                    let (left, _) = mm(&power(a, i), da, &mut ops_acc);
+                    let (term, _) = mm(&left, &power(&an, l_us - 1 - i), &mut ops_acc);
+                    ops_acc.adds += term.nnz().min(acc.nnz()) as u64;
+                    acc = add(&acc, &term);
+                }
+                let chain = advance_power_chains(a, da, l, chain_cache).unwrap();
+                Dissimilarity {
+                    delta_ac: acc.pruned(0.0),
+                    ops: ops_acc + chain.ops,
+                    products: 2 * l + chain.products,
+                    transposes: 0,
+                    saved: chain.saved,
+                }
+            }
+        }
+    }
+
+    /// A path `0–1–2–3` whose delta adds a clique on `3..8`: the delta
+    /// barely touches `A`, so the `A`-anchored terms are small and later
+    /// `ΔA`-only terms outgrow the sum before them.
+    fn burst_setup() -> (CsrMatrix, CsrMatrix) {
+        let base = GraphSnapshot::new(
+            adjacency_from_edges(8, &[(0, 1), (1, 2), (2, 3)]).unwrap(),
+            DenseMatrix::zeros(8, 1),
+        )
+        .unwrap();
+        let mut delta = GraphDelta::builder();
+        for u in 3..8 {
+            for v in u + 1..8 {
+                delta = delta.add_edge(u, v);
+            }
+        }
+        let next = delta.build().apply(&base).unwrap();
+        let a_prev = Normalization::Raw.apply(base.adjacency());
+        let d = ops::sp_sub_pruned(&Normalization::Raw.apply(next.adjacency()), &a_prev).unwrap();
+        (a_prev, d)
+    }
+
+    /// Runs three transitions (`A ← A + ΔA`, `ΔA ← ΔA / 2`) through the
+    /// kernel and the oracle and requires every reported field to match.
+    fn assert_matches_oracle(
+        case: &(CsrMatrix, CsrMatrix),
+        l: u32,
+        strategy: DissimilarityStrategy,
+        cached: bool,
+    ) {
+        let (mut a, mut d) = case.clone();
+        let mut cache = PowerCache::new();
+        let mut oracle_cache = PowerCache::new();
+        for step in 0..3 {
+            let (got, want) = if cached {
+                (
+                    fused_dissimilarity_cached(&a, &d, l, strategy, &mut cache).unwrap(),
+                    pairwise_fold_oracle(&a, &d, l, strategy, Some(&mut oracle_cache)),
+                )
+            } else {
+                (
+                    fused_dissimilarity(&a, &d, l, strategy).unwrap(),
+                    pairwise_fold_oracle(&a, &d, l, strategy, None),
+                )
+            };
+            let ctx = format!("L={l} {strategy:?} cached={cached} step={step}");
+            assert!(got.delta_ac.nnz() > 0, "{ctx}: an empty ΔA_C pins nothing");
+            assert_identical(&want.delta_ac, &got.delta_ac);
+            assert_eq!(got.ops, want.ops, "{ctx}");
+            assert_eq!(got.products, want.products, "{ctx}");
+            assert_eq!(got.transposes, want.transposes, "{ctx}");
+            assert_eq!(got.saved, want.saved, "{ctx}");
+            a = ops::sp_add(&a, &d).unwrap();
+            d = d.scale(0.5);
+        }
+        if cached && (strategy == DissimilarityStrategy::General || l == 4) {
+            assert_eq!(cache.hits(), 2, "L={l} {strategy:?}: later transitions must hit");
+            assert_eq!(cache.patches(), oracle_cache.patches());
+        }
+    }
+
+    #[test]
+    fn one_pass_term_sum_matches_pairwise_fold_oracle() {
+        // Pins ΔA_C bits and the prefix-derived `adds` (via `ops`), plus
+        // `products` and `saved`, at L = 2, 3, 4 for both strategies, with
+        // and without a PowerCache (cached runs hit, and on the ring patch,
+        // from the second transition on). On the ring every prefix sum is
+        // larger than the next term; on the burst some terms are larger, so
+        // the `min(term, accumulator)` accounting is pinned on both sides.
+        let strategies = [DissimilarityStrategy::TransposeOptimized, DissimilarityStrategy::General];
+        for case in [ring_setup(40), burst_setup()] {
+            for l in [2u32, 3, 4] {
+                for strategy in strategies {
+                    for cached in [false, true] {
+                        assert_matches_oracle(&case, l, strategy, cached);
+                    }
+                }
+            }
         }
     }
 }

@@ -39,12 +39,16 @@
 //! row's B segments both discovers the output structure and accumulates the
 //! values, using the chunked inner loops in [`crate::simd`] (products
 //! computed in fixed-width autovectorizable chunks, scatter keeping the
-//! scalar stamp check). Discovered columns are sorted and the accumulator
-//! gathered per row, so emission order — and therefore every bit of the
-//! output and every [`OpStats`] count — matches the two-phase reference
-//! exactly (each SPA slot still receives its products in ascending-`k`
-//! order; see the `simd` module docs for the chunking half of the
-//! argument).
+//! scalar stamp check). Discovered columns are put in ascending order —
+//! by `sort_unstable` for short rows, by a scan of the [`Workspace`] column
+//! bitmap for wide ones — and the accumulator gathered per row, so emission
+//! order — and therefore every bit of the output and every [`OpStats`]
+//! count — matches the two-phase reference exactly (each SPA slot still
+//! receives its products in ascending-`k` order; see the `simd` module docs
+//! for the chunking half of the argument).
+//!
+//! [`sp_sum_pruned`] reuses the same SPA and emission to add `k` CSR terms
+//! in one pass — the `ΔA_C` term sum of Eqs. 13/15.
 //!
 //! The scalar reference (`*_scalar_*` entry points) keeps the explicit
 //! two-phase structure the fused pass superseded, including its *cache
@@ -254,14 +258,57 @@ fn spgemm_block_in<const CHUNKED: bool>(
     CsrBlock { row_lens, indices, values, stats }
 }
 
+/// Rows with at least this many discovered columns may emit through the
+/// column bitmap instead of a comparison sort (see [`order_row_columns`]).
+const BITMAP_MIN_COLS: usize = 32;
+
+/// Puts one row's discovered columns — distinct, in discovery order — into
+/// ascending order in place.
+///
+/// Short rows use `sort_unstable`. A row with at least [`BITMAP_MIN_COLS`]
+/// columns and at least a quarter of the workspace bitmap's word count sets
+/// one bit per column in [`Workspace`]'s bitmap and rewrites the slice by
+/// scanning the touched words for set bits (`O(n + words)` instead of
+/// `O(n log n)`), clearing each word as it goes so the bitmap is all-zero
+/// again for the next row. Both branches produce the unique ascending order
+/// of a set of distinct indices, so the switch can never change an output
+/// bit; it is a fixed rule, not a tuning knob.
+#[inline]
+fn order_row_columns(ws: &mut Workspace, cols: &mut [usize]) {
+    if cols.len() < BITMAP_MIN_COLS || cols.len() * 4 < ws.bits.len() {
+        cols.sort_unstable();
+        return;
+    }
+    let (mut lo, mut hi) = (usize::MAX, 0usize);
+    for &c in cols.iter() {
+        let w = c / 64;
+        // lint: allow(panic-surface) -- in-bounds: `c` is below the SPA width, which `bits` covers
+        ws.bits[w] |= 1u64 << (c % 64);
+        lo = lo.min(w);
+        hi = hi.max(w);
+    }
+    let mut out = 0usize;
+    for w in lo..=hi {
+        // lint: allow(panic-surface) -- in-bounds: `w` lies between two words set above
+        let mut word = std::mem::take(&mut ws.bits[w]);
+        while word != 0 {
+            // lint: allow(panic-surface) -- in-bounds: one slot per set bit, and one bit was set per column
+            cols[out] = w * 64 + word.trailing_zeros() as usize;
+            out += 1;
+            word &= word - 1;
+        }
+    }
+}
+
 /// The fused single-visit pass over one output row: for each `a[r, k]` the
 /// B segment is multiplied and scattered through
 /// [`crate::simd::spgemm_segment_fused`], which stamps, accumulates, and
 /// records first-touched columns in one traversal. The discovered columns
-/// are then sorted and the accumulator gathered in sorted order — the same
-/// emission the two-phase reference produces, so outputs and [`OpStats`]
-/// are bit-identical to it (each SPA slot sees its products in the same
-/// ascending-`k` order; sorting distinct indices is order-deterministic).
+/// are then put in ascending order ([`order_row_columns`]) and the
+/// accumulator gathered in that order — the same emission the two-phase
+/// reference produces, so outputs and [`OpStats`] are bit-identical to it
+/// (each SPA slot sees its products in the same ascending-`k` order; the
+/// ascending order of distinct indices is unique).
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn spgemm_row_fused(
@@ -280,7 +327,7 @@ fn spgemm_row_fused(
         crate::simd::spgemm_segment_fused(b, k, va, ws, generation, indices, stats);
     }
     // lint: allow(panic-surface) -- in-bounds: `start` was the length of `indices` above
-    indices[start..].sort_unstable();
+    order_row_columns(ws, &mut indices[start..]);
     row_lens.push(indices.len() - start);
     // lint: allow(panic-surface) -- in-bounds: `start` was the length of `indices` above; every gathered column is below `ws.acc.len()`
     values.extend(indices[start..].iter().map(|&c| ws.acc[c]));
@@ -734,6 +781,137 @@ pub fn sp_sub(a: &CsrMatrix, b: &CsrMatrix) -> Result<CsrMatrix> {
 pub fn sp_sub_pruned(a: &CsrMatrix, b: &CsrMatrix) -> Result<CsrMatrix> {
     let out = sp_axpby_par_impl::<true>(1.0, a, -1.0, b, auto_parallelism(a.rows()))?;
     out.debug_validate_pruned("ops::sp_sub_pruned");
+    Ok(out)
+}
+
+/// The SPA term sum of [`sp_sum_pruned`] over one contiguous row block.
+///
+/// Each row stamps and accumulates the terms' entries in term order (so a
+/// slot holds `((t₀ + t₁) + t₂) + …` over the terms that store it — the
+/// pairwise fold's order), counts the distinct columns seen after each term
+/// (the unpruned prefix-sum nnz), orders the columns through
+/// [`order_row_columns`] and emits only values with `v.abs() > 0.0`.
+///
+/// The block's `k` prefix counts are kept in the workspace's `prefix` slots
+/// and appended to `row_lens` after its row lengths; [`sp_sum_pruned`]
+/// splits them off before assembly, so no per-block side buffer is needed.
+/// The output buffers are taken from the pool before `row_lens`, so the
+/// most recently recycled buffer — a recycled matrix's `indices`, usually
+/// the largest — backs the output rather than the row lengths.
+fn sp_sum_block(
+    terms: &[&CsrMatrix],
+    rows: std::ops::Range<usize>,
+    ws: &mut Workspace,
+) -> CsrBlock {
+    // lint: allow(panic-surface) -- in-bounds: sp_sum_pruned rejects an empty term list
+    ws.ensure_width(terms[0].cols());
+    // Upper bound on the block's output nnz: every term entry is distinct.
+    let cap: usize = terms
+        .iter()
+        // lint: allow(panic-surface) -- in-bounds: `rows` lies within the terms' row range
+        .map(|t| t.indptr()[rows.end] - t.indptr()[rows.start])
+        .sum();
+    let mut indices = workspace::take_index_buffer(cap);
+    let mut values = workspace::take_value_buffer(cap);
+    let mut row_lens = workspace::take_index_buffer(rows.len() + terms.len());
+    ws.prefix.clear();
+    ws.prefix.resize(terms.len(), 0);
+    for r in rows {
+        let generation = ws.next_generation();
+        let start = indices.len();
+        for (term, count) in terms.iter().zip(ws.prefix.iter_mut()) {
+            for (c, v) in term.row_iter(r) {
+                // lint: allow(panic-surface) -- in-bounds: `c` is a CSR column of a term, below the SPA width
+                if ws.stamp[c] == generation {
+                    // lint: allow(panic-surface) -- in-bounds: `c` is a CSR column of a term, below the SPA width
+                    ws.acc[c] += v;
+                } else {
+                    // lint: allow(panic-surface) -- in-bounds: `c` is a CSR column of a term, below the SPA width
+                    ws.stamp[c] = generation;
+                    // lint: allow(panic-surface) -- in-bounds: `c` is a CSR column of a term, below the SPA width
+                    ws.acc[c] = v;
+                    indices.push(c);
+                }
+            }
+            *count += indices.len() - start;
+        }
+        // lint: allow(panic-surface) -- in-bounds: `start` was the length of `indices` above
+        order_row_columns(ws, &mut indices[start..]);
+        let mut kept = start;
+        for i in start..indices.len() {
+            // lint: allow(panic-surface) -- in-bounds: `i` indexes this row's discovered columns
+            let c = indices[i];
+            // lint: allow(panic-surface) -- in-bounds: every discovered column is below the SPA width
+            let v = ws.acc[c];
+            if v.abs() > 0.0 {
+                // lint: allow(panic-surface) -- in-bounds: `kept <= i`
+                indices[kept] = c;
+                values.push(v);
+                kept += 1;
+            }
+        }
+        indices.truncate(kept);
+        row_lens.push(kept - start);
+    }
+    row_lens.extend_from_slice(&ws.prefix);
+    CsrBlock { row_lens, indices, values, stats: OpStats::default() }
+}
+
+/// Sum of `k` same-shape sparse matrices with exact zeros dropped, in one
+/// pass: bit-identical to folding the terms left to right with [`sp_add`]
+/// and calling [`CsrMatrix::pruned`]`(0.0)` on the result, without the
+/// `k − 1` intermediate matrices.
+///
+/// Every stored value accumulates its terms in term order through a shared
+/// [`Workspace`] SPA, which is the order the pairwise fold adds them in,
+/// and each row is emitted in ascending column order. Entries whose sum
+/// fails `v.abs() > 0.0` (`+0.0`, `-0.0`, NaN) are dropped as they are
+/// emitted. `prefix_nnz[j]` receives the nnz of the *unpruned* prefix sum
+/// `t₀ + … + t_j` — the size of the fold's accumulator after term `j` —
+/// so callers can account the fold's adds exactly. This is the Eq. 13/15
+/// `ΔA_C` term sum of the one-pass kernel.
+///
+/// # Errors
+///
+/// Returns [`SparseError::InvalidStructure`] if `terms` is empty or
+/// `prefix_nnz.len() != terms.len()`, and
+/// [`SparseError::DimensionMismatch`] if the terms differ in shape.
+pub fn sp_sum_pruned(terms: &[&CsrMatrix], prefix_nnz: &mut [usize]) -> Result<CsrMatrix> {
+    let Some(first) = terms.first() else {
+        return Err(SparseError::InvalidStructure {
+            reason: "sp_sum_pruned needs at least one term".into(),
+        });
+    };
+    if prefix_nnz.len() != terms.len() {
+        return Err(SparseError::InvalidStructure {
+            reason: format!("{} prefix slots for {} terms", prefix_nnz.len(), terms.len()),
+        });
+    }
+    if let Some(other) = terms.iter().find(|t| t.shape() != first.shape()) {
+        return Err(SparseError::DimensionMismatch {
+            op: "sp_sum_pruned",
+            lhs: first.shape(),
+            rhs: other.shape(),
+        });
+    }
+    let k = terms.len();
+    let mut blocks = parallel::map_blocks_by_cost(
+        first.rows(),
+        auto_parallelism(first.rows()),
+        |r| terms.iter().map(|t| t.row_nnz(r) as u64).sum(),
+        |range| workspace::with_workspace(|ws| sp_sum_block(terms, range, ws)),
+    );
+    prefix_nnz.fill(0);
+    for block in &mut blocks {
+        let tail = block.row_lens.len() - k;
+        // lint: allow(panic-surface) -- in-bounds: every block appends exactly `k` prefix counts
+        for (p, &c) in prefix_nnz.iter_mut().zip(&block.row_lens[tail..]) {
+            *p += c;
+        }
+        block.row_lens.truncate(tail);
+    }
+    let out = assemble_csr(first.rows(), first.cols(), blocks).0;
+    out.debug_validate_pruned("ops::sp_sum_pruned");
     Ok(out)
 }
 
@@ -1361,5 +1539,74 @@ mod tests {
         let lhs = spgemm(&a, &b).unwrap().transpose();
         let rhs = spgemm(&b.transpose(), &a.transpose()).unwrap();
         assert!(lhs.approx_eq(&rhs, 1e-6));
+    }
+
+    #[test]
+    fn row_columns_switch_from_sort_to_bitmap_at_the_fixed_rule() {
+        // A 4096-wide workspace has 64 bitmap words, so the rule is
+        // `n >= 32 && 4n >= 64`: 31 columns sort, 32 scan the bitmap.
+        let mut ws = Workspace::new();
+        ws.ensure_width(4096);
+        assert_eq!(ws.bits.len(), 64);
+        for n in [0usize, 1, 31, 32, 33, 64, 65, 700] {
+            // Distinct columns in scrambled order, spread over many words.
+            let mut cols: Vec<usize> = (0..n).map(|i| (i * 2_654_435_761) % 4093).collect();
+            cols.sort_unstable();
+            cols.dedup();
+            let want = cols.clone();
+            cols.reverse();
+            cols.rotate_left(n / 3);
+            order_row_columns(&mut ws, &mut cols);
+            assert_eq!(cols, want, "n={n}");
+            assert!(ws.bits.iter().all(|&w| w == 0), "n={n} left bits set");
+        }
+        // On a 64 Ki-column workspace (1,024 words) a 200-column row stays
+        // below a quarter of the word count and sorts; the bitmap is untouched.
+        ws.ensure_width(1 << 16);
+        let mut cols: Vec<usize> = (0..200).rev().map(|i| i * 300).collect();
+        order_row_columns(&mut ws, &mut cols);
+        assert!(cols.windows(2).all(|w| w[0] < w[1]));
+        assert!(ws.bits.iter().all(|&w| w == 0));
+    }
+
+    #[test]
+    fn sp_sum_pruned_parallel_matches_serial_fold() {
+        let terms: Vec<CsrMatrix> = (0..4).map(|i| random_sparse(300, 9_000, 90 + i)).collect();
+        let refs: Vec<&CsrMatrix> = terms.iter().collect();
+        let mut acc = terms[0].clone();
+        let mut want_prefix = vec![acc.nnz()];
+        for t in &terms[1..] {
+            acc = sp_axpby_serial(1.0, &acc, 1.0, t).unwrap();
+            want_prefix.push(acc.nnz());
+        }
+        let want = acc.pruned(0.0);
+        for threads in [1usize, 4] {
+            let _guard = parallel::kernel_scope(Parallelism::new(threads));
+            let mut prefix = [0usize; 4];
+            let got = sp_sum_pruned(&refs, &mut prefix).unwrap();
+            assert_csr_identical(&want, &got);
+            assert_eq!(prefix.to_vec(), want_prefix, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn sp_sum_pruned_validates_inputs() {
+        let a = CsrMatrix::identity(3);
+        let b = CsrMatrix::identity(4);
+        assert!(matches!(sp_sum_pruned(&[], &mut []), Err(SparseError::InvalidStructure { .. })));
+        assert!(matches!(
+            sp_sum_pruned(&[&a, &a], &mut [0]),
+            Err(SparseError::InvalidStructure { .. })
+        ));
+        assert!(matches!(
+            sp_sum_pruned(&[&a, &b], &mut [0, 0]),
+            Err(SparseError::DimensionMismatch { .. })
+        ));
+        // A term and its negation cancel to an empty matrix whose unpruned
+        // prefix still counts every merged entry.
+        let mut prefix = [0usize; 2];
+        let zero = sp_sum_pruned(&[&a, &a.scale(-1.0)], &mut prefix).unwrap();
+        assert_eq!(zero.nnz(), 0);
+        assert_eq!(prefix, [3, 3]);
     }
 }

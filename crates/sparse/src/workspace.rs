@@ -1,14 +1,15 @@
 //! Reusable kernel workspaces and pooled output buffers.
 //!
 //! The sparse kernels in [`crate::ops`] are called thousands of times per
-//! simulated stream (the Eq. 13/15 five-product chain runs every snapshot),
-//! and the dominant allocation cost is not the output itself but the dense
-//! scratch each SpGEMM needs: an `n`-wide accumulator, an `n`-wide stamp
-//! array, and the output `indices`/`values` vectors that re-grow from empty
-//! on every call. This module removes that cost:
+//! simulated stream (the Eq. 15 chain of seven products runs every
+//! snapshot), and the dominant allocation cost is not the output itself but
+//! the dense scratch each SpGEMM needs: an `n`-wide accumulator, an `n`-wide
+//! stamp array, and the output `indices`/`values` vectors that re-grow from
+//! empty on every call. This module removes that cost:
 //!
-//! * [`Workspace`] owns the dense accumulator (SPA) and generation-stamped
-//!   array a Gustavson SpGEMM block needs. It is checked out of a global
+//! * [`Workspace`] owns the dense accumulator (SPA), the generation-stamped
+//!   array and the column bitmap a Gustavson SpGEMM block (or a
+//!   [`crate::ops::sp_sum_pruned`] term sum) needs. It is checked out of a global
 //!   pool per row-block invocation ([`with_workspace`]) and returned
 //!   afterwards, so the `O(n)` scratch is written once and reused across
 //!   calls — including across the fresh scoped threads
@@ -35,17 +36,25 @@ const MAX_POOLED_WORKSPACES: usize = 64;
 /// Upper bound on pooled buffers per kind.
 const MAX_POOLED_BUFFERS: usize = 256;
 
-/// Dense scratch owned by one SpGEMM worker: accumulator, stamp array, and
-/// the current stamp generation.
+/// Dense scratch owned by one SpGEMM worker: accumulator, stamp array,
+/// column bitmap, and the current stamp generation.
 ///
 /// The stamp array marks which accumulator slots belong to the current row:
 /// `stamp[c] == generation` means `acc[c]` is live. Bumping the generation
 /// (`O(1)`) invalidates the whole row, so neither array is ever re-zeroed
 /// between rows or between calls.
+///
+/// `bits` holds one bit per column (64 columns per word). It is all-zero
+/// between rows: a wide row sets the bits of its discovered columns and the
+/// ordered emission in [`crate::ops`] clears each word as it scans it.
+/// `prefix` holds the per-term distinct-column counts of a
+/// [`crate::ops::sp_sum_pruned`] row block.
 #[derive(Debug, Default)]
 pub struct Workspace {
     pub(crate) acc: Vec<f32>,
     pub(crate) stamp: Vec<usize>,
+    pub(crate) bits: Vec<u64>,
+    pub(crate) prefix: Vec<usize>,
     generation: usize,
 }
 
@@ -55,7 +64,8 @@ impl Workspace {
         Self::default()
     }
 
-    /// Grows the accumulator and stamp arrays to at least `cols` slots.
+    /// Grows the accumulator, stamp and bitmap arrays to at least `cols`
+    /// slots.
     ///
     /// Growth is geometric (next power of two): a workspace alternating
     /// between matrix widths — e.g. a full product followed by a row-masked
@@ -67,6 +77,7 @@ impl Workspace {
             let target = cols.next_power_of_two();
             self.acc.resize(target, 0.0);
             self.stamp.resize(target, usize::MAX);
+            self.bits.resize(target.div_ceil(64), 0);
         }
     }
 
@@ -205,6 +216,7 @@ mod tests {
         ws.ensure_width(8);
         assert_eq!(ws.acc.len(), 8);
         assert!(ws.stamp.iter().all(|&s| s == usize::MAX));
+        assert_eq!(ws.bits, vec![0u64], "one zeroed word covers 8 columns");
         let g1 = ws.next_generation();
         let g2 = ws.next_generation();
         assert_ne!(g1, g2);
@@ -236,6 +248,7 @@ mod tests {
         ws.ensure_width(129);
         assert_eq!(ws.acc.len(), 256);
         assert_eq!(ws.stamp.len(), 256);
+        assert_eq!(ws.bits.len(), 4);
     }
 
     #[test]

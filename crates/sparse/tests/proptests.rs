@@ -37,6 +37,77 @@ fn dense_of(m: &CsrMatrix) -> DenseMatrix {
     m.to_dense()
 }
 
+fn value_bits(m: &CsrMatrix) -> Vec<u32> {
+    m.values().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Bitwise CSR equality: structure and every value bit.
+fn assert_bit_identical(want: &CsrMatrix, got: &CsrMatrix) {
+    assert_eq!(want.shape(), got.shape());
+    assert_eq!(want.indptr(), got.indptr());
+    assert_eq!(want.indices(), got.indices());
+    assert_eq!(value_bits(want), value_bits(got));
+}
+
+/// Values a `ΔA_C` term sum must handle bit-exactly: signed zeros (stored
+/// explicitly), exact cancellation partners, NaN and an infinity.
+const SUM_PALETTE: [f32; 9] = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, f32::NAN, f32::INFINITY];
+
+/// Strategy: a `rows`×`cols` CSR matrix whose stored values come from
+/// [`SUM_PALETTE`]. Each cell is absent with probability ≈ `1/2`, and the
+/// whole matrix is empty when `empty` draws 0 — explicit zeros are stored
+/// as-is (no `CooMatrix` summing).
+fn palette_matrix(rows: usize, cols: usize) -> impl Strategy<Value = CsrMatrix> {
+    (prop::collection::vec(0usize..2 * SUM_PALETTE.len(), rows * cols), 0u8..6).prop_map(
+        move |(codes, empty)| {
+            let mut indptr = vec![0usize];
+            let mut indices = Vec::new();
+            let mut values = Vec::new();
+            for r in 0..rows {
+                for c in 0..cols {
+                    let code = codes[r * cols + c];
+                    if empty > 0 && code < SUM_PALETTE.len() {
+                        indices.push(c);
+                        values.push(SUM_PALETTE[code]);
+                    }
+                }
+                indptr.push(indices.len());
+            }
+            CsrMatrix::from_raw_parts(rows, cols, indptr, indices, values).unwrap()
+        },
+    )
+}
+
+/// Deterministic LCG for building wide-row operands from one seed.
+struct Lcg(u64);
+
+impl Lcg {
+    fn next(&mut self, bound: usize) -> usize {
+        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        ((self.0 >> 33) as usize) % bound
+    }
+}
+
+/// Row widths straddling the sort/bitmap switch (32 discovered columns) and
+/// one or two full 64-column words.
+const ROW_WIDTHS: [usize; 11] = [0, 1, 7, 31, 32, 33, 63, 64, 65, 96, 129];
+
+/// A `rows`×`cols` matrix whose row `r` stores `min(width_r, cols)` distinct
+/// columns drawn in shuffled order, with values in `[-2, 2)`.
+fn wide_rows(rows: usize, cols: usize, rng: &mut Lcg) -> CsrMatrix {
+    let mut coo = CooMatrix::new(rows, cols);
+    for r in 0..rows {
+        let width = ROW_WIDTHS[rng.next(ROW_WIDTHS.len())].min(cols);
+        let mut pool: Vec<usize> = (0..cols).collect();
+        for i in 0..width {
+            let j = i + rng.next(cols - i);
+            pool.swap(i, j);
+            coo.push(r, pool[i], rng.next(16) as f32 * 0.25 - 2.0).unwrap();
+        }
+    }
+    coo.to_csr()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -432,5 +503,75 @@ proptest! {
         let lhs = x.matmul(&y).unwrap().matmul(&z).unwrap();
         let rhs = x.matmul(&y.matmul(&z).unwrap()).unwrap();
         prop_assert!(lhs.approx_eq(&rhs, 1e-3));
+    }
+
+    #[test]
+    fn sp_sum_pruned_matches_pairwise_fold_then_prune(
+        terms in prop::collection::vec(palette_matrix(5, 7), 1..6),
+    ) {
+        // The one-pass ΔA_C sum against the fold it replaces: left-to-right
+        // `sp_add`, then `pruned(0.0)`. Bit for bit, including which
+        // entries ±0.0 cancellation and NaN drop, and the unpruned prefix
+        // nnz the fold's accumulator had after each term.
+        let mut acc = terms[0].clone();
+        let mut want_prefix = vec![acc.nnz()];
+        for t in &terms[1..] {
+            acc = ops::sp_add(&acc, t).unwrap();
+            want_prefix.push(acc.nnz());
+        }
+        let want = acc.pruned(0.0);
+        let refs: Vec<&CsrMatrix> = terms.iter().collect();
+        let mut prefix = vec![usize::MAX; terms.len()];
+        let got = ops::sp_sum_pruned(&refs, &mut prefix).unwrap();
+        assert_bit_identical(&want, &got);
+        prop_assert_eq!(prefix, want_prefix);
+        prop_assert!(got.validate_pruned().is_ok());
+    }
+
+    #[test]
+    fn bitmap_emission_matches_sorted_emission_on_every_spgemm_path(
+        seed in 0u64..1_000_000,
+        cols in (0usize..6).prop_map(|i| [31usize, 63, 64, 65, 128, 129][i]),
+        mask in prop::collection::vec(0u8..2, 10),
+    ) {
+        // Output rows discover 0..=cols columns, on both sides of a 64-column
+        // word and of the 32-column sort/bitmap switch, in scrambled order.
+        // Every fused path (serial, pooled parallel, caller workspace,
+        // row-masked) must equal the scalar two-phase reference, which
+        // always sorts.
+        let mut rng = Lcg(seed);
+        let a = wide_rows(10, 12, &mut rng);
+        let b = wide_rows(12, cols, &mut rng);
+        let serial = idgnn_sparse::Parallelism::serial();
+        let (want, want_st) = ops::spgemm_scalar_with_stats(&a, &b, serial).unwrap();
+        for threads in [1usize, 4] {
+            let par = idgnn_sparse::Parallelism::new(threads);
+            let (got, st) = ops::spgemm_par_with_stats(&a, &b, par).unwrap();
+            assert_bit_identical(&want, &got);
+            prop_assert_eq!(st, want_st);
+        }
+        let mut ws = Workspace::new();
+        let (got, st) = ops::spgemm_with_workspace(&a, &b, &mut ws).unwrap();
+        assert_bit_identical(&want, &got);
+        prop_assert_eq!(st, want_st);
+
+        let rows: Vec<usize> =
+            mask.iter().enumerate().filter(|(_, &m)| m == 1).map(|(r, _)| r).collect();
+        let (want_m, want_m_st) =
+            ops::row_masked_spgemm_scalar_with_workspace(&a, &b, &rows, &mut Workspace::new())
+                .unwrap();
+        let (got_m, got_m_st) =
+            ops::row_masked_spgemm_with_workspace(&a, &b, &rows, &mut ws).unwrap();
+        assert_bit_identical(&want_m, &got_m);
+        prop_assert_eq!(got_m_st, want_m_st);
+
+        // The term sum shares the emission: summing wide rows must still
+        // match the pairwise fold.
+        let c = wide_rows(10, cols, &mut rng);
+        let mut prefix = [0usize; 2];
+        let sum = ops::sp_sum_pruned(&[&want, &c], &mut prefix).unwrap();
+        let folded = ops::sp_add(&want, &c).unwrap();
+        assert_bit_identical(&folded.pruned(0.0), &sum);
+        prop_assert_eq!(prefix, [want.nnz(), folded.nnz()]);
     }
 }

@@ -18,7 +18,9 @@
 #    match the committed files byte for byte;
 # 9. the repo benchmark's own tests (perfbench is a separate workspace, so
 #    `cargo test --workspace` never reaches its exact-reference checks);
-# 10. clippy over every target with warnings denied.
+# 10. perfbench --record-reference at seeds 0, 7, 42: every simulated
+#    statistic must already be in perfbench/reference.txt;
+# 11. clippy over every target with warnings denied.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -98,6 +100,20 @@ echo "==> cargo test --manifest-path perfbench/Cargo.toml"
 # test runs every workload at a tiny size through the same exact-reference
 # and determinism checks a full run applies.
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
+echo "==> perfbench --record-reference (simulated statistics stay bit-identical)"
+# Recompute the benchmark's exact statistics (cycles, ops, DRAM bytes, energy
+# per workload cell) at the smoke size and at seeds 0, 7 and 42, and require
+# every line to appear verbatim in perfbench/reference.txt. A host-speed
+# optimization must not move a single simulated bit. This reads perfbench and
+# writes only under target/.
+ref_out="target/perfbench_reference_check.txt"
+cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- \
+    --record-reference 0 7 42 > "$ref_out"
+if [ ! -s "$ref_out" ] || grep -vxFf perfbench/reference.txt "$ref_out" >&2; then
+  echo "error: perfbench statistics drifted from perfbench/reference.txt (lines above)" >&2
+  exit 1
+fi
 
 echo "==> cargo clippy --workspace (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -91,7 +91,7 @@ fn print_report(name: &str, r: &SimReport, frequency_hz: u64, baseline: Option<&
     );
     println!("  DRAM traffic : {:>14} B", r.dram_bytes);
     println!("  scalar ops   : {:>14}", r.ops.total());
-    println!("  mean MAC util: {:>13.1}%", r.utilization.mean_mac() * 100.0);
+    println!("  mean MAC util: {:>13.1}%", r.utilization().mean_mac() * 100.0);
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
