@@ -39,13 +39,12 @@
 //! row's B segments both discovers the output structure and accumulates the
 //! values, using the chunked inner loops in [`crate::simd`] (products
 //! computed in fixed-width autovectorizable chunks, scatter keeping the
-//! scalar stamp check). Discovered columns are put in ascending order —
-//! by `sort_unstable` for short rows, by a scan of the [`Workspace`] column
-//! bitmap for wide ones — and the accumulator gathered per row, so emission
-//! order — and therefore every bit of the output and every [`OpStats`]
-//! count — matches the two-phase reference exactly (each SPA slot still
-//! receives its products in ascending-`k` order; see the `simd` module docs
-//! for the chunking half of the argument).
+//! scalar stamp check). Discovered columns are put in ascending order by a
+//! scan of the [`Workspace`] column bitmap and the accumulator gathered per
+//! row, so emission order — and therefore every bit of the output and every
+//! [`OpStats`] count — matches the two-phase reference exactly (each SPA
+//! slot still receives its products in ascending-`k` order; see the `simd`
+//! module docs for the chunking half of the argument).
 //!
 //! [`sp_sum_pruned`] reuses the same SPA and emission to add `k` CSR terms
 //! in one pass — the `ΔA_C` term sum of Eqs. 13/15.
@@ -258,27 +257,18 @@ fn spgemm_block_in<const CHUNKED: bool>(
     CsrBlock { row_lens, indices, values, stats }
 }
 
-/// Rows with at least this many discovered columns may emit through the
-/// column bitmap instead of a comparison sort (see [`order_row_columns`]).
-const BITMAP_MIN_COLS: usize = 32;
-
 /// Puts one row's discovered columns — distinct, in discovery order — into
-/// ascending order in place.
+/// ascending order in place, through [`Workspace`]'s column bitmap.
 ///
-/// Short rows use `sort_unstable`. A row with at least [`BITMAP_MIN_COLS`]
-/// columns and at least a quarter of the workspace bitmap's word count sets
-/// one bit per column in [`Workspace`]'s bitmap and rewrites the slice by
-/// scanning the touched words for set bits (`O(n + words)` instead of
-/// `O(n log n)`), clearing each word as it goes so the bitmap is all-zero
-/// again for the next row. Both branches produce the unique ascending order
-/// of a set of distinct indices, so the switch can never change an output
-/// bit; it is a fixed rule, not a tuning knob.
+/// Each column sets its bit; the words between the lowest and highest
+/// touched word are then scanned for set bits (`trailing_zeros`) and the
+/// slice rewritten in ascending order, `O(n + words spanned)` instead of a
+/// comparison sort's `O(n log n)`. Each word is cleared as it is read, so
+/// the bitmap is all-zero again for the next row. The ascending order of a
+/// set of distinct indices is unique, so this emits exactly what a sort of
+/// the slice would.
 #[inline]
 fn order_row_columns(ws: &mut Workspace, cols: &mut [usize]) {
-    if cols.len() < BITMAP_MIN_COLS || cols.len() * 4 < ws.bits.len() {
-        cols.sort_unstable();
-        return;
-    }
     let (mut lo, mut hi) = (usize::MAX, 0usize);
     for &c in cols.iter() {
         let w = c / 64;
@@ -792,17 +782,16 @@ pub fn sp_sub_pruned(a: &CsrMatrix, b: &CsrMatrix) -> Result<CsrMatrix> {
 /// (the unpruned prefix-sum nnz), orders the columns through
 /// [`order_row_columns`] and emits only values with `v.abs() > 0.0`.
 ///
-/// The block's `k` prefix counts are kept in the workspace's `prefix` slots
-/// and appended to `row_lens` after its row lengths; [`sp_sum_pruned`]
-/// splits them off before assembly, so no per-block side buffer is needed.
-/// The output buffers are taken from the pool before `row_lens`, so the
-/// most recently recycled buffer — a recycled matrix's `indices`, usually
-/// the largest — backs the output rather than the row lengths.
+/// Returns the block with its `k` prefix counts in a pooled index buffer,
+/// which [`sp_sum_pruned`] sums over blocks and recycles. The output
+/// buffers are taken from the pool first, so the most recently recycled
+/// buffer — a recycled matrix's `indices`, usually the largest — backs the
+/// output rather than the row lengths or the counts.
 fn sp_sum_block(
     terms: &[&CsrMatrix],
     rows: std::ops::Range<usize>,
     ws: &mut Workspace,
-) -> CsrBlock {
+) -> (CsrBlock, Vec<usize>) {
     // lint: allow(panic-surface) -- in-bounds: sp_sum_pruned rejects an empty term list
     ws.ensure_width(terms[0].cols());
     // Upper bound on the block's output nnz: every term entry is distinct.
@@ -813,13 +802,13 @@ fn sp_sum_block(
         .sum();
     let mut indices = workspace::take_index_buffer(cap);
     let mut values = workspace::take_value_buffer(cap);
-    let mut row_lens = workspace::take_index_buffer(rows.len() + terms.len());
-    ws.prefix.clear();
-    ws.prefix.resize(terms.len(), 0);
+    let mut row_lens = workspace::take_index_buffer(rows.len());
+    let mut prefix = workspace::take_index_buffer(terms.len());
+    prefix.resize(terms.len(), 0);
     for r in rows {
         let generation = ws.next_generation();
         let start = indices.len();
-        for (term, count) in terms.iter().zip(ws.prefix.iter_mut()) {
+        for (term, count) in terms.iter().zip(prefix.iter_mut()) {
             for (c, v) in term.row_iter(r) {
                 // lint: allow(panic-surface) -- in-bounds: `c` is a CSR column of a term, below the SPA width
                 if ws.stamp[c] == generation {
@@ -853,8 +842,7 @@ fn sp_sum_block(
         indices.truncate(kept);
         row_lens.push(kept - start);
     }
-    row_lens.extend_from_slice(&ws.prefix);
-    CsrBlock { row_lens, indices, values, stats: OpStats::default() }
+    (CsrBlock { row_lens, indices, values, stats: OpStats::default() }, prefix)
 }
 
 /// Sum of `k` same-shape sparse matrices with exact zeros dropped, in one
@@ -894,22 +882,24 @@ pub fn sp_sum_pruned(terms: &[&CsrMatrix], prefix_nnz: &mut [usize]) -> Result<C
             rhs: other.shape(),
         });
     }
-    let k = terms.len();
-    let mut blocks = parallel::map_blocks_by_cost(
+    let blocks = parallel::map_blocks_by_cost(
         first.rows(),
         auto_parallelism(first.rows()),
         |r| terms.iter().map(|t| t.row_nnz(r) as u64).sum(),
         |range| workspace::with_workspace(|ws| sp_sum_block(terms, range, ws)),
     );
     prefix_nnz.fill(0);
-    for block in &mut blocks {
-        let tail = block.row_lens.len() - k;
-        // lint: allow(panic-surface) -- in-bounds: every block appends exactly `k` prefix counts
-        for (p, &c) in prefix_nnz.iter_mut().zip(&block.row_lens[tail..]) {
-            *p += c;
-        }
-        block.row_lens.truncate(tail);
-    }
+    let blocks = blocks
+        .into_iter()
+        .map(|(block, counts)| {
+            for (p, &c) in prefix_nnz.iter_mut().zip(&counts) {
+                *p += c;
+            }
+            workspace::recycle_index_buffer(counts);
+            block
+        })
+        // lint: allow(hot-path-alloc) -- one entry per row block, not per element
+        .collect();
     let out = assemble_csr(first.rows(), first.cols(), blocks).0;
     out.debug_validate_pruned("ops::sp_sum_pruned");
     Ok(out)
@@ -1542,15 +1532,14 @@ mod tests {
     }
 
     #[test]
-    fn row_columns_switch_from_sort_to_bitmap_at_the_fixed_rule() {
-        // A 4096-wide workspace has 64 bitmap words, so the rule is
-        // `n >= 32 && 4n >= 64`: 31 columns sort, 32 scan the bitmap.
+    fn row_columns_come_out_ascending_and_leave_the_bitmap_clear() {
         let mut ws = Workspace::new();
-        ws.ensure_width(4096);
-        assert_eq!(ws.bits.len(), 64);
-        for n in [0usize, 1, 31, 32, 33, 64, 65, 700] {
-            // Distinct columns in scrambled order, spread over many words.
-            let mut cols: Vec<usize> = (0..n).map(|i| (i * 2_654_435_761) % 4093).collect();
+        ws.ensure_width(1 << 16);
+        for n in [0usize, 1, 2, 31, 32, 33, 64, 65, 700] {
+            // Distinct columns in scrambled order, spread over many words;
+            // a 2-column row spans the whole 1,024-word bitmap.
+            let mut cols: Vec<usize> =
+                (0..n).map(|i| (i * 2_654_435_761) % ((1 << 16) - 3)).collect();
             cols.sort_unstable();
             cols.dedup();
             let want = cols.clone();
@@ -1560,13 +1549,6 @@ mod tests {
             assert_eq!(cols, want, "n={n}");
             assert!(ws.bits.iter().all(|&w| w == 0), "n={n} left bits set");
         }
-        // On a 64 Ki-column workspace (1,024 words) a 200-column row stays
-        // below a quarter of the word count and sorts; the bitmap is untouched.
-        ws.ensure_width(1 << 16);
-        let mut cols: Vec<usize> = (0..200).rev().map(|i| i * 300).collect();
-        order_row_columns(&mut ws, &mut cols);
-        assert!(cols.windows(2).all(|w| w[0] < w[1]));
-        assert!(ws.bits.iter().all(|&w| w == 0));
     }
 
     #[test]

@@ -75,7 +75,7 @@ fn scatter_fused(
 /// hoisted to one addition per segment.
 ///
 /// Bit-identical to the scalar fused pass (see the module docs); the row
-/// loop and the sort-then-gather emission live in `ops::spgemm_row_fused`.
+/// loop and the ordered-gather emission live in `ops::spgemm_row_fused`.
 #[inline]
 pub(crate) fn spgemm_segment_fused(
     b: &CsrMatrix,

@@ -45,16 +45,13 @@ const MAX_POOLED_BUFFERS: usize = 256;
 /// between rows or between calls.
 ///
 /// `bits` holds one bit per column (64 columns per word). It is all-zero
-/// between rows: a wide row sets the bits of its discovered columns and the
+/// between rows: a row sets the bits of its discovered columns and the
 /// ordered emission in [`crate::ops`] clears each word as it scans it.
-/// `prefix` holds the per-term distinct-column counts of a
-/// [`crate::ops::sp_sum_pruned`] row block.
 #[derive(Debug, Default)]
 pub struct Workspace {
     pub(crate) acc: Vec<f32>,
     pub(crate) stamp: Vec<usize>,
     pub(crate) bits: Vec<u64>,
-    pub(crate) prefix: Vec<usize>,
     generation: usize,
 }
 

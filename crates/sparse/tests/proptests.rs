@@ -88,8 +88,7 @@ impl Lcg {
     }
 }
 
-/// Row widths straddling the sort/bitmap switch (32 discovered columns) and
-/// one or two full 64-column words.
+/// Row widths below, at and past one and two full 64-column words.
 const ROW_WIDTHS: [usize; 11] = [0, 1, 7, 31, 32, 33, 63, 64, 65, 96, 129];
 
 /// A `rows`×`cols` matrix whose row `r` stores `min(width_r, cols)` distinct
@@ -531,12 +530,12 @@ proptest! {
     #[test]
     fn bitmap_emission_matches_sorted_emission_on_every_spgemm_path(
         seed in 0u64..1_000_000,
-        cols in (0usize..6).prop_map(|i| [31usize, 63, 64, 65, 128, 129][i]),
+        cols in (0usize..7).prop_map(|i| [31usize, 63, 64, 65, 128, 129, 700][i]),
         mask in prop::collection::vec(0u8..2, 10),
     ) {
-        // Output rows discover 0..=cols columns, on both sides of a 64-column
-        // word and of the 32-column sort/bitmap switch, in scrambled order.
-        // Every fused path (serial, pooled parallel, caller workspace,
+        // Output rows discover 0..=cols columns in scrambled order, on both
+        // sides of a 64-column word; at 700 columns short rows span many
+        // bitmap words. Every fused path (serial, pooled parallel, caller workspace,
         // row-masked) must equal the scalar two-phase reference, which
         // always sorts.
         let mut rng = Lcg(seed);

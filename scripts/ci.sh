@@ -110,8 +110,16 @@ echo "==> perfbench --record-reference (simulated statistics stay bit-identical)
 ref_out="target/perfbench_reference_check.txt"
 cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- \
     --record-reference 0 7 42 > "$ref_out"
-if [ ! -s "$ref_out" ] || grep -vxFf perfbench/reference.txt "$ref_out" >&2; then
-  echo "error: perfbench statistics drifted from perfbench/reference.txt (lines above)" >&2
+if [ ! -s perfbench/reference.txt ] || [ ! -s "$ref_out" ]; then
+  echo "error: perfbench/reference.txt or $ref_out is missing or empty" >&2
+  exit 1
+fi
+# grep exits 1 when every line matched, 0 when it printed a drifted line,
+# and 2 on a read error; only 1 passes.
+drift=0
+grep -vxFf perfbench/reference.txt "$ref_out" >&2 || drift=$?
+if [ "$drift" -ne 1 ]; then
+  echo "error: perfbench statistics drifted from perfbench/reference.txt (lines above, grep status $drift)" >&2
   exit 1
 fi
 
