@@ -44,7 +44,7 @@ fn main() {
     }
 
     // Per-snapshot op accounting sidecar, including the work the one-pass
-    // algorithm *avoided* (cache hits + dirty-row patches).
+    // algorithm *avoided* (Eq. 15 transpose substitutions).
     let exec = ctx.run_algorithm(Algorithm::OnePass, w).expect("one-pass executes");
     let acct = ExecAccounting::from_result(&w.spec.short.to_ascii_uppercase(), &exec);
     match acct.write("breakdown") {

@@ -10,7 +10,8 @@
 //! `--validate <path>` skips benchmarking entirely and structurally checks
 //! an existing report JSON (parsed with `idgnn_bench::jsonv`): required
 //! sections present and non-empty, per-row fields typed correctly, and
-//! nonzero saved work. Exit 0 on pass, 1 on failure.
+//! every `power_chain` row served by the cache with nonzero saved work.
+//! Exit 0 on pass, 1 on failure.
 
 use idgnn_bench::kernels::{self, KernelBenchConfig};
 

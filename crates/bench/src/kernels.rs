@@ -19,16 +19,14 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-use idgnn_graph::datasets::ALL_DATASETS;
-use idgnn_graph::generate::StreamConfig;
 use idgnn_graph::{DynamicGraph, Normalization};
 use idgnn_model::onepass::{
-    advance_power_chains, fused_dissimilarity, fused_dissimilarity_cached, DissimilarityStrategy,
+    fused_dissimilarity, fused_dissimilarity_cached, Dissimilarity, DissimilarityStrategy,
 };
 use idgnn_model::PowerCache;
 use idgnn_sparse::{ops, parallel, CsrMatrix, OpStats, Parallelism};
 
-use crate::context::{Context, EvalDims, ExperimentScale, Result};
+use crate::context::{Context, ExperimentScale, Result};
 use crate::report::table;
 
 /// What the `kernels` benchmark runs.
@@ -44,13 +42,6 @@ pub struct KernelBenchConfig {
     pub datasets: usize,
     /// Power-chain depth `L`.
     pub layers: u32,
-    /// Edge-churn rates for the incremental power-patch sweep: each rate is
-    /// the stream `dissimilarity` of a regenerated snapshot chain, timed
-    /// full-rebuild vs dirty-row incremental patch.
-    pub delta_rates: Vec<f64>,
-    /// How many Fig. 12 datasets the delta-rate sweep covers (in Table-I
-    /// order).
-    pub delta_datasets: usize,
     /// Element count per array of the DRAM-sized STREAM-triad baseline
     /// (three `f32` arrays; pick a size whose combined footprint exceeds
     /// every cache level so the measurement is memory-bound).
@@ -65,8 +56,7 @@ pub const TRIAD_L2_ELEMENTS: usize = 8 * 1024;
 
 impl KernelBenchConfig {
     /// The full configuration behind the committed `BENCH_kernels.json`:
-    /// all six datasets at standard scale and the 0.1%/1%/10% churn sweep
-    /// over every Fig. 12 dataset.
+    /// all six Fig. 12 datasets at standard scale.
     pub fn full() -> Self {
         Self {
             scale: ExperimentScale::Standard,
@@ -78,8 +68,6 @@ impl KernelBenchConfig {
             // cold/warm gap is widest relative to the fixed term-product
             // cost.
             layers: 4,
-            delta_rates: vec![0.001, 0.01, 0.1],
-            delta_datasets: usize::MAX,
             // Three arrays × 4 MiB elements × 4 B = 48 MiB: past any L3.
             triad_dram_elements: 4 * 1024 * 1024,
         }
@@ -94,8 +82,6 @@ impl KernelBenchConfig {
             samples: 2,
             datasets: 2,
             layers: 3,
-            delta_rates: vec![0.01],
-            delta_datasets: 2,
             triad_dram_elements: 1024 * 1024,
         }
     }
@@ -232,7 +218,9 @@ impl TriadBaseline {
 /// Both runs evaluate the same snapshot sequence with the resident operator
 /// advanced by `Â ← Â + ΔÂ`; the warm run keeps a [`PowerCache`] across
 /// snapshots (primed untimed on the first delta), the cold run recomputes
-/// every power chain. The outputs are bit-identical — only the time differs.
+/// every power chain. The outputs are bit-identical — only the time differs;
+/// an untimed pass checks every warm delta bitwise against the cold kernel
+/// before the row is published.
 #[derive(Debug, Clone, Serialize)]
 pub struct PowerChainTiming {
     /// Dataset short code.
@@ -255,50 +243,6 @@ pub struct PowerChainTiming {
     pub saved_adds: u64,
 }
 
-/// Full-rebuild vs dirty-row incremental patch on one controlled-churn
-/// stream.
-///
-/// The stream is regenerated per rate with `dissimilarity = delta_rate` and
-/// no feature churn, so the knob isolates *edge* churn. The headline
-/// columns (`full_rebuild_ms` / `incremental_ms`) time the power-chain
-/// production phase — [`advance_power_chains`] without vs with a
-/// [`PowerCache`] — which is exactly the work the dirty-row patch
-/// replaces. The `fused_*` columns time the whole fused kernel on the same
-/// transitions for end-to-end context: the Eq. 13 term products are common
-/// to both paths and dilute the ratio there. Both paths evaluate the
-/// identical snapshot sequence; before timing, every incremental result is
-/// checked bitwise against the full rebuild (the harness panics on
-/// divergence, so a published row implies bit-identity held).
-#[derive(Debug, Clone, Serialize)]
-pub struct DeltaRateTiming {
-    /// Dataset short code.
-    pub dataset: String,
-    /// Stream edge-churn rate (fraction of edges perturbed per delta).
-    pub delta_rate: f64,
-    /// Chain depth `L`.
-    pub layers: u32,
-    /// Snapshot deltas in the timed region (the priming delta is excluded).
-    pub timed_deltas: usize,
-    /// Cache-less chain production (both power chains from scratch), ms.
-    pub full_rebuild_ms: f64,
-    /// Incremental chain production (cache hit + dirty-row patch), ms.
-    pub incremental_ms: f64,
-    /// `full_rebuild_ms / incremental_ms`.
-    pub incremental_speedup: f64,
-    /// Whole fused kernel, cache-less, on the same transitions, ms.
-    pub fused_full_ms: f64,
-    /// Whole fused kernel with cache + patching, ms.
-    pub fused_incremental_ms: f64,
-    /// `fused_full_ms / fused_incremental_ms`.
-    pub fused_speedup: f64,
-    /// Transitions served by the dirty-row patch (vs threshold fallback).
-    pub patches: u64,
-    /// Multiplies avoided by reuse across the timed deltas.
-    pub saved_mults: u64,
-    /// Additions avoided by reuse across the timed deltas.
-    pub saved_adds: u64,
-}
-
 /// The whole kernel-benchmark report (serialized to `BENCH_kernels.json`).
 #[derive(Debug, Clone, Serialize)]
 pub struct KernelBenchReport {
@@ -314,11 +258,6 @@ pub struct KernelBenchReport {
     pub triad: TriadBaseline,
     /// Power-chain cold/warm comparison per dataset.
     pub power_chain: Vec<PowerChainTiming>,
-    /// Full-rebuild vs incremental-patch sweep per (churn rate, dataset).
-    pub delta_rates: Vec<DeltaRateTiming>,
-    /// Total ops (mults + adds) avoided by reuse across the delta-rate
-    /// sweep's instrumented passes.
-    pub delta_saved_total: u64,
     /// Best observed warm speedup across `power_chain`.
     pub max_warm_speedup: f64,
     /// Workspace-pool buffer reuses during the run (informational; the pool
@@ -365,29 +304,6 @@ fn operands(ctx: &Context, datasets: usize) -> Result<Vec<Operands>> {
         .take(datasets)
         .map(|w| graph_operands(w.spec.short, &w.graph))
         .collect()
-}
-
-/// Regenerates the first `delta_datasets` streams with the given edge-churn
-/// rate (and no feature churn) and builds their benchmark chains.
-fn delta_operands(cfg: &KernelBenchConfig, rate: f64) -> Result<Vec<Operands>> {
-    let stream = StreamConfig {
-        deltas: 4,
-        dissimilarity: rate,
-        addition_fraction: 0.75,
-        feature_update_fraction: 0.0,
-    };
-    let mut out = Vec::new();
-    for (i, spec) in ALL_DATASETS.iter().take(cfg.delta_datasets).enumerate() {
-        let w = Context::build_workload(
-            spec,
-            cfg.scale,
-            &stream,
-            EvalDims::default(),
-            cfg.seed.wrapping_add(i as u64),
-        )?;
-        out.push(graph_operands(spec.short, &w.graph)?);
-    }
-    Ok(out)
 }
 
 /// The timed cells of one dataset: the three kernels behind the `kernels`
@@ -505,7 +421,12 @@ where
 /// Times every [`CELLS`] entry on every dataset in one interleaved run and
 /// splits the minima into the `kernels` and `power_chain` rows. The
 /// power-chain hit/saved accounting comes from one untimed instrumented
-/// warm pass per dataset.
+/// warm pass per dataset, which also checks every warm delta bitwise
+/// against the cold kernel.
+///
+/// # Panics
+///
+/// Panics if a warm result diverges bitwise from the cold kernel.
 // lint: timing-carrier -- interleaved min-of-N wall-clock feeds the report's timing fields, independent of the bit-checked results
 fn measure_kernels(
     cfg: &KernelBenchConfig,
@@ -535,18 +456,15 @@ fn measure_kernels(
                 }),
             }
         }
+        let strategy = DissimilarityStrategy::General;
         let mut cache = PowerCache::new();
         let mut saved = OpStats::default();
         for (i, (rs, d)) in set.chain.iter().enumerate() {
-            let dis = fused_dissimilarity_cached(
-                rs,
-                d,
-                cfg.layers,
-                DissimilarityStrategy::General,
-                &mut cache,
-            )?;
+            let warm = fused_dissimilarity_cached(rs, d, cfg.layers, strategy, &mut cache)?;
             if i > 0 {
-                saved += dis.saved;
+                let cold = fused_dissimilarity(rs, d, cfg.layers, strategy)?;
+                assert_bit_identical(&warm, &cold, &format!("{} delta {i}", set.short));
+                saved += warm.saved;
             }
         }
         power_chain.push(PowerChainTiming {
@@ -603,115 +521,15 @@ fn roofline_entries(sets: &[Operands], kernels: &[KernelTiming]) -> Result<Vec<R
     Ok(out)
 }
 
-/// Panics unless the incremental result is bitwise identical to the full
-/// rebuild — the correctness guard behind every published sweep row.
-fn assert_bit_identical(
-    warm: &idgnn_model::onepass::Dissimilarity,
-    cold: &idgnn_model::onepass::Dissimilarity,
-    context: &str,
-) {
+/// Panics unless the warm (cached) result is bitwise identical to the cold
+/// kernel — the correctness guard behind every published `power_chain` row.
+fn assert_bit_identical(warm: &Dissimilarity, cold: &Dissimilarity, context: &str) {
     assert_eq!(warm.delta_ac.indptr(), cold.delta_ac.indptr(), "{context}: indptr diverged");
     assert_eq!(warm.delta_ac.indices(), cold.delta_ac.indices(), "{context}: indices diverged");
     let wv: Vec<u32> = warm.delta_ac.values().iter().map(|v| v.to_bits()).collect();
     let cv: Vec<u32> = cold.delta_ac.values().iter().map(|v| v.to_bits()).collect();
     assert_eq!(wv, cv, "{context}: values diverged");
     assert_eq!(warm.ops, cold.ops, "{context}: reported op counts diverged");
-}
-
-/// Delta-rate sweep: full rebuild vs the dirty-row incremental patch on
-/// controlled-churn streams (DESIGN.md §9). Returns the rows and the total
-/// ops saved across the instrumented passes.
-///
-/// # Panics
-///
-/// Panics if an incremental result diverges bitwise from the full rebuild.
-// lint: timing-carrier -- interleaved min-of-N wall-clock feeds the report's timing fields, independent of the bit-checked results
-fn measure_delta_rates(cfg: &KernelBenchConfig) -> Result<(Vec<DeltaRateTiming>, u64)> {
-    let strategy = DissimilarityStrategy::General;
-    let mut delta_rates = Vec::new();
-    let mut delta_saved_total = 0u64;
-    for &rate in &cfg.delta_rates {
-        let dsets = delta_operands(cfg, rate)?;
-        for set in &dsets {
-            // Instrumented pass: verify bit-identity delta by delta and
-            // collect the patch/saved accounting.
-            let mut cache = PowerCache::new();
-            let mut saved = OpStats::default();
-            for (i, (rs, d)) in set.chain.iter().enumerate() {
-                let warm = fused_dissimilarity_cached(rs, d, cfg.layers, strategy, &mut cache)?;
-                if i == 0 {
-                    continue;
-                }
-                let cold = fused_dissimilarity(rs, d, cfg.layers, strategy)?;
-                assert_bit_identical(
-                    &warm,
-                    &cold,
-                    &format!("{} rate {rate} delta {i}", set.short),
-                );
-                saved += warm.saved;
-            }
-            let patches = cache.patches();
-            delta_saved_total += saved.total();
-
-            // Cells: 0 chain-full, 1 chain-incremental, 2 fused-full,
-            // 3 fused-incremental. Warm cells re-prime their cache in
-            // untimed setup, exactly like the power-chain cells.
-            let mins = interleaved_min_ms(4, cfg.samples, |cell| {
-                let warm_cache = (cell % 2 == 1).then(|| {
-                    let mut c = PowerCache::new();
-                    // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
-                    let (rs, d) = &set.chain[0];
-                    if cell == 1 {
-                        // lint: allow(panic-surface) -- bench fail-fast plumbing; aborting on an impossible state is intended here
-                        advance_power_chains(rs, d, cfg.layers, Some(&mut c)).expect("valid");
-                    } else {
-                        fused_dissimilarity_cached(rs, d, cfg.layers, strategy, &mut c)
-                            // lint: allow(panic-surface) -- bench fail-fast plumbing; aborting on an impossible state is intended here
-                            .expect("valid");
-                    }
-                    c
-                });
-                let mut c = warm_cache;
-                let t0 = Instant::now();
-                // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
-                for (rs, d) in &set.chain[1..] {
-                    if cell < 2 {
-                        // Headline pair: chain production only.
-                        black_box(advance_power_chains(rs, d, cfg.layers, c.as_mut())?);
-                    } else if let Some(c) = c.as_mut() {
-                        // Context pair: the whole fused kernel (chain
-                        // phase plus the Eq. 13 term products shared by
-                        // both paths).
-                        black_box(fused_dissimilarity_cached(rs, d, cfg.layers, strategy, c)?);
-                    } else {
-                        black_box(fused_dissimilarity(rs, d, cfg.layers, strategy)?);
-                    }
-                }
-                Ok(t0.elapsed().as_secs_f64() * 1e3)
-            })?;
-            // lint: allow(panic-surface) -- exactly four cells were requested from the driver above
-            let [full_ms, incremental_ms, fused_full_ms, fused_incremental_ms]: [f64; 4] =
-                // lint: allow(panic-surface) -- exactly four cells were requested from the driver above
-                mins.try_into().expect("four churn cells");
-            let ratio = |num: f64, den: f64| if den > 0.0 { num / den } else { 0.0 };
-            delta_rates.push(DeltaRateTiming {
-                dataset: set.short.clone(),
-                delta_rate: rate,
-                layers: cfg.layers,
-                timed_deltas: set.chain.len().saturating_sub(1),
-                full_rebuild_ms: full_ms,
-                incremental_ms,
-                incremental_speedup: ratio(full_ms, incremental_ms),
-                fused_full_ms,
-                fused_incremental_ms,
-                fused_speedup: ratio(fused_full_ms, fused_incremental_ms),
-                patches,
-                saved_mults: saved.mults,
-                saved_adds: saved.adds,
-            });
-        }
-    }
-    Ok((delta_rates, delta_saved_total))
 }
 
 /// Runs the benchmark and assembles the report. Every kernel runs on one
@@ -724,14 +542,13 @@ fn measure_delta_rates(cfg: &KernelBenchConfig) -> Result<(Vec<DeltaRateTiming>,
 ///
 /// # Panics
 ///
-/// Panics if the delta-rate sweep's incremental results diverge bitwise
-/// from the full rebuild (correctness guard).
+/// Panics if a warm power-chain result diverges bitwise from the cold
+/// kernel (correctness guard).
 pub fn run(cfg: &KernelBenchConfig) -> Result<KernelBenchReport> {
     let _scope = parallel::kernel_scope(Parallelism::new(1));
     let ctx = Context::new(cfg.scale, cfg.seed)?;
     let sets = operands(&ctx, cfg.datasets)?;
     let (kernels, power_chain) = measure_kernels(cfg, &sets)?;
-    let (delta_rates, delta_saved_total) = measure_delta_rates(cfg)?;
     // The roofline reading of the kernel rows and the triad baselines it is
     // gated against (DESIGN.md §13).
     let roofline = roofline_entries(&sets, &kernels)?;
@@ -750,8 +567,6 @@ pub fn run(cfg: &KernelBenchConfig) -> Result<KernelBenchReport> {
         roofline,
         triad,
         power_chain,
-        delta_rates,
-        delta_saved_total,
         max_warm_speedup,
         pool_hits,
         pool_misses,
@@ -831,36 +646,6 @@ impl std::fmt::Display for KernelBenchReport {
                 &rows,
             )
         )?;
-        if !self.delta_rates.is_empty() {
-            let rows: Vec<Vec<String>> = self
-                .delta_rates
-                .iter()
-                .map(|d| {
-                    vec![
-                        d.dataset.clone(),
-                        format!("{:.1}%", d.delta_rate * 100.0),
-                        format!("{:.3}", d.full_rebuild_ms),
-                        format!("{:.3}", d.incremental_ms),
-                        format!("{:.2}x", d.incremental_speedup),
-                        format!("{:.2}x", d.fused_speedup),
-                        d.patches.to_string(),
-                        d.saved_mults.to_string(),
-                    ]
-                })
-                .collect();
-            writeln!(
-                f,
-                "{}",
-                table(
-                    "Edge-churn sweep — chain rebuild vs dirty-row incremental patch",
-                    &[
-                        "dataset", "churn", "chain full ms", "chain incr ms", "chain speedup",
-                        "fused speedup", "patches", "saved mults",
-                    ],
-                    &rows,
-                )
-            )?;
-        }
         writeln!(f, "best warm speedup: {:.2}x", self.max_warm_speedup)
     }
 }
@@ -932,7 +717,6 @@ pub fn validate_report_json(text: &str) -> std::result::Result<(), String> {
     for key in [
         "\"kernels\"",
         "\"power_chain\"",
-        "\"delta_rates\"",
         "\"max_warm_speedup\"",
         "\"roofline\"",
         "\"triad\"",
@@ -946,14 +730,14 @@ pub fn validate_report_json(text: &str) -> std::result::Result<(), String> {
 
 /// Parses `text` with [`crate::jsonv`] and checks the report *structure*:
 /// every required section present with the right shape, non-empty where the
-/// run implies entries, nonzero saved work from the delta-rate sweep, and —
-/// on a full standard-scale run — a warm power chain no slower than cold on
-/// every dataset.
+/// run implies entries, every `power_chain` row served by the cache on each
+/// timed delta with nonzero saved multiplies, and — on a full standard-scale
+/// run — a warm power chain no slower than cold on every dataset.
 ///
 /// This is the check `scripts/ci.sh` gates on (via `kernels --validate`) —
 /// it subsumes the older substring greps, which could not tell a real
-/// `delta_saved_total` from one inside a string, or an empty `"kernels": []`
-/// from a populated section.
+/// field from one inside a string, or an empty `"kernels": []` from a
+/// populated section.
 ///
 /// # Errors
 ///
@@ -988,7 +772,6 @@ pub fn validate_report_structure(text: &str) -> std::result::Result<(), String> 
     for (section, strings, timings) in [
         ("kernels", &["dataset", "kernel"] as &[&str], &["wall_ms"] as &[&str]),
         ("power_chain", &["dataset"], &["cold_ms", "warm_ms", "warm_speedup"]),
-        ("delta_rates", &["dataset"], &[]),
     ] {
         for (i, row) in non_empty_array(section)?.iter().enumerate() {
             for field in strings {
@@ -1011,9 +794,6 @@ pub fn validate_report_structure(text: &str) -> std::result::Result<(), String> 
     if number("max_warm_speedup")? <= 0.0 {
         return Err("`max_warm_speedup` must be positive".to_string());
     }
-    if number("delta_saved_total")? <= 0.0 {
-        return Err("`delta_saved_total` is zero: the delta-rate sweep saved no work".to_string());
-    }
     if number("samples")? < 1.0 {
         return Err("`samples` must be at least 1".to_string());
     }
@@ -1023,6 +803,24 @@ pub fn validate_report_structure(text: &str) -> std::result::Result<(), String> 
     // above the noise) must not show a warm chain slower than cold. Smoke
     // runs are too small to gate on wall time.
     let power_chain = non_empty_array("power_chain")?;
+    // Every timed delta must hit the cache and skip real work; otherwise the
+    // warm column times something other than the cache.
+    for (i, row) in power_chain.iter().enumerate() {
+        let field = |name: &str| {
+            row.get(name)
+                .and_then(Json::as_f64)
+                .ok_or_else(|| format!("`power_chain[{i}]` lacks numeric field `{name}`"))
+        };
+        let (hits, deltas) = (field("cache_hits")?, field("timed_deltas")?);
+        if hits != deltas {
+            return Err(format!(
+                "`power_chain[{i}]` hit the cache on {hits} of {deltas} timed deltas"
+            ));
+        }
+        if field("saved_mults")? <= 0.0 {
+            return Err(format!("`power_chain[{i}]` saved no multiplies"));
+        }
+    }
     if scale == "standard" && power_chain.len() >= 6 {
         for row in power_chain {
             let speedup = row.get("warm_speedup").and_then(Json::as_f64).unwrap_or(0.0);
@@ -1092,7 +890,6 @@ mod tests {
         let mut cfg = KernelBenchConfig::smoke();
         cfg.datasets = 1;
         cfg.samples = 1;
-        cfg.delta_datasets = 1;
         let r = run(&cfg).unwrap();
         let names: Vec<&str> = r.kernels.iter().map(|k| k.kernel.as_str()).collect();
         assert_eq!(names, ["spgemm", "spmm", "sp_add"], "one row per kernel for one dataset");
@@ -1103,12 +900,6 @@ mod tests {
         assert!(p.cache_hits > 0);
         assert!(p.saved_mults > 0, "warm hits must avoid real multiplies");
         assert!(p.cold_ms > 0.0 && p.warm_ms > 0.0);
-        assert_eq!(r.delta_rates.len(), 1, "one rate x one dataset");
-        let d = &r.delta_rates[0];
-        assert!(d.full_rebuild_ms > 0.0 && d.incremental_ms > 0.0);
-        assert!(d.fused_full_ms > 0.0 && d.fused_incremental_ms > 0.0);
-        assert!(r.delta_saved_total > 0, "reuse must avoid real work in the sweep");
-        assert_eq!(d.saved_mults + d.saved_adds, r.delta_saved_total);
         assert_eq!(r.roofline.len(), 2, "spgemm+spmm entries");
         for e in &r.roofline {
             assert!(e.flops > 0 && e.bytes > 0);
@@ -1129,7 +920,6 @@ mod tests {
         let text = r.to_string();
         assert!(text.contains("Power chain"));
         assert!(text.contains("spgemm"));
-        assert!(text.contains("Edge-churn sweep"));
         assert!(text.contains("Roofline"));
         assert!(text.contains("triad baseline"));
         let json = serde_json::to_string_pretty(&r).unwrap();
@@ -1162,9 +952,7 @@ mod tests {
         format!(
             "{{\"scale\": \"{scale}\", \"samples\": 1, \
               \"kernels\": [{{\"kernel\": \"spgemm\", \"dataset\": \"AS\", \"wall_ms\": 1.0}}], \
-              \"power_chain\": [{power_chain}], \
-              \"delta_rates\": [{{\"dataset\": \"AS\"}}], \
-              \"delta_saved_total\": 5, \"max_warm_speedup\": 1.2, \
+              \"power_chain\": [{power_chain}], \"max_warm_speedup\": 1.2, \
               \"roofline\": [{roofline}], \"triad\": {triad}}}"
         )
     }
@@ -1172,7 +960,8 @@ mod tests {
     fn chain_row(dataset: &str, warm_speedup: f64) -> String {
         format!(
             "{{\"dataset\": \"{dataset}\", \"cold_ms\": 2.0, \"warm_ms\": 1.0, \
-              \"warm_speedup\": {warm_speedup:?}}}"
+              \"warm_speedup\": {warm_speedup:?}, \"timed_deltas\": 3, \"cache_hits\": 3, \
+              \"saved_mults\": 40}}"
         )
     }
 
@@ -1192,23 +981,16 @@ mod tests {
 
         // The substring validator accepts these; the structural one must not.
         let empty_sections = "{\"scale\": \"smoke\", \"samples\": 1, \
-             \"kernels\": [], \"power_chain\": [], \"delta_rates\": [], \
-             \"roofline\": [], \"triad\": {}, \
-             \"delta_saved_total\": 5, \"max_warm_speedup\": 1.2}";
+             \"kernels\": [], \"power_chain\": [], \
+             \"roofline\": [], \"triad\": {}, \"max_warm_speedup\": 1.2}";
         validate_report_json(empty_sections).unwrap();
         assert!(validate_report_structure(empty_sections).is_err());
 
         let wrong_types = "{\"scale\": 1, \"samples\": \"many\", \
-             \"kernels\": {}, \"power_chain\": 0, \"delta_rates\": \"x\", \
-             \"roofline\": {}, \"triad\": [], \
-             \"delta_saved_total\": [], \"max_warm_speedup\": \"big\"}";
+             \"kernels\": {}, \"power_chain\": 0, \
+             \"roofline\": {}, \"triad\": [], \"max_warm_speedup\": \"big\"}";
         validate_report_json(wrong_types).unwrap();
         assert!(validate_report_structure(wrong_types).is_err());
-
-        let zero_saved = good_report().replace("\"delta_saved_total\": 5", "\"delta_saved_total\": 0");
-        assert!(validate_report_structure(&zero_saved)
-            .unwrap_err()
-            .contains("delta_saved_total"));
 
         let bad_row = good_report().replace("\"kernel\": \"spgemm\", \"dataset\": \"AS\", \"wall_ms\"", "\"kernel\": 3, \"dataset\": \"AS\", \"wall_ms\"");
         assert!(validate_report_structure(&bad_row).unwrap_err().contains("kernels[0]"));
@@ -1226,10 +1008,10 @@ mod tests {
         assert!(validate_report_json("{}]").is_err());
         // Well-formed but missing required keys.
         assert!(validate_report_json("{\"kernels\": []}").is_err());
-        let missing_triad = "{\"kernels\": [], \"power_chain\": [], \"delta_rates\": [], \
+        let missing_triad = "{\"kernels\": [], \"power_chain\": [], \
                   \"max_warm_speedup\": 1.0, \"roofline\": []}";
         assert!(validate_report_json(missing_triad).is_err());
-        let ok = "{\"kernels\": [], \"power_chain\": [], \"delta_rates\": [], \
+        let ok = "{\"kernels\": [], \"power_chain\": [], \
                   \"max_warm_speedup\": 1.0, \"roofline\": [], \"triad\": {}}";
         validate_report_json(ok).unwrap();
     }
@@ -1254,6 +1036,18 @@ mod tests {
         let err = validate_report_structure(&report_fixture("quick", &chain, &zero_ai, GOOD_TRIAD))
             .unwrap_err();
         assert!(err.contains("arithmetic intensity"), "{err}");
+    }
+
+    #[test]
+    fn validator_rejects_power_chain_rows_the_cache_did_not_serve() {
+        let with_row = |row: String| report_fixture("quick", &row, GOOD_ROOFLINE, GOOD_TRIAD);
+        let zero_hits = chain_row("AS", 2.0).replace("\"cache_hits\": 3", "\"cache_hits\": 0");
+        let err = validate_report_structure(&with_row(zero_hits)).unwrap_err();
+        assert!(err.contains("power_chain[0]") && err.contains("0 of 3"), "{err}");
+
+        let zero_saved = chain_row("AS", 2.0).replace("\"saved_mults\": 40", "\"saved_mults\": 0");
+        let err = validate_report_structure(&with_row(zero_saved)).unwrap_err();
+        assert!(err.contains("power_chain[0]") && err.contains("saved no multiplies"), "{err}");
     }
 
     #[test]
@@ -1293,12 +1087,7 @@ mod tests {
             )
             .unwrap();
             let cold = fused_dissimilarity(rs, d, 3, DissimilarityStrategy::General).unwrap();
-            assert_eq!(warm.delta_ac.indptr(), cold.delta_ac.indptr());
-            assert_eq!(warm.delta_ac.indices(), cold.delta_ac.indices());
-            let wv: Vec<u32> = warm.delta_ac.values().iter().map(|v| v.to_bits()).collect();
-            let cv: Vec<u32> = cold.delta_ac.values().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(wv, cv);
-            assert_eq!(warm.ops, cold.ops);
+            assert_bit_identical(&warm, &cold, &set.short);
         }
         assert_eq!(cache.hits(), set.chain.len() as u64 - 1);
     }

@@ -43,8 +43,8 @@ impl TimingReport {
 ///
 /// Until now [`idgnn_model::SnapshotCost::saved`] was computed by the
 /// executor and dropped on the floor by every reporting path; this surfaces
-/// the avoided work (power-cache hits, dirty-row patches, Eq. 15 transpose
-/// substitutions) next to the executed op counts it was excluded from.
+/// the avoided work (the Eq. 15 transpose substitutions) next to the
+/// executed op counts it was excluded from.
 #[derive(Debug, Clone, Serialize)]
 pub struct ExecAccounting {
     /// Dataset short code.

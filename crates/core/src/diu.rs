@@ -18,11 +18,6 @@ pub struct DiuOutput {
     pub delta_operator: CsrMatrix,
     /// Input-feature delta `ΔX_0` (zero rows except updated vertices).
     pub delta_features: DenseMatrix,
-    /// Rows of [`DiuOutput::delta_operator`] with at least one stored entry,
-    /// strictly increasing. This is the dirty-row seed set the power-chain
-    /// patcher expands by `i − 1` hops (DESIGN.md §9): only these rows of the
-    /// operator changed, so only their frontier can differ in `Â^i`.
-    pub delta_row_support: Vec<usize>,
     /// Vertices whose feature row changed.
     pub changed_feature_rows: Vec<usize>,
     /// Comparison operations performed (one per scanned entry).
@@ -73,8 +68,6 @@ impl Diu {
         let a_prev = self.normalization.apply(prev.adjacency());
         let a_next = self.normalization.apply(next.adjacency());
         let delta_operator = ops::sp_sub_pruned(&a_next, &a_prev)?;
-        let delta_row_support: Vec<usize> =
-            (0..delta_operator.rows()).filter(|&r| delta_operator.row_nnz(r) > 0).collect();
 
         let delta_features = next.features().sub(prev.features())?;
         let changed_feature_rows: Vec<usize> = (0..next.num_vertices())
@@ -89,7 +82,6 @@ impl Diu {
         Ok(DiuOutput {
             delta_operator,
             delta_features,
-            delta_row_support,
             changed_feature_rows,
             comparisons,
             output_bytes,
@@ -116,7 +108,6 @@ mod tests {
         let out = diu.identify(&base(), &base()).unwrap();
         assert!(out.is_empty());
         assert_eq!(out.delta_operator.nnz(), 0);
-        assert!(out.delta_row_support.is_empty());
         assert!(out.comparisons > 0);
     }
 
@@ -129,8 +120,6 @@ mod tests {
         assert_eq!(out.delta_operator.get(4, 3), 1.0);
         assert_eq!(out.delta_operator.nnz(), 2);
         assert!(out.delta_operator.is_symmetric(0.0));
-        // The seed set for frontier expansion: exactly the touched endpoints.
-        assert_eq!(out.delta_row_support, vec![3, 4]);
     }
 
     #[test]

@@ -13,7 +13,6 @@ use std::path::{Path, PathBuf};
 /// `// lint: hot-path` markers.
 pub const HOT_MODULES: &[&str] = &[
     "crates/sparse/src/ops.rs",
-    "crates/sparse/src/frontier.rs",
     "crates/sparse/src/parallel.rs",
     "crates/sparse/src/simd.rs",
 ];

@@ -50,14 +50,12 @@ const RESOLVER_FNS: &[&str] = &[
     "recycle_index_buffer",
     "recycle_value_buffer",
     "from_raw_parts",
-    "splice_rows",
 ];
 
 /// The modules whose public stats-returning fns count as kernels in
 /// workspace mode.
 const KERNEL_FILES: &[&str] = &[
     "crates/sparse/src/ops.rs",
-    "crates/sparse/src/frontier.rs",
     "crates/sparse/src/parallel.rs",
     "crates/sparse/src/simd.rs",
 ];
@@ -233,7 +231,7 @@ impl<'a> FlowAnalysis<'a> {
                     line: acquire_line,
                     message: format!(
                         "`{}` acquires a pooled buffer here but no path reaches a recycle \
-                         (`recycle*`) or CSR assembly (`from_raw_parts`/`splice_rows`); the \
+                         (`recycle*`) or CSR assembly (`from_raw_parts`); the \
                          workspace arena leaks — recycle it, assemble it into the returned \
                          matrix, or declare `// lint: buffer-carrier -- <where ownership goes>`",
                         node.item.qual_name()

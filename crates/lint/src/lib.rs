@@ -8,7 +8,7 @@
 //! this codebase needs:
 //!
 //! * `hot-path-alloc` — the sparse kernels' inner loops
-//!   (`sparse/src/{ops,frontier,parallel,simd}.rs` and any `// lint: hot-path`
+//!   (`sparse/src/{ops,parallel,simd}.rs` and any `// lint: hot-path`
 //!   function) must not allocate; they go through the workspace arena.
 //! * `panic-surface` — library code must not `unwrap`/`expect`/`panic!`/
 //!   `unreachable!` or slice-index; test code, benches, and binaries may.

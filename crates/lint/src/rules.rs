@@ -142,8 +142,8 @@ impl Rule {
                 design: every scratch buffer comes from the generation-stamped Workspace\n\
                 arena so steady-state snapshot processing never touches the system\n\
                 allocator. This rule flags `Vec::new`, `Vec::with_capacity`, `vec![..]`,\n\
-                `.collect()`, and `Box::new` inside `crates/sparse/src/{ops,frontier,\n\
-                parallel}.rs` or any function marked `// lint: hot-path`. O(blocks) or\n\
+                `.collect()`, and `Box::new` inside `crates/sparse/src/{ops,parallel,\n\
+                simd}.rs` or any function marked `// lint: hot-path`. O(blocks) or\n\
                 O(levels) setup allocations outside the per-row loops may be suppressed\n\
                 with `// lint: allow(hot-path-alloc) -- <why it is not per-element>`.",
             Rule::PanicSurface => "panic-surface — library code must not panic on untrusted input.\n\n\
@@ -175,7 +175,7 @@ impl Rule {
                 that acquires a pooled buffer (`take_index_buffer` / `take_value_buffer`)\n\
                 must, on some path, hand it back (`recycle`, `recycle_dense`,\n\
                 `recycle_index_buffer`, `recycle_value_buffer`), assemble it into a\n\
-                returned matrix (`from_raw_parts`, `splice_rows`, `assemble_csr`), or\n\
+                returned matrix (`from_raw_parts`, `assemble_csr`), or\n\
                 call a function that does — otherwise the arena leaks and the\n\
                 allocation-free steady state (DESIGN.md §8) silently degrades into\n\
                 malloc churn. Functions that intentionally move buffers out through\n\
@@ -185,7 +185,7 @@ impl Rule {
                 taking buffers, or the error path leaks.",
             Rule::OpstatsFlow => "opstats-flow — every counted FLOP must reach the accounting.\n\n\
                 Call-graph reachability rule: every public kernel in\n\
-                crates/sparse/src/{ops,frontier,parallel,simd}.rs whose return type carries\n\
+                crates/sparse/src/{ops,parallel,simd}.rs whose return type carries\n\
                 `OpStats` must share a (transitive) caller with an accounting sink\n\
                 (a function marked `// lint: opstats-sink`, e.g. the bench\n\
                 `ExecAccounting` builder). A kernel nobody joins to a sink produces\n\

@@ -32,7 +32,7 @@ fn flow_rows(fixture: &str, rule: Rule) -> Vec<String> {
 fn resource_flow_findings_match_the_pre_port_capture() {
     let expected = [
         "9: [resource-flow] `leaky_kernel` acquires a pooled buffer here but no path reaches \
-         a recycle (`recycle*`) or CSR assembly (`from_raw_parts`/`splice_rows`); the \
+         a recycle (`recycle*`) or CSR assembly (`from_raw_parts`); the \
          workspace arena leaks — recycle it, assemble it into the returned matrix, or \
          declare `// lint: buffer-carrier -- <where ownership goes>`",
         "17: [resource-flow] `?` early-return in `early_return_leak` after a pooled-buffer \

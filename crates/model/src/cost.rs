@@ -234,10 +234,10 @@ impl PhaseCost {
 pub struct SnapshotCost {
     /// Per-phase costs in execution order.
     pub phases: Vec<PhaseCost>,
-    /// Work avoided by reuse (power-cache hits, incremental dirty-row
-    /// patches, Eq. 15 transpose substitutions). Already *included* in the
-    /// phase op counts at its recorded cost so figures stay comparable; this
-    /// field reports how much of that total never executed on the host.
+    /// Work avoided by reuse (the Eq. 15 transpose substitutions). Already
+    /// *included* in the phase op counts at its recorded cost so figures
+    /// stay comparable; this field reports how much of that total never
+    /// executed on the host.
     pub saved: OpStats,
 }
 

@@ -28,7 +28,7 @@ use crate::error::Result;
 use crate::exec::{ExecutionResult, SnapshotOutput};
 use crate::fusion::fuse_weights;
 use crate::lstm::LstmState;
-use crate::onepass::{fused_dissimilarity_cached, DissimilarityStrategy, PowerCache};
+use crate::onepass::{fused_dissimilarity, DissimilarityStrategy};
 use crate::DgnnModel;
 
 /// Order of the aggregation and combination halves of the one-pass kernel.
@@ -66,13 +66,6 @@ pub struct OnePassOptions {
     /// is preserved; only the receptive-field algebra is skipped when the
     /// delta has saturated the graph (the regime the paper's §VI-F flags).
     pub adaptive_refresh: bool,
-    /// Incremental power updates: on a [`PowerCache`] hit with a small dirty
-    /// frontier, patch the cached powers (dirty-row SpGEMM + CSR row
-    /// splicing) instead of rebuilding the `(A+ΔA)` chain. Bit-identical
-    /// outputs and op counts either way (proptest-enforced); `false` forces
-    /// the full rebuild on every hit (the PR 2 behaviour), which the
-    /// ablation benches use as the baseline.
-    pub incremental_power_updates: bool,
 }
 
 impl Default for OnePassOptions {
@@ -81,7 +74,6 @@ impl Default for OnePassOptions {
             strategy: DissimilarityStrategy::default(),
             order: CombinationOrder::default(),
             adaptive_refresh: true,
-            incremental_power_updates: true,
         }
     }
 }
@@ -157,12 +149,6 @@ pub(crate) fn run(
     let mut outputs = Vec::with_capacity(snaps.len());
     let mut costs = Vec::with_capacity(snaps.len());
     let mut state = LstmState::zeros(v, dims.rnn_hidden_dim);
-    // Cross-snapshot power cache for the general-strategy ΔA_C chain.
-    let mut power_cache = PowerCache::new();
-    if !options.incremental_power_updates {
-        // Threshold 0.0 disables the dirty-row patch: every hit rebuilds.
-        power_cache.set_patch_threshold(0.0);
-    }
 
     // ---- Snapshot 0: establish the fused state. ----
     let mut cost0 = SnapshotCost::default();
@@ -330,10 +316,10 @@ pub(crate) fn run(
             continue;
         }
 
-        // AComb: fused dissimilarity ΔA_C from Â^t and ΔA. The power cache
-        // persists across snapshots; hits replay recorded stats, so `dis` is
-        // bit-identical to an uncached evaluation (figure JSON unchanged).
-        let dis = fused_dissimilarity_cached(&a_prev, &d_op, l, strategy, &mut power_cache)?;
+        // AComb: fused dissimilarity ΔA_C from Â^t and ΔA. Uncached: the
+        // re-normalised Â^{t+1} this loop advances to never equals the
+        // `Â^t + ΔA` a PowerCache keys on (DESIGN.md §8).
+        let dis = fused_dissimilarity(&a_prev, &d_op, l, strategy)?;
         cost.add_saved(dis.saved);
         let mut t_ac = Traffic::none();
         if spilled {
@@ -757,40 +743,6 @@ mod tests {
             r.costs[1..].iter().map(|c| c.ops_of(crate::Phase::Diu).total()).sum()
         };
         assert!(diu(&d) > diu(&a), "deletion-heavy {} !> addition-heavy {}", diu(&d), diu(&a));
-    }
-
-    #[test]
-    fn incremental_power_updates_toggle_preserves_costs_and_outputs() {
-        // The dirty-row patch must be invisible everywhere except wall-clock
-        // and the `saved` accounting: identical outputs (bitwise), identical
-        // per-phase op counts and DRAM traffic.
-        let (model, dg) = paper_regime(3);
-        let mem = MemoryModel::default();
-        let run_with = |incremental: bool| {
-            crate::exec::run_onepass_with(
-                &model,
-                &dg,
-                &mem,
-                &OnePassOptions {
-                    strategy: DissimilarityStrategy::General,
-                    incremental_power_updates: incremental,
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-        };
-        let on = run_with(true);
-        let off = run_with(false);
-        assert_eq!(on.costs.len(), off.costs.len());
-        for (t, (a, b)) in on.costs.iter().zip(&off.costs).enumerate() {
-            assert_eq!(a.phases, b.phases, "snapshot {t}: phase costs must not depend on patching");
-        }
-        for (a, b) in on.outputs.iter().zip(&off.outputs) {
-            assert!(a.z.approx_eq(&b.z, 0.0), "patched outputs must be bitwise identical");
-        }
-        let saved_total =
-            |r: &ExecutionResult| r.costs.iter().map(|c| c.saved.total()).sum::<u64>();
-        assert!(saved_total(&on) >= saved_total(&off));
     }
 
     #[test]

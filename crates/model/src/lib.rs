@@ -59,4 +59,4 @@ pub use exec::{Algorithm, ExecutionResult, SnapshotOutput, ALL_ALGORITHMS};
 pub use gcn::{GcnLayer, GcnStack};
 pub use gru::{GruCell, GruPrecomp};
 pub use lstm::{Gate, LstmCell, LstmState, RnnAOutput, GATES};
-pub use onepass::{advance_power_chains, ChainAdvance, DissimilarityStrategy, PowerCache};
+pub use onepass::{DissimilarityStrategy, PowerCache};

@@ -230,68 +230,6 @@ proptest! {
     }
 
     #[test]
-    fn incremental_patch_matches_cold_across_thresholds(
-        v in 8usize..24,
-        e_mult in 1usize..4,
-        dissim in 0.01f64..0.12,
-        layers in 2u32..5,
-        seed in 0u64..200,
-    ) {
-        // The dirty-row patch threshold may only ever change wall-clock:
-        // pin the always-patch setting (threshold 1.0) and the forced
-        // fallback (0.0) against a cold rebuild — structure, value bits,
-        // and replayed op counts must all be identical — and check the
-        // fallback boundary itself: at 1.0 the only remaining gate is the
-        // structural-symmetry precondition.
-        let dg = generate_dynamic_graph(
-            &GraphConfig::power_law(v, v * e_mult, 3),
-            &StreamConfig { deltas: 2, dissimilarity: dissim, ..Default::default() },
-            seed,
-        )
-        .unwrap();
-        let snaps = dg.materialize().unwrap();
-        let a = Normalization::Symmetric.apply(snaps[0].adjacency());
-        let a1 = Normalization::Symmetric.apply(snaps[1].adjacency());
-        let a2 = Normalization::Symmetric.apply(snaps[2].adjacency());
-        let d1 = ops::sp_sub_pruned(&a1, &a).unwrap();
-        let resident = ops::sp_add(&a, &d1).unwrap();
-        let d2 = ops::sp_sub_pruned(&a2, &resident).unwrap();
-
-        let run_at = |threshold: f64| {
-            let mut cache = PowerCache::new();
-            cache.set_patch_threshold(threshold);
-            fused_dissimilarity_cached(&a, &d1, layers, Strat::General, &mut cache).unwrap();
-            let out =
-                fused_dissimilarity_cached(&resident, &d2, layers, Strat::General, &mut cache)
-                    .unwrap();
-            (out, cache.hits(), cache.patches())
-        };
-        let (patched, hits_hi, patches_hi) = run_at(1.0);
-        let (fallback, hits_zero, patches_zero) = run_at(0.0);
-        let cold = fused_dissimilarity(&resident, &d2, layers, Strat::General).unwrap();
-
-        prop_assert_eq!(hits_hi, 1);
-        prop_assert_eq!(hits_zero, 1);
-        prop_assert_eq!(patches_zero, 0, "threshold 0.0 must force the full recompute");
-        let precondition = resident.structurally_symmetric() && d2.structurally_symmetric();
-        prop_assert_eq!(patches_hi, u64::from(precondition));
-
-        for (name, got) in [("patched", &patched), ("fallback", &fallback)] {
-            prop_assert_eq!(got.delta_ac.indptr(), cold.delta_ac.indptr(), "{} indptr", name);
-            prop_assert_eq!(got.delta_ac.indices(), cold.delta_ac.indices(), "{} indices", name);
-            let gv: Vec<u32> = got.delta_ac.values().iter().map(|x| x.to_bits()).collect();
-            let cv: Vec<u32> = cold.delta_ac.values().iter().map(|x| x.to_bits()).collect();
-            prop_assert_eq!(gv, cv, "{} values", name);
-            prop_assert_eq!(got.ops, cold.ops, "{} ops", name);
-            prop_assert_eq!(got.products, cold.products, "{} products", name);
-        }
-        if patches_hi == 1 {
-            // A served patch can only ever add to the avoided-work ledger.
-            prop_assert!(patched.saved.total() >= fallback.saved.total());
-        }
-    }
-
-    #[test]
     fn adaptive_refresh_never_changes_results(
         dissim in 0.0f64..0.2,
         seed in 0u64..100,
@@ -319,7 +257,6 @@ proptest! {
                 adaptive_refresh: false,
                 strategy: DissimilarityStrategy::TransposeOptimized,
                 order: CombinationOrder::Auto,
-                ..Default::default()
             },
         )
         .unwrap();

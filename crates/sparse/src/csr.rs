@@ -86,7 +86,7 @@ impl CsrMatrix {
     /// Matrices built through the public API uphold these by construction;
     /// `validate` exists as the runtime counterpart of the `idgnn-lint`
     /// static rules — under the `strict-invariants` cargo feature it is
-    /// re-asserted at every construction, splice, and assemble site (see
+    /// re-asserted at every construction and assemble site (see
     /// DESIGN.md §10).
     ///
     /// # Errors
@@ -376,83 +376,6 @@ impl CsrMatrix {
             }
         }
         true
-    }
-
-    /// Whether the *support* (stored-entry pattern) is symmetric, regardless
-    /// of values (requires square shape).
-    ///
-    /// This is the precondition the incremental power update checks before
-    /// trusting a forward-edge BFS ([`crate::frontier`]): normalized
-    /// operators like `D^{-1/2}(A+I)D^{-1/2}` are structurally symmetric even
-    /// when float rounding makes paired values differ in the last bit, which
-    /// would fail [`CsrMatrix::is_symmetric`]`(0.0)`.
-    pub fn structurally_symmetric(&self) -> bool {
-        if self.rows != self.cols {
-            return false;
-        }
-        let t = self.transpose();
-        t.indptr == self.indptr && t.indices == self.indices
-    }
-
-    /// Returns a copy in which row `rows[j]` is replaced by row `j` of
-    /// `replacement`; every other row is copied verbatim (bit-identical).
-    ///
-    /// This is the splice half of the incremental power update: the dirty
-    /// rows recomputed by
-    /// [`ops::row_masked_spgemm_with_workspace`](crate::ops::row_masked_spgemm_with_workspace)
-    /// are merged back into the cached power without touching clean rows.
-    /// The output buffers come from the global pool
-    /// ([`crate::workspace`]), so steady-state splices are allocation-free.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::DimensionMismatch`] if `replacement` is not
-    /// `rows.len()` × `self.cols()` and [`SparseError::InvalidStructure`] if
-    /// `rows` is not strictly increasing or indexes past the last row.
-    pub fn splice_rows(&self, rows: &[usize], replacement: &CsrMatrix) -> Result<CsrMatrix> {
-        if replacement.rows() != rows.len() || replacement.cols() != self.cols {
-            return Err(SparseError::DimensionMismatch {
-                op: "splice_rows",
-                lhs: (rows.len(), self.cols),
-                rhs: replacement.shape(),
-            });
-        }
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-        if rows.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(SparseError::InvalidStructure {
-                reason: "splice_rows row set not strictly increasing".into(),
-            });
-        }
-        if let Some(&last) = rows.last() {
-            if last >= self.rows {
-                return Err(SparseError::InvalidStructure {
-                    reason: format!("splice_rows row {last} >= rows {}", self.rows),
-                });
-            }
-        }
-        let cap = self.nnz() + replacement.nnz();
-        let mut indptr = crate::workspace::take_index_buffer(self.rows + 1);
-        let mut indices = crate::workspace::take_index_buffer(cap);
-        let mut values = crate::workspace::take_value_buffer(cap);
-        indptr.push(0usize);
-        let mut next = 0usize; // cursor into `rows`
-        for r in 0..self.rows {
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-            let (src, row) = if next < rows.len() && rows[next] == r {
-                next += 1;
-                (replacement, next - 1)
-            } else {
-                (self, r)
-            };
-            indices.extend_from_slice(src.row_indices(row));
-            values.extend_from_slice(src.row_values(row));
-            indptr.push(indices.len());
-        }
-        let out = Self::from_raw_parts(self.rows, self.cols, indptr, indices, values)
-            // lint: allow(panic-surface) -- invariant documented at the call site; grandfathered by the PR5 ratchet-to-zero
-            .expect("spliced CSR is valid: both sources satisfy the invariants");
-        out.debug_validate("CsrMatrix::splice_rows");
-        Ok(out)
     }
 
     /// Returns a copy with every stored value scaled by `s`.
@@ -790,55 +713,6 @@ mod tests {
     }
 
     #[test]
-    fn structural_symmetry_ignores_values() {
-        // Symmetric support with asymmetric values: structurally symmetric,
-        // not value-symmetric.
-        let m = CsrMatrix::from_raw_parts(
-            2,
-            2,
-            vec![0, 1, 2],
-            vec![1, 0],
-            vec![1.0, 2.0],
-        )
-        .unwrap();
-        assert!(m.structurally_symmetric());
-        assert!(!m.is_symmetric(0.5));
-        assert!(!sample().structurally_symmetric());
-        assert!(!CsrMatrix::zeros(2, 3).structurally_symmetric());
-        assert!(CsrMatrix::identity(3).structurally_symmetric());
-    }
-
-    #[test]
-    fn splice_rows_replaces_selected_rows_only() {
-        let m = sample();
-        // Replace rows 0 and 2.
-        let repl = CsrMatrix::from_raw_parts(
-            2,
-            3,
-            vec![0, 2, 2],
-            vec![0, 2],
-            vec![9.0, 8.0],
-        )
-        .unwrap();
-        let out = m.splice_rows(&[0, 2], &repl).unwrap();
-        assert_eq!(out.row_indices(0), &[0, 2]);
-        assert_eq!(out.row_values(0), &[9.0, 8.0]);
-        assert_eq!(out.row_indices(1), m.row_indices(1));
-        assert_eq!(out.row_values(1), m.row_values(1));
-        assert_eq!(out.row_nnz(2), 0);
-    }
-
-    #[test]
-    fn splice_rows_empty_set_is_bit_identical() {
-        let m = sample();
-        let out = m.splice_rows(&[], &CsrMatrix::zeros(0, 3)).unwrap();
-        assert_eq!(out.indptr(), m.indptr());
-        assert_eq!(out.indices(), m.indices());
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(out.values()), bits(m.values()));
-    }
-
-    #[test]
     fn validate_accepts_well_formed_matrices() {
         sample().validate().unwrap();
         CsrMatrix::zeros(3, 2).validate().unwrap();
@@ -913,21 +787,4 @@ mod tests {
         assert!(nan.validate_pruned().is_err());
     }
 
-    #[test]
-    fn splice_rows_validates_inputs() {
-        let m = sample();
-        // Wrong replacement shape.
-        assert!(matches!(
-            m.splice_rows(&[0], &CsrMatrix::zeros(2, 3)),
-            Err(SparseError::DimensionMismatch { .. })
-        ));
-        assert!(matches!(
-            m.splice_rows(&[0], &CsrMatrix::zeros(1, 2)),
-            Err(SparseError::DimensionMismatch { .. })
-        ));
-        // Unsorted / duplicate / out-of-range row sets.
-        assert!(m.splice_rows(&[1, 0], &CsrMatrix::zeros(2, 3)).is_err());
-        assert!(m.splice_rows(&[1, 1], &CsrMatrix::zeros(2, 3)).is_err());
-        assert!(m.splice_rows(&[3], &CsrMatrix::zeros(1, 3)).is_err());
-    }
 }

@@ -42,7 +42,6 @@ mod csr;
 mod dense;
 mod error;
 
-pub mod frontier;
 pub mod ops;
 pub mod parallel;
 pub mod simd;

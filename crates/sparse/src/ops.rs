@@ -299,8 +299,11 @@ fn order_row_columns(ws: &mut Workspace, cols: &mut [usize]) {
 /// reference produces, so outputs and [`OpStats`] are bit-identical to it
 /// (each SPA slot sees its products in the same ascending-`k` order; the
 /// ascending order of distinct indices is unique).
+///
+/// Kept out of line: inlined into [`spgemm_block_in`], its only caller, the
+/// row loop measured 5–10 % slower on the `kernels` bench SpGEMM rows.
 #[allow(clippy::too_many_arguments)]
-#[inline]
+#[inline(never)]
 fn spgemm_row_fused(
     a: &CsrMatrix,
     b: &CsrMatrix,
@@ -324,8 +327,7 @@ fn spgemm_row_fused(
 }
 
 /// The symbolic (structure-only) pass over one output row — shared verbatim
-/// by every SpGEMM entry point, including the row-masked incremental path,
-/// so a row recomputed in isolation has the same structure as a cold build.
+/// by every SpGEMM entry point, so every path builds the same structure.
 #[inline]
 fn spgemm_row_symbolic(
     a: &CsrMatrix,
@@ -482,6 +484,7 @@ fn spgemm_par_impl<const CHUNKED: bool>(
 /// # Errors
 ///
 /// Returns [`SparseError::DimensionMismatch`] if `a.cols() != b.rows()`.
+// lint: allow(opstats-flow) -- caller-owned-arena reference path; only the workspace-reuse equivalence tests run it
 pub fn spgemm_with_workspace(
     a: &CsrMatrix,
     b: &CsrMatrix,
@@ -497,123 +500,6 @@ pub fn spgemm_with_workspace(
     let block = spgemm_block_in::<true>(a, b, 0..a.rows(), ws);
     // lint: allow(hot-path-alloc) -- one-element block list per call, consumed by assemble_csr
     Ok(assemble_csr(a.rows(), b.cols(), vec![block]))
-}
-
-/// Sparse × sparse product restricted to a caller-supplied row set: row `j`
-/// of the `rows.len()` × `b.cols()` result is row `rows[j]` of `a · b`.
-///
-/// Each selected row runs the *unchanged* serial per-row routine
-/// ([`spgemm_row_fused`]), so recomputed rows are
-/// bit-identical to the same rows of a cold [`spgemm`] — the contract the
-/// incremental power-chain update relies on (see
-/// [`crate::frontier`] and `CsrMatrix::splice_rows`). [`OpStats`] counts only
-/// the work actually performed on the selected rows.
-///
-/// # Errors
-///
-/// Returns [`SparseError::DimensionMismatch`] if `a.cols() != b.rows()`,
-/// [`SparseError::InvalidStructure`] if `rows` is not strictly increasing,
-/// and [`SparseError::IndexOutOfBounds`] if a row is out of range.
-pub fn row_masked_spgemm_with_workspace(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    rows: &[usize],
-    ws: &mut Workspace,
-) -> Result<(CsrMatrix, OpStats)> {
-    row_masked_spgemm_impl::<true>(a, b, rows, ws)
-}
-
-/// The row-masked product forced onto the *scalar* numeric pass — the
-/// reference for the chunked-equivalence proptests covering the frontier
-/// patcher's kernel.
-///
-/// # Errors
-///
-/// Same contract as [`row_masked_spgemm_with_workspace`].
-// lint: allow(opstats-flow) -- scalar reference path; only the chunked-equivalence tests run it
-pub fn row_masked_spgemm_scalar_with_workspace(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    rows: &[usize],
-    ws: &mut Workspace,
-) -> Result<(CsrMatrix, OpStats)> {
-    row_masked_spgemm_impl::<false>(a, b, rows, ws)
-}
-
-fn row_masked_spgemm_impl<const CHUNKED: bool>(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    rows: &[usize],
-    ws: &mut Workspace,
-) -> Result<(CsrMatrix, OpStats)> {
-    if a.cols() != b.rows() {
-        return Err(SparseError::DimensionMismatch {
-            op: "row_masked_spgemm",
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
-    }
-    // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-    if rows.windows(2).any(|w| w[0] >= w[1]) {
-        return Err(SparseError::InvalidStructure {
-            reason: "row mask not strictly increasing".into(),
-        });
-    }
-    if let Some(&last) = rows.last() {
-        if last >= a.rows() {
-            return Err(SparseError::IndexOutOfBounds { index: (last, 0), shape: a.shape() });
-        }
-    }
-    ws.ensure_width(b.cols());
-    let mut row_lens = workspace::take_index_buffer(rows.len());
-    let mut indices = workspace::take_index_buffer(0);
-    let mut values = workspace::take_value_buffer(0);
-    let mut stats = OpStats::default();
-    if CHUNKED {
-        for &r in rows {
-            spgemm_row_fused(
-                a,
-                b,
-                r,
-                ws,
-                &mut indices,
-                &mut values,
-                &mut row_lens,
-                &mut stats,
-            );
-        }
-    } else {
-        for &r in rows {
-            spgemm_row_symbolic(a, b, r, ws, &mut indices, &mut row_lens);
-        }
-        values.reserve_exact(indices.len());
-        let mut emitted = 0usize;
-        for (j, &r) in rows.iter().enumerate() {
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-            let row_end = emitted + row_lens[j];
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-            spgemm_row_numeric_scalar(a, b, r, ws, &indices[emitted..row_end], &mut values, &mut stats);
-            emitted = row_end;
-        }
-    }
-    let block = CsrBlock { row_lens, indices, values, stats };
-    // lint: allow(hot-path-alloc) -- one-element block list per call, consumed by assemble_csr
-    Ok(assemble_csr(rows.len(), b.cols(), vec![block]))
-}
-
-/// The exact [`OpStats`] a full [`spgemm`]`(a, b)` would report, computed
-/// analytically from the operand structures and the known output nnz —
-/// no numeric work.
-///
-/// The kernel performs one multiply per `(entry of a, entry of the matching
-/// b row)` pair and one add per product landing on an already-stamped slot,
-/// so `adds = mults − out_nnz`. The incremental power update replays these
-/// stats into the figure accounting while only doing the dirty-row fraction
-/// of the work (the difference goes to `Dissimilarity::saved`).
-pub fn spgemm_replay_stats(a: &CsrMatrix, b: &CsrMatrix, out_nnz: usize) -> OpStats {
-    debug_assert_eq!(a.cols(), b.rows());
-    let mults: u64 = a.indices().iter().map(|&k| b.row_nnz(k) as u64).sum();
-    OpStats::counted(mults, mults.saturating_sub(out_nnz as u64))
 }
 
 /// The two-pointer row-merge inner loop of `sp_axpby` over one contiguous
@@ -1380,61 +1266,6 @@ mod tests {
     }
 
     #[test]
-    fn row_masked_spgemm_rows_match_full_product() {
-        let a = random_sparse(50, 350, 20);
-        let b = random_sparse(50, 300, 21);
-        let (full, full_stats) = spgemm_serial_with_stats(&a, &b).unwrap();
-        let mut ws = Workspace::new();
-        let rows = [0usize, 3, 17, 31, 49];
-        let (masked, masked_stats) =
-            row_masked_spgemm_with_workspace(&a, &b, &rows, &mut ws).unwrap();
-        assert_eq!(masked.shape(), (rows.len(), b.cols()));
-        for (j, &r) in rows.iter().enumerate() {
-            assert_eq!(masked.row_indices(j), full.row_indices(r), "row {r}");
-            assert_eq!(bits(masked.row_values(j)), bits(full.row_values(r)), "row {r}");
-        }
-        assert!(masked_stats.mults < full_stats.mults);
-        // Masking every row reproduces the full product, stats included.
-        let all: Vec<usize> = (0..a.rows()).collect();
-        let (whole, whole_stats) =
-            row_masked_spgemm_with_workspace(&a, &b, &all, &mut ws).unwrap();
-        assert_csr_identical(&full, &whole);
-        assert_eq!(whole_stats, full_stats);
-    }
-
-    #[test]
-    fn row_masked_spgemm_validates_inputs() {
-        let a = random_sparse(10, 40, 22);
-        let mut ws = Workspace::new();
-        assert!(matches!(
-            row_masked_spgemm_with_workspace(&a, &a, &[3, 3], &mut ws),
-            Err(SparseError::InvalidStructure { .. })
-        ));
-        assert!(matches!(
-            row_masked_spgemm_with_workspace(&a, &a, &[2, 10], &mut ws),
-            Err(SparseError::IndexOutOfBounds { .. })
-        ));
-        let rect = CsrMatrix::zeros(4, 10);
-        assert!(matches!(
-            row_masked_spgemm_with_workspace(&a, &rect, &[0], &mut ws).err(),
-            Some(SparseError::DimensionMismatch { .. })
-        ));
-        let (empty, st) = row_masked_spgemm_with_workspace(&a, &a, &[], &mut ws).unwrap();
-        assert_eq!(empty.shape(), (0, 10));
-        assert_eq!(st, OpStats::default());
-    }
-
-    #[test]
-    fn replay_stats_match_measured_spgemm_stats() {
-        for seed in 0..5 {
-            let a = random_sparse(45, 260, seed + 30);
-            let b = random_sparse(45, 240, seed + 60);
-            let (m, measured) = spgemm_serial_with_stats(&a, &b).unwrap();
-            assert_eq!(spgemm_replay_stats(&a, &b, m.nnz()), measured, "seed {seed}");
-        }
-    }
-
-    #[test]
     fn sp_pow_one_is_a_copy_with_no_ops() {
         let a = path_graph(5);
         let (p, st) = sp_pow_with_stats(&a, 1).unwrap();
@@ -1501,19 +1332,6 @@ mod tests {
             chunked.nnz()
         );
         let (scalar, st_s) = spgemm_scalar_with_stats(&a, &a, Parallelism::serial()).unwrap();
-        assert_csr_identical(&scalar, &chunked);
-        assert_eq!(st_s, st_c);
-    }
-
-    #[test]
-    fn row_masked_scalar_matches_chunked() {
-        let a = random_sparse(120, 3_000, 82);
-        let rows: Vec<usize> = (0..120).step_by(3).collect();
-        let mut ws = Workspace::new();
-        let (chunked, st_c) =
-            row_masked_spgemm_with_workspace(&a, &a, &rows, &mut ws).unwrap();
-        let (scalar, st_s) =
-            row_masked_spgemm_scalar_with_workspace(&a, &a, &rows, &mut ws).unwrap();
         assert_csr_identical(&scalar, &chunked);
         assert_eq!(st_s, st_c);
     }

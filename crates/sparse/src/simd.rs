@@ -25,7 +25,7 @@
 //! slot `j` accumulates its `k` products in unchanged order.
 //!
 //! This module allocates no scratch of its own (it is on the lint
-//! `hot-path-alloc` surface together with `ops`/`frontier`/`parallel`): the
+//! `hot-path-alloc` surface together with `ops`/`parallel`): the
 //! chunk buffers are fixed-size stack arrays, and the only heap growth is
 //! the caller's pooled `indices` buffer amortizing over reuse.
 

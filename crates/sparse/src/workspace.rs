@@ -65,10 +65,9 @@ impl Workspace {
     /// slots.
     ///
     /// Growth is geometric (next power of two): a workspace alternating
-    /// between matrix widths — e.g. a full product followed by a row-masked
-    /// patch on a narrower operand — settles at the largest width seen and
-    /// never reallocates again, instead of re-growing the SPA on every
-    /// width increase past a previous exact fit.
+    /// between matrix widths settles at the largest width seen and never
+    /// reallocates again, instead of re-growing the SPA on every width
+    /// increase past a previous exact fit.
     pub(crate) fn ensure_width(&mut self, cols: usize) {
         if self.stamp.len() < cols {
             let target = cols.next_power_of_two();

@@ -4,7 +4,7 @@
 //! (distributivity, transpose-of-product, power expansion) on randomly
 //! generated sparse matrices, with the dense implementation as the oracle.
 
-use idgnn_sparse::{frontier, ops, CooMatrix, CsrMatrix, DenseMatrix, OpStats, Workspace};
+use idgnn_sparse::{ops, CooMatrix, CsrMatrix, DenseMatrix, OpStats, Workspace};
 use proptest::prelude::*;
 
 /// Strategy: random sparse n×n matrix with up to `max_nnz` entries.
@@ -319,53 +319,6 @@ proptest! {
     }
 
     #[test]
-    fn splice_rows_with_empty_dirty_set_is_bit_identical(a in sparse_square(8, 24)) {
-        let spliced = a.splice_rows(&[], &CsrMatrix::zeros(0, a.cols())).unwrap();
-        prop_assert_eq!(spliced.indptr(), a.indptr());
-        prop_assert_eq!(spliced.indices(), a.indices());
-        let sv: Vec<u32> = spliced.values().iter().map(|v| v.to_bits()).collect();
-        let av: Vec<u32> = a.values().iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(sv, av);
-    }
-
-    #[test]
-    fn dirty_row_patched_power_chain_matches_cold_rebuild(
-        a in symmetric_square(8, 16),
-        d in symmetric_square(8, 6),
-        l in 2usize..5,
-    ) {
-        // The sparse-level pin behind the PowerCache patch (DESIGN.md §9):
-        // splicing the (i−1)-hop dirty rows of the masked product into the
-        // cached `A^i` reproduces the cold identity-chain build of
-        // `(A+ΔA)^i` bit-for-bit, for every power in the chain.
-        let b = ops::sp_add(&a, &d).unwrap();
-        let seeds: Vec<usize> = (0..a.rows()).filter(|&r| d.row_nnz(r) > 0).collect();
-        let levels = frontier::dirty_frontier_levels(&a, &b, &seeds, l - 2).unwrap();
-        let mut cold = vec![CsrMatrix::identity(a.rows())];
-        let mut pow_a = vec![CsrMatrix::identity(a.rows())];
-        for i in 1..l {
-            cold.push(ops::spgemm(&cold[i - 1], &b).unwrap());
-            pow_a.push(ops::spgemm(&pow_a[i - 1], &a).unwrap());
-        }
-        let mut ws = Workspace::new();
-        let mut patched = vec![CsrMatrix::identity(a.rows())];
-        for i in 1..l {
-            let dirty = &levels[i - 1];
-            let (repl, _) =
-                ops::row_masked_spgemm_with_workspace(&patched[i - 1], &b, dirty, &mut ws)
-                    .unwrap();
-            patched.push(pow_a[i].splice_rows(dirty, &repl).unwrap());
-        }
-        for i in 1..l {
-            prop_assert_eq!(patched[i].indptr(), cold[i].indptr());
-            prop_assert_eq!(patched[i].indices(), cold[i].indices());
-            let pv: Vec<u32> = patched[i].values().iter().map(|v| v.to_bits()).collect();
-            let cv: Vec<u32> = cold[i].values().iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(pv, cv);
-        }
-    }
-
-    #[test]
     fn kernel_outputs_satisfy_structural_invariants(
         a in sparse_square(8, 24),
         b in sparse_square(8, 24),
@@ -418,32 +371,6 @@ proptest! {
         let sv: Vec<u32> = s.into_vec().iter().map(|v| v.to_bits()).collect();
         let cv: Vec<u32> = c.into_vec().iter().map(|v| v.to_bits()).collect();
         prop_assert_eq!(sv, cv);
-    }
-
-    #[test]
-    fn fused_row_masked_product_matches_scalar_reference(
-        a in sparse_square(12, 60),
-        b in sparse_square(12, 60),
-        mask in prop::collection::vec(0u8..2, 12),
-        threads in (0u8..2).prop_map(|i| if i == 0 { 1usize } else { 4 }),
-    ) {
-        // The incremental dirty-row path: fused chunked vs two-phase scalar
-        // on an arbitrary strictly-increasing row mask. The kernel itself is
-        // per-row serial; the ambient parallelism scope must not leak into
-        // its results either way.
-        let rows: Vec<usize> =
-            mask.iter().enumerate().filter(|(_, &m)| m == 1).map(|(r, _)| r).collect();
-        let _scope = idgnn_sparse::parallel::kernel_scope(idgnn_sparse::Parallelism::new(threads));
-        let mut ws_s = Workspace::new();
-        let mut ws_c = Workspace::new();
-        let (s, s_st) = ops::row_masked_spgemm_scalar_with_workspace(&a, &b, &rows, &mut ws_s).unwrap();
-        let (c, c_st) = ops::row_masked_spgemm_with_workspace(&a, &b, &rows, &mut ws_c).unwrap();
-        prop_assert_eq!(s.indptr(), c.indptr());
-        prop_assert_eq!(s.indices(), c.indices());
-        let sv: Vec<u32> = s.values().iter().map(|v| v.to_bits()).collect();
-        let cv: Vec<u32> = c.values().iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(sv, cv);
-        prop_assert_eq!(s_st, c_st);
     }
 
     #[test]
@@ -531,12 +458,11 @@ proptest! {
     fn bitmap_emission_matches_sorted_emission_on_every_spgemm_path(
         seed in 0u64..1_000_000,
         cols in (0usize..7).prop_map(|i| [31usize, 63, 64, 65, 128, 129, 700][i]),
-        mask in prop::collection::vec(0u8..2, 10),
     ) {
         // Output rows discover 0..=cols columns in scrambled order, on both
         // sides of a 64-column word; at 700 columns short rows span many
-        // bitmap words. Every fused path (serial, pooled parallel, caller workspace,
-        // row-masked) must equal the scalar two-phase reference, which
+        // bitmap words. Every fused path (serial, pooled parallel, caller
+        // workspace) must equal the scalar two-phase reference, which
         // always sorts.
         let mut rng = Lcg(seed);
         let a = wide_rows(10, 12, &mut rng);
@@ -553,16 +479,6 @@ proptest! {
         let (got, st) = ops::spgemm_with_workspace(&a, &b, &mut ws).unwrap();
         assert_bit_identical(&want, &got);
         prop_assert_eq!(st, want_st);
-
-        let rows: Vec<usize> =
-            mask.iter().enumerate().filter(|(_, &m)| m == 1).map(|(r, _)| r).collect();
-        let (want_m, want_m_st) =
-            ops::row_masked_spgemm_scalar_with_workspace(&a, &b, &rows, &mut Workspace::new())
-                .unwrap();
-        let (got_m, got_m_st) =
-            ops::row_masked_spgemm_with_workspace(&a, &b, &rows, &mut ws).unwrap();
-        assert_bit_identical(&want_m, &got_m);
-        prop_assert_eq!(got_m_st, want_m_st);
 
         // The term sum shares the emission: summing wide rows must still
         // match the pairwise fold.

@@ -5,7 +5,7 @@
 # 1. release build of the whole workspace;
 # 2. full test suite (unit, integration, proptests, equivalence suites);
 # 3. sparse suite again with strict-invariants (runtime CsrMatrix::validate
-#    re-asserted at every construction/splice/assemble site);
+#    re-asserted at every construction/assemble site);
 # 4. sparse suite under schedule-perturbation: the parallel helpers run
 #    through seeded adversarial worker schedules and must stay bit-identical
 #    to the serial path (the runtime half of the determinism contract,
@@ -58,7 +58,8 @@ echo "==> bench kernels --smoke"
 # The binary re-reads and validates its own JSON (exit != 0 on corruption);
 # `--validate` then re-checks the structure from the outside with the
 # jsonv parser: required sections present and non-empty, rows typed, and
-# nonzero saved work from the delta-rate sweep.
+# every power_chain row hitting the cache on each timed delta with nonzero
+# saved multiplies.
 smoke_json="target/BENCH_kernels_smoke.json"
 cargo run --release -q -p idgnn-bench --bin kernels -- --smoke --out "$smoke_json"
 cargo run --release -q -p idgnn-bench --bin kernels -- --validate "$smoke_json"
