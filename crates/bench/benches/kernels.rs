@@ -34,10 +34,10 @@ fn bench_sparse_kernels(c: &mut Criterion) {
     g.sample_size(20);
 
     g.bench_function("spgemm_a_x_a", |b| {
-        b.iter(|| ops::spgemm(black_box(&a), black_box(&a)).expect("square"))
+        b.iter(|| ops::spgemm_with_stats(black_box(&a), black_box(&a)).expect("square"))
     });
     g.bench_function("spmm_a_x_features", |b| {
-        b.iter(|| ops::spmm(black_box(&a), black_box(&x)).expect("shapes match"))
+        b.iter(|| ops::spmm_with_stats(black_box(&a), black_box(&x)).expect("shapes match"))
     });
     g.bench_function("transpose", |b| b.iter(|| black_box(&a).transpose()));
     for (name, strategy) in [

@@ -6,6 +6,8 @@
 //! 3. the identity `ΔA_C = (Â+ΔA)³ − Â³`;
 //! 4. the one-pass output update (Eq. 10) against full recomputation.
 //!
+//! Exits with status 1 if any identity fails.
+//!
 //! ```text
 //! cargo run --release -p idgnn-bench --bin walkthrough
 //! ```
@@ -26,7 +28,16 @@ fn show(name: &str, m: &CsrMatrix) {
     }
 }
 
+/// Prints one identity with its verdict and records it if it failed.
+fn check(failed: &mut Vec<String>, label: &str, holds: bool, detail: &str) {
+    println!("  {label} ? {holds}{detail}");
+    if !holds {
+        failed.push(label.trim().to_string());
+    }
+}
+
 fn main() {
+    let mut failed = Vec::new();
     // The toy graph of the paper's illustrative figures: a small ring with a
     // chord; one edge appears, one disappears.
     let base = GraphSnapshot::new(
@@ -51,7 +62,7 @@ fn main() {
 
     // --- Step 1: Eq. 14's seven chained products. ---
     println!("\n=== Eq. 14: (Â+ΔA)³ − Â³ expands into seven chains ===\n");
-    let mm = |x: &CsrMatrix, y: &CsrMatrix| ops::spgemm(x, y).expect("chain product");
+    let mm = |x: &CsrMatrix, y: &CsrMatrix| ops::spgemm_with_stats(x, y).expect("product").0;
     let terms: Vec<(&str, CsrMatrix)> = vec![
         ("ΔA·Â·Â", mm(&mm(&da, &a), &a)),
         ("ΔA·Â·ΔA", mm(&mm(&da, &a), &da)),
@@ -71,69 +82,60 @@ fn main() {
     println!("\n=== Eq. 15: symmetry lets transposes replace mirror chains ===\n");
     let daa = &terms[0].1; // ΔA·Â·Â
     let dda = &terms[2].1; // ΔA·ΔA·Â
-    println!(
-        "  (ΔA·Â·Â)ᵀ  == Â·Â·ΔA ? {}",
-        daa.transpose().approx_eq(&terms[6].1, 1e-6)
-    );
-    println!(
-        "  (ΔA·ΔA·Â)ᵀ == Â·ΔA·ΔA ? {}",
-        dda.transpose().approx_eq(&terms[5].1, 1e-6)
-    );
+    let mirror = |m: &CsrMatrix, t: &CsrMatrix| m.transpose().approx_eq(t, 1e-6);
+    check(&mut failed, "(ΔA·Â·Â)ᵀ  == Â·Â·ΔA", mirror(daa, &terms[6].1), "");
+    check(&mut failed, "(ΔA·ΔA·Â)ᵀ == Â·ΔA·ΔA", mirror(dda, &terms[5].1), "");
     println!("  Â·ΔA·Â and ΔA·Â·ΔA are palindromes (self-transpose):");
-    println!(
-        "    (Â·ΔA·Â)ᵀ == Â·ΔA·Â ? {}",
-        terms[4].1.transpose().approx_eq(&terms[4].1, 1e-6)
-    );
+    check(&mut failed, "  (Â·ΔA·Â)ᵀ == Â·ΔA·Â", mirror(&terms[4].1, &terms[4].1), "");
 
     // --- Step 3: the kernel matches the power difference. ---
     println!("\n=== The fused dissimilarity matrix ===\n");
-    let reference = ops::sp_sub(
-        &ops::sp_pow(&a_next, 3).expect("power"),
-        &ops::sp_pow(&a, 3).expect("power"),
-    )
-    .expect("difference")
-    .pruned(0.0);
+    let cube = |m: &CsrMatrix| ops::sp_pow_with_stats(m, 3).expect("power").0;
+    let (a_c, a_c_next) = (cube(&a), cube(&a_next));
+    let reference = ops::sp_sub(&a_c_next, &a_c).expect("difference").pruned(0.0);
     let optimized = fused_dissimilarity(&a, &da, 3, DissimilarityStrategy::TransposeOptimized)
         .expect("kernel");
     let general =
         fused_dissimilarity(&a, &da, 3, DissimilarityStrategy::General).expect("kernel");
-    println!(
-        "  Σ(seven chains)              == (Â')³ − Â³ ? {}",
-        sum.pruned(0.0).approx_eq(&reference, 1e-4)
+    check(
+        &mut failed,
+        "Σ(seven chains)              == (Â')³ − Â³",
+        sum.pruned(0.0).approx_eq(&reference, 1e-4),
+        "",
     );
-    println!(
-        "  transpose-optimized kernel   == (Â')³ − Â³ ? {}   ({} mults)",
+    check(
+        &mut failed,
+        "transpose-optimized kernel   == (Â')³ − Â³",
         optimized.delta_ac.approx_eq(&reference, 1e-4),
-        optimized.ops.mults
+        &format!("   ({} mults)", optimized.ops.mults),
     );
-    println!(
-        "  general-expansion kernel     == (Â')³ − Â³ ? {}   ({} mults)",
+    check(
+        &mut failed,
+        "general-expansion kernel     == (Â')³ − Â³",
         general.delta_ac.approx_eq(&reference, 1e-4),
-        general.ops.mults
+        &format!("   ({} mults)", general.ops.mults),
     );
     show("\nΔA_C", &optimized.delta_ac);
 
     // --- Step 4: the one-pass output update (Eq. 10). ---
     println!("\n=== Eq. 10: one-pass output update vs full recomputation ===\n");
     let w_c = DenseMatrix::from_vec(2, 2, vec![0.5, -0.25, 1.0, 0.75]).expect("valid");
-    let old_pre = ops::spmm(&ops::sp_pow(&a, 3).expect("power"), base.features())
-        .expect("aggregate")
-        .matmul(&w_c)
-        .expect("combine");
+    let agg = |m: &CsrMatrix, x: &DenseMatrix| ops::spmm_with_stats(m, x).expect("aggregate").0;
+    let old_pre = agg(&a_c, base.features()).matmul(&w_c).expect("combine");
     let dx0 = next.features().sub(base.features()).expect("delta");
-    let d_agg = ops::spmm(&optimized.delta_ac, next.features())
-        .expect("ΔA_C·X")
-        .add(&ops::spmm(&ops::sp_pow(&a, 3).expect("power"), &dx0).expect("A_C·ΔX"))
-        .expect("sum");
+    let d_agg = agg(&optimized.delta_ac, next.features()).add(&agg(&a_c, &dx0)).expect("sum");
     let onepass = old_pre.add(&d_agg.matmul(&w_c).expect("combine")).expect("update");
-    let recomputed = ops::spmm(&ops::sp_pow(&a_next, 3).expect("power"), next.features())
-        .expect("aggregate")
-        .matmul(&w_c)
-        .expect("combine");
-    println!(
-        "  P^t + (ΔA_C·X^(t+1) + A_C·ΔX)·W_C == A_C^(t+1)·X^(t+1)·W_C ? {}",
-        onepass.approx_eq(&recomputed, 1e-4)
+    let recomputed = agg(&a_c_next, next.features()).matmul(&w_c).expect("combine");
+    check(
+        &mut failed,
+        "P^t + (ΔA_C·X^(t+1) + A_C·ΔX)·W_C == A_C^(t+1)·X^(t+1)·W_C",
+        onepass.approx_eq(&recomputed, 1e-4),
+        "",
     );
     println!("  max |difference| = {:.2e}", onepass.max_abs_diff(&recomputed).expect("diff"));
+    if !failed.is_empty() {
+        eprintln!("\nerror: {} identities failed: {}", failed.len(), failed.join("; "));
+        std::process::exit(1);
+    }
     println!("\nEvery identity the paper's §IV derivation relies on, verified numerically.");
 }

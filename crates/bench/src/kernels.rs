@@ -350,13 +350,13 @@ impl Cell {
         let elapsed = |t0: Instant| t0.elapsed().as_secs_f64() * 1e3;
         Ok(match self {
             Cell::Spgemm => {
-                let prod = ops::spgemm(black_box(&set.a), black_box(&set.a))?;
+                let prod = ops::spgemm_with_stats(black_box(&set.a), black_box(&set.a))?.0;
                 let ms = elapsed(t0);
                 idgnn_sparse::workspace::recycle(black_box(prod));
                 ms
             }
             Cell::Spmm => {
-                let agg = ops::spmm(black_box(&set.a), black_box(&set.x))?;
+                let agg = ops::spmm_with_stats(black_box(&set.a), black_box(&set.x))?.0;
                 let ms = elapsed(t0);
                 idgnn_sparse::workspace::recycle_dense(black_box(agg));
                 ms

@@ -32,7 +32,11 @@ mod dram;
 mod energy;
 mod engine;
 mod error;
+// Test-only oracles: cycle-stepped simulations that check `pe::mac_cycles`
+// and `Topology::transfer_cycles`.
+#[cfg(test)]
 mod microsim;
+#[cfg(test)]
 mod ringsim;
 mod noc;
 mod pe;
@@ -51,8 +55,6 @@ pub use dram::{AccessPattern, DramModel, BURST_BYTES, ROW_MISS_PENALTY_CYCLES};
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use engine::{overlap_cycles, Bound, Engine, EngineReport, PhaseTiming, PhaseWork};
 pub use error::{HwError, Result};
-pub use microsim::{MicrosimResult, PeMicrosim, TileWork};
-pub use ringsim::RingSim;
 pub use noc::{Topology, TrafficPattern, HOP_LATENCY_CYCLES, LINK_BYTES_PER_CYCLE};
 pub use pe::{mac_cycles, transpose_cycles, DatapathMode, ReconfigurablePe, RECONFIG_CYCLES};
 pub use schedule::{PipelineSchedule, PipelineScheduler, PipelineWorkload, MIN_SHARE};

@@ -15,7 +15,8 @@
 //!
 //! The `validates_analytical_model` test sweeps configurations and asserts
 //! the analytical estimate stays within a small factor of the stepped
-//! simulation in the regime the engine uses it (ample feed bandwidth).
+//! simulation in the regime the engine uses it (ample feed bandwidth). The
+//! module is compiled for tests only: nothing else runs the stepped model.
 
 /// Static configuration of one PE's datapath for the microsimulation.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -6,7 +6,8 @@
 //! flit and confirms the analytical transfer-cycle model of
 //! [`Topology::transfer_cycles`](crate::Topology) for the
 //! `NeighborShift` pattern, including the regime where partitions are
-//! unequal and the slowest link paces the whole rotation.
+//! unequal and the slowest link paces the whole rotation. The module is
+//! compiled for tests only: nothing else runs the stepped model.
 
 use crate::noc::{HOP_LATENCY_CYCLES, LINK_BYTES_PER_CYCLE};
 

@@ -14,6 +14,8 @@
 //! without pulling in the full-system simulator. `idgnn-core` re-exports
 //! every item, so downstream callers are unaffected.
 
+use idgnn_model::estimate;
+
 use crate::error::{HwError, Result};
 
 /// Workload parameters of one snapshot transition feeding Eqs. 18–22.
@@ -72,21 +74,18 @@ impl PipelineWorkload {
 
     /// Eq. 18: adjacency-fusion time for a 3-layer GNN at GNN share `alpha`.
     pub fn comp_t_acomb(&self, alpha: f64) -> f64 {
-        let v3 = self.vertices.powi(3);
-        self.s * (self.s + self.p_prev) * (1.0 + 2.0 * self.p_prev) * v3 / self.denom(alpha)
+        estimate::acomb_ops(self.vertices, self.p_prev, self.s) / self.denom(alpha)
     }
 
     /// Eq. 19: aggregation time at GNN share `alpha`.
     pub fn comp_t_ag(&self, alpha: f64) -> f64 {
-        let s = self.s;
-        let p = self.p_prev;
-        let density = 3.0 * s * s * p + 3.0 * s * p * p + s.powi(3);
-        density * self.vertices.powi(2) * self.features / self.denom(alpha)
+        let density = estimate::delta_ac_density(self.p_prev, self.s);
+        estimate::ag_ops(self.vertices, self.features, density) / self.denom(alpha)
     }
 
     /// Eq. 20: combination time at GNN share `alpha`.
     pub fn comp_t_cb(&self, alpha: f64) -> f64 {
-        self.vertices * self.features * self.gnn_width / self.denom(alpha)
+        estimate::cb_ops(self.vertices, self.features, self.gnn_width) / self.denom(alpha)
     }
 
     /// Total GNN-kernel time at share `alpha`.
@@ -96,12 +95,13 @@ impl PipelineWorkload {
 
     /// Eq. 21: RNN-B time at RNN share `beta`.
     pub fn comp_t_rnn_b(&self, beta: f64) -> f64 {
-        self.vertices * self.rnn_width * (4.0 * self.gnn_width + 3.0) / self.denom(beta)
+        estimate::rnn_b_ops(self.vertices, self.gnn_width, self.rnn_width) / self.denom(beta)
     }
 
-    /// Eq. 22: RNN-A time at RNN share `beta`.
+    /// Eq. 22: RNN-A time at RNN share `beta` — `4·V·R²`, the hidden-state
+    /// products `H·U_α` (see [`estimate::rnn_a_ops`]).
     pub fn comp_t_rnn_a(&self, beta: f64) -> f64 {
-        4.0 * self.vertices * self.gnn_width * self.rnn_width / self.denom(beta)
+        estimate::rnn_a_ops(self.vertices, self.rnn_width) / self.denom(beta)
     }
 
     /// The scheduler objective: `|T_G(α) − T_RA(β) − T_RB(β)|`.
@@ -249,6 +249,20 @@ mod tests {
         assert!(sched.alpha >= MIN_SHARE);
         assert!(sched.beta >= MIN_SHARE);
         assert!((sched.alpha + sched.beta - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn rnn_a_time_ignores_the_gnn_width() {
+        // Eq. 22 with C ≠ R: one PE with one MAC makes time equal work,
+        // and RNN-A's work is 4·V·R² (the H·U_α products), not 4·V·C·R.
+        let mut w = workload();
+        w.pes = 1.0;
+        w.macs_per_pe = 1.0;
+        w.gnn_width = 64.0;
+        w.rnn_width = 16.0;
+        assert_eq!(w.comp_t_rnn_a(1.0), 4.0 * 9227.0 * 16.0 * 16.0);
+        w.gnn_width = 128.0;
+        assert_eq!(w.comp_t_rnn_a(1.0), 4.0 * 9227.0 * 16.0 * 16.0);
     }
 
     #[test]

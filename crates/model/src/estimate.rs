@@ -12,7 +12,11 @@
 //!   `(p+s)³ − p³` density of `ΔA_C` times the feature width;
 //! * **CB** (Eq. 20): `ops = V·K·C`;
 //! * **RNN-B** (Eq. 21): `ops = V·R·(4C + 3)`;
-//! * **RNN-A** (Eq. 22): `ops = 4·V·C·R`.
+//! * **RNN-A** (Eq. 22): `ops = 4·V·R²`.
+//!
+//! Each equation is one plain function below ([`acomb_ops`] … [`rnn_a_ops`]);
+//! the hardware pipeline model (`idgnn_hw::schedule`) divides them by its
+//! MAC count instead of keeping its own copy.
 //!
 //! The recompute/incremental estimates use the same accounting style the
 //! executors implement (documented inline). DRAM volumes mirror the
@@ -139,6 +143,47 @@ impl WorkloadSpec {
     }
 }
 
+/// Eq. 18: AComb multiplies of one 3-layer transition,
+/// `s(s + p)(1 + 2p)·V³`, for previous-operator density `p` and
+/// dissimilarity density `s`.
+pub fn acomb_ops(v: f64, p: f64, s: f64) -> f64 {
+    s * (s + p) * (1.0 + 2.0 * p) * v.powi(3)
+}
+
+/// Density of `ΔA_C` for a 3-layer GNN — Eq. 19's trinomial
+/// `(p + s)³ − p³ = 3s²p + 3sp² + s³` — capped at a full matrix.
+pub fn delta_ac_density(p: f64, s: f64) -> f64 {
+    (3.0 * s * s * p + 3.0 * s * p * p + s.powi(3)).min(1.0)
+}
+
+/// Eq. 19: AG multiplies of applying a `ΔA_C` of density `density` to
+/// `K`-wide features, `density·V²·K`.
+pub fn ag_ops(v: f64, k: f64, density: f64) -> f64 {
+    density * v.powi(2) * k
+}
+
+/// Eq. 20: CB multiplies, `V·K·C`.
+pub fn cb_ops(v: f64, k: f64, c: f64) -> f64 {
+    v * k * c
+}
+
+/// Eq. 21: RNN-B multiplies, `V·R·(4C + 3)`: the four gate products
+/// `Z·W_α` with `C × R` weights, plus three element-wise operations per
+/// state element.
+pub fn rnn_b_ops(v: f64, c: f64, r: f64) -> f64 {
+    v * r * (4.0 * c + 3.0)
+}
+
+/// Eq. 22: RNN-A multiplies, `4·V·R²`.
+///
+/// RNN-A is `H^{t-1}·U_α` for the four gates ([`crate::LstmCell::rnn_a`])
+/// with `R × R` weights `U_α`, so `C` does not enter; the executor counts
+/// exactly this. `4·V·C·R` would be RNN-B's `Z·W_α`, already in Eq. 21; the
+/// two agree only when `C = R`, as in every shipped shape.
+pub fn rnn_a_ops(v: f64, r: f64) -> f64 {
+    4.0 * v * r * r
+}
+
 /// Estimates the per-snapshot costs of running `algorithm` on `spec`.
 ///
 /// Snapshot 0 is a full from-scratch pass for every algorithm; snapshots
@@ -176,9 +221,8 @@ fn rnn_phases(spec: &WorkloadSpec, mem: &MemoryModel, cost: &mut SnapshotCost) {
     let v = spec.vertices as f64;
     let c = spec.gnn_hidden as f64;
     let r = spec.rnn_hidden as f64;
-    // Eq. 22 and Eq. 21.
-    let a_ops = 4.0 * v * r * r;
-    let b_ops = v * r * (4.0 * c + 3.0);
+    let a_ops = rnn_a_ops(v, r);
+    let b_ops = rnn_b_ops(v, c, r);
     let state_bytes = 2 * dense_bytes(spec.vertices, spec.rnn_hidden);
     let spilled = !mem.fits(state_bytes + dense_bytes(spec.vertices, spec.gnn_hidden));
     let mut ta = Traffic::none();
@@ -244,7 +288,6 @@ fn incremental_snapshot(spec: &WorkloadSpec, mem: &MemoryModel) -> SnapshotCost 
     let k = spec.input_dim as f64;
     let c = spec.gnn_hidden as f64;
     let d = spec.mean_degree();
-    let nnz = spec.operator_nnz();
 
     let mut front = Traffic::none();
     front.read(DataClass::Weight, spec.weight_bytes());
@@ -300,7 +343,6 @@ fn incremental_snapshot(spec: &WorkloadSpec, mem: &MemoryModel) -> SnapshotCost 
         t.read(DataClass::OutputFeature, (unchanged * c * 4.0) as u64);
         cost.push(Phase::Diu, idgnn_sparse::OpStats::default(), t);
     }
-    let _ = nnz;
     rnn_phases(spec, mem, &mut cost);
     cost
 }
@@ -366,13 +408,12 @@ fn onepass_snapshot(spec: &WorkloadSpec, mem: &MemoryModel) -> SnapshotCost {
 
     // Eq. 18 (AComb) — stated for the 3-layer model.
     let acomb = if spec.gnn_layers == 3 {
-        s * (s + p) * (1.0 + 2.0 * p) * v * v * v
+        acomb_ops(v, p, s)
     } else {
         // Generic chain estimate: L products each ≈ s·p·V³.
         spec.gnn_layers as f64 * s * p * v * v * v
     };
-    // Density of ΔA_C per Eq. 19's trinomial.
-    let dac_density = (3.0 * s * s * p + 3.0 * s * p * p + s.powi(3)).min(1.0);
+    let dac_density = delta_ac_density(p, s);
     let dac_nnz = dac_density * v * v;
     let mut t_ac = Traffic::none();
     if spilled {
@@ -389,14 +430,13 @@ fn onepass_snapshot(spec: &WorkloadSpec, mem: &MemoryModel) -> SnapshotCost {
         chain += chain_rows * d * k;
         chain_rows = (chain_rows * d.min(FRONTIER_EXPANSION_CAP)).min(v);
     }
-    let ag = dac_density * v * v * k + chain;
+    let ag = ag_ops(v, k, dac_density) + chain;
     let support_rows = (dac_density * v * v / (d.max(1.0))).min(v);
     let mut t_ag = Traffic::none();
     t_ag.read(DataClass::InputFeature, (support_rows * k * 4.0) as u64);
     cost.push(Phase::Aggregation, ops(ag), t_ag);
 
-    // Eq. 20 (CB).
-    let cb = v * k * c;
+    let cb = cb_ops(v, k, c);
     let mut t_cb = Traffic::none();
     if spilled {
         t_cb.read(DataClass::OutputFeature, (support_rows * c * 4.0) as u64);
@@ -521,5 +561,15 @@ mod tests {
         assert_eq!(s.snapshots, 4);
         let costs = estimate(Algorithm::OnePass, &s, &MemoryModel::paper_default());
         assert_eq!(costs.len(), 4);
+    }
+
+    #[test]
+    fn rnn_a_ops_count_the_hidden_state_products_when_c_differs_from_r() {
+        // Eq. 22 pinned against the executed cell with C ≠ R: RNN-A is
+        // H·U_α over four R × R gate weights, so C must not enter.
+        let (v, c, r) = (5usize, 12usize, 4usize);
+        let cell = crate::LstmCell::random(c, r, 3);
+        let (_, ops) = cell.rnn_a(&idgnn_sparse::DenseMatrix::zeros(v, r)).unwrap();
+        assert_eq!(ops.mults as f64, rnn_a_ops(v as f64, r as f64));
     }
 }

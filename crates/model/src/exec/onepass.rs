@@ -472,7 +472,7 @@ fn push_rnn(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fusion::{fuse_adjacency, fused_forward};
+    use crate::fusion::fused_forward;
     use crate::{Algorithm, ModelConfig};
     use idgnn_graph::generate::{generate_dynamic_graph, GraphConfig, StreamConfig};
     use idgnn_graph::Normalization;
@@ -529,7 +529,7 @@ mod tests {
         let snaps = dg.materialize().unwrap();
         for (t, snap) in snaps.iter().enumerate() {
             let a = model.normalization().apply(snap.adjacency());
-            let (a_c, _) = fuse_adjacency(&a, 3).unwrap();
+            let (a_c, _) = ops::sp_pow_with_stats(&a, 3).unwrap();
             let (fused, _, _) =
                 fused_forward(&a_c, snap.features(), &w_c, crate::Activation::Relu).unwrap();
             assert!(
@@ -753,7 +753,7 @@ mod tests {
         x.set(5, 0, 2.0);
         x.set(17, 2, -1.0);
         let (got, st) = chain_apply(&a, &x);
-        let want = ops::spmm(&a, &x).unwrap();
+        let want = ops::spmm_with_stats(&a, &x).unwrap().0;
         assert!(got.approx_eq(&want, 1e-5));
         // Cost proportional to the two active rows only.
         let expected_mults = (a.row_nnz(5) + a.row_nnz(17)) as u64 * 3;

@@ -7,8 +7,10 @@
 //! ```
 //!
 //! The fused weight `W_C` is computed **once** (weights are shared across
-//! snapshots) while the fused adjacency `A_C^t = (Â^t)^L` is maintained
-//! incrementally by the one-pass kernel ([`crate::onepass`]).
+//! snapshots) while the fused adjacency `A_C^t = (Â^t)^L` is never formed:
+//! the one-pass kernel ([`crate::onepass`]) carries only its change `ΔA_C`.
+//! Where a test needs `A_C` itself it calls
+//! [`idgnn_sparse::ops::sp_pow_with_stats`].
 
 use idgnn_sparse::{ops, workspace, CsrMatrix, DenseMatrix, OpStats};
 
@@ -35,20 +37,6 @@ pub fn fuse_weights(stack: &GcnStack) -> Result<(DenseMatrix, OpStats)> {
         acc = next;
     }
     Ok((acc, ops))
-}
-
-/// Fuses the adjacency operator into `A_C = Â^L` (Eq. 7), with op counts —
-/// the **AComb** cost of a from-scratch (initial) snapshot.
-///
-/// The power chain starts at `Â` itself, so this costs exactly `L − 1`
-/// SpGEMMs, each intermediate recycled into the workspace buffer pool
-/// (see `idgnn_sparse::workspace`).
-///
-/// # Errors
-///
-/// Returns an error if `a_norm` is not square.
-pub fn fuse_adjacency(a_norm: &CsrMatrix, num_layers: u32) -> Result<(CsrMatrix, OpStats)> {
-    Ok(ops::sp_pow_with_stats(a_norm, num_layers)?)
 }
 
 /// Evaluates the fused model: `σ(A_C · X_0 · W_C)` (Eq. 9).
@@ -121,11 +109,13 @@ mod tests {
     }
 
     #[test]
-    fn fused_adjacency_is_power() {
+    fn fused_adjacency_is_the_dense_cube() {
+        // Eq. 7: A_C = Â³, two SpGEMMs, symmetric for a symmetric Â.
         let a = Normalization::Symmetric.apply(&graph());
-        let (ac, _) = fuse_adjacency(&a, 3).unwrap();
-        let expect = ops::sp_pow(&a, 3).unwrap();
-        assert!(ac.approx_eq(&expect, 1e-6));
+        let (ac, _) = ops::sp_pow_with_stats(&a, 3).unwrap();
+        let d = a.to_dense();
+        let expect = d.matmul(&d).unwrap().matmul(&d).unwrap();
+        assert!(ac.to_dense().approx_eq(&expect, 1e-5));
         assert!(ac.is_symmetric(1e-4));
     }
 
@@ -139,7 +129,7 @@ mod tests {
         let layered = stack.forward(&a, &x0).unwrap();
 
         let (wc, _) = fuse_weights(&stack).unwrap();
-        let (ac, _) = fuse_adjacency(&a, 3).unwrap();
+        let (ac, _) = ops::sp_pow_with_stats(&a, 3).unwrap();
         let (fused, _, _) = fused_forward(&ac, &x0, &wc, Activation::Linear).unwrap();
 
         assert!(
@@ -163,7 +153,7 @@ mod tests {
 
         let layered = stack.forward(&a, &x0).unwrap();
         let (wc, _) = fuse_weights(&stack).unwrap();
-        let (ac, _) = fuse_adjacency(&a, 2).unwrap();
+        let (ac, _) = ops::sp_pow_with_stats(&a, 2).unwrap();
         let (fused, _, _) = fused_forward(&ac, &x0, &wc, Activation::Relu).unwrap();
         assert!(layered.approx_eq(&fused.output, 1e-4));
     }
@@ -173,7 +163,7 @@ mod tests {
         let a = Normalization::Symmetric.apply(&graph());
         let stack = GcnStack::random(2, 2, 2, Activation::Relu, 5).unwrap();
         let (wc, _) = fuse_weights(&stack).unwrap();
-        let (ac, _) = fuse_adjacency(&a, 2).unwrap();
+        let (ac, _) = ops::sp_pow_with_stats(&a, 2).unwrap();
         let x0 = DenseMatrix::from_vec(6, 2, (0..12).map(|i| (i as f32) - 6.0).collect()).unwrap();
         let (out, _, _) = fused_forward(&ac, &x0, &wc, Activation::Relu).unwrap();
         assert_eq!(out.output, out.pre_activation.relu());

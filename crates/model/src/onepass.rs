@@ -475,9 +475,8 @@ mod tests {
     }
 
     fn reference_delta_ac(a_prev: &CsrMatrix, a_next: &CsrMatrix, l: u32) -> CsrMatrix {
-        ops::sp_sub(&ops::sp_pow(a_next, l).unwrap(), &ops::sp_pow(a_prev, l).unwrap())
-            .unwrap()
-            .pruned(0.0)
+        let pow = |m: &CsrMatrix| ops::sp_pow_with_stats(m, l).unwrap().0;
+        ops::sp_sub(&pow(a_next), &pow(a_prev)).unwrap().pruned(0.0)
     }
 
     #[test]
@@ -549,8 +548,8 @@ mod tests {
     fn delta_aggregation_matches_dense_reference() {
         let (a, an, d) = setup(Normalization::Symmetric);
         let dac = fused_dissimilarity(&a, &d, 3, DissimilarityStrategy::default()).unwrap();
-        let ac_prev = ops::sp_pow(&a, 3).unwrap();
-        let ac_next = ops::sp_pow(&an, 3).unwrap();
+        let ac_prev = ops::sp_pow_with_stats(&a, 3).unwrap().0;
+        let ac_next = ops::sp_pow_with_stats(&an, 3).unwrap().0;
 
         let x_prev = DenseMatrix::from_vec(8, 3, (0..24).map(|i| (i as f32).cos()).collect()).unwrap();
         let mut x_next = x_prev.clone();
@@ -561,9 +560,10 @@ mod tests {
 
         let (got, ops_cnt) = delta_aggregation(&dac.delta_ac, &x_next, &ac_prev, &dx0).unwrap();
         // Reference: A_C^{t+1}·X^{t+1} − A_C^t·X^t.
-        let want = ops::spmm(&ac_next, &x_next)
+        let want = ops::spmm_with_stats(&ac_next, &x_next)
             .unwrap()
-            .sub(&ops::spmm(&ac_prev, &x_prev).unwrap())
+            .0
+            .sub(&ops::spmm_with_stats(&ac_prev, &x_prev).unwrap().0)
             .unwrap();
         assert!(got.approx_eq(&want, 1e-3), "max diff {}", got.max_abs_diff(&want).unwrap());
         assert!(ops_cnt.mults > 0);
@@ -684,7 +684,7 @@ mod tests {
     }
 
     fn power(m: &CsrMatrix, i: usize) -> CsrMatrix {
-        if i == 0 { CsrMatrix::identity(m.rows()) } else { ops::sp_pow(m, i as u32).unwrap() }
+        if i == 0 { CsrMatrix::identity(m.rows()) } else { ops::sp_pow_with_stats(m, i as u32).unwrap().0 }
     }
 
     /// The pairwise-fold evaluation the one-pass term sum replaced: each

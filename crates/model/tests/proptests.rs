@@ -53,8 +53,8 @@ proptest! {
         let a_next = Normalization::Symmetric.apply(snaps[1].adjacency());
         let delta = ops::sp_sub(&a_next, &a_prev).unwrap().pruned(0.0);
         let want = ops::sp_sub(
-            &ops::sp_pow(&a_next, layers).unwrap(),
-            &ops::sp_pow(&a_prev, layers).unwrap(),
+            &ops::sp_pow_with_stats(&a_next, layers).unwrap().0,
+            &ops::sp_pow_with_stats(&a_prev, layers).unwrap().0,
         )
         .unwrap()
         .pruned(0.0);
@@ -84,7 +84,7 @@ proptest! {
         let a = Normalization::Symmetric.apply(dg.initial().adjacency());
         let layered = model.gcn().forward(&a, dg.initial().features()).unwrap();
         let (wc, _) = fusion::fuse_weights(model.gcn()).unwrap();
-        let (ac, _) = fusion::fuse_adjacency(&a, layers as u32).unwrap();
+        let (ac, _) = ops::sp_pow_with_stats(&a, layers as u32).unwrap();
         let (fused, _, _) =
             fusion::fused_forward(&ac, dg.initial().features(), &wc, Activation::Linear).unwrap();
         prop_assert!(

@@ -10,9 +10,10 @@
 //! * graph snapshots `A^t` and dissimilarity matrices `ΔA` are [`CsrMatrix`]
 //!   (the PE's Graph Structure Buffer stores CSR, §V-B);
 //! * feature and weight matrices are [`DenseMatrix`];
-//! * every kernel has a `_with_stats` variant reporting exact multiply/add
-//!   counts ([`ops::OpStats`]), because the paper's simulator derives time and
-//!   energy from operation and access counts (§VI-A).
+//! * each kernel has one entry point in [`ops`], and every one that
+//!   multiplies returns its exact multiply/add counts ([`ops::OpStats`]),
+//!   because the paper's simulator derives time and energy from operation
+//!   and access counts (§VI-A).
 //!
 //! ## Example
 //!
@@ -28,11 +29,12 @@
 //!     coo.push_symmetric(i, (i + 1) % 4, 1.0)?;
 //! }
 //! let a = coo.to_csr();
-//! let a2 = ops::sp_pow(&a, 2)?;
+//! let (a2, pow_ops) = ops::sp_pow_with_stats(&a, 2)?;
 //! let x = DenseMatrix::filled(4, 8, 1.0);
-//! let agg = ops::spmm(&a2, &x)?;
+//! let agg = ops::spmm_with_stats(&a2, &x)?.0;
 //! assert_eq!(a2.get(0, 0), 2.0); // two 2-hop paths back to each vertex
 //! assert_eq!(agg.get(0, 0), 4.0); // row sum of A² on the 4-ring
+//! assert_eq!(pow_ops.mults, 16); // one SpGEMM: 4 rows × 2 neighbours × 2
 //! # Ok(())
 //! # }
 //! ```
@@ -54,4 +56,3 @@ pub use dense::DenseMatrix;
 pub use error::{Result, SparseError};
 pub use stats::OpStats;
 pub use parallel::Parallelism;
-pub use workspace::Workspace;

@@ -1,26 +1,23 @@
 //! Sparse arithmetic kernels: SpGEMM, SpMM, sparse addition, matrix powers.
 //!
-//! Every kernel has a `_with_stats` variant exposing the exact number of
-//! scalar multiply and add operations performed ([`OpStats`]). The accelerator
-//! model uses these counts directly — the paper's simulator "monitors the
-//! number of arithmetic operations" (§VI-A), and so do we.
+//! Each op has one entry point: [`spgemm_with_stats`], [`spmm_with_stats`],
+//! [`gemm_with_stats`], [`sp_pow_with_stats`], [`sp_add`], [`sp_sub`],
+//! [`sp_sub_pruned`] and [`sp_sum_pruned`]. Every entry that multiplies
+//! returns the exact number of scalar multiply and add operations it
+//! performed ([`OpStats`]; callers that drop them write `?.0`). The
+//! accelerator model uses these counts directly — the paper's simulator
+//! "monitors the number of arithmetic operations" (§VI-A), and so do we.
 //!
 //! ## Execution modes
 //!
-//! Each kernel exists in three forms with **bit-identical** results:
-//!
-//! * `kernel(..)` / `kernel_with_stats(..)` — dispatching entry points: they
-//!   run the row-blocked parallel path when [`parallel::current`] selects
-//!   more than one thread *and* the output has at least
-//!   [`parallel::PARALLEL_MIN_ROWS`] rows, else the serial path;
-//! * `kernel_serial_with_stats(..)` — the legacy serial implementation,
-//!   always callable so equivalence stays testable;
-//! * `kernel_par_with_stats(.., par)` — the explicit row-blocked parallel
-//!   implementation (no size threshold).
-//!
-//! Determinism: rows are computed by the same per-row code in every mode and
-//! merged in ascending row-block order; the only cross-block reduction is the
-//! exact integer [`OpStats`] fold. See DESIGN.md §7.
+//! Every entry runs the row-blocked parallel path when [`parallel::current`]
+//! selects more than one thread *and* the output has at least
+//! [`parallel::PARALLEL_MIN_ROWS`] rows, else the serial path. Both are
+//! **bit-identical**: rows are computed by the same per-row code in every
+//! mode and merged in ascending row-block order; the only cross-block
+//! reduction is the exact integer [`OpStats`] fold. See DESIGN.md §7. The
+//! hidden `reference` module holds what only tests need: forced worker
+//! counts and the scalar oracles.
 //!
 //! ## Allocation discipline
 //!
@@ -49,7 +46,7 @@
 //! [`sp_sum_pruned`] reuses the same SPA and emission to add `k` CSR terms
 //! in one pass — the `ΔA_C` term sum of Eqs. 13/15.
 //!
-//! The scalar reference (`*_scalar_*` entry points) keeps the explicit
+//! The scalar reference (`reference::spgemm_scalar`) keeps the explicit
 //! two-phase structure the fused pass superseded, including its *cache
 //! blocking*: symbolic and numeric passes interleave in blocks of at most
 //! [`CACHE_BLOCK_ENTRIES`] output entries so the numeric re-walk of the
@@ -63,7 +60,7 @@ use crate::parallel::{self, Parallelism};
 use crate::workspace::{self, Workspace};
 use crate::{CsrMatrix, DenseMatrix};
 
-/// The parallelism the dispatching entry points use for an output with
+/// The parallelism the kernel entry points use for an output with
 /// `rows` rows: the ambient [`parallel::current`] selection, demoted to
 /// serial below the [`parallel::PARALLEL_MIN_ROWS`] threshold.
 fn auto_parallelism(rows: usize) -> Parallelism {
@@ -390,65 +387,14 @@ fn spgemm_row_numeric_scalar(
     }
 }
 
-/// Sparse × sparse matrix product (Gustavson's row-wise SpGEMM).
-///
-/// Dispatches between the serial and row-blocked parallel paths (see the
-/// module docs); both produce bit-identical results.
-///
-/// # Errors
-///
-/// Returns [`SparseError::DimensionMismatch`] if `a.cols() != b.rows()`.
-pub fn spgemm(a: &CsrMatrix, b: &CsrMatrix) -> Result<CsrMatrix> {
-    spgemm_with_stats(a, b).map(|(m, _)| m)
-}
-
-/// Sparse × sparse product together with exact op counts (dispatching).
+/// Sparse × sparse matrix product (Gustavson's row-wise SpGEMM) together
+/// with its exact op counts.
 ///
 /// # Errors
 ///
 /// Returns [`SparseError::DimensionMismatch`] if `a.cols() != b.rows()`.
 pub fn spgemm_with_stats(a: &CsrMatrix, b: &CsrMatrix) -> Result<(CsrMatrix, OpStats)> {
-    spgemm_par_with_stats(a, b, auto_parallelism(a.rows()))
-}
-
-/// Sparse × sparse product on the legacy serial path.
-///
-/// # Errors
-///
-/// Returns [`SparseError::DimensionMismatch`] if `a.cols() != b.rows()`.
-// lint: allow(opstats-flow) -- serial reference path; only the parallel-equivalence tests run it
-pub fn spgemm_serial_with_stats(a: &CsrMatrix, b: &CsrMatrix) -> Result<(CsrMatrix, OpStats)> {
-    spgemm_par_with_stats(a, b, Parallelism::serial())
-}
-
-/// Sparse × sparse product with an explicit worker count.
-///
-/// # Errors
-///
-/// Returns [`SparseError::DimensionMismatch`] if `a.cols() != b.rows()`.
-pub fn spgemm_par_with_stats(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    par: Parallelism,
-) -> Result<(CsrMatrix, OpStats)> {
-    spgemm_par_impl::<true>(a, b, par)
-}
-
-/// Sparse × sparse product forced onto the *scalar* numeric pass — the
-/// reference the default chunked path is proven bit-identical to (see
-/// [`crate::simd`] and `tests/proptests.rs`). Accepts any worker count so
-/// the equivalence holds per parallel configuration, not just serially.
-///
-/// # Errors
-///
-/// Returns [`SparseError::DimensionMismatch`] if `a.cols() != b.rows()`.
-// lint: allow(opstats-flow) -- scalar reference path; only the chunked-equivalence tests run it
-pub fn spgemm_scalar_with_stats(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    par: Parallelism,
-) -> Result<(CsrMatrix, OpStats)> {
-    spgemm_par_impl::<false>(a, b, par)
+    spgemm_par_impl::<true>(a, b, auto_parallelism(a.rows()))
 }
 
 fn spgemm_par_impl<const CHUNKED: bool>(
@@ -472,34 +418,6 @@ fn spgemm_par_impl<const CHUNKED: bool>(
         |range| spgemm_block::<CHUNKED>(a, b, range),
     );
     Ok(assemble_csr(a.rows(), b.cols(), blocks))
-}
-
-/// Sparse × sparse product on the serial path with a caller-owned
-/// [`Workspace`], bypassing the global workspace pool.
-///
-/// Bit-identical to every other `spgemm` entry point regardless of what the
-/// workspace was previously used for (property-tested); lets a tight loop
-/// keep one arena hot without pool round-trips.
-///
-/// # Errors
-///
-/// Returns [`SparseError::DimensionMismatch`] if `a.cols() != b.rows()`.
-// lint: allow(opstats-flow) -- caller-owned-arena reference path; only the workspace-reuse equivalence tests run it
-pub fn spgemm_with_workspace(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    ws: &mut Workspace,
-) -> Result<(CsrMatrix, OpStats)> {
-    if a.cols() != b.rows() {
-        return Err(SparseError::DimensionMismatch {
-            op: "spgemm",
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
-    }
-    let block = spgemm_block_in::<true>(a, b, 0..a.rows(), ws);
-    // lint: allow(hot-path-alloc) -- one-element block list per call, consumed by assemble_csr
-    Ok(assemble_csr(a.rows(), b.cols(), vec![block]))
 }
 
 /// The two-pointer row-merge inner loop of `sp_axpby` over one contiguous
@@ -568,38 +486,10 @@ fn sp_axpby_block<const PRUNE: bool>(
     block
 }
 
-/// Linear combination of two sparse matrices: `alpha * a + beta * b`
-/// (dispatching; see the module docs).
-///
-/// # Errors
-///
-/// Returns [`SparseError::DimensionMismatch`] if shapes differ.
-pub fn sp_axpby(alpha: f32, a: &CsrMatrix, beta: f32, b: &CsrMatrix) -> Result<CsrMatrix> {
-    sp_axpby_par(alpha, a, beta, b, auto_parallelism(a.rows()))
-}
-
-/// Linear combination on the legacy serial path.
-///
-/// # Errors
-///
-/// Returns [`SparseError::DimensionMismatch`] if shapes differ.
-pub fn sp_axpby_serial(alpha: f32, a: &CsrMatrix, beta: f32, b: &CsrMatrix) -> Result<CsrMatrix> {
-    sp_axpby_par(alpha, a, beta, b, Parallelism::serial())
-}
-
-/// Linear combination with an explicit worker count.
-///
-/// # Errors
-///
-/// Returns [`SparseError::DimensionMismatch`] if shapes differ.
-pub fn sp_axpby_par(
-    alpha: f32,
-    a: &CsrMatrix,
-    beta: f32,
-    b: &CsrMatrix,
-    par: Parallelism,
-) -> Result<CsrMatrix> {
-    sp_axpby_par_impl::<false>(alpha, a, beta, b, par)
+/// Linear combination of two sparse matrices: `alpha * a + beta * b`, the
+/// merge behind [`sp_add`] and [`sp_sub`].
+fn sp_axpby(alpha: f32, a: &CsrMatrix, beta: f32, b: &CsrMatrix) -> Result<CsrMatrix> {
+    sp_axpby_par_impl::<false>(alpha, a, beta, b, auto_parallelism(a.rows()))
 }
 
 fn sp_axpby_par_impl<const PRUNE: bool>(
@@ -791,17 +681,6 @@ pub fn sp_sum_pruned(terms: &[&CsrMatrix], prefix_nnz: &mut [usize]) -> Result<C
     Ok(out)
 }
 
-/// Sparse × dense product (SpMM): `a * x` where `x` is dense.
-///
-/// This is the GNN *aggregation* kernel: `A · X`.
-///
-/// # Errors
-///
-/// Returns [`SparseError::DimensionMismatch`] if `a.cols() != x.rows()`.
-pub fn spmm(a: &CsrMatrix, x: &DenseMatrix) -> Result<DenseMatrix> {
-    spmm_with_stats(a, x).map(|(m, _)| m)
-}
-
 /// The SpMM inner loop over one contiguous row block, returning the dense
 /// output rows of the block — the same code path in every execution mode.
 /// `CHUNKED` selects the vectorizable AXPY in [`crate::simd`] (the default)
@@ -836,51 +715,14 @@ fn spmm_block<const CHUNKED: bool>(
     (out, stats)
 }
 
-/// Sparse × dense product together with exact op counts (dispatching).
+/// Sparse × dense product (SpMM) `a · x` together with its exact op
+/// counts — the GNN *aggregation* kernel `A · X`.
 ///
 /// # Errors
 ///
 /// Returns [`SparseError::DimensionMismatch`] if `a.cols() != x.rows()`.
 pub fn spmm_with_stats(a: &CsrMatrix, x: &DenseMatrix) -> Result<(DenseMatrix, OpStats)> {
-    spmm_par_with_stats(a, x, auto_parallelism(a.rows()))
-}
-
-/// Sparse × dense product on the legacy serial path.
-///
-/// # Errors
-///
-/// Returns [`SparseError::DimensionMismatch`] if `a.cols() != x.rows()`.
-// lint: allow(opstats-flow) -- serial reference path; only the parallel-equivalence tests run it
-pub fn spmm_serial_with_stats(a: &CsrMatrix, x: &DenseMatrix) -> Result<(DenseMatrix, OpStats)> {
-    spmm_par_with_stats(a, x, Parallelism::serial())
-}
-
-/// Sparse × dense product with an explicit worker count.
-///
-/// # Errors
-///
-/// Returns [`SparseError::DimensionMismatch`] if `a.cols() != x.rows()`.
-pub fn spmm_par_with_stats(
-    a: &CsrMatrix,
-    x: &DenseMatrix,
-    par: Parallelism,
-) -> Result<(DenseMatrix, OpStats)> {
-    spmm_par_impl::<true>(a, x, par)
-}
-
-/// Sparse × dense product forced onto the *scalar* inner loop — the
-/// reference the default chunked AXPY is proven bit-identical to.
-///
-/// # Errors
-///
-/// Returns [`SparseError::DimensionMismatch`] if `a.cols() != x.rows()`.
-// lint: allow(opstats-flow) -- scalar reference path; only the chunked-equivalence tests run it
-pub fn spmm_scalar_with_stats(
-    a: &CsrMatrix,
-    x: &DenseMatrix,
-    par: Parallelism,
-) -> Result<(DenseMatrix, OpStats)> {
-    spmm_par_impl::<false>(a, x, par)
+    spmm_par_impl::<true>(a, x, auto_parallelism(a.rows()))
 }
 
 fn spmm_par_impl<const CHUNKED: bool>(
@@ -923,18 +765,8 @@ fn spmm_par_impl<const CHUNKED: bool>(
     Ok((out, stats))
 }
 
-/// `L`-th power of a square sparse matrix by repeated SpGEMM.
-///
-/// `pow(a, 0)` is the identity.
-///
-/// # Errors
-///
-/// Returns [`SparseError::NotSquare`] if `a` is rectangular.
-pub fn sp_pow(a: &CsrMatrix, l: u32) -> Result<CsrMatrix> {
-    sp_pow_with_stats(a, l).map(|(m, _)| m)
-}
-
-/// `L`-th power together with accumulated op counts.
+/// `L`-th power of a square sparse matrix by repeated SpGEMM, together
+/// with the accumulated op counts. `pow(a, 0)` is the identity.
 ///
 /// Uses the naive left-to-right chain (`A·A·…·A`) rather than
 /// square-and-multiply: the chain matches the layer-by-layer receptive-field
@@ -946,7 +778,7 @@ pub fn sp_pow(a: &CsrMatrix, l: u32) -> Result<CsrMatrix> {
 /// # Errors
 ///
 /// Returns [`SparseError::NotSquare`] if `a` is rectangular.
-// lint: allow(opstats-flow) -- feeds fusion::fuse_adjacency, today a test-validated reference; wire to the executor before shipping
+// lint: allow(opstats-flow) -- the executor never forms Â^L (Eqs. 13/15 chain ΔA instead); only oracles and the walkthrough call it
 pub fn sp_pow_with_stats(a: &CsrMatrix, l: u32) -> Result<(CsrMatrix, OpStats)> {
     if a.rows() != a.cols() {
         return Err(SparseError::NotSquare { shape: a.shape() });
@@ -976,8 +808,78 @@ pub fn gemm_with_stats(a: &DenseMatrix, b: &DenseMatrix) -> Result<(DenseMatrix,
     Ok((out, OpStats::counted(m * n * k, m * n * k.saturating_sub(1))))
 }
 
+/// Entry points only tests need; each fails as the production entry it
+/// mirrors does.
+///
+/// The `*_at` functions run the production code at `par` workers with no
+/// [`parallel::PARALLEL_MIN_ROWS`] threshold, so small inputs still take the
+/// row-blocked path; `Parallelism::serial()` gives the serial run. The
+/// `*_scalar` functions run the scalar inner loops the default chunked
+/// (and, for SpGEMM, fused) paths are proven bit-identical to, at any
+/// worker count.
+#[doc(hidden)]
+pub mod reference {
+    use super::*;
+
+    /// [`spgemm_with_stats`] at an explicit worker count.
+    // lint: allow(opstats-flow) -- forced-worker-count path; only the parallel-equivalence tests run it
+    pub fn spgemm_at(
+        a: &CsrMatrix,
+        b: &CsrMatrix,
+        par: Parallelism,
+    ) -> Result<(CsrMatrix, OpStats)> {
+        spgemm_par_impl::<true>(a, b, par)
+    }
+
+    /// [`spmm_with_stats`] at an explicit worker count.
+    // lint: allow(opstats-flow) -- forced-worker-count path; only the parallel-equivalence tests run it
+    pub fn spmm_at(
+        a: &CsrMatrix,
+        x: &DenseMatrix,
+        par: Parallelism,
+    ) -> Result<(DenseMatrix, OpStats)> {
+        spmm_par_impl::<true>(a, x, par)
+    }
+
+    /// The `alpha * a + beta * b` merge behind [`sp_add`] and [`sp_sub`] at
+    /// an explicit worker count.
+    pub fn sp_axpby_at(
+        alpha: f32,
+        a: &CsrMatrix,
+        beta: f32,
+        b: &CsrMatrix,
+        par: Parallelism,
+    ) -> Result<CsrMatrix> {
+        sp_axpby_par_impl::<false>(alpha, a, beta, b, par)
+    }
+
+    /// SpGEMM on the cache-blocked two-phase *scalar* pass — the oracle the
+    /// fused chunked path is proven bit-identical to (see [`crate::simd`]
+    /// and `tests/proptests.rs`).
+    // lint: allow(opstats-flow) -- scalar oracle; only the chunked-equivalence tests run it
+    pub fn spgemm_scalar(
+        a: &CsrMatrix,
+        b: &CsrMatrix,
+        par: Parallelism,
+    ) -> Result<(CsrMatrix, OpStats)> {
+        spgemm_par_impl::<false>(a, b, par)
+    }
+
+    /// SpMM on the *scalar* inner loop — the oracle the chunked AXPY is
+    /// proven bit-identical to.
+    // lint: allow(opstats-flow) -- scalar oracle; only the chunked-equivalence tests run it
+    pub fn spmm_scalar(
+        a: &CsrMatrix,
+        x: &DenseMatrix,
+        par: Parallelism,
+    ) -> Result<(DenseMatrix, OpStats)> {
+        spmm_par_impl::<false>(a, x, par)
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::*;
     use super::*;
     use crate::CooMatrix;
 
@@ -993,7 +895,7 @@ mod tests {
     fn spgemm_matches_dense() {
         let a = path_graph(5);
         let b = path_graph(5);
-        let s = spgemm(&a, &b).unwrap();
+        let s = spgemm_with_stats(&a, &b).unwrap().0;
         let d = a.to_dense().matmul(&b.to_dense()).unwrap();
         assert!(s.to_dense().approx_eq(&d, 1e-5));
     }
@@ -1002,15 +904,15 @@ mod tests {
     fn spgemm_identity() {
         let a = path_graph(4);
         let i = CsrMatrix::identity(4);
-        assert_eq!(spgemm(&a, &i).unwrap(), a);
-        assert_eq!(spgemm(&i, &a).unwrap(), a);
+        assert_eq!(spgemm_with_stats(&a, &i).unwrap().0, a);
+        assert_eq!(spgemm_with_stats(&i, &a).unwrap().0, a);
     }
 
     #[test]
     fn spgemm_dimension_mismatch() {
         let a = CsrMatrix::zeros(2, 3);
         let b = CsrMatrix::zeros(2, 3);
-        assert!(matches!(spgemm(&a, &b), Err(SparseError::DimensionMismatch { .. })));
+        assert!(matches!(spgemm_with_stats(&a, &b), Err(SparseError::DimensionMismatch { .. })));
     }
 
     #[test]
@@ -1071,7 +973,7 @@ mod tests {
     fn spmm_matches_dense() {
         let a = path_graph(5);
         let x = DenseMatrix::from_vec(5, 3, (0..15).map(|i| i as f32 * 0.5).collect()).unwrap();
-        let y = spmm(&a, &x).unwrap();
+        let y = spmm_with_stats(&a, &x).unwrap().0;
         let d = a.to_dense().matmul(&x).unwrap();
         assert!(y.approx_eq(&d, 1e-5));
     }
@@ -1080,7 +982,7 @@ mod tests {
     fn spmm_dimension_mismatch() {
         let a = CsrMatrix::zeros(2, 3);
         let x = DenseMatrix::zeros(5, 2);
-        assert!(spmm(&a, &x).is_err());
+        assert!(spmm_with_stats(&a, &x).is_err());
     }
 
     #[test]
@@ -1094,13 +996,13 @@ mod tests {
     #[test]
     fn sp_pow_zero_is_identity() {
         let a = path_graph(4);
-        assert_eq!(sp_pow(&a, 0).unwrap(), CsrMatrix::identity(4));
+        assert_eq!(sp_pow_with_stats(&a, 0).unwrap().0, CsrMatrix::identity(4));
     }
 
     #[test]
     fn sp_pow_matches_dense_power() {
         let a = path_graph(5);
-        let p3 = sp_pow(&a, 3).unwrap();
+        let p3 = sp_pow_with_stats(&a, 3).unwrap().0;
         let d = a.to_dense();
         let d3 = d.matmul(&d).unwrap().matmul(&d).unwrap();
         assert!(p3.to_dense().approx_eq(&d3, 1e-4));
@@ -1109,7 +1011,7 @@ mod tests {
     #[test]
     fn sp_pow_requires_square() {
         let a = CsrMatrix::zeros(2, 3);
-        assert!(matches!(sp_pow(&a, 2), Err(SparseError::NotSquare { .. })));
+        assert!(matches!(sp_pow_with_stats(&a, 2), Err(SparseError::NotSquare { .. })));
     }
 
     #[test]
@@ -1162,9 +1064,9 @@ mod tests {
     fn spgemm_parallel_is_bit_identical_to_serial() {
         let a = random_sparse(97, 600, 1);
         let b = random_sparse(97, 500, 2);
-        let (serial, st_s) = spgemm_serial_with_stats(&a, &b).unwrap();
+        let (serial, st_s) = spgemm_at(&a, &b, Parallelism::serial()).unwrap();
         for threads in [2, 3, 8, 97, 200] {
-            let (par, st_p) = spgemm_par_with_stats(&a, &b, Parallelism::new(threads)).unwrap();
+            let (par, st_p) = spgemm_at(&a, &b, Parallelism::new(threads)).unwrap();
             assert_csr_identical(&serial, &par);
             assert_eq!(st_s, st_p, "threads={threads}");
         }
@@ -1174,9 +1076,9 @@ mod tests {
     fn sp_axpby_parallel_is_bit_identical_to_serial() {
         let a = random_sparse(80, 400, 3);
         let b = random_sparse(80, 300, 4);
-        let serial = sp_axpby_serial(1.5, &a, -0.25, &b).unwrap();
+        let serial = sp_axpby_at(1.5, &a, -0.25, &b, Parallelism::serial()).unwrap();
         for threads in [2, 5, 80] {
-            let par = sp_axpby_par(1.5, &a, -0.25, &b, Parallelism::new(threads)).unwrap();
+            let par = sp_axpby_at(1.5, &a, -0.25, &b, Parallelism::new(threads)).unwrap();
             assert_csr_identical(&serial, &par);
         }
     }
@@ -1190,9 +1092,9 @@ mod tests {
             (0..90 * 7).map(|i| (i as f32 * 0.37).sin()).collect(),
         )
         .unwrap();
-        let (serial, st_s) = spmm_serial_with_stats(&a, &x).unwrap();
+        let (serial, st_s) = spmm_at(&a, &x, Parallelism::serial()).unwrap();
         for threads in [2, 4, 90] {
-            let (par, st_p) = spmm_par_with_stats(&a, &x, Parallelism::new(threads)).unwrap();
+            let (par, st_p) = spmm_at(&a, &x, Parallelism::new(threads)).unwrap();
             assert_eq!(bits(serial.as_slice()), bits(par.as_slice()), "threads={threads}");
             assert_eq!(st_s, st_p);
         }
@@ -1201,11 +1103,11 @@ mod tests {
     #[test]
     fn parallel_kernels_handle_empty_and_tiny_inputs() {
         let empty = CsrMatrix::zeros(0, 0);
-        let (m, st) = spgemm_par_with_stats(&empty, &empty, Parallelism::new(4)).unwrap();
+        let (m, st) = spgemm_at(&empty, &empty, Parallelism::new(4)).unwrap();
         assert_eq!(m.shape(), (0, 0));
         assert_eq!(st, OpStats::default());
         let one = CsrMatrix::identity(1);
-        let (m, _) = spgemm_par_with_stats(&one, &one, Parallelism::new(4)).unwrap();
+        let (m, _) = spgemm_at(&one, &one, Parallelism::new(4)).unwrap();
         assert_eq!(m, one);
     }
 
@@ -1250,18 +1152,22 @@ mod tests {
     }
 
     #[test]
-    fn spgemm_with_workspace_matches_pooled_path() {
+    fn one_workspace_reused_across_shapes_matches_the_pooled_path() {
         let a = random_sparse(70, 500, 9);
         let b = random_sparse(70, 450, 10);
-        let (reference, st_ref) = spgemm_serial_with_stats(&a, &b).unwrap();
+        let (reference, st_ref) = spgemm_at(&a, &b, Parallelism::serial()).unwrap();
         let mut ws = Workspace::new();
         // Reuse the same arena across calls of different shapes in between.
         let small = random_sparse(5, 10, 11);
+        let mut run = |x: &CsrMatrix, y: &CsrMatrix| {
+            let block = spgemm_block_in::<true>(x, y, 0..x.rows(), &mut ws);
+            assemble_csr(x.rows(), y.cols(), vec![block])
+        };
         for _ in 0..3 {
-            let (m, st) = spgemm_with_workspace(&a, &b, &mut ws).unwrap();
+            let (m, st) = run(&a, &b);
             assert_csr_identical(&reference, &m);
             assert_eq!(st, st_ref);
-            let _ = spgemm_with_workspace(&small, &small, &mut ws).unwrap();
+            let _ = run(&small, &small);
         }
     }
 
@@ -1277,8 +1183,8 @@ mod tests {
     fn sp_pow_stats_equal_chained_spgemm_stats() {
         let a = random_sparse(40, 200, 12);
         let (p3, st3) = sp_pow_with_stats(&a, 3).unwrap();
-        let (step2, s2) = spgemm_serial_with_stats(&a, &a).unwrap();
-        let (step3, s3) = spgemm_serial_with_stats(&step2, &a).unwrap();
+        let (step2, s2) = spgemm_with_stats(&a, &a).unwrap();
+        let (step3, s3) = spgemm_with_stats(&step2, &a).unwrap();
         assert_csr_identical(&p3, &step3);
         assert_eq!(st3, s2 + s3);
     }
@@ -1291,8 +1197,8 @@ mod tests {
         let b = random_sparse(300, 18_000, 78);
         for threads in [1usize, 4] {
             let par = Parallelism::new(threads);
-            let (scalar, st_s) = spgemm_scalar_with_stats(&a, &b, par).unwrap();
-            let (chunked, st_c) = spgemm_par_with_stats(&a, &b, par).unwrap();
+            let (scalar, st_s) = spgemm_scalar(&a, &b, par).unwrap();
+            let (chunked, st_c) = spgemm_at(&a, &b, par).unwrap();
             assert_csr_identical(&scalar, &chunked);
             assert_eq!(st_s, st_c, "threads={threads}");
         }
@@ -1311,8 +1217,8 @@ mod tests {
             .unwrap();
             for threads in [1usize, 4] {
                 let par = Parallelism::new(threads);
-                let (scalar, st_s) = spmm_scalar_with_stats(&a, &x, par).unwrap();
-                let (chunked, st_c) = spmm_par_with_stats(&a, &x, par).unwrap();
+                let (scalar, st_s) = spmm_scalar(&a, &x, par).unwrap();
+                let (chunked, st_c) = spmm_at(&a, &x, par).unwrap();
                 assert_eq!(bits(scalar.as_slice()), bits(chunked.as_slice()), "k={k}");
                 assert_eq!(st_s, st_c);
             }
@@ -1322,7 +1228,6 @@ mod tests {
     #[test]
     fn cache_blocking_is_invisible_in_the_output() {
         // An output far larger than one cache block must still be identical
-        // to the with-workspace path (which runs the same batched code) and
         // to the scalar reference.
         let a = random_sparse(400, 30_000, 81);
         let (chunked, st_c) = spgemm_with_stats(&a, &a).unwrap();
@@ -1331,7 +1236,7 @@ mod tests {
             "test needs multiple cache blocks, got {} entries",
             chunked.nnz()
         );
-        let (scalar, st_s) = spgemm_scalar_with_stats(&a, &a, Parallelism::serial()).unwrap();
+        let (scalar, st_s) = spgemm_scalar(&a, &a, Parallelism::serial()).unwrap();
         assert_csr_identical(&scalar, &chunked);
         assert_eq!(st_s, st_c);
     }
@@ -1344,8 +1249,8 @@ mod tests {
         coo.push_symmetric(0, 3, 1.0).unwrap();
         coo.push_symmetric(2, 5, 1.0).unwrap();
         let b = coo.to_csr();
-        let lhs = spgemm(&a, &b).unwrap().transpose();
-        let rhs = spgemm(&b.transpose(), &a.transpose()).unwrap();
+        let lhs = spgemm_with_stats(&a, &b).unwrap().0.transpose();
+        let rhs = spgemm_with_stats(&b.transpose(), &a.transpose()).unwrap().0;
         assert!(lhs.approx_eq(&rhs, 1e-6));
     }
 
@@ -1376,7 +1281,7 @@ mod tests {
         let mut acc = terms[0].clone();
         let mut want_prefix = vec![acc.nnz()];
         for t in &terms[1..] {
-            acc = sp_axpby_serial(1.0, &acc, 1.0, t).unwrap();
+            acc = sp_axpby_at(1.0, &acc, 1.0, t, Parallelism::serial()).unwrap();
             want_prefix.push(acc.nnz());
         }
         let want = acc.pruned(0.0);

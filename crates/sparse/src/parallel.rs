@@ -27,9 +27,9 @@ use std::sync::Mutex;
 /// Environment variable holding the process-wide default thread count.
 pub const PARALLELISM_ENV: &str = "IDGNN_PARALLELISM";
 
-/// Minimum number of rows before the dispatching kernel entry points
-/// ([`crate::ops::spgemm`] and friends) switch to the blocked parallel path.
-/// Explicit `*_par` calls ignore this threshold.
+/// Minimum number of rows before the kernel entry points in [`crate::ops`]
+/// switch to the blocked parallel path. The test-only `ops::reference::*_at`
+/// entries, which take an explicit worker count, ignore this threshold.
 pub const PARALLEL_MIN_ROWS: usize = 128;
 
 /// A worker-count selection (always ≥ 1).
@@ -111,7 +111,7 @@ pub fn set_process_default(par: Parallelism) {
     PROCESS_DEFAULT.store(par.threads(), Ordering::Relaxed);
 }
 
-/// The parallelism the *dispatching* kernel entry points use on this thread:
+/// The parallelism the [`crate::ops`] kernel entry points use on this thread:
 /// the innermost [`kernel_scope`] override, else the process default
 /// (resolved from the environment on first use).
 pub fn current() -> Parallelism {
@@ -278,7 +278,7 @@ where
 ///
 /// Worker threads are freshly spawned per call and carry no thread-local
 /// state, which is why the kernel closures check their scratch
-/// [`Workspace`](crate::Workspace) out of the global
+/// [`Workspace`](crate::workspace::Workspace) out of the global
 /// [`workspace`](crate::workspace) pool (one checkout per block) instead of
 /// relying on thread-locals that would die with the scope.
 ///

@@ -15,7 +15,8 @@
 #![cfg(feature = "schedule-perturbation")]
 
 use idgnn_sparse::parallel::perturb;
-use idgnn_sparse::{ops, CooMatrix, CsrMatrix, DenseMatrix, Parallelism};
+use idgnn_sparse::ops::reference;
+use idgnn_sparse::{CooMatrix, CsrMatrix, DenseMatrix, Parallelism};
 use proptest::prelude::*;
 
 /// Adversarial schedules tried per kernel invocation (seeds `0..SEEDS`).
@@ -52,10 +53,10 @@ proptest! {
         b in sparse_square(12, 60),
     ) {
         let par = Parallelism::new(THREADS);
-        let (s, s_st) = ops::spgemm_serial_with_stats(&a, &b).unwrap();
+        let (s, s_st) = reference::spgemm_at(&a, &b, Parallelism::serial()).unwrap();
         for seed in 0..SEEDS {
             let _scope = perturb::scoped(seed);
-            let (p, p_st) = ops::spgemm_par_with_stats(&a, &b, par).unwrap();
+            let (p, p_st) = reference::spgemm_at(&a, &b, par).unwrap();
             prop_assert_eq!(s.indptr(), p.indptr(), "seed {}", seed);
             prop_assert_eq!(s.indices(), p.indices(), "seed {}", seed);
             prop_assert_eq!(bits(s.values()), bits(p.values()), "seed {}", seed);
@@ -70,10 +71,10 @@ proptest! {
     ) {
         let x = DenseMatrix::from_vec(12, 9, xs).unwrap();
         let par = Parallelism::new(THREADS);
-        let (s, s_st) = ops::spmm_scalar_with_stats(&a, &x, Parallelism::serial()).unwrap();
+        let (s, s_st) = reference::spmm_scalar(&a, &x, Parallelism::serial()).unwrap();
         for seed in 0..SEEDS {
             let _scope = perturb::scoped(seed);
-            let (p, p_st) = ops::spmm_par_with_stats(&a, &x, par).unwrap();
+            let (p, p_st) = reference::spmm_at(&a, &x, par).unwrap();
             prop_assert_eq!(s_st, p_st, "seed {}", seed);
             prop_assert_eq!(bits(s.as_slice()), bits(p.as_slice()), "seed {}", seed);
         }

@@ -4,7 +4,8 @@
 //! (distributivity, transpose-of-product, power expansion) on randomly
 //! generated sparse matrices, with the dense implementation as the oracle.
 
-use idgnn_sparse::{ops, CooMatrix, CsrMatrix, DenseMatrix, OpStats, Workspace};
+use idgnn_sparse::ops::reference;
+use idgnn_sparse::{ops, CooMatrix, CsrMatrix, DenseMatrix, OpStats, Parallelism};
 use proptest::prelude::*;
 
 /// Strategy: random sparse n×n matrix with up to `max_nnz` entries.
@@ -35,6 +36,21 @@ fn symmetric_square(n: usize, max_nnz: usize) -> impl Strategy<Value = CsrMatrix
 
 fn dense_of(m: &CsrMatrix) -> DenseMatrix {
     m.to_dense()
+}
+
+/// `a · b`, dropping the op counts.
+fn mm(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
+    ops::spgemm_with_stats(a, b).unwrap().0
+}
+
+/// `a^l`, dropping the op counts.
+fn pow(a: &CsrMatrix, l: u32) -> CsrMatrix {
+    ops::sp_pow_with_stats(a, l).unwrap().0
+}
+
+/// `a · x`, dropping the op counts.
+fn agg(a: &CsrMatrix, x: &DenseMatrix) -> DenseMatrix {
+    ops::spmm_with_stats(a, x).unwrap().0
 }
 
 fn value_bits(m: &CsrMatrix) -> Vec<u32> {
@@ -124,7 +140,7 @@ proptest! {
 
     #[test]
     fn spgemm_agrees_with_dense(a in sparse_square(7, 20), b in sparse_square(7, 20)) {
-        let s = ops::spgemm(&a, &b).unwrap();
+        let s = mm(&a, &b);
         let d = dense_of(&a).matmul(&dense_of(&b)).unwrap();
         prop_assert!(s.to_dense().approx_eq(&d, 1e-4));
     }
@@ -144,14 +160,14 @@ proptest! {
     #[test]
     fn transpose_of_product(a in sparse_square(6, 18), b in sparse_square(6, 18)) {
         // (AB)ᵀ = BᵀAᵀ — the identity enabling the paper's Eq. 15 optimization.
-        let lhs = ops::spgemm(&a, &b).unwrap().transpose();
-        let rhs = ops::spgemm(&b.transpose(), &a.transpose()).unwrap();
+        let lhs = mm(&a, &b).transpose();
+        let rhs = mm(&b.transpose(), &a.transpose());
         prop_assert!(lhs.approx_eq(&rhs, 1e-4));
     }
 
     #[test]
     fn symmetric_matrices_stay_symmetric_under_power(a in symmetric_square(6, 12)) {
-        let a2 = ops::sp_pow(&a, 2).unwrap();
+        let a2 = pow(&a, 2);
         prop_assert!(a2.is_symmetric(1e-3));
     }
 
@@ -159,10 +175,10 @@ proptest! {
     fn binomial_like_expansion(a in symmetric_square(5, 8), d in symmetric_square(5, 6)) {
         // (A+Δ)² − A² = ΔA + AΔ + Δ² — the L=2 case of the paper's Eq. 13.
         let apd = ops::sp_add(&a, &d).unwrap();
-        let lhs = ops::sp_sub(&ops::sp_pow(&apd, 2).unwrap(), &ops::sp_pow(&a, 2).unwrap()).unwrap();
-        let da = ops::spgemm(&d, &a).unwrap();
-        let ad = ops::spgemm(&a, &d).unwrap();
-        let dd = ops::spgemm(&d, &d).unwrap();
+        let lhs = ops::sp_sub(&pow(&apd, 2), &pow(&a, 2)).unwrap();
+        let da = mm(&d, &a);
+        let ad = mm(&a, &d);
+        let dd = mm(&d, &d);
         let rhs = ops::sp_add(&ops::sp_add(&da, &ad).unwrap(), &dd).unwrap();
         prop_assert!(lhs.approx_eq(&rhs, 1e-3));
     }
@@ -176,8 +192,8 @@ proptest! {
         // (A + B)·X = A·X + B·X — justifies splitting aggregation into
         // dissimilarity and reuse components (Eq. 10).
         let x = DenseMatrix::from_vec(6, 3, xs).unwrap();
-        let lhs = ops::spmm(&ops::sp_add(&a, &b).unwrap(), &x).unwrap();
-        let rhs = ops::spmm(&a, &x).unwrap().add(&ops::spmm(&b, &x).unwrap()).unwrap();
+        let lhs = agg(&ops::sp_add(&a, &b).unwrap(), &x);
+        let rhs = agg(&a, &x).add(&agg(&b, &x)).unwrap();
         prop_assert!(lhs.approx_eq(&rhs, 1e-3));
     }
 
@@ -196,8 +212,8 @@ proptest! {
     ) {
         // A·(B·C) = (A·B)·C within tolerance — justifies reassociating the
         // receptive-field product chain when fusing layers.
-        let lhs = ops::spgemm(&a, &ops::spgemm(&b, &c).unwrap()).unwrap();
-        let rhs = ops::spgemm(&ops::spgemm(&a, &b).unwrap(), &c).unwrap();
+        let lhs = mm(&a, &mm(&b, &c));
+        let rhs = mm(&mm(&a, &b), &c);
         prop_assert!(lhs.approx_eq(&rhs, 1e-3));
     }
 
@@ -211,12 +227,12 @@ proptest! {
         // A, ΔA,  ΔA_C = ΔA·B² + A·(ΔA·B) + (ΔA·A²)ᵀ — five SpGEMMs and one
         // transpose instead of the naive seven-product expansion.
         let b = ops::sp_add(&a, &d).unwrap();
-        let lhs = ops::sp_sub(&ops::sp_pow(&b, 3).unwrap(), &ops::sp_pow(&a, 3).unwrap()).unwrap();
-        let db = ops::spgemm(&d, &b).unwrap();     // product 1: ΔA·B
-        let dbb = ops::spgemm(&db, &b).unwrap();   // product 2: ΔA·B²
-        let adb = ops::spgemm(&a, &db).unwrap();   // product 3: A·ΔA·B
-        let da = ops::spgemm(&d, &a).unwrap();     // product 4: ΔA·A
-        let daa = ops::spgemm(&da, &a).unwrap();   // product 5: ΔA·A²
+        let lhs = ops::sp_sub(&pow(&b, 3), &pow(&a, 3)).unwrap();
+        let db = mm(&d, &b);     // product 1: ΔA·B
+        let dbb = mm(&db, &b);   // product 2: ΔA·B²
+        let adb = mm(&a, &db);   // product 3: A·ΔA·B
+        let da = mm(&d, &a);     // product 4: ΔA·A
+        let daa = mm(&da, &a);   // product 5: ΔA·A²
         let rhs = ops::sp_add(&ops::sp_add(&dbb, &adb).unwrap(), &daa.transpose()).unwrap();
         prop_assert!(lhs.approx_eq(&rhs, 1e-3));
     }
@@ -227,9 +243,9 @@ proptest! {
         b in sparse_square(10, 40),
         threads in 2usize..6,
     ) {
-        let par = idgnn_sparse::Parallelism::new(threads);
-        let (s, s_st) = ops::spgemm_serial_with_stats(&a, &b).unwrap();
-        let (p, p_st) = ops::spgemm_par_with_stats(&a, &b, par).unwrap();
+        let par = Parallelism::new(threads);
+        let (s, s_st) = reference::spgemm_at(&a, &b, Parallelism::serial()).unwrap();
+        let (p, p_st) = reference::spgemm_at(&a, &b, par).unwrap();
         prop_assert_eq!(s.indptr(), p.indptr());
         prop_assert_eq!(s.indices(), p.indices());
         let sv: Vec<u32> = s.values().iter().map(|v| v.to_bits()).collect();
@@ -279,27 +295,30 @@ proptest! {
 
     #[test]
     fn workspace_reuse_is_bit_identical_to_fresh_allocation(
-        pairs in prop::collection::vec((sparse_square(7, 20), sparse_square(7, 20)), 1..5),
+        shapes in prop::collection::vec(
+            (
+                1usize..12,
+                1usize..40,
+                (0usize..6).prop_map(|i| [1usize, 31, 64, 65, 129, 700][i]),
+                0u64..1_000_000,
+            ),
+            2..8,
+        ),
     ) {
-        // One arena recycled across an arbitrary call sequence must produce
-        // exactly what a fresh arena per call (and the pooled dispatch path)
-        // produces — structure, value bits, and stats — regardless of what
-        // the arena held before.
-        let mut shared = Workspace::new();
-        for (a, b) in &pairs {
-            let (reused, reused_st) = ops::spgemm_with_workspace(a, b, &mut shared).unwrap();
-            let mut fresh_ws = Workspace::new();
-            let (fresh, fresh_st) = ops::spgemm_with_workspace(a, b, &mut fresh_ws).unwrap();
-            let (pooled, pooled_st) = ops::spgemm_with_stats(a, b).unwrap();
-            for other in [&fresh, &pooled] {
-                prop_assert_eq!(reused.indptr(), other.indptr());
-                prop_assert_eq!(reused.indices(), other.indices());
-                let rv: Vec<u32> = reused.values().iter().map(|v| v.to_bits()).collect();
-                let ov: Vec<u32> = other.values().iter().map(|v| v.to_bits()).collect();
-                prop_assert_eq!(rv, ov);
-            }
-            prop_assert_eq!(reused_st, fresh_st);
-            prop_assert_eq!(reused_st, pooled_st);
+        // Back-to-back products of different shapes through the pooled
+        // entry point: each call checks out a workspace the previous calls
+        // left behind, sized, stamped and bit-marked for another width. The
+        // result — structure, value bits, and stats — must equal the scalar
+        // two-phase oracle, which sorts each row instead of reading the
+        // column bitmap.
+        for &(m, k, n, seed) in &shapes {
+            let mut rng = Lcg(seed);
+            let a = wide_rows(m, k, &mut rng);
+            let b = wide_rows(k, n, &mut rng);
+            let (pooled, pooled_st) = ops::spgemm_with_stats(&a, &b).unwrap();
+            let (want, want_st) = reference::spgemm_scalar(&a, &b, Parallelism::serial()).unwrap();
+            assert_bit_identical(&want, &pooled);
+            prop_assert_eq!(pooled_st, want_st);
         }
     }
 
@@ -327,7 +346,7 @@ proptest! {
         // `strict-invariants` feature re-asserts at construction sites:
         // monotone indptr, sorted+deduped in-bounds columns, and (for the
         // pruned kernels) no explicit zeros.
-        prop_assert!(ops::spgemm(&a, &b).unwrap().validate().is_ok());
+        prop_assert!(mm(&a, &b).validate().is_ok());
         prop_assert!(ops::sp_add(&a, &b).unwrap().validate().is_ok());
         prop_assert!(a.transpose().validate().is_ok());
         prop_assert!(ops::sp_sub_pruned(&a, &b).unwrap().validate_pruned().is_ok());
@@ -344,9 +363,9 @@ proptest! {
         // against the blocked two-phase scalar reference, at serial and
         // 4-way parallelism: one property pins fusion, chunking, and cache
         // blocking to bit-identical values AND identical OpStats.
-        let par = idgnn_sparse::Parallelism::new(threads);
-        let (s, s_st) = ops::spgemm_scalar_with_stats(&a, &b, par).unwrap();
-        let (c, c_st) = ops::spgemm_par_with_stats(&a, &b, par).unwrap();
+        let par = Parallelism::new(threads);
+        let (s, s_st) = reference::spgemm_scalar(&a, &b, par).unwrap();
+        let (c, c_st) = reference::spgemm_at(&a, &b, par).unwrap();
         prop_assert_eq!(s.indptr(), c.indptr());
         prop_assert_eq!(s.indices(), c.indices());
         let sv: Vec<u32> = s.values().iter().map(|v| v.to_bits()).collect();
@@ -364,9 +383,9 @@ proptest! {
         // Nine feature columns: one full LANES chunk plus a ragged tail, so
         // both the chunked body and the remainder loop are exercised.
         let x = DenseMatrix::from_vec(10, 9, xs).unwrap();
-        let par = idgnn_sparse::Parallelism::new(threads);
-        let (s, s_st) = ops::spmm_scalar_with_stats(&a, &x, par).unwrap();
-        let (c, c_st) = ops::spmm_par_with_stats(&a, &x, par).unwrap();
+        let par = Parallelism::new(threads);
+        let (s, s_st) = reference::spmm_scalar(&a, &x, par).unwrap();
+        let (c, c_st) = reference::spmm_at(&a, &x, par).unwrap();
         prop_assert_eq!(s_st, c_st);
         let sv: Vec<u32> = s.into_vec().iter().map(|v| v.to_bits()).collect();
         let cv: Vec<u32> = c.into_vec().iter().map(|v| v.to_bits()).collect();
@@ -461,24 +480,17 @@ proptest! {
     ) {
         // Output rows discover 0..=cols columns in scrambled order, on both
         // sides of a 64-column word; at 700 columns short rows span many
-        // bitmap words. Every fused path (serial, pooled parallel, caller
-        // workspace) must equal the scalar two-phase reference, which
-        // always sorts.
+        // bitmap words. Every fused path (serial and pooled parallel) must
+        // equal the scalar two-phase reference, which always sorts.
         let mut rng = Lcg(seed);
         let a = wide_rows(10, 12, &mut rng);
         let b = wide_rows(12, cols, &mut rng);
-        let serial = idgnn_sparse::Parallelism::serial();
-        let (want, want_st) = ops::spgemm_scalar_with_stats(&a, &b, serial).unwrap();
+        let (want, want_st) = reference::spgemm_scalar(&a, &b, Parallelism::serial()).unwrap();
         for threads in [1usize, 4] {
-            let par = idgnn_sparse::Parallelism::new(threads);
-            let (got, st) = ops::spgemm_par_with_stats(&a, &b, par).unwrap();
+            let (got, st) = reference::spgemm_at(&a, &b, Parallelism::new(threads)).unwrap();
             assert_bit_identical(&want, &got);
             prop_assert_eq!(st, want_st);
         }
-        let mut ws = Workspace::new();
-        let (got, st) = ops::spgemm_with_workspace(&a, &b, &mut ws).unwrap();
-        assert_bit_identical(&want, &got);
-        prop_assert_eq!(st, want_st);
 
         // The term sum shares the emission: summing wide rows must still
         // match the pairwise fold.

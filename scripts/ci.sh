@@ -16,11 +16,13 @@
 # 7. DSE smoke sweep regenerating results/dse.json + structural validation;
 # 8. `all` regenerating every figure JSON and results/report.txt, which must
 #    match the committed files byte for byte;
-# 9. the repo benchmark's own tests (perfbench is a separate workspace, so
+# 9. the `walkthrough` toy example, which exits non-zero if any Eq. 13-15
+#    identity fails;
+# 10. the repo benchmark's own tests (perfbench is a separate workspace, so
 #    `cargo test --workspace` never reaches its exact-reference checks);
-# 10. perfbench --record-reference at seeds 0, 7, 42: every simulated
+# 11. perfbench --record-reference at seeds 0, 7, 42: every simulated
 #    statistic must already be in perfbench/reference.txt;
-# 11. clippy over every target with warnings denied.
+# 12. clippy over every target with warnings denied.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -95,6 +97,12 @@ git diff --exit-code -- results/ ':(exclude)results/lint.json' || {
   echo "error: results/ drifted from the committed figure outputs; rerun \`all\` and commit" >&2
   exit 1
 }
+
+echo "==> bench walkthrough (every Eq. 13-15 identity on the paper's toy graph)"
+# Evaluates Eq. 14's seven chains, Eq. 15's transpose regrouping, the fused
+# dissimilarity kernels and the Eq. 10 update against (Â')³ − Â³ and full
+# recomputation; any identity that fails makes the binary exit 1.
+cargo run --release -q -p idgnn-bench --bin walkthrough >/dev/null
 
 echo "==> cargo test --manifest-path perfbench/Cargo.toml"
 # The repo benchmark (BENCHMARK.json) lives outside the workspace; its smoke

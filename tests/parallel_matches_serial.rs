@@ -5,7 +5,8 @@
 
 use idgnn::bench::cli::run_experiment;
 use idgnn::bench::context::{Context, ExperimentScale};
-use idgnn::sparse::{ops, CsrMatrix, DenseMatrix, Parallelism};
+use idgnn::sparse::ops::reference;
+use idgnn::sparse::{CsrMatrix, DenseMatrix, Parallelism};
 
 /// Deterministic LCG so the inputs are reproducible without external crates.
 struct Lcg(u64);
@@ -55,23 +56,24 @@ fn sparse_kernels_are_bit_identical_across_thread_counts() {
     let b = random_sparse(300, 2_400, 2);
     let x = random_dense(300, 24, 3);
 
-    let (c_ser, s_ser) = ops::spgemm_serial_with_stats(&a, &b).expect("serial spgemm");
-    let (y_ser, t_ser) = ops::spmm_serial_with_stats(&a, &x).expect("serial spmm");
-    let sum_ser = ops::sp_axpby_serial(1.5, &a, -0.5, &b).expect("serial axpby");
+    let serial = Parallelism::serial();
+    let (c_ser, s_ser) = reference::spgemm_at(&a, &b, serial).expect("serial spgemm");
+    let (y_ser, t_ser) = reference::spmm_at(&a, &x, serial).expect("serial spmm");
+    let sum_ser = reference::sp_axpby_at(1.5, &a, -0.5, &b, serial).expect("serial axpby");
 
     for threads in [2usize, 3, 5, 8] {
         let par = Parallelism::new(threads);
-        let (c_par, s_par) = ops::spgemm_par_with_stats(&a, &b, par).expect("parallel spgemm");
+        let (c_par, s_par) = reference::spgemm_at(&a, &b, par).expect("parallel spgemm");
         assert_eq!(c_ser.indptr(), c_par.indptr(), "spgemm indptr, {threads} threads");
         assert_eq!(c_ser.indices(), c_par.indices(), "spgemm indices, {threads} threads");
         assert_eq!(bits(c_ser.values()), bits(c_par.values()), "spgemm values, {threads} threads");
         assert_eq!(s_ser, s_par, "spgemm stats, {threads} threads");
 
-        let (y_par, t_par) = ops::spmm_par_with_stats(&a, &x, par).expect("parallel spmm");
+        let (y_par, t_par) = reference::spmm_at(&a, &x, par).expect("parallel spmm");
         assert_eq!(bits(y_ser.as_slice()), bits(y_par.as_slice()), "spmm, {threads} threads");
         assert_eq!(t_ser, t_par, "spmm stats, {threads} threads");
 
-        let sum_par = ops::sp_axpby_par(1.5, &a, -0.5, &b, par).expect("parallel axpby");
+        let sum_par = reference::sp_axpby_at(1.5, &a, -0.5, &b, par).expect("parallel axpby");
         assert_eq!(sum_ser.indptr(), sum_par.indptr(), "axpby indptr, {threads} threads");
         assert_eq!(
             bits(sum_ser.values()),
