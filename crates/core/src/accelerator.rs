@@ -14,7 +14,7 @@ use idgnn_hw::{
 };
 use idgnn_model::exec::OnePassOptions;
 use idgnn_model::{cost::dense_bytes, exec, Algorithm, DgnnModel, MemoryModel, Phase, SnapshotCost};
-use idgnn_sparse::OpStats;
+use idgnn_sparse::{CsrMatrix, OpStats};
 
 use crate::dataflow::TorusDataflow;
 use crate::error::Result;
@@ -196,6 +196,9 @@ impl IdgnnAccelerator {
         let mut energy = EnergyBreakdown::default();
         let mut dram_total = 0u64;
         let mut stage_pairs = Vec::with_capacity(result.costs.len());
+        // Snapshot t−1's operator, carried over from the previous iteration
+        // (one-pass only: no other algorithm reads it).
+        let mut prev_norm: Option<CsrMatrix> = None;
 
         for (t, cost) in result.costs.iter().enumerate() {
             // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
@@ -208,9 +211,7 @@ impl IdgnnAccelerator {
             // resident at their home PEs — only the delta-receptive working
             // set (ΔA-anchored partial products and touched dense rows)
             // rotates; the other algorithms re-stream everything.
-            let rotated_bytes = if algorithm == Algorithm::OnePass && t > 0 {
-                // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-                let prev = model.normalization().apply(snaps[t - 1].adjacency());
+            let rotated_bytes = if let Some(prev) = prev_norm.take() {
                 let d_op = idgnn_sparse::ops::sp_sub(&a_norm, &prev)
                     .map_err(idgnn_model::ModelError::from)?
                     .pruned(0.0);
@@ -271,6 +272,7 @@ impl IdgnnAccelerator {
                 sim.rnn_a_cycles,
             ));
             report_snapshots.push(sim);
+            prev_norm = (algorithm == Algorithm::OnePass).then_some(a_norm);
         }
 
         let serial_cycles: f64 = report_snapshots.iter().map(SnapshotSim::serial_cycles).sum();

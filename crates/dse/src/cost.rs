@@ -82,7 +82,7 @@ impl CostModel {
     ///
     /// # Errors
     ///
-    /// Returns [`HwError::InvalidConfig`] for degenerate configurations
+    /// Returns [`idgnn_hw::HwError::InvalidConfig`] for degenerate configurations
     /// (no PEs / no MACs) — the engine prunes those before ranking.
     pub fn evaluate(&self, candidate: &Candidate, shapes: &[WorkloadShape]) -> Result<Objectives> {
         let cfg = &candidate.config;

@@ -22,19 +22,39 @@
 //! prefix-sum sizes it returns, so [`Dissimilarity::ops`] counts exactly the
 //! merges such a fold performs.
 //!
+//! ## The general path builds only what `ΔA` reads
+//!
+//! [`DissimilarityStrategy::General`] (any `L ≥ 4`, and the fallback for
+//! asymmetric operators) evaluates Eq. 13 term by term. Of the two top
+//! powers, `A^{L−1}` is read only by `A^{L−1}·ΔA`, which touches only its
+//! columns `S_r` (rows of `ΔA` with a stored entry), and `(A+ΔA)^{L−1}` only
+//! by `ΔA·(A+ΔA)^{L−1}`, which touches only its rows `S_c` (columns of `ΔA`
+//! with a stored entry; `S_r ≠ S_c` for asymmetric operators). So each
+//! chain stops at `L − 2` and only those slices are formed:
+//! `A^{L−2}·A[:, S_r]` and `(A+ΔA)^{L−2}[S_c, :]·(A+ΔA)`. Every kept entry
+//! receives the same products in the same ascending-`k` order as in the
+//! full power, so `ΔA_C` is bit-identical. The two full products still
+//! enter [`Dissimilarity::ops`] and [`Dissimilarity::products`] at exactly
+//! the cost [`ops::spgemm_with_stats`] reports for them, counted from the
+//! stored patterns (both operands are powers of one pattern, so the
+//! product's row counts are unions of row bitmaps). Products by the
+//! identity are not executed but counted at the kernel's cost for them.
+//!
 //! ## Cross-snapshot power caching
 //!
-//! The general path builds the powers `A^1..A^{L−1}` and `(A+ΔA)^1..` every
+//! The general path builds the powers `A^1..A^{L−2}` and `(A+ΔA)^1..` every
 //! snapshot, yet the next snapshot's `A` is exactly this snapshot's `A+ΔA`:
 //! the powers flow across snapshots. [`PowerCache`] retains the
 //! `(A+ΔA)`-side powers keyed by the operator they belong to, and
 //! [`fused_dissimilarity_cached`] reuses them as the `A`-side powers of the
 //! following call when the operator matches *bit-for-bit* (the invalidation
 //! rule — any mismatch, including a depth change, recomputes from scratch).
-//! On a hit the recorded per-product [`OpStats`] are replayed into the
-//! result, so reported operation counts (and every figure derived from them)
-//! are identical to a cold evaluation; the actually-avoided work is
-//! accounted separately in [`Dissimilarity::saved`].
+//! On a hit the recorded per-product [`OpStats`] — all `L − 1`, the
+//! counted top product included — are replayed into the result, so reported
+//! operation counts (and every figure derived from them) are identical to a
+//! cold evaluation; the actually-avoided work is accounted separately in
+//! [`Dissimilarity::saved`]. The `A`-side slice is then built from the
+//! cached `A^{L−2}`.
 //!
 //! A hit needs the caller to advance its operator exactly as the kernel
 //! does (`A ← sp_add(A, ΔA)`). The one-pass executor advances to the
@@ -83,7 +103,8 @@ pub struct Dissimilarity {
     pub saved: OpStats,
 }
 
-/// Cross-snapshot cache of operator powers `[I, A, …, A^{L−1}]` for the
+/// Cross-snapshot cache of operator powers `[I, A, …, A^{L−2}]`, plus the
+/// recorded costs of all `L − 1` chain products up to `A^{L−1}`, for the
 /// [`DissimilarityStrategy::General`] path.
 ///
 /// Each [`fused_dissimilarity_cached`] call installs the `(A+ΔA)`-side
@@ -97,8 +118,9 @@ pub struct Dissimilarity {
 pub struct PowerCache {
     base: Option<CsrMatrix>,
     powers: Vec<CsrMatrix>,
-    /// `stats[i]` is the recorded cost of the product that built
-    /// `powers[i + 1]`, replayed into `ops` on a hit.
+    /// `stats[i]` is the recorded cost of the product `A^i·A`, replayed
+    /// into `ops` on a hit; the last one, `A^{L−2}·A`, was counted rather
+    /// than formed.
     stats: Vec<OpStats>,
     hits: u64,
     misses: u64,
@@ -127,9 +149,9 @@ impl PowerCache {
     }
 
     /// Moves the cached powers out if they belong to `a` at depth `l`
-    /// (`powers.len() == l`, i.e. `[I, a, …, a^{l−1}]`).
+    /// (`stats.len() == l − 1`, i.e. powers `[I, a, …, a^{l−2}]`).
     fn take(&mut self, a: &CsrMatrix, l: usize) -> Option<(Vec<CsrMatrix>, Vec<OpStats>)> {
-        let hit = self.powers.len() == l
+        let hit = self.stats.len() + 1 == l
             && self.base.as_ref().is_some_and(|base| same_matrix(base, a));
         if hit {
             self.hits += 1;
@@ -141,15 +163,8 @@ impl PowerCache {
         }
     }
 
-    /// Replaces the cache contents with the powers of `base`, recycling any
-    /// stale entries into the workspace buffer pool.
+    /// Replaces the cache contents with the powers of `base`.
     fn install(&mut self, base: CsrMatrix, powers: Vec<CsrMatrix>, stats: Vec<OpStats>) {
-        if let Some(old) = self.base.take() {
-            workspace::recycle(old);
-        }
-        for p in self.powers.drain(..) {
-            workspace::recycle(p);
-        }
         self.base = Some(base);
         self.powers = powers;
         self.stats = stats;
@@ -243,6 +258,21 @@ fn dissimilarity_impl(
 /// Eq. 13 evaluated directly for arbitrary `L`, optionally consulting a
 /// [`PowerCache`] for the `A`-side powers and installing the freshly built
 /// `(A+ΔA)`-side powers for the next snapshot.
+///
+/// Each chain stops at `L − 2`: the two top powers are each read by one
+/// product with the sparse `ΔA`, so only the slice that product reads is
+/// formed — `A^{L-1}[:, S_r]` for `A^{L-1}·ΔA` (`S_r`: rows of `ΔA` with a
+/// stored entry) and `(A+ΔA)^{L-1}[S_c, :]` for `ΔA·(A+ΔA)^{L-1}` (`S_c`:
+/// columns of `ΔA` with a stored entry). Every kept entry receives the same
+/// products in the same ascending-`k` order as in the full power, so
+/// `ΔA_C` is bit-identical; the two skipped full products still enter `ops`
+/// and `products` at the exact cost [`spgemm_with_stats`] would report
+/// ([`pattern_product_stats`]). The products by the identity in the chains
+/// and terms — `I·A`, `I·(A+ΔA)`, `I·ΔA` and `(A^{L-1}·ΔA)·I` — are not
+/// executed: the first two are clones, the last two skipped, and each is
+/// counted at the kernel's cost for it ([`identity_stats`]).
+///
+/// [`spgemm_with_stats`]: ops::spgemm_with_stats
 fn general(
     a: &CsrMatrix,
     da: &CsrMatrix,
@@ -250,13 +280,14 @@ fn general(
     mut cache: Option<&mut PowerCache>,
 ) -> Result<Dissimilarity> {
     let l_us = l as usize;
+    let top = l_us - 1;
     let mut ops = OpStats::default();
     let mut products = 0u32;
     let mut saved = OpStats::default();
     let a_next = ops::sp_add(a, da)?;
     ops.adds += da.nnz() as u64;
 
-    // Powers A^0..A^{L-1}: from the cache when it holds exactly these
+    // Powers A^0..A^{L-2}: from the cache when it holds exactly these
     // (bit-identical base, same depth), else computed fresh.
     let pow_a = match cache.as_mut().and_then(|c| c.take(a, l_us)) {
         Some((powers, stats)) => {
@@ -271,47 +302,68 @@ fn general(
             powers
         }
         None => {
-            let mut powers = vec![CsrMatrix::identity(a.rows())];
-            for i in 1..l_us {
-                // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-                let (pa, sa) = ops::spgemm_with_stats(&powers[i - 1], a)?;
-                ops += sa;
+            let (powers, stats) = power_chain(a, l_us)?;
+            for s in stats {
+                ops += s;
                 products += 1;
-                powers.push(pa);
             }
             powers
         }
     };
-
-    // Powers (A+ΔA)^0..(A+ΔA)^{L-1} — they key the next snapshot's cache
+    // Powers (A+ΔA)^0..(A+ΔA)^{L-2} — they key the next snapshot's cache
     // hit, so their per-product stats are recorded.
-    let mut pow_n = vec![CsrMatrix::identity(a.rows())];
-    let mut pn_stats = Vec::with_capacity(l_us.saturating_sub(1));
-    for i in 1..l_us {
-        // lint: allow(panic-surface) -- in-bounds: `pow_n` holds `i` powers when iteration `i` reads `pow_n[i - 1]`
-        let (pn, sn) = ops::spgemm_with_stats(&pow_n[i - 1], &a_next)?;
-        ops += sn;
+    let (pow_n, pn_stats) = power_chain(&a_next, l_us)?;
+    for &s in &pn_stats {
+        ops += s;
         products += 1;
-        pow_n.push(pn);
-        pn_stats.push(sn);
     }
 
+    let in_s_r: Vec<bool> = (0..da.rows()).map(|r| da.row_nnz(r) > 0).collect();
+    let mut in_s_c = vec![false; da.cols()];
+    for &c in da.indices() {
+        if let Some(keep) = in_s_c.get_mut(c) {
+            *keep = true;
+        }
+    }
+    // The slices of the top powers ΔA reads: A^{L-2}·A[:, S_r] and
+    // (A+ΔA)^{L-2}[S_c, :]·(A+ΔA). Their own products are not counted: the
+    // full products they stand for already are.
+    // lint: allow(panic-surface) -- in-bounds: both chains hold `L − 1 ≥ 1` powers
+    let (a_last, n_last) = (&pow_a[top - 1], &pow_n[top - 1]);
+    let a_cols = filter_entries(a, |_, c| in_s_r.get(c) == Some(&true));
+    let n_rows = filter_entries(n_last, |r, _| in_s_c.get(r) == Some(&true));
+    let a_top = ops::spgemm_with_stats(a_last, &a_cols)?.0;
+    let n_top = ops::spgemm_with_stats(&n_rows, &a_next)?.0;
+    drop((a_cols, n_rows));
+
+    // Term i is A^i·ΔA·(A+ΔA)^{L-1-i}. The identity factors of terms 0 and
+    // L − 1 are skipped and counted at the kernel's cost for them.
     let mut terms = Vec::with_capacity(l_us);
     for i in 0..l_us {
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-        let (left, s1) = ops::spgemm_with_stats(&pow_a[i], da)?;
-        ops += s1;
-        products += 1;
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-        let (term, s2) = ops::spgemm_with_stats(&left, &pow_n[l_us - 1 - i])?;
-        workspace::recycle(left);
-        ops += s2;
-        products += 1;
+        let (term, s1, s2) = if i == 0 {
+            let (term, s2) = ops::spgemm_with_stats(da, &n_top)?;
+            (term, identity_stats(da), s2)
+        } else if i == top {
+            let (term, s1) = ops::spgemm_with_stats(&a_top, da)?;
+            let s2 = identity_stats(&term);
+            (term, s1, s2)
+        } else {
+            // lint: allow(panic-surface) -- in-bounds: `0 < i < L − 1` and `0 < L − 1 − i < L − 1` index the `L − 1` powers of each chain
+            let (a_pow, n_pow) = (&pow_a[i], &pow_n[top - i]);
+            let (left, s1) = ops::spgemm_with_stats(a_pow, da)?;
+            let (term, s2) = ops::spgemm_with_stats(&left, n_pow)?;
+            workspace::recycle(left);
+            (term, s1, s2)
+        };
+        ops += s1 + s2;
+        products += 2;
         terms.push(term);
     }
-    for p in pow_a {
-        workspace::recycle(p);
-    }
+    // The chains and slices go back to the allocator, not to the buffer
+    // pool: the pool hands buffers out last in, first out whatever their
+    // size, and pooling these odd-sized ones let later large outputs grow
+    // each of them (perfbench `powerchain-l4` peak RSS about 2× higher).
+    drop((pow_a, a_top, n_top));
     let mut prefix = vec![0usize; l_us];
     let delta_ac = ops::sp_sum_pruned(&terms.iter().collect::<Vec<_>>(), &mut prefix)?;
     // Reported adds follow a left-to-right merge: term i joins the unpruned
@@ -322,16 +374,109 @@ fn general(
     for term in terms {
         workspace::recycle(term);
     }
-    match cache {
-        Some(c) => c.install(a_next, pow_n, pn_stats),
-        None => {
-            workspace::recycle(a_next);
-            for p in pow_n {
-                workspace::recycle(p);
-            }
-        }
+    if let Some(c) = cache {
+        c.install(a_next, pow_n, pn_stats);
     }
     Ok(Dissimilarity { delta_ac, ops, products, transposes: 0, saved })
+}
+
+/// `[I, m, …, m^{L-2}]` and the costs of the `L − 1` products `I·m, …,
+/// m^{L-2}·m` that build `m^1..m^{L-1}`. `I·m` is a clone; the top product
+/// is counted from the pattern ([`pattern_product_stats`]), not formed.
+fn power_chain(m: &CsrMatrix, l: usize) -> Result<(Vec<CsrMatrix>, Vec<OpStats>)> {
+    let mut powers = vec![CsrMatrix::identity(m.rows())];
+    let mut stats = Vec::with_capacity(l - 1);
+    for i in 1..l - 1 {
+        let next = match powers.last() {
+            Some(last) if i > 1 => ops::spgemm_with_stats(last, m)?,
+            // I·m is m.
+            _ => (m.clone(), identity_stats(m)),
+        };
+        powers.push(next.0);
+        stats.push(next.1);
+    }
+    if let Some(last) = powers.last() {
+        stats.push(pattern_product_stats(last, m, last.csr_bytes()));
+    }
+    Ok((powers, stats))
+}
+
+/// What [`ops::spgemm_with_stats`] reports for `I·m` or `m·I`: one multiply
+/// per stored entry and no add (each output slot receives one product).
+fn identity_stats(m: &CsrMatrix) -> OpStats {
+    OpStats::counted(m.nnz() as u64, 0)
+}
+
+/// The stored entries `(r, c)` of `m` for which `keep(r, c)` holds, in
+/// their original order.
+fn filter_entries(m: &CsrMatrix, keep: impl Fn(usize, usize) -> bool) -> CsrMatrix {
+    let mut indptr = Vec::with_capacity(m.rows() + 1);
+    let (mut indices, mut values) = (Vec::new(), Vec::new());
+    indptr.push(0);
+    for r in 0..m.rows() {
+        for (c, v) in m.row_iter(r) {
+            if keep(r, c) {
+                indices.push(c);
+                values.push(v);
+            }
+        }
+        indptr.push(indices.len());
+    }
+    CsrMatrix::from_raw_parts(m.rows(), m.cols(), indptr, indices, values)
+        // lint: allow(panic-surface) -- a subset of a valid CSR's entries in their original order is valid
+        .expect("filtered CSR is valid")
+}
+
+/// The [`OpStats`] [`ops::spgemm_with_stats`] reports for `x · b`, counted
+/// from the stored patterns alone: `mults = Σ_{(i,j) ∈ x} nnz(b_j)` and
+/// `adds = mults − nnz(x · b)`, with `nnz` structural (stored zeros
+/// included, as the kernel never prunes).
+///
+/// `x` and `b` must be powers of one stored pattern `P` (`x` may be `I`):
+/// then `pattern(x · b) = P^{p+1} = pattern(b · x)`, and row `r` of `b · x`
+/// holds `popcount(OR of x's row bitmaps over j ∈ b_r)` entries. That count
+/// needs one bitmap per row of `x`; when those exceed `bitmap_budget`
+/// bytes, each row of `x · b` is counted by scattering its columns into a
+/// single row bitmap instead.
+fn pattern_product_stats(x: &CsrMatrix, b: &CsrMatrix, bitmap_budget: u64) -> OpStats {
+    let mults: u64 = x.indices().iter().map(|&j| b.row_nnz(j) as u64).sum();
+    let words = b.cols().div_ceil(64).max(1);
+    let set = |bits: &mut [u64], c: usize| {
+        if let Some(w) = bits.get_mut(c / 64) {
+            *w |= 1 << (c % 64);
+        }
+    };
+    let mut row = vec![0u64; words];
+    let mut nnz = 0u64;
+    if (x.rows() * words * 8) as u64 <= bitmap_budget {
+        let mut x_bits = vec![0u64; x.rows() * words];
+        for (i, bits) in x_bits.chunks_exact_mut(words).enumerate() {
+            for &c in x.row_indices(i) {
+                set(bits, c);
+            }
+        }
+        for r in 0..b.rows() {
+            row.fill(0);
+            for &j in b.row_indices(r) {
+                // lint: allow(panic-surface) -- in-bounds: `j < b.cols() = x.rows()` names one row bitmap
+                for (w, &xw) in row.iter_mut().zip(&x_bits[j * words..(j + 1) * words]) {
+                    *w |= xw;
+                }
+            }
+            nnz += row.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
+        }
+    } else {
+        for i in 0..x.rows() {
+            for &j in x.row_indices(i) {
+                for &c in b.row_indices(j) {
+                    set(&mut row, c);
+                }
+            }
+            nnz += row.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
+            row.fill(0);
+        }
+    }
+    OpStats::counted(mults, mults - nnz)
 }
 
 /// `L = 2`: `ΔA·A + (ΔA·A)ᵀ + ΔA·ΔA` — two products and one transpose
@@ -828,27 +973,118 @@ mod tests {
             a = ops::sp_add(&a, &d).unwrap();
             d = d.scale(0.5);
         }
-        if cached && (strategy == DissimilarityStrategy::General || l == 4) {
+        if cached && (strategy == DissimilarityStrategy::General || l >= 4) {
             assert_eq!(cache.hits(), 2, "L={l} {strategy:?}: later transitions must hit");
         }
+    }
+
+    /// A ring with a chord added under `D̃⁻¹(A + I)`: the delta rescales
+    /// whole rows, so `ΔA`'s stored columns `S_c` strictly contain its
+    /// stored rows `S_r`.
+    fn row_stochastic_setup() -> (CsrMatrix, CsrMatrix) {
+        let edges: Vec<(usize, usize)> = (0..12).map(|i| (i, (i + 1) % 12)).collect();
+        let adjacency = adjacency_from_edges(12, &edges).unwrap();
+        let base = GraphSnapshot::new(adjacency, DenseMatrix::zeros(12, 1)).unwrap();
+        let next = GraphDelta::builder().add_edge(0, 5).build().apply(&base).unwrap();
+        let a_prev = Normalization::RowStochastic.apply(base.adjacency());
+        let a_next = Normalization::RowStochastic.apply(next.adjacency());
+        let d = ops::sp_sub_pruned(&a_next, &a_prev).unwrap();
+        let rows: Vec<usize> = (0..12).filter(|&r| d.row_nnz(r) > 0).collect();
+        let mut cols = d.indices().to_vec();
+        cols.sort_unstable();
+        cols.dedup();
+        assert_ne!(rows, cols, "the case must have S_r ≠ S_c");
+        (a_prev, d)
+    }
+
+    /// [`ring_setup`] with a `ΔA` that also stores `+0.0`, `−0.0` and a
+    /// subnormal, so the identity products the general path replaces with
+    /// clones must carry those entries bit for bit.
+    fn signed_zero_setup() -> (CsrMatrix, CsrMatrix) {
+        let (a, d) = ring_setup(16);
+        let mut entries: Vec<(usize, usize, f32)> = d.iter().collect();
+        entries.extend([(5, 6, 0.0f32), (6, 5, -0.0), (9, 10, 1.0e-40), (10, 9, -1.0e-40)]);
+        entries.sort_by_key(|&(r, c, _)| (r, c));
+        let mut indptr = vec![0usize; 17];
+        for &(r, _, _) in &entries {
+            indptr[r + 1] += 1;
+        }
+        for r in 0..16 {
+            indptr[r + 1] += indptr[r];
+        }
+        let indices = entries.iter().map(|e| e.1).collect();
+        let values = entries.iter().map(|e| e.2).collect();
+        (a, CsrMatrix::from_raw_parts(16, 16, indptr, indices, values).unwrap())
     }
 
     #[test]
     fn one_pass_term_sum_matches_pairwise_fold_oracle() {
         // Pins ΔA_C bits and the prefix-derived `adds` (via `ops`), plus
-        // `products` and `saved`, at L = 2, 3, 4 for both strategies, with
-        // and without a PowerCache (cached runs hit from the second
-        // transition on). On the ring every prefix sum is larger than the
-        // next term; on the burst some terms are larger, so the
+        // `products`, `transposes` and `saved`, at L = 2..5 for both
+        // strategies, with and without a PowerCache (cached runs hit from
+        // the second transition on), against an oracle that builds both
+        // power chains in full. On the ring every prefix sum is larger than
+        // the next term; on the burst some terms are larger, so the
         // `min(term, accumulator)` accounting is pinned on both sides.
         let strategies = [DissimilarityStrategy::TransposeOptimized, DissimilarityStrategy::General];
         for case in [ring_setup(40), burst_setup()] {
-            for l in [2u32, 3, 4] {
+            for l in [2u32, 3, 4, 5] {
                 for strategy in strategies {
                     for cached in [false, true] {
                         assert_matches_oracle(&case, l, strategy, cached);
                     }
                 }
+            }
+        }
+        // The general path's row slice of (A+ΔA)^{L-1} and column slice of
+        // A^{L-1} differ when the operator is asymmetric; stored ±0 and
+        // subnormal entries pass through the identity products unchanged.
+        for case in [row_stochastic_setup(), signed_zero_setup()] {
+            for l in [2u32, 3, 4, 5] {
+                for cached in [false, true] {
+                    assert_matches_oracle(&case, l, DissimilarityStrategy::General, cached);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn identity_products_are_clones_at_the_kernels_cost() {
+        let (_, d) = signed_zero_setup();
+        let eye = CsrMatrix::identity(d.rows());
+        for (product, stats) in [
+            ops::spgemm_with_stats(&eye, &d).unwrap(),
+            ops::spgemm_with_stats(&d, &eye).unwrap(),
+        ] {
+            assert_identical(&product, &d);
+            assert_eq!(stats, identity_stats(&d));
+        }
+    }
+
+    /// An asymmetric 6×6 pattern with explicit stored zeros and two empty
+    /// rows (1 and 4).
+    fn zeros_and_empty_rows() -> CsrMatrix {
+        let indptr = vec![0, 3, 3, 5, 7, 7, 9];
+        let indices = vec![0, 2, 5, 1, 3, 0, 4, 2, 5];
+        let values = vec![1.0, 0.0, -2.0, 0.0, 3.0, -0.0, 0.5, 4.0, 0.0];
+        CsrMatrix::from_raw_parts(6, 6, indptr, indices, values).unwrap()
+    }
+
+    #[test]
+    fn pattern_count_matches_spgemm_stats() {
+        let (ring, _) = ring_setup(40);
+        let (stochastic, _) = row_stochastic_setup();
+        for m in [zeros_and_empty_rows(), ring, stochastic, CsrMatrix::zeros(5, 5)] {
+            let mut x = CsrMatrix::identity(m.rows());
+            for p in 0..4 {
+                let want = ops::spgemm_with_stats(&x, &m).unwrap().1;
+                // Budget 0 forces the per-row scatter; an unbounded budget
+                // the row-bitmap union.
+                for budget in [0, u64::MAX] {
+                    let got = pattern_product_stats(&x, &m, budget);
+                    assert_eq!(got, want, "m^{p}·m, budget {budget}");
+                }
+                x = ops::spgemm_with_stats(&x, &m).unwrap().0;
             }
         }
     }

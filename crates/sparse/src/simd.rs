@@ -21,7 +21,7 @@
 //! sees its products in exact ascending-`k` order, which is the scalar
 //! path's order, so every intermediate rounding step is identical and the
 //! results match bit for bit ([`OpStats`] included; property-tested in
-//! `tests/proptests.rs`). The same argument covers [`axpy_chunked`]: output
+//! `tests/proptests.rs`). The same argument covers `axpy_chunked`: output
 //! slot `j` accumulates its `k` products in unchanged order.
 //!
 //! This module allocates no scratch of its own (it is on the lint

@@ -16,7 +16,7 @@
 //!   [`crate::parallel::map_blocks`] spawns per kernel call.
 //! * A global buffer pool recycles `Vec<usize>` / `Vec<f32>` storage for CSR
 //!   outputs. Kernels draw exactly-sized buffers via
-//!   [`take_index_buffer`] / [`take_value_buffer`]; callers that consume an
+//!   `take_index_buffer` / `take_value_buffer`; callers that consume an
 //!   intermediate matrix hand its storage back with [`recycle`] (or
 //!   [`recycle_dense`] for SpMM outputs). In steady state a repeated
 //!   same-shape product allocates no new memory.
