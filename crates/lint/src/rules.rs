@@ -139,7 +139,7 @@ impl Rule {
         match self {
             Rule::HotPathAlloc => "hot-path-alloc — no allocation in the sparse kernel hot paths.\n\n\
                 The fused SpGEMM/SpMM kernels (DESIGN.md §8) are allocation-free by\n\
-                design: every scratch buffer comes from the generation-stamped Workspace\n\
+                design: every scratch buffer comes from the pooled Workspace\n\
                 arena so steady-state snapshot processing never touches the system\n\
                 allocator. This rule flags `Vec::new`, `Vec::with_capacity`, `vec![..]`,\n\
                 `.collect()`, and `Box::new` inside `crates/sparse/src/{ops,parallel,\n\

@@ -329,11 +329,9 @@ impl CsrMatrix {
         if self.rows != self.cols {
             return false;
         }
+        // Structures may differ: an entry without a mirror still passes if
+        // it is within `tol` of zero.
         let t = self.transpose();
-        if t.indptr != self.indptr {
-            // Different structure can still be symmetric only if mismatched
-            // entries are within tol of zero; fall through to value check.
-        }
         for r in 0..self.rows {
             let mut mine = self.row_iter(r);
             let mut theirs = t.row_iter(r);

@@ -218,12 +218,14 @@ impl DenseMatrix {
                 rhs: rhs.shape(),
             });
         }
-        let blocks =
+        let mut blocks =
             crate::parallel::map_blocks(self.rows, par, |range| self.matmul_block(rhs, range));
-        let mut data = Vec::with_capacity(self.rows * rhs.cols);
-        for chunk in blocks {
-            data.extend_from_slice(&chunk);
-        }
+        let data = if blocks.len() == 1 {
+            // Single block (the serial path): the block *is* the output — move it.
+            blocks.pop().unwrap_or_default()
+        } else {
+            blocks.concat()
+        };
         Ok(DenseMatrix { rows: self.rows, cols: rhs.cols, data })
     }
 

@@ -30,30 +30,36 @@
 //! handed back with [`workspace::recycle`], making repeated same-shape
 //! products allocation-free in steady state. See DESIGN.md §8.
 //!
-//! ## Fused vectorized pass, and cache blocking on the reference path
+//! ## Fused branchless pass, and cache blocking on the reference path
 //!
 //! The default SpGEMM path is *fused single-visit*: one traversal of each
-//! row's B segments both discovers the output structure and accumulates the
-//! values, using the chunked inner loops in [`crate::simd`] (products
-//! computed in fixed-width autovectorizable chunks, scatter keeping the
-//! scalar stamp check). Discovered columns are put in ascending order by a
-//! scan of the [`Workspace`] column bitmap and the accumulator gathered per
-//! row, so emission order — and therefore every bit of the output and every
-//! [`OpStats`] count — matches the two-phase reference exactly (each SPA
-//! slot still receives its products in ascending-`k` order; see the `simd`
-//! module docs for the chunking half of the argument).
+//! row's B segments both accumulates the values and marks the output
+//! structure. Every product is added without a branch into an SPA slot that
+//! rests at `-0.0`, and its column's bit is set in the [`Workspace`]
+//! bitmap. The row is emitted by a scan of the bitmap words it touched,
+//! which yields its columns in ascending order; each gathered slot is reset
+//! to `-0.0`.
+//!
+//! This is bit-identical to the two-phase reference's first-touch store:
+//! `-0.0` is IEEE-754's additive identity, so `-0.0 + x` is `x` bit for
+//! bit for every `x` — `+0.0`, `-0.0`, infinities and quiet NaNs included.
+//! Each slot still receives its products in ascending-`k` order, so every
+//! rounding step matches, and every [`OpStats`] count matches with adds
+//! equal to multiplies minus output nnz.
 //!
 //! [`sp_sum_pruned`] reuses the same SPA and emission to add `k` CSR terms
 //! in one pass — the `ΔA_C` term sum of Eqs. 13/15.
 //!
 //! The scalar reference (`reference::spgemm_scalar`) keeps the explicit
-//! two-phase structure the fused pass superseded, including its *cache
-//! blocking*: symbolic and numeric passes interleave in blocks of at most
-//! [`CACHE_BLOCK_ENTRIES`] output entries so the numeric re-walk of the
-//! structure (and the B rows it came from) stays L2-resident. Blocking
-//! mitigates the re-walk; fusion eliminates it — proving the fused path
-//! bit-identical to the blocked two-phase path (property-tested) covers
-//! both transformations at once. See DESIGN.md §13.
+//! two-phase structure the fused pass superseded — a private stamp array
+//! routing each product to a first-touch store or an accumulate, and a sort
+//! per row — including its *cache blocking*: symbolic and numeric passes
+//! interleave in blocks of at most [`CACHE_BLOCK_ENTRIES`] output entries
+//! so the numeric re-walk of the structure (and the B rows it came from)
+//! stays L2-resident. Blocking mitigates the re-walk; fusion eliminates it
+//! — proving the fused path bit-identical to the blocked two-phase path
+//! (property-tested) covers both transformations at once. See DESIGN.md
+//! §8 and §13.
 
 use crate::error::{Result, SparseError};
 use crate::parallel::{self, Parallelism};
@@ -143,12 +149,29 @@ pub const CACHE_BLOCK_ENTRIES: usize = 16 * 1024;
 /// The Gustavson SpGEMM inner loop over one contiguous row block — the same
 /// code path in the serial and every parallel configuration. Checks a
 /// [`Workspace`] out of the global pool for the duration of the block.
-fn spgemm_block<const CHUNKED: bool>(
+fn spgemm_block<const FUSED: bool>(
     a: &CsrMatrix,
     b: &CsrMatrix,
     rows: std::ops::Range<usize>,
 ) -> CsrBlock {
-    workspace::with_workspace(|ws| spgemm_block_in::<CHUNKED>(a, b, rows, ws))
+    workspace::with_workspace(|ws| spgemm_block_in::<FUSED>(a, b, rows, ws))
+}
+
+/// The scalar oracle's private first-touch marks: `stamp[c] == generation`
+/// means column `c` was touched in the current pass. One array per row
+/// block, fresh at zero, so a generation (bumped per row pass) never
+/// aliases.
+struct Stamps {
+    stamp: Vec<usize>,
+    generation: usize,
+}
+
+impl Stamps {
+    /// Starts a new pass and returns its generation.
+    fn next(&mut self) -> usize {
+        self.generation += 1;
+        self.generation
+    }
 }
 
 /// Runs the scalar numeric pass for a contiguous batch of already-symbolic'd
@@ -159,6 +182,7 @@ fn spgemm_numeric_batch(
     b: &CsrMatrix,
     batch: std::ops::Range<usize>,
     ws: &mut Workspace,
+    stamps: &mut Stamps,
     batch_lens: &[usize],
     indices: &[usize],
     emitted: &mut usize,
@@ -169,7 +193,8 @@ fn spgemm_numeric_batch(
         // lint: allow(panic-surface) -- in-bounds by construction: one length per batch row
         let row_end = *emitted + batch_lens[i];
         // lint: allow(panic-surface) -- in-bounds by construction: the symbolic pass sized this range
-        spgemm_row_numeric_scalar(a, b, r, ws, &indices[*emitted..row_end], values, stats);
+        let row_indices = &indices[*emitted..row_end];
+        spgemm_row_numeric_scalar(a, b, r, ws, stamps, row_indices, values, stats);
         *emitted = row_end;
     }
 }
@@ -177,21 +202,25 @@ fn spgemm_numeric_batch(
 /// Gustavson SpGEMM over one row block, using a caller-provided workspace
 /// arena.
 ///
-/// `CHUNKED = true` (the default path) runs the fused single-visit pass per
-/// row: one traversal of the B segments discovers structure and accumulates
-/// values through the chunked loops in [`crate::simd`].
+/// `FUSED = true` (the default path) runs the fused single-visit pass per
+/// row: one traversal of the B segments accumulates values and marks
+/// structure ([`spgemm_row_fused`]). A block's adds are its multiplies
+/// minus its output nnz: each output entry's first product lands on the
+/// `-0.0` rest value, every later one is an add.
 ///
-/// `CHUNKED = false` is the scalar two-phase reference: a symbolic pass
+/// `FUSED = false` is the scalar two-phase reference: a symbolic pass
 /// stamps each row's reachable columns and writes the sorted structure, a
-/// numeric pass re-walks the segments and accumulates — interleaved in
-/// cache blocks of at most [`CACHE_BLOCK_ENTRIES`] output entries so the
-/// numeric re-walk hits L2-resident data (see the module docs).
+/// numeric pass re-walks the segments and stores or accumulates —
+/// interleaved in cache blocks of at most [`CACHE_BLOCK_ENTRIES`] output
+/// entries so the numeric re-walk hits L2-resident data (see the module
+/// docs).
 ///
 /// Both paths emit identical bits and identical [`OpStats`]
 /// (property-tested): per SPA slot the products arrive in the same
 /// ascending-`k` order, the discovered structure is sorted identically, and
 /// blocking only changes when rows are visited, never what they compute.
-fn spgemm_block_in<const CHUNKED: bool>(
+/// Both leave `ws` at rest.
+fn spgemm_block_in<const FUSED: bool>(
     a: &CsrMatrix,
     b: &CsrMatrix,
     rows: std::ops::Range<usize>,
@@ -202,32 +231,27 @@ fn spgemm_block_in<const CHUNKED: bool>(
     let mut indices = workspace::take_index_buffer(0);
     let mut values = workspace::take_value_buffer(0);
     let mut stats = OpStats::default();
-    if CHUNKED {
+    if FUSED {
         for r in rows {
-            spgemm_row_fused(
-                a,
-                b,
-                r,
-                ws,
-                &mut indices,
-                &mut values,
-                &mut row_lens,
-                &mut stats,
-            );
+            stats.mults += spgemm_row_fused(a, b, r, ws, &mut indices, &mut values, &mut row_lens);
         }
+        stats.adds = stats.mults - indices.len() as u64;
         return CsrBlock { row_lens, indices, values, stats };
     }
+    // lint: allow(hot-path-alloc) -- scalar oracle: one stamp array per row block, not per element
+    let mut stamps = Stamps { stamp: vec![0; b.cols()], generation: 0 };
     let mut emitted = 0usize;
     let mut batch_start = rows.start;
     let mut batch_first_len = 0usize;
     for r in rows.clone() {
-        spgemm_row_symbolic(a, b, r, ws, &mut indices, &mut row_lens);
+        spgemm_row_symbolic(a, b, r, &mut stamps, &mut indices, &mut row_lens);
         if indices.len() - emitted >= CACHE_BLOCK_ENTRIES {
             spgemm_numeric_batch(
                 a,
                 b,
                 batch_start..r + 1,
                 ws,
+                &mut stamps,
                 // lint: allow(panic-surface) -- in-bounds: one length was pushed per symbolic'd row
                 &row_lens[batch_first_len..],
                 &indices,
@@ -244,6 +268,7 @@ fn spgemm_block_in<const CHUNKED: bool>(
         b,
         batch_start..rows.end,
         ws,
+        &mut stamps,
         // lint: allow(panic-surface) -- in-bounds: one length was pushed per symbolic'd row
         &row_lens[batch_first_len..],
         &indices,
@@ -254,52 +279,101 @@ fn spgemm_block_in<const CHUNKED: bool>(
     CsrBlock { row_lens, indices, values, stats }
 }
 
-/// Puts one row's discovered columns — distinct, in discovery order — into
-/// ascending order in place, through [`Workspace`]'s column bitmap.
+/// Adds `value(v)` for each entry `(c, v)` of one CSR row segment into SPA
+/// slot `c` and marks column `c` in the bitmap, widening the row's word
+/// range `words = (lo, hi)` to cover the segment (an empty range is
+/// `(usize::MAX, 0)`). Returns how many bits were newly set.
 ///
-/// Each column sets its bit; the words between the lowest and highest
-/// touched word are then scanned for set bits (`trailing_zeros`) and the
-/// slice rewritten in ascending order, `O(n + words spanned)` instead of a
-/// comparison sort's `O(n log n)`. Each word is cleared as it is read, so
-/// the bitmap is all-zero again for the next row. The ascending order of a
-/// set of distinct indices is unique, so this emits exactly what a sort of
-/// the slice would.
-#[inline]
-fn order_row_columns(ws: &mut Workspace, cols: &mut [usize]) {
-    let (mut lo, mut hi) = (usize::MAX, 0usize);
-    for &c in cols.iter() {
-        let w = c / 64;
-        // lint: allow(panic-surface) -- in-bounds: `c` is below the SPA width, which `bits` covers
-        ws.bits[w] |= 1u64 << (c % 64);
-        lo = lo.min(w);
-        hi = hi.max(w);
+/// The adds are unconditional — a slot rests at `-0.0`, and `-0.0 + x` is
+/// `x` bit for bit — so no branch depends on the values. The segment's
+/// columns ascend, so its first and last entries bound its words. A sparse
+/// segment sets each bit with its own read-modify-write; a dense one (at
+/// least two entries per word spanned) gathers each word's bits in a
+/// register and writes the word once, instead of chaining every entry
+/// through a store-to-load forward on the same word.
+#[inline(always)]
+fn accumulate_segment(
+    ws: &mut Workspace,
+    words: &mut (usize, usize),
+    cols: &[usize],
+    vals: &[f32],
+    value: impl Fn(f32) -> f32,
+) -> usize {
+    let (Some(&first), Some(&last)) = (cols.first(), cols.last()) else {
+        return 0;
+    };
+    let (lo, hi) = (first / 64, last / 64);
+    *words = (words.0.min(lo), words.1.max(hi));
+    let Workspace { acc, bits } = ws;
+    let mut or_word = |w: usize, run: u64| {
+        // lint: allow(panic-surface) -- in-bounds: `bits` covers the SPA width
+        let word = &mut bits[w];
+        let new = (run & !*word).count_ones() as usize;
+        *word |= run;
+        new
+    };
+    let mut new = 0;
+    if cols.len() < 2 * (hi - lo + 1) {
+        for (&c, &v) in cols.iter().zip(vals) {
+            // lint: allow(panic-surface) -- in-bounds: `c` is a CSR column of an operand, below the SPA width
+            acc[c] += value(v);
+            new += or_word(c / 64, 1u64 << (c % 64));
+        }
+        return new;
     }
-    let mut out = 0usize;
+    let (mut run_w, mut run) = (lo, 0u64);
+    for (&c, &v) in cols.iter().zip(vals) {
+        // lint: allow(panic-surface) -- in-bounds: `c` is a CSR column of an operand, below the SPA width
+        acc[c] += value(v);
+        if c / 64 != run_w {
+            new += or_word(run_w, run);
+            (run_w, run) = (c / 64, 0);
+        }
+        run |= 1u64 << (c % 64);
+    }
+    new + or_word(run_w, run)
+}
+
+/// Drains the row marked in [`Workspace`]'s bitmap words `lo..=hi`: calls
+/// `emit(c, slot)` for each marked column `c` in ascending order with its
+/// accumulator slot, clearing each word as it is read. `emit` must reset
+/// the slot to `-0.0` (or leave that to a later gather over the emitted
+/// columns), so the workspace is at rest afterwards.
+///
+/// The scan reads set bits with `trailing_zeros`, `O(n + words spanned)`
+/// instead of a comparison sort's `O(n log n)`; the ascending order of a
+/// set of distinct indices is unique, so this emits exactly what a sort
+/// would.
+#[inline(always)]
+fn drain_row(
+    ws: &mut Workspace,
+    (lo, hi): (usize, usize),
+    mut emit: impl FnMut(usize, &mut f32),
+) {
     for w in lo..=hi {
-        // lint: allow(panic-surface) -- in-bounds: `w` lies between two words set above
+        // lint: allow(panic-surface) -- in-bounds: `w` lies between two words a row segment set
         let mut word = std::mem::take(&mut ws.bits[w]);
         while word != 0 {
-            // lint: allow(panic-surface) -- in-bounds: one slot per set bit, and one bit was set per column
-            cols[out] = w * 64 + word.trailing_zeros() as usize;
-            out += 1;
+            let c = w * 64 + word.trailing_zeros() as usize;
+            // lint: allow(panic-surface) -- in-bounds: a set bit names a column below the SPA width
+            emit(c, &mut ws.acc[c]);
             word &= word - 1;
         }
     }
 }
 
 /// The fused single-visit pass over one output row: for each `a[r, k]` the
-/// B segment is multiplied and scattered through
-/// [`crate::simd::spgemm_segment_fused`], which stamps, accumulates, and
-/// records first-touched columns in one traversal. The discovered columns
-/// are then put in ascending order ([`order_row_columns`]) and the
-/// accumulator gathered in that order — the same emission the two-phase
-/// reference produces, so outputs and [`OpStats`] are bit-identical to it
-/// (each SPA slot sees its products in the same ascending-`k` order; the
-/// ascending order of distinct indices is unique).
+/// B segment is multiplied and each product added into its resting slot
+/// ([`accumulate_segment`]), marking its column in the same traversal. The
+/// row's columns are then drained in ascending order ([`drain_row`]) and
+/// the accumulator gathered in that order by one exact-size `extend`,
+/// resetting each slot to `-0.0`. That is the emission the two-phase reference
+/// produces, so outputs are bit-identical to it (each SPA slot sees its
+/// products in the same ascending-`k` order, and `-0.0 + x == x`). Returns
+/// the row's multiplies.
 ///
 /// Kept out of line: inlined into [`spgemm_block_in`], its only caller, the
 /// row loop measured 5–10 % slower on the `kernels` bench SpGEMM rows.
-#[allow(clippy::too_many_arguments)]
 #[inline(never)]
 fn spgemm_row_fused(
     a: &CsrMatrix,
@@ -309,81 +383,89 @@ fn spgemm_row_fused(
     indices: &mut Vec<usize>,
     values: &mut Vec<f32>,
     row_lens: &mut Vec<usize>,
-    stats: &mut OpStats,
-) {
-    let generation = ws.next_generation();
-    let start = indices.len();
+) -> u64 {
+    let mut words = (usize::MAX, 0usize);
+    let mut mults = 0u64;
     for (k, va) in a.row_iter(r) {
-        crate::simd::spgemm_segment_fused(b, k, va, ws, generation, indices, stats);
+        let cols = b.row_indices(k);
+        accumulate_segment(ws, &mut words, cols, b.row_values(k), |vb| va * vb);
+        mults += cols.len() as u64;
     }
-    // lint: allow(panic-surface) -- in-bounds: `start` was the length of `indices` above
-    order_row_columns(ws, &mut indices[start..]);
+    let start = indices.len();
+    drain_row(ws, words, |c, _| indices.push(c));
     row_lens.push(indices.len() - start);
-    // lint: allow(panic-surface) -- in-bounds: `start` was the length of `indices` above; every gathered column is below `ws.acc.len()`
-    values.extend(indices[start..].iter().map(|&c| ws.acc[c]));
+    let acc = &mut ws.acc;
+    // lint: allow(panic-surface) -- in-bounds: `start` was the length of `indices` above; every drained column is below `acc.len()`
+    values.extend(indices[start..].iter().map(|&c| std::mem::replace(&mut acc[c], -0.0)));
+    mults
 }
 
-/// The symbolic (structure-only) pass over one output row — shared verbatim
-/// by every SpGEMM entry point, so every path builds the same structure.
+/// The symbolic (structure-only) pass of the scalar reference over one
+/// output row: stamps each reachable column once and writes the row's
+/// sorted structure.
 #[inline]
 fn spgemm_row_symbolic(
     a: &CsrMatrix,
     b: &CsrMatrix,
     r: usize,
-    ws: &mut Workspace,
+    stamps: &mut Stamps,
     indices: &mut Vec<usize>,
     row_lens: &mut Vec<usize>,
 ) {
-    let generation = ws.next_generation();
+    let generation = stamps.next();
     let start = indices.len();
     for (k, _) in a.row_iter(r) {
         for (c, _) in b.row_iter(k) {
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-            if ws.stamp[c] != generation {
-                // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-                ws.stamp[c] = generation;
+            // lint: allow(panic-surface) -- in-bounds: `c` is a CSR column of B and `stamp` is B's width
+            if stamps.stamp[c] != generation {
+                // lint: allow(panic-surface) -- in-bounds: `c` is a CSR column of B and `stamp` is B's width
+                stamps.stamp[c] = generation;
                 indices.push(c);
             }
         }
     }
-    // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
+    // lint: allow(panic-surface) -- in-bounds: `start` was the length of `indices` above
     indices[start..].sort_unstable();
     row_lens.push(indices.len() - start);
 }
 
-/// The legacy scalar numeric pass, accumulating one product at a time in the
-/// same visit order as the original single-pass kernel — kept callable as
-/// the reference the fused chunked path is proven against.
+/// The scalar numeric pass, accumulating one product at a time: a first
+/// touch (by the private stamps) stores the product, a repeat touch adds
+/// it. Gathering the row's sorted structure resets each slot to `-0.0`,
+/// leaving `ws` at rest. Kept callable as the oracle the fused path is
+/// proven against.
+#[allow(clippy::too_many_arguments)]
 #[inline]
 fn spgemm_row_numeric_scalar(
     a: &CsrMatrix,
     b: &CsrMatrix,
     r: usize,
     ws: &mut Workspace,
+    stamps: &mut Stamps,
     row_indices: &[usize],
     values: &mut Vec<f32>,
     stats: &mut OpStats,
 ) {
-    let generation = ws.next_generation();
+    let generation = stamps.next();
     for (k, va) in a.row_iter(r) {
         for (c, vb) in b.row_iter(k) {
             stats.mults += 1;
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-            if ws.stamp[c] == generation {
+            // lint: allow(panic-surface) -- in-bounds: `c` is a CSR column of B and `stamp` is B's width
+            if stamps.stamp[c] == generation {
                 stats.adds += 1;
-                // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
+                // lint: allow(panic-surface) -- in-bounds: `c` is a CSR column of B, below the SPA width
                 ws.acc[c] += va * vb;
             } else {
-                // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-                ws.stamp[c] = generation;
-                // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
+                // lint: allow(panic-surface) -- in-bounds: `c` is a CSR column of B and `stamp` is B's width
+                stamps.stamp[c] = generation;
+                // lint: allow(panic-surface) -- in-bounds: `c` is a CSR column of B, below the SPA width
                 ws.acc[c] = va * vb;
             }
         }
     }
     for &c in row_indices {
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-        values.push(ws.acc[c]);
+        // lint: allow(panic-surface) -- in-bounds: every symbolic column is below the SPA width
+        values.push(std::mem::replace(&mut ws.acc[c], -0.0));
     }
 }
 
@@ -397,7 +479,7 @@ pub fn spgemm_with_stats(a: &CsrMatrix, b: &CsrMatrix) -> Result<(CsrMatrix, OpS
     spgemm_par_impl::<true>(a, b, auto_parallelism(a.rows()))
 }
 
-fn spgemm_par_impl<const CHUNKED: bool>(
+fn spgemm_par_impl<const FUSED: bool>(
     a: &CsrMatrix,
     b: &CsrMatrix,
     par: Parallelism,
@@ -415,7 +497,7 @@ fn spgemm_par_impl<const CHUNKED: bool>(
         a.rows(),
         par,
         |r| a.row_nnz(r) as u64,
-        |range| spgemm_block::<CHUNKED>(a, b, range),
+        |range| spgemm_block::<FUSED>(a, b, range),
     );
     Ok(assemble_csr(a.rows(), b.cols(), blocks))
 }
@@ -552,11 +634,12 @@ pub fn sp_sub_pruned(a: &CsrMatrix, b: &CsrMatrix) -> Result<CsrMatrix> {
 
 /// The SPA term sum of [`sp_sum_pruned`] over one contiguous row block.
 ///
-/// Each row stamps and accumulates the terms' entries in term order (so a
-/// slot holds `((t₀ + t₁) + t₂) + …` over the terms that store it — the
-/// pairwise fold's order), counts the distinct columns seen after each term
-/// (the unpruned prefix-sum nnz), orders the columns through
-/// [`order_row_columns`] and emits only values with `v.abs() > 0.0`.
+/// Each row adds the terms' entries into their resting slots in term order
+/// (so a slot holds `((t₀ + t₁) + t₂) + …` over the terms that store it —
+/// the pairwise fold's order, `-0.0 + t₀` being `t₀`) and marks their
+/// columns, counting the bits each term newly sets (the unpruned prefix-sum
+/// nnz). It drains the row through [`drain_row`], which resets every slot,
+/// and keeps only values with `v.abs() > 0.0`.
 ///
 /// Returns the block with its `k` prefix counts in a pooled index buffer,
 /// which [`sp_sum_pruned`] sums over blocks and recycles. The output
@@ -582,41 +665,22 @@ fn sp_sum_block(
     let mut prefix = workspace::take_index_buffer(terms.len());
     prefix.resize(terms.len(), 0);
     for r in rows {
-        let generation = ws.next_generation();
         let start = indices.len();
+        let mut words = (usize::MAX, 0usize);
+        let mut distinct = 0usize;
         for (term, count) in terms.iter().zip(prefix.iter_mut()) {
-            for (c, v) in term.row_iter(r) {
-                // lint: allow(panic-surface) -- in-bounds: `c` is a CSR column of a term, below the SPA width
-                if ws.stamp[c] == generation {
-                    // lint: allow(panic-surface) -- in-bounds: `c` is a CSR column of a term, below the SPA width
-                    ws.acc[c] += v;
-                } else {
-                    // lint: allow(panic-surface) -- in-bounds: `c` is a CSR column of a term, below the SPA width
-                    ws.stamp[c] = generation;
-                    // lint: allow(panic-surface) -- in-bounds: `c` is a CSR column of a term, below the SPA width
-                    ws.acc[c] = v;
-                    indices.push(c);
-                }
-            }
-            *count += indices.len() - start;
+            distinct +=
+                accumulate_segment(ws, &mut words, term.row_indices(r), term.row_values(r), |v| v);
+            *count += distinct;
         }
-        // lint: allow(panic-surface) -- in-bounds: `start` was the length of `indices` above
-        order_row_columns(ws, &mut indices[start..]);
-        let mut kept = start;
-        for i in start..indices.len() {
-            // lint: allow(panic-surface) -- in-bounds: `i` indexes this row's discovered columns
-            let c = indices[i];
-            // lint: allow(panic-surface) -- in-bounds: every discovered column is below the SPA width
-            let v = ws.acc[c];
+        drain_row(ws, words, |c, slot| {
+            let v = std::mem::replace(slot, -0.0);
             if v.abs() > 0.0 {
-                // lint: allow(panic-surface) -- in-bounds: `kept <= i`
-                indices[kept] = c;
+                indices.push(c);
                 values.push(v);
-                kept += 1;
             }
-        }
-        indices.truncate(kept);
-        row_lens.push(kept - start);
+        });
+        row_lens.push(indices.len() - start);
     }
     (CsrBlock { row_lens, indices, values, stats: OpStats::default() }, prefix)
 }
@@ -627,8 +691,8 @@ fn sp_sum_block(
 /// `k − 1` intermediate matrices.
 ///
 /// Every stored value accumulates its terms in term order through a shared
-/// [`Workspace`] SPA, which is the order the pairwise fold adds them in,
-/// and each row is emitted in ascending column order. Entries whose sum
+/// [`Workspace`] SPA resting at `-0.0`, which is the order the pairwise
+/// fold adds them in, and each row is emitted in ascending column order. Entries whose sum
 /// fails `v.abs() > 0.0` (`+0.0`, `-0.0`, NaN) are dropped as they are
 /// emitted. `prefix_nnz[j]` receives the nnz of the *unpruned* prefix sum
 /// `t₀ + … + t_j` — the size of the fold's accumulator after term `j` —
@@ -814,8 +878,8 @@ pub fn gemm_with_stats(a: &DenseMatrix, b: &DenseMatrix) -> Result<(DenseMatrix,
 /// The `*_at` functions run the production code at `par` workers with no
 /// [`parallel::PARALLEL_MIN_ROWS`] threshold, so small inputs still take the
 /// row-blocked path; `Parallelism::serial()` gives the serial run. The
-/// `*_scalar` functions run the scalar inner loops the default chunked
-/// (and, for SpGEMM, fused) paths are proven bit-identical to, at any
+/// `*_scalar` functions run the scalar inner loops the default fused
+/// (SpGEMM) and chunked (SpMM) paths are proven bit-identical to, at any
 /// worker count.
 #[doc(hidden)]
 pub mod reference {
@@ -854,8 +918,8 @@ pub mod reference {
     }
 
     /// SpGEMM on the cache-blocked two-phase *scalar* pass — the oracle the
-    /// fused chunked path is proven bit-identical to (see [`crate::simd`]
-    /// and `tests/proptests.rs`).
+    /// fused path is proven bit-identical to (see the module docs and
+    /// `tests/proptests.rs`).
     // lint: allow(opstats-flow) -- scalar oracle; only the chunked-equivalence tests run it
     pub fn spgemm_scalar(
         a: &CsrMatrix,
@@ -1191,8 +1255,8 @@ mod tests {
 
     #[test]
     fn chunked_numeric_phase_matches_scalar_on_dense_rows() {
-        // Rows wide enough to exercise full LANES chunks plus ragged tails,
-        // and enough rows to cross several cache blocks when batched.
+        // Wide rows spanning many bitmap words, and enough rows to cross
+        // several of the reference's cache blocks when batched.
         let a = random_sparse(300, 20_000, 77);
         let b = random_sparse(300, 18_000, 78);
         for threads in [1usize, 4] {
@@ -1255,12 +1319,12 @@ mod tests {
     }
 
     #[test]
-    fn row_columns_come_out_ascending_and_leave_the_bitmap_clear() {
+    fn drained_rows_come_out_ascending_and_leave_the_workspace_at_rest() {
         let mut ws = Workspace::new();
         ws.ensure_width(1 << 16);
         for n in [0usize, 1, 2, 31, 32, 33, 64, 65, 700] {
-            // Distinct columns in scrambled order, spread over many words;
-            // a 2-column row spans the whole 1,024-word bitmap.
+            // Distinct columns marked in scrambled order, spread over many
+            // words; a 2-column row spans the whole 1,024-word bitmap.
             let mut cols: Vec<usize> =
                 (0..n).map(|i| (i * 2_654_435_761) % ((1 << 16) - 3)).collect();
             cols.sort_unstable();
@@ -1268,9 +1332,72 @@ mod tests {
             let want = cols.clone();
             cols.reverse();
             cols.rotate_left(n / 3);
-            order_row_columns(&mut ws, &mut cols);
-            assert_eq!(cols, want, "n={n}");
-            assert!(ws.bits.iter().all(|&w| w == 0), "n={n} left bits set");
+            let mut words = (usize::MAX, 0);
+            for &c in &cols {
+                accumulate_segment(&mut ws, &mut words, &[c], &[c as f32], |v| v);
+            }
+            let mut got = Vec::new();
+            drain_row(&mut ws, words, |c, slot| got.push((c, std::mem::replace(slot, -0.0))));
+            let want: Vec<(usize, f32)> = want.iter().map(|&c| (c, c as f32)).collect();
+            assert_eq!(got, want, "n={n}");
+            crate::workspace::assert_at_rest(&ws, &format!("n={n}"));
+        }
+    }
+
+    /// A matrix whose rows store the given columns, each with value `v`.
+    fn rows_of(cols: usize, rows: &[&[usize]], v: f32) -> CsrMatrix {
+        let mut coo = CooMatrix::new(rows.len(), cols);
+        for (r, row) in rows.iter().enumerate() {
+            for &c in row.iter() {
+                coo.push(r, c, v).unwrap();
+            }
+        }
+        coo.to_csr()
+    }
+
+    #[test]
+    fn kernels_leave_every_workspace_at_rest() {
+        // Narrow to wide, so one workspace grows between cases: an empty
+        // matrix, a matrix with empty rows, and a product whose first row
+        // spans B's full (word-ragged) width and sums to NaN and ±∞.
+        let full: Vec<usize> = (0..200).collect();
+        let cases = [
+            (CsrMatrix::zeros(0, 0), CsrMatrix::zeros(0, 0)),
+            (CsrMatrix::zeros(3, 4), CsrMatrix::zeros(4, 5)),
+            (rows_of(3, &[&[], &[0, 2], &[]], 1.5), rows_of(70, &[&[69], &[], &[0, 64, 69]], -2.0)),
+            (
+                rows_of(2, &[&[0, 1], &[1]], f32::INFINITY),
+                rows_of(200, &[&full, &[0, 63, 64, 199]], -1.0),
+            ),
+        ];
+        let mut ws = Workspace::new();
+        for (i, (a, b)) in cases.iter().enumerate() {
+            for fused in [true, false] {
+                let block = if fused {
+                    spgemm_block_in::<true>(a, b, 0..a.rows(), &mut ws)
+                } else {
+                    spgemm_block_in::<false>(a, b, 0..a.rows(), &mut ws)
+                };
+                crate::workspace::assert_at_rest(&ws, &format!("case {i} spgemm fused={fused}"));
+                let (p, _) = assemble_csr(a.rows(), b.cols(), vec![block]);
+                let neg = p.scale(-1.0);
+                let (block, prefix) = sp_sum_block(&[&p, &neg, &p], 0..p.rows(), &mut ws);
+                crate::workspace::assert_at_rest(&ws, &format!("case {i} sum"));
+                workspace::recycle_index_buffer(prefix);
+                workspace::recycle(assemble_csr(p.rows(), p.cols(), vec![block]).0);
+            }
+            // The pooled entry points, serial and at four workers.
+            for threads in [1usize, 4] {
+                let par = Parallelism::new(threads);
+                let (p, _) = spgemm_at(a, b, par).unwrap();
+                spgemm_scalar(a, b, par).unwrap();
+                let _guard = parallel::kernel_scope(par);
+                sp_sum_pruned(&[&p, &p.scale(f32::NAN)], &mut [0, 0]).unwrap();
+                spgemm_with_stats(a, b).unwrap();
+            }
+            crate::workspace::for_each_pooled_workspace(|ws| {
+                crate::workspace::assert_at_rest(ws, &format!("case {i} pooled"));
+            });
         }
     }
 

@@ -3,17 +3,16 @@
 //! The sparse kernels in [`crate::ops`] are called thousands of times per
 //! simulated stream (the Eq. 15 chain of seven products runs every
 //! snapshot), and the dominant allocation cost is not the output itself but
-//! the dense scratch each SpGEMM needs: an `n`-wide accumulator, an `n`-wide
-//! stamp array, and the output `indices`/`values` vectors that re-grow from
-//! empty on every call. This module removes that cost:
+//! the dense scratch each SpGEMM needs: an `n`-wide accumulator, an `n`-bit
+//! column bitmap, and the output `indices`/`values` vectors that re-grow
+//! from empty on every call. This module removes that cost:
 //!
-//! * [`Workspace`] owns the dense accumulator (SPA), the generation-stamped
-//!   array and the column bitmap a Gustavson SpGEMM block (or a
-//!   [`crate::ops::sp_sum_pruned`] term sum) needs. It is checked out of a global
-//!   pool per row-block invocation ([`with_workspace`]) and returned
-//!   afterwards, so the `O(n)` scratch is written once and reused across
-//!   calls — including across the fresh scoped threads
-//!   [`crate::parallel::map_blocks`] spawns per kernel call.
+//! * [`Workspace`] owns the dense accumulator (SPA) and the column bitmap a
+//!   Gustavson SpGEMM block (or a [`crate::ops::sp_sum_pruned`] term sum)
+//!   needs. It is checked out of a global pool per row-block invocation
+//!   ([`with_workspace`]) and returned afterwards, so the `O(n)` scratch is
+//!   written once and reused across calls — including across the fresh
+//!   scoped threads [`crate::parallel::map_blocks`] spawns per kernel call.
 //! * A global buffer pool recycles `Vec<usize>` / `Vec<f32>` storage for CSR
 //!   outputs. Kernels draw exactly-sized buffers via
 //!   `take_index_buffer` / `take_value_buffer`; callers that consume an
@@ -21,10 +20,11 @@
 //!   [`recycle_dense`] for SpMM outputs). In steady state a repeated
 //!   same-shape product allocates no new memory.
 //!
-//! Reuse is *bit-invisible*: a pooled buffer is cleared before use and a
-//! workspace's stamp generation never collides, so every kernel result is
-//! bit-identical to a fresh-allocation run (property-tested in
-//! `tests/proptests.rs`). See DESIGN.md §8 for the lifecycle.
+//! Reuse is *bit-invisible*: a pooled buffer is cleared before use, and a
+//! workspace is returned only at rest — every accumulator slot `-0.0`, every
+//! bitmap word zero — so every kernel result is bit-identical to a
+//! fresh-allocation run (property-tested in `tests/proptests.rs`). See
+//! DESIGN.md §8 for the lifecycle.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -36,23 +36,20 @@ const MAX_POOLED_WORKSPACES: usize = 64;
 /// Upper bound on pooled buffers per kind.
 const MAX_POOLED_BUFFERS: usize = 256;
 
-/// Dense scratch owned by one SpGEMM worker: accumulator, stamp array,
-/// column bitmap, and the current stamp generation.
+/// Dense scratch owned by one SpGEMM worker: accumulator and column bitmap.
 ///
-/// The stamp array marks which accumulator slots belong to the current row:
-/// `stamp[c] == generation` means `acc[c]` is live. Bumping the generation
-/// (`O(1)`) invalidates the whole row, so neither array is ever re-zeroed
-/// between rows or between calls.
-///
-/// `bits` holds one bit per column (64 columns per word). It is all-zero
-/// between rows: a row sets the bits of its discovered columns and the
-/// ordered emission in [`crate::ops`] clears each word as it scans it.
+/// Between rows the workspace is *at rest*: every `acc` slot holds `-0.0`
+/// and every `bits` word is zero. A row adds each value into its slot
+/// unconditionally — `-0.0` is IEEE-754's additive identity, so the first
+/// addition yields the value itself, bit for bit — and sets the slot's bit
+/// (64 columns per word). The ordered emission in [`crate::ops`] scans the
+/// row's words, clears each as it reads it, and resets every slot it
+/// gathers to `-0.0`, so neither array is ever re-filled between rows or
+/// between calls.
 #[derive(Debug, Default)]
 pub struct Workspace {
     pub(crate) acc: Vec<f32>,
-    pub(crate) stamp: Vec<usize>,
     pub(crate) bits: Vec<u64>,
-    generation: usize,
 }
 
 impl Workspace {
@@ -61,32 +58,18 @@ impl Workspace {
         Self::default()
     }
 
-    /// Grows the accumulator, stamp and bitmap arrays to at least `cols`
-    /// slots.
+    /// Grows the accumulator and bitmap to at least `cols` slots, at rest.
     ///
     /// Growth is geometric (next power of two): a workspace alternating
     /// between matrix widths settles at the largest width seen and never
     /// reallocates again, instead of re-growing the SPA on every width
     /// increase past a previous exact fit.
     pub(crate) fn ensure_width(&mut self, cols: usize) {
-        if self.stamp.len() < cols {
+        if self.acc.len() < cols {
             let target = cols.next_power_of_two();
-            self.acc.resize(target, 0.0);
-            self.stamp.resize(target, usize::MAX);
+            self.acc.resize(target, -0.0);
             self.bits.resize(target.div_ceil(64), 0);
         }
-    }
-
-    /// Starts a new stamp generation and returns it. The fresh generation
-    /// matches no existing stamp, which is what makes reuse bit-invisible.
-    pub(crate) fn next_generation(&mut self) -> usize {
-        // usize::MAX is the "never stamped" sentinel; wrap long before it.
-        if self.generation >= usize::MAX - 1 {
-            self.stamp.fill(usize::MAX);
-            self.generation = 0;
-        }
-        self.generation += 1;
-        self.generation
     }
 }
 
@@ -202,60 +185,50 @@ pub fn pool_counters() -> (u64, u64) {
     (POOL_HITS.load(Ordering::Relaxed), POOL_MISSES.load(Ordering::Relaxed))
 }
 
+/// Runs `f` on every workspace currently in the pool (test support; holds
+/// the pool lock, so `f` must not call a kernel).
+#[cfg(test)]
+pub(crate) fn for_each_pooled_workspace(mut f: impl FnMut(&Workspace)) {
+    if let Ok(p) = POOL.lock() {
+        p.workspaces.iter().for_each(&mut f);
+    }
+}
+
+/// Asserts `ws` is at rest: every accumulator slot `-0.0`
+/// (`0x8000_0000`), every bitmap word zero.
+#[cfg(test)]
+pub(crate) fn assert_at_rest(ws: &Workspace, what: &str) {
+    let live = ws.acc.iter().position(|v| v.to_bits() != 0x8000_0000);
+    assert_eq!(live, None, "{what}: accumulator slot not at -0.0");
+    let set = ws.bits.iter().position(|&w| w != 0);
+    assert_eq!(set, None, "{what}: bitmap word left set");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn workspace_grows_and_stamps() {
-        let mut ws = Workspace::new();
-        ws.ensure_width(8);
-        assert_eq!(ws.acc.len(), 8);
-        assert!(ws.stamp.iter().all(|&s| s == usize::MAX));
-        assert_eq!(ws.bits, vec![0u64], "one zeroed word covers 8 columns");
-        let g1 = ws.next_generation();
-        let g2 = ws.next_generation();
-        assert_ne!(g1, g2);
-        assert_ne!(g2, usize::MAX);
-        // Growing keeps existing slots and extends with the sentinel.
-        ws.stamp[0] = g2;
-        ws.ensure_width(16);
-        assert_eq!(ws.stamp[0], g2);
-        assert_eq!(ws.stamp[15], usize::MAX);
-    }
-
-    #[test]
-    fn ensure_width_growth_is_geometric_and_pointer_stable() {
+    fn ensure_width_grows_geometrically_at_rest_and_pointer_stable() {
         let mut ws = Workspace::new();
         ws.ensure_width(100);
         assert_eq!(ws.acc.len(), 128, "rounds up to the next power of two");
-        assert_eq!(ws.stamp.len(), 128);
+        assert_eq!(ws.bits.len(), 2);
+        assert_at_rest(&ws, "fresh");
         let acc_ptr = ws.acc.as_ptr();
-        let stamp_ptr = ws.stamp.as_ptr();
         // Shrink-grow-shrink within the geometric envelope: every call is a
         // no-op, so the backing storage must not move.
         for width in [30usize, 128, 60, 100, 1, 128] {
             ws.ensure_width(width);
             assert_eq!(ws.acc.as_ptr(), acc_ptr, "width {width} reallocated the SPA");
-            assert_eq!(ws.stamp.as_ptr(), stamp_ptr, "width {width} reallocated the stamps");
             assert_eq!(ws.acc.len(), 128);
         }
-        // Exceeding the envelope grows to the next power of two again.
+        // Exceeding the envelope grows to the next power of two again, and
+        // the new slots rest at -0.0 like the old ones.
         ws.ensure_width(129);
         assert_eq!(ws.acc.len(), 256);
-        assert_eq!(ws.stamp.len(), 256);
         assert_eq!(ws.bits.len(), 4);
-    }
-
-    #[test]
-    fn generation_wrap_resets_stamps() {
-        let mut ws = Workspace::new();
-        ws.ensure_width(4);
-        ws.generation = usize::MAX - 1;
-        ws.stamp[2] = usize::MAX - 1;
-        let g = ws.next_generation();
-        assert_eq!(g, 1);
-        assert_eq!(ws.stamp[2], usize::MAX);
+        assert_at_rest(&ws, "grown");
     }
 
     #[test]

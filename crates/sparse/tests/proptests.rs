@@ -69,12 +69,33 @@ fn assert_bit_identical(want: &CsrMatrix, got: &CsrMatrix) {
 /// explicitly), exact cancellation partners, NaN and an infinity.
 const SUM_PALETTE: [f32; 9] = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, f32::NAN, f32::INFINITY];
 
+/// [`SUM_PALETTE`] plus subnormals, whose products underflow to `±0.0`: the
+/// values a SpGEMM must multiply and accumulate bit-exactly.
+const SPGEMM_PALETTE: [f32; 12] = [
+    0.0,
+    -0.0,
+    1.0,
+    -1.0,
+    0.5,
+    -0.5,
+    2.0,
+    f32::NAN,
+    f32::INFINITY,
+    f32::MIN_POSITIVE / 4.0,
+    -f32::MIN_POSITIVE / 2.0,
+    f32::from_bits(1),
+];
+
 /// Strategy: a `rows`×`cols` CSR matrix whose stored values come from
-/// [`SUM_PALETTE`]. Each cell is absent with probability ≈ `1/2`, and the
+/// `palette`. Each cell is absent with probability ≈ `1/2`, and the
 /// whole matrix is empty when `empty` draws 0 — explicit zeros are stored
 /// as-is (no `CooMatrix` summing).
-fn palette_matrix(rows: usize, cols: usize) -> impl Strategy<Value = CsrMatrix> {
-    (prop::collection::vec(0usize..2 * SUM_PALETTE.len(), rows * cols), 0u8..6).prop_map(
+fn palette_matrix(
+    palette: &'static [f32],
+    rows: usize,
+    cols: usize,
+) -> impl Strategy<Value = CsrMatrix> {
+    (prop::collection::vec(0usize..2 * palette.len(), rows * cols), 0u8..6).prop_map(
         move |(codes, empty)| {
             let mut indptr = vec![0usize];
             let mut indices = Vec::new();
@@ -82,9 +103,9 @@ fn palette_matrix(rows: usize, cols: usize) -> impl Strategy<Value = CsrMatrix> 
             for r in 0..rows {
                 for c in 0..cols {
                     let code = codes[r * cols + c];
-                    if empty > 0 && code < SUM_PALETTE.len() {
+                    if empty > 0 && code < palette.len() {
                         indices.push(c);
-                        values.push(SUM_PALETTE[code]);
+                        values.push(palette[code]);
                     }
                 }
                 indptr.push(indices.len());
@@ -307,7 +328,7 @@ proptest! {
     ) {
         // Back-to-back products of different shapes through the pooled
         // entry point: each call checks out a workspace the previous calls
-        // left behind, sized, stamped and bit-marked for another width. The
+        // left behind, sized for another width. The
         // result — structure, value bits, and stats — must equal the scalar
         // two-phase oracle, which sorts each row instead of reading the
         // column bitmap.
@@ -372,6 +393,24 @@ proptest! {
         let cv: Vec<u32> = c.values().iter().map(|v| v.to_bits()).collect();
         prop_assert_eq!(sv, cv);
         prop_assert_eq!(s_st, c_st);
+    }
+
+    #[test]
+    fn fused_spgemm_matches_scalar_oracle_on_special_values(
+        a in palette_matrix(&SPGEMM_PALETTE, 6, 9),
+        b in palette_matrix(&SPGEMM_PALETTE, 9, 70),
+    ) {
+        // Signed zeros, exact cancellation, NaN, ∞ (and ∞ − ∞, 0 · ∞) and
+        // subnormal products that underflow to ±0.0, over a 70-column B that
+        // crosses a bitmap word: the branchless SPA resting at -0.0 must
+        // emit the bits and OpStats of the oracle's first-touch store.
+        for threads in [1usize, 4] {
+            let par = Parallelism::new(threads);
+            let (want, want_st) = reference::spgemm_scalar(&a, &b, par).unwrap();
+            let (got, got_st) = reference::spgemm_at(&a, &b, par).unwrap();
+            assert_bit_identical(&want, &got);
+            prop_assert_eq!(got_st, want_st, "threads={}", threads);
+        }
     }
 
     #[test]
@@ -452,7 +491,7 @@ proptest! {
 
     #[test]
     fn sp_sum_pruned_matches_pairwise_fold_then_prune(
-        terms in prop::collection::vec(palette_matrix(5, 7), 1..6),
+        terms in prop::collection::vec(palette_matrix(&SUM_PALETTE, 5, 7), 1..6),
     ) {
         // The one-pass ΔA_C sum against the fold it replaces: left-to-right
         // `sp_add`, then `pruned(0.0)`. Bit for bit, including which
