@@ -6,16 +6,16 @@
 //! differences are the execution algorithm, the interconnect, the resource
 //! partitioning, and the pipeline granularity.
 
-use idgnn_core::{SimReport, SnapshotSim};
+use idgnn_core::{PipelineSchedule, SimReport, SnapshotSim};
 use idgnn_graph::DynamicGraph;
 use idgnn_hw::utilization::PhaseUtilization;
 use idgnn_hw::{
-    AccessPattern, EnergyBreakdown, Engine, PhaseWork, TrafficPattern,
+    AccessPattern, AcceleratorConfig, EnergyBreakdown, Engine, PhaseWork, TrafficPattern,
 };
-use idgnn_model::{DgnnModel, Phase, SnapshotCost};
-
-use crate::error::Result;
-use idgnn_core::PipelineSchedule;
+use idgnn_model::cost::dense_bytes;
+use idgnn_model::{DgnnModel, ExecutionResult, MemoryModel, Phase, SnapshotCost};
+use idgnn_sparse::parallel::KernelScope;
+use idgnn_sparse::Parallelism;
 
 /// Per-phase policy of a baseline: MAC share, efficiency, NoC load.
 pub(crate) struct PhasePolicy {
@@ -113,17 +113,47 @@ pub(crate) fn assemble(
     }
 }
 
-/// The aggregate data volume the GNN kernel moves on-chip for one snapshot:
-/// the operator plus the full input features — baseline dataflows lack the
-/// rotation locality, so this volume crosses the NoC with a non-local
-/// pattern.
-pub(crate) fn gnn_onchip_volume(model: &DgnnModel, dg: &DynamicGraph, t: usize) -> Result<u64> {
-    let snaps = dg.materialize()?;
-    // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-    let a = model.normalization().apply(snaps[t].adjacency());
-    let dims = model.dims();
-    // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-    Ok(a.csr_bytes() + 4 * (snaps[t].num_vertices() * dims.input_dim) as u64)
+/// The memory model every baseline executes under: its whole on-chip
+/// storage. The iso-resource rule gives all three baselines the same
+/// storage, so their executions of one algorithm are identical.
+pub(crate) fn memory(config: &AcceleratorConfig) -> MemoryModel {
+    MemoryModel { onchip_bytes: config.total_onchip_bytes() }
+}
+
+/// Pins the host-kernel thread count while the guard lives (`None` keeps
+/// the ambient selection).
+pub(crate) fn kernel_scope(parallelism: Option<usize>) -> Option<KernelScope> {
+    parallelism.map(|n| idgnn_sparse::parallel::kernel_scope(Parallelism::new(n)))
+}
+
+/// Times every snapshot of an execution with one per-phase policy.
+///
+/// The policy also receives the snapshot's GNN on-chip volume: the operator
+/// plus the full input features. Baseline dataflows lack the rotation
+/// locality, so this volume crosses the NoC with a non-local pattern. The
+/// operator's size comes from the execution's own record
+/// ([`ExecutionResult::operator_bytes`]); nothing is re-materialised here.
+pub(crate) fn time_snapshots(
+    engine: &Engine,
+    model: &DgnnModel,
+    dg: &DynamicGraph,
+    result: &ExecutionResult,
+    schedule: PipelineSchedule,
+    policy: impl Fn(Phase, u64) -> PhasePolicy,
+) -> (Vec<SnapshotSim>, Vec<PhaseUtilization>) {
+    debug_assert_eq!(result.costs.len(), result.operator_bytes.len());
+    let features = dense_bytes(dg.initial().num_vertices(), model.dims().input_dim);
+    let mut util = Vec::new();
+    let sims = result
+        .costs
+        .iter()
+        .zip(&result.operator_bytes)
+        .map(|(cost, &operator)| {
+            let volume = operator + features;
+            time_snapshot(engine, cost, schedule, |phase| policy(phase, volume), &mut util)
+        })
+        .collect();
+    (sims, util)
 }
 
 #[cfg(test)]

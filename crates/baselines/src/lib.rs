@@ -11,8 +11,14 @@
 //! * [`Race`] — RACE (TACO'23): incremental algorithm, heterogeneous
 //!   GNN/RNN engines with a fixed 50/50 PE split behind crossbars.
 //!
-//! All three produce the same [`SimReport`](idgnn_core::SimReport) type as
-//! the I-DGNN accelerator, so the bench harness compares them directly.
+//! All three produce the same [`SimReport`] type as the I-DGNN accelerator,
+//! so the bench harness compares them directly.
+//!
+//! Execution and timing are split: each baseline's `time` turns an
+//! [`ExecutionResult`](idgnn_model::ExecutionResult) into a report, and
+//! `simulate` is `exec::run` followed by `time`. [`simulate_baselines`]
+//! executes Recompute once for both ReaDy and DGNN-Booster and Incremental
+//! once for RACE.
 //!
 //! ## Example
 //!
@@ -48,6 +54,42 @@ pub use error::{BaselineError, Result};
 pub use race::Race;
 pub use ready::Ready;
 
+use idgnn_core::SimReport;
+use idgnn_graph::DynamicGraph;
+use idgnn_hw::AcceleratorConfig;
+use idgnn_model::{exec, Algorithm, DgnnModel};
+
+/// Simulates ReaDy, DGNN-Booster and RACE (in that order) on one workload,
+/// executing each algorithm once.
+///
+/// ReaDy and DGNN-Booster both run the Recompute algorithm under the same
+/// memory model (the iso-resource rule gives them the same storage), so one
+/// Recompute execution feeds both timing models; RACE times one Incremental
+/// execution. Each report equals the one its accelerator's `simulate_with`
+/// returns, field for field.
+///
+/// # Errors
+///
+/// Propagates functional or hardware-model errors.
+pub fn simulate_baselines(
+    reference: AcceleratorConfig,
+    model: &DgnnModel,
+    dg: &DynamicGraph,
+    parallelism: Option<usize>,
+) -> Result<[SimReport; 3]> {
+    let _kernel_scope = common::kernel_scope(parallelism);
+    let (ready, booster, race) =
+        (Ready::new(reference)?, Booster::new(reference)?, Race::new(reference)?);
+    let mem = common::memory(ready.config());
+    // One execution alive at a time: the Incremental outputs are dropped
+    // before the Recompute run allocates its own.
+    let incremental = exec::run(Algorithm::Incremental, model, dg, &mem)?;
+    let race = race.time(model, dg, &incremental);
+    drop(incremental);
+    let recompute = exec::run(Algorithm::Recompute, model, dg, &mem)?;
+    Ok([ready.time(model, dg, &recompute), booster.time(model, dg, &recompute), race])
+}
+
 #[cfg(test)]
 pub(crate) mod test_support {
     use idgnn_graph::generate::{generate_dynamic_graph, GraphConfig, StreamConfig};
@@ -78,6 +120,58 @@ pub(crate) mod test_support {
         })
         .unwrap();
         (model, dg)
+    }
+}
+
+#[cfg(test)]
+mod shared_execution_tests {
+    use super::test_support::{small_config, workload};
+    use super::*;
+    use crate::common::memory;
+    use idgnn_model::MemoryModel;
+
+    #[test]
+    fn baselines_share_one_memory_model() {
+        let config = small_config();
+        let mem = memory(Ready::new(config).unwrap().config());
+        assert_eq!(mem, memory(Booster::new(config).unwrap().config()));
+        assert_eq!(mem, memory(Race::new(config).unwrap().config()));
+        assert_eq!(mem, MemoryModel { onchip_bytes: config.total_onchip_bytes() });
+    }
+
+    #[test]
+    fn simulate_equals_timing_a_separate_execution() {
+        let (model, dg) = workload();
+        let config = small_config();
+        let mem = MemoryModel { onchip_bytes: config.total_onchip_bytes() };
+        let recompute = exec::run(Algorithm::Recompute, &model, &dg, &mem).unwrap();
+        let incremental = exec::run(Algorithm::Incremental, &model, &dg, &mem).unwrap();
+        let (ready, booster, race) = (
+            Ready::new(config).unwrap(),
+            Booster::new(config).unwrap(),
+            Race::new(config).unwrap(),
+        );
+        assert_eq!(ready.simulate(&model, &dg).unwrap(), ready.time(&model, &dg, &recompute));
+        assert_eq!(booster.simulate(&model, &dg).unwrap(), booster.time(&model, &dg, &recompute));
+        assert_eq!(race.simulate(&model, &dg).unwrap(), race.time(&model, &dg, &incremental));
+    }
+
+    #[test]
+    fn shared_runs_match_each_simulate() {
+        let (model, dg) = workload();
+        let config = small_config();
+        let runs_before = exec::runs_on_this_thread();
+        let [ready, booster, race] = simulate_baselines(config, &model, &dg, Some(1)).unwrap();
+        let runs = exec::runs_on_this_thread();
+        // One Recompute and one Incremental execution, no OnePass.
+        let executed: Vec<u64> = runs.iter().zip(runs_before).map(|(a, b)| a - b).collect();
+        assert_eq!(executed, [1, 1, 0]);
+        assert_eq!(ready, Ready::new(config).unwrap().simulate_with(&model, &dg, Some(1)).unwrap());
+        assert_eq!(
+            booster,
+            Booster::new(config).unwrap().simulate_with(&model, &dg, Some(1)).unwrap()
+        );
+        assert_eq!(race, Race::new(config).unwrap().simulate_with(&model, &dg, Some(1)).unwrap());
     }
 }
 

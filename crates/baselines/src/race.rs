@@ -13,9 +13,9 @@
 use idgnn_core::{PipelineSchedule, SimReport};
 use idgnn_graph::DynamicGraph;
 use idgnn_hw::{overlap_cycles, AcceleratorConfig, Engine, Topology, TrafficPattern};
-use idgnn_model::{exec, Algorithm, DgnnModel, MemoryModel, Phase};
+use idgnn_model::{exec, Algorithm, DgnnModel, ExecutionResult, Phase};
 
-use crate::common::{assemble, gnn_onchip_volume, time_snapshot, PhasePolicy};
+use crate::common::{assemble, kernel_scope, memory, time_snapshots, PhasePolicy};
 use crate::error::Result;
 
 /// The RACE baseline.
@@ -64,47 +64,52 @@ impl Race {
         dg: &DynamicGraph,
         parallelism: Option<usize>,
     ) -> Result<SimReport> {
-        let _kernel_scope = parallelism
-            .map(|n| idgnn_sparse::parallel::kernel_scope(idgnn_sparse::Parallelism::new(n)));
-        let mem = MemoryModel { onchip_bytes: self.engine.config().total_onchip_bytes() };
-        let result = exec::run(Algorithm::Incremental, model, dg, &mem)?;
+        let _kernel_scope = kernel_scope(parallelism);
+        let result = exec::run(Algorithm::Incremental, model, dg, &memory(self.config()))?;
+        Ok(self.time(model, dg, &result))
+    }
+
+    /// Times an Incremental execution of `model` over `dg` on RACE. The
+    /// execution must have run under this accelerator's memory model
+    /// (its whole on-chip storage), as [`Race::simulate`] runs it.
+    pub fn time(
+        &self,
+        model: &DgnnModel,
+        dg: &DynamicGraph,
+        result: &ExecutionResult,
+    ) -> SimReport {
         // Hard engine split: half the chip each, regardless of workload.
         let schedule = PipelineSchedule::even();
 
-        let mut util = Vec::new();
-        let mut sims = Vec::with_capacity(result.costs.len());
-        for (t, cost) in result.costs.iter().enumerate() {
-            let volume = gnn_onchip_volume(model, dg, t)?;
-            let sim = time_snapshot(
-                &self.engine,
-                cost,
-                schedule,
-                |phase| match phase {
-                    Phase::AComb | Phase::Aggregation | Phase::Combination | Phase::WComb => {
-                        PhasePolicy {
-                            share: 0.5,
-                            efficiency: 0.85,
-                            noc_bytes: if phase == Phase::Aggregation { volume } else { 0 },
-                            noc_pattern: TrafficPattern::AllToAll,
-                        }
-                    }
-                    Phase::RnnA | Phase::RnnB => PhasePolicy {
+        let (sims, util) = time_snapshots(
+            &self.engine,
+            model,
+            dg,
+            result,
+            schedule,
+            |phase, volume| match phase {
+                Phase::AComb | Phase::Aggregation | Phase::Combination | Phase::WComb => {
+                    PhasePolicy {
                         share: 0.5,
-                        efficiency: 0.95,
-                        noc_bytes: 0,
-                        noc_pattern: TrafficPattern::GlobalBuffer,
-                    },
-                    _ => PhasePolicy {
-                        share: 1.0,
-                        efficiency: 1.0,
-                        noc_bytes: 0,
-                        noc_pattern: TrafficPattern::GlobalBuffer,
-                    },
+                        efficiency: 0.85,
+                        noc_bytes: if phase == Phase::Aggregation { volume } else { 0 },
+                        noc_pattern: TrafficPattern::AllToAll,
+                    }
+                }
+                Phase::RnnA | Phase::RnnB => PhasePolicy {
+                    share: 0.5,
+                    efficiency: 0.95,
+                    noc_bytes: 0,
+                    noc_pattern: TrafficPattern::GlobalBuffer,
                 },
-                &mut util,
-            );
-            sims.push(sim);
-        }
+                _ => PhasePolicy {
+                    share: 1.0,
+                    efficiency: 1.0,
+                    noc_bytes: 0,
+                    noc_pattern: TrafficPattern::GlobalBuffer,
+                },
+            },
+        );
         // Engine-level pipeline: the RNN engine processes snapshot t while
         // the GNN engine works on t+1.
         let stages: Vec<(f64, f64)> = sims
@@ -112,7 +117,7 @@ impl Race {
             .map(|s| (s.frontend_cycles + s.gnn_cycles, s.rnn_a_cycles + s.rnn_b_cycles))
             .collect();
         let total = overlap_cycles(&stages);
-        Ok(assemble(sims, total, result.total_ops(), util))
+        assemble(sims, total, result.total_ops(), util)
     }
 }
 

@@ -12,9 +12,9 @@
 use idgnn_core::{PipelineSchedule, SimReport};
 use idgnn_graph::DynamicGraph;
 use idgnn_hw::{AcceleratorConfig, Engine, Topology, TrafficPattern};
-use idgnn_model::{exec, Algorithm, DgnnModel, MemoryModel, Phase};
+use idgnn_model::{exec, Algorithm, DgnnModel, ExecutionResult, Phase};
 
-use crate::common::{assemble, gnn_onchip_volume, time_snapshot, PhasePolicy};
+use crate::common::{assemble, kernel_scope, memory, time_snapshots, PhasePolicy};
 use crate::error::Result;
 
 /// The ReaDy baseline.
@@ -63,57 +63,59 @@ impl Ready {
         dg: &DynamicGraph,
         parallelism: Option<usize>,
     ) -> Result<SimReport> {
-        let _kernel_scope = parallelism
-            .map(|n| idgnn_sparse::parallel::kernel_scope(idgnn_sparse::Parallelism::new(n)));
-        let mem = MemoryModel { onchip_bytes: self.engine.config().total_onchip_bytes() };
-        let result = exec::run(Algorithm::Recompute, model, dg, &mem)?;
+        let _kernel_scope = kernel_scope(parallelism);
+        let result = exec::run(Algorithm::Recompute, model, dg, &memory(self.config()))?;
+        Ok(self.time(model, dg, &result))
+    }
 
+    /// Times a Recompute execution of `model` over `dg` on ReaDy. The
+    /// execution must have run under this accelerator's memory model
+    /// (its whole on-chip storage), as [`Ready::simulate`] runs it.
+    pub fn time(
+        &self,
+        model: &DgnnModel,
+        dg: &DynamicGraph,
+        result: &ExecutionResult,
+    ) -> SimReport {
         // Static workload-ratio partition from the first snapshot.
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-        let g0 = result.costs[0].gnn_ops().mults.max(1) as f64;
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-        let r0 = result.costs[0].rnn_ops().mults.max(1) as f64;
+        let (g0, r0) = result.costs.first().map_or((1.0, 1.0), |c| {
+            (c.gnn_ops().mults.max(1) as f64, c.rnn_ops().mults.max(1) as f64)
+        });
         let schedule = PipelineSchedule::from_alpha(g0 / (g0 + r0));
-
-        let mut util = Vec::new();
-        let mut sims = Vec::with_capacity(result.costs.len());
-        for (t, cost) in result.costs.iter().enumerate() {
-            let volume = gnn_onchip_volume(model, dg, t)?;
-            let sim = time_snapshot(
-                &self.engine,
-                cost,
-                schedule,
-                |phase| match phase {
-                    Phase::AComb | Phase::Aggregation | Phase::Combination | Phase::WComb => {
-                        PhasePolicy {
-                            share: schedule.alpha,
-                            efficiency: 0.85,
-                            noc_bytes: if phase == Phase::Aggregation { volume } else { 0 },
-                            // Vertex-group scheduling without ring locality:
-                            // aggregation traffic crosses the mesh.
-                            noc_pattern: TrafficPattern::AllToAll,
-                        }
+        let (sims, util) = time_snapshots(
+            &self.engine,
+            model,
+            dg,
+            result,
+            schedule,
+            |phase, volume| match phase {
+                Phase::AComb | Phase::Aggregation | Phase::Combination | Phase::WComb => {
+                    PhasePolicy {
+                        share: schedule.alpha,
+                        efficiency: 0.85,
+                        noc_bytes: if phase == Phase::Aggregation { volume } else { 0 },
+                        // Vertex-group scheduling without ring locality:
+                        // aggregation traffic crosses the mesh.
+                        noc_pattern: TrafficPattern::AllToAll,
                     }
-                    Phase::RnnA | Phase::RnnB => PhasePolicy {
-                        share: schedule.beta,
-                        efficiency: 0.95,
-                        noc_bytes: 0,
-                        noc_pattern: TrafficPattern::GlobalBuffer,
-                    },
-                    _ => PhasePolicy {
-                        share: 1.0,
-                        efficiency: 1.0,
-                        noc_bytes: 0,
-                        noc_pattern: TrafficPattern::GlobalBuffer,
-                    },
+                }
+                Phase::RnnA | Phase::RnnB => PhasePolicy {
+                    share: schedule.beta,
+                    efficiency: 0.95,
+                    noc_bytes: 0,
+                    noc_pattern: TrafficPattern::GlobalBuffer,
                 },
-                &mut util,
-            );
-            sims.push(sim);
-        }
+                _ => PhasePolicy {
+                    share: 1.0,
+                    efficiency: 1.0,
+                    noc_bytes: 0,
+                    noc_pattern: TrafficPattern::GlobalBuffer,
+                },
+            },
+        );
         // No cross-snapshot overlap: snapshots run back-to-back.
         let total = sims.iter().map(|s| s.serial_cycles()).sum();
-        Ok(assemble(sims, total, result.total_ops(), util))
+        assemble(sims, total, result.total_ops(), util)
     }
 }
 

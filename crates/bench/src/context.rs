@@ -11,7 +11,7 @@
 //! (buffers, bandwidth, PE count), preserving the spill behaviour of the
 //! full-size system — see DESIGN.md §2.
 
-use idgnn_baselines::{Booster, Race, Ready};
+use idgnn_baselines::{simulate_baselines, Booster, Race, Ready};
 use idgnn_core::{IdgnnAccelerator, SimOptions, SimReport};
 use idgnn_graph::datasets::{DatasetSpec, ALL_DATASETS};
 use idgnn_graph::generate::StreamConfig;
@@ -193,8 +193,26 @@ impl Context {
         IdgnnAccelerator::new(self.config)?.simulate(&w.model, &w.graph, opts)
     }
 
+    /// Simulates all four accelerators on one workload, in [`ACCELERATORS`]
+    /// order, executing each algorithm once: OnePass for I-DGNN, one
+    /// Recompute run timed by both ReaDy and DGNN-Booster, and one
+    /// Incremental run for RACE
+    /// ([`idgnn_baselines::simulate_baselines`]). Each report equals
+    /// [`Context::run_accelerator`]'s for the same name, field for field.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulation errors.
+    pub fn run_accelerators(&self, w: &Workload) -> Result<[SimReport; 4]> {
+        let idgnn = self.run_idgnn(w, &SimOptions::default())?;
+        let [ready, booster, race] = simulate_baselines(self.config, &w.model, &w.graph, None)?;
+        Ok([idgnn, ready, booster, race])
+    }
+
     /// Simulates one of the four accelerators by name
-    /// (`"I-DGNN" | "ReaDy" | "DGNN-Booster" | "RACE"`).
+    /// (`"I-DGNN" | "ReaDy" | "DGNN-Booster" | "RACE"`). A grid that needs
+    /// all four should call [`Context::run_accelerators`], which executes
+    /// the shared Recompute run once.
     ///
     /// # Errors
     ///
@@ -264,6 +282,23 @@ mod tests {
         let a = Context::new(ExperimentScale::Quick, 9).unwrap();
         let b = Context::new(ExperimentScale::Quick, 9).unwrap();
         assert_eq!(a.workloads[0].graph, b.workloads[0].graph);
+    }
+
+    #[test]
+    fn run_accelerators_matches_each_run_accelerator() {
+        for threads in [1, 4] {
+            let ctx = Context::new(ExperimentScale::Quick, 2)
+                .unwrap()
+                .with_parallelism(Parallelism::new(threads));
+            let _kernels = idgnn_sparse::parallel::kernel_scope(Parallelism::new(threads));
+            let w = ctx.workload("PM");
+            let shared = ctx.run_accelerators(w).unwrap();
+            for (name, report) in ACCELERATORS.iter().zip(&shared) {
+                // `SimReport` equality compares every field: cycles, energy,
+                // DRAM bytes, ops, per-snapshot sims and utilization phases.
+                assert_eq!(*report, ctx.run_accelerator(name, w).unwrap(), "{name} @ {threads}");
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use serde::Serialize;
 
-use crate::context::{Context, Result, ACCELERATORS};
+use crate::context::{Context, Result};
 use crate::driver;
 use crate::report::{mean, reduction_pct, table};
 
@@ -15,7 +15,8 @@ use crate::report::{mean, reduction_pct, table};
 pub struct Fig12Row {
     /// Dataset short code.
     pub dataset: String,
-    /// Cycles per accelerator, in [`ACCELERATORS`] order.
+    /// Cycles per accelerator, in [`ACCELERATORS`](crate::context::ACCELERATORS)
+    /// order.
     pub cycles: [f64; 4],
     /// I-DGNN speedup over each baseline (ReaDy, Booster, RACE).
     pub speedups: [f64; 3],
@@ -36,25 +37,16 @@ pub struct Fig12 {
 ///
 /// Propagates simulation errors.
 pub fn run(ctx: &Context) -> Result<Fig12> {
-    // Grid: (dataset × accelerator) cells in declared order; the driver fans
-    // them across workers and hands back results in the same order.
-    let cells: Vec<(usize, &str)> = ctx
-        .workloads
-        .iter()
-        .enumerate()
-        .flat_map(|(wi, _)| ACCELERATORS.iter().map(move |name| (wi, *name)))
-        .collect();
-    let grid_cycles = driver::run_cells(ctx.parallelism, &cells, |_, &(wi, name)| {
-        // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
-        Ok(ctx.run_accelerator(name, &ctx.workloads[wi])?.total_cycles)
+    // One cell per dataset: `run_accelerators` executes each algorithm once
+    // and times all four accelerators; the driver fans the cells across
+    // workers and hands back results in declared order.
+    let grid = driver::run_cells(ctx.parallelism, &ctx.workloads, |_, w| {
+        Ok(ctx.run_accelerators(w)?.map(|r| r.total_cycles))
     })?;
 
     let mut rows = Vec::new();
     let mut reds = [Vec::new(), Vec::new(), Vec::new()];
-    for (wi, w) in ctx.workloads.iter().enumerate() {
-        let mut cycles = [0.0f64; 4];
-        // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
-        cycles.copy_from_slice(&grid_cycles[wi * ACCELERATORS.len()..(wi + 1) * ACCELERATORS.len()]);
+    for (w, cycles) in ctx.workloads.iter().zip(grid) {
         let mut speedups = [0.0f64; 3];
         for b in 0..3 {
             // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here

@@ -60,28 +60,17 @@ pub struct Fig14 {
 ///
 /// Propagates simulation errors.
 pub fn run(ctx: &Context) -> Result<Fig14> {
-    // Grid: (dataset × accelerator) cells, fanned out in declared order.
-    let cells: Vec<(usize, &str)> = ctx
-        .workloads
-        .iter()
-        .enumerate()
-        .flat_map(|(wi, _)| ACCELERATORS.iter().map(move |name| (wi, *name)))
-        .collect();
-    let grid_reports = driver::run_cells(ctx.parallelism, &cells, |_, &(wi, name)| {
-        // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
-        ctx.run_accelerator(name, &ctx.workloads[wi])
-    })?;
+    // One cell per dataset: `run_accelerators` executes each algorithm once
+    // and times all four accelerators, in declared order.
+    let grid = driver::run_cells(ctx.parallelism, &ctx.workloads, |_, w| ctx.run_accelerators(w))?;
 
     let mut rows = Vec::new();
     let mut reds = [Vec::new(), Vec::new(), Vec::new()];
-    for (wi, w) in ctx.workloads.iter().enumerate() {
-        // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
-        let reports = &grid_reports[wi * ACCELERATORS.len()..(wi + 1) * ACCELERATORS.len()];
+    for (w, reports) in ctx.workloads.iter().zip(&grid) {
         // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
         let base = reports[0].energy.total_pj().max(1e-9);
-        for (i, name) in ACCELERATORS.iter().enumerate() {
-            // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
-            let e = &reports[i].energy;
+        for (i, (name, report)) in ACCELERATORS.iter().zip(reports).enumerate() {
+            let e = &report.energy;
             rows.push(Fig14Row {
                 dataset: w.spec.short.to_string(),
                 accelerator: name.to_string(),

@@ -7,7 +7,7 @@
 use idgnn_graph::generate::StreamConfig;
 use serde::Serialize;
 
-use crate::context::{Context, Result, ACCELERATORS};
+use crate::context::{Context, Result};
 use crate::driver;
 use crate::report::table;
 
@@ -50,11 +50,7 @@ pub fn run(ctx: &Context) -> Result<Fig15> {
     let rows = driver::run_cells(ctx.parallelism, &SWEEP, |_, &d| {
         let stream = StreamConfig { dissimilarity: d, ..ctx.stream };
         let w = Context::build_workload(&spec, scale, &stream, ctx.dims, 41)?;
-        let mut cycles = [0.0f64; 4];
-        for (i, name) in ACCELERATORS.iter().enumerate() {
-            // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
-            cycles[i] = ctx.run_accelerator(name, &w)?.total_cycles;
-        }
+        let cycles = ctx.run_accelerators(&w)?.map(|r| r.total_cycles);
         // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
         let base = cycles[0].max(1e-9);
         Ok(Fig15Row {

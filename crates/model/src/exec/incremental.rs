@@ -3,8 +3,6 @@
 //! layer, but every affected component still traverses the full pipeline and
 //! the intermediate features of *both* snapshots must be retained.
 
-use std::collections::HashSet;
-
 use idgnn_graph::DynamicGraph;
 use idgnn_sparse::{ops, DenseMatrix, OpStats};
 
@@ -14,7 +12,6 @@ use crate::exec::{ExecutionResult, SnapshotOutput};
 use crate::lstm::LstmState;
 use crate::DgnnModel;
 
-// lint: order-insensitive -- affected/frontier sets are membership probes; row results land via keyed `set(r, c, ..)` writes and op counts are commutative integer adds
 pub(crate) fn run(
     model: &DgnnModel,
     dg: &DynamicGraph,
@@ -32,6 +29,8 @@ pub(crate) fn run(
     // ---- Snapshot 0: full pipeline, caching every layer's output. ----
     // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
     let mut a_prev = model.normalization().apply(snaps[0].adjacency());
+    let mut operator_bytes = Vec::with_capacity(snaps.len());
+    operator_bytes.push(a_prev.csr_bytes());
     let mut cost0 = SnapshotCost::default();
     let mut front = Traffic::none();
     front.read(DataClass::Weight, model.weight_bytes());
@@ -78,49 +77,63 @@ pub(crate) fn run(
     for (t, snap) in snaps.iter().enumerate().skip(1) {
         let mut cost = SnapshotCost::default();
         let a_next = model.normalization().apply(snap.adjacency());
+        operator_bytes.push(a_next.csr_bytes());
         let d_op = ops::sp_sub_pruned(&a_next, &a_prev)?;
 
         // DIU: read the structural delta, the changed input features, and
         // (every snapshot, per the paper) the weights.
-        let changed_features: HashSet<usize> =
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-            dg.deltas()[t - 1].feature_updates().iter().map(|u| u.vertex).collect();
+        // lint: allow(panic-surface) -- snapshot `t ≥ 1` was built from delta `t − 1`
+        let updates = dg.deltas()[t - 1].feature_updates();
+        // `affected` marks the rows whose layer input changed; the first
+        // layer's input is X_0, so it starts as the changed feature rows.
+        let mut affected = vec![false; v];
+        let mut affected_count = 0;
+        for u in updates {
+            // lint: allow(panic-surface) -- `materialize` validated every update's vertex against V
+            if !std::mem::replace(&mut affected[u.vertex], true) {
+                affected_count += 1;
+            }
+        }
         let mut front = Traffic::none();
         front.read(DataClass::Weight, model.weight_bytes());
         front.read(DataClass::Graph, d_op.csr_bytes());
-        front.read(
-            DataClass::InputFeature,
-            dense_bytes(changed_features.len(), dims.input_dim),
-        );
+        front.read(DataClass::InputFeature, dense_bytes(affected_count, dims.input_dim));
         cost.push(Phase::Diu, OpStats::default(), front);
 
         // Refresh the cached X_0 rows.
-        for &r in &changed_features {
+        for u in updates {
             for c in 0..dims.input_dim {
-                x0_cache.set(r, c, snap.features().get(r, c));
+                x0_cache.set(u.vertex, c, snap.features().get(u.vertex, c));
             }
         }
 
-        let structural: HashSet<usize> =
-            (0..v).filter(|&r| d_op.row_nnz(r) > 0).collect();
+        let structural: Vec<bool> = (0..v).map(|r| d_op.row_nnz(r) > 0).collect();
+        // Rows of the previous layer that must be gathered this layer —
+        // each is fetched once (the engine buffers rows within a layer).
+        let mut needed = vec![false; v];
 
-        let mut affected: HashSet<usize> = changed_features;
         for l in 0..l_count {
             let in_dim = if l == 0 { dims.input_dim } else { dims.gnn_out_dim };
-            let prev_layer: &DenseMatrix =
-                // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-                if l == 0 { &x0_cache } else { &layer_outs[l - 1] };
+            // Layer l reads layer l−1 (X_0 for the first) and overwrites its
+            // own affected rows in place.
+            let (done, rest) = layer_outs.split_at_mut(l);
+            let prev_layer: &DenseMatrix = match done.last() {
+                Some(prev) => prev,
+                None => &x0_cache,
+            };
+            // lint: allow(panic-surface) -- `l < l_count == layer_outs.len()`
+            let out_layer = &mut rest[0];
 
             // Frontier expansion: rows whose structure changed, plus rows
             // adjacent (in Â^{t+1}) to any vertex whose layer-(l) input
-            // changed.
+            // changed. `rows` lists them in ascending order.
             let mut next_affected = structural.clone();
-            for r in 0..v {
-                if next_affected.contains(&r) {
-                    continue;
-                }
-                if a_next.row_indices(r).iter().any(|c| affected.contains(c)) {
-                    next_affected.insert(r);
+            let mut rows = Vec::new();
+            for (r, mark) in next_affected.iter_mut().enumerate() {
+                // lint: allow(panic-surface) -- CSR column indices are < V by construction
+                if *mark || a_next.row_indices(r).iter().any(|&c| affected[c]) {
+                    *mark = true;
+                    rows.push(r);
                 }
             }
 
@@ -132,20 +145,23 @@ pub(crate) fn run(
             let mut cb_ops = OpStats::default();
             let mut ag_t = Traffic::none();
             let mut cb_t = Traffic::none();
-            let mut new_rows: Vec<(usize, Vec<f32>)> = Vec::with_capacity(next_affected.len());
-            // Rows of the previous layer that must be gathered this layer —
-            // each is fetched once (the engine buffers rows within a layer).
-            let mut needed_rows: HashSet<usize> = HashSet::new();
+            let mut agg = vec![0.0f32; in_dim];
+            let mut out = vec![0.0f32; dims.gnn_out_dim];
+            needed.fill(false);
+            let mut needed_count = 0;
 
-            for &r in &next_affected {
+            for &r in &rows {
                 let nnz = a_next.row_nnz(r) as u64;
-                let mut agg = vec![0.0f32; in_dim];
+                agg.fill(0.0);
                 for (c, w) in a_next.row_iter(r) {
                     let src = prev_layer.row(c);
                     for (o, &x) in agg.iter_mut().zip(src) {
                         *o += w * x;
                     }
-                    needed_rows.insert(c);
+                    // lint: allow(panic-surface) -- CSR column indices are < V by construction
+                    if !std::mem::replace(&mut needed[c], true) {
+                        needed_count += 1;
+                    }
                 }
                 ag_ops.mults += nnz * in_dim as u64;
                 ag_ops.adds += nnz.saturating_sub(1) * in_dim as u64;
@@ -153,13 +169,16 @@ pub(crate) fn run(
                     ag_t.read(DataClass::Graph, nnz * 8);
                 }
 
-                let mut out = vec![0.0f32; dims.gnn_out_dim];
-                for (j, o) in out.iter_mut().enumerate() {
-                    let mut acc = 0.0f32;
-                    for (i, &a) in agg.iter().enumerate() {
-                        acc += a * weight.get(i, j);
+                // `out = agg · W`, each output summed over ascending `i`
+                // from 0.0, reading W row by row.
+                out.fill(0.0);
+                for (i, &a) in agg.iter().enumerate() {
+                    for (o, &w) in out.iter_mut().zip(weight.row(i)) {
+                        *o += a * w;
                     }
-                    *o = if activation.is_linear() { acc } else { acc.max(0.0) };
+                }
+                for (c, &acc) in out.iter().enumerate() {
+                    out_layer.set(r, c, if activation.is_linear() { acc } else { acc.max(0.0) });
                 }
                 cb_ops.mults += (in_dim * dims.gnn_out_dim) as u64;
                 cb_ops.adds += ((in_dim.saturating_sub(1)) * dims.gnn_out_dim) as u64;
@@ -170,7 +189,6 @@ pub(crate) fn run(
                 } else {
                     cb_t.write(DataClass::Intermediate, dims.gnn_out_dim as u64 * 4);
                 }
-                new_rows.push((r, out));
             }
             // The gathered source rows: input features come from the on-chip
             // cache unless it spilled; intermediate rows live in DRAM by
@@ -179,22 +197,16 @@ pub(crate) fn run(
                 if cache_spilled {
                     ag_t.read(
                         DataClass::InputFeature,
-                        (needed_rows.len() * in_dim) as u64 * 4,
+                        (needed_count * in_dim) as u64 * 4,
                     );
                 }
             } else {
-                ag_t.read(DataClass::Intermediate, (needed_rows.len() * in_dim) as u64 * 4);
+                ag_t.read(DataClass::Intermediate, (needed_count * in_dim) as u64 * 4);
             }
             cost.push(Phase::Aggregation, ag_ops, ag_t);
             cost.push(Phase::Combination, cb_ops, cb_t);
-
-            for (r, row) in new_rows {
-                for (c, &x) in row.iter().enumerate() {
-                    // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-                    layer_outs[l].set(r, c, x);
-                }
-            }
             affected = next_affected;
+            affected_count = rows.len();
         }
         // lint: allow(panic-surface) -- invariant documented at the call site; grandfathered by the PR5 ratchet-to-zero
         z = layer_outs.last().expect("non-empty").clone();
@@ -202,7 +214,7 @@ pub(crate) fn run(
         // RNN still consumes the *full* Z; unchanged rows come back from the
         // cached copy (DRAM if the caches spilled).
         if cache_spilled {
-            let unchanged = v.saturating_sub(affected.len());
+            let unchanged = v.saturating_sub(affected_count);
             let mut t_read = Traffic::none();
             t_read.read(DataClass::OutputFeature, dense_bytes(unchanged, dims.gnn_out_dim));
             cost.push(Phase::Diu, OpStats::default(), t_read);
@@ -212,7 +224,7 @@ pub(crate) fn run(
         costs.push(cost);
         a_prev = a_next;
     }
-    Ok(ExecutionResult { outputs, costs })
+    Ok(ExecutionResult { outputs, costs, operator_bytes })
 }
 
 fn push_rnn(

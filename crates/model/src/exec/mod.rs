@@ -18,6 +18,8 @@ mod recompute;
 
 pub use onepass::{CombinationOrder, OnePassOptions};
 
+use std::cell::Cell;
+
 use idgnn_graph::DynamicGraph;
 use idgnn_sparse::DenseMatrix;
 
@@ -76,6 +78,11 @@ pub struct ExecutionResult {
     pub outputs: Vec<SnapshotOutput>,
     /// Per-snapshot costs, in time order.
     pub costs: Vec<SnapshotCost>,
+    /// CSR bytes of each snapshot's normalised operator `Â^t`, in time
+    /// order (one entry per cost). Every executor builds `Â^t` anyway and
+    /// records its size, so the accelerator models that charge for
+    /// streaming the operator never rebuild it.
+    pub operator_bytes: Vec<u64>,
 }
 
 impl ExecutionResult {
@@ -95,6 +102,32 @@ impl ExecutionResult {
     }
 }
 
+thread_local! {
+    static RUNS: Cell<[u64; 3]> = const { Cell::new([0; 3]) };
+}
+
+/// Executions started on the calling thread so far, per algorithm in
+/// [`ALL_ALGORITHMS`] order. A test probe: the figure grids assert with it
+/// that they execute each (workload, algorithm) pair once.
+#[doc(hidden)]
+pub fn runs_on_this_thread() -> [u64; 3] {
+    RUNS.with(Cell::get)
+}
+
+fn count_run(algorithm: Algorithm) {
+    let i = match algorithm {
+        Algorithm::Recompute => 0,
+        Algorithm::Incremental => 1,
+        Algorithm::OnePass => 2,
+    };
+    RUNS.with(|runs| {
+        let mut n = runs.get();
+        // lint: allow(panic-surface) -- `i` indexes a 3-slot array by a 3-variant match
+        n[i] += 1;
+        runs.set(n);
+    });
+}
+
 /// Runs `algorithm` over the whole dynamic graph.
 ///
 /// # Errors
@@ -106,6 +139,7 @@ pub fn run(
     dg: &DynamicGraph,
     mem: &MemoryModel,
 ) -> Result<ExecutionResult> {
+    count_run(algorithm);
     match algorithm {
         Algorithm::Recompute => recompute::run(model, dg, mem),
         Algorithm::Incremental => incremental::run(model, dg, mem),
@@ -124,12 +158,74 @@ pub fn run_onepass_with(
     mem: &MemoryModel,
     options: &OnePassOptions,
 ) -> Result<ExecutionResult> {
+    count_run(Algorithm::OnePass);
     onepass::run(model, dg, mem, options)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ModelConfig;
+    use idgnn_graph::generate::{generate_dynamic_graph, GraphConfig, StreamConfig};
+    use idgnn_graph::Normalization;
+
+    #[test]
+    fn every_executor_records_the_operator_bytes_of_each_snapshot() {
+        let dg = generate_dynamic_graph(
+            &GraphConfig::power_law(40, 120, 6),
+            &StreamConfig { deltas: 3, dissimilarity: 0.1, ..Default::default() },
+            5,
+        )
+        .unwrap();
+        let snaps = dg.materialize().unwrap();
+        for normalization in [Normalization::Symmetric, Normalization::RowStochastic] {
+            let model = DgnnModel::from_config(&ModelConfig {
+                input_dim: 6,
+                gnn_hidden: 5,
+                gnn_layers: 3,
+                rnn_hidden: 4,
+                activation: crate::Activation::Relu,
+                normalization,
+                seed: 3,
+                rnn_kernel: Default::default(),
+            })
+            .unwrap();
+            let expected: Vec<u64> = snaps
+                .iter()
+                .map(|s| model.normalization().apply(s.adjacency()).csr_bytes())
+                .collect();
+            let mem = MemoryModel::default();
+            let mut results: Vec<ExecutionResult> =
+                ALL_ALGORITHMS.iter().map(|&a| run(a, &model, &dg, &mem).unwrap()).collect();
+            // Both one-pass paths: the delta kernel and the adaptive refresh.
+            for adaptive_refresh in [false, true] {
+                let options = OnePassOptions { adaptive_refresh, ..Default::default() };
+                results.push(run_onepass_with(&model, &dg, &mem, &options).unwrap());
+            }
+            for r in &results {
+                assert_eq!(r.operator_bytes, expected, "{normalization:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn runs_are_counted_per_algorithm_on_the_calling_thread() {
+        let dg = generate_dynamic_graph(
+            &GraphConfig::power_law(20, 40, 4),
+            &StreamConfig { deltas: 1, ..Default::default() },
+            2,
+        )
+        .unwrap();
+        let model = DgnnModel::from_config(&ModelConfig::paper_default(4)).unwrap();
+        let mem = MemoryModel::default();
+        let before = runs_on_this_thread();
+        run(Algorithm::Recompute, &model, &dg, &mem).unwrap();
+        run(Algorithm::Recompute, &model, &dg, &mem).unwrap();
+        run_onepass_with(&model, &dg, &mem, &OnePassOptions::default()).unwrap();
+        let after = runs_on_this_thread();
+        let delta: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+        assert_eq!(delta, [2, 0, 1]);
+    }
 
     #[test]
     fn labels_match_paper_legends() {

@@ -154,6 +154,8 @@ pub(crate) fn run(
     let mut cost0 = SnapshotCost::default();
     // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
     let mut a_prev = model.normalization().apply(snaps[0].adjacency());
+    let mut operator_bytes = Vec::with_capacity(snaps.len());
+    operator_bytes.push(a_prev.csr_bytes());
 
     let (w_c, wcomb_ops) = fuse_weights(model.gcn())?;
     let mut t_w = Traffic::none();
@@ -213,6 +215,7 @@ pub(crate) fn run(
     for (t, snap) in snaps.iter().enumerate().skip(1) {
         let mut cost = SnapshotCost::default();
         let a_next = model.normalization().apply(snap.adjacency());
+        operator_bytes.push(a_next.csr_bytes());
 
         // DIU: ΔA and ΔX_0 (zeros from unchanged entries dropped in-merge).
         let d_op = ops::sp_sub_pruned(&a_next, &a_prev)?;
@@ -438,7 +441,7 @@ pub(crate) fn run(
         a_prev = a_next;
         x0_prev = snap.features().clone();
     }
-    Ok(ExecutionResult { outputs, costs })
+    Ok(ExecutionResult { outputs, costs, operator_bytes })
 }
 
 fn push_rnn(

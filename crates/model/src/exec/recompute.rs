@@ -21,10 +21,12 @@ pub(crate) fn run(
     let mut state = LstmState::zeros(v, dims.rnn_hidden_dim);
     let mut outputs = Vec::with_capacity(snaps.len());
     let mut costs = Vec::with_capacity(snaps.len());
+    let mut operator_bytes = Vec::with_capacity(snaps.len());
 
     for snap in &snaps {
         let mut cost = SnapshotCost::default();
         let a_norm = model.normalization().apply(snap.adjacency());
+        operator_bytes.push(a_norm.csr_bytes());
 
         // Per-snapshot front-end traffic: the recompute paradigm re-reads
         // weights, the full graph, and all input features every snapshot.
@@ -89,7 +91,7 @@ pub(crate) fn run(
         outputs.push(SnapshotOutput { z, state: state.clone() });
         costs.push(cost);
     }
-    Ok(ExecutionResult { outputs, costs })
+    Ok(ExecutionResult { outputs, costs, operator_bytes })
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! cargo run --release --example social_stream
 //! ```
 
-use idgnn::baselines::{Booster, Race, Ready};
+use idgnn::baselines::{simulate_baselines, Race};
 use idgnn::core::{IdgnnAccelerator, SimOptions};
 use idgnn::graph::generate::{generate_dynamic_graph, GraphConfig, StreamConfig};
 use idgnn::hw::AcceleratorConfig;
@@ -38,9 +38,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Four accelerators, one workload (Fig. 12 / Fig. 14 shape). ---
     let idgnn = IdgnnAccelerator::new(config)?.simulate(&model, &dg, &SimOptions::default())?;
-    let ready = Ready::new(config)?.simulate(&model, &dg)?;
-    let booster = Booster::new(config)?.simulate(&model, &dg)?;
-    let race = Race::new(config)?.simulate(&model, &dg)?;
+    // One Recompute run feeds ReaDy and DGNN-Booster; one Incremental run
+    // feeds RACE.
+    let [ready, booster, race] = simulate_baselines(config, &model, &dg, None)?;
 
     println!(
         "{:<14} {:>12} {:>10} {:>12} {:>12}",

@@ -27,21 +27,39 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo build --release"
+# Every stage prints its wall time when the next one starts, so a change in
+# one stage's cost (the `all` figure run, say) shows in the log.
+stage_name=""
+stage_start_ms=0
+now_ms() { echo $(( $(date +%s%N) / 1000000 )); }
+end_stage() {
+  if [ -n "$stage_name" ]; then
+    local ms=$(( $(now_ms) - stage_start_ms ))
+    printf '    [%d.%03d s] %s\n' $((ms / 1000)) $((ms % 1000)) "$stage_name"
+  fi
+}
+stage() {
+  end_stage
+  stage_name="$1"
+  stage_start_ms=$(now_ms)
+  echo "==> $1"
+}
+
+stage "cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
+stage "cargo test -q"
 cargo test -q --workspace
 
-echo "==> cargo test -p idgnn-sparse --features strict-invariants"
+stage "cargo test -p idgnn-sparse --features strict-invariants"
 cargo test -q -p idgnn-sparse --features strict-invariants
 
-echo "==> cargo test -p idgnn-sparse --features schedule-perturbation"
+stage "cargo test -p idgnn-sparse --features schedule-perturbation"
 # Adversarial schedule proptests: a small fixed budget (8 seeds per kernel
 # invocation at parallelism 4, 16 proptest cases) keeps this a few seconds.
 cargo test -q -p idgnn-sparse --features schedule-perturbation --test perturbation
 
-echo "==> idgnn-lint (baseline ratchet + per-rule timing + results/lint.json)"
+stage "idgnn-lint (baseline ratchet + per-rule timing + results/lint.json)"
 # --timing profiles each rule in isolation and fails the run when any rule
 # exceeds 5x the median rule time (floored), so a pathological rule cannot
 # silently dominate the lint stage.
@@ -57,7 +75,7 @@ for rule in hot-path-alloc resource-flow unordered-iteration hw-budget \
   cargo run --release -q -p idgnn-lint -- --explain "$rule" >/dev/null
 done
 
-echo "==> bench kernels --smoke"
+stage "bench kernels --smoke"
 # The binary re-reads and validates its own JSON (exit != 0 on corruption);
 # `--validate` then re-checks the structure from the outside with the
 # jsonv parser: required sections present and non-empty, rows typed, and
@@ -71,7 +89,7 @@ cargo run --release -q -p idgnn-bench --bin kernels -- --validate "$smoke_json"
 # schema change cannot leave a stale baseline behind.
 cargo run --release -q -p idgnn-bench --bin kernels -- --validate BENCH_kernels.json
 
-echo "==> bench dse --smoke"
+stage "bench dse --smoke"
 # The design-space sweep: enumerate the smoke grid (hundreds of candidates),
 # prune with the shared hw-budget verifier, rank with the analytical cost
 # model, and extract the Pareto front. The binary re-reads and validates its
@@ -86,7 +104,7 @@ git diff --exit-code -- results/dse.json || {
   exit 1
 }
 
-echo "==> bench all (committed figure results must not drift)"
+stage "bench all (committed figure results must not drift)"
 # Every figure binary in one run, from the repo root so it rewrites the
 # committed results/*.json and results/report.txt. The figures are
 # deterministic at any parallelism, so any diff is a real behaviour change
@@ -99,19 +117,19 @@ git diff --exit-code -- results/ ':(exclude)results/lint.json' || {
   exit 1
 }
 
-echo "==> bench walkthrough (every Eq. 13-15 identity on the paper's toy graph)"
+stage "bench walkthrough (every Eq. 13-15 identity on the paper's toy graph)"
 # Evaluates Eq. 14's seven chains, Eq. 15's transpose regrouping, the fused
 # dissimilarity kernels and the Eq. 10 update against (Â')³ − Â³ and full
 # recomputation; any identity that fails makes the binary exit 1.
 cargo run --release -q -p idgnn-bench --bin walkthrough >/dev/null
 
-echo "==> cargo test --manifest-path perfbench/Cargo.toml"
+stage "cargo test --manifest-path perfbench/Cargo.toml"
 # The repo benchmark (BENCHMARK.json) lives outside the workspace; its smoke
 # test runs every workload at a tiny size through the same exact-reference
 # and determinism checks a full run applies.
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> perfbench --record-reference (simulated statistics stay bit-identical)"
+stage "perfbench --record-reference (simulated statistics stay bit-identical)"
 # Recompute the benchmark's exact statistics (cycles, ops, DRAM bytes, energy
 # per workload cell) at the smoke size and at seeds 0, 7 and 42, and require
 # every line to appear verbatim in perfbench/reference.txt. A host-speed
@@ -133,10 +151,10 @@ if [ "$drift" -ne 1 ]; then
   exit 1
 fi
 
-echo "==> cargo clippy --workspace (deny warnings)"
+stage "cargo clippy --workspace (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo doc (first-party crates, deny warnings)"
+stage "cargo doc (first-party crates, deny warnings)"
 # Broken or private intra-doc links fail here. The vendored stubs sit
 # outside the workspace lint policy and are not documented; each vendor/
 # directory is named after its package.
@@ -146,4 +164,5 @@ for dir in vendor/*/; do
 done
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace "${vendor_excludes[@]}"
 
+end_stage
 echo "ci: all green"

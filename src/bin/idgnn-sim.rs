@@ -21,7 +21,7 @@
 
 use std::collections::HashMap;
 
-use idgnn::baselines::{Booster, Race, Ready};
+use idgnn::baselines::{simulate_baselines, Booster, Race, Ready};
 use idgnn::core::{IdgnnAccelerator, SimOptions, SimReport};
 use idgnn::graph::datasets::DatasetSpec;
 use idgnn::graph::generate::{generate_dynamic_graph, GraphConfig, StreamConfig};
@@ -171,12 +171,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         "all" => {
             print_report("I-DGNN", &idgnn_report, config.frequency_hz, None);
-            let r = Ready::new(config)?.simulate_with(&model, &dg, parallelism)?;
-            print_report("ReaDy", &r, config.frequency_hz, Some(&idgnn_report));
-            let r = Booster::new(config)?.simulate_with(&model, &dg, parallelism)?;
-            print_report("DGNN-Booster", &r, config.frequency_hz, Some(&idgnn_report));
-            let r = Race::new(config)?.simulate_with(&model, &dg, parallelism)?;
-            print_report("RACE", &r, config.frequency_hz, Some(&idgnn_report));
+            // One Recompute run serves ReaDy and DGNN-Booster, one
+            // Incremental run serves RACE.
+            let reports = simulate_baselines(config, &model, &dg, parallelism)?;
+            for (name, r) in ["ReaDy", "DGNN-Booster", "RACE"].iter().zip(&reports) {
+                print_report(name, r, config.frequency_hz, Some(&idgnn_report));
+            }
         }
         other => return Err(format!("unknown accel {other}").into()),
     }
