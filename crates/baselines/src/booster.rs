@@ -63,7 +63,7 @@ impl Booster {
         parallelism: Option<usize>,
     ) -> Result<SimReport> {
         let _kernel_scope = kernel_scope(parallelism);
-        let result = exec::run(Algorithm::Recompute, model, dg, &memory(self.config()))?;
+        let result = exec::run_costs(Algorithm::Recompute, model, dg, &memory(self.config()))?;
         Ok(self.time(model, dg, &result))
     }
 

@@ -16,7 +16,7 @@
 //!
 //! Execution and timing are split: each baseline's `time` turns an
 //! [`ExecutionResult`](idgnn_model::ExecutionResult) into a report, and
-//! `simulate` is `exec::run` followed by `time`. [`simulate_baselines`]
+//! `simulate` is `exec::run_costs` followed by `time`. [`simulate_baselines`]
 //! executes Recompute once for both ReaDy and DGNN-Booster and Incremental
 //! once for RACE.
 //!
@@ -81,12 +81,9 @@ pub fn simulate_baselines(
     let (ready, booster, race) =
         (Ready::new(reference)?, Booster::new(reference)?, Race::new(reference)?);
     let mem = common::memory(ready.config());
-    // One execution alive at a time: the Incremental outputs are dropped
-    // before the Recompute run allocates its own.
-    let incremental = exec::run(Algorithm::Incremental, model, dg, &mem)?;
-    let race = race.time(model, dg, &incremental);
-    drop(incremental);
-    let recompute = exec::run(Algorithm::Recompute, model, dg, &mem)?;
+    // Timing reads only the costs, so neither execution keeps its outputs.
+    let race = race.time(model, dg, &exec::run_costs(Algorithm::Incremental, model, dg, &mem)?);
+    let recompute = exec::run_costs(Algorithm::Recompute, model, dg, &mem)?;
     Ok([ready.time(model, dg, &recompute), booster.time(model, dg, &recompute), race])
 }
 

@@ -65,7 +65,7 @@ impl Race {
         parallelism: Option<usize>,
     ) -> Result<SimReport> {
         let _kernel_scope = kernel_scope(parallelism);
-        let result = exec::run(Algorithm::Incremental, model, dg, &memory(self.config()))?;
+        let result = exec::run_costs(Algorithm::Incremental, model, dg, &memory(self.config()))?;
         Ok(self.time(model, dg, &result))
     }
 

@@ -233,6 +233,8 @@ impl Context {
     }
 
     /// Runs a bare execution algorithm (no hardware) for op/DRAM accounting.
+    /// The result holds the costs only ([`idgnn_model::exec::run_costs`]):
+    /// its `outputs` are empty.
     ///
     /// # Errors
     ///
@@ -242,7 +244,7 @@ impl Context {
         algorithm: Algorithm,
         w: &Workload,
     ) -> Result<idgnn_model::ExecutionResult> {
-        Ok(idgnn_model::exec::run(algorithm, &w.model, &w.graph, &self.memory())?)
+        Ok(idgnn_model::exec::run_costs(algorithm, &w.model, &w.graph, &self.memory())?)
     }
 }
 

@@ -14,7 +14,7 @@ use idgnn_hw::{
 };
 use idgnn_model::exec::OnePassOptions;
 use idgnn_model::{cost::dense_bytes, exec, Algorithm, DgnnModel, MemoryModel, Phase, SnapshotCost};
-use idgnn_sparse::{CsrMatrix, OpStats};
+use idgnn_sparse::OpStats;
 
 use crate::dataflow::TorusDataflow;
 use crate::error::Result;
@@ -181,29 +181,23 @@ impl IdgnnAccelerator {
         let config = self.engine.config();
         let mem = MemoryModel { onchip_bytes: config.total_onchip_bytes() };
         let algorithm = opts.algorithm.unwrap_or(Algorithm::OnePass);
-        let result = match algorithm {
-            Algorithm::OnePass => exec::run_onepass_with(model, dg, &mem, &opts.onepass)?,
-            other => exec::run(other, model, dg, &mem)?,
-        };
 
         let dataflow = TorusDataflow::new(config.num_pes());
-        let snaps = dg.materialize()?;
         let dims = model.dims();
         let v = dg.initial().num_vertices();
 
-        let mut report_snapshots = Vec::with_capacity(result.costs.len());
+        let mut report_snapshots = Vec::with_capacity(dg.num_snapshots());
         let mut util_phases = Vec::new();
         let mut energy = EnergyBreakdown::default();
         let mut dram_total = 0u64;
-        let mut stage_pairs = Vec::with_capacity(result.costs.len());
-        // Snapshot t−1's operator, carried over from the previous iteration
-        // (one-pass only: no other algorithm reads it).
-        let mut prev_norm: Option<CsrMatrix> = None;
+        let mut ops = OpStats::default();
+        let mut stage_pairs = Vec::with_capacity(dg.num_snapshots());
 
-        for (t, cost) in result.costs.iter().enumerate() {
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-            let a_norm = model.normalization().apply(snaps[t].adjacency());
-            let balance = dataflow.load_balance(&a_norm);
+        // Each snapshot is timed as the executor hands it over, from the
+        // operator `Â^t` and (one-pass transitions) the `ΔÂ` it built.
+        exec::stream(algorithm, model, dg, &mem, &opts.onepass, |step| {
+            let (t, cost, a_norm) = (step.t, step.cost, step.operator);
+            let balance = dataflow.load_balance(a_norm);
 
             // Rotation traffic: the distributed working set makes a full
             // ring pass per GNN kernel invocation. For the one-pass
@@ -211,19 +205,17 @@ impl IdgnnAccelerator {
             // resident at their home PEs — only the delta-receptive working
             // set (ΔA-anchored partial products and touched dense rows)
             // rotates; the other algorithms re-stream everything.
-            let rotated_bytes = if let Some(prev) = prev_norm.take() {
-                let d_op = idgnn_sparse::ops::sp_sub(&a_norm, &prev)
-                    .map_err(idgnn_model::ModelError::from)?
-                    .pruned(0.0);
-                let seed_rows = (0..v).filter(|&r| d_op.row_nnz(r) > 0).count();
-                let mean_deg = (a_norm.nnz() as f64 / v.max(1) as f64).max(1.0);
-                let touched = ((seed_rows as f64)
-                    * mean_deg.powi(dims.gnn_layers.saturating_sub(1) as i32))
-                .min(v as f64) as usize;
-                dims.gnn_layers as u64 * d_op.csr_bytes()
-                    + dense_bytes(touched, dims.gnn_out_dim)
-            } else {
-                a_norm.csr_bytes() + dense_bytes(v, dims.input_dim)
+            let rotated_bytes = match step.delta {
+                Some(d_op) => {
+                    let seed_rows = (0..v).filter(|&r| d_op.row_nnz(r) > 0).count();
+                    let mean_deg = (a_norm.nnz() as f64 / v.max(1) as f64).max(1.0);
+                    let touched = ((seed_rows as f64)
+                        * mean_deg.powi(dims.gnn_layers.saturating_sub(1) as i32))
+                    .min(v as f64) as usize;
+                    dims.gnn_layers as u64 * d_op.csr_bytes()
+                        + dense_bytes(touched, dims.gnn_out_dim)
+                }
+                None => a_norm.csr_bytes() + dense_bytes(v, dims.input_dim),
             };
             let (noc_bytes, noc_pattern) = match opts.dataflow {
                 DataflowPolicy::Rotation => {
@@ -249,12 +241,12 @@ impl IdgnnAccelerator {
                 (cost.total_dram().total() as f64 / config.total_onchip_bytes() as f64).min(0.05)
             };
 
-            let schedule =
-                self.schedule_for(opts, cost, balance, noc_bytes, noc_pattern);
+            let schedule = self.schedule_for(opts, cost, balance, noc_bytes, noc_pattern);
             // In steady state the RNN lane works on snapshot t−1's RNN-A
             // while the GNN lane runs snapshot t (Fig. 8) — the utilization
             // trace credits the concurrent lane.
-            let overlap_util = if !opts.disable_pipeline && t > 0 { schedule.beta * 0.95 } else { 0.0 };
+            let overlap_util =
+                if !opts.disable_pipeline && t > 0 { schedule.beta * 0.95 } else { 0.0 };
             let sim = self.time_snapshot_traced(
                 cost,
                 schedule,
@@ -267,13 +259,13 @@ impl IdgnnAccelerator {
             );
             energy = energy + sim.energy;
             dram_total += sim.dram_bytes;
+            ops += cost.total_ops();
             stage_pairs.push((
                 sim.frontend_cycles + sim.gnn_cycles + sim.rnn_b_cycles,
                 sim.rnn_a_cycles,
             ));
             report_snapshots.push(sim);
-            prev_norm = (algorithm == Algorithm::OnePass).then_some(a_norm);
-        }
+        })?;
 
         let serial_cycles: f64 = report_snapshots.iter().map(SnapshotSim::serial_cycles).sum();
         let total_cycles = if opts.disable_pipeline {
@@ -289,7 +281,7 @@ impl IdgnnAccelerator {
             serial_cycles,
             energy,
             dram_bytes: dram_total,
-            ops: result.total_ops(),
+            ops,
             phases: util_phases,
         })
     }
@@ -601,6 +593,132 @@ mod tests {
             .simulate(&model, &dg, &SimOptions { parallelism: Some(4), ..Default::default() })
             .unwrap();
         assert_eq!(serial, parallel);
+    }
+
+    /// `simulate` as it was before the executor lent its operators: execute
+    /// and collect, then materialise the stream, re-normalise every snapshot
+    /// and re-subtract consecutive operators for the one-pass rotation term.
+    fn materialising_oracle(
+        accel: &IdgnnAccelerator,
+        model: &DgnnModel,
+        dg: &DynamicGraph,
+        opts: &SimOptions,
+    ) -> SimReport {
+        let config = accel.config();
+        let mem = MemoryModel { onchip_bytes: config.total_onchip_bytes() };
+        let algorithm = opts.algorithm.unwrap_or(Algorithm::OnePass);
+        let result = match algorithm {
+            Algorithm::OnePass => exec::run_onepass_with(model, dg, &mem, &opts.onepass),
+            other => exec::run(other, model, dg, &mem),
+        }
+        .unwrap();
+        let dataflow = TorusDataflow::new(config.num_pes());
+        let snaps = dg.materialize().unwrap();
+        let dims = model.dims();
+        let v = dg.initial().num_vertices();
+        let (mut sims, mut util, mut pairs) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut energy, mut dram) = (EnergyBreakdown::default(), 0u64);
+        let mut prev_norm: Option<idgnn_sparse::CsrMatrix> = None;
+        for (t, cost) in result.costs.iter().enumerate() {
+            let a_norm = model.normalization().apply(snaps[t].adjacency());
+            let balance = dataflow.load_balance(&a_norm);
+            let rotated_bytes = if let Some(prev) = prev_norm.take() {
+                let d_op = idgnn_sparse::ops::sp_sub(&a_norm, &prev).unwrap().pruned(0.0);
+                let seed_rows = (0..v).filter(|&r| d_op.row_nnz(r) > 0).count();
+                let mean_deg = (a_norm.nnz() as f64 / v.max(1) as f64).max(1.0);
+                let touched = ((seed_rows as f64)
+                    * mean_deg.powi(dims.gnn_layers.saturating_sub(1) as i32))
+                .min(v as f64) as usize;
+                dims.gnn_layers as u64 * d_op.csr_bytes() + dense_bytes(touched, dims.gnn_out_dim)
+            } else {
+                a_norm.csr_bytes() + dense_bytes(v, dims.input_dim)
+            };
+            let (noc_bytes, noc_pattern) = match opts.dataflow {
+                DataflowPolicy::Rotation => {
+                    (dataflow.rotation_bytes(rotated_bytes), TrafficPattern::NeighborShift)
+                }
+                DataflowPolicy::Broadcast => (
+                    rotated_bytes.saturating_mul(config.num_pes() as u64),
+                    TrafficPattern::Broadcast,
+                ),
+            };
+            let resident_bytes = a_norm.csr_bytes()
+                + dense_bytes(v, dims.input_dim)
+                + 2 * dense_bytes(v, dims.gnn_out_dim)
+                + 2 * dense_bytes(v, dims.rnn_hidden_dim)
+                + model.weight_bytes();
+            let occupancy_delta = if t == 0 {
+                (resident_bytes as f64 / config.total_onchip_bytes() as f64).min(1.0)
+            } else {
+                (cost.total_dram().total() as f64 / config.total_onchip_bytes() as f64).min(0.05)
+            };
+            let schedule = accel.schedule_for(opts, cost, balance, noc_bytes, noc_pattern);
+            let overlap_util =
+                if !opts.disable_pipeline && t > 0 { schedule.beta * 0.95 } else { 0.0 };
+            let sim = accel.time_snapshot_traced(
+                cost,
+                schedule,
+                balance,
+                noc_bytes,
+                noc_pattern,
+                occupancy_delta,
+                overlap_util,
+                &mut util,
+            );
+            energy = energy + sim.energy;
+            dram += sim.dram_bytes;
+            pairs.push((sim.frontend_cycles + sim.gnn_cycles + sim.rnn_b_cycles, sim.rnn_a_cycles));
+            sims.push(sim);
+            prev_norm = (algorithm == Algorithm::OnePass).then_some(a_norm);
+        }
+        let serial_cycles: f64 = sims.iter().map(SnapshotSim::serial_cycles).sum();
+        let total_cycles = if opts.disable_pipeline {
+            serial_cycles
+        } else {
+            idgnn_hw::overlap_cycles(&pairs)
+        };
+        SimReport {
+            snapshots: sims,
+            total_cycles,
+            serial_cycles,
+            energy,
+            dram_bytes: dram,
+            ops: result.total_ops(),
+            phases: util,
+        }
+    }
+
+    #[test]
+    fn simulate_equals_the_materialising_oracle() {
+        let (model, dg) = workload();
+        let accel = small_accel();
+        for algorithm in idgnn_model::ALL_ALGORITHMS {
+            for dataflow in [DataflowPolicy::Rotation, DataflowPolicy::Broadcast] {
+                for adaptive_refresh in [true, false] {
+                    let opts = SimOptions {
+                        algorithm: Some(algorithm),
+                        dataflow,
+                        onepass: OnePassOptions { adaptive_refresh, ..Default::default() },
+                        ..Default::default()
+                    };
+                    let before = exec::runs_on_this_thread();
+                    let got = accel.simulate(&model, &dg, &opts).unwrap();
+                    let after = exec::runs_on_this_thread();
+                    // One execution of the simulated algorithm, nothing else.
+                    let runs: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+                    let expected: Vec<u64> = idgnn_model::ALL_ALGORITHMS
+                        .iter()
+                        .map(|&a| u64::from(a == algorithm))
+                        .collect();
+                    assert_eq!(runs, expected, "{algorithm} {dataflow:?}");
+                    assert_eq!(
+                        got,
+                        materialising_oracle(&accel, &model, &dg, &opts),
+                        "{algorithm} {dataflow:?} refresh={adaptive_refresh}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

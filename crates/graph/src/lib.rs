@@ -37,7 +37,7 @@ pub mod generate;
 pub use common::CommonCoreView;
 pub use continuous::{ContinuousGraph, UpdateEvent, UpdateOp};
 pub use delta::{FeatureUpdate, GraphDelta, GraphDeltaBuilder};
-pub use dynamic::DynamicGraph;
+pub use dynamic::{DynamicGraph, SnapshotStream, Transition};
 pub use error::{GraphError, Result};
 pub use normalize::Normalization;
 pub use snapshot::{adjacency_from_edges, GraphSnapshot};

@@ -8,7 +8,7 @@ use idgnn_sparse::{ops, DenseMatrix, OpStats};
 
 use crate::cost::{dense_bytes, DataClass, MemoryModel, Phase, SnapshotCost, Traffic};
 use crate::error::Result;
-use crate::exec::{ExecutionResult, SnapshotOutput};
+use crate::exec::Step;
 use crate::lstm::LstmState;
 use crate::DgnnModel;
 
@@ -16,21 +16,16 @@ pub(crate) fn run(
     model: &DgnnModel,
     dg: &DynamicGraph,
     mem: &MemoryModel,
-) -> Result<ExecutionResult> {
-    let snaps = dg.materialize()?;
+    sink: &mut dyn FnMut(Step<'_>),
+) -> Result<()> {
     let dims = model.dims();
     let v = dg.initial().num_vertices();
     let l_count = dims.gnn_layers;
-
-    let mut outputs = Vec::with_capacity(snaps.len());
-    let mut costs = Vec::with_capacity(snaps.len());
     let mut state = LstmState::zeros(v, dims.rnn_hidden_dim);
+    let mut snaps = dg.stream();
 
     // ---- Snapshot 0: full pipeline, caching every layer's output. ----
-    // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-    let mut a_prev = model.normalization().apply(snaps[0].adjacency());
-    let mut operator_bytes = Vec::with_capacity(snaps.len());
-    operator_bytes.push(a_prev.csr_bytes());
+    let mut a_prev = model.normalization().apply(snaps.current().adjacency());
     let mut cost0 = SnapshotCost::default();
     let mut front = Traffic::none();
     front.read(DataClass::Weight, model.weight_bytes());
@@ -50,8 +45,8 @@ pub(crate) fn run(
         + model.weight_bytes();
     let cache_spilled = !mem.fits(cache_bytes);
 
-    // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-    let (mut layer_outs, layer_ops) = model.gcn().forward_all_layers(&a_prev, snaps[0].features())?;
+    let (mut layer_outs, layer_ops) =
+        model.gcn().forward_all_layers(&a_prev, snaps.current().features())?;
     for (l, (ag, cb)) in layer_ops.iter().enumerate() {
         cost0.push(Phase::Aggregation, *ag, Traffic::none());
         let mut t = Traffic::none();
@@ -64,32 +59,30 @@ pub(crate) fn run(
         }
         cost0.push(Phase::Combination, *cb, t);
     }
-    // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-    let mut x0_cache = snaps[0].features().clone();
     // lint: allow(panic-surface) -- invariant documented at the call site; grandfathered by the PR5 ratchet-to-zero
-    let mut z = layer_outs.last().expect("non-empty").clone();
-
-    push_rnn(model, &z, &mut state, v, dims.rnn_hidden_dim, mem, &mut cost0)?;
-    outputs.push(SnapshotOutput { z: z.clone(), state: state.clone() });
-    costs.push(cost0);
+    let z = layer_outs.last().expect("non-empty");
+    push_rnn(model, z, &mut state, v, dims.rnn_hidden_dim, mem, &mut cost0)?;
+    sink(Step { t: 0, z, state: &state, cost: &cost0, operator: &a_prev, delta: None });
 
     // ---- Subsequent snapshots: affected-set propagation. ----
-    for (t, snap) in snaps.iter().enumerate().skip(1) {
+    while let Some(transition) = snaps.next() {
+        // The cached X_0 is the current snapshot's own feature matrix, so
+        // the replaced snapshot is not read.
+        let updates = transition?.delta.feature_updates();
+        let snap = snaps.current();
+        let x0 = snap.features();
         let mut cost = SnapshotCost::default();
         let a_next = model.normalization().apply(snap.adjacency());
-        operator_bytes.push(a_next.csr_bytes());
         let d_op = ops::sp_sub_pruned(&a_next, &a_prev)?;
 
         // DIU: read the structural delta, the changed input features, and
         // (every snapshot, per the paper) the weights.
-        // lint: allow(panic-surface) -- snapshot `t ≥ 1` was built from delta `t − 1`
-        let updates = dg.deltas()[t - 1].feature_updates();
         // `affected` marks the rows whose layer input changed; the first
         // layer's input is X_0, so it starts as the changed feature rows.
         let mut affected = vec![false; v];
         let mut affected_count = 0;
         for u in updates {
-            // lint: allow(panic-surface) -- `materialize` validated every update's vertex against V
+            // lint: allow(panic-surface) -- applying the delta checked each update's vertex < V
             if !std::mem::replace(&mut affected[u.vertex], true) {
                 affected_count += 1;
             }
@@ -99,13 +92,6 @@ pub(crate) fn run(
         front.read(DataClass::Graph, d_op.csr_bytes());
         front.read(DataClass::InputFeature, dense_bytes(affected_count, dims.input_dim));
         cost.push(Phase::Diu, OpStats::default(), front);
-
-        // Refresh the cached X_0 rows.
-        for u in updates {
-            for c in 0..dims.input_dim {
-                x0_cache.set(u.vertex, c, snap.features().get(u.vertex, c));
-            }
-        }
 
         let structural: Vec<bool> = (0..v).map(|r| d_op.row_nnz(r) > 0).collect();
         // Rows of the previous layer that must be gathered this layer —
@@ -119,7 +105,7 @@ pub(crate) fn run(
             let (done, rest) = layer_outs.split_at_mut(l);
             let prev_layer: &DenseMatrix = match done.last() {
                 Some(prev) => prev,
-                None => &x0_cache,
+                None => x0,
             };
             // lint: allow(panic-surface) -- `l < l_count == layer_outs.len()`
             let out_layer = &mut rest[0];
@@ -209,7 +195,7 @@ pub(crate) fn run(
             affected_count = rows.len();
         }
         // lint: allow(panic-surface) -- invariant documented at the call site; grandfathered by the PR5 ratchet-to-zero
-        z = layer_outs.last().expect("non-empty").clone();
+        let z = layer_outs.last().expect("non-empty");
 
         // RNN still consumes the *full* Z; unchanged rows come back from the
         // cached copy (DRAM if the caches spilled).
@@ -219,12 +205,12 @@ pub(crate) fn run(
             t_read.read(DataClass::OutputFeature, dense_bytes(unchanged, dims.gnn_out_dim));
             cost.push(Phase::Diu, OpStats::default(), t_read);
         }
-        push_rnn(model, &z, &mut state, v, dims.rnn_hidden_dim, mem, &mut cost)?;
-        outputs.push(SnapshotOutput { z: z.clone(), state: state.clone() });
-        costs.push(cost);
+        push_rnn(model, z, &mut state, v, dims.rnn_hidden_dim, mem, &mut cost)?;
+        let t = snaps.index();
+        sink(Step { t, z, state: &state, cost: &cost, operator: &a_next, delta: None });
         a_prev = a_next;
     }
-    Ok(ExecutionResult { outputs, costs, operator_bytes })
+    Ok(())
 }
 
 fn push_rnn(

@@ -11,6 +11,14 @@
 //! All three produce the same hidden states under a linear GCN (asserted by
 //! the integration tests); they differ in operation counts and DRAM traffic,
 //! which is exactly what the paper's Figs. 10–13 measure.
+//!
+//! Every executor walks the snapshots once through
+//! [`DynamicGraph::stream`] and lends each executed snapshot to a caller
+//! sink as a [`Step`] ([`stream`]). The host holds the current snapshot and
+//! the executor's resident state (for one-pass, what the accelerator holds
+//! on chip: the operator, the dense cache and the RNN state), never the
+//! whole stream. [`run`] and [`run_onepass_with`] collect every step into
+//! an [`ExecutionResult`]; [`run_costs`] keeps only the costs.
 
 mod incremental;
 mod onepass;
@@ -21,7 +29,7 @@ pub use onepass::{CombinationOrder, OnePassOptions};
 use std::cell::Cell;
 
 use idgnn_graph::DynamicGraph;
-use idgnn_sparse::DenseMatrix;
+use idgnn_sparse::{CsrMatrix, DenseMatrix};
 
 use crate::cost::{MemoryModel, SnapshotCost};
 use crate::error::Result;
@@ -61,8 +69,30 @@ impl std::fmt::Display for Algorithm {
     }
 }
 
+/// One executed snapshot, lent by [`stream`] to its sink.
+///
+/// Everything is borrowed from the executor's resident state and is
+/// overwritten by the next snapshot; a sink that keeps something clones it.
+#[derive(Debug, Clone, Copy)]
+pub struct Step<'a> {
+    /// Time index `t` of the snapshot (`0` for `G^1`).
+    pub t: usize,
+    /// GNN output `Z^t` (`X_C^t` for the fused path).
+    pub z: &'a DenseMatrix,
+    /// LSTM state after consuming `Z^t`.
+    pub state: &'a LstmState,
+    /// Costs of the snapshot.
+    pub cost: &'a SnapshotCost,
+    /// The snapshot's normalised operator `Â^t`.
+    pub operator: &'a CsrMatrix,
+    /// The one-pass executor's DIU output `ΔÂ = Â^t − Â^{t−1}`, exact
+    /// zeros dropped, on every transition (delta path and adaptive refresh
+    /// alike). `None` for `t = 0` and for the other algorithms.
+    pub delta: Option<&'a CsrMatrix>,
+}
+
 /// Functional output for one snapshot: the GNN output features and the LSTM
-/// state.
+/// state, as [`run`] collects them from each [`Step`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotOutput {
     /// GNN output `Z^t` (`X_C^t` for the fused path).
@@ -71,10 +101,14 @@ pub struct SnapshotOutput {
     pub state: LstmState,
 }
 
-/// Full execution record over a dynamic graph.
+/// Execution record over a dynamic graph, collected from the [`Step`]s of
+/// one [`stream`]. The costs are a few words per phase; the outputs are
+/// three `V`-row matrices per snapshot, so a long stream should either use
+/// [`run_costs`] or read them from [`stream`] directly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionResult {
-    /// Per-snapshot functional outputs, in time order.
+    /// Per-snapshot functional outputs, in time order. Empty when collected
+    /// by [`run_costs`].
     pub outputs: Vec<SnapshotOutput>,
     /// Per-snapshot costs, in time order.
     pub costs: Vec<SnapshotCost>,
@@ -96,7 +130,8 @@ impl ExecutionResult {
         self.costs.iter().fold(crate::cost::Traffic::none(), |a, c| a.merged(&c.total_dram()))
     }
 
-    /// The final hidden state, if any snapshot was processed.
+    /// The final hidden state, if any snapshot was processed and the
+    /// outputs were kept.
     pub fn final_state(&self) -> Option<&LstmState> {
         self.outputs.last().map(|o| &o.state)
     }
@@ -128,7 +163,62 @@ fn count_run(algorithm: Algorithm) {
     });
 }
 
-/// Runs `algorithm` over the whole dynamic graph.
+/// Runs `algorithm` over the dynamic graph in one pass, handing each
+/// executed snapshot to `sink` in time order. `onepass` configures the
+/// one-pass executor and is ignored by the other algorithms.
+///
+/// The executor holds the current snapshot of [`DynamicGraph::stream`] and
+/// its own resident state; nothing per snapshot outlives the `sink` call
+/// unless the sink copies it.
+///
+/// # Errors
+///
+/// Propagates model/graph shape errors and delta conflicts. Steps before
+/// the failing snapshot have already reached the sink.
+pub fn stream(
+    algorithm: Algorithm,
+    model: &DgnnModel,
+    dg: &DynamicGraph,
+    mem: &MemoryModel,
+    onepass: &OnePassOptions,
+    mut sink: impl FnMut(Step<'_>),
+) -> Result<()> {
+    count_run(algorithm);
+    match algorithm {
+        Algorithm::Recompute => recompute::run(model, dg, mem, &mut sink),
+        Algorithm::Incremental => incremental::run(model, dg, mem, &mut sink),
+        Algorithm::OnePass => onepass::run(model, dg, mem, onepass, &mut sink),
+    }
+}
+
+/// Collects the steps of one [`stream`], with their outputs iff
+/// `keep_outputs`.
+fn collect_steps(
+    algorithm: Algorithm,
+    model: &DgnnModel,
+    dg: &DynamicGraph,
+    mem: &MemoryModel,
+    onepass: &OnePassOptions,
+    keep_outputs: bool,
+) -> Result<ExecutionResult> {
+    let n = dg.num_snapshots();
+    let mut result = ExecutionResult {
+        outputs: Vec::with_capacity(if keep_outputs { n } else { 0 }),
+        costs: Vec::with_capacity(n),
+        operator_bytes: Vec::with_capacity(n),
+    };
+    stream(algorithm, model, dg, mem, onepass, |step| {
+        if keep_outputs {
+            result.outputs.push(SnapshotOutput { z: step.z.clone(), state: step.state.clone() });
+        }
+        result.costs.push(step.cost.clone());
+        result.operator_bytes.push(step.operator.csr_bytes());
+    })?;
+    Ok(result)
+}
+
+/// Runs `algorithm` over the whole dynamic graph and collects every step,
+/// outputs included.
 ///
 /// # Errors
 ///
@@ -139,15 +229,28 @@ pub fn run(
     dg: &DynamicGraph,
     mem: &MemoryModel,
 ) -> Result<ExecutionResult> {
-    count_run(algorithm);
-    match algorithm {
-        Algorithm::Recompute => recompute::run(model, dg, mem),
-        Algorithm::Incremental => incremental::run(model, dg, mem),
-        Algorithm::OnePass => onepass::run(model, dg, mem, &OnePassOptions::default()),
-    }
+    collect_steps(algorithm, model, dg, mem, &OnePassOptions::default(), true)
 }
 
-/// Runs the one-pass algorithm with explicit options (strategy ablations).
+/// As [`run`], but drops each snapshot's outputs: the result holds only
+/// the costs and operator sizes, and its `outputs` stay empty. For callers
+/// that account ops and traffic, so that the host's memory does not grow
+/// with the stream.
+///
+/// # Errors
+///
+/// Propagates model/graph shape errors and delta conflicts.
+pub fn run_costs(
+    algorithm: Algorithm,
+    model: &DgnnModel,
+    dg: &DynamicGraph,
+    mem: &MemoryModel,
+) -> Result<ExecutionResult> {
+    collect_steps(algorithm, model, dg, mem, &OnePassOptions::default(), false)
+}
+
+/// Runs the one-pass algorithm with explicit options (strategy ablations)
+/// and collects every step, outputs included.
 ///
 /// # Errors
 ///
@@ -158,8 +261,7 @@ pub fn run_onepass_with(
     mem: &MemoryModel,
     options: &OnePassOptions,
 ) -> Result<ExecutionResult> {
-    count_run(Algorithm::OnePass);
-    onepass::run(model, dg, mem, options)
+    collect_steps(Algorithm::OnePass, model, dg, mem, options, true)
 }
 
 #[cfg(test)]
@@ -208,6 +310,106 @@ mod tests {
         }
     }
 
+    fn bits(m: &DenseMatrix) -> Vec<u32> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn streamed_steps_equal_the_collected_run_bit_for_bit() {
+        use idgnn_sparse::{parallel::kernel_scope, Parallelism};
+        let dg = generate_dynamic_graph(
+            &GraphConfig::power_law(40, 120, 6),
+            &StreamConfig { deltas: 4, dissimilarity: 0.1, ..Default::default() },
+            5,
+        )
+        .unwrap();
+        let mem = MemoryModel::default();
+        let refresh = |adaptive_refresh| OnePassOptions { adaptive_refresh, ..Default::default() };
+        let cases = [
+            (Algorithm::Recompute, OnePassOptions::default()),
+            (Algorithm::Incremental, OnePassOptions::default()),
+            (Algorithm::OnePass, refresh(false)),
+            (Algorithm::OnePass, refresh(true)),
+        ];
+        for normalization in [Normalization::Symmetric, Normalization::RowStochastic] {
+            let model = DgnnModel::from_config(&ModelConfig {
+                input_dim: 6,
+                gnn_hidden: 5,
+                gnn_layers: 3,
+                rnn_hidden: 4,
+                activation: crate::Activation::Relu,
+                normalization,
+                seed: 3,
+                rnn_kernel: Default::default(),
+            })
+            .unwrap();
+            for (algorithm, options) in cases {
+                let reference = {
+                    let _serial = kernel_scope(Parallelism::new(1));
+                    match algorithm {
+                        Algorithm::OnePass => run_onepass_with(&model, &dg, &mem, &options),
+                        other => run(other, &model, &dg, &mem),
+                    }
+                    .unwrap()
+                };
+                if algorithm == Algorithm::OnePass {
+                    // Refresh off takes the delta path on every transition;
+                    // refresh on takes the refresh (no AComb work) on some.
+                    let refreshed = reference.costs[1..]
+                        .iter()
+                        .filter(|c| c.ops_of(crate::Phase::AComb).total() == 0)
+                        .count();
+                    assert_eq!(refreshed > 0, options.adaptive_refresh, "{normalization:?}");
+                }
+                for threads in [1, 4] {
+                    let _scope = kernel_scope(Parallelism::new(threads));
+                    let mut seen = 0;
+                    stream(algorithm, &model, &dg, &mem, &options, |step| {
+                        let case = format!("{algorithm} {normalization:?} {options:?} t={seen}");
+                        assert_eq!(step.t, seen, "{case}");
+                        let out = &reference.outputs[step.t];
+                        assert_eq!(bits(step.z), bits(&out.z), "{case}");
+                        assert_eq!(bits(&step.state.h), bits(&out.state.h), "{case}");
+                        assert_eq!(bits(&step.state.c), bits(&out.state.c), "{case}");
+                        assert_eq!(step.cost, &reference.costs[step.t], "{case}");
+                        assert_eq!(
+                            step.operator.csr_bytes(),
+                            reference.operator_bytes[step.t],
+                            "{case}"
+                        );
+                        assert_eq!(
+                            step.delta.is_some(),
+                            algorithm == Algorithm::OnePass && step.t > 0,
+                            "{case}"
+                        );
+                        seen += 1;
+                    })
+                    .unwrap();
+                    assert_eq!(seen, dg.num_snapshots());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn costs_only_runs_equal_full_runs_without_outputs() {
+        let dg = generate_dynamic_graph(
+            &GraphConfig::power_law(30, 90, 4),
+            &StreamConfig { deltas: 3, ..Default::default() },
+            9,
+        )
+        .unwrap();
+        let model = DgnnModel::from_config(&ModelConfig::paper_default(4)).unwrap();
+        let mem = MemoryModel::default();
+        for algorithm in ALL_ALGORITHMS {
+            let full = run(algorithm, &model, &dg, &mem).unwrap();
+            let costs = run_costs(algorithm, &model, &dg, &mem).unwrap();
+            assert!(costs.outputs.is_empty());
+            assert_eq!(full.outputs.len(), dg.num_snapshots());
+            assert_eq!(ExecutionResult { outputs: Vec::new(), ..full }, costs, "{algorithm}");
+        }
+    }
+
     #[test]
     fn runs_are_counted_per_algorithm_on_the_calling_thread() {
         let dg = generate_dynamic_graph(
@@ -222,9 +424,12 @@ mod tests {
         run(Algorithm::Recompute, &model, &dg, &mem).unwrap();
         run(Algorithm::Recompute, &model, &dg, &mem).unwrap();
         run_onepass_with(&model, &dg, &mem, &OnePassOptions::default()).unwrap();
+        run_costs(Algorithm::Incremental, &model, &dg, &mem).unwrap();
+        stream(Algorithm::OnePass, &model, &dg, &mem, &OnePassOptions::default(), |_| {})
+            .unwrap();
         let after = runs_on_this_thread();
         let delta: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
-        assert_eq!(delta, [2, 0, 1]);
+        assert_eq!(delta, [2, 1, 2]);
     }
 
     #[test]

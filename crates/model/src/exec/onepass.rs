@@ -25,7 +25,7 @@ use idgnn_sparse::{ops, CsrMatrix, DenseMatrix, OpStats};
 
 use crate::cost::{dense_bytes, DataClass, MemoryModel, Phase, SnapshotCost, Traffic};
 use crate::error::Result;
-use crate::exec::{ExecutionResult, SnapshotOutput};
+use crate::exec::Step;
 use crate::fusion::fuse_weights;
 use crate::lstm::LstmState;
 use crate::onepass::{fused_dissimilarity, DissimilarityStrategy};
@@ -118,9 +118,45 @@ fn chain_apply(a: &CsrMatrix, x: &DenseMatrix) -> (DenseMatrix, OpStats) {
     (out, st)
 }
 
-/// Snapshot output from the resident `X_C` and RNN state.
-fn emit_output(x_c: &DenseMatrix, state: &LstmState) -> SnapshotOutput {
-    SnapshotOutput { z: x_c.clone(), state: state.clone() }
+/// `Â^L · x` as L chained SpMMs, with their summed op counts.
+fn aggregate(a: &CsrMatrix, x: &DenseMatrix, l: u32) -> Result<(DenseMatrix, OpStats)> {
+    let mut agg: Option<DenseMatrix> = None;
+    let mut ops_total = OpStats::default();
+    for _ in 0..l {
+        let (next, st) = ops::spmm_with_stats(a, agg.as_ref().unwrap_or(x))?;
+        agg = Some(next);
+        ops_total += st;
+    }
+    Ok((agg.unwrap_or_else(|| x.clone()), ops_total))
+}
+
+/// `ΔX_0·W_C` for each changed row `r`, folded into the resident `Y` and,
+/// when `dy` is given, written to `dy`.
+fn fold_combination(
+    dx0: &DenseMatrix,
+    changed_rows: &[usize],
+    w_c: &DenseMatrix,
+    y_cache: &mut DenseMatrix,
+    mut dy: Option<&mut DenseMatrix>,
+) -> OpStats {
+    let (k, c_out) = w_c.shape();
+    let mut cb_ops = OpStats::default();
+    for &r in changed_rows {
+        let row = dx0.row(r);
+        for j in 0..c_out {
+            let mut acc = 0.0f32;
+            for (i, &x) in row.iter().enumerate() {
+                acc += x * w_c.get(i, j);
+            }
+            if let Some(dy) = dy.as_deref_mut() {
+                dy.set(r, j, acc);
+            }
+            y_cache.set(r, j, y_cache.get(r, j) + acc);
+        }
+        cb_ops.mults += (k * c_out) as u64;
+        cb_ops.adds += (k * c_out) as u64;
+    }
+    cb_ops
 }
 
 pub(crate) fn run(
@@ -128,8 +164,8 @@ pub(crate) fn run(
     dg: &DynamicGraph,
     mem: &MemoryModel,
     options: &OnePassOptions,
-) -> Result<ExecutionResult> {
-    let snaps = dg.materialize()?;
+    sink: &mut dyn FnMut(Step<'_>),
+) -> Result<()> {
     let dims = model.dims();
     let v = dg.initial().num_vertices();
     let l = dims.gnn_layers as u32;
@@ -146,16 +182,12 @@ pub(crate) fn run(
     let symmetric = model.normalization().symmetric_operator();
     let strategy = if symmetric { options.strategy } else { DissimilarityStrategy::General };
 
-    let mut outputs = Vec::with_capacity(snaps.len());
-    let mut costs = Vec::with_capacity(snaps.len());
     let mut state = LstmState::zeros(v, dims.rnn_hidden_dim);
+    let mut snaps = dg.stream();
 
     // ---- Snapshot 0: establish the fused state. ----
     let mut cost0 = SnapshotCost::default();
-    // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-    let mut a_prev = model.normalization().apply(snaps[0].adjacency());
-    let mut operator_bytes = Vec::with_capacity(snaps.len());
-    operator_bytes.push(a_prev.csr_bytes());
+    let mut a_prev = model.normalization().apply(snaps.current().adjacency());
 
     let (w_c, wcomb_ops) = fuse_weights(model.gcn())?;
     let mut t_w = Traffic::none();
@@ -173,53 +205,40 @@ pub(crate) fn run(
     t_x.read(DataClass::InputFeature, dense_bytes(v, dims.input_dim));
 
     // `y_cache` is the combination-first resident `Y = X_0·W_C` (V×C);
-    // aggregation-first keeps the raw X_0 width instead.
+    // aggregation-first reads X_0 from the current snapshot instead.
     let mut pre_act;
     let mut y_cache = DenseMatrix::zeros(0, 0);
     if comb_first {
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-        let (y, cb_ops) = ops::gemm_with_stats(snaps[0].features(), &w_c)?;
+        let (y, cb_ops) = ops::gemm_with_stats(snaps.current().features(), &w_c)?;
         cost0.push(Phase::Combination, cb_ops, Traffic::none());
-        let mut agg = y.clone();
-        let mut ag_ops = OpStats::default();
-        for _ in 0..l {
-            let (next, st) = ops::spmm_with_stats(&a_prev, &agg)?;
-            agg = next;
-            ag_ops += st;
-        }
+        let (agg, ag_ops) = aggregate(&a_prev, &y, l)?;
         cost0.push(Phase::Aggregation, ag_ops, t_x);
         pre_act = agg;
         y_cache = y;
     } else {
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-        let mut agg = snaps[0].features().clone();
-        let mut ag_ops = OpStats::default();
-        for _ in 0..l {
-            let (next, st) = ops::spmm_with_stats(&a_prev, &agg)?;
-            agg = next;
-            ag_ops += st;
-        }
+        let (agg, ag_ops) = aggregate(&a_prev, snaps.current().features(), l)?;
         cost0.push(Phase::Aggregation, ag_ops, t_x);
         let (p, cb_ops) = ops::gemm_with_stats(&agg, &w_c)?;
         cost0.push(Phase::Combination, cb_ops, Traffic::none());
         pre_act = p;
     }
     let mut x_c = activation.apply(&pre_act);
-    // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-    let mut x0_prev = snaps[0].features().clone();
 
     push_rnn(model, &x_c, &mut state, v, dims.rnn_hidden_dim, mem, &mut cost0)?;
-    outputs.push(emit_output(&x_c, &state));
-    costs.push(cost0);
+    sink(Step { t: 0, z: &x_c, state: &state, cost: &cost0, operator: &a_prev, delta: None });
 
-    for (t, snap) in snaps.iter().enumerate().skip(1) {
+    while let Some(transition) = snaps.next() {
+        let transition = transition?;
+        let delta_meta = transition.delta;
+        let snap = snaps.current();
         let mut cost = SnapshotCost::default();
         let a_next = model.normalization().apply(snap.adjacency());
-        operator_bytes.push(a_next.csr_bytes());
 
         // DIU: ΔA and ΔX_0 (zeros from unchanged entries dropped in-merge).
+        // The replaced snapshot is read for ΔX_0 only, then dropped.
         let d_op = ops::sp_sub_pruned(&a_next, &a_prev)?;
-        let dx0 = snap.features().sub(&x0_prev)?;
+        let dx0 = snap.features().sub(transition.previous.features())?;
+        drop(transition);
         let changed_rows: Vec<usize> = crate::onepass::nonzero_rows(&dx0, 0.0);
         let mut t_diu = Traffic::none();
         t_diu.read(DataClass::Graph, d_op.csr_bytes());
@@ -229,8 +248,6 @@ pub(crate) fn run(
         // word moves, read + write); adding appends a single entry — the
         // asymmetry behind the paper's Fig. 16 (deletion-heavy deltas run
         // slower).
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
-        let delta_meta = &dg.deltas()[t - 1];
         let mean_deg = (a_prev.nnz() as f64 / v.max(1) as f64).max(1.0);
         let csr_maintenance = (delta_meta.removed_edges().len() as f64 * 4.0 * mean_deg) as u64
             + delta_meta.added_edges().len() as u64;
@@ -274,37 +291,13 @@ pub(crate) fn run(
             if comb_first {
                 // Fold ΔY into the resident Y, then refresh P by chained
                 // aggregation of the full Y at width C.
-                let mut cb_ops = OpStats::default();
-                for &r in &changed_rows {
-                    let row = dx0.row(r);
-                    for j in 0..c_out {
-                        let mut acc = 0.0f32;
-                        for (i, &x) in row.iter().enumerate() {
-                            acc += x * w_c.get(i, j);
-                        }
-                        y_cache.set(r, j, y_cache.get(r, j) + acc);
-                    }
-                    cb_ops.mults += (k * c_out) as u64;
-                    cb_ops.adds += (k * c_out) as u64;
-                }
+                let cb_ops = fold_combination(&dx0, &changed_rows, &w_c, &mut y_cache, None);
                 cost.push(Phase::Combination, cb_ops, Traffic::none());
-                let mut agg = y_cache.clone();
-                let mut ag_ops = OpStats::default();
-                for _ in 0..l {
-                    let (next, st) = ops::spmm_with_stats(&a_next, &agg)?;
-                    agg = next;
-                    ag_ops += st;
-                }
+                let (agg, ag_ops) = aggregate(&a_next, &y_cache, l)?;
                 cost.push(Phase::Aggregation, ag_ops, t_ag);
                 pre_act = agg;
             } else {
-                let mut agg = snap.features().clone();
-                let mut ag_ops = OpStats::default();
-                for _ in 0..l {
-                    let (next, st) = ops::spmm_with_stats(&a_next, &agg)?;
-                    agg = next;
-                    ag_ops += st;
-                }
+                let (agg, ag_ops) = aggregate(&a_next, snap.features(), l)?;
                 cost.push(Phase::Aggregation, ag_ops, t_ag);
                 let (p, cb_ops) = ops::gemm_with_stats(&agg, &w_c)?;
                 cost.push(Phase::Combination, cb_ops, Traffic::none());
@@ -312,10 +305,15 @@ pub(crate) fn run(
             }
             x_c = activation.apply(&pre_act);
             push_rnn(model, &x_c, &mut state, v, dims.rnn_hidden_dim, mem, &mut cost)?;
-            outputs.push(emit_output(&x_c, &state));
-            costs.push(cost);
+            sink(Step {
+                t: snaps.index(),
+                z: &x_c,
+                state: &state,
+                cost: &cost,
+                operator: &a_next,
+                delta: Some(&d_op),
+            });
             a_prev = a_next;
-            x0_prev = snap.features().clone();
             continue;
         }
 
@@ -352,21 +350,8 @@ pub(crate) fn run(
         let involved;
         if comb_first {
             // CB: ΔY = ΔX_0·W_C on the changed rows only; fold into Y.
-            let mut cb_ops = OpStats::default();
             let mut dy = DenseMatrix::zeros(v, c_out);
-            for &r in &changed_rows {
-                let row = dx0.row(r);
-                for j in 0..c_out {
-                    let mut acc = 0.0f32;
-                    for (i, &x) in row.iter().enumerate() {
-                        acc += x * w_c.get(i, j);
-                    }
-                    dy.set(r, j, acc);
-                    y_cache.set(r, j, y_cache.get(r, j) + acc);
-                }
-                cb_ops.mults += (k * c_out) as u64;
-                cb_ops.adds += (k * c_out) as u64;
-            }
+            let cb_ops = fold_combination(&dx0, &changed_rows, &w_c, &mut y_cache, Some(&mut dy));
             cost.push(Phase::Combination, cb_ops, t_cb);
 
             // AG: ΔP = ΔA_C·Y^{t+1} + Â^t applied L times to ΔY.
@@ -398,7 +383,7 @@ pub(crate) fn run(
         } else {
             // AG: ΔAgg = ΔA_C·X_0^{t+1} + Â^t applied L times to ΔX_0.
             let (mut d_agg, mut ag_ops) = ops::spmm_with_stats(&dis.delta_ac, snap.features())?;
-            let mut chained = dx0.clone();
+            let mut chained = dx0;
             for _ in 0..l {
                 let (next, st) = chain_apply(chain_op, &chained);
                 chained = next;
@@ -435,13 +420,17 @@ pub(crate) fn run(
 
         // RNN consumes X_C in place.
         push_rnn(model, &x_c, &mut state, v, dims.rnn_hidden_dim, mem, &mut cost)?;
-        outputs.push(emit_output(&x_c, &state));
-        costs.push(cost);
-
+        sink(Step {
+            t: snaps.index(),
+            z: &x_c,
+            state: &state,
+            cost: &cost,
+            operator: &a_next,
+            delta: Some(&d_op),
+        });
         a_prev = a_next;
-        x0_prev = snap.features().clone();
     }
-    Ok(ExecutionResult { outputs, costs, operator_bytes })
+    Ok(())
 }
 
 fn push_rnn(
@@ -476,7 +465,7 @@ fn push_rnn(
 mod tests {
     use super::*;
     use crate::fusion::fused_forward;
-    use crate::{Algorithm, ModelConfig};
+    use crate::{Algorithm, ExecutionResult, ModelConfig};
     use idgnn_graph::generate::{generate_dynamic_graph, GraphConfig, StreamConfig};
     use idgnn_graph::Normalization;
 

@@ -6,7 +6,7 @@ use idgnn_sparse::OpStats;
 
 use crate::cost::{dense_bytes, DataClass, MemoryModel, Phase, SnapshotCost, Traffic};
 use crate::error::Result;
-use crate::exec::{ExecutionResult, SnapshotOutput};
+use crate::exec::Step;
 use crate::lstm::LstmState;
 use crate::DgnnModel;
 
@@ -14,19 +14,17 @@ pub(crate) fn run(
     model: &DgnnModel,
     dg: &DynamicGraph,
     mem: &MemoryModel,
-) -> Result<ExecutionResult> {
-    let snaps = dg.materialize()?;
+    sink: &mut dyn FnMut(Step<'_>),
+) -> Result<()> {
     let dims = model.dims();
     let v = dg.initial().num_vertices();
     let mut state = LstmState::zeros(v, dims.rnn_hidden_dim);
-    let mut outputs = Vec::with_capacity(snaps.len());
-    let mut costs = Vec::with_capacity(snaps.len());
-    let mut operator_bytes = Vec::with_capacity(snaps.len());
+    let mut snaps = dg.stream();
 
-    for snap in &snaps {
+    loop {
+        let snap = snaps.current();
         let mut cost = SnapshotCost::default();
         let a_norm = model.normalization().apply(snap.adjacency());
-        operator_bytes.push(a_norm.csr_bytes());
 
         // Per-snapshot front-end traffic: the recompute paradigm re-reads
         // weights, the full graph, and all input features every snapshot.
@@ -67,7 +65,7 @@ pub(crate) fn run(
             cost.push(Phase::Combination, *cb_ops, cb_traffic);
         }
         // lint: allow(panic-surface) -- invariant documented at the call site; grandfathered by the PR5 ratchet-to-zero
-        let z = layer_outs.last().expect("stack is non-empty").clone();
+        let z = layer_outs.last().expect("stack is non-empty");
 
         // RNN over all vertices. State spills if it does not fit alongside Z.
         let (a_pre, ops_a) = model.rnn_a(&state.h)?;
@@ -79,7 +77,7 @@ pub(crate) fn run(
         }
         cost.push(Phase::RnnA, ops_a, rnn_a_traffic);
 
-        let (next_state, ops_b) = model.rnn_b(&z, &a_pre, &state)?;
+        let (next_state, ops_b) = model.rnn_b(z, &a_pre, &state)?;
         let mut rnn_b_traffic = Traffic::none();
         if rnn_spilled {
             rnn_b_traffic.read(DataClass::OutputFeature, dense_bytes(v, dims.rnn_hidden_dim));
@@ -88,10 +86,13 @@ pub(crate) fn run(
         cost.push(Phase::RnnB, ops_b, rnn_b_traffic);
 
         state = next_state;
-        outputs.push(SnapshotOutput { z, state: state.clone() });
-        costs.push(cost);
+        let t = snaps.index();
+        sink(Step { t, z, state: &state, cost: &cost, operator: &a_norm, delta: None });
+        // Only the current snapshot is read; the replaced one drops here.
+        if snaps.next().transpose()?.is_none() {
+            return Ok(());
+        }
     }
-    Ok(ExecutionResult { outputs, costs, operator_bytes })
 }
 
 #[cfg(test)]

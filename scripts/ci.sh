@@ -18,12 +18,14 @@
 #    match the committed files byte for byte;
 # 9. the `walkthrough` toy example, which exits non-zero if any Eq. 13-15
 #    identity fails;
-# 10. the repo benchmark's own tests (perfbench is a separate workspace, so
+# 10. the long-stream memory gate: peak RSS of the one-pass simulation at
+#    400 snapshots within 1.10x of its peak at 40 (examples/long_stream_rss.rs);
+# 11. the repo benchmark's own tests (perfbench is a separate workspace, so
 #    `cargo test --workspace` never reaches its exact-reference checks);
-# 11. perfbench --record-reference at seeds 0, 7, 42: every simulated
+# 12. perfbench --record-reference at seeds 0, 7, 42: every simulated
 #    statistic must already be in perfbench/reference.txt;
-# 12. clippy over every target with warnings denied;
-# 13. rustdoc over the first-party crates with warnings denied.
+# 13. clippy over every target with warnings denied;
+# 14. rustdoc over the first-party crates with warnings denied.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -122,6 +124,13 @@ stage "bench walkthrough (every Eq. 13-15 identity on the paper's toy graph)"
 # dissimilarity kernels and the Eq. 10 update against (Â')³ − Â³ and full
 # recomputation; any identity that fails makes the binary exit 1.
 cargo run --release -q -p idgnn-bench --bin walkthrough >/dev/null
+
+stage "long-stream memory gate (peak RSS at 400 snapshots <= 1.10x at 40)"
+# The executors stream snapshots and the simulator keeps no per-snapshot
+# matrices, so host memory must not grow with the stream. Each length runs
+# in its own child process on a size-stationary stream (additions balance
+# deletions); the example exits 1 when the long run's peak exceeds the gate.
+cargo run --release -q --example long_stream_rss
 
 stage "cargo test --manifest-path perfbench/Cargo.toml"
 # The repo benchmark (BENCHMARK.json) lives outside the workspace; its smoke
