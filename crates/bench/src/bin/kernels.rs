@@ -71,10 +71,6 @@ fn main() {
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write(&out, &json).unwrap_or_else(|e| panic!("could not write {out}: {e}"));
     let written = std::fs::read_to_string(&out).unwrap_or_else(|e| panic!("re-read {out}: {e}"));
-    if let Err(e) = kernels::validate_report_json(&written) {
-        eprintln!("error: {out} failed validation: {e}");
-        std::process::exit(1);
-    }
     if let Err(e) = kernels::validate_report_structure(&written) {
         eprintln!("error: {out} failed structural validation: {e}");
         std::process::exit(1);

@@ -41,7 +41,7 @@ pub fn run_experiment(name: &str, ctx: &Context) -> Result<(String, String)> {
     macro_rules! go {
         ($result:expr) => {{
             let r = $result?;
-            // lint: allow(panic-surface) -- bench fail-fast plumbing; aborting on an impossible state is intended here
+            // lint: allow(panic-surface) -- the vendored serde_json serializer never returns Err
             let json = serde_json::to_string_pretty(&r).expect("results serialize");
             Ok((r.to_string(), json))
         }};
@@ -60,7 +60,7 @@ pub fn run_experiment(name: &str, ctx: &Context) -> Result<(String, String)> {
         "fig18" => go!(figures::fig18::run(ctx)),
         "fig19" => go!(figures::fig19::run()),
         "ablations" => go!(figures::ablations::run(ctx)),
-        // lint: allow(panic-surface) -- bench CLI fail-fast; diagnostics abort on bad invocation by design
+        // lint: allow(panic-surface) -- documented `# Panics`: binaries pass one of the experiment names matched above
         other => panic!("unknown experiment {other}"),
     }
 }
@@ -105,7 +105,7 @@ pub fn apply_parallelism_flag<I: Iterator<Item = String>>(args: I) -> Parallelis
     let mut selected = None;
     while let Some(arg) = args.next() {
         if arg == "--parallelism" {
-            // lint: allow(panic-surface) -- bench CLI fail-fast; diagnostics abort on bad invocation by design
+            // lint: allow(panic-surface) -- documented `# Panics`: a malformed flag aborts the developer-facing binary
             let v = args.next().unwrap_or_else(|| panic!("--parallelism requires a value"));
             selected = Some(v);
         } else if let Some(v) = arg.strip_prefix("--parallelism=") {
@@ -117,7 +117,7 @@ pub fn apply_parallelism_flag<I: Iterator<Item = String>>(args: I) -> Parallelis
             let n: usize = v
                 .trim()
                 .parse()
-                // lint: allow(panic-surface) -- bench CLI fail-fast; diagnostics abort on bad invocation by design
+                // lint: allow(panic-surface) -- documented `# Panics`: a malformed flag aborts the developer-facing binary
                 .unwrap_or_else(|_| panic!("invalid --parallelism value: {v:?}"));
             let par = Parallelism::new(n);
             parallel::set_process_default(par);
@@ -134,10 +134,10 @@ pub fn apply_parallelism_flag<I: Iterator<Item = String>>(args: I) -> Parallelis
 // lint: timing-carrier -- env reads pick the output directory and knobs; timing goes to stderr/sidecar, never into figure JSON
 pub fn figure_main(name: &str) {
     let par = apply_parallelism_flag(std::env::args().skip(1));
-    // lint: allow(panic-surface) -- bench CLI fail-fast; diagnostics abort on bad invocation by design
+    // lint: allow(panic-surface) -- figure binaries abort with the error when the environment knobs are invalid
     let ctx = env_context().unwrap_or_else(|e| panic!("context construction failed: {e}"));
     let (text, json, timing) = run_experiment_timed(name, &ctx)
-        // lint: allow(panic-surface) -- bench CLI fail-fast; diagnostics abort on bad invocation by design
+        // lint: allow(panic-surface) -- figure binaries abort with the error when an experiment fails
         .unwrap_or_else(|e| panic!("experiment {name} failed: {e}"));
     println!("{text}");
     eprintln!("[timing] {name}: {:.1} ms (parallelism={par})", timing.wall_ms);

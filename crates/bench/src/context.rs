@@ -175,7 +175,7 @@ impl Context {
         self.workloads
             .iter()
             .find(|w| w.spec.short.eq_ignore_ascii_case(short))
-            // lint: allow(panic-surface) -- documented `# Panics` contract: bench lookup over a fixed name set
+            // lint: allow(panic-surface) -- documented `# Panics`: callers pass one of the six Table-I codes
             .unwrap_or_else(|| panic!("unknown dataset {short}"))
     }
 
@@ -227,7 +227,7 @@ impl Context {
             "ReaDy" => Ready::new(self.config)?.simulate(&w.model, &w.graph),
             "DGNN-Booster" => Booster::new(self.config)?.simulate(&w.model, &w.graph),
             "RACE" => Race::new(self.config)?.simulate(&w.model, &w.graph),
-            // lint: allow(panic-surface) -- documented `# Panics` contract: bench lookup over a fixed name set
+            // lint: allow(panic-surface) -- documented `# Panics`: callers pass one of the four accelerator names
             other => panic!("unknown accelerator {other}"),
         }
     }

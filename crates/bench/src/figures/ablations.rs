@@ -59,9 +59,7 @@ pub fn run(ctx: &Context) -> Result<Ablations> {
         let acomb = |strategy: DissimilarityStrategy| -> Result<u64> {
             let mut total = 0u64;
             for t in 1..snaps.len() {
-                // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
                 let a_prev = norm.apply(snaps[t - 1].adjacency());
-                // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
                 let a_next = norm.apply(snaps[t].adjacency());
                 let delta =
                     idgnn_sparse::ops::sp_sub(&a_next, &a_prev).map_err(idgnn_model::ModelError::from)?.pruned(0.0);

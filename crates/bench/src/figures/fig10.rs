@@ -70,29 +70,20 @@ pub fn run(ctx: &Context) -> Result<Fig10> {
             .iter()
             .map(|&alg| estimate_totals(alg, &spec, &full_mem).0.total())
             .collect();
-        // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
         let exec_re = executed[0].max(1) as f64;
-        // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
         let est_re = estimated[0].max(1) as f64;
         for (i, &alg) in ALL_ALGORITHMS.iter().enumerate() {
             rows.push(Fig10Row {
                 dataset: w.spec.short.to_string(),
                 algorithm: alg.label().to_string(),
-                // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
                 executed_ops: executed[i],
-                // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
                 executed_normalized: executed[i] as f64 / exec_re,
-                // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
                 estimated_ops: estimated[i],
-                // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
                 estimated_normalized: estimated[i] as f64 / est_re,
             });
         }
-        // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
         let p = estimated[2] as f64;
-        // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
         red_re.push(reduction_pct(p, estimated[0] as f64));
-        // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
         red_inc.push(reduction_pct(p, estimated[1] as f64));
     }
     Ok(Fig10 {

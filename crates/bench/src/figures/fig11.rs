@@ -50,10 +50,8 @@ pub fn run(ctx: &Context) -> Result<Fig11> {
             let t = result.total_dram();
             let mut class_bytes = [0u64; 5];
             for (j, c) in DATA_CLASSES.iter().enumerate() {
-                // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
                 class_bytes[j] = t.of(*c);
             }
-            // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
             totals[i] = t.total();
             rows.push(Fig11Row {
                 dataset: w.spec.short.to_string(),
@@ -63,17 +61,12 @@ pub fn run(ctx: &Context) -> Result<Fig11> {
                 normalized: 0.0, // filled below
             });
         }
-        // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
         let re = totals[0].max(1) as f64;
         let n = rows.len();
-        // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
         for (i, row) in rows[n - 3..].iter_mut().enumerate() {
-            // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
             row.normalized = totals[i] as f64 / re;
         }
-        // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
         red_re.push(reduction_pct(totals[2] as f64, totals[0] as f64));
-        // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
         red_inc.push(reduction_pct(totals[2] as f64, totals[1] as f64));
     }
     Ok(Fig11 {
@@ -99,7 +92,6 @@ impl Fig11 {
             .iter()
             .filter(|r| r.algorithm == algorithm.label())
             .map(|r| {
-                // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
                 r.class_bytes[DataClass::Intermediate.index()] as f64
                     / r.total_bytes.max(1) as f64
             })

@@ -49,16 +49,13 @@ pub fn run(ctx: &Context) -> Result<Fig12> {
     for (w, cycles) in ctx.workloads.iter().zip(grid) {
         let mut speedups = [0.0f64; 3];
         for b in 0..3 {
-            // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
             speedups[b] = cycles[b + 1] / cycles[0].max(1e-9);
-            // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
             reds[b].push(reduction_pct(cycles[0], cycles[b + 1]));
         }
         rows.push(Fig12Row { dataset: w.spec.short.to_string(), cycles, speedups });
     }
     Ok(Fig12 {
         rows,
-        // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
         mean_reductions: [mean(&reds[0]), mean(&reds[1]), mean(&reds[2])],
     })
 }
@@ -78,15 +75,10 @@ impl std::fmt::Display for Fig12 {
             .map(|r| {
                 vec![
                     r.dataset.clone(),
-                    // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
                     format!("{:.0}", r.cycles[0]),
-                    // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
                     format!("{:.0}", r.cycles[1]),
-                    // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
                     format!("{:.0}", r.cycles[2]),
-                    // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
                     format!("{:.0}", r.cycles[3]),
-                    // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
                     format!("{:.2}x/{:.2}x/{:.2}x", r.speedups[0], r.speedups[1], r.speedups[2]),
                 ]
             })
@@ -103,7 +95,6 @@ impl std::fmt::Display for Fig12 {
         writeln!(
             f,
             "mean time reduction: {:.1}% vs ReaDy, {:.1}% vs DGNN-Booster, {:.1}% vs RACE (paper: 65.9%, 71.1%, 58.8%)",
-            // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
             self.mean_reductions[0], self.mean_reductions[1], self.mean_reductions[2]
         )
     }

@@ -46,7 +46,6 @@ pub fn run(ctx: &Context) -> Result<Fig13> {
         .collect();
     let grid_cycles = driver::run_cells(ctx.parallelism, &cells, |_, &(wi, alg)| {
         let opts = SimOptions { algorithm: Some(alg), ..Default::default() };
-        // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
         Ok(ctx.run_idgnn(&ctx.workloads[wi], &opts)?.total_cycles)
     })?;
 
@@ -56,20 +55,15 @@ pub fn run(ctx: &Context) -> Result<Fig13> {
     for (wi, w) in ctx.workloads.iter().enumerate() {
         let mut cycles = [0.0f64; 3];
         cycles.copy_from_slice(
-            // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
             &grid_cycles[wi * ALL_ALGORITHMS.len()..(wi + 1) * ALL_ALGORITHMS.len()],
         );
-        // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
         let re = cycles[0].max(1e-9);
         rows.push(Fig13Row {
             dataset: w.spec.short.to_string(),
             cycles,
-            // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
             normalized: [1.0, cycles[1] / re, cycles[2] / re],
         });
-        // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
         red_re.push(reduction_pct(cycles[2], cycles[0]));
-        // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
         red_inc.push(reduction_pct(cycles[2], cycles[1]));
     }
     Ok(Fig13 { rows, mean_reductions: [mean(&red_re), mean(&red_inc)] })
@@ -79,7 +73,6 @@ impl Fig13 {
     /// Normalized time of one algorithm on one dataset.
     pub fn normalized_of(&self, dataset: &str, algorithm: Algorithm) -> Option<f64> {
         let idx = ALL_ALGORITHMS.iter().position(|a| *a == algorithm)?;
-        // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
         self.rows.iter().find(|r| r.dataset == dataset).map(|r| r.normalized[idx])
     }
 }
@@ -92,11 +85,8 @@ impl std::fmt::Display for Fig13 {
             .map(|r| {
                 vec![
                     r.dataset.clone(),
-                    // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
                     format!("{:.2}", r.normalized[0]),
-                    // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
                     format!("{:.2}", r.normalized[1]),
-                    // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
                     format!("{:.2}", r.normalized[2]),
                 ]
             })
@@ -113,7 +103,6 @@ impl std::fmt::Display for Fig13 {
         writeln!(
             f,
             "P-Algorithm time reduction: {:.1}% vs Re, {:.1}% vs Inc (paper: 58.9%, 44.6%)",
-            // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
             self.mean_reductions[0], self.mean_reductions[1]
         )
     }

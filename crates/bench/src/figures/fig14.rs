@@ -67,7 +67,6 @@ pub fn run(ctx: &Context) -> Result<Fig14> {
     let mut rows = Vec::new();
     let mut reds = [Vec::new(), Vec::new(), Vec::new()];
     for (w, reports) in ctx.workloads.iter().zip(&grid) {
-        // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
         let base = reports[0].energy.total_pj().max(1e-9);
         for (i, (name, report)) in ACCELERATORS.iter().zip(reports).enumerate() {
             let e = &report.energy;
@@ -80,7 +79,6 @@ pub fn run(ctx: &Context) -> Result<Fig14> {
                 control: e.control_pj / base,
             });
             if i > 0 {
-                // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
                 reds[i - 1].push(reduction_pct(base, e.total_pj()));
             }
         }
@@ -109,23 +107,16 @@ pub fn run(ctx: &Context) -> Result<Fig14> {
         let ours = price(Algorithm::OnePass);
         let re = price(Algorithm::Recompute);
         let inc = price(Algorithm::Incremental);
-        // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
         est_reds[0].push(reduction_pct(ours, re));
-        // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
         est_reds[1].push(reduction_pct(ours, re));
-        // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
         est_reds[2].push(reduction_pct(ours, inc));
     }
     Ok(Fig14 {
         rows,
-        // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
         mean_reductions: [mean(&reds[0]), mean(&reds[1]), mean(&reds[2])],
         estimated_reductions: [
-            // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
             mean(&est_reds[0]),
-            // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
             mean(&est_reds[1]),
-            // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
             mean(&est_reds[2]),
         ],
     })
@@ -169,17 +160,13 @@ impl std::fmt::Display for Fig14 {
         writeln!(
             f,
             "mean energy reduction (executed, scaled): {:.1}% vs ReaDy, {:.1}% vs Booster, {:.1}% vs RACE",
-            // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
             self.mean_reductions[0], self.mean_reductions[1], self.mean_reductions[2]
         )?;
         writeln!(
             f,
             "mean energy reduction (analytical, full-size): {:.1}% / {:.1}% / {:.1}% (paper: 88.4%, 87.0%, 85.9%)",
-            // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
             self.estimated_reductions[0],
-            // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
             self.estimated_reductions[1],
-            // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
             self.estimated_reductions[2]
         )
     }

@@ -39,7 +39,6 @@ pub struct Fig15 {
 /// Propagates generation/simulation errors.
 pub fn run(ctx: &Context) -> Result<Fig15> {
     let spec = ctx.workload("WD").spec;
-    // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
     let scale = if ctx.workloads[0].graph.initial().num_edges() <= 2_000 {
         crate::context::ExperimentScale::Quick
     } else {
@@ -51,13 +50,10 @@ pub fn run(ctx: &Context) -> Result<Fig15> {
         let stream = StreamConfig { dissimilarity: d, ..ctx.stream };
         let w = Context::build_workload(&spec, scale, &stream, ctx.dims, 41)?;
         let cycles = ctx.run_accelerators(&w)?.map(|r| r.total_cycles);
-        // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
         let base = cycles[0].max(1e-9);
         Ok(Fig15Row {
             dissimilarity: d,
-            // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
             idgnn_cycles: cycles[0],
-            // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
             normalized: [cycles[1] / base, cycles[2] / base, cycles[3] / base],
         })
     })?;
@@ -73,11 +69,8 @@ impl std::fmt::Display for Fig15 {
                 vec![
                     format!("{:.1}%", r.dissimilarity * 100.0),
                     format!("{:.0}", r.idgnn_cycles),
-                    // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
                     format!("{:.2}", r.normalized[0]),
-                    // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
                     format!("{:.2}", r.normalized[1]),
-                    // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
                     format!("{:.2}", r.normalized[2]),
                 ]
             })

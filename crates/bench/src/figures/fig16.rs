@@ -38,7 +38,6 @@ pub struct Fig16 {
 ///
 /// Propagates generation/simulation errors.
 pub fn run(ctx: &Context) -> Result<Fig16> {
-    // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
     let scale = if ctx.workloads[0].graph.initial().num_edges() <= 2_000 {
         crate::context::ExperimentScale::Quick
     } else {
@@ -58,7 +57,6 @@ pub fn run(ctx: &Context) -> Result<Fig16> {
             dissimilarity: 0.08,
             ..ctx.stream
         };
-        // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
         let sweep_w = Context::build_workload(&ctx.workloads[wi].spec, scale, &stream, ctx.dims, 61)?;
         Ok(ctx.run_idgnn(&sweep_w, &SimOptions::default())?.total_cycles)
     })?;
@@ -66,14 +64,11 @@ pub fn run(ctx: &Context) -> Result<Fig16> {
     let mut rows = Vec::new();
     for (wi, w) in ctx.workloads.iter().enumerate() {
         let mut cycles = [0.0f64; 3];
-        // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
         cycles.copy_from_slice(&grid_cycles[wi * SWEEP.len()..(wi + 1) * SWEEP.len()]);
-        // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
         let base = cycles[0].max(1e-9);
         rows.push(Fig16Row {
             dataset: w.spec.short.to_string(),
             cycles,
-            // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
             normalized: [1.0, cycles[1] / base, cycles[2] / base],
         });
     }
@@ -88,11 +83,8 @@ impl std::fmt::Display for Fig16 {
             .map(|r| {
                 vec![
                     r.dataset.clone(),
-                    // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
                     format!("{:.2}", r.normalized[0]),
-                    // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
                     format!("{:.2}", r.normalized[1]),
-                    // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
                     format!("{:.2}", r.normalized[2]),
                 ]
             })

@@ -57,7 +57,6 @@ pub fn run(ctx: &Context) -> Result<Fig17> {
         .flat_map(|(wi, _)| GRIDS.iter().map(move |&grid| (wi, grid)))
         .collect();
     let grid_cycles = driver::run_cells(ctx.parallelism, &cells, |_, &(wi, (r, c))| {
-        // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
         let w = &ctx.workloads[wi];
         let accel = IdgnnAccelerator::new(ctx.config.with_pe_grid(r, c))?;
         Ok(accel.simulate(&w.model, &w.graph, &SimOptions::default())?.total_cycles)
@@ -68,9 +67,7 @@ pub fn run(ctx: &Context) -> Result<Fig17> {
     let full = idgnn_hw::AcceleratorConfig::paper_default();
     let full_mem = idgnn_model::MemoryModel::paper_default();
     for (wi, w) in ctx.workloads.iter().enumerate() {
-        // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
         let cycles: Vec<f64> = grid_cycles[wi * GRIDS.len()..(wi + 1) * GRIDS.len()].to_vec();
-        // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
         let base = cycles[0].max(1e-9);
         let speedup = cycles.iter().map(|&cy| base / cy.max(1e-9)).collect();
         rows.push(Fig17Row { dataset: w.spec.short.to_string(), cycles, speedup });
@@ -96,7 +93,6 @@ pub fn run(ctx: &Context) -> Result<Fig17> {
             let compute = ops.mults as f64 / (m as f64 * full.macs_per_pe as f64 * 0.85);
             a_cycles.push(compute.max(dram_cycles));
         }
-        // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
         let a_base = a_cycles[0].max(1e-9);
         let a_speedup = a_cycles.iter().map(|&cy| a_base / cy.max(1e-9)).collect();
         analytical_rows.push(Fig17Row {

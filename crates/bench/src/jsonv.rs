@@ -138,7 +138,7 @@ impl<'a> Parser<'a> {
     }
 
     fn object(&mut self) -> Result<Json, String> {
-        // lint: allow(panic-surface) -- bench fail-fast plumbing; aborting on an impossible state is intended here
+        // lint: allow(panic-surface) -- `Parser::expect` returns a Result; it does not panic
         self.expect(b'{')?;
         let mut members = Vec::new();
         self.skip_ws();
@@ -150,7 +150,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
-            // lint: allow(panic-surface) -- bench fail-fast plumbing; aborting on an impossible state is intended here
+            // lint: allow(panic-surface) -- `Parser::expect` returns a Result; it does not panic
             self.expect(b':')?;
             self.skip_ws();
             let v = self.value()?;
@@ -165,7 +165,7 @@ impl<'a> Parser<'a> {
     }
 
     fn array(&mut self) -> Result<Json, String> {
-        // lint: allow(panic-surface) -- bench fail-fast plumbing; aborting on an impossible state is intended here
+        // lint: allow(panic-surface) -- `Parser::expect` returns a Result; it does not panic
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -186,7 +186,7 @@ impl<'a> Parser<'a> {
     }
 
     fn string(&mut self) -> Result<String, String> {
-        // lint: allow(panic-surface) -- bench fail-fast plumbing; aborting on an impossible state is intended here
+        // lint: allow(panic-surface) -- `Parser::expect` returns a Result; it does not panic
         self.expect(b'"')?;
         let mut out = String::new();
         loop {

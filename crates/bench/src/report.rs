@@ -106,7 +106,7 @@ impl ExecAccounting {
     ///
     /// Propagates filesystem errors.
     pub fn write(&self, name: &str) -> std::io::Result<std::path::PathBuf> {
-        // lint: allow(panic-surface) -- bench fail-fast plumbing; aborting on an impossible state is intended here
+        // lint: allow(panic-surface) -- the vendored serde_json serializer never returns Err
         let json = serde_json::to_string_pretty(self).expect("accounting serializes");
         let path = std::path::Path::new("results")
             .join(format!("{name}_{}.json", self.dataset.to_ascii_lowercase()));
@@ -122,7 +122,6 @@ pub fn table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
             if i < widths.len() {
-                // lint: allow(panic-surface) -- bench-only table/row indexing; fail-fast on malformed data is intended here
                 widths[i] = widths[i].max(cell.len());
             }
         }

@@ -147,7 +147,7 @@ impl IdgnnAccelerator {
     ///
     /// Never panics: the paper configuration is valid by construction.
     pub fn paper_default() -> Self {
-        // lint: allow(panic-surface) -- invariant documented at the call site; grandfathered by the PR5 ratchet-to-zero
+        // lint: allow(panic-surface) -- AcceleratorConfig::paper_default() passes Engine::new's validation (test `paper_default_constructs`)
         Self::new(AcceleratorConfig::paper_default()).expect("paper config is valid")
     }
 

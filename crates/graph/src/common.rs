@@ -45,18 +45,14 @@ impl CommonCoreView {
                     .collect()
             })
             .collect();
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         let mut core_edges = edge_sets[0].clone();
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         for set in &edge_sets[1..] {
             core_edges.retain(|e| set.contains(e));
         }
         let mut core_list: Vec<(usize, usize)> = core_edges.iter().copied().collect();
         core_list.sort_unstable();
         let core = GraphSnapshot::new_unchecked_symmetry(
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
             adjacency_from_edges(snaps[0].num_vertices(), &core_list)?,
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
             snaps[0].features().clone(),
         )?;
         let additions = edge_sets
@@ -87,7 +83,6 @@ impl CommonCoreView {
     ///
     /// Panics if `t >= num_snapshots()`.
     pub fn additions(&self, t: usize) -> &[(usize, usize)] {
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         &self.additions[t]
     }
 
@@ -109,7 +104,6 @@ impl CommonCoreView {
             .filter(|(u, v, _)| u < v)
             .map(|(u, v, _)| (u, v))
             .collect();
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         edges.extend_from_slice(&self.additions[t]);
         GraphSnapshot::new_unchecked_symmetry(
             adjacency_from_edges(self.core.num_vertices(), &edges)?,

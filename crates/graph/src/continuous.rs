@@ -90,7 +90,6 @@ impl ContinuousGraph {
         if self.events.is_empty() {
             return Ok(dg);
         }
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         let t0 = self.events[0].time;
         let mut current = self.initial.clone();
         let mut idx = 0usize;
@@ -101,9 +100,7 @@ impl ContinuousGraph {
                 std::collections::HashMap::new();
             let mut feature_state: std::collections::HashMap<usize, Vec<f32>> =
                 std::collections::HashMap::new();
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
             while idx < self.events.len() && self.events[idx].time <= boundary {
-                // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
                 match &self.events[idx].op {
                     UpdateOp::AddEdge(u, v) => {
                         edge_state.insert((*u.min(v), *u.max(v)), true);

@@ -161,7 +161,6 @@ fn power_law_edges(n: usize, target: usize, rng: &mut StdRng) -> Vec<(usize, usi
             let v = if endpoints.is_empty() {
                 rng.gen_range(0..u)
             } else {
-                // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
                 endpoints[rng.gen_range(0..endpoints.len())]
             };
             if v < u && push(u, v, &mut set, &mut edges, &mut endpoints) {
@@ -177,7 +176,6 @@ fn power_law_edges(n: usize, target: usize, rng: &mut StdRng) -> Vec<(usize, usi
     let mut guard = 0usize;
     while edges.len() < target && guard < 64 * target + 1024 {
         guard += 1;
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         let u = endpoints[rng.gen_range(0..endpoints.len())];
         let v = rng.gen_range(0..n);
         push(u, v, &mut set, &mut edges, &mut endpoints);
@@ -268,9 +266,7 @@ pub fn random_delta(current: &GraphSnapshot, cfg: &StreamConfig, rng: &mut StdRn
     for _ in 0..n_del.min(existing.len()) {
         loop {
             let idx = rng.gen_range(0..existing.len());
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
             if deleted.insert(existing[idx]) {
-                // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
                 let (u, v) = existing[idx];
                 builder = builder.remove_edge(u, v);
                 break;

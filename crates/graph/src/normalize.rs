@@ -110,7 +110,6 @@ fn scale_rows_cols(a: &CsrMatrix, s: &[f32]) -> CsrMatrix {
     for (r, &scale) in s.iter().enumerate().take(a.rows()) {
         for (c, v) in a.row_iter(r) {
             indices.push(c);
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
             values.push(scale * v * s[c]);
         }
         indptr.push(indices.len());

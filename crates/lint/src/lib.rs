@@ -11,7 +11,8 @@
 //!   (`sparse/src/{ops,parallel,simd}.rs` and any `// lint: hot-path`
 //!   function) must not allocate; they go through the workspace arena.
 //! * `panic-surface` — library code must not `unwrap`/`expect`/`panic!`/
-//!   `unreachable!` or slice-index; test code, benches, and binaries may.
+//!   `unreachable!`; test code, benches, and binaries may. Slice indexing
+//!   is bounds-checked and not flagged.
 //! * `unsafe-code` — no `unsafe` anywhere (empty allowlist), plus manifest
 //!   checks that every crate opts into the workspace `unsafe_code = "forbid"`.
 //! * `opstats-literal` — exact-op accounting may only be constructed via
@@ -31,12 +32,11 @@
 //!   or a `// lint: deterministic` root; built on the per-statement
 //!   def/use engine in [`dataflow`]. See DESIGN.md §15.
 //!
-//! New findings beyond the checked-in `lint.baseline` ratchet ([`baseline`])
-//! fail CI; run `idgnn-lint --explain <rule>` for each rule's rationale.
-//! See DESIGN.md §10–§11 for the full policy, suppression syntax, and the
+//! Any finding fails CI (the workspace holds at zero); run
+//! `idgnn-lint --explain <rule>` for each rule's rationale. See
+//! DESIGN.md §10–§11 for the full policy, suppression syntax, and the
 //! relationship to the `strict-invariants` runtime feature.
 
-pub mod baseline;
 pub mod dataflow;
 pub mod driver;
 pub mod flows;
@@ -47,7 +47,6 @@ pub mod report;
 pub mod rules;
 pub mod symgraph;
 
-pub use baseline::{Baseline, Comparison};
 pub use driver::{classify, find_workspace_root, lint_source, lint_workspace, WorkspaceRun};
 pub use rules::{Finding, Rule, Scope};
 pub use symgraph::SymbolGraph;

@@ -1,17 +1,15 @@
 //! Command-line entry point for `idgnn-lint`.
 //!
 //! ```text
-//! cargo run -p idgnn-lint                     # lint the workspace vs lint.baseline
+//! cargo run -p idgnn-lint                     # lint the workspace
 //! cargo run -p idgnn-lint -- --json           # also write results/lint.json
-//! cargo run -p idgnn-lint -- --update-baseline
-//! cargo run -p idgnn-lint -- path/to/file.rs  # lint explicit files, no baseline
+//! cargo run -p idgnn-lint -- path/to/file.rs  # lint explicit files
 //! cargo run -p idgnn-lint -- --explain resource-flow
 //! ```
 //!
-//! Exit codes: `0` clean (or fully grandfathered), `1` findings beyond the
-//! baseline (or any finding in explicit-file mode), `2` usage or I/O error.
+//! Exit codes: `0` clean, `1` any finding (or a timing-gate breach), `2`
+//! usage or I/O error.
 
-use idgnn_lint::baseline::{Baseline, Comparison};
 use idgnn_lint::report::{render_json, render_text, Report};
 use idgnn_lint::rules::{FileMarkers, Finding, Rule, Scope};
 use idgnn_lint::{driver, flows, lexer, parser, rules};
@@ -23,8 +21,6 @@ struct Cli {
     files: Vec<String>,
     json: bool,
     json_out: Option<PathBuf>,
-    baseline_path: Option<PathBuf>,
-    update_baseline: bool,
     explain: Option<String>,
     timing: bool,
     help: bool,
@@ -35,8 +31,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         files: Vec::new(),
         json: false,
         json_out: None,
-        baseline_path: None,
-        update_baseline: false,
         explain: None,
         timing: false,
         help: false,
@@ -51,11 +45,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 cli.json = true;
                 cli.json_out = Some(PathBuf::from(p));
             }
-            "--baseline" => {
-                let p = it.next().ok_or("--baseline requires a path")?;
-                cli.baseline_path = Some(PathBuf::from(p));
-            }
-            "--update-baseline" => cli.update_baseline = true,
             "--explain" => {
                 let r = it.next().ok_or("--explain requires a rule name")?;
                 cli.explain = Some(r.to_string());
@@ -72,14 +61,12 @@ const USAGE: &str = "\
 usage: idgnn-lint [FILES..] [OPTIONS]
 
 Workspace-wide semantic lint for the I-DGNN reproduction. With no FILES,
-lints every first-party `.rs` file and manifest against `lint.baseline`;
-with FILES, lints just those files with every rule in scope and no baseline.
+lints every first-party `.rs` file and manifest; with FILES, lints just
+those files with every rule in scope.
 
 options:
   --json              write the machine-readable report to results/lint.json
   --json-out PATH     write the JSON report to PATH (implies --json)
-  --baseline PATH     compare against PATH instead of <root>/lint.baseline
-  --update-baseline   rewrite the baseline from the current findings
   --timing            profile per-rule wall-clock; fail when one rule runs
                       past 5x the median (workspace mode only)
   --explain RULE      print the rationale for one rule, the `determinism`
@@ -91,9 +78,8 @@ rules: hot-path-alloc, panic-surface, unsafe-code, opstats-literal,
        float-reduction-order, ambient-nondeterminism, block-merge-order,
        malformed-marker
 
-exit codes: 0 clean or fully grandfathered; 1 findings beyond the baseline
-(any finding at all in explicit-file mode) or a timing-gate breach; 2 usage
-or I/O error.";
+exit codes: 0 clean; 1 any finding or a timing-gate breach; 2 usage or I/O
+error.";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -160,10 +146,10 @@ fn run_explain(slug: &str) -> i32 {
     }
 }
 
-/// Lint explicit files with every rule in scope and no baseline: any finding
-/// is a failure. This is what the fixture self-tests drive. The semantic
-/// flow rules run too, in [`flows::AnalysisMode::Explicit`] (every file in
-/// scope), so leak/escape fixtures fail standalone.
+/// Lint explicit files with every rule in scope: any finding is a failure.
+/// This is what the fixture self-tests drive. The semantic flow rules run
+/// too, in [`flows::AnalysisMode::Explicit`] (every file in scope), so
+/// leak/escape fixtures fail standalone.
 fn run_files(cli: &Cli) -> Result<i32, String> {
     let mut findings: Vec<Finding> = Vec::new();
     let mut parsed: Vec<parser::ParsedFile> = Vec::new();
@@ -180,11 +166,9 @@ fn run_files(cli: &Cli) -> Result<i32, String> {
     }
     findings.extend(flows::analyze(&parsed, &tokens, &markers, flows::AnalysisMode::Explicit));
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    let comparison = Comparison::default();
     let exit_code = if findings.is_empty() { 0 } else { 1 };
     let report = Report {
         findings: &findings,
-        comparison: &comparison,
         files_scanned: cli.files.len(),
         exit_code,
         timings: None,
@@ -194,38 +178,18 @@ fn run_files(cli: &Cli) -> Result<i32, String> {
     Ok(exit_code)
 }
 
-/// Lint the whole workspace against the checked-in baseline ratchet.
+/// Lint the whole workspace: any finding, or a `--timing` gate breach, is a
+/// failure.
 fn run_workspace(cli: &Cli) -> Result<i32, String> {
     let cwd = std::env::current_dir().map_err(|e| e.to_string())?;
     let root = driver::find_workspace_root(&cwd)
         .ok_or("no workspace root (Cargo.toml with [workspace]) above current directory")?;
     let run = driver::lint_workspace_with(&root, cli.timing).map_err(|e| e.to_string())?;
 
-    let baseline_path =
-        cli.baseline_path.clone().unwrap_or_else(|| root.join("lint.baseline"));
-    if cli.update_baseline {
-        let text = Baseline::render(&run.findings);
-        fs::write(&baseline_path, text)
-            .map_err(|e| format!("cannot write {}: {e}", baseline_path.display()))?;
-        println!(
-            "baseline updated: {} finding(s) across {} file(s) recorded in {}",
-            run.findings.len(),
-            run.files_scanned,
-            baseline_path.display()
-        );
-        return Ok(0);
-    }
-
-    let baseline = match fs::read_to_string(&baseline_path) {
-        Ok(text) => Baseline::parse(&text)?,
-        Err(_) => Baseline::default(),
-    };
-    let comparison = baseline.compare(&run.findings);
     let gate_breached = run.timings.as_ref().is_some_and(|t| !t.offenders.is_empty());
-    let exit_code = if comparison.ok() && !gate_breached { 0 } else { 1 };
+    let exit_code = if run.findings.is_empty() && !gate_breached { 0 } else { 1 };
     let report = Report {
         findings: &run.findings,
-        comparison: &comparison,
         files_scanned: run.files_scanned,
         exit_code,
         timings: run.timings.as_ref(),

@@ -60,6 +60,8 @@ pub struct FnItem {
     pub module: Vec<String>,
     /// Enclosing `impl` type name, if any.
     pub impl_of: Option<String>,
+    /// True inside a `trait` body (declarations and default methods).
+    pub in_trait: bool,
     /// Visibility of the `fn` itself.
     pub vis: Vis,
     /// 1-based line of the `fn` keyword.
@@ -144,6 +146,8 @@ enum Frame {
     Mod { name: String, test: bool },
     /// `impl Type {` — contributes the owner type.
     Impl { ty: String },
+    /// `trait Name {` — its fns can be reached by method-call syntax.
+    Trait,
     /// Any other brace (fn body, block expression, struct body, match arm).
     Block,
 }
@@ -237,6 +241,13 @@ pub fn parse(rel: &str, tokens: &[Token]) -> ParsedFile {
                         });
                     }
                     pending = Pending::default();
+                    if tok.is_ident("trait") {
+                        if let Some(open) = header_open(tokens, &sig, i) {
+                            frames.push(Frame::Trait);
+                            i = open + 1;
+                            continue;
+                        }
+                    }
                     i += 1;
                     continue;
                 }
@@ -312,23 +323,25 @@ fn match_delim(tokens: &[Token], sig: &[usize], start: usize, open: char, close:
 
 /// Parses an `impl` header starting at `sig[i]` (the `impl` ident). Returns
 /// the owner type name and the sig-index of the opening `{`.
-fn parse_impl_header(tokens: &[Token], sig: &[usize], i: usize) -> Option<(String, usize)> {
-    // Find the body `{`; impl headers never contain braces (where clauses
-    // bound by traits only). Cut the search at `;` (e.g. `impl Trait for X;`
-    // does not exist, but be safe) or end of file.
-    let mut open = None;
+/// Index of the body `{` of the `impl`/`trait` header starting at `sig[i]`.
+/// Such headers never contain braces (where clauses bound by traits only);
+/// the search stops at `;` (`trait T = ..;` aliases) or end of file.
+fn header_open(tokens: &[Token], sig: &[usize], i: usize) -> Option<usize> {
     let mut k = i + 1;
     while let Some(t) = peek(tokens, sig, k) {
         if t.is_punct('{') {
-            open = Some(k);
-            break;
+            return Some(k);
         }
         if t.is_punct(';') {
             return None;
         }
         k += 1;
     }
-    let open = open?;
+    None
+}
+
+fn parse_impl_header(tokens: &[Token], sig: &[usize], i: usize) -> Option<(String, usize)> {
+    let open = header_open(tokens, sig, i)?;
     // Skip the `<...>` generics section right after `impl`, so parameter
     // names don't shadow the owner type. `->` inside `Fn() -> T` bounds
     // must not close the angle depth.
@@ -454,6 +467,7 @@ fn parse_fn(
         Frame::Impl { ty } => Some(ty.clone()),
         _ => None,
     });
+    let in_trait = frames.iter().any(|f| matches!(f, Frame::Trait));
     let in_test = pending.cfg_test
         || pending.test_attr
         || frames.iter().any(|f| matches!(f, Frame::Mod { test: true, .. }));
@@ -465,6 +479,7 @@ fn parse_fn(
         name: name_tok.text.clone(),
         module,
         impl_of,
+        in_trait,
         vis,
         line: fn_tok.line,
         in_test,
@@ -848,6 +863,18 @@ mod tests {
         let p = parse_src("impl Display for OpStats { fn fmt(&self) {} }");
         let f = p.fns.first().expect("one fn");
         assert_eq!(f.impl_of.as_deref(), Some("OpStats"));
+    }
+
+    #[test]
+    fn trait_bodies_mark_their_fns() {
+        let p = parse_src(
+            "trait Walk<T>: Sized { fn step(&self); fn run(&self) { self.step() } }\nfn free() {}",
+        );
+        let in_trait: Vec<(&str, bool)> =
+            p.fns.iter().map(|f| (f.name.as_str(), f.in_trait)).collect();
+        assert_eq!(in_trait, vec![("step", true), ("run", true), ("free", false)]);
+        assert!(p.fns.iter().all(|f| f.impl_of.is_none()));
+        assert_eq!(p.types.first().map(|t| t.name.as_str()), Some("Walk"));
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //! serialize-only and lives on the other side of the dependency fence anyway
 //! — the lint tool deliberately depends on nothing but `std`.
 
-use crate::baseline::Comparison;
 use crate::driver::RuleTimings;
 use crate::rules::{Finding, Rule};
 
@@ -12,8 +11,6 @@ use crate::rules::{Finding, Rule};
 pub struct Report<'a> {
     /// All findings, sorted by file/line.
     pub findings: &'a [Finding],
-    /// Baseline comparison (empty default when linting explicit files).
-    pub comparison: &'a Comparison,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
     /// Exit code the process will return.
@@ -28,23 +25,10 @@ pub fn render_text(r: &Report<'_>) -> String {
     for f in r.findings {
         out.push_str(&format!("{}:{}: [{}] {}\n", f.file, f.line, f.rule.slug(), f.message));
     }
-    for (rule, file, actual, allowed) in &r.comparison.regressions {
-        out.push_str(&format!(
-            "error: {file}: {actual} `{rule}` finding(s), baseline allows {allowed}\n"
-        ));
-    }
-    for (rule, file, actual, allowed) in &r.comparison.improvements {
-        out.push_str(&format!(
-            "note: {file}: baseline allows {allowed} `{rule}` but only {actual} remain — run with --update-baseline to ratchet down\n"
-        ));
-    }
-    let total = r.findings.len();
     out.push_str(&format!(
-        "{} file(s) scanned, {} finding(s), {} grandfathered, {} new\n",
+        "{} file(s) scanned, {} finding(s)\n",
         r.files_scanned,
-        total,
-        r.comparison.grandfathered,
-        total.saturating_sub(r.comparison.grandfathered),
+        r.findings.len()
     ));
     if let Some(t) = r.timings {
         for (slug, ms) in &t.per_rule_ms {
@@ -81,13 +65,6 @@ pub fn render_json(r: &Report<'_>) -> String {
         out.push_str(&format!("\"{}\": {}", rule.slug(), n));
     }
     out.push_str("},\n");
-
-    out.push_str(&format!(
-        "  \"baseline\": {{\"grandfathered\": {}, \"regressions\": {}, \"improvements\": {}}},\n",
-        r.comparison.grandfathered,
-        r.comparison.regressions.len(),
-        r.comparison.improvements.len(),
-    ));
 
     if let Some(t) = r.timings {
         out.push_str("  \"timings_ms\": {");
@@ -144,7 +121,6 @@ fn json_str(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::Comparison;
     use crate::rules::{Finding, Rule};
 
     fn sample() -> Vec<Finding> {
@@ -159,8 +135,7 @@ mod tests {
     #[test]
     fn text_report_has_one_line_per_finding_plus_summary() {
         let findings = sample();
-        let cmp = Comparison::default();
-        let r = Report { findings: &findings, comparison: &cmp, files_scanned: 3, exit_code: 1, timings: None };
+        let r = Report { findings: &findings, files_scanned: 3, exit_code: 1, timings: None };
         let text = render_text(&r);
         assert!(text.contains("crates/x/src/lib.rs:7: [panic-surface]"));
         assert!(text.contains("3 file(s) scanned, 1 finding(s)"));
@@ -169,8 +144,7 @@ mod tests {
     #[test]
     fn json_report_escapes_and_counts() {
         let findings = sample();
-        let cmp = Comparison::default();
-        let r = Report { findings: &findings, comparison: &cmp, files_scanned: 3, exit_code: 1, timings: None };
+        let r = Report { findings: &findings, files_scanned: 3, exit_code: 1, timings: None };
         let json = render_json(&r);
         assert!(json.contains("\"panic-surface\": 1"));
         assert!(json.contains("\\\"quotes\\\""));

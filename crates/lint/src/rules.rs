@@ -9,7 +9,7 @@
 //! | slug | what it catches |
 //! |------|-----------------|
 //! | `hot-path-alloc` | `Vec::new` / `Vec::with_capacity` / `vec![` / `.collect()` / `Box::new` in hot modules or `// lint: hot-path` functions |
-//! | `panic-surface` | `.unwrap()` / `.expect(` / `panic!` / `unreachable!` / slice indexing in library code |
+//! | `panic-surface` | `.unwrap()` / `.expect(` / `panic!` / `unreachable!` in library code |
 //! | `unsafe-code` | any `unsafe` token; manifest checks live in [`crate::driver`] |
 //! | `opstats-literal` | `OpStats { .. }` struct literals outside `stats.rs` |
 //! | `resource-flow` | pooled buffer acquisitions that miss every recycle path ([`crate::flows`]) |
@@ -147,12 +147,13 @@ impl Rule {
                 O(levels) setup allocations outside the per-row loops may be suppressed\n\
                 with `// lint: allow(hot-path-alloc) -- <why it is not per-element>`.",
             Rule::PanicSurface => "panic-surface — library code must not panic on untrusted input.\n\n\
-                Flags `.unwrap()`, `.expect(..)`, `panic!`, `unreachable!`, and slice\n\
-                indexing `[..]` in library code (tests, benches, bins, and build scripts\n\
-                are exempt). Kernels validate shapes up front and return `SparseError`;\n\
-                a panic in the middle of a multi-hour DGNN sweep loses the run. Sites\n\
-                with a locally provable bound carry\n\
-                `// lint: allow(panic-surface) -- <the invariant>`.",
+                Flags `.unwrap()`, `.expect(..)`, `panic!` and `unreachable!` in library\n\
+                code (tests, benches, bins, and build scripts are exempt). Kernels\n\
+                validate shapes up front and return `SparseError`; a panic in the\n\
+                middle of a multi-hour DGNN sweep loses the run. Sites whose panic\n\
+                cannot fire carry `// lint: allow(panic-surface) -- <the invariant>`.\n\
+                Slice indexing `[..]` is not flagged: it is bounds-checked, and the\n\
+                workspace forbids the `unsafe` that unchecked access would need.",
             Rule::UnsafeCode => "unsafe-code — the workspace forbids `unsafe` outright.\n\n\
                 Two halves. The manifest half requires `unsafe_code = \"forbid\"` under\n\
                 `[workspace.lints.rust]` in the root Cargo.toml (`deny` is a finding:\n\
@@ -292,15 +293,6 @@ impl Scope {
         Scope { hot_module: false, library_code: true, opstats_exempt: false }
     }
 }
-
-/// Keywords that can legitimately precede `[` without it being an index
-/// expression (array patterns, array literals after `=`, etc.).
-const NON_INDEX_KEYWORDS: &[&str] = &[
-    "as", "box", "break", "const", "continue", "crate", "dyn", "else", "enum", "extern", "fn",
-    "for", "if", "impl", "in", "let", "loop", "match", "mod", "move", "mut", "pub", "ref",
-    "return", "static", "struct", "super", "trait", "type", "unsafe", "use", "where", "while",
-    "yield",
-];
 
 /// A parsed `// lint: allow(...)` marker.
 #[derive(Debug, Clone, Copy)]
@@ -752,19 +744,6 @@ fn scan_patterns(
         {
             push(Rule::PanicSurface, t.line, format!("`{}!` in library code; return an error instead", t.text));
         }
-        if t.is_punct('[') {
-            let prev = at(k.wrapping_sub(1)).filter(|_| k > 0);
-            let is_index = prev
-                .map(|p| match p.kind {
-                    TokenKind::Ident => !NON_INDEX_KEYWORDS.contains(&p.text.as_str()),
-                    TokenKind::Punct => p.is_punct(')') || p.is_punct(']'),
-                    _ => false,
-                })
-                .unwrap_or(false);
-            if is_index {
-                push(Rule::PanicSurface, t.line, "slice indexing `[..]` can panic; use `.get(..)` or a checked pattern".to_string());
-            }
-        }
 
         // R4: OpStats struct literals outside stats.rs.
         if !scope.opstats_exempt
@@ -831,11 +810,8 @@ mod tests {
     }
 
     #[test]
-    fn slice_indexing_flagged_but_not_array_types_or_patterns() {
-        assert_eq!(slugs("fn f(v: &[usize]) -> usize { v[0] }"), vec!["panic-surface"]);
-        assert!(slugs("fn f(x: [u8; 4]) {}").is_empty());
-        assert!(slugs("fn f() { let [a, b] = pair; }").is_empty());
-        assert!(slugs("fn f() { let v = [1, 2, 3]; }").is_empty());
+    fn bounds_checked_slice_indexing_is_not_flagged() {
+        assert!(slugs("fn f(v: &[usize]) -> usize { v[0] + m[i][j] + g()[1] }").is_empty());
     }
 
     #[test]
@@ -846,7 +822,7 @@ mod tests {
 
     #[test]
     fn cfg_test_regions_are_exempt_from_panic_rules() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); v[0]; panic!(); }\n}";
+        let src = "#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); x.expect(\"e\"); panic!(); }\n}";
         assert!(slugs(src).is_empty());
     }
 
@@ -904,16 +880,16 @@ mod tests {
 
     #[test]
     fn allow_marker_with_reason_suppresses_same_and_next_line() {
-        let src = "// lint: allow(panic-surface) -- index bounded by loop above\n\
-                   fn f() { v[0]; }";
+        let src = "// lint: allow(panic-surface) -- checked non-empty above\n\
+                   fn f() { v.unwrap(); }";
         assert!(slugs(src).is_empty());
-        let same_line = "fn f() { v[0]; } // lint: allow(panic-surface) -- bounded";
+        let same_line = "fn f() { v.unwrap(); } // lint: allow(panic-surface) -- checked";
         assert!(slugs(same_line).is_empty());
     }
 
     #[test]
     fn allow_marker_without_reason_is_malformed_and_inert() {
-        let src = "// lint: allow(panic-surface)\nfn f() { v[0]; }";
+        let src = "// lint: allow(panic-surface)\nfn f() { v.unwrap(); }";
         let got = slugs(src);
         assert!(got.contains(&"malformed-marker"));
         assert!(got.contains(&"panic-surface"));
@@ -946,14 +922,14 @@ mod tests {
         // string must not trigger; an allow in a string must not suppress.
         let src = "/// lint: hot-path\nfn f() { let v = Vec::new(); }";
         assert!(slugs(src).is_empty());
-        let s2 = "fn f() { let m = \"// lint: allow(panic-surface) -- no\"; v[0]; }";
+        let s2 = "fn f() { let m = \"// lint: allow(panic-surface) -- no\"; v.unwrap(); }";
         assert_eq!(slugs(s2), vec!["panic-surface"]);
     }
 
     #[test]
     fn suppression_does_not_leak_past_next_line() {
-        let src = "// lint: allow(panic-surface) -- only here\nfn f() {\n    v[0];\n}";
-        // marker line 1 covers lines 1-2; the indexing is on line 3.
+        let src = "// lint: allow(panic-surface) -- only here\nfn f() {\n    v.unwrap();\n}";
+        // marker line 1 covers lines 1-2; the unwrap is on line 3.
         assert_eq!(slugs(src), vec!["panic-surface"]);
     }
 }

@@ -1,8 +1,12 @@
 //! Cross-crate symbol table and call graph over [`crate::parser`] items.
 //!
 //! Resolution is **name-based with impl-type hints**. A call site
-//! `foo(...)` (or `.foo(...)`) adds an edge to every function named `foo`
-//! in the workspace — *unless* the receiver's type is known. When the
+//! `foo(...)` adds an edge to every function named `foo` in the workspace.
+//! A method call `.foo(...)` adds one to every `foo` defined inside an
+//! `impl` or `trait` body and never to a free fn of that name, which
+//! method syntax cannot reach (so a free `fn collect` does not capture
+//! every iterator's `.collect()`). Both narrow further when the receiver's
+//! type is known. When the
 //! receiver is a plain identifier whose type the parser recovered (a typed
 //! parameter, a `let x: T` / `let x = T::new()` binding, or `self` inside
 //! an `impl T`), and some `impl T` actually defines a method of that name,
@@ -21,6 +25,10 @@
 //!   pooled buffers to a resolver?" — extra edges can mask a leak but
 //!   never invent one, so its findings are also never false positives
 //!   at the graph level.
+//!
+//! The determinism family runs the other way: an extra edge can put an
+//! unrelated fn on a deterministic path and raise a false finding, which is
+//! why method calls skip free fns.
 //!
 //! When the imprecision hides a true positive, the seeded fixtures in
 //! `tests/fixtures/` keep the rule logic itself honest.
@@ -132,6 +140,11 @@ impl SymbolGraph {
                     .and_then(|ty| g.by_impl.get(&(ty, call.name.clone())));
                 if let Some(callees) = hinted.or_else(|| g.by_name.get(&call.name)) {
                     for &callee in callees {
+                        // `.foo()` can only reach a method, never a free fn.
+                        let item = g.fns.get(callee).map(|n| &n.item);
+                        if call.method && item.is_some_and(|c| c.impl_of.is_none() && !c.in_trait) {
+                            continue;
+                        }
                         edges.push((caller, callee));
                     }
                 }

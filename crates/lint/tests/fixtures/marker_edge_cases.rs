@@ -1,7 +1,7 @@
 // Lexer edge-case fixture: every marker below is inside a literal or a
 // doc/block comment and must neither trigger `hot-path-alloc` nor suppress
 // the one real finding at the bottom. Expected: exactly one
-// `panic-surface` finding (the indexing in `real_violation`).
+// `panic-surface` finding (the `.unwrap()` in `real_violation`).
 
 /// lint: hot-path — doc comments never mark functions hot.
 pub fn doc_comment_decoy() -> Vec<u8> {
@@ -21,7 +21,7 @@ pub fn string_decoys() -> (&'static str, &'static str) {
 }
 
 /// The only real finding in this file: the allow markers above live in
-/// string literals, so they must not suppress this indexing.
+/// string literals, so they must not suppress this unwrap.
 pub fn real_violation(values: &[f32]) -> f32 {
-    values[0]
+    values.first().copied().unwrap()
 }

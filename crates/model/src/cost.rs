@@ -83,27 +83,23 @@ impl Traffic {
 
     /// Adds `bytes` of DRAM reads for `class`.
     pub fn read(&mut self, class: DataClass, bytes: u64) -> &mut Self {
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         self.reads[class.index()] += bytes;
         self
     }
 
     /// Adds `bytes` of DRAM writes for `class`.
     pub fn write(&mut self, class: DataClass, bytes: u64) -> &mut Self {
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         self.writes[class.index()] += bytes;
         self
     }
 
     /// Bytes read for `class`.
     pub fn reads_of(&self, class: DataClass) -> u64 {
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         self.reads[class.index()]
     }
 
     /// Bytes written for `class`.
     pub fn writes_of(&self, class: DataClass) -> u64 {
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         self.writes[class.index()]
     }
 
@@ -131,9 +127,7 @@ impl Traffic {
     pub fn merged(&self, other: &Traffic) -> Traffic {
         let mut out = *self;
         for i in 0..5 {
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
             out.reads[i] += other.reads[i];
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
             out.writes[i] += other.writes[i];
         }
         out

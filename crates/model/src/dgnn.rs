@@ -254,7 +254,6 @@ impl DgnnModel {
     /// The model's activation (taken from the first GCN layer; all layers
     /// built by [`DgnnModel::from_config`] share it).
     pub fn activation(&self) -> Activation {
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         self.gcn.layers()[0].activation()
     }
 

@@ -59,7 +59,7 @@ pub(crate) fn run(
         }
         cost0.push(Phase::Combination, *cb, t);
     }
-    // lint: allow(panic-surface) -- invariant documented at the call site; grandfathered by the PR5 ratchet-to-zero
+    // lint: allow(panic-surface) -- GcnStack::new rejects zero layers, so forward_all_layers returns one output per layer (≥ 1)
     let z = layer_outs.last().expect("non-empty");
     push_rnn(model, z, &mut state, v, dims.rnn_hidden_dim, mem, &mut cost0)?;
     sink(Step { t: 0, z, state: &state, cost: &cost0, operator: &a_prev, delta: None });
@@ -82,7 +82,6 @@ pub(crate) fn run(
         let mut affected = vec![false; v];
         let mut affected_count = 0;
         for u in updates {
-            // lint: allow(panic-surface) -- applying the delta checked each update's vertex < V
             if !std::mem::replace(&mut affected[u.vertex], true) {
                 affected_count += 1;
             }
@@ -107,7 +106,6 @@ pub(crate) fn run(
                 Some(prev) => prev,
                 None => x0,
             };
-            // lint: allow(panic-surface) -- `l < l_count == layer_outs.len()`
             let out_layer = &mut rest[0];
 
             // Frontier expansion: rows whose structure changed, plus rows
@@ -116,16 +114,13 @@ pub(crate) fn run(
             let mut next_affected = structural.clone();
             let mut rows = Vec::new();
             for (r, mark) in next_affected.iter_mut().enumerate() {
-                // lint: allow(panic-surface) -- CSR column indices are < V by construction
                 if *mark || a_next.row_indices(r).iter().any(|&c| affected[c]) {
                     *mark = true;
                     rows.push(r);
                 }
             }
 
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
             let weight = model.gcn().layers()[l].weight();
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
             let activation = model.gcn().layers()[l].activation();
             let mut ag_ops = OpStats::default();
             let mut cb_ops = OpStats::default();
@@ -144,7 +139,6 @@ pub(crate) fn run(
                     for (o, &x) in agg.iter_mut().zip(src) {
                         *o += w * x;
                     }
-                    // lint: allow(panic-surface) -- CSR column indices are < V by construction
                     if !std::mem::replace(&mut needed[c], true) {
                         needed_count += 1;
                     }
@@ -194,7 +188,7 @@ pub(crate) fn run(
             affected = next_affected;
             affected_count = rows.len();
         }
-        // lint: allow(panic-surface) -- invariant documented at the call site; grandfathered by the PR5 ratchet-to-zero
+        // lint: allow(panic-surface) -- `layer_outs` keeps one entry per GCN layer and GcnStack::new rejects zero layers
         let z = layer_outs.last().expect("non-empty");
 
         // RNN still consumes the *full* Z; unchanged rows come back from the

@@ -106,7 +106,6 @@ fn chain_apply(a: &CsrMatrix, x: &DenseMatrix) -> (DenseMatrix, OpStats) {
             continue;
         }
         for (r, w) in a.row_iter(v) {
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
             let orow = &mut out.as_mut_slice()[r * k..(r + 1) * k];
             for (o, &e) in orow.iter_mut().zip(row) {
                 *o += w * e;

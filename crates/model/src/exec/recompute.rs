@@ -64,7 +64,7 @@ pub(crate) fn run(
             }
             cost.push(Phase::Combination, *cb_ops, cb_traffic);
         }
-        // lint: allow(panic-surface) -- invariant documented at the call site; grandfathered by the PR5 ratchet-to-zero
+        // lint: allow(panic-surface) -- GcnStack::new rejects zero layers, so forward_all_layers returns one output per layer (≥ 1)
         let z = layer_outs.last().expect("stack is non-empty");
 
         // RNN over all vertices. State spills if it does not fit alongside Z.

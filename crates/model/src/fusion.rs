@@ -28,9 +28,7 @@ use crate::gcn::GcnStack;
 /// Propagates dimension errors (impossible for a validated [`GcnStack`]).
 pub fn fuse_weights(stack: &GcnStack) -> Result<(DenseMatrix, OpStats)> {
     let mut ops = OpStats::default();
-    // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
     let mut acc = stack.layers()[0].weight().clone();
-    // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
     for layer in &stack.layers()[1..] {
         let (next, s) = ops::gemm_with_stats(&acc, layer.weight())?;
         ops += s;

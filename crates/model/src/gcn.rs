@@ -28,7 +28,7 @@ impl GcnLayer {
         let data = (0..in_dim * out_dim).map(|_| rng.gen_range(-scale..scale)).collect();
         Self {
             weight: DenseMatrix::from_vec(in_dim, out_dim, data)
-                // lint: allow(panic-surface) -- invariant documented at the call site; grandfathered by the PR5 ratchet-to-zero
+                // lint: allow(panic-surface) -- `data` holds exactly in_dim·out_dim values, the shape from_vec checks
                 .expect("length matches by construction"),
             activation,
         }
@@ -89,13 +89,10 @@ impl GcnStack {
             return Err(ModelError::EmptyModel);
         }
         for (i, w) in layers.windows(2).enumerate() {
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
             if w[0].out_dim() != w[1].in_dim() {
                 return Err(ModelError::LayerDimensionMismatch {
                     layer: i + 1,
-                    // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
                     expected: w[0].out_dim(),
-                    // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
                     got: w[1].in_dim(),
                 });
             }
@@ -139,13 +136,12 @@ impl GcnStack {
 
     /// Input dimensionality `K`.
     pub fn in_dim(&self) -> usize {
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         self.layers[0].in_dim()
     }
 
     /// Output dimensionality `C` (the GNN output feature width fed to the RNN).
     pub fn out_dim(&self) -> usize {
-        // lint: allow(panic-surface) -- invariant documented at the call site; grandfathered by the PR5 ratchet-to-zero
+        // lint: allow(panic-surface) -- GcnStack::new and GcnStack::random reject zero layers
         self.layers.last().expect("non-empty by invariant").out_dim()
     }
 
@@ -183,7 +179,7 @@ impl GcnStack {
             .forward_all_layers(a_norm, x0)?
             .0
             .pop()
-            // lint: allow(panic-surface) -- invariant documented at the call site; grandfathered by the PR5 ratchet-to-zero
+            // lint: allow(panic-surface) -- forward_all_layers returns one output per layer, and a GcnStack has ≥ 1 layer
             .expect("non-empty by invariant"))
     }
 }

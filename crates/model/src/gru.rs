@@ -36,9 +36,7 @@ impl GruCell {
     ///
     /// Returns [`ModelError::LayerDimensionMismatch`] on inconsistent shapes.
     pub fn new(w: [DenseMatrix; 3], u: [DenseMatrix; 3]) -> Result<Self> {
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         let r = w[0].cols();
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         let c = w[0].rows();
         for (i, m) in w.iter().enumerate() {
             if m.shape() != (c, r) {
@@ -67,7 +65,7 @@ impl GruCell {
         let mut mk = |rows: usize, cols: usize| {
             let scale = 1.0 / (rows.max(1) as f32).sqrt();
             let data = (0..rows * cols).map(|_| rng.gen_range(-scale..scale)).collect();
-            // lint: allow(panic-surface) -- invariant documented at the call site; grandfathered by the PR5 ratchet-to-zero
+            // lint: allow(panic-surface) -- `data` holds exactly rows·cols values, the shape from_vec checks
             DenseMatrix::from_vec(rows, cols, data).expect("length matches")
         };
         let w = [mk(input_dim, hidden_dim), mk(input_dim, hidden_dim), mk(input_dim, hidden_dim)];
@@ -77,13 +75,11 @@ impl GruCell {
 
     /// Input dimensionality `C`.
     pub fn input_dim(&self) -> usize {
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         self.w[0].rows()
     }
 
     /// Hidden dimensionality `R`.
     pub fn hidden_dim(&self) -> usize {
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         self.w[0].cols()
     }
 
@@ -96,12 +92,11 @@ impl GruCell {
         let mut ops = OpStats::default();
         let mut outs = Vec::with_capacity(3);
         for g in 0..3 {
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
             let (m, s) = ops::gemm_with_stats(h_prev, &self.u[g]).map_err(ModelError::from)?;
             ops += s;
             outs.push(m);
         }
-        // lint: allow(panic-surface) -- invariant documented at the call site; grandfathered by the PR5 ratchet-to-zero
+        // lint: allow(panic-surface) -- the loop above pushes exactly three gate products
         let [r, u, n] = <[DenseMatrix; 3]>::try_from(outs).expect("three gates");
         Ok((GruPrecomp { gates: [r, u, n] }, ops))
     }
@@ -122,20 +117,15 @@ impl GruCell {
         let mut ops = OpStats::default();
         let mut pre = Vec::with_capacity(3);
         for g in 0..3 {
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
             let (m, s) = ops::gemm_with_stats(z, &self.w[g]).map_err(ModelError::from)?;
             ops += s;
             pre.push(m);
         }
         let elems = prev.h.as_slice().len() as u64;
 
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         let r = pre[0].add(&a.gates[0]).map_err(ModelError::from)?.sigmoid();
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         let u = pre[1].add(&a.gates[1]).map_err(ModelError::from)?.sigmoid();
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         let gated = r.hadamard(&a.gates[2]).map_err(ModelError::from)?;
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         let n = pre[2].add(&gated).map_err(ModelError::from)?.tanh();
         // H' = (1 − u)∘n + u∘H.
         let one_minus_u = u.map(|x| 1.0 - x);
@@ -177,7 +167,6 @@ impl GruPrecomp {
     ///
     /// Panics if `g >= 3`.
     pub fn gate(&self, g: usize) -> &DenseMatrix {
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         &self.gates[g]
     }
 }

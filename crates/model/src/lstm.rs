@@ -43,9 +43,7 @@ impl LstmCell {
     /// Returns [`ModelError::LayerDimensionMismatch`] if any weight has an
     /// inconsistent shape.
     pub fn new(w: [DenseMatrix; 4], u: [DenseMatrix; 4]) -> Result<Self> {
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         let r = w[0].cols();
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         let c = w[0].rows();
         for (i, m) in w.iter().enumerate() {
             if m.shape() != (c, r) {
@@ -74,7 +72,7 @@ impl LstmCell {
         let mut mk = |rows: usize, cols: usize| {
             let scale = 1.0 / (rows.max(1) as f32).sqrt();
             let data = (0..rows * cols).map(|_| rng.gen_range(-scale..scale)).collect();
-            // lint: allow(panic-surface) -- invariant documented at the call site; grandfathered by the PR5 ratchet-to-zero
+            // lint: allow(panic-surface) -- `data` holds exactly rows·cols values, the shape from_vec checks
             DenseMatrix::from_vec(rows, cols, data).expect("length matches")
         };
         let w = [
@@ -94,25 +92,21 @@ impl LstmCell {
 
     /// Input dimensionality `C` (GNN output width).
     pub fn input_dim(&self) -> usize {
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         self.w[0].rows()
     }
 
     /// Hidden dimensionality `R`.
     pub fn hidden_dim(&self) -> usize {
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         self.w[0].cols()
     }
 
     /// Input weight of `gate` (`C × R`).
     pub fn w(&self, gate: Gate) -> &DenseMatrix {
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         &self.w[gate_index(gate)]
     }
 
     /// Hidden weight of `gate` (`R × R`).
     pub fn u(&self, gate: Gate) -> &DenseMatrix {
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         &self.u[gate_index(gate)]
     }
 
@@ -126,12 +120,11 @@ impl LstmCell {
         let mut ops = OpStats::default();
         let mut outs = Vec::with_capacity(4);
         for g in 0..4 {
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
             let (m, s) = ops::gemm_with_stats(h_prev, &self.u[g]).map_err(ModelError::from)?;
             ops += s;
             outs.push(m);
         }
-        // lint: allow(panic-surface) -- invariant documented at the call site; grandfathered by the PR5 ratchet-to-zero
+        // lint: allow(panic-surface) -- the loop above pushes exactly four gate products
         let [i, f, o, c] = <[DenseMatrix; 4]>::try_from(outs).expect("exactly four gates");
         Ok((RnnAOutput { gates: [i, f, o, c] }, ops))
     }
@@ -151,21 +144,15 @@ impl LstmCell {
         let mut ops = OpStats::default();
         let mut pre = Vec::with_capacity(4);
         for g in 0..4 {
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
             let (m, s) = ops::gemm_with_stats(z, &self.w[g]).map_err(ModelError::from)?;
             ops += s;
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
             let summed = m.add(&a.gates[g]).map_err(ModelError::from)?;
             ops.adds += summed.as_slice().len() as u64;
             pre.push(summed);
         }
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         let i = pre[0].sigmoid();
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         let f = pre[1].sigmoid();
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         let o = pre[2].sigmoid();
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         let c_cand = pre[3].tanh();
 
         let fc = f.hadamard(&prev.c).map_err(ModelError::from)?;
@@ -210,7 +197,6 @@ pub struct RnnAOutput {
 impl RnnAOutput {
     /// The precomputed matrix for `gate`.
     pub fn gate(&self, gate: Gate) -> &DenseMatrix {
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         &self.gates[gate_index(gate)]
     }
 }

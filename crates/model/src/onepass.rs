@@ -328,7 +328,6 @@ fn general(
     // The slices of the top powers ΔA reads: A^{L-2}·A[:, S_r] and
     // (A+ΔA)^{L-2}[S_c, :]·(A+ΔA). Their own products are not counted: the
     // full products they stand for already are.
-    // lint: allow(panic-surface) -- in-bounds: both chains hold `L − 1 ≥ 1` powers
     let (a_last, n_last) = (&pow_a[top - 1], &pow_n[top - 1]);
     let a_cols = filter_entries(a, |_, c| in_s_r.get(c) == Some(&true));
     let n_rows = filter_entries(n_last, |r, _| in_s_c.get(r) == Some(&true));
@@ -348,7 +347,6 @@ fn general(
             let s2 = identity_stats(&term);
             (term, s1, s2)
         } else {
-            // lint: allow(panic-surface) -- in-bounds: `0 < i < L − 1` and `0 < L − 1 − i < L − 1` index the `L − 1` powers of each chain
             let (a_pow, n_pow) = (&pow_a[i], &pow_n[top - i]);
             let (left, s1) = ops::spgemm_with_stats(a_pow, da)?;
             let (term, s2) = ops::spgemm_with_stats(&left, n_pow)?;
@@ -458,7 +456,6 @@ fn pattern_product_stats(x: &CsrMatrix, b: &CsrMatrix, bitmap_budget: u64) -> Op
         for r in 0..b.rows() {
             row.fill(0);
             for &j in b.row_indices(r) {
-                // lint: allow(panic-surface) -- in-bounds: `j < b.cols() = x.rows()` names one row bitmap
                 for (w, &xw) in row.iter_mut().zip(&x_bits[j * words..(j + 1) * words]) {
                     *w |= xw;
                 }
@@ -578,7 +575,6 @@ pub fn delta_aggregation(
         }
         // A_C^t is symmetric: column v equals row v.
         for (r, w) in ac_prev.row_iter(v) {
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
             let out = &mut agg.as_mut_slice()[r * k..(r + 1) * k];
             for (o, &x) in out.iter_mut().zip(row) {
                 *o += w * x;
@@ -635,17 +631,21 @@ mod tests {
 
     #[test]
     fn optimized_matches_reference_l2_and_l3() {
-        let (a, an, d) = setup(Normalization::Symmetric);
-        for l in [2u32, 3] {
-            let got =
-                fused_dissimilarity(&a, &d, l, DissimilarityStrategy::TransposeOptimized).unwrap();
-            let want = reference_delta_ac(&a, &an, l);
-            assert!(
-                got.delta_ac.approx_eq(&want, 1e-4),
-                "L={l}: max diff {}",
-                ops::sp_sub(&got.delta_ac, &want).unwrap().max_abs()
-            );
-            assert!(got.transposes > 0, "L={l} should use transposes");
+        // `A + I` (GIN) is symmetric but unnormalized, so its entries and
+        // ΔA_C's grow with L instead of staying below 1.
+        for norm in [Normalization::Symmetric, Normalization::SelfLoops] {
+            let (a, an, d) = setup(norm);
+            for l in [2u32, 3] {
+                let got = fused_dissimilarity(&a, &d, l, DissimilarityStrategy::TransposeOptimized)
+                    .unwrap();
+                let want = reference_delta_ac(&a, &an, l);
+                assert!(
+                    got.delta_ac.approx_eq(&want, 1e-4),
+                    "{norm:?} L={l}: max diff {}",
+                    ops::sp_sub(&got.delta_ac, &want).unwrap().max_abs()
+                );
+                assert!(got.transposes > 0, "{norm:?} L={l} should use transposes");
+            }
         }
     }
 

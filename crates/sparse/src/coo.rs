@@ -115,26 +115,21 @@ impl CooMatrix {
 
         let mut i = 0;
         while i < sorted.len() {
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
             let (r, c, mut v) = sorted[i];
             i += 1;
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
             while i < sorted.len() && sorted[i].0 == r && sorted[i].1 == c {
-                // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
                 v += sorted[i].2;
                 i += 1;
             }
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
             indptr[r + 1] += 1;
             indices.push(c);
             values.push(v);
         }
         for r in 0..self.rows {
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
             indptr[r + 1] += indptr[r];
         }
         CsrMatrix::from_raw_parts(self.rows, self.cols, indptr, indices, values)
-            // lint: allow(panic-surface) -- invariant documented at the call site; grandfathered by the PR5 ratchet-to-zero
+            // lint: allow(panic-surface) -- entries are sorted and deduplicated, and push() checked every (row, col) is in bounds
             .expect("COO conversion produces valid CSR by construction")
     }
 }

@@ -130,7 +130,7 @@ impl CsrMatrix {
     pub(crate) fn debug_validate(&self, site: &str) {
         #[cfg(feature = "strict-invariants")]
         if let Err(e) = self.validate() {
-            // lint: allow(panic-surface) -- strict-invariants assertion helper: panicking here is the feature
+            // lint: allow(panic-surface) -- strict-invariants assertion: the feature exists to abort on an invalid CSR
             panic!("strict-invariants violated at {site}: {e}");
         }
         #[cfg(not(feature = "strict-invariants"))]
@@ -143,7 +143,7 @@ impl CsrMatrix {
     pub(crate) fn debug_validate_pruned(&self, site: &str) {
         #[cfg(feature = "strict-invariants")]
         if let Err(e) = self.validate_pruned() {
-            // lint: allow(panic-surface) -- strict-invariants assertion helper: panicking here is the feature
+            // lint: allow(panic-surface) -- strict-invariants assertion: the feature exists to abort on an invalid CSR
             panic!("strict-invariants violated at {site}: {e}");
         }
         #[cfg(not(feature = "strict-invariants"))]
@@ -170,7 +170,7 @@ impl CsrMatrix {
             for c in 0..dense.cols() {
                 let v = dense.get(r, c);
                 if v != 0.0 {
-                    // lint: allow(panic-surface) -- invariant documented at the call site; grandfathered by the PR5 ratchet-to-zero
+                    // lint: allow(panic-surface) -- `r` < dense.rows() and `c` < dense.cols(), the COO shape
                     coo.push(r, c, v).expect("in-bounds by construction");
                 }
             }
@@ -242,7 +242,6 @@ impl CsrMatrix {
     ///
     /// Panics if `r >= rows`.
     pub fn row_nnz(&self, r: usize) -> usize {
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         self.indptr[r + 1] - self.indptr[r]
     }
 
@@ -252,7 +251,6 @@ impl CsrMatrix {
     ///
     /// Panics if `r >= rows`.
     pub fn row_indices(&self, r: usize) -> &[usize] {
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         &self.indices[self.indptr[r]..self.indptr[r + 1]]
     }
 
@@ -262,7 +260,6 @@ impl CsrMatrix {
     ///
     /// Panics if `r >= rows`.
     pub fn row_values(&self, r: usize) -> &[f32] {
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         &self.values[self.indptr[r]..self.indptr[r + 1]]
     }
 
@@ -287,7 +284,6 @@ impl CsrMatrix {
     /// Panics if `r >= rows` (a column beyond `cols` simply returns `0.0`).
     pub fn get(&self, r: usize, c: usize) -> f32 {
         match self.row_indices(r).binary_search(&c) {
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
             Ok(i) => self.row_values(r)[i],
             Err(_) => 0.0,
         }
@@ -297,11 +293,9 @@ impl CsrMatrix {
     pub fn transpose(&self) -> CsrMatrix {
         let mut indptr = vec![0usize; self.cols + 1];
         for &c in &self.indices {
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
             indptr[c + 1] += 1;
         }
         for i in 0..self.cols {
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
             indptr[i + 1] += indptr[i];
         }
         let mut next = indptr.clone();
@@ -309,13 +303,9 @@ impl CsrMatrix {
         let mut values = vec![0.0f32; self.nnz()];
         for r in 0..self.rows {
             for (c, v) in self.row_iter(r) {
-                // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
                 let slot = next[c];
-                // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
                 indices[slot] = r;
-                // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
                 values[slot] = v;
-                // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
                 next[c] += 1;
             }
         }
@@ -398,7 +388,6 @@ impl CsrMatrix {
                     values.push(v);
                 }
             }
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
             indptr[r + 1] = indices.len();
         }
         let out = CsrMatrix { rows: self.rows, cols: self.cols, indptr, indices, values };
@@ -457,7 +446,6 @@ fn check_indptr_len(rows: usize, indptr: &[usize]) -> Result<()> {
             reason: format!("indptr length {} != rows + 1 = {}", indptr.len(), rows + 1),
         });
     }
-    // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
     if indptr[0] != 0 {
         return Err(SparseError::InvalidStructure { reason: "indptr[0] != 0".into() });
     }
@@ -466,7 +454,6 @@ fn check_indptr_len(rows: usize, indptr: &[usize]) -> Result<()> {
 
 /// `row-ptr-monotone`: row pointers never decrease.
 fn check_row_ptr_monotone(indptr: &[usize]) -> Result<()> {
-    // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
     if indptr.windows(2).any(|w| w[0] > w[1]) {
         return Err(SparseError::InvalidStructure { reason: "indptr not monotone".into() });
     }
@@ -490,7 +477,6 @@ fn check_len_consistent(nnz: usize, indices: &[usize], values: &[f32]) -> Result
 /// `col-sorted-unique`: one row's column indices strictly increase.
 fn check_row_sorted_unique(r: usize, row: &[usize]) -> Result<()> {
     for w in row.windows(2) {
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         if w[0] >= w[1] {
             return Err(SparseError::InvalidStructure {
                 reason: format!("row {r} column indices not strictly increasing"),
@@ -525,10 +511,8 @@ fn check_csr_parts(
 ) -> Result<()> {
     check_indptr_len(rows, indptr)?;
     check_row_ptr_monotone(indptr)?;
-    // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
     check_len_consistent(indptr[rows], indices, values)?;
     for r in 0..rows {
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         let row = &indices[indptr[r]..indptr[r + 1]];
         check_row_sorted_unique(r, row)?;
         check_row_col_in_bounds(r, row, cols)?;

@@ -43,7 +43,6 @@ impl DenseMatrix {
     pub fn identity(n: usize) -> Self {
         let mut m = Self::zeros(n, n);
         for i in 0..n {
-            // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
             m.data[i * n + i] = 1.0;
         }
         m
@@ -122,7 +121,6 @@ impl DenseMatrix {
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f32 {
         assert!(r < self.rows && c < self.cols, "index ({r},{c}) out of bounds");
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         self.data[r * self.cols + c]
     }
 
@@ -134,7 +132,6 @@ impl DenseMatrix {
     #[inline]
     pub fn set(&mut self, r: usize, c: usize, v: f32) {
         assert!(r < self.rows && c < self.cols, "index ({r},{c}) out of bounds");
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         self.data[r * self.cols + c] = v;
     }
 
@@ -145,7 +142,6 @@ impl DenseMatrix {
     /// Panics if `r >= rows`.
     pub fn row(&self, r: usize) -> &[f32] {
         assert!(r < self.rows, "row {r} out of bounds");
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
@@ -161,14 +157,11 @@ impl DenseMatrix {
         let mut out = vec![0.0f32; row_range.len() * rhs.cols];
         for i in row_range {
             for k in 0..self.cols {
-                // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
                 let a = self.data[i * self.cols + k];
                 if a == 0.0 {
                     continue;
                 }
-                // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
                 let rrow = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
                 let orow = &mut out[(i - base) * rhs.cols..(i - base + 1) * rhs.cols];
                 for (o, &b) in orow.iter_mut().zip(rrow) {
                     *o += a * b;
@@ -288,7 +281,6 @@ impl DenseMatrix {
         let mut out = DenseMatrix::zeros(self.cols, self.rows);
         for r in 0..self.rows {
             for c in 0..self.cols {
-                // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
                 out.data[c * self.rows + r] = self.data[r * self.cols + c];
             }
         }

@@ -103,10 +103,10 @@ fn assemble_csr(rows: usize, cols: usize, blocks: Vec<CsrBlock>) -> (CsrMatrix, 
         let CsrBlock { row_lens, indices, values, stats: s } = blocks
             .into_iter()
             .next()
-            // lint: allow(panic-surface) -- invariant documented at the call site; grandfathered by the PR5 ratchet-to-zero
+            // lint: allow(panic-surface) -- this branch runs only when `blocks.len() == 1`
             .expect("length checked above");
         for len in &row_lens {
-            // lint: allow(panic-surface) -- invariant documented at the call site; grandfathered by the PR5 ratchet-to-zero
+            // lint: allow(panic-surface) -- `indptr` starts with the pushed 0 and only grows
             indptr.push(indptr.last().expect("indptr non-empty") + len);
         }
         stats += s;
@@ -117,7 +117,7 @@ fn assemble_csr(rows: usize, cols: usize, blocks: Vec<CsrBlock>) -> (CsrMatrix, 
         let mut values = workspace::take_value_buffer(total_nnz);
         for block in blocks {
             for len in &block.row_lens {
-                // lint: allow(panic-surface) -- invariant documented at the call site; grandfathered by the PR5 ratchet-to-zero
+                // lint: allow(panic-surface) -- `indptr` starts with the pushed 0 and only grows
                 indptr.push(indptr.last().expect("indptr non-empty") + len);
             }
             indices.extend_from_slice(&block.indices);
@@ -130,7 +130,7 @@ fn assemble_csr(rows: usize, cols: usize, blocks: Vec<CsrBlock>) -> (CsrMatrix, 
         (indices, values)
     };
     let m = CsrMatrix::from_raw_parts(rows, cols, indptr, indices, values)
-        // lint: allow(panic-surface) -- invariant documented at the call site; grandfathered by the PR5 ratchet-to-zero
+        // lint: allow(panic-surface) -- blocks cover rows in ascending order with sorted in-range columns, so indptr is monotone and ends at nnz
         .expect("blocked CSR output is valid by construction");
     m.debug_validate("ops::assemble_csr");
     (m, stats)
@@ -190,9 +190,7 @@ fn spgemm_numeric_batch(
     stats: &mut OpStats,
 ) {
     for (i, r) in batch.enumerate() {
-        // lint: allow(panic-surface) -- in-bounds by construction: one length per batch row
         let row_end = *emitted + batch_lens[i];
-        // lint: allow(panic-surface) -- in-bounds by construction: the symbolic pass sized this range
         let row_indices = &indices[*emitted..row_end];
         spgemm_row_numeric_scalar(a, b, r, ws, stamps, row_indices, values, stats);
         *emitted = row_end;
@@ -252,7 +250,6 @@ fn spgemm_block_in<const FUSED: bool>(
                 batch_start..r + 1,
                 ws,
                 &mut stamps,
-                // lint: allow(panic-surface) -- in-bounds: one length was pushed per symbolic'd row
                 &row_lens[batch_first_len..],
                 &indices,
                 &mut emitted,
@@ -269,7 +266,6 @@ fn spgemm_block_in<const FUSED: bool>(
         batch_start..rows.end,
         ws,
         &mut stamps,
-        // lint: allow(panic-surface) -- in-bounds: one length was pushed per symbolic'd row
         &row_lens[batch_first_len..],
         &indices,
         &mut emitted,
@@ -306,7 +302,6 @@ fn accumulate_segment(
     *words = (words.0.min(lo), words.1.max(hi));
     let Workspace { acc, bits } = ws;
     let mut or_word = |w: usize, run: u64| {
-        // lint: allow(panic-surface) -- in-bounds: `bits` covers the SPA width
         let word = &mut bits[w];
         let new = (run & !*word).count_ones() as usize;
         *word |= run;
@@ -315,7 +310,6 @@ fn accumulate_segment(
     let mut new = 0;
     if cols.len() < 2 * (hi - lo + 1) {
         for (&c, &v) in cols.iter().zip(vals) {
-            // lint: allow(panic-surface) -- in-bounds: `c` is a CSR column of an operand, below the SPA width
             acc[c] += value(v);
             new += or_word(c / 64, 1u64 << (c % 64));
         }
@@ -323,7 +317,6 @@ fn accumulate_segment(
     }
     let (mut run_w, mut run) = (lo, 0u64);
     for (&c, &v) in cols.iter().zip(vals) {
-        // lint: allow(panic-surface) -- in-bounds: `c` is a CSR column of an operand, below the SPA width
         acc[c] += value(v);
         if c / 64 != run_w {
             new += or_word(run_w, run);
@@ -351,11 +344,9 @@ fn drain_row(
     mut emit: impl FnMut(usize, &mut f32),
 ) {
     for w in lo..=hi {
-        // lint: allow(panic-surface) -- in-bounds: `w` lies between two words a row segment set
         let mut word = std::mem::take(&mut ws.bits[w]);
         while word != 0 {
             let c = w * 64 + word.trailing_zeros() as usize;
-            // lint: allow(panic-surface) -- in-bounds: a set bit names a column below the SPA width
             emit(c, &mut ws.acc[c]);
             word &= word - 1;
         }
@@ -395,7 +386,6 @@ fn spgemm_row_fused(
     drain_row(ws, words, |c, _| indices.push(c));
     row_lens.push(indices.len() - start);
     let acc = &mut ws.acc;
-    // lint: allow(panic-surface) -- in-bounds: `start` was the length of `indices` above; every drained column is below `acc.len()`
     values.extend(indices[start..].iter().map(|&c| std::mem::replace(&mut acc[c], -0.0)));
     mults
 }
@@ -416,15 +406,12 @@ fn spgemm_row_symbolic(
     let start = indices.len();
     for (k, _) in a.row_iter(r) {
         for (c, _) in b.row_iter(k) {
-            // lint: allow(panic-surface) -- in-bounds: `c` is a CSR column of B and `stamp` is B's width
             if stamps.stamp[c] != generation {
-                // lint: allow(panic-surface) -- in-bounds: `c` is a CSR column of B and `stamp` is B's width
                 stamps.stamp[c] = generation;
                 indices.push(c);
             }
         }
     }
-    // lint: allow(panic-surface) -- in-bounds: `start` was the length of `indices` above
     indices[start..].sort_unstable();
     row_lens.push(indices.len() - start);
 }
@@ -450,21 +437,16 @@ fn spgemm_row_numeric_scalar(
     for (k, va) in a.row_iter(r) {
         for (c, vb) in b.row_iter(k) {
             stats.mults += 1;
-            // lint: allow(panic-surface) -- in-bounds: `c` is a CSR column of B and `stamp` is B's width
             if stamps.stamp[c] == generation {
                 stats.adds += 1;
-                // lint: allow(panic-surface) -- in-bounds: `c` is a CSR column of B, below the SPA width
                 ws.acc[c] += va * vb;
             } else {
-                // lint: allow(panic-surface) -- in-bounds: `c` is a CSR column of B and `stamp` is B's width
                 stamps.stamp[c] = generation;
-                // lint: allow(panic-surface) -- in-bounds: `c` is a CSR column of B, below the SPA width
                 ws.acc[c] = va * vb;
             }
         }
     }
     for &c in row_indices {
-        // lint: allow(panic-surface) -- in-bounds: every symbolic column is below the SPA width
         values.push(std::mem::replace(&mut ws.acc[c], -0.0));
     }
 }
@@ -517,9 +499,7 @@ fn sp_axpby_block<const PRUNE: bool>(
     rows: std::ops::Range<usize>,
 ) -> CsrBlock {
     // Upper bound on the block's output nnz: every merged entry survives.
-    // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
     let cap = (a.indptr()[rows.end] - a.indptr()[rows.start])
-        // lint: allow(panic-surface) -- in-bounds by construction at this site; grandfathered by the PR5 ratchet-to-zero
         + (b.indptr()[rows.end] - b.indptr()[rows.start]);
     let mut block = CsrBlock {
         row_lens: workspace::take_index_buffer(rows.len()),
@@ -651,12 +631,10 @@ fn sp_sum_block(
     rows: std::ops::Range<usize>,
     ws: &mut Workspace,
 ) -> (CsrBlock, Vec<usize>) {
-    // lint: allow(panic-surface) -- in-bounds: sp_sum_pruned rejects an empty term list
     ws.ensure_width(terms[0].cols());
     // Upper bound on the block's output nnz: every term entry is distinct.
     let cap: usize = terms
         .iter()
-        // lint: allow(panic-surface) -- in-bounds: `rows` lies within the terms' row range
         .map(|t| t.indptr()[rows.end] - t.indptr()[rows.start])
         .sum();
     let mut indices = workspace::take_index_buffer(cap);
@@ -761,7 +739,6 @@ fn spmm_block<const CHUNKED: bool>(
     let mut stats = OpStats::default();
     for (i, r) in rows.enumerate() {
         let row_nnz = a.row_nnz(r) as u64;
-        // lint: allow(panic-surface) -- in-bounds: `out` holds `rows.len() * k` values
         let orow = &mut out[i * k..(i + 1) * k];
         for (c, v) in a.row_iter(r) {
             let xrow = x.row(c);
@@ -811,7 +788,7 @@ fn spmm_par_impl<const CHUNKED: bool>(
     );
     let (data, stats) = if blocks.len() == 1 {
         // Single block (the serial path): the chunk *is* the output — move it.
-        // lint: allow(panic-surface) -- invariant documented at the call site; grandfathered by the PR5 ratchet-to-zero
+        // lint: allow(panic-surface) -- this branch runs only when `blocks.len() == 1`
         blocks.pop().expect("length checked above")
     } else {
         let mut data = workspace::take_value_buffer(a.rows() * k);
@@ -824,7 +801,7 @@ fn spmm_par_impl<const CHUNKED: bool>(
         (data, stats)
     };
     let out = DenseMatrix::from_vec(a.rows(), k, data)
-        // lint: allow(panic-surface) -- invariant documented at the call site; grandfathered by the PR5 ratchet-to-zero
+        // lint: allow(panic-surface) -- the blocks tile all `a.rows()` rows with `k` values each, so `data` has rows·k values
         .expect("blocked SpMM output has the declared shape");
     Ok((out, stats))
 }

@@ -183,7 +183,6 @@ impl DegreeHistogram {
             if buckets.len() <= b {
                 buckets.resize(b + 1, 0);
             }
-            // lint: allow(panic-surface) -- resize above guarantees b is in bounds
             buckets[b] += 1;
         }
         Self { buckets, isolated }

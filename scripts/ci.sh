@@ -10,8 +10,8 @@
 #    through seeded adversarial worker schedules and must stay bit-identical
 #    to the serial path (the runtime half of the determinism contract,
 #    DESIGN.md §15);
-# 5. idgnn-lint workspace scan (with --timing) against the checked-in
-#    lint.baseline ratchet — zero entries with the determinism family on;
+# 5. idgnn-lint workspace scan (with --timing): any finding fails, with the
+#    determinism family on;
 # 6. kernel-benchmark smoke run + structural JSON validation;
 # 7. DSE smoke sweep regenerating results/dse.json + structural validation;
 # 8. `all` regenerating every figure JSON and results/report.txt, which must
@@ -61,13 +61,13 @@ stage "cargo test -p idgnn-sparse --features schedule-perturbation"
 # invocation at parallelism 4, 16 proptest cases) keeps this a few seconds.
 cargo test -q -p idgnn-sparse --features schedule-perturbation --test perturbation
 
-stage "idgnn-lint (baseline ratchet + per-rule timing + results/lint.json)"
+stage "idgnn-lint (zero findings + per-rule timing + results/lint.json)"
 # --timing profiles each rule in isolation and fails the run when any rule
 # exceeds 5x the median rule time (floored), so a pathological rule cannot
 # silently dominate the lint stage.
 cargo run --release -q -p idgnn-lint -- --timing --json
 # Structural validation of the JSON report from the outside: rule set,
-# typed findings, zero regressions, zero new findings, timing gate clean.
+# zero counts, an empty findings array, timing gate clean.
 cargo run --release -q -p idgnn-bench --bin lintv -- results/lint.json
 # The --explain subcommand must document every rule (smoke: one of each
 # family — a token rule, a flow rule, a determinism dataflow rule, and the

@@ -17,9 +17,11 @@
 //!
 //! `parallelism` (or the `IDGNN_PARALLELISM` environment variable) only
 //! changes host wall-clock time — every report is bit-identical across
-//! settings.
+//! settings. A reader that closes stdout early (`idgnn-sim … | head`) ends
+//! the run quietly with exit code 0.
 
 use std::collections::HashMap;
+use std::io::{self, Write};
 
 use idgnn::baselines::{simulate_baselines, Booster, Race, Ready};
 use idgnn::core::{IdgnnAccelerator, SimOptions, SimReport};
@@ -44,6 +46,7 @@ fn get<T: std::str::FromStr>(args: &HashMap<String, String>, key: &str, default:
 }
 
 fn build_workload(
+    out: &mut impl Write,
     args: &HashMap<String, String>,
 ) -> Result<(DynamicGraph, usize), Box<dyn std::error::Error>> {
     let seed: u64 = get(args, "seed", 42);
@@ -59,7 +62,7 @@ fn build_workload(
         let max_edges = get(args, "max-edges", 6_000);
         let dg = spec.generate_scaled(max_edges, &stream, seed)?;
         let k = dg.initial().feature_dim();
-        println!("workload: scaled {spec}");
+        writeln!(out, "workload: scaled {spec}")?;
         Ok((dg, k))
     } else {
         let vertices = get(args, "vertices", 500);
@@ -74,45 +77,66 @@ fn build_workload(
     }
 }
 
-fn print_report(name: &str, r: &SimReport, frequency_hz: u64, baseline: Option<&SimReport>) {
+fn print_report(
+    out: &mut impl Write,
+    name: &str,
+    r: &SimReport,
+    frequency_hz: u64,
+    baseline: Option<&SimReport>,
+) -> io::Result<()> {
     let speed = baseline
         .map(|b| format!("  ({:.2}x vs I-DGNN)", r.total_cycles / b.total_cycles))
         .unwrap_or_default();
-    println!("\n=== {name} ===");
-    println!("  cycles       : {:>14.0}{speed}", r.total_cycles);
-    println!("  wall clock   : {:>14.3} ms", r.seconds(frequency_hz) * 1e3);
-    println!("  energy       : {:>14.1} µJ", r.energy.total_pj() / 1e6);
-    println!(
+    writeln!(out, "\n=== {name} ===")?;
+    writeln!(out, "  cycles       : {:>14.0}{speed}", r.total_cycles)?;
+    writeln!(out, "  wall clock   : {:>14.3} ms", r.seconds(frequency_hz) * 1e3)?;
+    writeln!(out, "  energy       : {:>14.1} µJ", r.energy.total_pj() / 1e6)?;
+    writeln!(
+        out,
         "    compute {:.1} µJ | on-chip {:.1} µJ | off-chip {:.1} µJ | ctrl {:.1} µJ",
         r.energy.compute_pj / 1e6,
         r.energy.onchip_pj / 1e6,
         r.energy.offchip_pj / 1e6,
         r.energy.control_pj / 1e6
-    );
-    println!("  DRAM traffic : {:>14} B", r.dram_bytes);
-    println!("  scalar ops   : {:>14}", r.ops.total());
-    println!("  mean MAC util: {:>13.1}%", r.utilization().mean_mac() * 100.0);
+    )?;
+    writeln!(out, "  DRAM traffic : {:>14} B", r.dram_bytes)?;
+    writeln!(out, "  scalar ops   : {:>14}", r.ops.total())?;
+    writeln!(out, "  mean MAC util: {:>13.1}%", r.utilization().mean_mac() * 100.0)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    match run(&mut io::stdout().lock()) {
+        Err(e)
+            if e.downcast_ref::<io::Error>()
+                .is_some_and(|e| e.kind() == io::ErrorKind::BrokenPipe) =>
+        {
+            Ok(())
+        }
+        result => result,
+    }
+}
+
+fn run(out: &mut impl Write) -> Result<(), Box<dyn std::error::Error>> {
     let args = parse_args();
     if std::env::args().any(|a| a == "--help" || a == "-h" || a == "help") {
-        println!(
+        writeln!(
+            out,
             "usage: idgnn-sim [accel=idgnn|ready|booster|race|all] [dataset=WD] \
              [vertices=N edges=M features=K] [snapshots=T] [dissim=0.02] [pes=64] \
              [scale=16] [layers=3] [hidden=32] [rnn=32] [rnn-kernel=lstm|gru] \
              [algorithm=onepass|inc|re] [seed=42]"
-        );
+        )?;
         return Ok(());
     }
-    let (dg, features) = build_workload(&args)?;
-    println!(
+    let (dg, features) = build_workload(out, &args)?;
+    writeln!(
+        out,
         "graph: V={} E={} K={} T={}",
         dg.initial().num_vertices(),
         dg.initial().num_edges(),
         features,
         dg.num_snapshots()
-    );
+    )?;
 
     let model = DgnnModel::from_config(&ModelConfig {
         input_dim: features,
@@ -133,14 +157,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let side = (p as f64).sqrt().round().max(1.0) as usize;
         config = config.with_pe_grid(side, (p / side).max(1));
     }
-    println!(
+    writeln!(
+        out,
         "accelerator: {} PEs × {} MACs, {} on-chip KiB, {:.0} GB/s DRAM, {} MHz",
         config.num_pes(),
         config.macs_per_pe,
         config.total_onchip_bytes() / 1024,
         config.dram_bandwidth_bps as f64 / 1e9,
         config.frequency_hz / 1_000_000
-    );
+    )?;
 
     let algorithm = match args.get("algorithm").map(String::as_str) {
         Some("re") | Some("recompute") => Some(Algorithm::Recompute),
@@ -149,33 +174,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let parallelism = args.get("parallelism").map(|v| v.parse::<usize>()).transpose()?;
     if let Some(n) = parallelism {
-        println!("parallelism: {} host threads", idgnn::sparse::Parallelism::new(n));
+        writeln!(out, "parallelism: {} host threads", idgnn::sparse::Parallelism::new(n))?;
     }
     let opts = SimOptions { algorithm, parallelism, ..Default::default() };
 
     let which = args.get("accel").cloned().unwrap_or_else(|| "idgnn".into());
     let idgnn_report = IdgnnAccelerator::new(config)?.simulate(&model, &dg, &opts)?;
     match which.as_str() {
-        "idgnn" => print_report("I-DGNN", &idgnn_report, config.frequency_hz, None),
+        "idgnn" => print_report(out, "I-DGNN", &idgnn_report, config.frequency_hz, None)?,
         "ready" => {
             let r = Ready::new(config)?.simulate_with(&model, &dg, parallelism)?;
-            print_report("ReaDy", &r, config.frequency_hz, Some(&idgnn_report));
+            print_report(out, "ReaDy", &r, config.frequency_hz, Some(&idgnn_report))?;
         }
         "booster" => {
             let r = Booster::new(config)?.simulate_with(&model, &dg, parallelism)?;
-            print_report("DGNN-Booster", &r, config.frequency_hz, Some(&idgnn_report));
+            print_report(out, "DGNN-Booster", &r, config.frequency_hz, Some(&idgnn_report))?;
         }
         "race" => {
             let r = Race::new(config)?.simulate_with(&model, &dg, parallelism)?;
-            print_report("RACE", &r, config.frequency_hz, Some(&idgnn_report));
+            print_report(out, "RACE", &r, config.frequency_hz, Some(&idgnn_report))?;
         }
         "all" => {
-            print_report("I-DGNN", &idgnn_report, config.frequency_hz, None);
+            print_report(out, "I-DGNN", &idgnn_report, config.frequency_hz, None)?;
             // One Recompute run serves ReaDy and DGNN-Booster, one
             // Incremental run serves RACE.
             let reports = simulate_baselines(config, &model, &dg, parallelism)?;
             for (name, r) in ["ReaDy", "DGNN-Booster", "RACE"].iter().zip(&reports) {
-                print_report(name, r, config.frequency_hz, Some(&idgnn_report));
+                print_report(out, name, r, config.frequency_hz, Some(&idgnn_report))?;
             }
         }
         other => return Err(format!("unknown accel {other}").into()),

@@ -49,7 +49,6 @@
 //! # }
 //! ```
 
-pub use idgnn_analytics as analytics;
 pub use idgnn_baselines as baselines;
 pub use idgnn_bench as bench;
 pub use idgnn_core as core;

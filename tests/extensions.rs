@@ -1,8 +1,7 @@
 //! Integration tests for the paper-adjacent extensions: continuous-time
-//! streams (§II-A), CommonGraph core views (§VI-F), and the analytics
-//! engines (§VII), exercised through the public facade end-to-end.
+//! streams (§II-A) and CommonGraph core views (§VI-F), exercised through
+//! the public facade end-to-end.
 
-use idgnn::analytics::KhopEngine;
 use idgnn::core::{Diu, IdgnnAccelerator, SimOptions};
 use idgnn::graph::{
     adjacency_from_edges, CommonCoreView, ContinuousGraph, GraphSnapshot, Normalization,
@@ -96,20 +95,5 @@ fn common_core_deltas_are_addition_only_for_the_diu() {
             out.delta_operator.values().iter().all(|&v| v >= 0.0),
             "snapshot {t} has deletions vs the core"
         );
-    }
-}
-
-#[test]
-fn khop_engine_follows_a_discretized_event_stream() {
-    let ctdg = event_stream(13);
-    let dg = ctdg.discretize(1.0).expect("discretizes");
-    let snaps = dg.materialize().expect("materializes");
-    let (mut engine, _) =
-        KhopEngine::unit(&snaps[0], 2, Normalization::SelfLoops).expect("builds");
-    for next in &snaps[1..] {
-        engine.update(next).expect("updates");
-        let (fresh, _) =
-            KhopEngine::unit(next, 2, Normalization::SelfLoops).expect("builds");
-        assert!(engine.value().approx_eq(fresh.value(), 1e-2));
     }
 }

@@ -174,3 +174,21 @@ fn vertex_count_scaling_is_sane() {
     let c_large = accel.simulate(&model, &large, &SimOptions::default()).unwrap().total_cycles;
     assert!(c_large > 2.0 * c_small, "large {c_large} vs small {c_small}");
 }
+
+#[test]
+fn cli_exits_quietly_when_stdout_closes_early() {
+    // `idgnn-sim … | head` with a reader that has already left: every write
+    // hits a closed pipe, which ends the run with exit code 0, not a panic.
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_idgnn-sim"))
+        .args(["dataset=WD", "accel=all"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("idgnn-sim starts");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("idgnn-sim finishes");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr:\n{stderr}");
+    assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
+}
