@@ -105,7 +105,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
+    fn eat(&mut self, b: u8) -> Result<(), String> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -138,8 +138,7 @@ impl<'a> Parser<'a> {
     }
 
     fn object(&mut self) -> Result<Json, String> {
-        // lint: allow(panic-surface) -- `Parser::expect` returns a Result; it does not panic
-        self.expect(b'{')?;
+        self.eat(b'{')?;
         let mut members = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -150,8 +149,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
-            // lint: allow(panic-surface) -- `Parser::expect` returns a Result; it does not panic
-            self.expect(b':')?;
+            self.eat(b':')?;
             self.skip_ws();
             let v = self.value()?;
             members.push((key, v));
@@ -165,8 +163,7 @@ impl<'a> Parser<'a> {
     }
 
     fn array(&mut self) -> Result<Json, String> {
-        // lint: allow(panic-surface) -- `Parser::expect` returns a Result; it does not panic
-        self.expect(b'[')?;
+        self.eat(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
@@ -186,8 +183,7 @@ impl<'a> Parser<'a> {
     }
 
     fn string(&mut self) -> Result<String, String> {
-        // lint: allow(panic-surface) -- `Parser::expect` returns a Result; it does not panic
-        self.expect(b'"')?;
+        self.eat(b'"')?;
         let mut out = String::new();
         loop {
             match self.bump() {

@@ -12,7 +12,7 @@ use idgnn_hw::utilization::{trace, PhaseUtilization, UtilizationTrace};
 use idgnn_hw::{
     AcceleratorConfig, AccessPattern, EnergyBreakdown, Engine, PhaseWork, TrafficPattern,
 };
-use idgnn_model::exec::OnePassOptions;
+use idgnn_model::exec::{OnePassOptions, SinkReads};
 use idgnn_model::{cost::dense_bytes, exec, Algorithm, DgnnModel, MemoryModel, Phase, SnapshotCost};
 use idgnn_sparse::OpStats;
 
@@ -163,6 +163,11 @@ impl IdgnnAccelerator {
 
     /// Simulates the full dynamic-graph workload.
     ///
+    /// The executor runs as a [`SinkReads::Costs`] stream: timing reads each
+    /// step's costs, operator and `ΔÂ`, never the RNN state, so RNN-A and
+    /// RNN-B are charged from the cell's exact counts and never evaluated.
+    /// The report equals one timed from an executed run.
+    ///
     /// # Errors
     ///
     /// Propagates functional execution errors (shape mismatches, conflicting
@@ -195,7 +200,7 @@ impl IdgnnAccelerator {
 
         // Each snapshot is timed as the executor hands it over, from the
         // operator `Â^t` and (one-pass transitions) the `ΔÂ` it built.
-        exec::stream(algorithm, model, dg, &mem, &opts.onepass, |step| {
+        exec::stream(algorithm, model, dg, &mem, &opts.onepass, SinkReads::Costs, |step| {
             let (t, cost, a_norm) = (step.t, step.cost, step.operator);
             let balance = dataflow.load_balance(a_norm);
 

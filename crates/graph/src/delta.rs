@@ -261,23 +261,31 @@ impl GraphDeltaBuilder {
     }
 
     /// Finalizes the delta, de-duplicating edges (first occurrence wins
-    /// across both the add and remove lists).
+    /// across both the add and remove lists). A [`DynamicGraph`] keeps
+    /// every delta for the whole stream, so the lists are stored at their
+    /// exact length, not at the capacity the builder grew them to.
+    ///
+    /// [`DynamicGraph`]: crate::DynamicGraph
     // lint: order-insensitive -- the `seen` set is a dedup membership probe; output keeps caller insertion order
     pub fn build(self) -> GraphDelta {
         let mut seen = HashSet::new();
-        let mut added = Vec::new();
+        let mut added = Vec::with_capacity(self.added.len());
         for e in self.added {
             if seen.insert(e) {
                 added.push(e);
             }
         }
-        let mut removed = Vec::new();
+        let mut removed = Vec::with_capacity(self.removed.len());
         for e in self.removed {
             if seen.insert(e) {
                 removed.push(e);
             }
         }
-        GraphDelta { added_edges: added, removed_edges: removed, feature_updates: self.features }
+        added.shrink_to_fit();
+        removed.shrink_to_fit();
+        let mut feature_updates = self.features;
+        feature_updates.shrink_to_fit();
+        GraphDelta { added_edges: added, removed_edges: removed, feature_updates }
     }
 }
 

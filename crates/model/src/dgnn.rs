@@ -56,6 +56,23 @@ impl RnnKernel {
             RnnKernel::Gru(_) => 3,
         }
     }
+
+    /// The kernel family.
+    pub(crate) fn kind(&self) -> RnnKernelKind {
+        match self {
+            RnnKernel::Lstm(_) => RnnKernelKind::Lstm,
+            RnnKernel::Gru(_) => RnnKernelKind::Gru,
+        }
+    }
+}
+
+impl std::fmt::Display for RnnKernelKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            RnnKernelKind::Lstm => "LSTM",
+            RnnKernelKind::Gru => "GRU",
+        })
+    }
 }
 
 /// Kernel-specific RNN-A precomputation.
@@ -66,6 +83,16 @@ pub enum RnnPrecomp {
     Lstm(RnnAOutput),
     /// GRU `H·U_α` products.
     Gru(GruPrecomp),
+}
+
+impl RnnPrecomp {
+    /// The kernel family that computed it.
+    pub(crate) fn kind(&self) -> RnnKernelKind {
+        match self {
+            RnnPrecomp::Lstm(_) => RnnKernelKind::Lstm,
+            RnnPrecomp::Gru(_) => RnnKernelKind::Gru,
+        }
+    }
 }
 
 /// Dimension summary of a DGNN model.
@@ -231,8 +258,8 @@ impl DgnnModel {
     /// # Errors
     ///
     /// Returns a shape error on any dimension mismatch, or
-    /// [`ModelError::InputDimensionMismatch`] if the precomputation came
-    /// from a different kernel family.
+    /// [`ModelError::RnnKernelMismatch`] if the precomputation came from a
+    /// different kernel family.
     pub fn rnn_b(
         &self,
         z: &DenseMatrix,
@@ -242,7 +269,21 @@ impl DgnnModel {
         match (&self.rnn, pre) {
             (RnnKernel::Lstm(c), RnnPrecomp::Lstm(a)) => c.rnn_b(z, a, prev),
             (RnnKernel::Gru(c), RnnPrecomp::Gru(a)) => c.rnn_b(z, a, prev),
-            _ => Err(ModelError::InputDimensionMismatch { expected: 0, got: 0 }),
+            _ => Err(ModelError::RnnKernelMismatch {
+                model: self.rnn.kind(),
+                precomputed: pre.kind(),
+            }),
+        }
+    }
+
+    /// Exact op counts of [`Self::rnn_a`] and [`Self::rnn_b`] over
+    /// `vertices` rows, as `(RNN-A, RNN-B)`: the kernel's own count
+    /// ([`LstmCell::phase_ops`], [`GruCell::phase_ops`]), which the executed
+    /// phases also return.
+    pub fn rnn_phase_ops(&self, vertices: usize) -> (OpStats, OpStats) {
+        match &self.rnn {
+            RnnKernel::Lstm(c) => c.phase_ops(vertices),
+            RnnKernel::Gru(c) => c.phase_ops(vertices),
         }
     }
 
@@ -331,6 +372,27 @@ mod tests {
         let m = DgnnModel::from_config(&cfg).unwrap();
         // GCN: 4×2 + 2×2 = 12 floats; LSTM: 4·(2×3) + 4·(3×3) = 60 floats.
         assert_eq!(m.weight_bytes(), 4 * (12 + 60));
+    }
+
+    #[test]
+    fn crossing_the_rnn_kernels_is_a_typed_error() {
+        let lstm = DgnnModel::from_config(&ModelConfig::paper_default(4)).unwrap();
+        let gru = DgnnModel::from_config(&ModelConfig::paper_default(4).with_gru()).unwrap();
+        let state = LstmState::zeros(3, 32);
+        let z = DenseMatrix::zeros(3, 32);
+        for (model, other, kinds) in [
+            (&lstm, &gru, (RnnKernelKind::Lstm, RnnKernelKind::Gru)),
+            (&gru, &lstm, (RnnKernelKind::Gru, RnnKernelKind::Lstm)),
+        ] {
+            let (pre, _) = other.rnn_a(&state.h).unwrap();
+            let err = model.rnn_b(&z, &pre, &state).unwrap_err();
+            assert_eq!(err, ModelError::RnnKernelMismatch { model: kinds.0, precomputed: kinds.1 });
+            let msg = err.to_string();
+            assert!(msg.contains(&format!("{} model", kinds.0)), "{msg}");
+            assert!(msg.contains(&format!("{} RNN-A", kinds.1)), "{msg}");
+            // The same precomputation is accepted by its own kernel.
+            assert!(other.rnn_b(&z, &pre, &state).is_ok());
+        }
     }
 
     #[test]

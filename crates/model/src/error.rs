@@ -6,6 +6,8 @@ use std::fmt;
 use idgnn_graph::GraphError;
 use idgnn_sparse::SparseError;
 
+use crate::RnnKernelKind;
+
 /// Error raised by model construction or execution.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -28,6 +30,14 @@ pub enum ModelError {
         /// Provided feature width.
         got: usize,
     },
+    /// An RNN-B phase was given an RNN-A precomputation of another kernel
+    /// family (an LSTM's to a GRU model, or the reverse).
+    RnnKernelMismatch {
+        /// The model's kernel family.
+        model: RnnKernelKind,
+        /// The family that computed the precomputation.
+        precomputed: RnnKernelKind,
+    },
     /// An underlying sparse/dense kernel failed.
     Sparse(SparseError),
     /// An underlying graph operation failed.
@@ -45,6 +55,10 @@ impl fmt::Display for ModelError {
             ModelError::InputDimensionMismatch { expected, got } => {
                 write!(f, "input features have width {got}, model expects {expected}")
             }
+            ModelError::RnnKernelMismatch { model, precomputed } => write!(
+                f,
+                "RNN-B of a {model} model was given a {precomputed} RNN-A precomputation"
+            ),
             ModelError::Sparse(e) => write!(f, "kernel failure: {e}"),
             ModelError::Graph(e) => write!(f, "graph failure: {e}"),
         }

@@ -8,7 +8,7 @@ use idgnn_sparse::{ops, DenseMatrix, OpStats};
 
 use crate::cost::{dense_bytes, DataClass, MemoryModel, Phase, SnapshotCost, Traffic};
 use crate::error::Result;
-use crate::exec::Step;
+use crate::exec::{charge_rnn, Step};
 use crate::lstm::LstmState;
 use crate::DgnnModel;
 
@@ -16,12 +16,12 @@ pub(crate) fn run(
     model: &DgnnModel,
     dg: &DynamicGraph,
     mem: &MemoryModel,
+    mut state: Option<LstmState>,
     sink: &mut dyn FnMut(Step<'_>),
 ) -> Result<()> {
     let dims = model.dims();
     let v = dg.initial().num_vertices();
     let l_count = dims.gnn_layers;
-    let mut state = LstmState::zeros(v, dims.rnn_hidden_dim);
     let mut snaps = dg.stream();
 
     // ---- Snapshot 0: full pipeline, caching every layer's output. ----
@@ -61,8 +61,8 @@ pub(crate) fn run(
     }
     // lint: allow(panic-surface) -- GcnStack::new rejects zero layers, so forward_all_layers returns one output per layer (≥ 1)
     let z = layer_outs.last().expect("non-empty");
-    push_rnn(model, z, &mut state, v, dims.rnn_hidden_dim, mem, &mut cost0)?;
-    sink(Step { t: 0, z, state: &state, cost: &cost0, operator: &a_prev, delta: None });
+    charge_rnn(model, z, state.as_mut(), mem, &mut cost0)?;
+    sink(Step { t: 0, z, state: state.as_ref(), cost: &cost0, operator: &a_prev, delta: None });
 
     // ---- Subsequent snapshots: affected-set propagation. ----
     while let Some(transition) = snaps.next() {
@@ -199,40 +199,11 @@ pub(crate) fn run(
             t_read.read(DataClass::OutputFeature, dense_bytes(unchanged, dims.gnn_out_dim));
             cost.push(Phase::Diu, OpStats::default(), t_read);
         }
-        push_rnn(model, z, &mut state, v, dims.rnn_hidden_dim, mem, &mut cost)?;
+        charge_rnn(model, z, state.as_mut(), mem, &mut cost)?;
         let t = snaps.index();
-        sink(Step { t, z, state: &state, cost: &cost, operator: &a_next, delta: None });
+        sink(Step { t, z, state: state.as_ref(), cost: &cost, operator: &a_next, delta: None });
         a_prev = a_next;
     }
-    Ok(())
-}
-
-fn push_rnn(
-    model: &DgnnModel,
-    z: &DenseMatrix,
-    state: &mut LstmState,
-    v: usize,
-    r_dim: usize,
-    mem: &MemoryModel,
-    cost: &mut SnapshotCost,
-) -> Result<()> {
-    let (a_pre, ops_a) = model.rnn_a(&state.h)?;
-    let state_bytes = 2 * dense_bytes(v, r_dim);
-    let rnn_spilled = !mem.fits(state_bytes + dense_bytes(v, z.cols()));
-    let mut ta = Traffic::none();
-    if rnn_spilled {
-        ta.read(DataClass::OutputFeature, dense_bytes(v, r_dim));
-    }
-    cost.push(Phase::RnnA, ops_a, ta);
-
-    let (next, ops_b) = model.rnn_b(z, &a_pre, state)?;
-    let mut tb = Traffic::none();
-    if rnn_spilled {
-        tb.read(DataClass::OutputFeature, dense_bytes(v, r_dim));
-        tb.write(DataClass::OutputFeature, state_bytes);
-    }
-    cost.push(Phase::RnnB, ops_b, tb);
-    *state = next;
     Ok(())
 }
 

@@ -19,6 +19,11 @@
 //! on chip: the operator, the dense cache and the RNN state), never the
 //! whole stream. [`run`] and [`run_onepass_with`] collect every step into
 //! an [`ExecutionResult`]; [`run_costs`] keeps only the costs.
+//!
+//! The RNN's op counts depend on shapes only and its state never feeds
+//! back into the GNN, so a sink that reads no RNN state ([`SinkReads::Costs`])
+//! gets the RNN charged from the cell's count function without evaluating
+//! it; every cost stays bit-identical (DESIGN.md §6).
 
 mod incremental;
 mod onepass;
@@ -31,7 +36,7 @@ use std::cell::Cell;
 use idgnn_graph::DynamicGraph;
 use idgnn_sparse::{CsrMatrix, DenseMatrix};
 
-use crate::cost::{MemoryModel, SnapshotCost};
+use crate::cost::{dense_bytes, DataClass, MemoryModel, Phase, SnapshotCost, Traffic};
 use crate::error::Result;
 use crate::lstm::LstmState;
 use crate::DgnnModel;
@@ -69,6 +74,19 @@ impl std::fmt::Display for Algorithm {
     }
 }
 
+/// What a [`stream`] sink reads of each [`Step`], which decides whether
+/// the executor evaluates the RNN.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SinkReads {
+    /// Costs, operators and `Z^t`, but no RNN state: RNN-A and RNN-B are
+    /// charged from [`DgnnModel::rnn_phase_ops`] and never evaluated, and
+    /// every [`Step::state`] is `None`. The costs equal an executed run's
+    /// bit for bit.
+    Costs,
+    /// Everything, the RNN state included: the RNN is executed.
+    Outputs,
+}
+
 /// One executed snapshot, lent by [`stream`] to its sink.
 ///
 /// Everything is borrowed from the executor's resident state and is
@@ -79,8 +97,9 @@ pub struct Step<'a> {
     pub t: usize,
     /// GNN output `Z^t` (`X_C^t` for the fused path).
     pub z: &'a DenseMatrix,
-    /// LSTM state after consuming `Z^t`.
-    pub state: &'a LstmState,
+    /// LSTM state after consuming `Z^t`; `None` on a [`SinkReads::Costs`]
+    /// stream, which never computes it.
+    pub state: Option<&'a LstmState>,
     /// Costs of the snapshot.
     pub cost: &'a SnapshotCost,
     /// The snapshot's normalised operator `Â^t`.
@@ -164,7 +183,9 @@ fn count_run(algorithm: Algorithm) {
 
 /// Runs `algorithm` over the dynamic graph in one pass, handing each
 /// executed snapshot to `sink` in time order. `onepass` configures the
-/// one-pass executor and is ignored by the other algorithms.
+/// one-pass executor and is ignored by the other algorithms; `reads` says
+/// whether the sink reads the RNN state, and so whether the RNN is
+/// evaluated or only counted.
 ///
 /// The executor holds the current snapshot of [`DynamicGraph::stream`] and
 /// its own resident state; nothing per snapshot outlives the `sink` call
@@ -180,35 +201,80 @@ pub fn stream(
     dg: &DynamicGraph,
     mem: &MemoryModel,
     onepass: &OnePassOptions,
+    reads: SinkReads,
     mut sink: impl FnMut(Step<'_>),
 ) -> Result<()> {
     count_run(algorithm);
+    let state = match reads {
+        SinkReads::Outputs => {
+            Some(LstmState::zeros(dg.initial().num_vertices(), model.dims().rnn_hidden_dim))
+        }
+        SinkReads::Costs => None,
+    };
     match algorithm {
-        Algorithm::Recompute => recompute::run(model, dg, mem, &mut sink),
-        Algorithm::Incremental => incremental::run(model, dg, mem, &mut sink),
-        Algorithm::OnePass => onepass::run(model, dg, mem, onepass, &mut sink),
+        Algorithm::Recompute => recompute::run(model, dg, mem, state, &mut sink),
+        Algorithm::Incremental => incremental::run(model, dg, mem, state, &mut sink),
+        Algorithm::OnePass => onepass::run(model, dg, mem, onepass, state, &mut sink),
     }
 }
 
-/// Collects the steps of one [`stream`], with their outputs iff
-/// `keep_outputs`.
+/// Charges RNN-A and RNN-B for consuming `z` into `cost`: the one RNN
+/// charge of every executor. With a `state` (the sink reads outputs) the
+/// cell is executed and `state` advances; without one the cell's count
+/// function ([`DgnnModel::rnn_phase_ops`]) is charged and nothing is
+/// evaluated. Both give the same counts, and the traffic depends on shapes
+/// only: the state spills iff it does not fit on chip next to `Z`.
+fn charge_rnn(
+    model: &DgnnModel,
+    z: &DenseMatrix,
+    state: Option<&mut LstmState>,
+    mem: &MemoryModel,
+    cost: &mut SnapshotCost,
+) -> Result<()> {
+    let v = z.rows();
+    let (ops_a, ops_b) = match state {
+        Some(state) => {
+            let (pre, ops_a) = model.rnn_a(&state.h)?;
+            let (next, ops_b) = model.rnn_b(z, &pre, state)?;
+            *state = next;
+            (ops_a, ops_b)
+        }
+        None => model.rnn_phase_ops(v),
+    };
+    // `H` and `c` are each `V × R`.
+    let h_bytes = dense_bytes(v, model.dims().rnn_hidden_dim);
+    let spilled = !mem.fits(2 * h_bytes + dense_bytes(v, z.cols()));
+    let mut ta = Traffic::none();
+    let mut tb = Traffic::none();
+    if spilled {
+        ta.read(DataClass::OutputFeature, h_bytes);
+        tb.read(DataClass::OutputFeature, h_bytes);
+        tb.write(DataClass::OutputFeature, 2 * h_bytes);
+    }
+    cost.push(Phase::RnnA, ops_a, ta);
+    cost.push(Phase::RnnB, ops_b, tb);
+    Ok(())
+}
+
+/// Collects the steps of one [`stream`], with their outputs iff the sink
+/// reads them.
 fn collect_steps(
     algorithm: Algorithm,
     model: &DgnnModel,
     dg: &DynamicGraph,
     mem: &MemoryModel,
     onepass: &OnePassOptions,
-    keep_outputs: bool,
+    reads: SinkReads,
 ) -> Result<ExecutionResult> {
     let n = dg.num_snapshots();
     let mut result = ExecutionResult {
-        outputs: Vec::with_capacity(if keep_outputs { n } else { 0 }),
+        outputs: Vec::with_capacity(if reads == SinkReads::Outputs { n } else { 0 }),
         costs: Vec::with_capacity(n),
         operator_bytes: Vec::with_capacity(n),
     };
-    stream(algorithm, model, dg, mem, onepass, |step| {
-        if keep_outputs {
-            result.outputs.push(SnapshotOutput { z: step.z.clone(), state: step.state.clone() });
+    stream(algorithm, model, dg, mem, onepass, reads, |step| {
+        if let Some(state) = step.state {
+            result.outputs.push(SnapshotOutput { z: step.z.clone(), state: state.clone() });
         }
         result.costs.push(step.cost.clone());
         result.operator_bytes.push(step.operator.csr_bytes());
@@ -228,13 +294,15 @@ pub fn run(
     dg: &DynamicGraph,
     mem: &MemoryModel,
 ) -> Result<ExecutionResult> {
-    collect_steps(algorithm, model, dg, mem, &OnePassOptions::default(), true)
+    collect_steps(algorithm, model, dg, mem, &OnePassOptions::default(), SinkReads::Outputs)
 }
 
-/// As [`run`], but drops each snapshot's outputs: the result holds only
-/// the costs and operator sizes, and its `outputs` stay empty. For callers
-/// that account ops and traffic, so that the host's memory does not grow
-/// with the stream.
+/// As [`run`], but computes no outputs: the result holds only the costs
+/// and operator sizes, and its `outputs` stay empty. The RNN is charged
+/// from its counts and never evaluated ([`SinkReads::Costs`]); the costs
+/// equal [`run`]'s bit for bit. For callers that account ops and traffic,
+/// so that neither the host's time nor its memory goes to values no one
+/// reads.
 ///
 /// # Errors
 ///
@@ -245,7 +313,7 @@ pub fn run_costs(
     dg: &DynamicGraph,
     mem: &MemoryModel,
 ) -> Result<ExecutionResult> {
-    collect_steps(algorithm, model, dg, mem, &OnePassOptions::default(), false)
+    collect_steps(algorithm, model, dg, mem, &OnePassOptions::default(), SinkReads::Costs)
 }
 
 /// Runs the one-pass algorithm with explicit options (strategy ablations)
@@ -260,7 +328,7 @@ pub fn run_onepass_with(
     mem: &MemoryModel,
     options: &OnePassOptions,
 ) -> Result<ExecutionResult> {
-    collect_steps(Algorithm::OnePass, model, dg, mem, options, true)
+    collect_steps(Algorithm::OnePass, model, dg, mem, options, SinkReads::Outputs)
 }
 
 #[cfg(test)]
@@ -363,13 +431,14 @@ mod tests {
                 for threads in [1, 4] {
                     let _scope = kernel_scope(Parallelism::new(threads));
                     let mut seen = 0;
-                    stream(algorithm, &model, &dg, &mem, &options, |step| {
+                    stream(algorithm, &model, &dg, &mem, &options, SinkReads::Outputs, |step| {
                         let case = format!("{algorithm} {normalization:?} {options:?} t={seen}");
                         assert_eq!(step.t, seen, "{case}");
                         let out = &reference.outputs[step.t];
+                        let state = step.state.expect("an Outputs stream lends the state");
                         assert_eq!(bits(step.z), bits(&out.z), "{case}");
-                        assert_eq!(bits(&step.state.h), bits(&out.state.h), "{case}");
-                        assert_eq!(bits(&step.state.c), bits(&out.state.c), "{case}");
+                        assert_eq!(bits(&state.h), bits(&out.state.h), "{case}");
+                        assert_eq!(bits(&state.c), bits(&out.state.c), "{case}");
                         assert_eq!(step.cost, &reference.costs[step.t], "{case}");
                         assert_eq!(
                             step.operator.csr_bytes(),
@@ -391,21 +460,84 @@ mod tests {
     }
 
     #[test]
-    fn costs_only_runs_equal_full_runs_without_outputs() {
+    fn costs_only_runs_charge_exactly_what_executed_runs_do() {
+        use idgnn_sparse::{parallel::kernel_scope, Parallelism};
         let dg = generate_dynamic_graph(
-            &GraphConfig::power_law(30, 90, 4),
-            &StreamConfig { deltas: 3, ..Default::default() },
-            9,
+            &GraphConfig::power_law(40, 120, 6),
+            &StreamConfig { deltas: 4, dissimilarity: 0.1, ..Default::default() },
+            5,
         )
         .unwrap();
-        let model = DgnnModel::from_config(&ModelConfig::paper_default(4)).unwrap();
-        let mem = MemoryModel::default();
-        for algorithm in ALL_ALGORITHMS {
-            let full = run(algorithm, &model, &dg, &mem).unwrap();
-            let costs = run_costs(algorithm, &model, &dg, &mem).unwrap();
-            assert!(costs.outputs.is_empty());
-            assert_eq!(full.outputs.len(), dg.num_snapshots());
-            assert_eq!(ExecutionResult { outputs: Vec::new(), ..full }, costs, "{algorithm}");
+        let refresh = |adaptive_refresh| OnePassOptions { adaptive_refresh, ..Default::default() };
+        let cases = [
+            (Algorithm::Recompute, OnePassOptions::default()),
+            (Algorithm::Incremental, OnePassOptions::default()),
+            (Algorithm::OnePass, refresh(false)),
+            (Algorithm::OnePass, refresh(true)),
+        ];
+        // Ample and zero on-chip memory: the RNN state stays resident or
+        // spills, so both branches of the RNN traffic are compared.
+        let memories = [MemoryModel::default(), MemoryModel { onchip_bytes: 0 }];
+        for rnn_kernel in [crate::RnnKernelKind::Lstm, crate::RnnKernelKind::Gru] {
+            for normalization in [Normalization::Symmetric, Normalization::RowStochastic] {
+                // C = 5 ≠ R = 4, so a count that swapped them would show.
+                let model = DgnnModel::from_config(&ModelConfig {
+                    input_dim: 6,
+                    gnn_hidden: 5,
+                    gnn_layers: 3,
+                    rnn_hidden: 4,
+                    activation: crate::Activation::Relu,
+                    normalization,
+                    seed: 3,
+                    rnn_kernel,
+                })
+                .unwrap();
+                for (algorithm, options) in cases {
+                    for mem in &memories {
+                        for threads in [1, 4] {
+                            let _scope = kernel_scope(Parallelism::new(threads));
+                            let case = format!(
+                                "{algorithm} {rnn_kernel:?} {normalization:?} {options:?} \
+                                 {mem:?} threads={threads}"
+                            );
+                            let executed = collect_steps(
+                                algorithm,
+                                &model,
+                                &dg,
+                                mem,
+                                &options,
+                                SinkReads::Outputs,
+                            )
+                            .unwrap();
+                            assert_eq!(executed.outputs.len(), dg.num_snapshots(), "{case}");
+                            assert!(
+                                executed.costs.iter().all(|c| c.rnn_ops().total() > 0),
+                                "{case}"
+                            );
+                            let mut counted = ExecutionResult {
+                                outputs: Vec::new(),
+                                costs: Vec::new(),
+                                operator_bytes: Vec::new(),
+                            };
+                            stream(algorithm, &model, &dg, mem, &options, SinkReads::Costs, |step| {
+                                assert!(step.state.is_none(), "{case} t={}", step.t);
+                                // The GNN output is still computed, unchanged.
+                                let z = &executed.outputs[step.t].z;
+                                assert_eq!(bits(step.z), bits(z), "{case} t={}", step.t);
+                                counted.costs.push(step.cost.clone());
+                                counted.operator_bytes.push(step.operator.csr_bytes());
+                            })
+                            .unwrap();
+                            let expected = ExecutionResult { outputs: Vec::new(), ..executed };
+                            assert_eq!(counted, expected, "{case}");
+                            if options == OnePassOptions::default() {
+                                let costs = run_costs(algorithm, &model, &dg, mem).unwrap();
+                                assert_eq!(costs, expected, "{case}");
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -424,8 +556,8 @@ mod tests {
         run(Algorithm::Recompute, &model, &dg, &mem).unwrap();
         run_onepass_with(&model, &dg, &mem, &OnePassOptions::default()).unwrap();
         run_costs(Algorithm::Incremental, &model, &dg, &mem).unwrap();
-        stream(Algorithm::OnePass, &model, &dg, &mem, &OnePassOptions::default(), |_| {})
-            .unwrap();
+        let options = OnePassOptions::default();
+        stream(Algorithm::OnePass, &model, &dg, &mem, &options, SinkReads::Costs, |_| {}).unwrap();
         let after = runs_on_this_thread();
         let delta: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
         assert_eq!(delta, [2, 1, 2]);

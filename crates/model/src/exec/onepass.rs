@@ -25,7 +25,7 @@ use idgnn_sparse::{ops, CsrMatrix, DenseMatrix, OpStats};
 
 use crate::cost::{dense_bytes, DataClass, MemoryModel, Phase, SnapshotCost, Traffic};
 use crate::error::Result;
-use crate::exec::Step;
+use crate::exec::{charge_rnn, Step};
 use crate::fusion::fuse_weights;
 use crate::lstm::LstmState;
 use crate::onepass::{fused_dissimilarity, DissimilarityStrategy};
@@ -163,6 +163,7 @@ pub(crate) fn run(
     dg: &DynamicGraph,
     mem: &MemoryModel,
     options: &OnePassOptions,
+    mut state: Option<LstmState>,
     sink: &mut dyn FnMut(Step<'_>),
 ) -> Result<()> {
     let dims = model.dims();
@@ -181,7 +182,6 @@ pub(crate) fn run(
     let symmetric = model.normalization().symmetric_operator();
     let strategy = if symmetric { options.strategy } else { DissimilarityStrategy::General };
 
-    let mut state = LstmState::zeros(v, dims.rnn_hidden_dim);
     let mut snaps = dg.stream();
 
     // ---- Snapshot 0: establish the fused state. ----
@@ -223,8 +223,15 @@ pub(crate) fn run(
     }
     let mut x_c = activation.apply(&pre_act);
 
-    push_rnn(model, &x_c, &mut state, v, dims.rnn_hidden_dim, mem, &mut cost0)?;
-    sink(Step { t: 0, z: &x_c, state: &state, cost: &cost0, operator: &a_prev, delta: None });
+    charge_rnn(model, &x_c, state.as_mut(), mem, &mut cost0)?;
+    sink(Step {
+        t: 0,
+        z: &x_c,
+        state: state.as_ref(),
+        cost: &cost0,
+        operator: &a_prev,
+        delta: None,
+    });
 
     while let Some(transition) = snaps.next() {
         let transition = transition?;
@@ -303,11 +310,11 @@ pub(crate) fn run(
                 pre_act = p;
             }
             x_c = activation.apply(&pre_act);
-            push_rnn(model, &x_c, &mut state, v, dims.rnn_hidden_dim, mem, &mut cost)?;
+            charge_rnn(model, &x_c, state.as_mut(), mem, &mut cost)?;
             sink(Step {
                 t: snaps.index(),
                 z: &x_c,
-                state: &state,
+                state: state.as_ref(),
                 cost: &cost,
                 operator: &a_next,
                 delta: Some(&d_op),
@@ -418,45 +425,17 @@ pub(crate) fn run(
         }
 
         // RNN consumes X_C in place.
-        push_rnn(model, &x_c, &mut state, v, dims.rnn_hidden_dim, mem, &mut cost)?;
+        charge_rnn(model, &x_c, state.as_mut(), mem, &mut cost)?;
         sink(Step {
             t: snaps.index(),
             z: &x_c,
-            state: &state,
+            state: state.as_ref(),
             cost: &cost,
             operator: &a_next,
             delta: Some(&d_op),
         });
         a_prev = a_next;
     }
-    Ok(())
-}
-
-fn push_rnn(
-    model: &DgnnModel,
-    z: &DenseMatrix,
-    state: &mut LstmState,
-    v: usize,
-    r_dim: usize,
-    mem: &MemoryModel,
-    cost: &mut SnapshotCost,
-) -> Result<()> {
-    let (a_pre, ops_a) = model.rnn_a(&state.h)?;
-    let state_bytes = 2 * dense_bytes(v, r_dim);
-    let rnn_spilled = !mem.fits(state_bytes + dense_bytes(v, z.cols()));
-    let mut ta = Traffic::none();
-    if rnn_spilled {
-        ta.read(DataClass::OutputFeature, dense_bytes(v, r_dim));
-    }
-    cost.push(Phase::RnnA, ops_a, ta);
-    let (next, ops_b) = model.rnn_b(z, &a_pre, state)?;
-    let mut tb = Traffic::none();
-    if rnn_spilled {
-        tb.read(DataClass::OutputFeature, dense_bytes(v, r_dim));
-        tb.write(DataClass::OutputFeature, state_bytes);
-    }
-    cost.push(Phase::RnnB, ops_b, tb);
-    *state = next;
     Ok(())
 }
 

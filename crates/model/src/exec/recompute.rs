@@ -6,7 +6,7 @@ use idgnn_sparse::OpStats;
 
 use crate::cost::{dense_bytes, DataClass, MemoryModel, Phase, SnapshotCost, Traffic};
 use crate::error::Result;
-use crate::exec::Step;
+use crate::exec::{charge_rnn, Step};
 use crate::lstm::LstmState;
 use crate::DgnnModel;
 
@@ -14,11 +14,11 @@ pub(crate) fn run(
     model: &DgnnModel,
     dg: &DynamicGraph,
     mem: &MemoryModel,
+    mut state: Option<LstmState>,
     sink: &mut dyn FnMut(Step<'_>),
 ) -> Result<()> {
     let dims = model.dims();
     let v = dg.initial().num_vertices();
-    let mut state = LstmState::zeros(v, dims.rnn_hidden_dim);
     let mut snaps = dg.stream();
 
     loop {
@@ -68,26 +68,9 @@ pub(crate) fn run(
         let z = layer_outs.last().expect("stack is non-empty");
 
         // RNN over all vertices. State spills if it does not fit alongside Z.
-        let (a_pre, ops_a) = model.rnn_a(&state.h)?;
-        let state_bytes = 2 * dense_bytes(v, dims.rnn_hidden_dim);
-        let rnn_spilled = !mem.fits(state_bytes + dense_bytes(v, dims.gnn_out_dim));
-        let mut rnn_a_traffic = Traffic::none();
-        if rnn_spilled {
-            rnn_a_traffic.read(DataClass::OutputFeature, dense_bytes(v, dims.rnn_hidden_dim));
-        }
-        cost.push(Phase::RnnA, ops_a, rnn_a_traffic);
-
-        let (next_state, ops_b) = model.rnn_b(z, &a_pre, &state)?;
-        let mut rnn_b_traffic = Traffic::none();
-        if rnn_spilled {
-            rnn_b_traffic.read(DataClass::OutputFeature, dense_bytes(v, dims.rnn_hidden_dim));
-            rnn_b_traffic.write(DataClass::OutputFeature, state_bytes);
-        }
-        cost.push(Phase::RnnB, ops_b, rnn_b_traffic);
-
-        state = next_state;
+        charge_rnn(model, z, state.as_mut(), mem, &mut cost)?;
         let t = snaps.index();
-        sink(Step { t, z, state: &state, cost: &cost, operator: &a_norm, delta: None });
+        sink(Step { t, z, state: state.as_ref(), cost: &cost, operator: &a_norm, delta: None });
         // Only the current snapshot is read; the replaced one drops here.
         if snaps.next().transpose()?.is_none() {
             return Ok(());

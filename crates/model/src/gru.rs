@@ -15,7 +15,7 @@
 //! RNN-A precomputes the three `H·U_α` products (GNN-independent); RNN-B
 //! consumes the GNN output `Z`.
 
-use idgnn_sparse::{ops, DenseMatrix, OpStats};
+use idgnn_sparse::{DenseMatrix, OpStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -89,16 +89,13 @@ impl GruCell {
     ///
     /// Returns a shape error if `h_prev` has the wrong width.
     pub fn rnn_a(&self, h_prev: &DenseMatrix) -> Result<(GruPrecomp, OpStats)> {
-        let mut ops = OpStats::default();
         let mut outs = Vec::with_capacity(3);
-        for g in 0..3 {
-            let (m, s) = ops::gemm_with_stats(h_prev, &self.u[g]).map_err(ModelError::from)?;
-            ops += s;
-            outs.push(m);
+        for u in &self.u {
+            outs.push(h_prev.matmul(u).map_err(ModelError::from)?);
         }
         // lint: allow(panic-surface) -- the loop above pushes exactly three gate products
         let [r, u, n] = <[DenseMatrix; 3]>::try_from(outs).expect("three gates");
-        Ok((GruPrecomp { gates: [r, u, n] }, ops))
+        Ok((GruPrecomp { gates: [r, u, n] }, self.phase_ops(h_prev.rows()).0))
     }
 
     /// **RNN-B**: consumes the GNN output `z`, producing the next state.
@@ -114,14 +111,10 @@ impl GruCell {
         a: &GruPrecomp,
         prev: &LstmState,
     ) -> Result<(LstmState, OpStats)> {
-        let mut ops = OpStats::default();
         let mut pre = Vec::with_capacity(3);
-        for g in 0..3 {
-            let (m, s) = ops::gemm_with_stats(z, &self.w[g]).map_err(ModelError::from)?;
-            ops += s;
-            pre.push(m);
+        for w in &self.w {
+            pre.push(z.matmul(w).map_err(ModelError::from)?);
         }
-        let elems = prev.h.as_slice().len() as u64;
 
         let r = pre[0].add(&a.gates[0]).map_err(ModelError::from)?.sigmoid();
         let u = pre[1].add(&a.gates[1]).map_err(ModelError::from)?.sigmoid();
@@ -134,11 +127,30 @@ impl GruCell {
             .map_err(ModelError::from)?
             .add(&u.hadamard(&prev.h).map_err(ModelError::from)?)
             .map_err(ModelError::from)?;
-        // Element-wise epilogue: 3 gate adds + r∘Un + (1−u), two products,
-        // one add ≈ 3 mults + 5 adds per element.
-        ops.mults += 3 * elems;
-        ops.adds += 5 * elems;
+        let ops = self.phase_ops(z.rows()).1;
         Ok((LstmState { h, c: DenseMatrix::zeros(prev.c.rows(), prev.c.cols()) }, ops))
+    }
+
+    /// Exact op counts of [`Self::rnn_a`] and [`Self::rnn_b`] over
+    /// `vertices` rows, as `(RNN-A, RNN-B)`. They depend on the shapes only,
+    /// so a run that reads no RNN state charges the RNN from here without
+    /// evaluating it; the executed phases return the same counts.
+    ///
+    /// * RNN-A: the three `V × R` by `R × R` products `H·U_α`.
+    /// * RNN-B: the three `V × C` by `C × R` products `Z·W_α`, then the
+    ///   element-wise epilogue: three gate adds, `r∘(H·U_n)`, `1 − u`, two
+    ///   products and one add, counted as 3 multiplies and 5 adds per
+    ///   element.
+    pub fn phase_ops(&self, vertices: usize) -> (OpStats, OpStats) {
+        let (v, c, r) = (vertices as u64, self.input_dim() as u64, self.hidden_dim() as u64);
+        let elems = v * r;
+        let mut gates_a = OpStats::default();
+        let mut gates_b = OpStats::default();
+        for _ in 0..3 {
+            gates_a += OpStats::gemm(v, r, r);
+            gates_b += OpStats::gemm(v, r, c);
+        }
+        (gates_a, gates_b + OpStats::counted(3 * elems, 5 * elems))
     }
 
     /// Full step: RNN-A followed by RNN-B.
@@ -174,6 +186,7 @@ impl GruPrecomp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use idgnn_sparse::ops;
 
     fn cell() -> GruCell {
         GruCell::random(3, 2, 42)
@@ -264,6 +277,31 @@ mod tests {
             [u.clone(), u.clone(), u]
         )
         .is_err());
+    }
+
+    #[test]
+    fn phase_ops_are_the_executed_counts() {
+        // C = 5 ≠ R = 3, so a count that swapped C and R would show.
+        let (v, c_dim, r) = (7, 5, 3);
+        let c = GruCell::random(c_dim, r, 11);
+        let prev = LstmState { h: DenseMatrix::filled(v, r, 0.2), c: DenseMatrix::zeros(v, r) };
+        let z = DenseMatrix::filled(v, c_dim, 0.3);
+        let (a, ops_a) = c.rnn_a(&prev.h).unwrap();
+        let (_, ops_b) = c.rnn_b(&z, &a, &prev).unwrap();
+        assert_eq!(c.phase_ops(v), (ops_a, ops_b));
+
+        // Rebuilt from the dense kernel's own counts: the three gate
+        // products per phase and the epilogue's 3 multiplies + 5 adds per
+        // element.
+        let gemm = |x: &DenseMatrix, w: &DenseMatrix| ops::gemm_with_stats(x, w).unwrap().1;
+        let elems = (v * r) as u64;
+        let mut want_a = OpStats::default();
+        let mut want_b = OpStats::counted(3 * elems, 5 * elems);
+        for g in 0..3 {
+            want_a += gemm(&prev.h, &c.u[g]);
+            want_b += gemm(&z, &c.w[g]);
+        }
+        assert_eq!((ops_a, ops_b), (want_a, want_b));
     }
 
     #[test]

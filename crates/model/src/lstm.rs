@@ -5,7 +5,7 @@
 //! outputs) and a `V × R` matrix `H` (hidden state), so gates compute as
 //! `Z·W_α + H·U_α` with `W_α : C × R` and `U_α : R × R`.
 
-use idgnn_sparse::{ops, DenseMatrix, OpStats};
+use idgnn_sparse::{DenseMatrix, OpStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -117,16 +117,13 @@ impl LstmCell {
     ///
     /// Returns a shape error if `h_prev` has the wrong width.
     pub fn rnn_a(&self, h_prev: &DenseMatrix) -> Result<(RnnAOutput, OpStats)> {
-        let mut ops = OpStats::default();
         let mut outs = Vec::with_capacity(4);
-        for g in 0..4 {
-            let (m, s) = ops::gemm_with_stats(h_prev, &self.u[g]).map_err(ModelError::from)?;
-            ops += s;
-            outs.push(m);
+        for u in &self.u {
+            outs.push(h_prev.matmul(u).map_err(ModelError::from)?);
         }
         // lint: allow(panic-surface) -- the loop above pushes exactly four gate products
         let [i, f, o, c] = <[DenseMatrix; 4]>::try_from(outs).expect("exactly four gates");
-        Ok((RnnAOutput { gates: [i, f, o, c] }, ops))
+        Ok((RnnAOutput { gates: [i, f, o, c] }, self.phase_ops(h_prev.rows()).0))
     }
 
     /// **RNN-B** (paper Eq. 17): consumes the GNN output `z` and the RNN-A
@@ -141,14 +138,9 @@ impl LstmCell {
         a: &RnnAOutput,
         prev: &LstmState,
     ) -> Result<(LstmState, OpStats)> {
-        let mut ops = OpStats::default();
         let mut pre = Vec::with_capacity(4);
-        for g in 0..4 {
-            let (m, s) = ops::gemm_with_stats(z, &self.w[g]).map_err(ModelError::from)?;
-            ops += s;
-            let summed = m.add(&a.gates[g]).map_err(ModelError::from)?;
-            ops.adds += summed.as_slice().len() as u64;
-            pre.push(summed);
+        for (w, a_g) in self.w.iter().zip(&a.gates) {
+            pre.push(z.matmul(w).map_err(ModelError::from)?.add(a_g).map_err(ModelError::from)?);
         }
         let i = pre[0].sigmoid();
         let f = pre[1].sigmoid();
@@ -159,12 +151,30 @@ impl LstmCell {
         let ic = i.hadamard(&c_cand).map_err(ModelError::from)?;
         let c = fc.add(&ic).map_err(ModelError::from)?;
         let h = o.hadamard(&c.tanh()).map_err(ModelError::from)?;
-        // Element-wise epilogue: 3 multiplies + 1 add per element (Eq. 4's
-        // f∘c + i∘c̃ and o∘tanh(c)).
-        let elems = h.as_slice().len() as u64;
-        ops.mults += 3 * elems;
-        ops.adds += elems;
-        Ok((LstmState { h, c }, ops))
+        Ok((LstmState { h, c }, self.phase_ops(z.rows()).1))
+    }
+
+    /// Exact op counts of [`Self::rnn_a`] and [`Self::rnn_b`] over
+    /// `vertices` rows, as `(RNN-A, RNN-B)`. They depend on the shapes only,
+    /// so a run that reads no RNN state charges the RNN from here without
+    /// evaluating it; the executed phases return the same counts.
+    ///
+    /// * RNN-A: the four `V × R` by `R × R` products `H·U_α` (Eq. 22's
+    ///   `4·V·R²` multiplies).
+    /// * RNN-B: the four `V × C` by `C × R` products `Z·W_α`, one add per
+    ///   element to join each with its RNN-A term, and Eq. 4's element-wise
+    ///   epilogue `f∘c + i∘c̃` and `o∘tanh(c)`: 3 multiplies and 1 add per
+    ///   element (Eq. 21's `V·R·(4C + 3)` multiplies).
+    pub fn phase_ops(&self, vertices: usize) -> (OpStats, OpStats) {
+        let (v, c, r) = (vertices as u64, self.input_dim() as u64, self.hidden_dim() as u64);
+        let elems = v * r;
+        let mut gates_a = OpStats::default();
+        let mut gates_b = OpStats::default();
+        for _ in 0..4 {
+            gates_a += OpStats::gemm(v, r, r);
+            gates_b += OpStats::gemm(v, r, c) + OpStats::counted(0, elems);
+        }
+        (gates_a, gates_b + OpStats::counted(3 * elems, elems))
     }
 
     /// Full step: RNN-A followed by RNN-B (convenience for reference paths).
@@ -230,6 +240,7 @@ impl LstmState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use idgnn_sparse::ops;
 
     fn cell() -> LstmCell {
         LstmCell::random(3, 2, 42)
@@ -331,6 +342,37 @@ mod tests {
         let (_, o1) = c.rnn_b(&z1, &a1, &LstmState::zeros(4, 2)).unwrap();
         let (_, o2) = c.rnn_b(&z2, &a2, &LstmState::zeros(8, 2)).unwrap();
         assert_eq!(o2.mults, 2 * o1.mults);
+    }
+
+    #[test]
+    fn phase_ops_are_the_executed_counts_and_eqs_21_22() {
+        // C = 5 ≠ R = 3, so a count that swapped C and R would show.
+        let (v, c_dim, r) = (7, 5, 3);
+        let c = LstmCell::random(c_dim, r, 11);
+        let prev =
+            LstmState { h: DenseMatrix::filled(v, r, 0.2), c: DenseMatrix::filled(v, r, -0.1) };
+        let z = DenseMatrix::filled(v, c_dim, 0.3);
+        let (a, ops_a) = c.rnn_a(&prev.h).unwrap();
+        let (_, ops_b) = c.rnn_b(&z, &a, &prev).unwrap();
+        assert_eq!(c.phase_ops(v), (ops_a, ops_b));
+
+        // Rebuilt from the dense kernel's own counts: the four gate
+        // products per phase, one join add per gate element, and the
+        // epilogue's 3 multiplies + 1 add per element.
+        let gemm = |x: &DenseMatrix, w: &DenseMatrix| ops::gemm_with_stats(x, w).unwrap().1;
+        let elems = (v * r) as u64;
+        let mut want_a = OpStats::default();
+        let mut want_b = OpStats::counted(3 * elems, elems);
+        for g in GATES {
+            want_a += gemm(&prev.h, c.u(g));
+            want_b += gemm(&z, c.w(g)) + OpStats::counted(0, elems);
+        }
+        assert_eq!((ops_a, ops_b), (want_a, want_b));
+
+        // Eq. 22 (RNN-A, 4·V·R²) and Eq. 21 (RNN-B, V·R·(4C + 3)).
+        let (vf, cf, rf) = (v as f64, c_dim as f64, r as f64);
+        assert_eq!(ops_a.mults as f64, crate::estimate::rnn_a_ops(vf, rf));
+        assert_eq!(ops_b.mults as f64, crate::estimate::rnn_b_ops(vf, cf, rf));
     }
 
     #[test]

@@ -837,16 +837,15 @@ pub fn sp_pow_with_stats(a: &CsrMatrix, l: u32) -> Result<(CsrMatrix, OpStats)> 
     Ok((acc, stats))
 }
 
-/// Dense × dense product with exact op counts (the GNN *combination* and RNN
-/// gate kernels).
+/// Dense × dense product with exact op counts ([`OpStats::gemm`]; the GNN
+/// *combination* kernel).
 ///
 /// # Errors
 ///
 /// Returns [`SparseError::DimensionMismatch`] if `a.cols() != b.rows()`.
 pub fn gemm_with_stats(a: &DenseMatrix, b: &DenseMatrix) -> Result<(DenseMatrix, OpStats)> {
     let out = a.matmul(b)?;
-    let (m, n, k) = (a.rows() as u64, b.cols() as u64, a.cols() as u64);
-    Ok((out, OpStats::counted(m * n * k, m * n * k.saturating_sub(1))))
+    Ok((out, OpStats::gemm(a.rows() as u64, b.cols() as u64, a.cols() as u64)))
 }
 
 /// Entry points only tests need; each fails as the production entry it

@@ -44,6 +44,13 @@ impl OpStats {
         OpStats { mults, adds }
     }
 
+    /// Counts of a dense `m × k` by `k × n` product: `m·n·k` multiplies and
+    /// `m·n·(k − 1)` adds. Depends on the shapes only, so a caller can charge
+    /// a product it never evaluates.
+    pub const fn gemm(m: u64, n: u64, k: u64) -> OpStats {
+        OpStats::counted(m * n * k, m * n * k.saturating_sub(1))
+    }
+
     /// Total scalar operations (`mults + adds`).
     pub fn total(&self) -> u64 {
         self.mults + self.adds

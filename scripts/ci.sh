@@ -25,7 +25,9 @@
 # 12. perfbench --record-reference at seeds 0, 7, 42: every simulated
 #    statistic must already be in perfbench/reference.txt;
 # 13. clippy over every target with warnings denied;
-# 14. rustdoc over the first-party crates with warnings denied.
+# 14. rustdoc over the first-party crates with warnings denied;
+# 15. a syntax check of scripts/perf_pairs.sh (the A/B timing script is not
+#    run here: it builds perfbench twice and times it for minutes).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -172,6 +174,9 @@ for dir in vendor/*/; do
   vendor_excludes+=(--exclude "$(basename "$dir")")
 done
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace "${vendor_excludes[@]}"
+
+stage "bash -n scripts/perf_pairs.sh"
+bash -n scripts/perf_pairs.sh
 
 end_stage
 echo "ci: all green"
