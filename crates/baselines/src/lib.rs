@@ -17,7 +17,8 @@
 //! Execution and timing are split: each baseline's `time` turns an
 //! [`ExecutionResult`](idgnn_model::ExecutionResult) into a report, and
 //! `simulate` is `exec::run_costs` followed by `time`; that run charges the
-//! RNN from its exact counts and never evaluates it. [`simulate_baselines`]
+//! GNN outputs and the RNN from their exact counts and never evaluates
+//! them. [`simulate_baselines`]
 //! executes Recompute once for both ReaDy and DGNN-Booster and Incremental
 //! once for RACE.
 //!

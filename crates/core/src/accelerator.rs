@@ -164,9 +164,9 @@ impl IdgnnAccelerator {
     /// Simulates the full dynamic-graph workload.
     ///
     /// The executor runs as a [`SinkReads::Costs`] stream: timing reads each
-    /// step's costs, operator and `ΔÂ`, never the RNN state, so RNN-A and
-    /// RNN-B are charged from the cell's exact counts and never evaluated.
-    /// The report equals one timed from an executed run.
+    /// step's costs, operator and `ΔÂ`, never `Z^t` or the RNN state, so
+    /// the GNN outputs and RNN-A/RNN-B are charged from exact counts and
+    /// never evaluated. The report equals one timed from an executed run.
     ///
     /// # Errors
     ///

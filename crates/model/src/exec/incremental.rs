@@ -4,11 +4,12 @@
 //! the intermediate features of *both* snapshots must be retained.
 
 use idgnn_graph::DynamicGraph;
-use idgnn_sparse::{ops, DenseMatrix, OpStats};
+use idgnn_sparse::{ops, CsrMatrix, DenseMatrix, OpStats};
 
 use crate::cost::{dense_bytes, DataClass, MemoryModel, Phase, SnapshotCost, Traffic};
 use crate::error::Result;
 use crate::exec::{charge_rnn, Step};
+use crate::gcn::GcnLayer;
 use crate::lstm::LstmState;
 use crate::DgnnModel;
 
@@ -45,10 +46,11 @@ pub(crate) fn run(
         + model.weight_bytes();
     let cache_spilled = !mem.fits(cache_bytes);
 
-    let (mut layer_outs, layer_ops) =
-        model.gcn().forward_all_layers(&a_prev, snaps.current().features())?;
-    for (l, (ag, cb)) in layer_ops.iter().enumerate() {
-        cost0.push(Phase::Aggregation, *ag, Traffic::none());
+    // The counts follow `Â^0`'s row lengths and the layer shapes; the
+    // layer outputs are kept (and so computed) only when the sink reads
+    // `Z`, since no later count depends on their values.
+    for (l, (ag, cb)) in model.gcn().layer_ops(&a_prev).into_iter().enumerate() {
+        cost0.push(Phase::Aggregation, ag, Traffic::none());
         let mut t = Traffic::none();
         if l + 1 == l_count {
             if cache_spilled {
@@ -57,11 +59,14 @@ pub(crate) fn run(
         } else {
             t.write(DataClass::Intermediate, dense_bytes(v, dims.gnn_out_dim));
         }
-        cost0.push(Phase::Combination, *cb, t);
+        cost0.push(Phase::Combination, cb, t);
     }
-    // lint: allow(panic-surface) -- GcnStack::new rejects zero layers, so forward_all_layers returns one output per layer (≥ 1)
-    let z = layer_outs.last().expect("non-empty");
-    charge_rnn(model, z, state.as_mut(), mem, &mut cost0)?;
+    let mut layer_outs = match state {
+        Some(_) => Some(model.gcn().forward_all_layers(&a_prev, snaps.current().features())?.0),
+        None => None,
+    };
+    let z = layer_outs.as_ref().and_then(|outs| outs.last());
+    charge_rnn(model, v, z.zip(state.as_mut()), mem, &mut cost0)?;
     sink(Step { t: 0, z, state: state.as_ref(), cost: &cost0, operator: &a_prev, delta: None });
 
     // ---- Subsequent snapshots: affected-set propagation. ----
@@ -99,18 +104,17 @@ pub(crate) fn run(
 
         for l in 0..l_count {
             let in_dim = if l == 0 { dims.input_dim } else { dims.gnn_out_dim };
-            // Layer l reads layer l−1 (X_0 for the first) and overwrites its
-            // own affected rows in place.
-            let (done, rest) = layer_outs.split_at_mut(l);
-            let prev_layer: &DenseMatrix = match done.last() {
-                Some(prev) => prev,
-                None => x0,
-            };
-            let out_layer = &mut rest[0];
+            // When executing, layer l reads layer l−1 (X_0 for the first)
+            // and overwrites its own affected rows in place.
+            let mut layer = layer_outs.as_mut().map(|outs| {
+                let (done, rest) = outs.split_at_mut(l);
+                (done.last().unwrap_or(x0), &mut rest[0])
+            });
 
             // Frontier expansion: rows whose structure changed, plus rows
             // adjacent (in Â^{t+1}) to any vertex whose layer-(l) input
-            // changed. `rows` lists them in ascending order.
+            // changed. `rows` lists them in ascending order. The row set,
+            // the gathered rows and so every count are structural.
             let mut next_affected = structural.clone();
             let mut rows = Vec::new();
             for (r, mark) in next_affected.iter_mut().enumerate() {
@@ -120,10 +124,7 @@ pub(crate) fn run(
                 }
             }
 
-            let weight = model.gcn().layers()[l].weight();
-            let activation = model.gcn().layers()[l].activation();
-            let mut ag_ops = OpStats::default();
-            let mut cb_ops = OpStats::default();
+            let gcn_layer = &model.gcn().layers()[l];
             let mut ag_t = Traffic::none();
             let mut cb_t = Traffic::none();
             let mut agg = vec![0.0f32; in_dim];
@@ -132,43 +133,28 @@ pub(crate) fn run(
             let mut needed_count = 0;
 
             for &r in &rows {
-                let nnz = a_next.row_nnz(r) as u64;
-                agg.fill(0.0);
-                for (c, w) in a_next.row_iter(r) {
-                    let src = prev_layer.row(c);
-                    for (o, &x) in agg.iter_mut().zip(src) {
-                        *o += w * x;
-                    }
+                for &c in a_next.row_indices(r) {
                     if !std::mem::replace(&mut needed[c], true) {
                         needed_count += 1;
                     }
                 }
-                ag_ops.mults += nnz * in_dim as u64;
-                ag_ops.adds += nnz.saturating_sub(1) * in_dim as u64;
                 if l == 0 && cache_spilled {
-                    ag_t.read(DataClass::Graph, nnz * 8);
+                    ag_t.read(DataClass::Graph, a_next.row_nnz(r) as u64 * 8);
                 }
-
-                // `out = agg · W`, each output summed over ascending `i`
-                // from 0.0, reading W row by row.
-                out.fill(0.0);
-                for (i, &a) in agg.iter().enumerate() {
-                    for (o, &w) in out.iter_mut().zip(weight.row(i)) {
-                        *o += a * w;
-                    }
+                if let Some((prev_layer, out_layer)) = layer.as_mut() {
+                    recompute_row(&a_next, r, prev_layer, gcn_layer, &mut agg, &mut out, out_layer);
                 }
-                for (c, &acc) in out.iter().enumerate() {
-                    out_layer.set(r, c, if activation.is_linear() { acc } else { acc.max(0.0) });
+            }
+            let ag_ops = ops::spmm_rows_stats(&a_next, rows.iter().copied(), in_dim);
+            let cb_ops =
+                OpStats::gemm(rows.len() as u64, dims.gnn_out_dim as u64, in_dim as u64);
+            let row_bytes = (rows.len() * dims.gnn_out_dim) as u64 * 4;
+            if l + 1 == l_count {
+                if cache_spilled {
+                    cb_t.write(DataClass::OutputFeature, row_bytes);
                 }
-                cb_ops.mults += (in_dim * dims.gnn_out_dim) as u64;
-                cb_ops.adds += ((in_dim.saturating_sub(1)) * dims.gnn_out_dim) as u64;
-                if l + 1 == l_count {
-                    if cache_spilled {
-                        cb_t.write(DataClass::OutputFeature, dims.gnn_out_dim as u64 * 4);
-                    }
-                } else {
-                    cb_t.write(DataClass::Intermediate, dims.gnn_out_dim as u64 * 4);
-                }
+            } else {
+                cb_t.write(DataClass::Intermediate, row_bytes);
             }
             // The gathered source rows: input features come from the on-chip
             // cache unless it spilled; intermediate rows live in DRAM by
@@ -188,8 +174,6 @@ pub(crate) fn run(
             affected = next_affected;
             affected_count = rows.len();
         }
-        // lint: allow(panic-surface) -- `layer_outs` keeps one entry per GCN layer and GcnStack::new rejects zero layers
-        let z = layer_outs.last().expect("non-empty");
 
         // RNN still consumes the *full* Z; unchanged rows come back from the
         // cached copy (DRAM if the caches spilled).
@@ -199,12 +183,45 @@ pub(crate) fn run(
             t_read.read(DataClass::OutputFeature, dense_bytes(unchanged, dims.gnn_out_dim));
             cost.push(Phase::Diu, OpStats::default(), t_read);
         }
-        charge_rnn(model, z, state.as_mut(), mem, &mut cost)?;
+        let z = layer_outs.as_ref().and_then(|outs| outs.last());
+        charge_rnn(model, v, z.zip(state.as_mut()), mem, &mut cost)?;
         let t = snaps.index();
         sink(Step { t, z, state: state.as_ref(), cost: &cost, operator: &a_next, delta: None });
         a_prev = a_next;
     }
     Ok(())
+}
+
+/// Recomputes row `r` of one layer in place,
+/// `out_layer[r] = σ((Â^{t+1}·prev)[r] · W)`: the aggregate sums the row's
+/// entries in stored order, and each output sums over ascending `i` from
+/// 0.0, reading `W` row by row. `agg` and `out` are scratch rows of the
+/// layer's input and output width.
+fn recompute_row(
+    a_next: &CsrMatrix,
+    r: usize,
+    prev_layer: &DenseMatrix,
+    layer: &GcnLayer,
+    agg: &mut [f32],
+    out: &mut [f32],
+    out_layer: &mut DenseMatrix,
+) {
+    agg.fill(0.0);
+    for (c, w) in a_next.row_iter(r) {
+        for (o, &x) in agg.iter_mut().zip(prev_layer.row(c)) {
+            *o += w * x;
+        }
+    }
+    out.fill(0.0);
+    for (i, &a) in agg.iter().enumerate() {
+        for (o, &w) in out.iter_mut().zip(layer.weight().row(i)) {
+            *o += a * w;
+        }
+    }
+    let linear = layer.activation().is_linear();
+    for (c, &acc) in out.iter().enumerate() {
+        out_layer.set(r, c, if linear { acc } else { acc.max(0.0) });
+    }
 }
 
 /// Re-exported for tests: the structural rows of an operator delta.

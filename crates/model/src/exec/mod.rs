@@ -20,10 +20,14 @@
 //! whole stream. [`run`] and [`run_onepass_with`] collect every step into
 //! an [`ExecutionResult`]; [`run_costs`] keeps only the costs.
 //!
-//! The RNN's op counts depend on shapes only and its state never feeds
-//! back into the GNN, so a sink that reads no RNN state ([`SinkReads::Costs`])
-//! gets the RNN charged from the cell's count function without evaluating
-//! it; every cost stays bit-identical (DESIGN.md §6).
+//! A sink that reads only costs ([`SinkReads::Costs`]) gets every value no
+//! cost depends on charged from exact count functions instead of computed:
+//! the RNN (its counts depend on shapes only, and its state never feeds
+//! back into the GNN) and the GNN outputs (SpMM counts follow the
+//! operator's row lengths, GEMM counts the shapes). What decides a count
+//! is still computed: each executor's operator, the incremental
+//! executor's affected-row traversal, and the one-pass `ΔÂ`, `ΔA_C`, `ΔP`
+//! and resident `Y`. Every cost stays bit-identical (DESIGN.md §6).
 
 mod incremental;
 mod onepass;
@@ -75,15 +79,21 @@ impl std::fmt::Display for Algorithm {
 }
 
 /// What a [`stream`] sink reads of each [`Step`], which decides whether
-/// the executor evaluates the RNN.
+/// the executor evaluates the GNN outputs and the RNN.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SinkReads {
-    /// Costs, operators and `Z^t`, but no RNN state: RNN-A and RNN-B are
-    /// charged from [`DgnnModel::rnn_phase_ops`] and never evaluated, and
-    /// every [`Step::state`] is `None`. The costs equal an executed run's
-    /// bit for bit.
+    /// Costs, the operator `Â^t` and (one-pass transitions) `ΔÂ`, but
+    /// neither `Z^t` nor the RNN state. GNN phases whose values no cost
+    /// depends on are charged from their count functions
+    /// ([`ops::spmm_stats`](idgnn_sparse::ops::spmm_stats),
+    /// [`OpStats::gemm`](idgnn_sparse::OpStats::gemm),
+    /// [`GcnStack::layer_ops`](crate::GcnStack::layer_ops)), RNN-A and
+    /// RNN-B from [`DgnnModel::rnn_phase_ops`]; none of them is evaluated,
+    /// and every [`Step::z`] and [`Step::state`] is `None`. The costs equal
+    /// an executed run's bit for bit.
     Costs,
-    /// Everything, the RNN state included: the RNN is executed.
+    /// Everything, `Z^t` and the RNN state included: the GNN and the RNN
+    /// are executed.
     Outputs,
 }
 
@@ -95,8 +105,9 @@ pub enum SinkReads {
 pub struct Step<'a> {
     /// Time index `t` of the snapshot (`0` for `G^1`).
     pub t: usize,
-    /// GNN output `Z^t` (`X_C^t` for the fused path).
-    pub z: &'a DenseMatrix,
+    /// GNN output `Z^t` (`X_C^t` for the fused path); `None` on a
+    /// [`SinkReads::Costs`] stream, which never computes it.
+    pub z: Option<&'a DenseMatrix>,
     /// LSTM state after consuming `Z^t`; `None` on a [`SinkReads::Costs`]
     /// stream, which never computes it.
     pub state: Option<&'a LstmState>,
@@ -184,8 +195,8 @@ fn count_run(algorithm: Algorithm) {
 /// Runs `algorithm` over the dynamic graph in one pass, handing each
 /// executed snapshot to `sink` in time order. `onepass` configures the
 /// one-pass executor and is ignored by the other algorithms; `reads` says
-/// whether the sink reads the RNN state, and so whether the RNN is
-/// evaluated or only counted.
+/// whether the sink reads `Z^t` and the RNN state, and so whether the GNN
+/// outputs and the RNN are evaluated or only counted.
 ///
 /// The executor holds the current snapshot of [`DynamicGraph::stream`] and
 /// its own resident state; nothing per snapshot outlives the `sink` call
@@ -218,22 +229,22 @@ pub fn stream(
     }
 }
 
-/// Charges RNN-A and RNN-B for consuming `z` into `cost`: the one RNN
-/// charge of every executor. With a `state` (the sink reads outputs) the
-/// cell is executed and `state` advances; without one the cell's count
-/// function ([`DgnnModel::rnn_phase_ops`]) is charged and nothing is
-/// evaluated. Both give the same counts, and the traffic depends on shapes
-/// only: the state spills iff it does not fit on chip next to `Z`.
+/// Charges RNN-A and RNN-B for consuming the `v × C` GNN output into
+/// `cost`: the one RNN charge of every executor. With `executed` (the sink
+/// reads outputs) the cell consumes `Z` and the state advances; without it
+/// the cell's count function ([`DgnnModel::rnn_phase_ops`]) is charged and
+/// nothing is evaluated. Both give the same counts, and the traffic depends
+/// on shapes only: the state spills iff it does not fit on chip next to `Z`.
 fn charge_rnn(
     model: &DgnnModel,
-    z: &DenseMatrix,
-    state: Option<&mut LstmState>,
+    v: usize,
+    executed: Option<(&DenseMatrix, &mut LstmState)>,
     mem: &MemoryModel,
     cost: &mut SnapshotCost,
 ) -> Result<()> {
-    let v = z.rows();
-    let (ops_a, ops_b) = match state {
-        Some(state) => {
+    let dims = model.dims();
+    let (ops_a, ops_b) = match executed {
+        Some((z, state)) => {
             let (pre, ops_a) = model.rnn_a(&state.h)?;
             let (next, ops_b) = model.rnn_b(z, &pre, state)?;
             *state = next;
@@ -242,8 +253,8 @@ fn charge_rnn(
         None => model.rnn_phase_ops(v),
     };
     // `H` and `c` are each `V × R`.
-    let h_bytes = dense_bytes(v, model.dims().rnn_hidden_dim);
-    let spilled = !mem.fits(2 * h_bytes + dense_bytes(v, z.cols()));
+    let h_bytes = dense_bytes(v, dims.rnn_hidden_dim);
+    let spilled = !mem.fits(2 * h_bytes + dense_bytes(v, dims.gnn_out_dim));
     let mut ta = Traffic::none();
     let mut tb = Traffic::none();
     if spilled {
@@ -273,8 +284,8 @@ fn collect_steps(
         operator_bytes: Vec::with_capacity(n),
     };
     stream(algorithm, model, dg, mem, onepass, reads, |step| {
-        if let Some(state) = step.state {
-            result.outputs.push(SnapshotOutput { z: step.z.clone(), state: state.clone() });
+        if let (Some(z), Some(state)) = (step.z, step.state) {
+            result.outputs.push(SnapshotOutput { z: z.clone(), state: state.clone() });
         }
         result.costs.push(step.cost.clone());
         result.operator_bytes.push(step.operator.csr_bytes());
@@ -298,11 +309,11 @@ pub fn run(
 }
 
 /// As [`run`], but computes no outputs: the result holds only the costs
-/// and operator sizes, and its `outputs` stay empty. The RNN is charged
-/// from its counts and never evaluated ([`SinkReads::Costs`]); the costs
-/// equal [`run`]'s bit for bit. For callers that account ops and traffic,
-/// so that neither the host's time nor its memory goes to values no one
-/// reads.
+/// and operator sizes, and its `outputs` stay empty. The GNN outputs and
+/// the RNN are charged from their counts and never evaluated
+/// ([`SinkReads::Costs`]); the costs equal [`run`]'s bit for bit. For
+/// callers that account ops and traffic, so that neither the host's time
+/// nor its memory goes to values no one reads.
 ///
 /// # Errors
 ///
@@ -436,7 +447,8 @@ mod tests {
                         assert_eq!(step.t, seen, "{case}");
                         let out = &reference.outputs[step.t];
                         let state = step.state.expect("an Outputs stream lends the state");
-                        assert_eq!(bits(step.z), bits(&out.z), "{case}");
+                        let z = step.z.expect("an Outputs stream lends Z");
+                        assert_eq!(bits(z), bits(&out.z), "{case}");
                         assert_eq!(bits(&state.h), bits(&out.state.h), "{case}");
                         assert_eq!(bits(&state.c), bits(&out.state.c), "{case}");
                         assert_eq!(step.cost, &reference.costs[step.t], "{case}");
@@ -461,78 +473,107 @@ mod tests {
 
     #[test]
     fn costs_only_runs_charge_exactly_what_executed_runs_do() {
+        use idgnn_graph::GraphDelta;
         use idgnn_sparse::{parallel::kernel_scope, Parallelism};
-        let dg = generate_dynamic_graph(
+        let mut dg = generate_dynamic_graph(
             &GraphConfig::power_law(40, 120, 6),
             &StreamConfig { deltas: 4, dissimilarity: 0.1, ..Default::default() },
             5,
         )
         .unwrap();
-        let refresh = |adaptive_refresh| OnePassOptions { adaptive_refresh, ..Default::default() };
-        let cases = [
+        // A last transition isolates the vertex of least degree, so the raw
+        // operator has an empty row: SpMM charges it no multiplies and no
+        // `(nnz − 1)⁺` adds.
+        let last = dg.materialize().unwrap().pop().unwrap();
+        let adj = last.adjacency();
+        let isolated = (0..adj.rows()).min_by_key(|&r| adj.row_nnz(r)).unwrap();
+        let delta = adj
+            .row_indices(isolated)
+            .iter()
+            .fold(GraphDelta::builder(), |d, &c| d.remove_edge(isolated, c))
+            .build();
+        dg.push_delta(delta);
+        let last = dg.materialize().unwrap().pop().unwrap();
+        assert_eq!(Normalization::Raw.apply(last.adjacency()).row_nnz(isolated), 0);
+
+        let onepass = |order, adaptive_refresh| OnePassOptions {
+            order,
+            adaptive_refresh,
+            ..Default::default()
+        };
+        let mut cases = vec![
             (Algorithm::Recompute, OnePassOptions::default()),
             (Algorithm::Incremental, OnePassOptions::default()),
-            (Algorithm::OnePass, refresh(false)),
-            (Algorithm::OnePass, refresh(true)),
+            (Algorithm::OnePass, OnePassOptions::default()),
         ];
+        // K = 6 > C = 5 makes `Auto` combination-first, so both orders are
+        // forced, each on the delta path and under adaptive refresh.
+        for order in [CombinationOrder::AggregationFirst, CombinationOrder::CombinationFirst] {
+            for adaptive_refresh in [false, true] {
+                cases.push((Algorithm::OnePass, onepass(order, adaptive_refresh)));
+            }
+        }
         // Ample and zero on-chip memory: the RNN state stays resident or
         // spills, so both branches of the RNN traffic are compared.
         let memories = [MemoryModel::default(), MemoryModel { onchip_bytes: 0 }];
-        for rnn_kernel in [crate::RnnKernelKind::Lstm, crate::RnnKernelKind::Gru] {
-            for normalization in [Normalization::Symmetric, Normalization::RowStochastic] {
-                // C = 5 ≠ R = 4, so a count that swapped them would show.
-                let model = DgnnModel::from_config(&ModelConfig {
-                    input_dim: 6,
-                    gnn_hidden: 5,
-                    gnn_layers: 3,
-                    rnn_hidden: 4,
-                    activation: crate::Activation::Relu,
-                    normalization,
-                    seed: 3,
-                    rnn_kernel,
-                })
-                .unwrap();
-                for (algorithm, options) in cases {
-                    for mem in &memories {
-                        for threads in [1, 4] {
-                            let _scope = kernel_scope(Parallelism::new(threads));
-                            let case = format!(
-                                "{algorithm} {rnn_kernel:?} {normalization:?} {options:?} \
-                                 {mem:?} threads={threads}"
-                            );
-                            let executed = collect_steps(
-                                algorithm,
-                                &model,
-                                &dg,
-                                mem,
-                                &options,
-                                SinkReads::Outputs,
-                            )
-                            .unwrap();
-                            assert_eq!(executed.outputs.len(), dg.num_snapshots(), "{case}");
-                            assert!(
-                                executed.costs.iter().all(|c| c.rnn_ops().total() > 0),
-                                "{case}"
-                            );
-                            let mut counted = ExecutionResult {
-                                outputs: Vec::new(),
-                                costs: Vec::new(),
-                                operator_bytes: Vec::new(),
-                            };
-                            stream(algorithm, &model, &dg, mem, &options, SinkReads::Costs, |step| {
-                                assert!(step.state.is_none(), "{case} t={}", step.t);
-                                // The GNN output is still computed, unchanged.
-                                let z = &executed.outputs[step.t].z;
-                                assert_eq!(bits(step.z), bits(z), "{case} t={}", step.t);
-                                counted.costs.push(step.cost.clone());
-                                counted.operator_bytes.push(step.operator.csr_bytes());
-                            })
-                            .unwrap();
-                            let expected = ExecutionResult { outputs: Vec::new(), ..executed };
-                            assert_eq!(counted, expected, "{case}");
-                            if options == OnePassOptions::default() {
-                                let costs = run_costs(algorithm, &model, &dg, mem).unwrap();
-                                assert_eq!(costs, expected, "{case}");
+        let normalizations =
+            [Normalization::Symmetric, Normalization::RowStochastic, Normalization::Raw];
+        for activation in [crate::Activation::Relu, crate::Activation::Linear] {
+            for rnn_kernel in [crate::RnnKernelKind::Lstm, crate::RnnKernelKind::Gru] {
+                for normalization in normalizations {
+                    // C = 5 ≠ R = 4, so a count that swapped them would show.
+                    let model = DgnnModel::from_config(&ModelConfig {
+                        input_dim: 6,
+                        gnn_hidden: 5,
+                        gnn_layers: 3,
+                        rnn_hidden: 4,
+                        activation,
+                        normalization,
+                        seed: 3,
+                        rnn_kernel,
+                    })
+                    .unwrap();
+                    for &(algorithm, options) in &cases {
+                        for mem in &memories {
+                            for threads in [1, 4] {
+                                let _scope = kernel_scope(Parallelism::new(threads));
+                                let case = format!(
+                                    "{algorithm} {activation:?} {rnn_kernel:?} \
+                                     {normalization:?} {options:?} {mem:?} threads={threads}"
+                                );
+                                let executed = collect_steps(
+                                    algorithm,
+                                    &model,
+                                    &dg,
+                                    mem,
+                                    &options,
+                                    SinkReads::Outputs,
+                                )
+                                .unwrap();
+                                assert_eq!(executed.outputs.len(), dg.num_snapshots(), "{case}");
+                                assert!(
+                                    executed.costs.iter().all(|c| c.rnn_ops().total() > 0),
+                                    "{case}"
+                                );
+                                let mut counted = ExecutionResult {
+                                    outputs: Vec::new(),
+                                    costs: Vec::new(),
+                                    operator_bytes: Vec::new(),
+                                };
+                                let reads = SinkReads::Costs;
+                                stream(algorithm, &model, &dg, mem, &options, reads, |step| {
+                                    assert!(step.z.is_none(), "{case} t={}", step.t);
+                                    assert!(step.state.is_none(), "{case} t={}", step.t);
+                                    counted.costs.push(step.cost.clone());
+                                    counted.operator_bytes.push(step.operator.csr_bytes());
+                                })
+                                .unwrap();
+                                let expected = ExecutionResult { outputs: Vec::new(), ..executed };
+                                assert_eq!(counted, expected, "{case}");
+                                if options == OnePassOptions::default() {
+                                    let costs = run_costs(algorithm, &model, &dg, mem).unwrap();
+                                    assert_eq!(costs, expected, "{case}");
+                                }
                             }
                         }
                     }

@@ -117,16 +117,63 @@ fn chain_apply(a: &CsrMatrix, x: &DenseMatrix) -> (DenseMatrix, OpStats) {
     (out, st)
 }
 
-/// `Â^L · x` as L chained SpMMs, with their summed op counts.
-fn aggregate(a: &CsrMatrix, x: &DenseMatrix, l: u32) -> Result<(DenseMatrix, OpStats)> {
+/// `Â^L · x` as L chained SpMMs.
+fn aggregate(a: &CsrMatrix, x: &DenseMatrix, l: u32) -> Result<DenseMatrix> {
     let mut agg: Option<DenseMatrix> = None;
-    let mut ops_total = OpStats::default();
     for _ in 0..l {
-        let (next, st) = ops::spmm_with_stats(a, agg.as_ref().unwrap_or(x))?;
-        agg = Some(next);
-        ops_total += st;
+        agg = Some(ops::spmm_with_stats(a, agg.as_ref().unwrap_or(x))?.0);
     }
-    Ok((agg.unwrap_or_else(|| x.clone()), ops_total))
+    Ok(agg.unwrap_or_else(|| x.clone()))
+}
+
+/// Op counts of [`aggregate`] over an `x` of width `width`: L SpMMs over
+/// the same operator, each counted by [`ops::spmm_stats`].
+fn aggregate_ops(a: &CsrMatrix, width: usize, l: u32) -> OpStats {
+    let per_spmm = ops::spmm_stats(a, width);
+    (0..l).fold(OpStats::default(), |total, _| total + per_spmm)
+}
+
+/// The fused pre-activation `P` and the GNN output `X_C = σ(P)`, resident
+/// only when the sink reads outputs (no count depends on their values).
+type FusedOutput = (DenseMatrix, DenseMatrix);
+
+/// Charges the from-scratch fused pre-activation `P = Â^L·X_0·W_C` over
+/// `a` into `cost` (snapshot 0 and every refresh), and evaluates it, with
+/// `X_C = σ(P)`, iff `executing`. Combination-first aggregates the resident
+/// `Y = X_0·W_C`, whose combination the caller has charged; aggregation-first
+/// aggregates `x0` at width `K` and then combines. `t_ag` is the
+/// aggregation's traffic.
+#[allow(clippy::too_many_arguments)]
+fn fresh_pre_activation(
+    model: &DgnnModel,
+    a: &CsrMatrix,
+    x0: &DenseMatrix,
+    y_cache: &DenseMatrix,
+    w_c: &DenseMatrix,
+    comb_first: bool,
+    executing: bool,
+    t_ag: Traffic,
+    cost: &mut SnapshotCost,
+) -> Result<Option<FusedOutput>> {
+    let l = model.dims().gnn_layers as u32;
+    let (k, c_out) = w_c.shape();
+    if comb_first {
+        cost.push(Phase::Aggregation, aggregate_ops(a, c_out, l), t_ag);
+    } else {
+        cost.push(Phase::Aggregation, aggregate_ops(a, k, l), t_ag);
+        let v = a.rows() as u64;
+        cost.push(Phase::Combination, OpStats::gemm(v, c_out as u64, k as u64), Traffic::none());
+    }
+    if !executing {
+        return Ok(None);
+    }
+    let pre_act = if comb_first {
+        aggregate(a, y_cache, l)?
+    } else {
+        aggregate(a, x0, l)?.matmul(w_c)?
+    };
+    let x_c = model.activation().apply(&pre_act);
+    Ok(Some((pre_act, x_c)))
 }
 
 /// `ΔX_0·W_C` for each changed row `r`, folded into the resident `Y` and,
@@ -203,35 +250,32 @@ pub(crate) fn run(
     let mut t_x = Traffic::none();
     t_x.read(DataClass::InputFeature, dense_bytes(v, dims.input_dim));
 
-    // `y_cache` is the combination-first resident `Y = X_0·W_C` (V×C);
-    // aggregation-first reads X_0 from the current snapshot instead.
-    let mut pre_act;
+    // `y_cache` is the combination-first resident `Y = X_0·W_C` (V×C),
+    // kept whether or not the sink reads outputs: the delta path's `ΔP`,
+    // and so its `involved` rows, read it. Aggregation-first reads X_0 from
+    // the current snapshot instead.
+    let executing = state.is_some();
     let mut y_cache = DenseMatrix::zeros(0, 0);
     if comb_first {
         let (y, cb_ops) = ops::gemm_with_stats(snaps.current().features(), &w_c)?;
         cost0.push(Phase::Combination, cb_ops, Traffic::none());
-        let (agg, ag_ops) = aggregate(&a_prev, &y, l)?;
-        cost0.push(Phase::Aggregation, ag_ops, t_x);
-        pre_act = agg;
         y_cache = y;
-    } else {
-        let (agg, ag_ops) = aggregate(&a_prev, snaps.current().features(), l)?;
-        cost0.push(Phase::Aggregation, ag_ops, t_x);
-        let (p, cb_ops) = ops::gemm_with_stats(&agg, &w_c)?;
-        cost0.push(Phase::Combination, cb_ops, Traffic::none());
-        pre_act = p;
     }
-    let mut x_c = activation.apply(&pre_act);
+    let mut fused = fresh_pre_activation(
+        model,
+        &a_prev,
+        snaps.current().features(),
+        &y_cache,
+        &w_c,
+        comb_first,
+        executing,
+        t_x,
+        &mut cost0,
+    )?;
 
-    charge_rnn(model, &x_c, state.as_mut(), mem, &mut cost0)?;
-    sink(Step {
-        t: 0,
-        z: &x_c,
-        state: state.as_ref(),
-        cost: &cost0,
-        operator: &a_prev,
-        delta: None,
-    });
+    let z = fused.as_ref().map(|(_, x_c)| x_c);
+    charge_rnn(model, v, z.zip(state.as_mut()), mem, &mut cost0)?;
+    sink(Step { t: 0, z, state: state.as_ref(), cost: &cost0, operator: &a_prev, delta: None });
 
     while let Some(transition) = snaps.next() {
         let transition = transition?;
@@ -299,21 +343,23 @@ pub(crate) fn run(
                 // aggregation of the full Y at width C.
                 let cb_ops = fold_combination(&dx0, &changed_rows, &w_c, &mut y_cache, None);
                 cost.push(Phase::Combination, cb_ops, Traffic::none());
-                let (agg, ag_ops) = aggregate(&a_next, &y_cache, l)?;
-                cost.push(Phase::Aggregation, ag_ops, t_ag);
-                pre_act = agg;
-            } else {
-                let (agg, ag_ops) = aggregate(&a_next, snap.features(), l)?;
-                cost.push(Phase::Aggregation, ag_ops, t_ag);
-                let (p, cb_ops) = ops::gemm_with_stats(&agg, &w_c)?;
-                cost.push(Phase::Combination, cb_ops, Traffic::none());
-                pre_act = p;
             }
-            x_c = activation.apply(&pre_act);
-            charge_rnn(model, &x_c, state.as_mut(), mem, &mut cost)?;
+            fused = fresh_pre_activation(
+                model,
+                &a_next,
+                snap.features(),
+                &y_cache,
+                &w_c,
+                comb_first,
+                executing,
+                t_ag,
+                &mut cost,
+            )?;
+            let z = fused.as_ref().map(|(_, x_c)| x_c);
+            charge_rnn(model, v, z.zip(state.as_mut()), mem, &mut cost)?;
             sink(Step {
                 t: snaps.index(),
-                z: &x_c,
+                z,
                 state: state.as_ref(),
                 cost: &cost,
                 operator: &a_next,
@@ -373,11 +419,13 @@ pub(crate) fn run(
             ag_ops.adds += merge_rows * c_out as u64;
 
             involved = crate::onepass::nonzero_rows(&d_p, 0.0);
-            for &r in &involved {
-                for j in 0..c_out {
-                    let p = pre_act.get(r, j) + d_p.get(r, j);
-                    pre_act.set(r, j, p);
-                    x_c.set(r, j, if activation.is_linear() { p } else { p.max(0.0) });
+            if let Some((pre_act, x_c)) = fused.as_mut() {
+                for &r in &involved {
+                    for j in 0..c_out {
+                        let p = pre_act.get(r, j) + d_p.get(r, j);
+                        pre_act.set(r, j, p);
+                        x_c.set(r, j, if activation.is_linear() { p } else { p.max(0.0) });
+                    }
                 }
             }
             ag_ops.adds += (involved.len() * c_out) as u64;
@@ -400,22 +448,24 @@ pub(crate) fn run(
             ag_ops.adds += merge_rows * k as u64;
             cost.push(Phase::Aggregation, ag_ops, t_ag);
 
-            // CB: ΔP = ΔAgg·W_C for involved rows only.
+            // CB: ΔP = ΔAgg·W_C for involved rows only, each folded into P
+            // with one add per output.
             involved = crate::onepass::nonzero_rows(&d_agg, 0.0);
-            let mut cb_ops = OpStats::default();
-            for &r in &involved {
-                let agg_row = d_agg.row(r);
-                for j in 0..c_out {
-                    let mut acc = 0.0f32;
-                    for (i, &a) in agg_row.iter().enumerate() {
-                        acc += a * w_c.get(i, j);
+            let mut cb_ops = OpStats::gemm(involved.len() as u64, c_out as u64, k as u64);
+            cb_ops.adds += (involved.len() * c_out) as u64;
+            if let Some((pre_act, x_c)) = fused.as_mut() {
+                for &r in &involved {
+                    let agg_row = d_agg.row(r);
+                    for j in 0..c_out {
+                        let mut acc = 0.0f32;
+                        for (i, &a) in agg_row.iter().enumerate() {
+                            acc += a * w_c.get(i, j);
+                        }
+                        let p = pre_act.get(r, j) + acc;
+                        pre_act.set(r, j, p);
+                        x_c.set(r, j, if activation.is_linear() { p } else { p.max(0.0) });
                     }
-                    let p = pre_act.get(r, j) + acc;
-                    pre_act.set(r, j, p);
-                    x_c.set(r, j, if activation.is_linear() { p } else { p.max(0.0) });
                 }
-                cb_ops.mults += (k * c_out) as u64;
-                cb_ops.adds += ((k.saturating_sub(1)) * c_out + c_out) as u64;
             }
             if spilled {
                 t_cb.read(DataClass::OutputFeature, dense_bytes(involved.len(), c_out));
@@ -425,10 +475,11 @@ pub(crate) fn run(
         }
 
         // RNN consumes X_C in place.
-        charge_rnn(model, &x_c, state.as_mut(), mem, &mut cost)?;
+        let z = fused.as_ref().map(|(_, x_c)| x_c);
+        charge_rnn(model, v, z.zip(state.as_mut()), mem, &mut cost)?;
         sink(Step {
             t: snaps.index(),
-            z: &x_c,
+            z,
             state: state.as_ref(),
             cost: &cost,
             operator: &a_next,

@@ -40,19 +40,21 @@ pub(crate) fn run(
         // DRAM for the execution of the following GNN layers") — this is a
         // property of the published dataflows, not of buffer capacity. Only
         // the *final* output features are "retained on-chip for the RNN
-        // kernel execution" when they fit.
-        let (layer_outs, layer_ops) = model.gcn().forward_all_layers(&a_norm, snap.features())?;
-        let num_layers = layer_outs.len();
+        // kernel execution" when they fit. The counts follow `Â^t`'s row
+        // lengths and the layer shapes, so the layers run only when the
+        // sink reads `Z`.
+        let layer_ops = model.gcn().layer_ops(&a_norm);
+        let num_layers = layer_ops.len();
         let z_spilled = !mem.fits(
             dense_bytes(v, dims.gnn_out_dim) + 2 * dense_bytes(v, dims.rnn_hidden_dim),
         );
-        for (l, (ag_ops, cb_ops)) in layer_ops.iter().enumerate() {
+        for (l, (ag_ops, cb_ops)) in layer_ops.into_iter().enumerate() {
             let mut ag_traffic = Traffic::none();
             if l > 0 {
                 // Re-read the previous layer's intermediate features.
                 ag_traffic.read(DataClass::Intermediate, dense_bytes(v, dims.gnn_out_dim));
             }
-            cost.push(Phase::Aggregation, *ag_ops, ag_traffic);
+            cost.push(Phase::Aggregation, ag_ops, ag_traffic);
 
             let mut cb_traffic = Traffic::none();
             if l + 1 == num_layers {
@@ -62,15 +64,24 @@ pub(crate) fn run(
             } else {
                 cb_traffic.write(DataClass::Intermediate, dense_bytes(v, dims.gnn_out_dim));
             }
-            cost.push(Phase::Combination, *cb_ops, cb_traffic);
+            cost.push(Phase::Combination, cb_ops, cb_traffic);
         }
-        // lint: allow(panic-surface) -- GcnStack::new rejects zero layers, so forward_all_layers returns one output per layer (≥ 1)
-        let z = layer_outs.last().expect("stack is non-empty");
+        let z = match state {
+            Some(_) => Some(model.gcn().forward(&a_norm, snap.features())?),
+            None => None,
+        };
 
         // RNN over all vertices. State spills if it does not fit alongside Z.
-        charge_rnn(model, z, state.as_mut(), mem, &mut cost)?;
+        charge_rnn(model, v, z.as_ref().zip(state.as_mut()), mem, &mut cost)?;
         let t = snaps.index();
-        sink(Step { t, z, state: state.as_ref(), cost: &cost, operator: &a_norm, delta: None });
+        sink(Step {
+            t,
+            z: z.as_ref(),
+            state: state.as_ref(),
+            cost: &cost,
+            operator: &a_norm,
+            delta: None,
+        });
         // Only the current snapshot is read; the replaced one drops here.
         if snaps.next().transpose()?.is_none() {
             return Ok(());

@@ -157,16 +157,33 @@ impl GcnStack {
         a_norm: &CsrMatrix,
         x0: &DenseMatrix,
     ) -> Result<(Vec<DenseMatrix>, Vec<(OpStats, OpStats)>)> {
-        let mut outs = Vec::with_capacity(self.layers.len());
+        let mut outs: Vec<DenseMatrix> = Vec::with_capacity(self.layers.len());
         let mut costs = Vec::with_capacity(self.layers.len());
-        let mut cur = x0.clone();
         for layer in &self.layers {
-            let (next, ag, cb) = layer.forward(a_norm, &cur)?;
+            let (next, ag, cb) = layer.forward(a_norm, outs.last().unwrap_or(x0))?;
             costs.push((ag, cb));
-            outs.push(next.clone());
-            cur = next;
+            outs.push(next);
         }
         Ok((outs, costs))
+    }
+
+    /// The per-layer aggregation/combination op counts
+    /// [`forward_all_layers`](Self::forward_all_layers) returns for the
+    /// operator `a_norm`, without evaluating any layer: SpMM counts follow
+    /// the row lengths of `a_norm` ([`ops::spmm_stats`]) and GEMM counts the
+    /// shapes ([`OpStats::gemm`]), so they do not depend on the features.
+    pub fn layer_ops(&self, a_norm: &CsrMatrix) -> Vec<(OpStats, OpStats)> {
+        let v = a_norm.rows() as u64;
+        self.layers
+            .iter()
+            .map(|layer| {
+                let (in_dim, out_dim) = (layer.in_dim(), layer.out_dim());
+                (
+                    ops::spmm_stats(a_norm, in_dim),
+                    OpStats::gemm(v, out_dim as u64, in_dim as u64),
+                )
+            })
+            .collect()
     }
 
     /// Full forward pass returning only `Z = X_L`.
@@ -265,6 +282,20 @@ mod tests {
         assert_eq!(costs.len(), 3);
         assert_eq!(outs[0].shape(), (4, 3));
         assert_eq!(outs[2], s.forward(&a, &x).unwrap());
+    }
+
+    #[test]
+    fn layer_ops_equal_the_executed_counts() {
+        // Vertex 4 is isolated, so its row is empty under the raw operator.
+        let a = adjacency_from_edges(5, &[(0, 1), (1, 2), (2, 3), (0, 3)]).unwrap();
+        assert_eq!(a.row_nnz(4), 0);
+        for activation in [Activation::Linear, Activation::Relu] {
+            let s = GcnStack::random(3, 2, 3, activation, 4).unwrap();
+            let x = DenseMatrix::from_vec(5, 3, (0..15).map(|i| (i as f32).sin()).collect())
+                .unwrap();
+            let (_, executed) = s.forward_all_layers(&a, &x).unwrap();
+            assert_eq!(s.layer_ops(&a), executed, "{activation:?}");
+        }
     }
 
     #[test]

@@ -543,50 +543,6 @@ fn optimized_l3(a: &CsrMatrix, da: &CsrMatrix) -> Result<Dissimilarity> {
     Ok(Dissimilarity { delta_ac, ops, products, transposes: 2, saved: s_dda + s_daa })
 }
 
-/// The aggregation half of Eq. 10:
-/// `ΔAgg = ΔA_C · X_0^{t+1} + A_C^t · ΔX_0^{t+1}`.
-///
-/// The second product exploits the row sparsity of `ΔX_0` (only updated
-/// vertices have non-zero rows) and the symmetry of `A_C^t`: only the columns
-/// of `A_C^t` matching updated rows contribute, accessed as rows via
-/// symmetry.
-///
-/// # Errors
-///
-/// Returns a dimension error if shapes are inconsistent.
-pub fn delta_aggregation(
-    delta_ac: &CsrMatrix,
-    x0_next: &DenseMatrix,
-    ac_prev: &CsrMatrix,
-    dx0: &DenseMatrix,
-) -> Result<(DenseMatrix, OpStats)> {
-    let (mut agg, mut ops) = ops::spmm_with_stats(delta_ac, x0_next)?;
-    if agg.shape() != dx0.shape() {
-        return Err(ModelError::Sparse(idgnn_sparse::SparseError::DimensionMismatch {
-            op: "delta_aggregation",
-            lhs: agg.shape(),
-            rhs: dx0.shape(),
-        }));
-    }
-    let k = dx0.cols();
-    for v in 0..dx0.rows() {
-        let row = dx0.row(v);
-        if row.iter().all(|&x| x == 0.0) {
-            continue;
-        }
-        // A_C^t is symmetric: column v equals row v.
-        for (r, w) in ac_prev.row_iter(v) {
-            let out = &mut agg.as_mut_slice()[r * k..(r + 1) * k];
-            for (o, &x) in out.iter_mut().zip(row) {
-                *o += w * x;
-            }
-            ops.mults += k as u64;
-            ops.adds += k as u64;
-        }
-    }
-    Ok((agg, ops))
-}
-
 /// Rows of `m` containing at least one entry with `|x| > tol` — the
 /// "involved vertices" whose features/outputs the one-pass kernel touches.
 pub fn nonzero_rows(m: &DenseMatrix, tol: f32) -> Vec<usize> {
@@ -688,31 +644,6 @@ mod tests {
         let a = CsrMatrix::identity(4);
         let d = CsrMatrix::identity(5);
         assert!(fused_dissimilarity(&a, &d, 3, DissimilarityStrategy::General).is_err());
-    }
-
-    #[test]
-    fn delta_aggregation_matches_dense_reference() {
-        let (a, an, d) = setup(Normalization::Symmetric);
-        let dac = fused_dissimilarity(&a, &d, 3, DissimilarityStrategy::default()).unwrap();
-        let ac_prev = ops::sp_pow_with_stats(&a, 3).unwrap().0;
-        let ac_next = ops::sp_pow_with_stats(&an, 3).unwrap().0;
-
-        let x_prev = DenseMatrix::from_vec(8, 3, (0..24).map(|i| (i as f32).cos()).collect()).unwrap();
-        let mut x_next = x_prev.clone();
-        for c in 0..3 {
-            x_next.set(2, c, 5.0 + c as f32); // vertex 2's features change
-        }
-        let dx0 = x_next.sub(&x_prev).unwrap();
-
-        let (got, ops_cnt) = delta_aggregation(&dac.delta_ac, &x_next, &ac_prev, &dx0).unwrap();
-        // Reference: A_C^{t+1}·X^{t+1} − A_C^t·X^t.
-        let want = ops::spmm_with_stats(&ac_next, &x_next)
-            .unwrap()
-            .0
-            .sub(&ops::spmm_with_stats(&ac_prev, &x_prev).unwrap().0)
-            .unwrap();
-        assert!(got.approx_eq(&want, 1e-3), "max diff {}", got.max_abs_diff(&want).unwrap());
-        assert!(ops_cnt.mults > 0);
     }
 
     #[test]

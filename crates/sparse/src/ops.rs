@@ -728,17 +728,16 @@ pub fn sp_sum_pruned(terms: &[&CsrMatrix], prefix_nnz: &mut [usize]) -> Result<C
 /// `CHUNKED` selects the vectorizable AXPY in [`crate::simd`] (the default)
 /// or the scalar reference; both are bit-identical because every output
 /// slot accumulates its products in unchanged ascending-`k` order.
+// lint: buffer-carrier -- the checked-out buffer becomes the returned block, which spmm_par_impl moves into the output or recycles
 fn spmm_block<const CHUNKED: bool>(
     a: &CsrMatrix,
     x: &DenseMatrix,
     rows: std::ops::Range<usize>,
-) -> (Vec<f32>, OpStats) {
+) -> Vec<f32> {
     let k = x.cols();
     let mut out = workspace::take_value_buffer(rows.len() * k);
     out.resize(rows.len() * k, 0.0);
-    let mut stats = OpStats::default();
     for (i, r) in rows.enumerate() {
-        let row_nnz = a.row_nnz(r) as u64;
         let orow = &mut out[i * k..(i + 1) * k];
         for (c, v) in a.row_iter(r) {
             let xrow = x.row(c);
@@ -750,14 +749,35 @@ fn spmm_block<const CHUNKED: bool>(
                 }
             }
         }
-        stats.mults += row_nnz * k as u64;
-        stats.adds += row_nnz.saturating_sub(1) * k as u64;
     }
-    (out, stats)
+    out
+}
+
+/// Exact op counts of the SpMM `a · x` over the rows `rows` of `a`, for an
+/// `x` of width `k`: each stored entry (explicit zeros included) drives one
+/// width-`k` multiply, and a row of `n` entries sums them with `(n − 1)⁺`
+/// width-`k` adds, so an empty row costs nothing. Depends on the row
+/// lengths of `a` only; a caller that needs the counts but not the product
+/// charges these without running it.
+pub fn spmm_rows_stats(a: &CsrMatrix, rows: impl IntoIterator<Item = usize>, k: usize) -> OpStats {
+    let k = k as u64;
+    let mut stats = OpStats::default();
+    for r in rows {
+        let row_nnz = a.row_nnz(r) as u64;
+        stats.mults += row_nnz * k;
+        stats.adds += row_nnz.saturating_sub(1) * k;
+    }
+    stats
+}
+
+/// Exact op counts of the full SpMM `a · x` for an `x` of width `k`
+/// ([`spmm_rows_stats`] over every row): what [`spmm_with_stats`] reports.
+pub fn spmm_stats(a: &CsrMatrix, k: usize) -> OpStats {
+    spmm_rows_stats(a, 0..a.rows(), k)
 }
 
 /// Sparse × dense product (SpMM) `a · x` together with its exact op
-/// counts — the GNN *aggregation* kernel `A · X`.
+/// counts ([`spmm_stats`]) — the GNN *aggregation* kernel `A · X`.
 ///
 /// # Errors
 ///
@@ -786,24 +806,22 @@ fn spmm_par_impl<const CHUNKED: bool>(
         |r| a.row_nnz(r) as u64,
         |range| spmm_block::<CHUNKED>(a, x, range),
     );
-    let (data, stats) = if blocks.len() == 1 {
+    let data = if blocks.len() == 1 {
         // Single block (the serial path): the chunk *is* the output — move it.
         // lint: allow(panic-surface) -- this branch runs only when `blocks.len() == 1`
         blocks.pop().expect("length checked above")
     } else {
         let mut data = workspace::take_value_buffer(a.rows() * k);
-        let mut stats = OpStats::default();
-        for (chunk, s) in blocks {
+        for chunk in blocks {
             data.extend_from_slice(&chunk);
-            stats += s;
             workspace::recycle_value_buffer(chunk);
         }
-        (data, stats)
+        data
     };
     let out = DenseMatrix::from_vec(a.rows(), k, data)
         // lint: allow(panic-surface) -- the blocks tile all `a.rows()` rows with `k` values each, so `data` has rows·k values
         .expect("blocked SpMM output has the declared shape");
-    Ok((out, stats))
+    Ok((out, spmm_stats(a, k)))
 }
 
 /// `L`-th power of a square sparse matrix by repeated SpGEMM, together
@@ -1031,6 +1049,34 @@ mod tests {
         let x = DenseMatrix::zeros(4, 10);
         let (_, st) = spmm_with_stats(&a, &x).unwrap();
         assert_eq!(st.mults, 6 * 10);
+    }
+
+    #[test]
+    fn spmm_stats_equal_the_executed_counts_with_empty_rows_and_stored_zeros() {
+        // Row lengths 2, 0, 3, 0, 1: rows 1 and 3 are empty, and row 2
+        // stores an explicit zero, which still counts as an entry.
+        let a = CsrMatrix::from_raw_parts(
+            5,
+            5,
+            vec![0, 2, 2, 5, 5, 6],
+            vec![0, 4, 1, 2, 3, 0],
+            vec![1.0, 2.0, 0.0, -1.0, 0.5, 3.0],
+        )
+        .unwrap();
+        let x = DenseMatrix::from_vec(5, 3, (0..15).map(|i| i as f32 * 0.25).collect()).unwrap();
+        // mults 6 entries × 3; adds (1 + 2 + 0) × 3.
+        assert_eq!(spmm_stats(&a, 3), OpStats::counted(18, 9));
+        assert_eq!(spmm_rows_stats(&a, [1, 2], 3), OpStats::counted(9, 6));
+        let wide = random_sparse(90, 300, 11);
+        let xw = DenseMatrix::from_vec(90, 4, (0..360).map(|i| (i as f32).cos()).collect()).unwrap();
+        for (m, x) in [(&a, &x), (&wide, &xw)] {
+            for threads in [1, 4] {
+                let par = Parallelism::new(threads);
+                let _scope = parallel::kernel_scope(par);
+                assert_eq!(spmm_with_stats(m, x).unwrap().1, spmm_stats(m, x.cols()));
+                assert_eq!(spmm_at(m, x, par).unwrap().1, spmm_stats(m, x.cols()));
+            }
+        }
     }
 
     #[test]

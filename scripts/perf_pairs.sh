@@ -9,8 +9,19 @@
 # edits included) into two directories whose paths have the same length,
 # builds perfbench in each, runs the two builds alternately <pairs> times
 # (`--trace 0`, the first build alternating too), prints each end-to-end
-# metric's median and quartiles per side and how many pairs the working tree
-# won, and removes the copies. It exits 1 if any run reports a failed operation.
+# metric's median and quartiles per side, how many pairs the working tree
+# won and a verdict, and removes the copies. It exits 1 if any run reports a
+# failed operation.
+#
+# The verdict of a metric, first match wins:
+#   gain        the working tree won >= 9/10 of the pairs, and its median is
+#               better than the revision's by more than the revision's q1-q3
+#               distance (a claimed gain also needs >= 10 pairs);
+#   worse       the working tree's median is worse than the revision's by more
+#               than the metric's `bound` in BENCHMARK.json (relative);
+#   unresolved  the revision's own q1-q3 distance, relative to its median,
+#               exceeds that bound, so the runs spread too widely to tell;
+#   flat        otherwise.
 #
 # Equal-length paths matter: the binaries embed their checkout's absolute
 # path, and builds of the same source at paths of different length have
@@ -55,8 +66,8 @@ for side in base head; do
     --manifest-path "$tmp/$side/perfbench/Cargo.toml"
 done
 
-# name + "higher"/"lower" for each end-to-end metric.
-jq -r '.end_to_end[] | "\(.name) \(.better)"' "$repo/BENCHMARK.json" >"$tmp/metrics"
+# name, "higher"/"lower" and the relative bound of each end-to-end metric.
+jq -r '.end_to_end[] | "\(.name) \(.better) \(.bound)"' "$repo/BENCHMARK.json" >"$tmp/metrics"
 
 failed=0
 run_side() { # <side> <pair>
@@ -91,8 +102,8 @@ side_values() { for i in $(seq 1 "$pairs"); do value "$tmp/$1.$i.metrics" "$2"; 
 
 echo "# $workload, seed $seed, ${seconds} s runs, $pairs pair(s): $rev ($commit) vs working tree"
 echo "# each side: median [q1, q3]; won: pairs in which the working tree read better"
-printf '%-16s %34s %34s %9s %6s\n' metric base head head/base won
-while read -r name better; do
+printf '%-16s %34s %34s %9s %6s %-10s\n' metric base head head/base won verdict
+while read -r name better bound; do
   read -r base_q1 base_med base_q3 < <(side_values base "$name" | quartiles)
   read -r head_q1 head_med head_q3 < <(side_values head "$name" | quartiles)
   won=0
@@ -104,7 +115,16 @@ while read -r name better; do
     fi
   done
   ratio=$(awk -v b="$base_med" -v h="$head_med" 'BEGIN { if (b == 0) print "-"; else printf "%.3f", h / b }')
-  printf '%-16s %34s %34s %9s %6s\n' "$name" "$base_med [$base_q1, $base_q3]" \
-    "$head_med [$head_q1, $head_q3]" "$ratio" "$won/$pairs"
+  verdict=$(awk -v bq1="$base_q1" -v bm="$base_med" -v bq3="$base_q3" -v hm="$head_med" \
+    -v won="$won" -v n="$pairs" -v bound="$bound" -v d="$better" 'BEGIN {
+      gain = d == "higher" ? hm - bm : bm - hm  # > 0 when the working tree reads better
+      scale = bm < 0 ? -bm : bm
+      if (won * 10 >= 9 * n && gain > bq3 - bq1) print "gain"
+      else if (scale > 0 && -gain / scale > bound) print "worse"
+      else if (scale > 0 && (bq3 - bq1) / scale > bound) print "unresolved"
+      else print "flat"
+    }')
+  printf '%-16s %34s %34s %9s %6s %-10s\n' "$name" "$base_med [$base_q1, $base_q3]" \
+    "$head_med [$head_q1, $head_q3]" "$ratio" "$won/$pairs" "$verdict"
 done <"$tmp/metrics"
 exit "$failed"
