@@ -15,12 +15,11 @@
 //! so the bench harness compares them directly.
 //!
 //! Execution and timing are split: each baseline's `time` turns an
-//! [`ExecutionResult`](idgnn_model::ExecutionResult) into a report, and
+//! [`ExecutionResult`] into a report, and
 //! `simulate` is `exec::run_costs` followed by `time`; that run charges the
 //! GNN outputs and the RNN from their exact counts and never evaluates
-//! them. [`simulate_baselines`]
-//! executes Recompute once for both ReaDy and DGNN-Booster and Incremental
-//! once for RACE.
+//! them. [`simulate_baselines`] walks the stream once with a Recompute lane
+//! for both ReaDy and DGNN-Booster and an Incremental lane for RACE.
 //!
 //! ## Example
 //!
@@ -59,16 +58,53 @@ pub use ready::Ready;
 use idgnn_core::SimReport;
 use idgnn_graph::DynamicGraph;
 use idgnn_hw::AcceleratorConfig;
-use idgnn_model::{exec, Algorithm, DgnnModel};
+use idgnn_model::exec::{Lane, SinkReads};
+use idgnn_model::{exec, Algorithm, DgnnModel, ExecutionResult};
 
-/// Simulates ReaDy, DGNN-Booster and RACE (in that order) on one workload,
-/// executing each algorithm once.
+/// The two executions ReaDy, DGNN-Booster and RACE time, as lanes of one
+/// walk ([`exec::stream_lanes`]): Recompute (ReaDy and DGNN-Booster), then
+/// Incremental (RACE), both under the memory model the iso-resource rule
+/// gives all three baselines.
+///
+/// # Errors
+///
+/// Returns a hardware error for a malformed configuration.
+pub fn baseline_lanes(reference: AcceleratorConfig) -> Result<[Lane; 2]> {
+    let mem = common::memory(Ready::new(reference)?.config());
+    Ok([Lane::new(Algorithm::Recompute, mem), Lane::new(Algorithm::Incremental, mem)])
+}
+
+/// Times ReaDy, DGNN-Booster and RACE (in that order) from the collected
+/// costs of the two [`baseline_lanes`]: `recompute` feeds both ReaDy and
+/// DGNN-Booster, `incremental` feeds RACE.
+///
+/// # Errors
+///
+/// Returns a hardware error for a malformed configuration.
+pub fn time_baselines(
+    reference: AcceleratorConfig,
+    model: &DgnnModel,
+    dg: &DynamicGraph,
+    recompute: &ExecutionResult,
+    incremental: &ExecutionResult,
+) -> Result<[SimReport; 3]> {
+    Ok([
+        Ready::new(reference)?.time(model, dg, recompute),
+        Booster::new(reference)?.time(model, dg, recompute),
+        Race::new(reference)?.time(model, dg, incremental),
+    ])
+}
+
+/// Simulates ReaDy, DGNN-Booster and RACE (in that order) on one workload
+/// from one walk of its stream.
 ///
 /// ReaDy and DGNN-Booster both run the Recompute algorithm under the same
 /// memory model (the iso-resource rule gives them the same storage), so one
-/// Recompute execution feeds both timing models; RACE times one Incremental
-/// execution. Each report equals the one its accelerator's `simulate_with`
-/// returns, field for field.
+/// Recompute lane feeds both timing models; RACE times the Incremental
+/// lane. Both lanes share the walk's snapshots, operators and `ΔÂ`
+/// ([`baseline_lanes`]), and their costs are collected and then timed
+/// ([`time_baselines`]). Each report equals the one its accelerator's
+/// `simulate_with` returns, field for field.
 ///
 /// # Errors
 ///
@@ -80,13 +116,13 @@ pub fn simulate_baselines(
     parallelism: Option<usize>,
 ) -> Result<[SimReport; 3]> {
     let _kernel_scope = common::kernel_scope(parallelism);
-    let (ready, booster, race) =
-        (Ready::new(reference)?, Booster::new(reference)?, Race::new(reference)?);
-    let mem = common::memory(ready.config());
-    // Timing reads only the costs, so neither execution keeps its outputs.
-    let race = race.time(model, dg, &exec::run_costs(Algorithm::Incremental, model, dg, &mem)?);
-    let recompute = exec::run_costs(Algorithm::Recompute, model, dg, &mem)?;
-    Ok([ready.time(model, dg, &recompute), booster.time(model, dg, &recompute), race])
+    // Timing reads only the costs, so neither lane keeps its outputs.
+    let mut runs = [ExecutionResult::default(), ExecutionResult::default()];
+    exec::stream_lanes(model, dg, &baseline_lanes(reference)?, SinkReads::Costs, |lane, step| {
+        runs[lane].record(&step);
+    })?;
+    let [recompute, incremental] = &runs;
+    time_baselines(reference, model, dg, recompute, incremental)
 }
 
 #[cfg(test)]
@@ -160,11 +196,14 @@ mod shared_execution_tests {
         let (model, dg) = workload();
         let config = small_config();
         let runs_before = exec::runs_on_this_thread();
+        let walks_before = exec::walks_on_this_thread();
         let [ready, booster, race] = simulate_baselines(config, &model, &dg, Some(1)).unwrap();
         let runs = exec::runs_on_this_thread();
-        // One Recompute and one Incremental execution, no OnePass.
+        // One Recompute and one Incremental execution, no OnePass, on one
+        // walk.
         let executed: Vec<u64> = runs.iter().zip(runs_before).map(|(a, b)| a - b).collect();
         assert_eq!(executed, [1, 1, 0]);
+        assert_eq!(exec::walks_on_this_thread() - walks_before, 1);
         assert_eq!(ready, Ready::new(config).unwrap().simulate_with(&model, &dg, Some(1)).unwrap());
         assert_eq!(
             booster,

@@ -11,13 +11,14 @@
 //! (buffers, bandwidth, PE count), preserving the spill behaviour of the
 //! full-size system — see DESIGN.md §2.
 
-use idgnn_baselines::{simulate_baselines, Booster, Race, Ready};
+use idgnn_baselines::{baseline_lanes, time_baselines, Booster, Race, Ready};
 use idgnn_core::{IdgnnAccelerator, SimOptions, SimReport};
 use idgnn_graph::datasets::{DatasetSpec, ALL_DATASETS};
 use idgnn_graph::generate::StreamConfig;
 use idgnn_graph::{DynamicGraph, Normalization};
 use idgnn_hw::AcceleratorConfig;
-use idgnn_model::{Activation, Algorithm, DgnnModel, MemoryModel, ModelConfig};
+use idgnn_model::exec::{self, SinkReads};
+use idgnn_model::{Activation, Algorithm, DgnnModel, ExecutionResult, MemoryModel, ModelConfig};
 use idgnn_sparse::Parallelism;
 
 /// Harness result alias.
@@ -194,25 +195,43 @@ impl Context {
     }
 
     /// Simulates all four accelerators on one workload, in [`ACCELERATORS`]
-    /// order, executing each algorithm once: OnePass for I-DGNN, one
-    /// Recompute run timed by both ReaDy and DGNN-Booster, and one
-    /// Incremental run for RACE
-    /// ([`idgnn_baselines::simulate_baselines`]). Each report equals
-    /// [`Context::run_accelerator`]'s for the same name, field for field.
+    /// order, from one walk of its stream with three lanes
+    /// ([`exec::stream_lanes`]): OnePass for I-DGNN, timed step by step as
+    /// the walk lends it ([`IdgnnAccelerator::timer`]); Recompute for both
+    /// ReaDy and DGNN-Booster and Incremental for RACE
+    /// ([`idgnn_baselines::baseline_lanes`]), whose costs are collected and
+    /// then timed ([`idgnn_baselines::time_baselines`]). The walk applies
+    /// each delta, normalises each `Â^t` and subtracts each `ΔÂ` once for
+    /// all three. Each report equals [`Context::run_accelerator`]'s for the
+    /// same name, field for field.
     ///
     /// # Errors
     ///
     /// Propagates simulation errors.
     pub fn run_accelerators(&self, w: &Workload) -> Result<[SimReport; 4]> {
-        let idgnn = self.run_idgnn(w, &SimOptions::default())?;
-        let [ready, booster, race] = simulate_baselines(self.config, &w.model, &w.graph, None)?;
-        Ok([idgnn, ready, booster, race])
+        let idgnn = IdgnnAccelerator::new(self.config)?;
+        let opts = SimOptions::default();
+        let mut timer = idgnn.timer(&w.model, &w.graph, &opts);
+        let [recompute_lane, incremental_lane] = baseline_lanes(self.config)?;
+        let lanes = [idgnn.lane(&opts), recompute_lane, incremental_lane];
+        // Lanes 1 and 2 keep their costs for the baselines' timing models.
+        let mut runs = [ExecutionResult::default(), ExecutionResult::default()];
+        exec::stream_lanes(&w.model, &w.graph, &lanes, SinkReads::Costs, |lane, step| {
+            match lane {
+                0 => timer.time(&step),
+                _ => runs[lane - 1].record(&step),
+            }
+        })?;
+        let [recompute, incremental] = &runs;
+        let [ready, booster, race] =
+            time_baselines(self.config, &w.model, &w.graph, recompute, incremental)?;
+        Ok([timer.finish(), ready, booster, race])
     }
 
     /// Simulates one of the four accelerators by name
-    /// (`"I-DGNN" | "ReaDy" | "DGNN-Booster" | "RACE"`). A grid that needs
-    /// all four should call [`Context::run_accelerators`], which executes
-    /// the shared Recompute run once.
+    /// (`"I-DGNN" | "ReaDy" | "DGNN-Booster" | "RACE"`). Each call walks
+    /// the stream once; a grid that needs all four should call
+    /// [`Context::run_accelerators`], which walks it once for all of them.
     ///
     /// # Errors
     ///

@@ -37,9 +37,10 @@ pub struct Fig12 {
 ///
 /// Propagates simulation errors.
 pub fn run(ctx: &Context) -> Result<Fig12> {
-    // One cell per dataset: `run_accelerators` executes each algorithm once
-    // and times all four accelerators; the driver fans the cells across
-    // workers and hands back results in declared order.
+    // One cell per dataset: `run_accelerators` walks the stream once,
+    // executes each algorithm once on that walk and times all four
+    // accelerators; the driver fans the cells across workers and hands back
+    // results in declared order.
     let grid = driver::run_cells(ctx.parallelism, &ctx.workloads, |_, w| {
         Ok(ctx.run_accelerators(w)?.map(|r| r.total_cycles))
     })?;

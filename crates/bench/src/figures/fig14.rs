@@ -60,8 +60,9 @@ pub struct Fig14 {
 ///
 /// Propagates simulation errors.
 pub fn run(ctx: &Context) -> Result<Fig14> {
-    // One cell per dataset: `run_accelerators` executes each algorithm once
-    // and times all four accelerators, in declared order.
+    // One cell per dataset: `run_accelerators` walks the stream once,
+    // executes each algorithm once on that walk and times all four
+    // accelerators, in declared order.
     let grid = driver::run_cells(ctx.parallelism, &ctx.workloads, |_, w| ctx.run_accelerators(w))?;
 
     let mut rows = Vec::new();

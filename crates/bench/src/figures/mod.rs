@@ -18,32 +18,33 @@ pub mod table1;
 
 #[cfg(test)]
 mod tests {
-    use idgnn_model::exec::runs_on_this_thread;
+    use idgnn_model::exec::{runs_on_this_thread, walks_on_this_thread};
     use idgnn_sparse::Parallelism;
 
     use crate::context::{Context, ExperimentScale};
 
-    /// Executions per algorithm (Recompute, Incremental, OnePass) that `f`
-    /// starts. A serial driver runs every cell on the calling thread, so the
-    /// thread's counters see all of them.
-    fn executions(f: impl FnOnce()) -> Vec<u64> {
-        let before = runs_on_this_thread();
+    /// Snapshot walks and executions per algorithm (Recompute, Incremental,
+    /// OnePass) that `f` starts. A serial driver runs every cell on the
+    /// calling thread, so the thread's counters see all of them.
+    fn walks_and_executions(f: impl FnOnce()) -> (u64, Vec<u64>) {
+        let (walks, runs) = (walks_on_this_thread(), runs_on_this_thread());
         f();
-        runs_on_this_thread().iter().zip(before).map(|(a, b)| a - b).collect()
+        let executions = runs_on_this_thread().iter().zip(runs).map(|(a, b)| a - b).collect();
+        (walks_on_this_thread() - walks, executions)
     }
 
     #[test]
-    fn accelerator_grids_execute_each_workload_and_algorithm_once() {
+    fn accelerator_grids_walk_each_workload_once_and_execute_each_algorithm_once() {
         let ctx = Context::new(ExperimentScale::Quick, 3)
             .unwrap()
             .with_parallelism(Parallelism::serial());
         let n = ctx.workloads.len() as u64;
-        let fig12 = executions(|| drop(super::fig12::run(&ctx).unwrap()));
-        assert_eq!(fig12, [n, n, n], "fig12");
-        let fig14 = executions(|| drop(super::fig14::run(&ctx).unwrap()));
-        assert_eq!(fig14, [n, n, n], "fig14");
+        let fig12 = walks_and_executions(|| drop(super::fig12::run(&ctx).unwrap()));
+        assert_eq!(fig12, (n, vec![n, n, n]), "fig12");
+        let fig14 = walks_and_executions(|| drop(super::fig14::run(&ctx).unwrap()));
+        assert_eq!(fig14, (n, vec![n, n, n]), "fig14");
         let points = super::fig15::SWEEP.len() as u64;
-        let fig15 = executions(|| drop(super::fig15::run(&ctx).unwrap()));
-        assert_eq!(fig15, [points, points, points], "fig15");
+        let fig15 = walks_and_executions(|| drop(super::fig15::run(&ctx).unwrap()));
+        assert_eq!(fig15, (points, vec![points, points, points]), "fig15");
     }
 }

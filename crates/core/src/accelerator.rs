@@ -12,8 +12,10 @@ use idgnn_hw::utilization::{trace, PhaseUtilization, UtilizationTrace};
 use idgnn_hw::{
     AcceleratorConfig, AccessPattern, EnergyBreakdown, Engine, PhaseWork, TrafficPattern,
 };
-use idgnn_model::exec::{OnePassOptions, SinkReads};
-use idgnn_model::{cost::dense_bytes, exec, Algorithm, DgnnModel, MemoryModel, Phase, SnapshotCost};
+use idgnn_model::exec::{Lane, OnePassOptions, SinkReads, Step};
+use idgnn_model::{
+    cost::dense_bytes, exec, Algorithm, DgnnModel, MemoryModel, ModelDims, Phase, SnapshotCost,
+};
 use idgnn_sparse::OpStats;
 
 use crate::dataflow::TorusDataflow;
@@ -161,7 +163,41 @@ impl IdgnnAccelerator {
         &self.engine
     }
 
-    /// Simulates the full dynamic-graph workload.
+    /// The execution [`simulate`](Self::simulate) times under `opts`, as a
+    /// lane of a shared walk ([`exec::stream_lanes`]): its memory model is
+    /// the accelerator's whole on-chip storage.
+    pub fn lane(&self, opts: &SimOptions) -> Lane {
+        Lane {
+            algorithm: opts.algorithm.unwrap_or(Algorithm::OnePass),
+            mem: MemoryModel { onchip_bytes: self.engine.config().total_onchip_bytes() },
+            onepass: opts.onepass,
+        }
+    }
+
+    /// A sink that times the steps of [`lane`](Self::lane)`(opts)` running
+    /// `model` over `dg` as they arrive; [`StepTimer::finish`] turns it into
+    /// the report [`simulate`](Self::simulate) returns. A walk that runs
+    /// other lanes too can feed it this lane's steps.
+    pub fn timer(&self, model: &DgnnModel, dg: &DynamicGraph, opts: &SimOptions) -> StepTimer<'_> {
+        let n = dg.num_snapshots();
+        StepTimer {
+            accel: self,
+            opts: *opts,
+            dataflow: TorusDataflow::new(self.engine.config().num_pes()),
+            dims: model.dims(),
+            weight_bytes: model.weight_bytes(),
+            v: dg.initial().num_vertices(),
+            snapshots: Vec::with_capacity(n),
+            util_phases: Vec::new(),
+            energy: EnergyBreakdown::default(),
+            dram_bytes: 0,
+            ops: OpStats::default(),
+            stage_pairs: Vec::with_capacity(n),
+        }
+    }
+
+    /// Simulates the full dynamic-graph workload: one walk with the single
+    /// lane [`lane`](Self::lane)`(opts)`, timed by a [`StepTimer`].
     ///
     /// The executor runs as a [`SinkReads::Costs`] stream: timing reads each
     /// step's costs, operator and `ΔÂ`, never `Z^t` or the RNN state, so
@@ -183,112 +219,11 @@ impl IdgnnAccelerator {
         let _kernel_scope = opts.parallelism.map(|n| {
             idgnn_sparse::parallel::kernel_scope(idgnn_sparse::Parallelism::new(n))
         });
-        let config = self.engine.config();
-        let mem = MemoryModel { onchip_bytes: config.total_onchip_bytes() };
-        let algorithm = opts.algorithm.unwrap_or(Algorithm::OnePass);
-
-        let dataflow = TorusDataflow::new(config.num_pes());
-        let dims = model.dims();
-        let v = dg.initial().num_vertices();
-
-        let mut report_snapshots = Vec::with_capacity(dg.num_snapshots());
-        let mut util_phases = Vec::new();
-        let mut energy = EnergyBreakdown::default();
-        let mut dram_total = 0u64;
-        let mut ops = OpStats::default();
-        let mut stage_pairs = Vec::with_capacity(dg.num_snapshots());
-
-        // Each snapshot is timed as the executor hands it over, from the
-        // operator `Â^t` and (one-pass transitions) the `ΔÂ` it built.
-        exec::stream(algorithm, model, dg, &mem, &opts.onepass, SinkReads::Costs, |step| {
-            let (t, cost, a_norm) = (step.t, step.cost, step.operator);
-            let balance = dataflow.load_balance(a_norm);
-
-            // Rotation traffic: the distributed working set makes a full
-            // ring pass per GNN kernel invocation. For the one-pass
-            // algorithm in steady state the operator and dense caches are
-            // resident at their home PEs — only the delta-receptive working
-            // set (ΔA-anchored partial products and touched dense rows)
-            // rotates; the other algorithms re-stream everything.
-            let rotated_bytes = match step.delta {
-                Some(d_op) => {
-                    let seed_rows = (0..v).filter(|&r| d_op.row_nnz(r) > 0).count();
-                    let mean_deg = (a_norm.nnz() as f64 / v.max(1) as f64).max(1.0);
-                    let touched = ((seed_rows as f64)
-                        * mean_deg.powi(dims.gnn_layers.saturating_sub(1) as i32))
-                    .min(v as f64) as usize;
-                    dims.gnn_layers as u64 * d_op.csr_bytes()
-                        + dense_bytes(touched, dims.gnn_out_dim)
-                }
-                None => a_norm.csr_bytes() + dense_bytes(v, dims.input_dim),
-            };
-            let (noc_bytes, noc_pattern) = match opts.dataflow {
-                DataflowPolicy::Rotation => {
-                    (dataflow.rotation_bytes(rotated_bytes), TrafficPattern::NeighborShift)
-                }
-                DataflowPolicy::Broadcast => (
-                    rotated_bytes.saturating_mul(config.num_pes() as u64),
-                    TrafficPattern::Broadcast,
-                ),
-            };
-
-            // Buffer-occupancy bookkeeping for the Fig. 18 trace: the first
-            // snapshot materializes the resident working set; later
-            // snapshots only add their (small) delta structures.
-            let resident_bytes = a_norm.csr_bytes()
-                + dense_bytes(v, dims.input_dim)
-                + 2 * dense_bytes(v, dims.gnn_out_dim)
-                + 2 * dense_bytes(v, dims.rnn_hidden_dim)
-                + model.weight_bytes();
-            let occupancy_delta = if t == 0 {
-                (resident_bytes as f64 / config.total_onchip_bytes() as f64).min(1.0)
-            } else {
-                (cost.total_dram().total() as f64 / config.total_onchip_bytes() as f64).min(0.05)
-            };
-
-            let schedule = self.schedule_for(opts, cost, balance, noc_bytes, noc_pattern);
-            // In steady state the RNN lane works on snapshot t−1's RNN-A
-            // while the GNN lane runs snapshot t (Fig. 8) — the utilization
-            // trace credits the concurrent lane.
-            let overlap_util =
-                if !opts.disable_pipeline && t > 0 { schedule.beta * 0.95 } else { 0.0 };
-            let sim = self.time_snapshot_traced(
-                cost,
-                schedule,
-                balance,
-                noc_bytes,
-                noc_pattern,
-                occupancy_delta,
-                overlap_util,
-                &mut util_phases,
-            );
-            energy = energy + sim.energy;
-            dram_total += sim.dram_bytes;
-            ops += cost.total_ops();
-            stage_pairs.push((
-                sim.frontend_cycles + sim.gnn_cycles + sim.rnn_b_cycles,
-                sim.rnn_a_cycles,
-            ));
-            report_snapshots.push(sim);
+        let mut timer = self.timer(model, dg, opts);
+        exec::stream_lanes(model, dg, &[self.lane(opts)], SinkReads::Costs, |_, step| {
+            timer.time(&step);
         })?;
-
-        let serial_cycles: f64 = report_snapshots.iter().map(SnapshotSim::serial_cycles).sum();
-        let total_cycles = if opts.disable_pipeline {
-            serial_cycles
-        } else {
-            // Fig. 8: RNN-A(t) overlaps the front of snapshot t+1.
-            idgnn_hw::overlap_cycles(&stage_pairs)
-        };
-
-        Ok(SimReport {
-            snapshots: report_snapshots,
-            total_cycles,
-            serial_cycles,
-            energy,
-            dram_bytes: dram_total,
-            ops,
-            phases: util_phases,
-        })
+        Ok(timer.finish())
     }
 
     /// Solves the scheduler's balancing objective for one snapshot. The
@@ -442,6 +377,123 @@ impl IdgnnAccelerator {
             energy,
             dram_bytes: dram,
             schedule,
+        }
+    }
+}
+
+/// Times one execution's steps on the I-DGNN accelerator as a walk lends
+/// them ([`IdgnnAccelerator::timer`]): per snapshot, the torus load balance
+/// of `Â^t`, the rotation bytes (from `ΔÂ` on one-pass transitions), the
+/// scheduler's MAC split, and each phase's cycles and energy.
+#[derive(Debug, Clone)]
+pub struct StepTimer<'a> {
+    accel: &'a IdgnnAccelerator,
+    opts: SimOptions,
+    dataflow: TorusDataflow,
+    dims: ModelDims,
+    weight_bytes: u64,
+    v: usize,
+    snapshots: Vec<SnapshotSim>,
+    util_phases: Vec<PhaseUtilization>,
+    energy: EnergyBreakdown,
+    dram_bytes: u64,
+    ops: OpStats,
+    stage_pairs: Vec<(f64, f64)>,
+}
+
+impl StepTimer<'_> {
+    /// Times the next snapshot, from its costs, its operator `Â^t` and (on
+    /// one-pass transitions) the `ΔÂ` the walk built.
+    pub fn time(&mut self, step: &Step<'_>) {
+        let accel = self.accel;
+        let config = accel.engine.config();
+        let (opts, dims, v) = (&self.opts, self.dims, self.v);
+        let (t, cost, a_norm) = (step.t, step.cost, step.operator);
+        let balance = self.dataflow.load_balance(a_norm);
+
+        // Rotation traffic: the distributed working set makes a full ring
+        // pass per GNN kernel invocation. For the one-pass algorithm in
+        // steady state the operator and dense caches are resident at their
+        // home PEs — only the delta-receptive working set (ΔA-anchored
+        // partial products and touched dense rows) rotates; the other
+        // algorithms re-stream everything.
+        let rotated_bytes = match step.delta {
+            Some(d_op) => {
+                let seed_rows = (0..v).filter(|&r| d_op.row_nnz(r) > 0).count();
+                let mean_deg = (a_norm.nnz() as f64 / v.max(1) as f64).max(1.0);
+                let touched = ((seed_rows as f64)
+                    * mean_deg.powi(dims.gnn_layers.saturating_sub(1) as i32))
+                .min(v as f64) as usize;
+                dims.gnn_layers as u64 * d_op.csr_bytes()
+                    + dense_bytes(touched, dims.gnn_out_dim)
+            }
+            None => a_norm.csr_bytes() + dense_bytes(v, dims.input_dim),
+        };
+        let (noc_bytes, noc_pattern) = match opts.dataflow {
+            DataflowPolicy::Rotation => {
+                (self.dataflow.rotation_bytes(rotated_bytes), TrafficPattern::NeighborShift)
+            }
+            DataflowPolicy::Broadcast => (
+                rotated_bytes.saturating_mul(config.num_pes() as u64),
+                TrafficPattern::Broadcast,
+            ),
+        };
+
+        // Buffer-occupancy bookkeeping for the Fig. 18 trace: the first
+        // snapshot materializes the resident working set; later snapshots
+        // only add their (small) delta structures.
+        let resident_bytes = a_norm.csr_bytes()
+            + dense_bytes(v, dims.input_dim)
+            + 2 * dense_bytes(v, dims.gnn_out_dim)
+            + 2 * dense_bytes(v, dims.rnn_hidden_dim)
+            + self.weight_bytes;
+        let occupancy_delta = if t == 0 {
+            (resident_bytes as f64 / config.total_onchip_bytes() as f64).min(1.0)
+        } else {
+            (cost.total_dram().total() as f64 / config.total_onchip_bytes() as f64).min(0.05)
+        };
+
+        let schedule = accel.schedule_for(opts, cost, balance, noc_bytes, noc_pattern);
+        // In steady state the RNN lane works on snapshot t−1's RNN-A while
+        // the GNN lane runs snapshot t (Fig. 8) — the utilization trace
+        // credits the concurrent lane.
+        let overlap_util = if !opts.disable_pipeline && t > 0 { schedule.beta * 0.95 } else { 0.0 };
+        let sim = accel.time_snapshot_traced(
+            cost,
+            schedule,
+            balance,
+            noc_bytes,
+            noc_pattern,
+            occupancy_delta,
+            overlap_util,
+            &mut self.util_phases,
+        );
+        self.energy = self.energy + sim.energy;
+        self.dram_bytes += sim.dram_bytes;
+        self.ops += cost.total_ops();
+        self.stage_pairs
+            .push((sim.frontend_cycles + sim.gnn_cycles + sim.rnn_b_cycles, sim.rnn_a_cycles));
+        self.snapshots.push(sim);
+    }
+
+    /// The report of the timed steps, with the Fig. 8 pipeline overlap
+    /// unless `disable_pipeline` is set.
+    pub fn finish(self) -> SimReport {
+        let serial_cycles: f64 = self.snapshots.iter().map(SnapshotSim::serial_cycles).sum();
+        let total_cycles = if self.opts.disable_pipeline {
+            serial_cycles
+        } else {
+            // Fig. 8: RNN-A(t) overlaps the front of snapshot t+1.
+            idgnn_hw::overlap_cycles(&self.stage_pairs)
+        };
+        SimReport {
+            snapshots: self.snapshots,
+            total_cycles,
+            serial_cycles,
+            energy: self.energy,
+            dram_bytes: self.dram_bytes,
+            ops: self.ops,
+            phases: self.util_phases,
         }
     }
 }

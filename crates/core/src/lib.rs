@@ -42,6 +42,7 @@ mod error;
 
 pub use accelerator::{
     DataflowPolicy, IdgnnAccelerator, SchedulerPolicy, SimOptions, SimReport, SnapshotSim,
+    StepTimer,
 };
 pub use dataflow::{RnnMapping, TorusDataflow};
 pub use diu::{Diu, DiuOutput};

@@ -180,7 +180,12 @@ impl GraphDelta {
     /// [`GraphDelta::feature_delta`].
     pub fn apply(&self, base: &GraphSnapshot) -> Result<GraphSnapshot> {
         let da = self.delta_matrix(base)?;
-        let next_a = idgnn_sparse::ops::sp_add(base.adjacency(), &da)?.pruned(0.0);
+        // The merge fills kernel-pool buffers, whose capacity can far exceed
+        // the result. The snapshot outlives the kernels, so it keeps an
+        // exact copy: holding the pooled buffers raised peak memory.
+        let merged = idgnn_sparse::ops::sp_add_pruned(base.adjacency(), &da)?;
+        let next_a = merged.clone();
+        drop(merged);
         let mut feats = base.features().clone();
         let k = base.feature_dim();
         for up in &self.feature_updates {
@@ -319,6 +324,42 @@ mod tests {
         assert_eq!(next.adjacency().get(4, 0), 1.0);
         assert_eq!(next.adjacency().get(1, 2), 0.0);
         // Removed entries must be structurally pruned, not stored zeros.
+        assert_eq!(next.adjacency().nnz(), 8);
+    }
+
+    #[test]
+    fn apply_is_bitwise_the_add_then_prune_composition() {
+        use crate::generate::{generate_dynamic_graph, GraphConfig, StreamConfig};
+        use idgnn_sparse::{ops, parallel::kernel_scope, Parallelism};
+        let bits = |m: &CsrMatrix| {
+            let values: Vec<u32> = m.values().iter().map(|v| v.to_bits()).collect();
+            (m.indptr().to_vec(), m.indices().to_vec(), values)
+        };
+        // Row 1 gains (1, 3) and loses (1, 2) in one delta, and the removal
+        // cancels to an exact zero that must not be stored.
+        let mut cases =
+            vec![(base(), GraphDelta::builder().add_edge(1, 3).remove_edge(1, 2).build())];
+        // A generated stream with rows enough for the row-blocked merge.
+        let dg = generate_dynamic_graph(
+            &GraphConfig::power_law(400, 1600, 4),
+            &StreamConfig { deltas: 3, dissimilarity: 0.1, ..Default::default() },
+            9,
+        )
+        .unwrap();
+        let snaps = dg.materialize().unwrap();
+        cases.extend(snaps.into_iter().zip(dg.deltas().iter().cloned()));
+        for (i, (base, delta)) in cases.iter().enumerate() {
+            let expected = ops::sp_add(base.adjacency(), &delta.delta_matrix(base).unwrap())
+                .unwrap()
+                .pruned(0.0);
+            for threads in [1, 4] {
+                let _scope = kernel_scope(Parallelism::new(threads));
+                let next = delta.apply(base).unwrap();
+                assert_eq!(bits(next.adjacency()), bits(&expected), "case {i} threads={threads}");
+            }
+        }
+        let next = cases[0].1.apply(&cases[0].0).unwrap();
+        assert_eq!(next.adjacency().row_indices(1), [0, 3]);
         assert_eq!(next.adjacency().nnz(), 8);
     }
 

@@ -3,82 +3,105 @@
 //! layer, but every affected component still traverses the full pipeline and
 //! the intermediate features of *both* snapshots must be retained.
 
-use idgnn_graph::DynamicGraph;
+use idgnn_graph::GraphSnapshot;
 use idgnn_sparse::{ops, CsrMatrix, DenseMatrix, OpStats};
 
 use crate::cost::{dense_bytes, DataClass, MemoryModel, Phase, SnapshotCost, Traffic};
 use crate::error::Result;
-use crate::exec::{charge_rnn, Step};
+use crate::exec::{charge_rnn, Frame};
 use crate::gcn::GcnLayer;
 use crate::lstm::LstmState;
 use crate::DgnnModel;
 
-pub(crate) fn run(
-    model: &DgnnModel,
-    dg: &DynamicGraph,
-    mem: &MemoryModel,
-    mut state: Option<LstmState>,
-    sink: &mut dyn FnMut(Step<'_>),
-) -> Result<()> {
-    let dims = model.dims();
-    let v = dg.initial().num_vertices();
-    let l_count = dims.gnn_layers;
-    let mut snaps = dg.stream();
+/// An Incremental lane's resident state: the RNN state, every layer's
+/// output (kept, and so computed, only when the sink reads `Z`), whether
+/// the reusable caches spill, and the last snapshot's cost. Each transition
+/// traverses the affected rows of the walk's `Â^t` from its `ΔÂ`.
+pub(crate) struct Incremental {
+    mem: MemoryModel,
+    state: Option<LstmState>,
+    layer_outs: Option<Vec<DenseMatrix>>,
+    cache_spilled: bool,
+    pub(crate) cost: SnapshotCost,
+}
 
-    // ---- Snapshot 0: full pipeline, caching every layer's output. ----
-    let mut a_prev = model.normalization().apply(snaps.current().adjacency());
-    let mut cost0 = SnapshotCost::default();
-    let mut front = Traffic::none();
-    front.read(DataClass::Weight, model.weight_bytes());
-    front.read(DataClass::Graph, a_prev.csr_bytes());
-    front.read(DataClass::InputFeature, dense_bytes(v, dims.input_dim));
-    cost0.push(Phase::Diu, OpStats::default(), front);
+impl Incremental {
+    /// Snapshot 0: the full pipeline over `a0`, caching every layer's
+    /// output.
+    pub(crate) fn start(
+        model: &DgnnModel,
+        mem: MemoryModel,
+        mut state: Option<LstmState>,
+        snap: &GraphSnapshot,
+        a0: &CsrMatrix,
+    ) -> Result<Self> {
+        let dims = model.dims();
+        let v = snap.num_vertices();
+        let l_count = dims.gnn_layers;
+        let mut cost0 = SnapshotCost::default();
+        let mut front = Traffic::none();
+        front.read(DataClass::Weight, model.weight_bytes());
+        front.read(DataClass::Graph, a0.csr_bytes());
+        front.read(DataClass::InputFeature, dense_bytes(v, dims.input_dim));
+        cost0.push(Phase::Diu, OpStats::default(), front);
 
-    // The incremental paradigm stages the per-layer intermediates of *both*
-    // the previous and the current snapshot through DRAM (§III-A-2, §VI-C) —
-    // that duplication is the paper's core criticism of it. The reusable
-    // dense caches (X_0, Z, RNN state) stay on-chip only if the whole set,
-    // including the duplicated intermediates, fits.
-    let cache_bytes = dense_bytes(v, dims.input_dim)
-        + 2 * l_count as u64 * dense_bytes(v, dims.gnn_out_dim)
-        + dense_bytes(v, dims.gnn_out_dim)
-        + 2 * dense_bytes(v, dims.rnn_hidden_dim)
-        + model.weight_bytes();
-    let cache_spilled = !mem.fits(cache_bytes);
+        // The incremental paradigm stages the per-layer intermediates of
+        // *both* the previous and the current snapshot through DRAM
+        // (§III-A-2, §VI-C) — that duplication is the paper's core criticism
+        // of it. The reusable dense caches (X_0, Z, RNN state) stay on-chip
+        // only if the whole set, including the duplicated intermediates,
+        // fits.
+        let cache_bytes = dense_bytes(v, dims.input_dim)
+            + 2 * l_count as u64 * dense_bytes(v, dims.gnn_out_dim)
+            + dense_bytes(v, dims.gnn_out_dim)
+            + 2 * dense_bytes(v, dims.rnn_hidden_dim)
+            + model.weight_bytes();
+        let cache_spilled = !mem.fits(cache_bytes);
 
-    // The counts follow `Â^0`'s row lengths and the layer shapes; the
-    // layer outputs are kept (and so computed) only when the sink reads
-    // `Z`, since no later count depends on their values.
-    for (l, (ag, cb)) in model.gcn().layer_ops(&a_prev).into_iter().enumerate() {
-        cost0.push(Phase::Aggregation, ag, Traffic::none());
-        let mut t = Traffic::none();
-        if l + 1 == l_count {
-            if cache_spilled {
-                t.write(DataClass::OutputFeature, dense_bytes(v, dims.gnn_out_dim));
+        // The counts follow `Â^0`'s row lengths and the layer shapes; the
+        // layer outputs are kept (and so computed) only when the sink reads
+        // `Z`, since no later count depends on their values.
+        for (l, (ag, cb)) in model.gcn().layer_ops(a0).into_iter().enumerate() {
+            cost0.push(Phase::Aggregation, ag, Traffic::none());
+            let mut t = Traffic::none();
+            if l + 1 == l_count {
+                if cache_spilled {
+                    t.write(DataClass::OutputFeature, dense_bytes(v, dims.gnn_out_dim));
+                }
+            } else {
+                t.write(DataClass::Intermediate, dense_bytes(v, dims.gnn_out_dim));
             }
-        } else {
-            t.write(DataClass::Intermediate, dense_bytes(v, dims.gnn_out_dim));
+            cost0.push(Phase::Combination, cb, t);
         }
-        cost0.push(Phase::Combination, cb, t);
+        let layer_outs = match state {
+            Some(_) => Some(model.gcn().forward_all_layers(a0, snap.features())?.0),
+            None => None,
+        };
+        let z = layer_outs.as_ref().and_then(|outs| outs.last());
+        charge_rnn(model, v, z.zip(state.as_mut()), &mem, &mut cost0)?;
+        Ok(Self { mem, state, layer_outs, cache_spilled, cost: cost0 })
     }
-    let mut layer_outs = match state {
-        Some(_) => Some(model.gcn().forward_all_layers(&a_prev, snaps.current().features())?.0),
-        None => None,
-    };
-    let z = layer_outs.as_ref().and_then(|outs| outs.last());
-    charge_rnn(model, v, z.zip(state.as_mut()), mem, &mut cost0)?;
-    sink(Step { t: 0, z, state: state.as_ref(), cost: &cost0, operator: &a_prev, delta: None });
 
-    // ---- Subsequent snapshots: affected-set propagation. ----
-    while let Some(transition) = snaps.next() {
+    /// `Z^t` (on a [`SinkReads::Outputs`](crate::exec::SinkReads) walk) and
+    /// the RNN state after consuming it.
+    pub(crate) fn outputs(&self) -> (Option<&DenseMatrix>, Option<&LstmState>) {
+        (self.layer_outs.as_ref().and_then(|outs| outs.last()), self.state.as_ref())
+    }
+
+    /// One transition: affected-set propagation over `Â^t` from `ΔÂ`.
+    pub(crate) fn advance(&mut self, model: &DgnnModel, frame: &Frame<'_>) -> Result<()> {
+        let Self { mem, state, layer_outs, cache_spilled, cost: last_cost } = self;
+        let cache_spilled = *cache_spilled;
+        let dims = model.dims();
+        let l_count = dims.gnn_layers;
         // The cached X_0 is the current snapshot's own feature matrix, so
         // the replaced snapshot is not read.
-        let updates = transition?.delta.feature_updates();
-        let snap = snaps.current();
-        let x0 = snap.features();
+        let updates = frame.delta.feature_updates();
+        let x0 = frame.snapshot.features();
+        let v = frame.snapshot.num_vertices();
         let mut cost = SnapshotCost::default();
-        let a_next = model.normalization().apply(snap.adjacency());
-        let d_op = ops::sp_sub_pruned(&a_next, &a_prev)?;
+        let a_next = frame.operator;
+        let d_op = frame.operator_delta()?;
 
         // DIU: read the structural delta, the changed input features, and
         // (every snapshot, per the paper) the weights.
@@ -142,10 +165,10 @@ pub(crate) fn run(
                     ag_t.read(DataClass::Graph, a_next.row_nnz(r) as u64 * 8);
                 }
                 if let Some((prev_layer, out_layer)) = layer.as_mut() {
-                    recompute_row(&a_next, r, prev_layer, gcn_layer, &mut agg, &mut out, out_layer);
+                    recompute_row(a_next, r, prev_layer, gcn_layer, &mut agg, &mut out, out_layer);
                 }
             }
-            let ag_ops = ops::spmm_rows_stats(&a_next, rows.iter().copied(), in_dim);
+            let ag_ops = ops::spmm_rows_stats(a_next, rows.iter().copied(), in_dim);
             let cb_ops =
                 OpStats::gemm(rows.len() as u64, dims.gnn_out_dim as u64, in_dim as u64);
             let row_bytes = (rows.len() * dims.gnn_out_dim) as u64 * 4;
@@ -185,11 +208,9 @@ pub(crate) fn run(
         }
         let z = layer_outs.as_ref().and_then(|outs| outs.last());
         charge_rnn(model, v, z.zip(state.as_mut()), mem, &mut cost)?;
-        let t = snaps.index();
-        sink(Step { t, z, state: state.as_ref(), cost: &cost, operator: &a_next, delta: None });
-        a_prev = a_next;
+        *last_cost = cost;
+        Ok(())
     }
-    Ok(())
 }
 
 /// Recomputes row `r` of one layer in place,
@@ -235,6 +256,7 @@ mod tests {
     use super::*;
     use crate::{Algorithm, ModelConfig};
     use idgnn_graph::generate::{generate_dynamic_graph, GraphConfig, StreamConfig};
+    use idgnn_graph::DynamicGraph;
     use idgnn_graph::Normalization;
 
     fn setup(activation: crate::Activation) -> (DgnnModel, DynamicGraph) {

@@ -12,22 +12,31 @@
 //! the integration tests); they differ in operation counts and DRAM traffic,
 //! which is exactly what the paper's Figs. 10–13 measure.
 //!
-//! Every executor walks the snapshots once through
-//! [`DynamicGraph::stream`] and lends each executed snapshot to a caller
-//! sink as a [`Step`] ([`stream`]). The host holds the current snapshot and
-//! the executor's resident state (for one-pass, what the accelerator holds
-//! on chip: the operator, the dense cache and the RNN state), never the
-//! whole stream. [`run`] and [`run_onepass_with`] collect every step into
-//! an [`ExecutionResult`]; [`run_costs`] keeps only the costs.
+//! One walk over the snapshots serves every execution that reads the same
+//! stream ([`stream_lanes`]). The walk applies each delta once
+//! ([`DynamicGraph::stream`]), normalises `Â^t` once and, when a lane reads
+//! it, subtracts `ΔÂ = Â^t − Â^{t−1}` once; it lends them to its *lanes*
+//! (an algorithm with its [`MemoryModel`] and [`OnePassOptions`], see
+//! [`Lane`]), which advance in lockstep, one transition at a time. Each
+//! lane keeps only its own resident state: Recompute its RNN state,
+//! Incremental its layer outputs and RNN state, one-pass what the
+//! accelerator holds on chip (the fused weight, the dense cache `Y`, the
+//! pre-activation and the RNN state). Each lane lends each executed
+//! snapshot to the caller's sink as a [`Step`]. While the lanes advance,
+//! the host holds the current snapshot, both operators, `ΔÂ`, the one-pass
+//! `ΔX_0` and the lanes' resident states, never the whole stream.
+//! [`stream`] is the one-lane walk; [`run`] and [`run_onepass_with`]
+//! collect its steps into an [`ExecutionResult`], and [`run_costs`] keeps
+//! only the costs.
 //!
 //! A sink that reads only costs ([`SinkReads::Costs`]) gets every value no
 //! cost depends on charged from exact count functions instead of computed:
 //! the RNN (its counts depend on shapes only, and its state never feeds
 //! back into the GNN) and the GNN outputs (SpMM counts follow the
 //! operator's row lengths, GEMM counts the shapes). What decides a count
-//! is still computed: each executor's operator, the incremental
-//! executor's affected-row traversal, and the one-pass `ΔÂ`, `ΔA_C`, `ΔP`
-//! and resident `Y`. Every cost stays bit-identical (DESIGN.md §6).
+//! is still computed: the operator, `ΔÂ`, the incremental lane's
+//! affected-row traversal, and the one-pass `ΔA_C`, `ΔP` and resident `Y`.
+//! Every cost stays bit-identical (DESIGN.md §6).
 
 mod incremental;
 mod onepass;
@@ -35,10 +44,10 @@ mod recompute;
 
 pub use onepass::{CombinationOrder, OnePassOptions};
 
-use std::cell::Cell;
+use std::cell::{Cell, OnceCell};
 
-use idgnn_graph::DynamicGraph;
-use idgnn_sparse::{CsrMatrix, DenseMatrix};
+use idgnn_graph::{DynamicGraph, GraphDelta, GraphSnapshot, Transition};
+use idgnn_sparse::{ops, CsrMatrix, DenseMatrix};
 
 use crate::cost::{dense_bytes, DataClass, MemoryModel, Phase, SnapshotCost, Traffic};
 use crate::error::Result;
@@ -85,7 +94,7 @@ pub enum SinkReads {
     /// Costs, the operator `Â^t` and (one-pass transitions) `ΔÂ`, but
     /// neither `Z^t` nor the RNN state. GNN phases whose values no cost
     /// depends on are charged from their count functions
-    /// ([`ops::spmm_stats`](idgnn_sparse::ops::spmm_stats),
+    /// ([`ops::spmm_stats`],
     /// [`OpStats::gemm`](idgnn_sparse::OpStats::gemm),
     /// [`GcnStack::layer_ops`](crate::GcnStack::layer_ops)), RNN-A and
     /// RNN-B from [`DgnnModel::rnn_phase_ops`]; none of them is evaluated,
@@ -97,10 +106,12 @@ pub enum SinkReads {
     Outputs,
 }
 
-/// One executed snapshot, lent by [`stream`] to its sink.
+/// One executed snapshot, lent by [`stream`] or [`stream_lanes`] to its
+/// sink.
 ///
-/// Everything is borrowed from the executor's resident state and is
-/// overwritten by the next snapshot; a sink that keeps something clones it.
+/// Everything is borrowed from the walk (operators) or the lane's resident
+/// state (costs and outputs) and is overwritten by the next snapshot; a sink
+/// that keeps something clones it.
 #[derive(Debug, Clone, Copy)]
 pub struct Step<'a> {
     /// Time index `t` of the snapshot (`0` for `G^1`).
@@ -115,9 +126,11 @@ pub struct Step<'a> {
     pub cost: &'a SnapshotCost,
     /// The snapshot's normalised operator `Â^t`.
     pub operator: &'a CsrMatrix,
-    /// The one-pass executor's DIU output `ΔÂ = Â^t − Â^{t−1}`, exact
-    /// zeros dropped, on every transition (delta path and adaptive refresh
-    /// alike). `None` for `t = 0` and for the other algorithms.
+    /// The DIU output `ΔÂ = Â^t − Â^{t−1}`, exact zeros dropped, on every
+    /// transition of a one-pass lane (delta path and adaptive refresh
+    /// alike). The walk builds it once for all lanes that read it; only
+    /// one-pass lanes lend it, so it is `None` for `t = 0` and on Recompute
+    /// and Incremental lanes, even when the same walk built it.
     pub delta: Option<&'a CsrMatrix>,
 }
 
@@ -135,7 +148,7 @@ pub struct SnapshotOutput {
 /// one [`stream`]. The costs are a few words per phase; the outputs are
 /// three `V`-row matrices per snapshot, so a long stream should either use
 /// [`run_costs`] or read them from [`stream`] directly.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecutionResult {
     /// Per-snapshot functional outputs, in time order. Empty when collected
     /// by [`run_costs`].
@@ -150,6 +163,16 @@ pub struct ExecutionResult {
 }
 
 impl ExecutionResult {
+    /// Appends one step: its costs and operator size, and its outputs when
+    /// the step lends them (a [`SinkReads::Outputs`] walk).
+    pub fn record(&mut self, step: &Step<'_>) {
+        if let (Some(z), Some(state)) = (step.z, step.state) {
+            self.outputs.push(SnapshotOutput { z: z.clone(), state: state.clone() });
+        }
+        self.costs.push(step.cost.clone());
+        self.operator_bytes.push(step.operator.csr_bytes());
+    }
+
     /// Total op count over all snapshots.
     pub fn total_ops(&self) -> idgnn_sparse::OpStats {
         self.costs.iter().fold(idgnn_sparse::OpStats::default(), |a, c| a + c.total_ops())
@@ -168,23 +191,30 @@ impl ExecutionResult {
 }
 
 thread_local! {
-    static RUNS: Cell<[u64; 3]> = const { Cell::new([0; 3]) };
+    /// Executions per algorithm in [`ALL_ALGORITHMS`] order, then walks.
+    static RUNS: Cell<[u64; 4]> = const { Cell::new([0; 4]) };
 }
 
 /// Executions started on the calling thread so far, per algorithm in
-/// [`ALL_ALGORITHMS`] order. A test probe: the figure grids assert with it
-/// that they execute each (workload, algorithm) pair once.
+/// [`ALL_ALGORITHMS`] order; each lane of a walk is one execution. A test
+/// probe: the figure grids assert with it that they execute each
+/// (workload, algorithm) pair once.
 #[doc(hidden)]
 pub fn runs_on_this_thread() -> [u64; 3] {
-    RUNS.with(Cell::get)
+    let [recompute, incremental, onepass, _] = RUNS.with(Cell::get);
+    [recompute, incremental, onepass]
 }
 
-fn count_run(algorithm: Algorithm) {
-    let i = match algorithm {
-        Algorithm::Recompute => 0,
-        Algorithm::Incremental => 1,
-        Algorithm::OnePass => 2,
-    };
+/// Snapshot walks ([`stream_lanes`], and so [`stream`]) started on the
+/// calling thread so far, whatever their lane count. The test probe next to
+/// [`runs_on_this_thread`]: the figure grids assert with it that they walk
+/// each workload once.
+#[doc(hidden)]
+pub fn walks_on_this_thread() -> u64 {
+    RUNS.with(Cell::get)[3]
+}
+
+fn count_on_this_thread(i: usize) {
     RUNS.with(|runs| {
         let mut n = runs.get();
         n[i] += 1;
@@ -192,15 +222,210 @@ fn count_run(algorithm: Algorithm) {
     });
 }
 
-/// Runs `algorithm` over the dynamic graph in one pass, handing each
-/// executed snapshot to `sink` in time order. `onepass` configures the
-/// one-pass executor and is ignored by the other algorithms; `reads` says
-/// whether the sink reads `Z^t` and the RNN state, and so whether the GNN
-/// outputs and the RNN are evaluated or only counted.
+fn count_run(algorithm: Algorithm) {
+    count_on_this_thread(match algorithm {
+        Algorithm::Recompute => 0,
+        Algorithm::Incremental => 1,
+        Algorithm::OnePass => 2,
+    });
+}
+
+/// One execution of a shared walk ([`stream_lanes`]): which algorithm runs,
+/// the on-chip memory its spill decisions assume, and the one-pass options
+/// (ignored by the other algorithms).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Lane {
+    /// The execution algorithm.
+    pub algorithm: Algorithm,
+    /// The memory model the lane's traffic is charged under.
+    pub mem: MemoryModel,
+    /// One-pass executor options; only [`Algorithm::OnePass`] reads them.
+    pub onepass: OnePassOptions,
+}
+
+impl Lane {
+    /// A lane of `algorithm` under `mem` with the default one-pass options.
+    pub fn new(algorithm: Algorithm, mem: MemoryModel) -> Self {
+        Self { algorithm, mem, onepass: OnePassOptions::default() }
+    }
+}
+
+/// One transition `G^{t−1} → G^t` of a walk: what the walk built once and
+/// lends to every lane.
+pub(crate) struct Frame<'a> {
+    /// The new snapshot `G^t`.
+    pub(crate) snapshot: &'a GraphSnapshot,
+    /// The delta that turned `G^{t−1}` into `snapshot`.
+    pub(crate) delta: &'a GraphDelta,
+    /// The DIU's `ΔX_0 = X_0^t − X_0^{t−1}` (Eq. 11), built iff the walk
+    /// has a one-pass lane, which alone reads it.
+    pub(crate) feature_delta: Option<DenseMatrix>,
+    /// The replaced snapshot's operator `Â^{t−1}`.
+    pub(crate) prev_operator: &'a CsrMatrix,
+    /// The new snapshot's operator `Â^t`.
+    pub(crate) operator: &'a CsrMatrix,
+    /// `ΔÂ`, built by the first lane that reads it.
+    operator_delta: OnceCell<CsrMatrix>,
+}
+
+impl Frame<'_> {
+    /// `ΔÂ = Â^t − Â^{t−1}`, exact zeros dropped: the walk's one
+    /// subtraction per transition, made when a lane first reads it, so a
+    /// walk whose lanes never read it never builds it.
+    pub(crate) fn operator_delta(&self) -> Result<&CsrMatrix> {
+        if let Some(d_op) = self.operator_delta.get() {
+            return Ok(d_op);
+        }
+        let d_op = ops::sp_sub_pruned(self.operator, self.prev_operator)?;
+        Ok(self.operator_delta.get_or_init(|| d_op))
+    }
+}
+
+/// A lane's executor and resident state.
+enum Executor {
+    Recompute(recompute::Recompute),
+    Incremental(incremental::Incremental),
+    OnePass(Box<onepass::OnePass>),
+}
+
+impl Executor {
+    /// Starts `lane` on snapshot 0, whose operator is `a0`.
+    fn start(
+        model: &DgnnModel,
+        lane: &Lane,
+        reads: SinkReads,
+        snap: &GraphSnapshot,
+        a0: &CsrMatrix,
+    ) -> Result<Self> {
+        count_run(lane.algorithm);
+        let state = match reads {
+            SinkReads::Outputs => {
+                Some(LstmState::zeros(snap.num_vertices(), model.dims().rnn_hidden_dim))
+            }
+            SinkReads::Costs => None,
+        };
+        let mem = lane.mem;
+        Ok(match lane.algorithm {
+            Algorithm::Recompute => {
+                Executor::Recompute(recompute::Recompute::start(model, mem, state, snap, a0)?)
+            }
+            Algorithm::Incremental => Executor::Incremental(incremental::Incremental::start(
+                model, mem, state, snap, a0,
+            )?),
+            Algorithm::OnePass => Executor::OnePass(Box::new(onepass::OnePass::start(
+                model,
+                mem,
+                lane.onepass,
+                state,
+                snap,
+                a0,
+            )?)),
+        })
+    }
+
+    /// Advances the lane by the transition `frame`.
+    fn advance(&mut self, model: &DgnnModel, frame: &Frame<'_>) -> Result<()> {
+        match self {
+            Executor::Recompute(lane) => lane.advance(model, frame.snapshot, frame.operator),
+            Executor::Incremental(lane) => lane.advance(model, frame),
+            Executor::OnePass(lane) => lane.advance(model, frame),
+        }
+    }
+
+    /// The lane's last executed snapshot as a [`Step`]; `delta` is the
+    /// walk's `ΔÂ`, lent only by one-pass lanes.
+    fn step<'s>(
+        &'s self,
+        t: usize,
+        operator: &'s CsrMatrix,
+        delta: Option<&'s CsrMatrix>,
+    ) -> Step<'s> {
+        let ((z, state), cost, delta) = match self {
+            Executor::Recompute(lane) => (lane.outputs(), &lane.cost, None),
+            Executor::Incremental(lane) => (lane.outputs(), &lane.cost, None),
+            Executor::OnePass(lane) => (lane.outputs(), &lane.cost, delta),
+        };
+        Step { t, z, state, cost, operator, delta }
+    }
+}
+
+/// Runs every lane over one walk of the dynamic graph, handing each lane's
+/// executed snapshots to `sink` as `(lane index, step)`: for each snapshot,
+/// in time order, the lanes in `lanes` order. `reads` says whether the sink
+/// reads `Z^t` and the RNN state, and so whether the lanes evaluate the GNN
+/// outputs and the RNN or only count them.
 ///
-/// The executor holds the current snapshot of [`DynamicGraph::stream`] and
-/// its own resident state; nothing per snapshot outlives the `sink` call
-/// unless the sink copies it.
+/// The walk applies each delta, normalises each `Â^t` and, if a lane reads
+/// them, subtracts each `ΔÂ` and builds each one-pass `ΔX_0` once for all
+/// lanes. Every lane's steps equal a solo [`stream`] of that lane bit for
+/// bit.
+///
+/// # Errors
+///
+/// Propagates model/graph shape errors and delta conflicts. A delta
+/// conflict stops every lane at the same transition; the steps before it
+/// have already reached the sink.
+pub fn stream_lanes(
+    model: &DgnnModel,
+    dg: &DynamicGraph,
+    lanes: &[Lane],
+    reads: SinkReads,
+    mut sink: impl FnMut(usize, Step<'_>),
+) -> Result<()> {
+    count_on_this_thread(3);
+    let normalization = model.normalization();
+    let reads_feature_delta = lanes.iter().any(|lane| lane.algorithm == Algorithm::OnePass);
+    let mut snaps = dg.stream();
+    let mut executors = Vec::with_capacity(lanes.len());
+    // The transition into the current snapshot and the replaced snapshot's
+    // operator; `None` at `t = 0`.
+    let mut replaced: Option<(Transition<'_>, CsrMatrix)> = None;
+    loop {
+        let t = snaps.index();
+        let operator = normalization.apply(snaps.current().adjacency());
+        match replaced.take() {
+            None => {
+                for (i, lane) in lanes.iter().enumerate() {
+                    let executor = Executor::start(model, lane, reads, snaps.current(), &operator)?;
+                    sink(i, executor.step(t, &operator, None));
+                    executors.push(executor);
+                }
+            }
+            Some((Transition { previous, delta }, prev_operator)) => {
+                // `ΔX_0` is all the lanes read of the replaced snapshot, so
+                // it drops before they advance.
+                let feature_delta =
+                    if reads_feature_delta { Some(delta.feature_delta(&previous)?) } else { None };
+                drop(previous);
+                let frame = Frame {
+                    snapshot: snaps.current(),
+                    delta,
+                    feature_delta,
+                    prev_operator: &prev_operator,
+                    operator: &operator,
+                    operator_delta: OnceCell::new(),
+                };
+                for (i, executor) in executors.iter_mut().enumerate() {
+                    executor.advance(model, &frame)?;
+                    sink(i, executor.step(t, &operator, frame.operator_delta.get()));
+                }
+            }
+        }
+        // Only the current snapshot and its operator are read next; the
+        // replaced ones have dropped before the next delta is applied.
+        match snaps.next() {
+            None => return Ok(()),
+            Some(transition) => replaced = Some((transition?, operator)),
+        }
+    }
+}
+
+/// Runs `algorithm` over the dynamic graph in one pass, handing each
+/// executed snapshot to `sink` in time order: the one-lane
+/// [`stream_lanes`]. `onepass` configures the one-pass executor and is
+/// ignored by the other algorithms; `reads` says whether the sink reads
+/// `Z^t` and the RNN state, and so whether the GNN outputs and the RNN are
+/// evaluated or only counted.
 ///
 /// # Errors
 ///
@@ -215,18 +440,8 @@ pub fn stream(
     reads: SinkReads,
     mut sink: impl FnMut(Step<'_>),
 ) -> Result<()> {
-    count_run(algorithm);
-    let state = match reads {
-        SinkReads::Outputs => {
-            Some(LstmState::zeros(dg.initial().num_vertices(), model.dims().rnn_hidden_dim))
-        }
-        SinkReads::Costs => None,
-    };
-    match algorithm {
-        Algorithm::Recompute => recompute::run(model, dg, mem, state, &mut sink),
-        Algorithm::Incremental => incremental::run(model, dg, mem, state, &mut sink),
-        Algorithm::OnePass => onepass::run(model, dg, mem, onepass, state, &mut sink),
-    }
+    let lane = Lane { algorithm, mem: *mem, onepass: *onepass };
+    stream_lanes(model, dg, &[lane], reads, |_, step| sink(step))
 }
 
 /// Charges RNN-A and RNN-B for consuming the `v × C` GNN output into
@@ -283,13 +498,7 @@ fn collect_steps(
         costs: Vec::with_capacity(n),
         operator_bytes: Vec::with_capacity(n),
     };
-    stream(algorithm, model, dg, mem, onepass, reads, |step| {
-        if let (Some(z), Some(state)) = (step.z, step.state) {
-            result.outputs.push(SnapshotOutput { z: z.clone(), state: state.clone() });
-        }
-        result.costs.push(step.cost.clone());
-        result.operator_bytes.push(step.operator.csr_bytes());
-    })?;
+    stream(algorithm, model, dg, mem, onepass, reads, |step| result.record(&step))?;
     Ok(result)
 }
 
@@ -471,6 +680,145 @@ mod tests {
         }
     }
 
+    /// Bits of a CSR matrix: its structure and its values' bit patterns.
+    type CsrBits = (Vec<usize>, Vec<usize>, Vec<u32>);
+
+    fn csr_bits(m: &CsrMatrix) -> CsrBits {
+        let values = m.values().iter().map(|v| v.to_bits()).collect();
+        (m.indptr().to_vec(), m.indices().to_vec(), values)
+    }
+
+    /// Everything a [`Step`] lends, owned, with every float as its bits.
+    #[derive(Debug, PartialEq)]
+    struct OwnedStep {
+        t: usize,
+        cost: SnapshotCost,
+        operator: CsrBits,
+        operator_bytes: u64,
+        delta: Option<CsrBits>,
+        z: Option<Vec<u32>>,
+        state: Option<(Vec<u32>, Vec<u32>)>,
+    }
+
+    impl OwnedStep {
+        fn of(step: &Step<'_>) -> Self {
+            Self {
+                t: step.t,
+                cost: step.cost.clone(),
+                operator: csr_bits(step.operator),
+                operator_bytes: step.operator.csr_bytes(),
+                delta: step.delta.map(csr_bits),
+                z: step.z.map(bits),
+                state: step.state.map(|s| (bits(&s.h), bits(&s.c))),
+            }
+        }
+    }
+
+    /// The steps of a solo [`stream`] of `lane`, and its error if any.
+    fn solo_steps(
+        model: &DgnnModel,
+        dg: &DynamicGraph,
+        lane: &Lane,
+        reads: SinkReads,
+    ) -> (Vec<OwnedStep>, Option<String>) {
+        let mut steps = Vec::new();
+        let (algorithm, mem, onepass) = (lane.algorithm, lane.mem, lane.onepass);
+        let outcome = stream(algorithm, model, dg, &mem, &onepass, reads, |step| {
+            steps.push(OwnedStep::of(&step));
+        });
+        (steps, outcome.err().map(|e| format!("{e:?}")))
+    }
+
+    #[test]
+    fn lockstep_lanes_equal_solo_streams_bit_for_bit() {
+        use idgnn_graph::GraphDelta;
+        use idgnn_sparse::{parallel::kernel_scope, Parallelism};
+        let dg = generate_dynamic_graph(
+            &GraphConfig::power_law(160, 480, 6),
+            &StreamConfig { deltas: 4, dissimilarity: 0.1, ..Default::default() },
+            5,
+        )
+        .unwrap();
+        // The same stream with a delta after the third transition that
+        // re-adds an edge `G^3` already has, and one more delta behind it
+        // that no lane may reach.
+        let mut conflicting = DynamicGraph::new(dg.initial().clone());
+        for delta in &dg.deltas()[..3] {
+            conflicting.push_delta(delta.clone());
+        }
+        let g3 = conflicting.materialize().unwrap().pop().unwrap();
+        let u = (0..g3.num_vertices()).find(|&u| g3.adjacency().row_nnz(u) > 0).unwrap();
+        let existing = g3.adjacency().row_indices(u)[0];
+        conflicting.push_delta(GraphDelta::builder().add_edge(u, existing).build());
+        conflicting.push_delta(dg.deltas()[3].clone());
+
+        let model = DgnnModel::from_config(&ModelConfig {
+            input_dim: 6,
+            gnn_hidden: 5,
+            gnn_layers: 3,
+            rnn_hidden: 4,
+            activation: crate::Activation::Relu,
+            normalization: Normalization::Symmetric,
+            seed: 3,
+            rnn_kernel: Default::default(),
+        })
+        .unwrap();
+        let mem = MemoryModel::default();
+        let refresh = |adaptive_refresh| Lane {
+            onepass: OnePassOptions { adaptive_refresh, ..Default::default() },
+            ..Lane::new(Algorithm::OnePass, mem)
+        };
+        // All three algorithms, one-pass with the refresh on and off, and a
+        // lane whose caches spill, in one walk.
+        let lanes = [
+            Lane::new(Algorithm::Recompute, mem),
+            Lane::new(Algorithm::Incremental, mem),
+            refresh(true),
+            refresh(false),
+            Lane::new(Algorithm::Incremental, MemoryModel { onchip_bytes: 0 }),
+        ];
+        for (graph, snapshots) in [(&dg, 5), (&conflicting, 4)] {
+            for reads in [SinkReads::Costs, SinkReads::Outputs] {
+                for threads in [1, 4] {
+                    let _scope = kernel_scope(Parallelism::new(threads));
+                    let case = format!("{reads:?} threads={threads} snapshots={snapshots}");
+                    let mut shared: Vec<Vec<OwnedStep>> = lanes.iter().map(|_| Vec::new()).collect();
+                    let (walks, runs) = (walks_on_this_thread(), runs_on_this_thread());
+                    let outcome = stream_lanes(&model, graph, &lanes, reads, |lane, step| {
+                        shared[lane].push(OwnedStep::of(&step));
+                    });
+                    assert_eq!(walks_on_this_thread() - walks, 1, "{case}");
+                    let started: Vec<u64> =
+                        runs_on_this_thread().iter().zip(runs).map(|(a, b)| a - b).collect();
+                    assert_eq!(started, [1, 2, 2], "{case}");
+                    let error = outcome.err().map(|e| format!("{e:?}"));
+                    assert_eq!(error.is_some(), snapshots < graph.num_snapshots(), "{case}");
+                    for (lane, steps) in lanes.iter().zip(&shared) {
+                        let (solo, solo_error) = solo_steps(&model, graph, lane, reads);
+                        assert_eq!(steps.len(), snapshots, "{case} {lane:?}");
+                        assert_eq!(steps, &solo, "{case} {lane:?}");
+                        assert_eq!(error, solo_error, "{case} {lane:?}");
+                        // Refresh on takes the refresh (no AComb work) on
+                        // some transition; refresh off never does.
+                        let refreshed = steps[1..]
+                            .iter()
+                            .any(|step| step.cost.ops_of(crate::Phase::AComb).total() == 0);
+                        if lane.algorithm == Algorithm::OnePass {
+                            assert_eq!(refreshed, lane.onepass.adaptive_refresh, "{case}");
+                        }
+                        for step in steps {
+                            let executed = reads == SinkReads::Outputs;
+                            assert_eq!(step.z.is_some(), executed, "{case} {lane:?}");
+                            assert_eq!(step.state.is_some(), executed, "{case} {lane:?}");
+                            let one_pass = lane.algorithm == Algorithm::OnePass;
+                            assert_eq!(step.delta.is_some(), one_pass && step.t > 0, "{case}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn costs_only_runs_charge_exactly_what_executed_runs_do() {
         use idgnn_graph::GraphDelta;
@@ -592,16 +940,20 @@ mod tests {
         .unwrap();
         let model = DgnnModel::from_config(&ModelConfig::paper_default(4)).unwrap();
         let mem = MemoryModel::default();
-        let before = runs_on_this_thread();
+        let (before, walks) = (runs_on_this_thread(), walks_on_this_thread());
         run(Algorithm::Recompute, &model, &dg, &mem).unwrap();
         run(Algorithm::Recompute, &model, &dg, &mem).unwrap();
         run_onepass_with(&model, &dg, &mem, &OnePassOptions::default()).unwrap();
         run_costs(Algorithm::Incremental, &model, &dg, &mem).unwrap();
         let options = OnePassOptions::default();
         stream(Algorithm::OnePass, &model, &dg, &mem, &options, SinkReads::Costs, |_| {}).unwrap();
+        let lanes = [Lane::new(Algorithm::OnePass, mem), Lane::new(Algorithm::Incremental, mem)];
+        stream_lanes(&model, &dg, &lanes, SinkReads::Costs, |_, _| {}).unwrap();
         let after = runs_on_this_thread();
         let delta: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
-        assert_eq!(delta, [2, 1, 2]);
+        assert_eq!(delta, [2, 2, 3]);
+        // Five single-lane walks and one two-lane walk.
+        assert_eq!(walks_on_this_thread() - walks, 6);
     }
 
     #[test]

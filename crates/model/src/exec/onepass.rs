@@ -20,12 +20,12 @@
 //! No layer-by-layer intermediate features exist, so the `Intermediate`
 //! DRAM class is structurally zero — the paper's headline claim.
 
-use idgnn_graph::DynamicGraph;
+use idgnn_graph::GraphSnapshot;
 use idgnn_sparse::{ops, CsrMatrix, DenseMatrix, OpStats};
 
 use crate::cost::{dense_bytes, DataClass, MemoryModel, Phase, SnapshotCost, Traffic};
 use crate::error::Result;
-use crate::exec::{charge_rnn, Step};
+use crate::exec::{charge_rnn, Frame};
 use crate::fusion::fuse_weights;
 use crate::lstm::LstmState;
 use crate::onepass::{fused_dissimilarity, DissimilarityStrategy};
@@ -205,91 +205,147 @@ fn fold_combination(
     cb_ops
 }
 
-pub(crate) fn run(
-    model: &DgnnModel,
-    dg: &DynamicGraph,
-    mem: &MemoryModel,
-    options: &OnePassOptions,
-    mut state: Option<LstmState>,
-    sink: &mut dyn FnMut(Step<'_>),
-) -> Result<()> {
-    let dims = model.dims();
-    let v = dg.initial().num_vertices();
-    let l = dims.gnn_layers as u32;
-    let k = dims.input_dim;
-    let c_out = dims.gnn_out_dim;
-    let activation = model.activation();
-    let comb_first = match options.order {
-        CombinationOrder::Auto => c_out < k,
-        CombinationOrder::CombinationFirst => true,
-        CombinationOrder::AggregationFirst => false,
-    };
-    // The Eq. 15 transpose trick requires a symmetric operator; asymmetric
-    // operators (GraphSAGE-mean / row-stochastic) use the general expansion.
-    let symmetric = model.normalization().symmetric_operator();
-    let strategy = if symmetric { options.strategy } else { DissimilarityStrategy::General };
+/// A one-pass lane's resident state — what the accelerator holds on chip
+/// between snapshots: the fused weight `W_C`, the combination-first `Y`,
+/// the pre-activation/output pair (only when the sink reads outputs), the
+/// RNN state, and the last snapshot's cost. The operators `Â^t` and `ΔÂ`
+/// are the walk's.
+pub(crate) struct OnePass {
+    mem: MemoryModel,
+    options: OnePassOptions,
+    comb_first: bool,
+    symmetric: bool,
+    strategy: DissimilarityStrategy,
+    w_c: DenseMatrix,
+    /// The combination-first resident `Y = X_0·W_C` (V×C), kept whether or
+    /// not the sink reads outputs: the delta path's `ΔP`, and so its
+    /// `involved` rows, read it. Aggregation-first reads X_0 from the
+    /// current snapshot instead, and leaves it empty.
+    y_cache: DenseMatrix,
+    fused: Option<FusedOutput>,
+    state: Option<LstmState>,
+    pub(crate) cost: SnapshotCost,
+}
 
-    let mut snaps = dg.stream();
+impl OnePass {
+    /// Snapshot 0: establishes the fused state over `a0`.
+    pub(crate) fn start(
+        model: &DgnnModel,
+        mem: MemoryModel,
+        options: OnePassOptions,
+        mut state: Option<LstmState>,
+        snap: &GraphSnapshot,
+        a0: &CsrMatrix,
+    ) -> Result<Self> {
+        let dims = model.dims();
+        let v = snap.num_vertices();
+        let k = dims.input_dim;
+        let c_out = dims.gnn_out_dim;
+        let comb_first = match options.order {
+            CombinationOrder::Auto => c_out < k,
+            CombinationOrder::CombinationFirst => true,
+            CombinationOrder::AggregationFirst => false,
+        };
+        // The Eq. 15 transpose trick requires a symmetric operator;
+        // asymmetric operators (GraphSAGE-mean / row-stochastic) use the
+        // general expansion.
+        let symmetric = model.normalization().symmetric_operator();
+        let strategy = if symmetric { options.strategy } else { DissimilarityStrategy::General };
 
-    // ---- Snapshot 0: establish the fused state. ----
-    let mut cost0 = SnapshotCost::default();
-    let mut a_prev = model.normalization().apply(snaps.current().adjacency());
+        let mut cost0 = SnapshotCost::default();
+        let (w_c, wcomb_ops) = fuse_weights(model.gcn())?;
+        let mut t_w = Traffic::none();
+        // The one and only weight load of the whole run (paper §VI-C).
+        t_w.read(DataClass::Weight, model.weight_bytes());
+        cost0.push(Phase::WComb, wcomb_ops, t_w);
 
-    let (w_c, wcomb_ops) = fuse_weights(model.gcn())?;
-    let mut t_w = Traffic::none();
-    // The one and only weight load of the whole run (paper §VI-C).
-    t_w.read(DataClass::Weight, model.weight_bytes());
-    cost0.push(Phase::WComb, wcomb_ops, t_w);
+        // A_C is never materialized: the initial pre-activation comes from a
+        // chain of L full SpMMs (AComb cost is therefore zero from scratch).
+        let mut t_g = Traffic::none();
+        t_g.read(DataClass::Graph, a0.csr_bytes());
+        cost0.push(Phase::AComb, OpStats::default(), t_g);
 
-    // A_C is never materialized: the initial pre-activation comes from a
-    // chain of L full SpMMs (AComb cost is therefore zero from scratch).
-    let mut t_g = Traffic::none();
-    t_g.read(DataClass::Graph, a_prev.csr_bytes());
-    cost0.push(Phase::AComb, OpStats::default(), t_g);
+        let mut t_x = Traffic::none();
+        t_x.read(DataClass::InputFeature, dense_bytes(v, dims.input_dim));
 
-    let mut t_x = Traffic::none();
-    t_x.read(DataClass::InputFeature, dense_bytes(v, dims.input_dim));
+        let executing = state.is_some();
+        let mut y_cache = DenseMatrix::zeros(0, 0);
+        if comb_first {
+            let (y, cb_ops) = ops::gemm_with_stats(snap.features(), &w_c)?;
+            cost0.push(Phase::Combination, cb_ops, Traffic::none());
+            y_cache = y;
+        }
+        let fused = fresh_pre_activation(
+            model,
+            a0,
+            snap.features(),
+            &y_cache,
+            &w_c,
+            comb_first,
+            executing,
+            t_x,
+            &mut cost0,
+        )?;
 
-    // `y_cache` is the combination-first resident `Y = X_0·W_C` (V×C),
-    // kept whether or not the sink reads outputs: the delta path's `ΔP`,
-    // and so its `involved` rows, read it. Aggregation-first reads X_0 from
-    // the current snapshot instead.
-    let executing = state.is_some();
-    let mut y_cache = DenseMatrix::zeros(0, 0);
-    if comb_first {
-        let (y, cb_ops) = ops::gemm_with_stats(snaps.current().features(), &w_c)?;
-        cost0.push(Phase::Combination, cb_ops, Traffic::none());
-        y_cache = y;
+        let z = fused.as_ref().map(|(_, x_c)| x_c);
+        charge_rnn(model, v, z.zip(state.as_mut()), &mem, &mut cost0)?;
+        Ok(Self {
+            mem,
+            options,
+            comb_first,
+            symmetric,
+            strategy,
+            w_c,
+            y_cache,
+            fused,
+            state,
+            cost: cost0,
+        })
     }
-    let mut fused = fresh_pre_activation(
-        model,
-        &a_prev,
-        snaps.current().features(),
-        &y_cache,
-        &w_c,
-        comb_first,
-        executing,
-        t_x,
-        &mut cost0,
-    )?;
 
-    let z = fused.as_ref().map(|(_, x_c)| x_c);
-    charge_rnn(model, v, z.zip(state.as_mut()), mem, &mut cost0)?;
-    sink(Step { t: 0, z, state: state.as_ref(), cost: &cost0, operator: &a_prev, delta: None });
+    /// `X_C^t` (on a [`SinkReads::Outputs`](crate::exec::SinkReads) walk)
+    /// and the RNN state after consuming it.
+    pub(crate) fn outputs(&self) -> (Option<&DenseMatrix>, Option<&LstmState>) {
+        (self.fused.as_ref().map(|(_, x_c)| x_c), self.state.as_ref())
+    }
 
-    while let Some(transition) = snaps.next() {
-        let transition = transition?;
-        let delta_meta = transition.delta;
-        let snap = snaps.current();
+    /// One transition `Â^{t−1} → Â^t`: the delta path or, when the
+    /// dispatcher says it is cheaper, a from-scratch refresh.
+    pub(crate) fn advance(&mut self, model: &DgnnModel, frame: &Frame<'_>) -> Result<()> {
+        let Self {
+            mem,
+            options,
+            comb_first,
+            symmetric,
+            strategy,
+            w_c,
+            y_cache,
+            fused,
+            state,
+            cost: last_cost,
+        } = self;
+        let (comb_first, symmetric) = (*comb_first, *symmetric);
+        let dims = model.dims();
+        let v = frame.snapshot.num_vertices();
+        let l = dims.gnn_layers as u32;
+        let k = dims.input_dim;
+        let c_out = dims.gnn_out_dim;
+        let activation = model.activation();
+        let executing = state.is_some();
+        let delta_meta = frame.delta;
+        let snap = frame.snapshot;
+        let a_prev = frame.prev_operator;
+        let a_next = frame.operator;
         let mut cost = SnapshotCost::default();
-        let a_next = model.normalization().apply(snap.adjacency());
 
         // DIU: ΔA and ΔX_0 (zeros from unchanged entries dropped in-merge).
-        // The replaced snapshot is read for ΔX_0 only, then dropped.
-        let d_op = ops::sp_sub_pruned(&a_next, &a_prev)?;
-        let dx0 = snap.features().sub(transition.previous.features())?;
-        drop(transition);
-        let changed_rows: Vec<usize> = crate::onepass::nonzero_rows(&dx0, 0.0);
+        let d_op = frame.operator_delta()?;
+        let dx0 = frame
+            .feature_delta
+            .as_ref()
+            // lint: allow(panic-surface) -- `stream_lanes` builds ΔX_0 on every transition of a walk with a one-pass lane
+            .expect("a walk with a one-pass lane builds ΔX_0");
+        let changed_rows: Vec<usize> = crate::onepass::nonzero_rows(dx0, 0.0);
         let mut t_diu = Traffic::none();
         t_diu.read(DataClass::Graph, d_op.csr_bytes());
         t_diu.read(DataClass::InputFeature, dense_bytes(changed_rows.len(), dims.input_dim));
@@ -341,15 +397,15 @@ pub(crate) fn run(
             if comb_first {
                 // Fold ΔY into the resident Y, then refresh P by chained
                 // aggregation of the full Y at width C.
-                let cb_ops = fold_combination(&dx0, &changed_rows, &w_c, &mut y_cache, None);
+                let cb_ops = fold_combination(dx0, &changed_rows, w_c, y_cache, None);
                 cost.push(Phase::Combination, cb_ops, Traffic::none());
             }
-            fused = fresh_pre_activation(
+            *fused = fresh_pre_activation(
                 model,
-                &a_next,
+                a_next,
                 snap.features(),
-                &y_cache,
-                &w_c,
+                y_cache,
+                w_c,
                 comb_first,
                 executing,
                 t_ag,
@@ -357,22 +413,14 @@ pub(crate) fn run(
             )?;
             let z = fused.as_ref().map(|(_, x_c)| x_c);
             charge_rnn(model, v, z.zip(state.as_mut()), mem, &mut cost)?;
-            sink(Step {
-                t: snaps.index(),
-                z,
-                state: state.as_ref(),
-                cost: &cost,
-                operator: &a_next,
-                delta: Some(&d_op),
-            });
-            a_prev = a_next;
-            continue;
+            *last_cost = cost;
+            return Ok(());
         }
 
         // AComb: fused dissimilarity ΔA_C from Â^t and ΔA. Uncached: the
-        // re-normalised Â^{t+1} this loop advances to never equals the
+        // re-normalised Â^{t+1} this lane advances to never equals the
         // `Â^t + ΔA` a PowerCache keys on (DESIGN.md §8).
-        let dis = fused_dissimilarity(&a_prev, &d_op, l, strategy)?;
+        let dis = fused_dissimilarity(a_prev, d_op, l, *strategy)?;
         cost.add_saved(dis.saved);
         let mut t_ac = Traffic::none();
         if spilled {
@@ -386,7 +434,7 @@ pub(crate) fn run(
         // the intended Â·x.
         let a_chain_t;
         let chain_op: &CsrMatrix = if symmetric {
-            &a_prev
+            a_prev
         } else {
             a_chain_t = a_prev.transpose();
             &a_chain_t
@@ -403,11 +451,11 @@ pub(crate) fn run(
         if comb_first {
             // CB: ΔY = ΔX_0·W_C on the changed rows only; fold into Y.
             let mut dy = DenseMatrix::zeros(v, c_out);
-            let cb_ops = fold_combination(&dx0, &changed_rows, &w_c, &mut y_cache, Some(&mut dy));
+            let cb_ops = fold_combination(dx0, &changed_rows, w_c, y_cache, Some(&mut dy));
             cost.push(Phase::Combination, cb_ops, t_cb);
 
             // AG: ΔP = ΔA_C·Y^{t+1} + Â^t applied L times to ΔY.
-            let (mut d_p, mut ag_ops) = ops::spmm_with_stats(&dis.delta_ac, &y_cache)?;
+            let (mut d_p, mut ag_ops) = ops::spmm_with_stats(&dis.delta_ac, y_cache)?;
             let mut chained = dy;
             for _ in 0..l {
                 let (next, st) = chain_apply(chain_op, &chained);
@@ -437,14 +485,15 @@ pub(crate) fn run(
         } else {
             // AG: ΔAgg = ΔA_C·X_0^{t+1} + Â^t applied L times to ΔX_0.
             let (mut d_agg, mut ag_ops) = ops::spmm_with_stats(&dis.delta_ac, snap.features())?;
-            let mut chained = dx0;
+            let mut chained: Option<DenseMatrix> = None;
             for _ in 0..l {
-                let (next, st) = chain_apply(chain_op, &chained);
-                chained = next;
+                let (next, st) = chain_apply(chain_op, chained.as_ref().unwrap_or(dx0));
+                chained = Some(next);
                 ag_ops += st;
             }
-            let merge_rows = crate::onepass::nonzero_rows(&chained, 0.0).len() as u64;
-            d_agg = d_agg.add(&chained)?;
+            let chained = chained.as_ref().unwrap_or(dx0);
+            let merge_rows = crate::onepass::nonzero_rows(chained, 0.0).len() as u64;
+            d_agg = d_agg.add(chained)?;
             ag_ops.adds += merge_rows * k as u64;
             cost.push(Phase::Aggregation, ag_ops, t_ag);
 
@@ -477,17 +526,9 @@ pub(crate) fn run(
         // RNN consumes X_C in place.
         let z = fused.as_ref().map(|(_, x_c)| x_c);
         charge_rnn(model, v, z.zip(state.as_mut()), mem, &mut cost)?;
-        sink(Step {
-            t: snaps.index(),
-            z,
-            state: state.as_ref(),
-            cost: &cost,
-            operator: &a_next,
-            delta: Some(&d_op),
-        });
-        a_prev = a_next;
+        *last_cost = cost;
+        Ok(())
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -496,6 +537,7 @@ mod tests {
     use crate::fusion::fused_forward;
     use crate::{Algorithm, ExecutionResult, ModelConfig};
     use idgnn_graph::generate::{generate_dynamic_graph, GraphConfig, StreamConfig};
+    use idgnn_graph::DynamicGraph;
     use idgnn_graph::Normalization;
 
     fn setup(activation: crate::Activation) -> (DgnnModel, DynamicGraph) {

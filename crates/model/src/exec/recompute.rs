@@ -1,30 +1,55 @@
 //! The recomputing execution algorithm (paper Fig. 4a): every snapshot runs
 //! through the entire layer-by-layer DGNN pipeline.
 
-use idgnn_graph::DynamicGraph;
-use idgnn_sparse::OpStats;
+use idgnn_graph::GraphSnapshot;
+use idgnn_sparse::{CsrMatrix, DenseMatrix, OpStats};
 
 use crate::cost::{dense_bytes, DataClass, MemoryModel, Phase, SnapshotCost, Traffic};
 use crate::error::Result;
-use crate::exec::{charge_rnn, Step};
+use crate::exec::charge_rnn;
 use crate::lstm::LstmState;
 use crate::DgnnModel;
 
-pub(crate) fn run(
-    model: &DgnnModel,
-    dg: &DynamicGraph,
-    mem: &MemoryModel,
-    mut state: Option<LstmState>,
-    sink: &mut dyn FnMut(Step<'_>),
-) -> Result<()> {
-    let dims = model.dims();
-    let v = dg.initial().num_vertices();
-    let mut snaps = dg.stream();
+/// A Recompute lane's resident state: the RNN state and the last
+/// snapshot's output and cost. Every snapshot, the first included, runs the
+/// same full pipeline over the walk's `Â^t`.
+pub(crate) struct Recompute {
+    mem: MemoryModel,
+    state: Option<LstmState>,
+    z: Option<DenseMatrix>,
+    pub(crate) cost: SnapshotCost,
+}
 
-    loop {
-        let snap = snaps.current();
+impl Recompute {
+    /// Runs snapshot 0, whose operator is `a_norm`.
+    pub(crate) fn start(
+        model: &DgnnModel,
+        mem: MemoryModel,
+        state: Option<LstmState>,
+        snap: &GraphSnapshot,
+        a_norm: &CsrMatrix,
+    ) -> Result<Self> {
+        let mut lane = Self { mem, state, z: None, cost: SnapshotCost::default() };
+        lane.advance(model, snap, a_norm)?;
+        Ok(lane)
+    }
+
+    /// `Z^t` (on a [`SinkReads::Outputs`](crate::exec::SinkReads) walk) and
+    /// the RNN state after consuming it.
+    pub(crate) fn outputs(&self) -> (Option<&DenseMatrix>, Option<&LstmState>) {
+        (self.z.as_ref(), self.state.as_ref())
+    }
+
+    /// Runs the snapshot `snap`, whose operator is `a_norm`.
+    pub(crate) fn advance(
+        &mut self,
+        model: &DgnnModel,
+        snap: &GraphSnapshot,
+        a_norm: &CsrMatrix,
+    ) -> Result<()> {
+        let dims = model.dims();
+        let v = snap.num_vertices();
         let mut cost = SnapshotCost::default();
-        let a_norm = model.normalization().apply(snap.adjacency());
 
         // Per-snapshot front-end traffic: the recompute paradigm re-reads
         // weights, the full graph, and all input features every snapshot.
@@ -43,9 +68,9 @@ pub(crate) fn run(
         // kernel execution" when they fit. The counts follow `Â^t`'s row
         // lengths and the layer shapes, so the layers run only when the
         // sink reads `Z`.
-        let layer_ops = model.gcn().layer_ops(&a_norm);
+        let layer_ops = model.gcn().layer_ops(a_norm);
         let num_layers = layer_ops.len();
-        let z_spilled = !mem.fits(
+        let z_spilled = !self.mem.fits(
             dense_bytes(v, dims.gnn_out_dim) + 2 * dense_bytes(v, dims.rnn_hidden_dim),
         );
         for (l, (ag_ops, cb_ops)) in layer_ops.into_iter().enumerate() {
@@ -66,26 +91,17 @@ pub(crate) fn run(
             }
             cost.push(Phase::Combination, cb_ops, cb_traffic);
         }
-        let z = match state {
-            Some(_) => Some(model.gcn().forward(&a_norm, snap.features())?),
-            None => None,
-        };
+        // The last snapshot's `Z` is never read again: it drops before the
+        // next one is computed.
+        self.z = None;
+        if self.state.is_some() {
+            self.z = Some(model.gcn().forward(a_norm, snap.features())?);
+        }
 
         // RNN over all vertices. State spills if it does not fit alongside Z.
-        charge_rnn(model, v, z.as_ref().zip(state.as_mut()), mem, &mut cost)?;
-        let t = snaps.index();
-        sink(Step {
-            t,
-            z: z.as_ref(),
-            state: state.as_ref(),
-            cost: &cost,
-            operator: &a_norm,
-            delta: None,
-        });
-        // Only the current snapshot is read; the replaced one drops here.
-        if snaps.next().transpose()?.is_none() {
-            return Ok(());
-        }
+        charge_rnn(model, v, self.z.as_ref().zip(self.state.as_mut()), &self.mem, &mut cost)?;
+        self.cost = cost;
+        Ok(())
     }
 }
 
@@ -95,6 +111,7 @@ mod tests {
     use crate::cost::DATA_CLASSES;
     use crate::{Algorithm, ModelConfig};
     use idgnn_graph::generate::{generate_dynamic_graph, GraphConfig, StreamConfig};
+    use idgnn_graph::DynamicGraph;
 
     fn setup() -> (DgnnModel, DynamicGraph) {
         let dg = generate_dynamic_graph(

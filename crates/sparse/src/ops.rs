@@ -2,9 +2,9 @@
 //!
 //! Each op has one entry point: [`spgemm_with_stats`], [`spmm_with_stats`],
 //! [`gemm_with_stats`], [`sp_pow_with_stats`], [`sp_add`], [`sp_sub`],
-//! [`sp_sub_pruned`] and [`sp_sum_pruned`]. Every entry that multiplies
-//! returns the exact number of scalar multiply and add operations it
-//! performed ([`OpStats`]; callers that drop them write `?.0`). The
+//! [`sp_add_pruned`], [`sp_sub_pruned`] and [`sp_sum_pruned`]. Every entry
+//! that multiplies returns the exact number of scalar multiply and add
+//! operations it performed ([`OpStats`]; callers that drop them write `?.0`). The
 //! accelerator model uses these counts directly — the paper's simulator
 //! "monitors the number of arithmetic operations" (§VI-A), and so do we.
 //!
@@ -594,6 +594,22 @@ pub fn sp_add(a: &CsrMatrix, b: &CsrMatrix) -> Result<CsrMatrix> {
 /// Returns [`SparseError::DimensionMismatch`] if shapes differ.
 pub fn sp_sub(a: &CsrMatrix, b: &CsrMatrix) -> Result<CsrMatrix> {
     sp_axpby(1.0, a, -1.0, b)
+}
+
+/// Sparse matrix sum `a + b` with explicit zeros dropped during the merge —
+/// bit-identical to `sp_add(a, b)?.pruned(0.0)` without the second pass
+/// over the output.
+///
+/// This applies a graph delta: `A^{t+1} = A^t + ΔA`, where a removed edge
+/// cancels to an exact zero that must not be stored.
+///
+/// # Errors
+///
+/// Returns [`SparseError::DimensionMismatch`] if shapes differ.
+pub fn sp_add_pruned(a: &CsrMatrix, b: &CsrMatrix) -> Result<CsrMatrix> {
+    let out = sp_axpby_par_impl::<true>(1.0, a, 1.0, b, auto_parallelism(a.rows()))?;
+    out.debug_validate_pruned("ops::sp_add_pruned");
+    Ok(out)
 }
 
 /// Sparse matrix difference `a - b` with explicit zeros dropped during the
