@@ -612,24 +612,39 @@ mod tests {
         .unwrap();
         let mem = MemoryModel::default();
         let refresh = |adaptive_refresh| OnePassOptions { adaptive_refresh, ..Default::default() };
+        // K = 6 > C = 5 makes `Auto` combination-first; the delta path also
+        // runs aggregation-first.
+        let agg_first = OnePassOptions {
+            order: CombinationOrder::AggregationFirst,
+            ..refresh(false)
+        };
         let cases = [
             (Algorithm::Recompute, OnePassOptions::default()),
             (Algorithm::Incremental, OnePassOptions::default()),
             (Algorithm::OnePass, refresh(false)),
+            (Algorithm::OnePass, agg_first),
             (Algorithm::OnePass, refresh(true)),
         ];
-        for normalization in [Normalization::Symmetric, Normalization::RowStochastic] {
-            let model = DgnnModel::from_config(&ModelConfig {
-                input_dim: 6,
-                gnn_hidden: 5,
-                gnn_layers: 3,
-                rnn_hidden: 4,
-                activation: crate::Activation::Relu,
-                normalization,
-                seed: 3,
-                rnn_kernel: Default::default(),
+        // Every ΔA_C arm: L = 1 (ΔA itself), Eq. 15 at L = 2 and 3, and the
+        // general expansion at L = 4 and for the asymmetric operator.
+        let models = [1, 2, 3, 4].into_iter().flat_map(|gnn_layers| {
+            [Normalization::Symmetric, Normalization::RowStochastic].map(|normalization| {
+                DgnnModel::from_config(&ModelConfig {
+                    input_dim: 6,
+                    gnn_hidden: 5,
+                    gnn_layers,
+                    rnn_hidden: 4,
+                    activation: crate::Activation::Relu,
+                    normalization,
+                    seed: 3,
+                    rnn_kernel: Default::default(),
+                })
+                .unwrap()
             })
-            .unwrap();
+        });
+        for model in models {
+            let normalization = model.normalization();
+            let layers = model.dims().gnn_layers;
             for (algorithm, options) in cases {
                 let reference = {
                     let _serial = kernel_scope(Parallelism::new(1));
@@ -640,19 +655,23 @@ mod tests {
                     .unwrap()
                 };
                 if algorithm == Algorithm::OnePass {
-                    // Refresh off takes the delta path on every transition;
-                    // refresh on takes the refresh (no AComb work) on some.
+                    // At L = 3, refresh off takes the delta path on every
+                    // transition; refresh on takes the refresh (no AComb
+                    // work) on some.
                     let refreshed = reference.costs[1..]
                         .iter()
                         .filter(|c| c.ops_of(crate::Phase::AComb).total() == 0)
                         .count();
-                    assert_eq!(refreshed > 0, options.adaptive_refresh, "{normalization:?}");
+                    if layers == 3 {
+                        assert_eq!(refreshed > 0, options.adaptive_refresh, "{normalization:?}");
+                    }
                 }
                 for threads in [1, 4] {
                     let _scope = kernel_scope(Parallelism::new(threads));
                     let mut seen = 0;
                     stream(algorithm, &model, &dg, &mem, &options, SinkReads::Outputs, |step| {
-                        let case = format!("{algorithm} {normalization:?} {options:?} t={seen}");
+                        let case =
+                            format!("{algorithm} {normalization:?} L={layers} {options:?} t={seen}");
                         assert_eq!(step.t, seen, "{case}");
                         let out = &reference.outputs[step.t];
                         let state = step.state.expect("an Outputs stream lends the state");
@@ -752,66 +771,82 @@ mod tests {
         conflicting.push_delta(GraphDelta::builder().add_edge(u, existing).build());
         conflicting.push_delta(dg.deltas()[3].clone());
 
-        let model = DgnnModel::from_config(&ModelConfig {
-            input_dim: 6,
-            gnn_hidden: 5,
-            gnn_layers: 3,
-            rnn_hidden: 4,
-            activation: crate::Activation::Relu,
-            normalization: Normalization::Symmetric,
-            seed: 3,
-            rnn_kernel: Default::default(),
-        })
-        .unwrap();
         let mem = MemoryModel::default();
-        let refresh = |adaptive_refresh| Lane {
-            onepass: OnePassOptions { adaptive_refresh, ..Default::default() },
+        let onepass = |order, adaptive_refresh| Lane {
+            onepass: OnePassOptions { order, adaptive_refresh, ..Default::default() },
             ..Lane::new(Algorithm::OnePass, mem)
         };
-        // All three algorithms, one-pass with the refresh on and off, and a
-        // lane whose caches spill, in one walk.
+        // All three algorithms, one-pass with the refresh on and off and in
+        // both combination orders (K = 6 > C = 5 makes `Auto`
+        // combination-first), and a lane whose caches spill, in one walk.
         let lanes = [
             Lane::new(Algorithm::Recompute, mem),
             Lane::new(Algorithm::Incremental, mem),
-            refresh(true),
-            refresh(false),
+            onepass(CombinationOrder::Auto, true),
+            onepass(CombinationOrder::Auto, false),
+            onepass(CombinationOrder::AggregationFirst, false),
             Lane::new(Algorithm::Incremental, MemoryModel { onchip_bytes: 0 }),
         ];
-        for (graph, snapshots) in [(&dg, 5), (&conflicting, 4)] {
-            for reads in [SinkReads::Costs, SinkReads::Outputs] {
-                for threads in [1, 4] {
-                    let _scope = kernel_scope(Parallelism::new(threads));
-                    let case = format!("{reads:?} threads={threads} snapshots={snapshots}");
-                    let mut shared: Vec<Vec<OwnedStep>> = lanes.iter().map(|_| Vec::new()).collect();
-                    let (walks, runs) = (walks_on_this_thread(), runs_on_this_thread());
-                    let outcome = stream_lanes(&model, graph, &lanes, reads, |lane, step| {
-                        shared[lane].push(OwnedStep::of(&step));
-                    });
-                    assert_eq!(walks_on_this_thread() - walks, 1, "{case}");
-                    let started: Vec<u64> =
-                        runs_on_this_thread().iter().zip(runs).map(|(a, b)| a - b).collect();
-                    assert_eq!(started, [1, 2, 2], "{case}");
-                    let error = outcome.err().map(|e| format!("{e:?}"));
-                    assert_eq!(error.is_some(), snapshots < graph.num_snapshots(), "{case}");
-                    for (lane, steps) in lanes.iter().zip(&shared) {
-                        let (solo, solo_error) = solo_steps(&model, graph, lane, reads);
-                        assert_eq!(steps.len(), snapshots, "{case} {lane:?}");
-                        assert_eq!(steps, &solo, "{case} {lane:?}");
-                        assert_eq!(error, solo_error, "{case} {lane:?}");
-                        // Refresh on takes the refresh (no AComb work) on
-                        // some transition; refresh off never does.
-                        let refreshed = steps[1..]
-                            .iter()
-                            .any(|step| step.cost.ops_of(crate::Phase::AComb).total() == 0);
-                        if lane.algorithm == Algorithm::OnePass {
-                            assert_eq!(refreshed, lane.onepass.adaptive_refresh, "{case}");
-                        }
-                        for step in steps {
-                            let executed = reads == SinkReads::Outputs;
-                            assert_eq!(step.z.is_some(), executed, "{case} {lane:?}");
-                            assert_eq!(step.state.is_some(), executed, "{case} {lane:?}");
-                            let one_pass = lane.algorithm == Algorithm::OnePass;
-                            assert_eq!(step.delta.is_some(), one_pass && step.t > 0, "{case}");
+        // Every ΔA_C arm the row sink serves: L = 1, Eq. 15 at L = 2 and 3,
+        // the general expansion at L = 4 and for the asymmetric operator.
+        let shapes = [
+            (Normalization::Symmetric, 1),
+            (Normalization::Symmetric, 2),
+            (Normalization::Symmetric, 3),
+            (Normalization::Symmetric, 4),
+            (Normalization::RowStochastic, 3),
+        ];
+        for (normalization, layers) in shapes {
+            let model = DgnnModel::from_config(&ModelConfig {
+                input_dim: 6,
+                gnn_hidden: 5,
+                gnn_layers: layers,
+                rnn_hidden: 4,
+                activation: crate::Activation::Relu,
+                normalization,
+                seed: 3,
+                rnn_kernel: Default::default(),
+            })
+            .unwrap();
+            for (graph, snapshots) in [(&dg, 5), (&conflicting, 4)] {
+                for reads in [SinkReads::Costs, SinkReads::Outputs] {
+                    for threads in [1, 4] {
+                        let _scope = kernel_scope(Parallelism::new(threads));
+                        let case = format!(
+                            "{:?} L={layers} {reads:?} threads={threads} snapshots={snapshots}",
+                            model.normalization()
+                        );
+                        let mut shared: Vec<Vec<OwnedStep>> = lanes.iter().map(|_| Vec::new()).collect();
+                        let (walks, runs) = (walks_on_this_thread(), runs_on_this_thread());
+                        let outcome = stream_lanes(&model, graph, &lanes, reads, |lane, step| {
+                            shared[lane].push(OwnedStep::of(&step));
+                        });
+                        assert_eq!(walks_on_this_thread() - walks, 1, "{case}");
+                        let started: Vec<u64> =
+                            runs_on_this_thread().iter().zip(runs).map(|(a, b)| a - b).collect();
+                        assert_eq!(started, [1, 2, 3], "{case}");
+                        let error = outcome.err().map(|e| format!("{e:?}"));
+                        assert_eq!(error.is_some(), snapshots < graph.num_snapshots(), "{case}");
+                        for (lane, steps) in lanes.iter().zip(&shared) {
+                            let (solo, solo_error) = solo_steps(&model, graph, lane, reads);
+                            assert_eq!(steps.len(), snapshots, "{case} {lane:?}");
+                            assert_eq!(steps, &solo, "{case} {lane:?}");
+                            assert_eq!(error, solo_error, "{case} {lane:?}");
+                            // At L = 3, refresh on takes the refresh (no AComb
+                            // work) on some transition; refresh off never does.
+                            let refreshed = steps[1..]
+                                .iter()
+                                .any(|step| step.cost.ops_of(crate::Phase::AComb).total() == 0);
+                            if lane.algorithm == Algorithm::OnePass && layers == 3 {
+                                assert_eq!(refreshed, lane.onepass.adaptive_refresh, "{case}");
+                            }
+                            for step in steps {
+                                let executed = reads == SinkReads::Outputs;
+                                assert_eq!(step.z.is_some(), executed, "{case} {lane:?}");
+                                assert_eq!(step.state.is_some(), executed, "{case} {lane:?}");
+                                let one_pass = lane.algorithm == Algorithm::OnePass;
+                                assert_eq!(step.delta.is_some(), one_pass && step.t > 0, "{case}");
+                            }
                         }
                     }
                 }
@@ -864,16 +899,22 @@ mod tests {
         // Ample and zero on-chip memory: the RNN state stays resident or
         // spills, so both branches of the RNN traffic are compared.
         let memories = [MemoryModel::default(), MemoryModel { onchip_bytes: 0 }];
-        let normalizations =
-            [Normalization::Symmetric, Normalization::RowStochastic, Normalization::Raw];
+        // Every ΔA_C arm the row sink serves: L = 1 (ΔA itself), Eq. 15 at
+        // L = 2 and 3, the general expansion at L = 4 and, at every L, for
+        // the asymmetric row-stochastic operator.
+        let shapes: Vec<(Normalization, usize)> =
+            [Normalization::Symmetric, Normalization::RowStochastic, Normalization::Raw]
+                .into_iter()
+                .flat_map(|normalization| [1, 2, 3, 4].map(|layers| (normalization, layers)))
+                .collect();
         for activation in [crate::Activation::Relu, crate::Activation::Linear] {
             for rnn_kernel in [crate::RnnKernelKind::Lstm, crate::RnnKernelKind::Gru] {
-                for normalization in normalizations {
+                for &(normalization, gnn_layers) in &shapes {
                     // C = 5 ≠ R = 4, so a count that swapped them would show.
                     let model = DgnnModel::from_config(&ModelConfig {
                         input_dim: 6,
                         gnn_hidden: 5,
-                        gnn_layers: 3,
+                        gnn_layers,
                         rnn_hidden: 4,
                         activation,
                         normalization,
@@ -887,7 +928,8 @@ mod tests {
                                 let _scope = kernel_scope(Parallelism::new(threads));
                                 let case = format!(
                                     "{algorithm} {activation:?} {rnn_kernel:?} \
-                                     {normalization:?} {options:?} {mem:?} threads={threads}"
+                                     {normalization:?} L={gnn_layers} {options:?} {mem:?} \
+                                     threads={threads}"
                                 );
                                 let executed = collect_steps(
                                     algorithm,

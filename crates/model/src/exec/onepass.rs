@@ -8,27 +8,37 @@
 //! 1. **DIU** extracts `ΔA = Â^{t+1} − Â^t` and `ΔX_0`;
 //! 2. **AComb** evaluates the fused dissimilarity `ΔA_C` (Eqs. 13–15) from
 //!    the GSB-resident `Â^t` and `ΔA` — exactly the two matrices the paper's
-//!    Graph Structure Buffer holds (§V-B);
+//!    Graph Structure Buffer holds (§V-B) — and streams it into AG row by
+//!    row ([`fused_dissimilarity_rows`]); `ΔA_C` is never stored;
 //! 3. **AG** computes `ΔAgg = ΔA_C·X_0^{t+1} + A_C^t·ΔX_0` (Eq. 10). The
-//!    second term never materializes `A_C^t = (Â^t)^L`: it is evaluated as
-//!    `Â^t(Â^t(…(Â^t·ΔX_0)))`, L chained sparse-times-sparse-rows products,
-//!    cheap because `ΔX_0` has few non-zero rows;
-//! 4. **CB** computes `ΔP = ΔAgg·W_C` for the involved rows only and updates
-//!    the resident pre-activation `P^{t+1} = P^t + ΔP`;
+//!    second term never materializes `A_C^t = (Â^t)^L`: it is evaluated
+//!    first, as `Â^t(Â^t(…(Â^t·ΔX_0)))`, L chained sparse-times-sparse-rows
+//!    products, cheap because `ΔX_0` has few non-zero rows. Each streamed
+//!    row of `ΔA_C` is charged as an SpMM row and joined with its chained
+//!    row: when outputs are read the row of `ΔAgg` is formed; when only
+//!    costs are read the row is only tested for involvement, column by
+//!    column until one is nonzero ([`row_is_involved`]);
+//! 4. **CB** computes `ΔP = ΔAgg·W_C` for the involved rows only, as each
+//!    row arrives, and updates the resident pre-activation
+//!    `P^{t+1} = P^t + ΔP` (only when outputs are read; otherwise it is
+//!    charged from the involved-row count). Combination-first instead
+//!    folds `ΔY = ΔX_0·W_C` into `Y = X_0·W_C` before AComb, and AG
+//!    streams `ΔP = ΔA_C·Y^{t+1} + A_C^t·ΔY` directly;
 //! 5. the RNN consumes `X_C^{t+1} = σ(P^{t+1})` in place.
 //!
 //! No layer-by-layer intermediate features exist, so the `Intermediate`
 //! DRAM class is structurally zero — the paper's headline claim.
 
 use idgnn_graph::GraphSnapshot;
-use idgnn_sparse::{ops, CsrMatrix, DenseMatrix, OpStats};
+use idgnn_sparse::ops::{self, RowSink};
+use idgnn_sparse::{CsrMatrix, DenseMatrix, OpStats};
 
 use crate::cost::{dense_bytes, DataClass, MemoryModel, Phase, SnapshotCost, Traffic};
 use crate::error::Result;
 use crate::exec::{charge_rnn, Frame};
 use crate::fusion::fuse_weights;
 use crate::lstm::LstmState;
-use crate::onepass::{fused_dissimilarity, DissimilarityStrategy};
+use crate::onepass::{fused_dissimilarity_rows, DissimilarityStrategy};
 use crate::DgnnModel;
 
 /// Order of the aggregation and combination halves of the one-pass kernel.
@@ -203,6 +213,137 @@ fn fold_combination(
         cb_ops.adds += (k * c_out) as u64;
     }
     cb_ops
+}
+
+/// What AG takes from one row block of the streamed `ΔA_C`.
+#[derive(Default)]
+struct AgSum {
+    /// Op counts of `ΔA_C·x` ([`ops::spmm_row_stats`] per row).
+    spmm: OpStats,
+    /// Stored entries of `ΔA_C`.
+    nnz: usize,
+    /// Rows of `ΔA_C` with a stored entry: the rows of `x` AG reads.
+    support: usize,
+    /// The involved rows, ascending: those of `ΔA_C·x + chained` with an
+    /// entry of `|v| > 0.0`, [`nonzero_rows`](crate::onepass::nonzero_rows)'
+    /// test.
+    involved: Vec<usize>,
+    /// `ΔP` of each involved row, `C` values each, when outputs are read.
+    d_p: Vec<f32>,
+}
+
+/// The [`RowSink`] AComb streams `ΔA_C` into: AG over one row block.
+///
+/// Each row `r` of `ΔA_C` is charged as a row of the SpMM `ΔA_C·x` and
+/// joined with row `r` of the chained term. When outputs are read it forms
+/// the row of `ΔA_C·x + chained` — each output starting at `+0.0` and
+/// adding `w·x[c, j]` in ascending `c`, then the chained value, which is
+/// what [`ops::spmm_with_stats`] and [`DenseMatrix::add`] compute — and
+/// keeps its `ΔP` if it is involved (after CB's `·W_C` on the
+/// aggregation-first order). When only costs are read it only decides
+/// whether the row is involved, with [`row_is_involved`].
+struct AgRows<'a> {
+    /// `X_0^{t+1}` (aggregation-first) or `Y^{t+1}` (combination-first).
+    x: &'a DenseMatrix,
+    /// `Â^L` applied to `ΔX_0` or `ΔY`, as wide as `x`.
+    chained: &'a DenseMatrix,
+    executing: bool,
+    /// `W_C` when the rows are `ΔAgg` rows CB must combine into `ΔP`.
+    combine: Option<&'a DenseMatrix>,
+    /// The row of `ΔA_C·x + chained` being formed.
+    row: Vec<f32>,
+    sum: AgSum,
+}
+
+impl<'a> AgRows<'a> {
+    fn new(
+        x: &'a DenseMatrix,
+        chained: &'a DenseMatrix,
+        executing: bool,
+        combine: Option<&'a DenseMatrix>,
+    ) -> Self {
+        Self { x, chained, executing, combine, row: Vec::new(), sum: AgSum::default() }
+    }
+
+    /// The blocks' sums in block order: counts added, rows concatenated.
+    fn fold_blocks(blocks: Vec<Self>) -> AgSum {
+        let mut blocks = blocks.into_iter().map(|b| b.sum);
+        let mut total = blocks.next().unwrap_or_default();
+        for b in blocks {
+            total.spmm += b.spmm;
+            total.nnz += b.nnz;
+            total.support += b.support;
+            total.involved.extend(b.involved);
+            total.d_p.extend(b.d_p);
+        }
+        total
+    }
+}
+
+impl RowSink for AgRows<'_> {
+    fn push_row(&mut self, r: usize, cols: &[usize], vals: &[f32]) {
+        let width = self.x.cols();
+        let sum = &mut self.sum;
+        sum.spmm += ops::spmm_row_stats(cols.len(), width);
+        sum.nnz += cols.len();
+        sum.support += usize::from(!cols.is_empty());
+        let chained = self.chained.row(r);
+        if !self.executing {
+            if row_is_involved(self.x, chained, cols, vals) {
+                sum.involved.push(r);
+            }
+            return;
+        }
+        let row = &mut self.row;
+        row.clear();
+        row.resize(width, 0.0);
+        for (&c, &w) in cols.iter().zip(vals) {
+            for (o, &xv) in row.iter_mut().zip(self.x.row(c)) {
+                *o += w * xv;
+            }
+        }
+        for (o, &ch) in row.iter_mut().zip(chained) {
+            *o += ch;
+        }
+        if !row.iter().any(|v| v.abs() > 0.0) {
+            return;
+        }
+        sum.involved.push(r);
+        match self.combine {
+            Some(w_c) => {
+                for j in 0..w_c.cols() {
+                    let mut acc = 0.0f32;
+                    for (i, &a) in row.iter().enumerate() {
+                        acc += a * w_c.get(i, j);
+                    }
+                    sum.d_p.push(acc);
+                }
+            }
+            None => sum.d_p.extend_from_slice(row),
+        }
+    }
+}
+
+/// Whether the row `(cols, vals)` of `ΔA_C` makes its row of
+/// `ΔA_C·x + chained` involved, without forming the row: column by column
+/// it sums `acc = 0.0; acc += w·x[c, j]` in ascending `c`, adds
+/// `chained[j]`, and stops at the first column with `|v| > 0.0`.
+///
+/// Bit for bit the test [`nonzero_rows`](crate::onepass::nonzero_rows)
+/// makes on the materialised sum: each output of [`ops::spmm_with_stats`]
+/// starts at `+0.0` and receives the same products in the same order (the
+/// chunked AXPY never reorders a column, and Rust does not contract `a·b + c`
+/// into an FMA), and [`DenseMatrix::add`] adds the chained value last. A
+/// NaN fails `|v| > 0.0` here as there.
+fn row_is_involved(x: &DenseMatrix, chained: &[f32], cols: &[usize], vals: &[f32]) -> bool {
+    let (width, xs) = (x.cols(), x.as_slice());
+    chained.iter().enumerate().any(|(j, &ch)| {
+        let mut acc = 0.0f32;
+        for (&c, &w) in cols.iter().zip(vals) {
+            acc += w * xs[c * width + j];
+        }
+        (acc + ch).abs() > 0.0
+    })
 }
 
 /// A one-pass lane's resident state — what the accelerator holds on chip
@@ -417,18 +558,6 @@ impl OnePass {
             return Ok(());
         }
 
-        // AComb: fused dissimilarity ΔA_C from Â^t and ΔA. Uncached: the
-        // re-normalised Â^{t+1} this lane advances to never equals the
-        // `Â^t + ΔA` a PowerCache keys on (DESIGN.md §8).
-        let dis = fused_dissimilarity(a_prev, d_op, l, *strategy)?;
-        cost.add_saved(dis.saved);
-        let mut t_ac = Traffic::none();
-        if spilled {
-            t_ac.read(DataClass::Graph, a_prev.csr_bytes());
-            t_ac.write(DataClass::Graph, dis.delta_ac.csr_bytes());
-        }
-        cost.push(Phase::AComb, dis.ops, t_ac);
-
         // `chain_apply` accesses columns as rows, i.e. computes Âᵀ·x; pass
         // the transpose when the operator is asymmetric so the product is
         // the intended Â·x.
@@ -440,42 +569,66 @@ impl OnePass {
             &a_chain_t
         };
 
-        let mut t_ag = Traffic::none();
-        if spilled {
-            let support: usize = (0..v).filter(|&r| dis.delta_ac.row_nnz(r) > 0).count();
-            t_ag.read(DataClass::InputFeature, dense_bytes(support, dims.input_dim));
-        }
-        let mut t_cb = Traffic::none();
-
-        let involved;
-        if comb_first {
-            // CB: ΔY = ΔX_0·W_C on the changed rows only; fold into Y.
+        // What AG reads besides ΔA_C, ready before AComb streams it.
+        // Combination-first: CB forms ΔY = ΔX_0·W_C on the changed rows and
+        // folds it into Y; AG aggregates Y^{t+1} at width C. Aggregation-
+        // first: AG aggregates X_0^{t+1} at width K.
+        let (cb_ops, dy) = if comb_first {
             let mut dy = DenseMatrix::zeros(v, c_out);
             let cb_ops = fold_combination(dx0, &changed_rows, w_c, y_cache, Some(&mut dy));
-            cost.push(Phase::Combination, cb_ops, t_cb);
+            (cb_ops, Some(dy))
+        } else {
+            (OpStats::default(), None)
+        };
+        let (x, width) = if comb_first { (&*y_cache, c_out) } else { (snap.features(), k) };
+        // Â^t applied L times to ΔY or ΔX_0, and its merge into ΔA_C·x.
+        let mut ag_ops = OpStats::default();
+        let seed = dy.as_ref().unwrap_or(dx0);
+        let mut chained: Option<DenseMatrix> = None;
+        for _ in 0..l {
+            let (next, st) = chain_apply(chain_op, chained.as_ref().unwrap_or(seed));
+            chained = Some(next);
+            ag_ops += st;
+        }
+        let chained = chained.as_ref().unwrap_or(seed);
+        ag_ops.adds += (crate::onepass::nonzero_rows(chained, 0.0).len() * width) as u64;
 
-            // AG: ΔP = ΔA_C·Y^{t+1} + Â^t applied L times to ΔY.
-            let (mut d_p, mut ag_ops) = ops::spmm_with_stats(&dis.delta_ac, y_cache)?;
-            let mut chained = dy;
-            for _ in 0..l {
-                let (next, st) = chain_apply(chain_op, &chained);
-                chained = next;
-                ag_ops += st;
-            }
-            let merge_rows = crate::onepass::nonzero_rows(&chained, 0.0).len() as u64;
-            d_p = d_p.add(&chained)?;
-            ag_ops.adds += merge_rows * c_out as u64;
+        // AComb: fused dissimilarity ΔA_C from Â^t and ΔA, each row streamed
+        // into AG as it is summed, never stored. Uncached: the re-normalised
+        // Â^{t+1} this lane advances to never equals the `Â^t + ΔA` a
+        // PowerCache keys on (DESIGN.md §8).
+        let combine = (executing && !comb_first).then_some(&*w_c);
+        let dis = fused_dissimilarity_rows(a_prev, d_op, l, *strategy, |_, _| {
+            AgRows::new(x, chained, executing, combine)
+        })?;
+        let ag = AgRows::fold_blocks(dis.delta_ac);
+        cost.add_saved(dis.saved);
+        let mut t_ac = Traffic::none();
+        if spilled {
+            t_ac.read(DataClass::Graph, a_prev.csr_bytes());
+            t_ac.write(DataClass::Graph, CsrMatrix::csr_bytes_of(a_prev.rows(), ag.nnz));
+        }
+        cost.push(Phase::AComb, dis.ops, t_ac);
 
-            involved = crate::onepass::nonzero_rows(&d_p, 0.0);
-            if let Some((pre_act, x_c)) = fused.as_mut() {
-                for &r in &involved {
-                    for j in 0..c_out {
-                        let p = pre_act.get(r, j) + d_p.get(r, j);
-                        pre_act.set(r, j, p);
-                        x_c.set(r, j, if activation.is_linear() { p } else { p.max(0.0) });
-                    }
+        let mut t_ag = Traffic::none();
+        if spilled {
+            t_ag.read(DataClass::InputFeature, dense_bytes(ag.support, dims.input_dim));
+        }
+        ag_ops += ag.spmm;
+        let involved = ag.involved;
+        // P^{t+1} = P^t + ΔP on the involved rows, when outputs are read.
+        if let Some((pre_act, x_c)) = fused.as_mut() {
+            for (&r, d_p) in involved.iter().zip(ag.d_p.chunks_exact(c_out.max(1))) {
+                for (j, &d) in d_p.iter().enumerate() {
+                    let p = pre_act.get(r, j) + d;
+                    pre_act.set(r, j, p);
+                    x_c.set(r, j, if activation.is_linear() { p } else { p.max(0.0) });
                 }
             }
+        }
+        if comb_first {
+            cost.push(Phase::Combination, cb_ops, Traffic::none());
+            // AG folds each involved row of ΔP into P with one add per output.
             ag_ops.adds += (involved.len() * c_out) as u64;
             if spilled {
                 t_ag.read(DataClass::OutputFeature, dense_bytes(involved.len(), c_out));
@@ -483,39 +636,12 @@ impl OnePass {
             }
             cost.push(Phase::Aggregation, ag_ops, t_ag);
         } else {
-            // AG: ΔAgg = ΔA_C·X_0^{t+1} + Â^t applied L times to ΔX_0.
-            let (mut d_agg, mut ag_ops) = ops::spmm_with_stats(&dis.delta_ac, snap.features())?;
-            let mut chained: Option<DenseMatrix> = None;
-            for _ in 0..l {
-                let (next, st) = chain_apply(chain_op, chained.as_ref().unwrap_or(dx0));
-                chained = Some(next);
-                ag_ops += st;
-            }
-            let chained = chained.as_ref().unwrap_or(dx0);
-            let merge_rows = crate::onepass::nonzero_rows(chained, 0.0).len() as u64;
-            d_agg = d_agg.add(chained)?;
-            ag_ops.adds += merge_rows * k as u64;
             cost.push(Phase::Aggregation, ag_ops, t_ag);
-
             // CB: ΔP = ΔAgg·W_C for involved rows only, each folded into P
             // with one add per output.
-            involved = crate::onepass::nonzero_rows(&d_agg, 0.0);
             let mut cb_ops = OpStats::gemm(involved.len() as u64, c_out as u64, k as u64);
             cb_ops.adds += (involved.len() * c_out) as u64;
-            if let Some((pre_act, x_c)) = fused.as_mut() {
-                for &r in &involved {
-                    let agg_row = d_agg.row(r);
-                    for j in 0..c_out {
-                        let mut acc = 0.0f32;
-                        for (i, &a) in agg_row.iter().enumerate() {
-                            acc += a * w_c.get(i, j);
-                        }
-                        let p = pre_act.get(r, j) + acc;
-                        pre_act.set(r, j, p);
-                        x_c.set(r, j, if activation.is_linear() { p } else { p.max(0.0) });
-                    }
-                }
-            }
+            let mut t_cb = Traffic::none();
             if spilled {
                 t_cb.read(DataClass::OutputFeature, dense_bytes(involved.len(), c_out));
                 t_cb.write(DataClass::OutputFeature, dense_bytes(involved.len(), c_out));
@@ -806,6 +932,89 @@ mod tests {
             r.costs[1..].iter().map(|c| c.ops_of(crate::Phase::Diu).total()).sum()
         };
         assert!(diu(&d) > diu(&a), "deletion-heavy {} !> addition-heavy {}", diu(&d), diu(&a));
+    }
+
+    #[test]
+    fn involved_rows_and_counts_equal_the_materialised_oracle() {
+        let (nan, inf) = (f32::NAN, f32::INFINITY);
+        #[rustfmt::skip]
+        let x = DenseMatrix::from_vec(7, 2, vec![
+            0.0, -1.0,
+            2.0, 0.0,
+            nan, 0.0,
+            inf, 0.0,
+            -inf, 0.0,
+            1.0, 1.0,
+            0.5, 0.5,
+        ])
+        .unwrap();
+        // Row 0 is non-empty but cancels exactly against the chained term;
+        // rows 1 and 2 sum to NaN (a NaN feature, ∞ − ∞), which fails
+        // `|v| > 0.0`; row 3 is ∞; row 4 is empty with a chained value in
+        // its second column; row 5 is zero in its first column only and
+        // stores a zero weight; row 6 is empty with chained ±0.0.
+        let rows: [&[(usize, f32)]; 7] = [
+            &[(1, 1.0)],
+            &[(2, 1.0)],
+            &[(3, 1.0), (4, 1.0)],
+            &[(3, 1.0)],
+            &[],
+            &[(0, 1.0), (5, 0.0)],
+            &[],
+        ];
+        let mut coo = idgnn_sparse::CooMatrix::new(7, 7);
+        for (r, row) in rows.iter().enumerate() {
+            for &(c, w) in row.iter() {
+                coo.push(r, c, w).unwrap();
+            }
+        }
+        let delta_ac = coo.to_csr();
+        let mut chained = DenseMatrix::zeros(7, 2);
+        chained.set(0, 0, -2.0);
+        chained.set(4, 0, -0.0);
+        chained.set(4, 1, 3.0);
+        chained.set(6, 1, -0.0);
+        let w_c = DenseMatrix::from_vec(2, 3, vec![1.0, -2.0, 0.5, 4.0, 0.25, -1.0]).unwrap();
+
+        // The materialised path the row sink replaces.
+        let (spmm, spmm_ops) = ops::spmm_with_stats(&delta_ac, &x).unwrap();
+        let d_agg = spmm.add(&chained).unwrap();
+        let want = crate::onepass::nonzero_rows(&d_agg, 0.0);
+        assert_eq!(want, [3, 4, 5]);
+        let support = (0..7).filter(|&r| delta_ac.row_nnz(r) > 0).count();
+        for executing in [false, true] {
+            for combine in [None, Some(&w_c)] {
+                let ctx = format!("executing={executing} combine={}", combine.is_some());
+                let blocks =
+                    ops::sp_rows(&delta_ac, |_, _| AgRows::new(&x, &chained, executing, combine));
+                let sum = AgRows::fold_blocks(blocks);
+                assert_eq!(sum.involved, want, "{ctx}");
+                assert_eq!(sum.spmm, spmm_ops, "{ctx}");
+                assert_eq!((sum.nnz, sum.support), (delta_ac.nnz(), support), "{ctx}");
+                if !executing {
+                    assert!(sum.d_p.is_empty(), "{ctx}");
+                    continue;
+                }
+                let want_d_p: Vec<u32> = match combine {
+                    None => want.iter().flat_map(|&r| d_agg.row(r).iter().map(|v| v.to_bits())).collect(),
+                    Some(w_c) => {
+                        let mut d_p = Vec::new();
+                        for &r in &want {
+                            for j in 0..w_c.cols() {
+                                let mut acc = 0.0f32;
+                                for (i, &a) in d_agg.row(r).iter().enumerate() {
+                                    acc += a * w_c.get(i, j);
+                                }
+                                d_p.push(acc.to_bits());
+                            }
+                        }
+                        d_p
+                    }
+                };
+                let got: Vec<u32> = sum.d_p.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want_d_p, "{ctx}");
+            }
+        }
     }
 
     #[test]

@@ -16,11 +16,22 @@
 //! between the naive expansion and the transpose-optimized form; the
 //! ablation bench (`ablation_transpose`) quantifies the savings.
 //!
-//! Every path adds its terms with one [`ops::sp_sum_pruned`] pass. The sum
-//! is bit-identical to a left-to-right `sp_add` fold followed by
+//! Every path adds its terms with one [`ops::sp_sum_pruned_rows`] pass. The
+//! sum is bit-identical to a left-to-right `sp_add` fold followed by
 //! `pruned(0.0)`, and the reported adds are derived from the unpruned
 //! prefix-sum sizes it returns, so [`Dissimilarity::ops`] counts exactly the
 //! merges such a fold performs.
+//!
+//! ## `ΔA_C` is a row stream
+//!
+//! Every path — `L ≤ 1`, Eq. 15 at `L = 2, 3`, and the general path with or
+//! without a [`PowerCache`] — ends by handing `ΔA_C` row by row to a
+//! [`RowSink`] ([`ops::sp_sum_pruned_rows`], or [`ops::sp_rows`] for
+//! `L ≤ 1`, whose `ΔA_C` is `0` or `ΔA`). The paper's AComb feeds AG the
+//! same way (§V): [`fused_dissimilarity_rows`] lets the one-pass executor
+//! aggregate each row as it arrives and never store the matrix, while
+//! [`fused_dissimilarity`] and [`fused_dissimilarity_cached`] collect the
+//! rows into a [`CsrMatrix`] for tests, benches and the walkthrough.
 //!
 //! ## The general path builds only what `ΔA` reads
 //!
@@ -59,10 +70,13 @@
 //! A hit needs the caller to advance its operator exactly as the kernel
 //! does (`A ← sp_add(A, ΔA)`). The one-pass executor advances to the
 //! re-normalised `Â^{t+1}` instead, which never matches that key bit for
-//! bit (DESIGN.md §8), so it calls the uncached [`fused_dissimilarity`].
+//! bit (DESIGN.md §8), so it calls the uncached [`fused_dissimilarity_rows`].
 //! The hit path serves callers that maintain the operator additively, such
 //! as the `kernels` bench's warm power chain.
 
+use std::ops::Range;
+
+use idgnn_sparse::ops::{CsrRows, RowSink};
 use idgnn_sparse::{ops, workspace, CsrMatrix, DenseMatrix, OpStats};
 
 use crate::error::{ModelError, Result};
@@ -83,9 +97,14 @@ pub enum DissimilarityStrategy {
 
 /// Result of a `ΔA_C` evaluation.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Dissimilarity {
-    /// The fused graph dissimilarity matrix `ΔA_C`.
-    pub delta_ac: CsrMatrix,
+pub struct Dissimilarity<D = CsrMatrix> {
+    /// The fused graph dissimilarity matrix `ΔA_C`. Only the collecting
+    /// entries ([`fused_dissimilarity`], [`fused_dissimilarity_cached`])
+    /// build it, as a [`CsrMatrix`], for tests, benches and the
+    /// walkthrough; the one-pass executor never does. From
+    /// [`fused_dissimilarity_rows`] it is the row sinks `ΔA_C` streamed
+    /// into, in ascending block order.
+    pub delta_ac: D,
     /// Exact multiply/add counts of the evaluation. Work avoided by reuse
     /// (cache hits, transpose substitution) is still *included* here at its
     /// recorded cost so figures stay comparable across configurations; the
@@ -101,6 +120,28 @@ pub struct Dissimilarity {
     /// products the Eq. 15 transposes substitute for (never entered `ops`;
     /// costed at their twin's recorded cost, exact by operand symmetry).
     pub saved: OpStats,
+}
+
+impl<D> Dissimilarity<D> {
+    /// An evaluation that performed no product: `ΔA_C` is `0` or `ΔA`.
+    fn uncounted(delta_ac: D) -> Self {
+        Self {
+            delta_ac,
+            ops: OpStats::default(),
+            products: 0,
+            transposes: 0,
+            saved: OpStats::default(),
+        }
+    }
+}
+
+impl Dissimilarity<Vec<CsrRows>> {
+    /// Assembles the streamed rows of an `a`-shaped `ΔA_C` into a matrix.
+    fn into_matrix(self, a: &CsrMatrix) -> Dissimilarity {
+        let Self { delta_ac, ops, products, transposes, saved } = self;
+        let delta_ac = CsrRows::assemble(a.rows(), a.cols(), delta_ac);
+        Dissimilarity { delta_ac, ops, products, transposes, saved }
+    }
 }
 
 /// Cross-snapshot cache of operator powers `[I, A, …, A^{L−2}]`, plus the
@@ -181,7 +222,8 @@ fn same_matrix(x: &CsrMatrix, y: &CsrMatrix) -> bool {
         && x.values().iter().zip(y.values()).all(|(a, b)| a.to_bits() == b.to_bits())
 }
 
-/// Computes `ΔA_C = (A + ΔA)^L − A^L`.
+/// Computes `ΔA_C = (A + ΔA)^L − A^L`, collected into a [`CsrMatrix`]:
+/// [`fused_dissimilarity_rows`] with the sink that assembles the rows.
 ///
 /// # Errors
 ///
@@ -196,7 +238,33 @@ pub fn fused_dissimilarity(
     num_layers: u32,
     strategy: DissimilarityStrategy,
 ) -> Result<Dissimilarity> {
-    dissimilarity_impl(a, da, num_layers, strategy, None)
+    Ok(dissimilarity_impl(a, da, num_layers, strategy, None, &CsrRows::with_capacity)?.into_matrix(a))
+}
+
+/// Computes `ΔA_C = (A + ΔA)^L − A^L` and streams its rows into sinks
+/// instead of storing it. `sink(rows, max_nnz)` builds the [`RowSink`] of
+/// a row block, which receives each row of `ΔA_C` in `rows` (empty ones
+/// included) with at most `max_nnz` entries in all; the returned
+/// [`Dissimilarity::delta_ac`] holds the sinks in ascending block order.
+///
+/// The rows are those [`fused_dissimilarity`] collects, bit for bit, and
+/// every other field is the same, at any parallelism.
+///
+/// # Errors
+///
+/// Same conditions as [`fused_dissimilarity`].
+pub fn fused_dissimilarity_rows<S, F>(
+    a: &CsrMatrix,
+    da: &CsrMatrix,
+    num_layers: u32,
+    strategy: DissimilarityStrategy,
+    sink: F,
+) -> Result<Dissimilarity<Vec<S>>>
+where
+    S: RowSink,
+    F: Fn(Range<usize>, usize) -> S + Sync,
+{
+    dissimilarity_impl(a, da, num_layers, strategy, None, &sink)
 }
 
 /// [`fused_dissimilarity`] with a cross-snapshot [`PowerCache`].
@@ -217,16 +285,22 @@ pub fn fused_dissimilarity_cached(
     strategy: DissimilarityStrategy,
     cache: &mut PowerCache,
 ) -> Result<Dissimilarity> {
-    dissimilarity_impl(a, da, num_layers, strategy, Some(cache))
+    let rows = &CsrRows::with_capacity;
+    Ok(dissimilarity_impl(a, da, num_layers, strategy, Some(cache), rows)?.into_matrix(a))
 }
 
-fn dissimilarity_impl(
+fn dissimilarity_impl<S, F>(
     a: &CsrMatrix,
     da: &CsrMatrix,
     num_layers: u32,
     strategy: DissimilarityStrategy,
     cache: Option<&mut PowerCache>,
-) -> Result<Dissimilarity> {
+    sink: &F,
+) -> Result<Dissimilarity<Vec<S>>>
+where
+    S: RowSink,
+    F: Fn(Range<usize>, usize) -> S + Sync,
+{
     if a.shape() != da.shape() {
         return Err(ModelError::Sparse(idgnn_sparse::SparseError::DimensionMismatch {
             op: "fused_dissimilarity",
@@ -235,23 +309,14 @@ fn dissimilarity_impl(
         }));
     }
     match (strategy, num_layers) {
-        (_, 0) => Ok(Dissimilarity {
-            delta_ac: CsrMatrix::zeros(a.rows(), a.cols()),
-            ops: OpStats::default(),
-            products: 0,
-            transposes: 0,
-            saved: OpStats::default(),
-        }),
-        (_, 1) => Ok(Dissimilarity {
-            delta_ac: da.clone(),
-            ops: OpStats::default(),
-            products: 0,
-            transposes: 0,
-            saved: OpStats::default(),
-        }),
-        (DissimilarityStrategy::TransposeOptimized, 2) => optimized_l2(a, da),
-        (DissimilarityStrategy::TransposeOptimized, 3) => optimized_l3(a, da),
-        _ => general(a, da, num_layers, cache),
+        (_, 0) => {
+            let zeros = CsrMatrix::zeros(a.rows(), a.cols());
+            Ok(Dissimilarity::uncounted(ops::sp_rows(&zeros, sink)))
+        }
+        (_, 1) => Ok(Dissimilarity::uncounted(ops::sp_rows(da, sink))),
+        (DissimilarityStrategy::TransposeOptimized, 2) => optimized_l2(a, da, sink),
+        (DissimilarityStrategy::TransposeOptimized, 3) => optimized_l3(a, da, sink),
+        _ => general(a, da, num_layers, cache, sink),
     }
 }
 
@@ -273,12 +338,17 @@ fn dissimilarity_impl(
 /// counted at the kernel's cost for it ([`identity_stats`]).
 ///
 /// [`spgemm_with_stats`]: ops::spgemm_with_stats
-fn general(
+fn general<S, F>(
     a: &CsrMatrix,
     da: &CsrMatrix,
     l: u32,
     mut cache: Option<&mut PowerCache>,
-) -> Result<Dissimilarity> {
+    sink: &F,
+) -> Result<Dissimilarity<Vec<S>>>
+where
+    S: RowSink,
+    F: Fn(Range<usize>, usize) -> S + Sync,
+{
     let l_us = l as usize;
     let top = l_us - 1;
     let mut ops = OpStats::default();
@@ -363,7 +433,7 @@ fn general(
     // each of them (perfbench `powerchain-l4` peak RSS about 2× higher).
     drop((pow_a, a_top, n_top));
     let mut prefix = vec![0usize; l_us];
-    let delta_ac = ops::sp_sum_pruned(&terms.iter().collect::<Vec<_>>(), &mut prefix)?;
+    let delta_ac = ops::sp_sum_pruned_rows(&terms.iter().collect::<Vec<_>>(), &mut prefix, sink)?;
     // Reported adds follow a left-to-right merge: term i joins the unpruned
     // sum of terms 0..i at min(term nnz, sum nnz) adds; term 0 costs none.
     for (term, &acc_nnz) in terms.iter().skip(1).zip(&prefix) {
@@ -479,7 +549,11 @@ fn pattern_product_stats(x: &CsrMatrix, b: &CsrMatrix, bitmap_budget: u64) -> Op
 
 /// `L = 2`: `ΔA·A + (ΔA·A)ᵀ + ΔA·ΔA` — two products and one transpose
 /// instead of three products.
-fn optimized_l2(a: &CsrMatrix, da: &CsrMatrix) -> Result<Dissimilarity> {
+fn optimized_l2<S, F>(a: &CsrMatrix, da: &CsrMatrix, sink: &F) -> Result<Dissimilarity<Vec<S>>>
+where
+    S: RowSink,
+    F: Fn(Range<usize>, usize) -> S + Sync,
+{
     debug_assert!(a.is_symmetric(1e-5) && da.is_symmetric(1e-5));
     let mut ops = OpStats::default();
     let (p, s1) = ops::spgemm_with_stats(da, a)?; // ΔA·A
@@ -487,7 +561,7 @@ fn optimized_l2(a: &CsrMatrix, da: &CsrMatrix) -> Result<Dissimilarity> {
     let pt = p.transpose(); // = A·ΔA by symmetry
     let (dd, s2) = ops::spgemm_with_stats(da, da)?; // ΔA²
     ops += s2;
-    let delta_ac = ops::sp_sum_pruned(&[&p, &pt, &dd], &mut [0; 3])?;
+    let delta_ac = ops::sp_sum_pruned_rows(&[&p, &pt, &dd], &mut [0; 3], sink)?;
     ops.adds += (p.nnz() + dd.nnz()) as u64;
     for m in [p, pt, dd] {
         workspace::recycle(m);
@@ -506,7 +580,11 @@ fn optimized_l2(a: &CsrMatrix, da: &CsrMatrix) -> Result<Dissimilarity> {
 /// Every product has the hyper-sparse `ΔA` as one operand (directly or
 /// through `P = ΔA·A`), so the chains never touch the dense-ish
 /// `(A + ΔA)²` that the general path must build.
-fn optimized_l3(a: &CsrMatrix, da: &CsrMatrix) -> Result<Dissimilarity> {
+fn optimized_l3<S, F>(a: &CsrMatrix, da: &CsrMatrix, sink: &F) -> Result<Dissimilarity<Vec<S>>>
+where
+    S: RowSink,
+    F: Fn(Range<usize>, usize) -> S + Sync,
+{
     debug_assert!(a.is_symmetric(1e-5) && da.is_symmetric(1e-5));
     let mut ops = OpStats::default();
     let mut products = 0u32;
@@ -528,7 +606,7 @@ fn optimized_l3(a: &CsrMatrix, da: &CsrMatrix) -> Result<Dissimilarity> {
     let (dda_t, daa_t) = (dda.transpose(), daa.transpose());
     let terms = [&ada_a, &da_a_da, &dda, &dda_t, &daa, &daa_t, &ddd];
     let mut prefix = [0usize; 7];
-    let delta_ac = ops::sp_sum_pruned(&terms, &mut prefix)?;
+    let delta_ac = ops::sp_sum_pruned_rows(&terms, &mut prefix, sink)?;
     // Reported adds follow a left-to-right merge: the first two terms
     // combine uncounted, then each later term joins the unpruned sum of
     // the terms before it at min(term nnz, max(sum nnz, 1)) adds.
@@ -975,6 +1053,79 @@ mod tests {
             for l in [2u32, 3, 4, 5] {
                 for cached in [false, true] {
                     assert_matches_oracle(&case, l, DissimilarityStrategy::General, cached);
+                }
+            }
+        }
+    }
+
+    /// A row sink recording the rows it receives, with their value bits.
+    struct Recorded(Vec<(usize, Vec<usize>, Vec<u32>)>);
+
+    impl RowSink for Recorded {
+        fn push_row(&mut self, r: usize, cols: &[usize], vals: &[f32]) {
+            self.0.push((r, cols.to_vec(), vals.iter().map(|v| v.to_bits()).collect()));
+        }
+    }
+
+    /// A 200-vertex ring with two chords added under `D̃⁻¹(A + I)`: an
+    /// asymmetric operator large enough for four row blocks.
+    fn large_row_stochastic_setup() -> (CsrMatrix, CsrMatrix) {
+        let edges: Vec<(usize, usize)> = (0..200).map(|i| (i, (i + 1) % 200)).collect();
+        let base = GraphSnapshot::new(adjacency_from_edges(200, &edges).unwrap(), DenseMatrix::zeros(200, 1))
+            .unwrap();
+        let delta = GraphDelta::builder().add_edge(0, 50).add_edge(120, 160).build();
+        let next = delta.apply(&base).unwrap();
+        let a_prev = Normalization::RowStochastic.apply(base.adjacency());
+        let d = ops::sp_sub_pruned(&Normalization::RowStochastic.apply(next.adjacency()), &a_prev)
+            .unwrap();
+        (a_prev, d)
+    }
+
+    #[test]
+    fn streamed_rows_equal_the_collected_dissimilarity_at_every_parallelism() {
+        use idgnn_sparse::{parallel::kernel_scope, Parallelism};
+        // Every arm the sink serves: L = 0 and 1 (no sum), Eq. 15 at L = 2
+        // and 3 (symmetric operators only), and the general path at every
+        // L; the 200-vertex cases split into row blocks at four threads.
+        let both = [DissimilarityStrategy::TransposeOptimized, DissimilarityStrategy::General];
+        let general = [DissimilarityStrategy::General];
+        for (name, (a, d), strategies) in [
+            ("ring", ring_setup(200), &both[..]),
+            ("row-stochastic", large_row_stochastic_setup(), &general[..]),
+            ("burst", burst_setup(), &both[..]),
+            ("signed zeros", signed_zero_setup(), &general[..]),
+        ] {
+            for l in 0..=5u32 {
+                for &strategy in strategies {
+                    let want = {
+                        let _serial = kernel_scope(Parallelism::serial());
+                        fused_dissimilarity(&a, &d, l, strategy).unwrap()
+                    };
+                    if l > 0 && name != "signed zeros" {
+                        assert!(want.delta_ac.nnz() > 0, "{name} L={l}: an empty ΔA_C pins nothing");
+                    }
+                    for threads in [1, 4] {
+                        let ctx = format!("{name} L={l} {strategy:?} threads={threads}");
+                        let _scope = kernel_scope(Parallelism::new(threads));
+                        let got = fused_dissimilarity_rows(&a, &d, l, strategy, |_, _| {
+                            Recorded(Vec::new())
+                        })
+                        .unwrap();
+                        assert_eq!(got.delta_ac.len() > 1, threads > 1 && a.rows() >= 128, "{ctx}");
+                        let rows: Vec<_> = got.delta_ac.into_iter().flat_map(|s| s.0).collect();
+                        assert_eq!(rows.len(), a.rows(), "{ctx}: every row, once");
+                        for (i, (r, cols, vals)) in rows.iter().enumerate() {
+                            assert_eq!(*r, i, "{ctx}: rows ascend");
+                            assert_eq!(cols.as_slice(), want.delta_ac.row_indices(i), "{ctx} row {i}");
+                            let bits: Vec<u32> =
+                                want.delta_ac.row_values(i).iter().map(|v| v.to_bits()).collect();
+                            assert_eq!(vals, &bits, "{ctx} row {i}");
+                        }
+                        assert_eq!(got.ops, want.ops, "{ctx}");
+                        assert_eq!(got.products, want.products, "{ctx}");
+                        assert_eq!(got.transposes, want.transposes, "{ctx}");
+                        assert_eq!(got.saved, want.saved, "{ctx}");
+                    }
                 }
             }
         }

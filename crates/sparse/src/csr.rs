@@ -417,8 +417,14 @@ impl CsrMatrix {
     /// 4-byte values (the accounting unit used by the accelerator model's
     /// Graph Structure Buffer).
     pub fn csr_bytes(&self) -> u64 {
-        // indptr + indices + values, all 4-byte words.
-        4 * (self.indptr.len() as u64 + self.indices.len() as u64 + self.values.len() as u64)
+        Self::csr_bytes_of(self.rows, self.nnz())
+    }
+
+    /// [`Self::csr_bytes`] of a `rows`-row matrix storing `nnz` entries, for
+    /// a caller that streams the rows instead of storing them.
+    pub fn csr_bytes_of(rows: usize, nnz: usize) -> u64 {
+        // indptr (rows + 1) + indices + values, all 4-byte words.
+        4 * (rows as u64 + 1 + 2 * nnz as u64)
     }
 }
 

@@ -2,7 +2,8 @@
 //!
 //! Each op has one entry point: [`spgemm_with_stats`], [`spmm_with_stats`],
 //! [`gemm_with_stats`], [`sp_pow_with_stats`], [`sp_add`], [`sp_sub`],
-//! [`sp_add_pruned`], [`sp_sub_pruned`] and [`sp_sum_pruned`]. Every entry
+//! [`sp_add_pruned`], [`sp_sub_pruned`] and [`sp_sum_pruned`] (whose rows
+//! [`sp_sum_pruned_rows`] streams into a sink). Every entry
 //! that multiplies returns the exact number of scalar multiply and add
 //! operations it performed ([`OpStats`]; callers that drop them write `?.0`). The
 //! accelerator model uses these counts directly — the paper's simulator
@@ -47,8 +48,10 @@
 //! rounding step matches, and every [`OpStats`] count matches with adds
 //! equal to multiplies minus output nnz.
 //!
-//! [`sp_sum_pruned`] reuses the same SPA and emission to add `k` CSR terms
-//! in one pass — the `ΔA_C` term sum of Eqs. 13/15.
+//! [`sp_sum_pruned_rows`] reuses the same SPA and emission to add `k` CSR
+//! terms in one pass — the `ΔA_C` term sum of Eqs. 13/15 — and hands each
+//! pruned row to a [`RowSink`] instead of storing it; [`sp_sum_pruned`] is
+//! that sum with the sink that assembles a CSR ([`CsrRows`]).
 //!
 //! The scalar reference (`reference::spgemm_scalar`) keeps the explicit
 //! two-phase structure the fused pass superseded — a private stamp array
@@ -225,9 +228,19 @@ fn spgemm_block_in<const FUSED: bool>(
     ws: &mut Workspace,
 ) -> CsrBlock {
     ws.ensure_width(b.cols());
+    // Upper bound on the block's output nnz, so the output buffers are sized
+    // once instead of grown by doubling: a row stores at most one entry per
+    // multiply, and at most `b.cols()` entries.
+    let cap: usize = rows
+        .clone()
+        .map(|r| {
+            let mults: usize = a.row_indices(r).iter().map(|&k| b.row_nnz(k)).sum();
+            mults.min(b.cols())
+        })
+        .sum();
     let mut row_lens = workspace::take_index_buffer(rows.len());
-    let mut indices = workspace::take_index_buffer(0);
-    let mut values = workspace::take_value_buffer(0);
+    let mut indices = workspace::take_index_buffer(cap);
+    let mut values = workspace::take_value_buffer(cap);
     let mut stats = OpStats::default();
     if FUSED {
         for r in rows {
@@ -628,38 +641,86 @@ pub fn sp_sub_pruned(a: &CsrMatrix, b: &CsrMatrix) -> Result<CsrMatrix> {
     Ok(out)
 }
 
-/// The SPA term sum of [`sp_sum_pruned`] over one contiguous row block.
+/// A consumer of a row stream: the rows of one contiguous row block, handed
+/// over in ascending order. The streaming entries ([`sp_sum_pruned_rows`],
+/// [`sp_rows`]) build one sink per row block with a factory, run the blocks
+/// on the worker threads [`parallel::current`] selects, and return the
+/// sinks in ascending block order, so whatever a caller folds from them in
+/// that order is the same at every parallelism.
+pub trait RowSink: Send {
+    /// Receives row `r`: its stored columns in ascending order and their
+    /// values. Empty rows are handed over too.
+    fn push_row(&mut self, r: usize, cols: &[usize], vals: &[f32]);
+}
+
+/// The [`RowSink`] that assembles a CSR matrix: each block's sink appends
+/// its rows to pooled output buffers, and [`CsrRows::assemble`] concatenates
+/// the blocks.
+pub struct CsrRows(CsrBlock);
+
+impl CsrRows {
+    /// A sink for the rows `rows` that will receive at most `max_nnz`
+    /// entries — the signature of the streaming entries' sink factory.
+    // lint: buffer-carrier -- the buffers move into the returned sink, which `assemble` hands to assemble_csr
+    pub fn with_capacity(rows: std::ops::Range<usize>, max_nnz: usize) -> Self {
+        Self(CsrBlock {
+            indices: workspace::take_index_buffer(max_nnz),
+            values: workspace::take_value_buffer(max_nnz),
+            row_lens: workspace::take_index_buffer(rows.len()),
+            stats: OpStats::default(),
+        })
+    }
+
+    /// The `rows × cols` matrix whose rows the `blocks` received, in block
+    /// order.
+    pub fn assemble(rows: usize, cols: usize, blocks: Vec<CsrRows>) -> CsrMatrix {
+        // lint: allow(hot-path-alloc) -- one entry per row block, not per element
+        assemble_csr(rows, cols, blocks.into_iter().map(|b| b.0).collect()).0
+    }
+}
+
+impl RowSink for CsrRows {
+    fn push_row(&mut self, _r: usize, cols: &[usize], vals: &[f32]) {
+        self.0.indices.extend_from_slice(cols);
+        self.0.values.extend_from_slice(vals);
+        self.0.row_lens.push(cols.len());
+    }
+}
+
+/// The SPA term sum of [`sp_sum_pruned_rows`] over one contiguous row block.
 ///
 /// Each row adds the terms' entries into their resting slots in term order
 /// (so a slot holds `((t₀ + t₁) + t₂) + …` over the terms that store it —
 /// the pairwise fold's order, `-0.0 + t₀` being `t₀`) and marks their
 /// columns, counting the bits each term newly sets (the unpruned prefix-sum
 /// nnz). It drains the row through [`drain_row`], which resets every slot,
-/// and keeps only values with `v.abs() > 0.0`.
+/// keeps only values with `v.abs() > 0.0`, and hands the row to the block's
+/// sink.
 ///
-/// Returns the block with its `k` prefix counts in a pooled index buffer,
-/// which [`sp_sum_pruned`] sums over blocks and recycles. The output
-/// buffers are taken from the pool first, so the most recently recycled
-/// buffer — a recycled matrix's `indices`, usually the largest — backs the
-/// output rather than the row lengths or the counts.
-fn sp_sum_block(
+/// Returns the sink with the block's `k` prefix counts in a pooled index
+/// buffer, which [`sp_sum_pruned_rows`] sums over blocks and recycles. The
+/// sink is built first, so a sink that takes pooled output buffers
+/// ([`CsrRows`]) gets the most recently recycled buffer — a recycled
+/// matrix's `indices`, usually the largest — rather than the row scratch or
+/// the counts.
+fn sp_sum_block<S: RowSink>(
     terms: &[&CsrMatrix],
     rows: std::ops::Range<usize>,
     ws: &mut Workspace,
-) -> (CsrBlock, Vec<usize>) {
+    sink: impl FnOnce(std::ops::Range<usize>, usize) -> S,
+) -> (S, Vec<usize>) {
     ws.ensure_width(terms[0].cols());
     // Upper bound on the block's output nnz: every term entry is distinct.
     let cap: usize = terms
         .iter()
         .map(|t| t.indptr()[rows.end] - t.indptr()[rows.start])
         .sum();
-    let mut indices = workspace::take_index_buffer(cap);
-    let mut values = workspace::take_value_buffer(cap);
-    let mut row_lens = workspace::take_index_buffer(rows.len());
+    let mut sink = sink(rows.clone(), cap);
+    let mut cols = workspace::take_index_buffer(0);
+    let mut vals = workspace::take_value_buffer(0);
     let mut prefix = workspace::take_index_buffer(terms.len());
     prefix.resize(terms.len(), 0);
     for r in rows {
-        let start = indices.len();
         let mut words = (usize::MAX, 0usize);
         let mut distinct = 0usize;
         for (term, count) in terms.iter().zip(prefix.iter_mut()) {
@@ -667,38 +728,25 @@ fn sp_sum_block(
                 accumulate_segment(ws, &mut words, term.row_indices(r), term.row_values(r), |v| v);
             *count += distinct;
         }
+        cols.clear();
+        vals.clear();
         drain_row(ws, words, |c, slot| {
             let v = std::mem::replace(slot, -0.0);
             if v.abs() > 0.0 {
-                indices.push(c);
-                values.push(v);
+                cols.push(c);
+                vals.push(v);
             }
         });
-        row_lens.push(indices.len() - start);
+        sink.push_row(r, &cols, &vals);
     }
-    (CsrBlock { row_lens, indices, values, stats: OpStats::default() }, prefix)
+    workspace::recycle_index_buffer(cols);
+    workspace::recycle_value_buffer(vals);
+    (sink, prefix)
 }
 
-/// Sum of `k` same-shape sparse matrices with exact zeros dropped, in one
-/// pass: bit-identical to folding the terms left to right with [`sp_add`]
-/// and calling [`CsrMatrix::pruned`]`(0.0)` on the result, without the
-/// `k − 1` intermediate matrices.
-///
-/// Every stored value accumulates its terms in term order through a shared
-/// [`Workspace`] SPA resting at `-0.0`, which is the order the pairwise
-/// fold adds them in, and each row is emitted in ascending column order. Entries whose sum
-/// fails `v.abs() > 0.0` (`+0.0`, `-0.0`, NaN) are dropped as they are
-/// emitted. `prefix_nnz[j]` receives the nnz of the *unpruned* prefix sum
-/// `t₀ + … + t_j` — the size of the fold's accumulator after term `j` —
-/// so callers can account the fold's adds exactly. This is the Eq. 13/15
-/// `ΔA_C` term sum of the one-pass kernel.
-///
-/// # Errors
-///
-/// Returns [`SparseError::InvalidStructure`] if `terms` is empty or
-/// `prefix_nnz.len() != terms.len()`, and
-/// [`SparseError::DimensionMismatch`] if the terms differ in shape.
-pub fn sp_sum_pruned(terms: &[&CsrMatrix], prefix_nnz: &mut [usize]) -> Result<CsrMatrix> {
+/// Checks the inputs of a term sum: at least one term, one prefix slot per
+/// term, and one shape.
+fn check_sum_terms(terms: &[&CsrMatrix], prefix_nnz: &[usize]) -> Result<()> {
     let Some(first) = terms.first() else {
         return Err(SparseError::InvalidStructure {
             reason: "sp_sum_pruned needs at least one term".into(),
@@ -716,14 +764,65 @@ pub fn sp_sum_pruned(terms: &[&CsrMatrix], prefix_nnz: &mut [usize]) -> Result<C
             rhs: other.shape(),
         });
     }
+    Ok(())
+}
+
+/// Sum of `k` same-shape sparse matrices with exact zeros dropped, streamed
+/// row by row into sinks instead of stored: the rows [`sp_sum_pruned`]
+/// assembles, bit for bit, with the same prefix counts.
+///
+/// Every stored value accumulates its terms in term order through a shared
+/// [`Workspace`] SPA resting at `-0.0`, which is the order a left-to-right
+/// [`sp_add`] fold adds them in, and each row's columns ascend. Entries
+/// whose sum fails `v.abs() > 0.0` (`+0.0`, `-0.0`, NaN) are dropped before
+/// the row is handed over. `prefix_nnz[j]` receives the nnz of the
+/// *unpruned* prefix sum `t₀ + … + t_j` — the size of the fold's
+/// accumulator after term `j` — so callers can account the fold's adds
+/// exactly.
+///
+/// `sink(rows, max_nnz)` builds the [`RowSink`] of the row block `rows`,
+/// which receives at most `max_nnz` entries; the sinks come back in
+/// ascending block order. This is the Eq. 13/15 `ΔA_C` term sum of the
+/// one-pass kernel: the executor's sink aggregates each row as it arrives
+/// and never stores `ΔA_C`.
+///
+/// # Errors
+///
+/// Returns [`SparseError::InvalidStructure`] if `terms` is empty or
+/// `prefix_nnz.len() != terms.len()`, and
+/// [`SparseError::DimensionMismatch`] if the terms differ in shape.
+pub fn sp_sum_pruned_rows<S, F>(
+    terms: &[&CsrMatrix],
+    prefix_nnz: &mut [usize],
+    sink: F,
+) -> Result<Vec<S>>
+where
+    S: RowSink,
+    F: Fn(std::ops::Range<usize>, usize) -> S + Sync,
+{
+    check_sum_terms(terms, prefix_nnz)?;
+    let rows = terms[0].rows();
+    Ok(sp_sum_rows_impl(terms, prefix_nnz, sink, auto_parallelism(rows)))
+}
+
+fn sp_sum_rows_impl<S, F>(
+    terms: &[&CsrMatrix],
+    prefix_nnz: &mut [usize],
+    sink: F,
+    par: Parallelism,
+) -> Vec<S>
+where
+    S: RowSink,
+    F: Fn(std::ops::Range<usize>, usize) -> S + Sync,
+{
     let blocks = parallel::map_blocks_by_cost(
-        first.rows(),
-        auto_parallelism(first.rows()),
+        terms[0].rows(),
+        par,
         |r| terms.iter().map(|t| t.row_nnz(r) as u64).sum(),
-        |range| workspace::with_workspace(|ws| sp_sum_block(terms, range, ws)),
+        |range| workspace::with_workspace(|ws| sp_sum_block(terms, range, ws, &sink)),
     );
     prefix_nnz.fill(0);
-    let blocks = blocks
+    blocks
         .into_iter()
         .map(|(block, counts)| {
             for (p, &c) in prefix_nnz.iter_mut().zip(&counts) {
@@ -733,10 +832,45 @@ pub fn sp_sum_pruned(terms: &[&CsrMatrix], prefix_nnz: &mut [usize]) -> Result<C
             block
         })
         // lint: allow(hot-path-alloc) -- one entry per row block, not per element
-        .collect();
-    let out = assemble_csr(first.rows(), first.cols(), blocks).0;
+        .collect()
+}
+
+/// Sum of `k` same-shape sparse matrices with exact zeros dropped, in one
+/// pass: bit-identical to folding the terms left to right with [`sp_add`]
+/// and calling [`CsrMatrix::pruned`]`(0.0)` on the result, without the
+/// `k − 1` intermediate matrices. [`sp_sum_pruned_rows`] with the
+/// [`CsrRows`] sink; `prefix_nnz` as there.
+///
+/// # Errors
+///
+/// As [`sp_sum_pruned_rows`].
+pub fn sp_sum_pruned(terms: &[&CsrMatrix], prefix_nnz: &mut [usize]) -> Result<CsrMatrix> {
+    let blocks = sp_sum_pruned_rows(terms, prefix_nnz, CsrRows::with_capacity)?;
+    let out = CsrRows::assemble(terms[0].rows(), terms[0].cols(), blocks);
     out.debug_validate_pruned("ops::sp_sum_pruned");
     Ok(out)
+}
+
+/// Streams the stored rows of `m`, unchanged, into sinks built by
+/// `sink(rows, max_nnz)` as in [`sp_sum_pruned_rows`], and returns them in
+/// ascending block order.
+pub fn sp_rows<S, F>(m: &CsrMatrix, sink: F) -> Vec<S>
+where
+    S: RowSink,
+    F: Fn(std::ops::Range<usize>, usize) -> S + Sync,
+{
+    parallel::map_blocks_by_cost(
+        m.rows(),
+        auto_parallelism(m.rows()),
+        |r| m.row_nnz(r) as u64,
+        |range| {
+            let mut s = sink(range.clone(), m.indptr()[range.end] - m.indptr()[range.start]);
+            for r in range {
+                s.push_row(r, m.row_indices(r), m.row_values(r));
+            }
+            s
+        },
+    )
 }
 
 /// The SpMM inner loop over one contiguous row block, returning the dense
@@ -776,14 +910,15 @@ fn spmm_block<const CHUNKED: bool>(
 /// lengths of `a` only; a caller that needs the counts but not the product
 /// charges these without running it.
 pub fn spmm_rows_stats(a: &CsrMatrix, rows: impl IntoIterator<Item = usize>, k: usize) -> OpStats {
-    let k = k as u64;
-    let mut stats = OpStats::default();
-    for r in rows {
-        let row_nnz = a.row_nnz(r) as u64;
-        stats.mults += row_nnz * k;
-        stats.adds += row_nnz.saturating_sub(1) * k;
-    }
-    stats
+    rows.into_iter().fold(OpStats::default(), |stats, r| stats + spmm_row_stats(a.row_nnz(r), k))
+}
+
+/// Exact op counts of one SpMM output row over a row of `row_nnz` stored
+/// entries and an `x` of width `k` ([`spmm_rows_stats`]' per-row term), for
+/// a caller that sees the row but not a matrix holding it.
+pub fn spmm_row_stats(row_nnz: usize, k: usize) -> OpStats {
+    let (n, k) = (row_nnz as u64, k as u64);
+    OpStats::counted(n * k, n.saturating_sub(1) * k)
 }
 
 /// Exact op counts of the full SpMM `a · x` for an `x` of width `k`
@@ -925,6 +1060,25 @@ pub mod reference {
         par: Parallelism,
     ) -> Result<CsrMatrix> {
         sp_axpby_par_impl::<false>(alpha, a, beta, b, par)
+    }
+
+    /// [`sp_sum_pruned_rows`] at an explicit worker count.
+    ///
+    /// # Errors
+    ///
+    /// As [`sp_sum_pruned_rows`].
+    pub fn sp_sum_pruned_rows_at<S, F>(
+        terms: &[&CsrMatrix],
+        prefix_nnz: &mut [usize],
+        sink: F,
+        par: Parallelism,
+    ) -> Result<Vec<S>>
+    where
+        S: RowSink,
+        F: Fn(std::ops::Range<usize>, usize) -> S + Sync,
+    {
+        check_sum_terms(terms, prefix_nnz)?;
+        Ok(sp_sum_rows_impl(terms, prefix_nnz, sink, par))
     }
 
     /// SpGEMM on the cache-blocked two-phase *scalar* pass — the oracle the
@@ -1419,10 +1573,11 @@ mod tests {
                 crate::workspace::assert_at_rest(&ws, &format!("case {i} spgemm fused={fused}"));
                 let (p, _) = assemble_csr(a.rows(), b.cols(), vec![block]);
                 let neg = p.scale(-1.0);
-                let (block, prefix) = sp_sum_block(&[&p, &neg, &p], 0..p.rows(), &mut ws);
+                let (block, prefix) =
+                    sp_sum_block(&[&p, &neg, &p], 0..p.rows(), &mut ws, CsrRows::with_capacity);
                 crate::workspace::assert_at_rest(&ws, &format!("case {i} sum"));
                 workspace::recycle_index_buffer(prefix);
-                workspace::recycle(assemble_csr(p.rows(), p.cols(), vec![block]).0);
+                workspace::recycle(CsrRows::assemble(p.rows(), p.cols(), vec![block]));
             }
             // The pooled entry points, serial and at four workers.
             for threads in [1usize, 4] {
@@ -1459,11 +1614,119 @@ mod tests {
         }
     }
 
+    /// A row sink recording the rows it receives, as value bits, and the
+    /// block it was built for.
+    struct Recorded {
+        block: std::ops::Range<usize>,
+        max_nnz: usize,
+        rows: Vec<(usize, Vec<usize>, Vec<u32>)>,
+    }
+
+    impl Recorded {
+        fn new(block: std::ops::Range<usize>, max_nnz: usize) -> Self {
+            Self { block, max_nnz, rows: Vec::new() }
+        }
+    }
+
+    impl RowSink for Recorded {
+        fn push_row(&mut self, r: usize, cols: &[usize], vals: &[f32]) {
+            self.rows.push((r, cols.to_vec(), bits(vals)));
+        }
+    }
+
+    /// Requires `blocks` to tile `m`'s rows in ascending order, each block
+    /// receiving only its own rows, every row once, as `m` stores it.
+    fn assert_streams(blocks: &[Recorded], m: &CsrMatrix, ctx: &str) {
+        let mut next = 0;
+        for block in blocks {
+            assert_eq!(block.block.start, next, "{ctx}: blocks must tile the rows");
+            let received: usize = block.rows.iter().map(|(_, cols, _)| cols.len()).sum();
+            assert!(received <= block.max_nnz, "{ctx}: {received} > {}", block.max_nnz);
+            for (r, cols, vals) in &block.rows {
+                assert_eq!(*r, next, "{ctx}: rows must arrive once, ascending");
+                assert_eq!(cols.as_slice(), m.row_indices(*r), "{ctx}: row {r}");
+                assert_eq!(vals, &bits(m.row_values(*r)), "{ctx}: row {r}");
+                next += 1;
+            }
+            assert_eq!(next, block.block.end, "{ctx}: a block hands over all its rows");
+        }
+        assert_eq!(next, m.rows(), "{ctx}");
+    }
+
+    #[test]
+    fn row_sink_streams_the_rows_and_prefix_counts_sp_sum_pruned_assembles() {
+        let n = 300;
+        let a = random_sparse(n, 6_000, 31);
+        let b = random_sparse(n, 4_000, 32);
+        let neg_a = a.scale(-1.0);
+        // Stored +0.0 and −0.0 on every third row, NaN and ±∞ on every
+        // fifth: the sum prunes the zeros and the NaNs (∞ − ∞ included).
+        let mut coo = CooMatrix::new(n, n);
+        for r in (0..n).step_by(3) {
+            coo.push(r, (r * 7) % n, 0.0).unwrap();
+            coo.push(r, (r * 7 + 1) % n, -0.0).unwrap();
+        }
+        let zeros = coo.to_csr();
+        let mut coo = CooMatrix::new(n, n);
+        for r in (0..n).step_by(5) {
+            coo.push(r, (r * 11) % n, f32::NAN).unwrap();
+            coo.push(r, (r * 11 + 2) % n, f32::INFINITY).unwrap();
+        }
+        let specials = coo.to_csr();
+        let neg_specials = specials.scale(-1.0);
+        let cases: [(&str, Vec<&CsrMatrix>); 6] = [
+            ("single term", vec![&a]),
+            ("single term of stored zeros", vec![&zeros]),
+            ("rows that cancel to empty", vec![&a, &neg_a]),
+            ("cancel, then refill", vec![&a, &neg_a, &b]),
+            ("stored zeros and NaN terms", vec![&a, &zeros, &b, &specials]),
+            ("∞ − ∞", vec![&specials, &b, &neg_specials]),
+        ];
+        for (name, terms) in cases {
+            let (want, want_prefix) = {
+                let _serial = parallel::kernel_scope(Parallelism::serial());
+                let mut prefix = vec![0; terms.len()];
+                (sp_sum_pruned(&terms, &mut prefix).unwrap(), prefix)
+            };
+            for threads in [1usize, 4] {
+                let ctx = format!("{name}, threads={threads}");
+                let mut prefix = vec![usize::MAX; terms.len()];
+                let blocks = sp_sum_pruned_rows_at(
+                    &terms,
+                    &mut prefix,
+                    Recorded::new,
+                    Parallelism::new(threads),
+                )
+                .unwrap();
+                assert_eq!(blocks.len() > 1, threads > 1, "{ctx}");
+                assert_streams(&blocks, &want, &ctx);
+                assert_eq!(prefix, want_prefix, "{ctx}");
+                // The dispatching entry, under the same worker count.
+                let _scope = parallel::kernel_scope(Parallelism::new(threads));
+                prefix.fill(usize::MAX);
+                let blocks = sp_sum_pruned_rows(&terms, &mut prefix, Recorded::new).unwrap();
+                assert_streams(&blocks, &want, &ctx);
+                assert_eq!(prefix, want_prefix, "{ctx}");
+                assert_streams(&sp_rows(&want, Recorded::new), &want, &ctx);
+            }
+        }
+        // Some case must prune a non-empty row to nothing, and the stored
+        // zeros alone must prune to an empty matrix.
+        let zero_sum = sp_sum_pruned(&[&zeros], &mut [0]).unwrap();
+        assert_eq!(zero_sum.nnz(), 0);
+        let cancelled = sp_sum_pruned(&[&a, &neg_a], &mut [0, 0]).unwrap();
+        assert_eq!(cancelled.nnz(), 0);
+    }
+
     #[test]
     fn sp_sum_pruned_validates_inputs() {
         let a = CsrMatrix::identity(3);
         let b = CsrMatrix::identity(4);
         assert!(matches!(sp_sum_pruned(&[], &mut []), Err(SparseError::InvalidStructure { .. })));
+        assert!(matches!(
+            sp_sum_pruned_rows(&[&a, &b], &mut [0, 0], CsrRows::with_capacity),
+            Err(SparseError::DimensionMismatch { .. })
+        ));
         assert!(matches!(
             sp_sum_pruned(&[&a, &a], &mut [0]),
             Err(SparseError::InvalidStructure { .. })
