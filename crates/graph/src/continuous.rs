@@ -216,7 +216,7 @@ mod tests {
         assert!(d.added_edges().is_empty());
         assert!(d.removed_edges().is_empty());
         assert_eq!(d.feature_updates().len(), 1);
-        assert_eq!(d.feature_updates()[0].values, vec![2.0, 2.0]);
+        assert_eq!(d.feature_updates().next().map(|u| u.values), Some(&[2.0, 2.0][..]));
     }
 
     #[test]

@@ -14,13 +14,14 @@ use idgnn_sparse::{CooMatrix, CsrMatrix, DenseMatrix};
 use crate::error::{GraphError, Result};
 use crate::snapshot::GraphSnapshot;
 
-/// A per-vertex replacement of the input feature row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FeatureUpdate {
+/// A per-vertex replacement of the input feature row, borrowed from the
+/// [`GraphDelta`] that stores it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FeatureUpdate<'a> {
     /// Vertex whose feature row changes.
     pub vertex: usize,
     /// The new feature row (must match the snapshot's feature width).
-    pub values: Vec<f32>,
+    pub values: &'a [f32],
 }
 
 /// The set of changes transforming snapshot `t` into snapshot `t+1`.
@@ -51,7 +52,34 @@ pub struct FeatureUpdate {
 pub struct GraphDelta {
     added_edges: Vec<(usize, usize)>,
     removed_edges: Vec<(usize, usize)>,
-    feature_updates: Vec<FeatureUpdate>,
+    features: FeatureRows,
+}
+
+/// Feature-row replacements stored end to end in one buffer. A
+/// [`DynamicGraph`](crate::DynamicGraph) keeps every delta of its stream,
+/// and one allocation per replaced row cost more than the row itself.
+#[derive(Debug, Clone, PartialEq, Default)]
+struct FeatureRows {
+    /// Each replacement's vertex and the end of its row in `values`, in
+    /// insertion order.
+    rows: Vec<(usize, usize)>,
+    /// The new rows, concatenated.
+    values: Vec<f32>,
+}
+
+impl FeatureRows {
+    fn push(&mut self, vertex: usize, values: &[f32]) {
+        self.values.extend_from_slice(values);
+        self.rows.push((vertex, self.values.len()));
+    }
+
+    fn iter(&self) -> impl ExactSizeIterator<Item = FeatureUpdate<'_>> + '_ {
+        (0..self.rows.len()).map(move |i| {
+            let start = i.checked_sub(1).map_or(0, |p| self.rows[p].1);
+            let (vertex, end) = self.rows[i];
+            FeatureUpdate { vertex, values: &self.values[start..end] }
+        })
+    }
 }
 
 impl GraphDelta {
@@ -69,7 +97,7 @@ impl GraphDelta {
     pub fn is_empty(&self) -> bool {
         self.added_edges.is_empty()
             && self.removed_edges.is_empty()
-            && self.feature_updates.is_empty()
+            && self.features.rows.is_empty()
     }
 
     /// Edges added by this delta (canonicalized `u <= v`).
@@ -82,9 +110,9 @@ impl GraphDelta {
         &self.removed_edges
     }
 
-    /// Feature-row replacements in this delta.
-    pub fn feature_updates(&self) -> &[FeatureUpdate] {
-        &self.feature_updates
+    /// Feature-row replacements in this delta, in insertion order.
+    pub fn feature_updates(&self) -> impl ExactSizeIterator<Item = FeatureUpdate<'_>> + '_ {
+        self.features.iter()
     }
 
     /// Number of changed (added + removed) edges.
@@ -159,7 +187,7 @@ impl GraphDelta {
         let n = base.num_vertices();
         let k = base.feature_dim();
         let mut out = DenseMatrix::zeros(n, k);
-        for up in &self.feature_updates {
+        for up in self.feature_updates() {
             self.check_vertex(up.vertex, n)?;
             if up.values.len() != k {
                 return Err(GraphError::FeatureWidthMismatch { expected: k, got: up.values.len() });
@@ -188,7 +216,7 @@ impl GraphDelta {
         drop(merged);
         let mut feats = base.features().clone();
         let k = base.feature_dim();
-        for up in &self.feature_updates {
+        for up in self.feature_updates() {
             self.check_vertex(up.vertex, base.num_vertices())?;
             if up.values.len() != k {
                 return Err(GraphError::FeatureWidthMismatch { expected: k, got: up.values.len() });
@@ -208,7 +236,7 @@ impl GraphDelta {
             set.insert(u);
             set.insert(v);
         }
-        for up in &self.feature_updates {
+        for up in self.feature_updates() {
             set.insert(up.vertex);
         }
         set
@@ -230,7 +258,7 @@ impl std::fmt::Display for GraphDelta {
             "GraphDelta(+{} edges, -{} edges, {} feature updates)",
             self.added_edges.len(),
             self.removed_edges.len(),
-            self.feature_updates.len()
+            self.features.rows.len()
         )
     }
 }
@@ -243,7 +271,7 @@ impl std::fmt::Display for GraphDelta {
 pub struct GraphDeltaBuilder {
     added: Vec<(usize, usize)>,
     removed: Vec<(usize, usize)>,
-    features: Vec<FeatureUpdate>,
+    features: FeatureRows,
 }
 
 impl GraphDeltaBuilder {
@@ -261,7 +289,7 @@ impl GraphDeltaBuilder {
 
     /// Records a feature-row replacement for `vertex`.
     pub fn update_feature(mut self, vertex: usize, values: Vec<f32>) -> Self {
-        self.features.push(FeatureUpdate { vertex, values });
+        self.features.push(vertex, &values);
         self
     }
 
@@ -288,9 +316,10 @@ impl GraphDeltaBuilder {
         }
         added.shrink_to_fit();
         removed.shrink_to_fit();
-        let mut feature_updates = self.features;
-        feature_updates.shrink_to_fit();
-        GraphDelta { added_edges: added, removed_edges: removed, feature_updates }
+        let mut features = self.features;
+        features.rows.shrink_to_fit();
+        features.values.shrink_to_fit();
+        GraphDelta { added_edges: added, removed_edges: removed, features }
     }
 }
 
@@ -412,6 +441,32 @@ mod tests {
         let next = d.apply(&b).unwrap();
         // X^{t+1} = X^t + ΔX holds exactly.
         assert!(next.features().approx_eq(&b.features().add(&dx).unwrap(), 1e-6));
+    }
+
+    #[test]
+    fn feature_updates_come_back_in_order_at_their_own_widths() {
+        let d = GraphDelta::builder()
+            .update_feature(3, vec![1.0, 2.0, 3.0])
+            .update_feature(0, vec![4.0])
+            .update_feature(4, Vec::new())
+            .build();
+        let ups: Vec<_> = d.feature_updates().map(|u| (u.vertex, u.values.to_vec())).collect();
+        assert_eq!(ups, [(3, vec![1.0, 2.0, 3.0]), (0, vec![4.0]), (4, vec![])]);
+        assert_eq!(d.feature_updates().len(), 3);
+        assert!(!d.is_empty());
+        // A delta equals another exactly when its updates do, row by row.
+        let same = GraphDelta::builder()
+            .update_feature(3, vec![1.0, 2.0, 3.0])
+            .update_feature(0, vec![4.0])
+            .update_feature(4, Vec::new())
+            .build();
+        assert_eq!(d, same);
+        let regrouped = GraphDelta::builder()
+            .update_feature(3, vec![1.0, 2.0])
+            .update_feature(0, vec![3.0, 4.0])
+            .update_feature(4, Vec::new())
+            .build();
+        assert_ne!(d, regrouped);
     }
 
     #[test]

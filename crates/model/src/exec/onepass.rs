@@ -38,7 +38,7 @@ use crate::error::Result;
 use crate::exec::{charge_rnn, Frame};
 use crate::fusion::fuse_weights;
 use crate::lstm::LstmState;
-use crate::onepass::{fused_dissimilarity_rows, DissimilarityStrategy};
+use crate::onepass::{fused_dissimilarity_rows, Dissimilarity, DissimilarityStrategy};
 use crate::DgnnModel;
 
 /// Order of the aggregation and combination halves of the one-pass kernel.
@@ -236,9 +236,9 @@ struct AgSum {
 ///
 /// Each row `r` of `ΔA_C` is charged as a row of the SpMM `ΔA_C·x` and
 /// joined with row `r` of the chained term. When outputs are read it forms
-/// the row of `ΔA_C·x + chained` — each output starting at `+0.0` and
-/// adding `w·x[c, j]` in ascending `c`, then the chained value, which is
-/// what [`ops::spmm_with_stats`] and [`DenseMatrix::add`] compute — and
+/// the row of `ΔA_C·x + chained` with [`ops::spmm_with_stats`]' own row
+/// kernel ([`ops::spmm_row_into`] on `+0.0`s), then adds the chained value
+/// as [`DenseMatrix::add`] does, and
 /// keeps its `ΔP` if it is involved (after CB's `·W_C` on the
 /// aggregation-first order). When only costs are read it only decides
 /// whether the row is involved, with [`row_is_involved`].
@@ -297,11 +297,7 @@ impl RowSink for AgRows<'_> {
         let row = &mut self.row;
         row.clear();
         row.resize(width, 0.0);
-        for (&c, &w) in cols.iter().zip(vals) {
-            for (o, &xv) in row.iter_mut().zip(self.x.row(c)) {
-                *o += w * xv;
-            }
-        }
+        ops::spmm_row_into(row, cols, vals, self.x);
         for (o, &ch) in row.iter_mut().zip(chained) {
             *o += ch;
         }
@@ -598,17 +594,18 @@ impl OnePass {
         // Â^{t+1} this lane advances to never equals the `Â^t + ΔA` a
         // PowerCache keys on (DESIGN.md §8).
         let combine = (executing && !comb_first).then_some(&*w_c);
-        let dis = fused_dissimilarity_rows(a_prev, d_op, l, *strategy, |_, _| {
-            AgRows::new(x, chained, executing, combine)
-        })?;
-        let ag = AgRows::fold_blocks(dis.delta_ac);
-        cost.add_saved(dis.saved);
+        let Dissimilarity { delta_ac: sinks, ops: ac_ops, saved, .. } =
+            fused_dissimilarity_rows(a_prev, d_op, l, *strategy, |_, _| {
+                AgRows::new(x, chained, executing, combine)
+            })?;
+        let ag = AgRows::fold_blocks(sinks);
+        cost.add_saved(saved);
         let mut t_ac = Traffic::none();
         if spilled {
             t_ac.read(DataClass::Graph, a_prev.csr_bytes());
             t_ac.write(DataClass::Graph, CsrMatrix::csr_bytes_of(a_prev.rows(), ag.nnz));
         }
-        cost.push(Phase::AComb, dis.ops, t_ac);
+        cost.push(Phase::AComb, ac_ops, t_ac);
 
         let mut t_ag = Traffic::none();
         if spilled {

@@ -889,18 +889,37 @@ fn spmm_block<const CHUNKED: bool>(
     out.resize(rows.len() * k, 0.0);
     for (i, r) in rows.enumerate() {
         let orow = &mut out[i * k..(i + 1) * k];
-        for (c, v) in a.row_iter(r) {
-            let xrow = x.row(c);
-            if CHUNKED {
-                crate::simd::axpy_chunked(orow, xrow, v);
-            } else {
-                for (o, &xv) in orow.iter_mut().zip(xrow) {
-                    *o += v * xv;
-                }
+        spmm_row_in::<CHUNKED>(orow, a.row_indices(r), a.row_values(r), x);
+    }
+    out
+}
+
+/// One SpMM output row: `out += Σ_i vals[i] · x[cols[i], :]`, adding the
+/// products in ascending `i` with the chunked AXPY — the row kernel of
+/// [`spmm_with_stats`], for a caller that holds one sparse row `(cols,
+/// vals)` but no matrix. On an `out` of `+0.0`s it produces bit for bit the
+/// row [`spmm_with_stats`] returns for a matrix row `(cols, vals)`.
+///
+/// # Panics
+///
+/// If a column is not a row of `x` or `out` is not as wide as `x`'s rows.
+pub fn spmm_row_into(out: &mut [f32], cols: &[usize], vals: &[f32], x: &DenseMatrix) {
+    spmm_row_in::<true>(out, cols, vals, x);
+}
+
+/// [`spmm_row_into`] on the chunked AXPY or, with `CHUNKED` off, on the
+/// scalar reference loop ([`reference::spmm_scalar`]).
+fn spmm_row_in<const CHUNKED: bool>(out: &mut [f32], cols: &[usize], vals: &[f32], x: &DenseMatrix) {
+    for (&c, &v) in cols.iter().zip(vals) {
+        let xrow = x.row(c);
+        if CHUNKED {
+            crate::simd::axpy_chunked(out, xrow, v);
+        } else {
+            for (o, &xv) in out.iter_mut().zip(xrow) {
+                *o += v * xv;
             }
         }
     }
-    out
 }
 
 /// Exact op counts of the SpMM `a · x` over the rows `rows` of `a`, for an
@@ -1477,6 +1496,26 @@ mod tests {
                 let (chunked, st_c) = spmm_at(&a, &x, par).unwrap();
                 assert_eq!(bits(scalar.as_slice()), bits(chunked.as_slice()), "k={k}");
                 assert_eq!(st_s, st_c);
+            }
+        }
+    }
+
+    #[test]
+    fn row_kernel_on_zeros_is_the_spmm_row() {
+        let a = random_sparse(150, 2_000, 82);
+        for k in [1usize, 9, 33] {
+            let x = DenseMatrix::from_vec(
+                150,
+                k,
+                (0..150 * k).map(|i| (i as f32 * 0.37).sin()).collect(),
+            )
+            .unwrap();
+            let y = spmm_with_stats(&a, &x).unwrap().0;
+            let mut row = vec![0.0f32; k];
+            for r in 0..a.rows() {
+                row.fill(0.0);
+                spmm_row_into(&mut row, a.row_indices(r), a.row_values(r), &x);
+                assert_eq!(bits(&row), bits(y.row(r)), "k={k} r={r}");
             }
         }
     }
