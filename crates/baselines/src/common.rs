@@ -14,8 +14,6 @@ use idgnn_hw::{
 };
 use idgnn_model::cost::dense_bytes;
 use idgnn_model::{DgnnModel, ExecutionResult, MemoryModel, Phase, SnapshotCost};
-use idgnn_sparse::parallel::KernelScope;
-use idgnn_sparse::Parallelism;
 
 /// Per-phase policy of a baseline: MAC share, efficiency, NoC load.
 pub(crate) struct PhasePolicy {
@@ -118,12 +116,6 @@ pub(crate) fn assemble(
 /// storage, so their executions of one algorithm are identical.
 pub(crate) fn memory(config: &AcceleratorConfig) -> MemoryModel {
     MemoryModel { onchip_bytes: config.total_onchip_bytes() }
-}
-
-/// Pins the host-kernel thread count while the guard lives (`None` keeps
-/// the ambient selection).
-pub(crate) fn kernel_scope(parallelism: Option<usize>) -> Option<KernelScope> {
-    parallelism.map(|n| idgnn_sparse::parallel::kernel_scope(Parallelism::new(n)))
 }
 
 /// Times every snapshot of an execution with one per-phase policy.

@@ -104,7 +104,7 @@ pub fn time_baselines(
 /// lane. Both lanes share the walk's snapshots, operators and `ΔÂ`
 /// ([`baseline_lanes`]), and their costs are collected and then timed
 /// ([`time_baselines`]). Each report equals the one its accelerator's
-/// `simulate_with` returns, field for field.
+/// `simulate` returns, field for field.
 ///
 /// # Errors
 ///
@@ -113,9 +113,7 @@ pub fn simulate_baselines(
     reference: AcceleratorConfig,
     model: &DgnnModel,
     dg: &DynamicGraph,
-    parallelism: Option<usize>,
 ) -> Result<[SimReport; 3]> {
-    let _kernel_scope = common::kernel_scope(parallelism);
     // Timing reads only the costs, so neither lane keeps its outputs.
     let mut runs = [ExecutionResult::default(), ExecutionResult::default()];
     exec::stream_lanes(model, dg, &baseline_lanes(reference)?, SinkReads::Costs, |lane, step| {
@@ -197,19 +195,16 @@ mod shared_execution_tests {
         let config = small_config();
         let runs_before = exec::runs_on_this_thread();
         let walks_before = exec::walks_on_this_thread();
-        let [ready, booster, race] = simulate_baselines(config, &model, &dg, Some(1)).unwrap();
+        let [ready, booster, race] = simulate_baselines(config, &model, &dg).unwrap();
         let runs = exec::runs_on_this_thread();
         // One Recompute and one Incremental execution, no OnePass, on one
         // walk.
         let executed: Vec<u64> = runs.iter().zip(runs_before).map(|(a, b)| a - b).collect();
         assert_eq!(executed, [1, 1, 0]);
         assert_eq!(exec::walks_on_this_thread() - walks_before, 1);
-        assert_eq!(ready, Ready::new(config).unwrap().simulate_with(&model, &dg, Some(1)).unwrap());
-        assert_eq!(
-            booster,
-            Booster::new(config).unwrap().simulate_with(&model, &dg, Some(1)).unwrap()
-        );
-        assert_eq!(race, Race::new(config).unwrap().simulate_with(&model, &dg, Some(1)).unwrap());
+        assert_eq!(ready, Ready::new(config).unwrap().simulate(&model, &dg).unwrap());
+        assert_eq!(booster, Booster::new(config).unwrap().simulate(&model, &dg).unwrap());
+        assert_eq!(race, Race::new(config).unwrap().simulate(&model, &dg).unwrap());
     }
 }
 

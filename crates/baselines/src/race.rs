@@ -15,7 +15,7 @@ use idgnn_graph::DynamicGraph;
 use idgnn_hw::{overlap_cycles, AcceleratorConfig, Engine, Topology, TrafficPattern};
 use idgnn_model::{exec, Algorithm, DgnnModel, ExecutionResult, Phase};
 
-use crate::common::{assemble, kernel_scope, memory, time_snapshots, PhasePolicy};
+use crate::common::{assemble, memory, time_snapshots, PhasePolicy};
 use crate::error::Result;
 
 /// The RACE baseline.
@@ -48,23 +48,6 @@ impl Race {
     ///
     /// Propagates functional or hardware-model errors.
     pub fn simulate(&self, model: &DgnnModel, dg: &DynamicGraph) -> Result<SimReport> {
-        self.simulate_with(model, dg, None)
-    }
-
-    /// Simulates the workload with an explicit host-kernel thread count
-    /// (`None` inherits the ambient selection, `Some(1)` forces the legacy
-    /// serial kernels; the report is bit-identical across settings).
-    ///
-    /// # Errors
-    ///
-    /// Propagates functional or hardware-model errors.
-    pub fn simulate_with(
-        &self,
-        model: &DgnnModel,
-        dg: &DynamicGraph,
-        parallelism: Option<usize>,
-    ) -> Result<SimReport> {
-        let _kernel_scope = kernel_scope(parallelism);
         let result = exec::run_costs(Algorithm::Incremental, model, dg, &memory(self.config()))?;
         Ok(self.time(model, dg, &result))
     }

@@ -4,9 +4,10 @@
 //!
 //! * `IDGNN_SCALE=quick|standard` — workload scale (default `standard`);
 //! * `IDGNN_SEED=<u64>` — generation seed (default 42);
-//! * `IDGNN_PARALLELISM=<n>` — driver/kernel worker threads (default: all
-//!   hardware threads; `1` forces the legacy serial path) — overridden by
-//!   the `--parallelism <n>` command-line flag.
+//! * `IDGNN_PARALLELISM=<n>` — worker threads for the grid-cell (and DSE
+//!   candidate) fan-out (default: all hardware threads; `1` runs the cells
+//!   inline, in order) — overridden by the `--parallelism <n>` command-line
+//!   flag. Kernels always run serially inside their cell.
 //!
 //! Parallelism only changes host wall-clock time: every figure's text and
 //! JSON output is byte-identical across settings.
@@ -123,7 +124,7 @@ pub fn apply_parallelism_flag<I: Iterator<Item = String>>(args: I) -> Parallelis
             parallel::set_process_default(par);
             par
         }
-        None => parallel::current(),
+        None => parallel::process_default(),
     }
 }
 

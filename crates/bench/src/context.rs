@@ -88,9 +88,9 @@ pub struct Context {
     /// Number of snapshots per stream.
     pub snapshots: usize,
     /// Worker threads for the experiment-grid fan-out ([`crate::driver`]).
-    /// Defaults to the ambient [`idgnn_sparse::parallel::current`] selection
-    /// (`IDGNN_PARALLELISM` / `--parallelism`); `1` runs the legacy serial
-    /// driver. Results are byte-identical across settings.
+    /// Defaults to [`idgnn_sparse::parallel::process_default`]
+    /// (`IDGNN_PARALLELISM` / `--parallelism`); `1` runs the cells inline,
+    /// in order. Results are byte-identical across settings.
     pub parallelism: Parallelism,
 }
 
@@ -126,7 +126,7 @@ impl Context {
             stream,
             dims,
             snapshots: stream.deltas + 1,
-            parallelism: idgnn_sparse::parallel::current(),
+            parallelism: idgnn_sparse::parallel::process_default(),
         })
     }
 
@@ -307,18 +307,13 @@ mod tests {
 
     #[test]
     fn run_accelerators_matches_each_run_accelerator() {
-        for threads in [1, 4] {
-            let ctx = Context::new(ExperimentScale::Quick, 2)
-                .unwrap()
-                .with_parallelism(Parallelism::new(threads));
-            let _kernels = idgnn_sparse::parallel::kernel_scope(Parallelism::new(threads));
-            let w = ctx.workload("PM");
-            let shared = ctx.run_accelerators(w).unwrap();
-            for (name, report) in ACCELERATORS.iter().zip(&shared) {
-                // `SimReport` equality compares every field: cycles, energy,
-                // DRAM bytes, ops, per-snapshot sims and utilization phases.
-                assert_eq!(*report, ctx.run_accelerator(name, w).unwrap(), "{name} @ {threads}");
-            }
+        let ctx = Context::new(ExperimentScale::Quick, 2).unwrap();
+        let w = ctx.workload("PM");
+        let shared = ctx.run_accelerators(w).unwrap();
+        for (name, report) in ACCELERATORS.iter().zip(&shared) {
+            // `SimReport` equality compares every field: cycles, energy,
+            // DRAM bytes, ops, per-snapshot sims and utilization phases.
+            assert_eq!(*report, ctx.run_accelerator(name, w).unwrap(), "{name}");
         }
     }
 

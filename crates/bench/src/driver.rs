@@ -7,16 +7,11 @@
 //! serialized JSON — is byte-identical to the legacy serial driver at any
 //! worker count.
 //!
-//! Two rules keep this deterministic and well-behaved:
-//!
-//! * results (and the first error, if any) are selected by *cell index*,
-//!   never by thread completion order;
-//! * when the driver itself fans out (`> 1` effective workers), each worker
-//!   pins its *inner* kernels to the serial path with
-//!   [`idgnn_sparse::parallel::kernel_scope`] — one simulation per core
-//!   instead of nested oversubscription. With a serial driver
-//!   (`parallelism = 1`) the cells run inline, in order, and the kernels keep
-//!   whatever ambient parallelism is configured.
+//! Results (and the first error, if any) are selected by *cell index*,
+//! never by thread completion order. This is the only level of host
+//! parallelism in a figure run: every cell's kernels run serially on the
+//! worker that claimed it — one simulation per core. With
+//! `parallelism = 1` the cells run inline, in order.
 
 use idgnn_sparse::{parallel, Parallelism};
 
@@ -36,12 +31,7 @@ where
     R: Send,
     F: Fn(usize, &T) -> Result<R> + Sync,
 {
-    let fanned_out = parallelism.effective(cells.len()) > 1;
-    let results = parallel::map_items(cells, parallelism, |i, cell| {
-        let _inner_serial = fanned_out.then(|| parallel::kernel_scope(Parallelism::serial()));
-        f(i, cell)
-    });
-    results.into_iter().collect()
+    parallel::map_items(cells, parallelism, f).into_iter().collect()
 }
 
 #[cfg(test)]
@@ -71,15 +61,5 @@ mod tests {
         })
         .unwrap_err();
         assert!(err.to_string().contains("cell 4"), "got: {err}");
-    }
-
-    #[test]
-    fn workers_force_inner_kernels_serial() {
-        let cells = [(); 4];
-        let inner: Vec<usize> = run_cells(Parallelism::new(4), &cells, |_, ()| {
-            Ok(parallel::current().threads())
-        })
-        .unwrap();
-        assert!(inner.iter().all(|&t| t == 1), "inner kernels not serial: {inner:?}");
     }
 }

@@ -24,7 +24,7 @@ use idgnn_model::onepass::{
     fused_dissimilarity, fused_dissimilarity_cached, Dissimilarity, DissimilarityStrategy,
 };
 use idgnn_model::PowerCache;
-use idgnn_sparse::{ops, parallel, CsrMatrix, OpStats, Parallelism};
+use idgnn_sparse::{ops, CsrMatrix, OpStats};
 
 use crate::context::{Context, ExperimentScale, Result};
 use crate::report::table;
@@ -525,9 +525,8 @@ fn assert_bit_identical(warm: &Dissimilarity, cold: &Dissimilarity, context: &st
     assert_eq!(warm.ops, cold.ops, "{context}: reported op counts diverged");
 }
 
-/// Runs the benchmark and assembles the report. Every kernel runs on one
-/// thread: the whole run sits under a single-thread
-/// [`parallel::kernel_scope`].
+/// Runs the benchmark and assembles the report. Every kernel runs on the
+/// calling thread.
 ///
 /// # Errors
 ///
@@ -538,7 +537,6 @@ fn assert_bit_identical(warm: &Dissimilarity, cold: &Dissimilarity, context: &st
 /// Panics if a warm power-chain result diverges bitwise from the cold
 /// kernel (correctness guard).
 pub fn run(cfg: &KernelBenchConfig) -> Result<KernelBenchReport> {
-    let _scope = parallel::kernel_scope(Parallelism::new(1));
     let ctx = Context::new(cfg.scale, cfg.seed)?;
     let sets = operands(&ctx, cfg.datasets)?;
     let (kernels, power_chain) = measure_kernels(cfg, &sets)?;

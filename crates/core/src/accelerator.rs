@@ -56,11 +56,10 @@ pub struct SimOptions {
     pub dataflow: DataflowPolicy,
     /// Disable the GNN ∥ RNN-A pipeline overlap (D2 companion ablation).
     pub disable_pipeline: bool,
-    /// Host worker threads for the functional kernels of this run
-    /// (`None` inherits the ambient [`idgnn_sparse::parallel::current`]
-    /// selection, `Some(1)` forces the legacy serial path). Purely a
-    /// host-side execution knob: the simulated cycle counts and every other
-    /// report field are bit-identical across settings.
+    /// Inert: read by nothing. The functional kernels always run serially
+    /// on the calling thread. Kept only because the benchmark crate under
+    /// `perfbench/` (which builds against this crate unedited) still sets
+    /// it; no code in the workspace reads or sets it.
     pub parallelism: Option<usize>,
 }
 
@@ -214,11 +213,6 @@ impl IdgnnAccelerator {
         dg: &DynamicGraph,
         opts: &SimOptions,
     ) -> Result<SimReport> {
-        // Pin the host-kernel thread count for the whole run if requested;
-        // the guard restores the previous selection on every exit path.
-        let _kernel_scope = opts.parallelism.map(|n| {
-            idgnn_sparse::parallel::kernel_scope(idgnn_sparse::Parallelism::new(n))
-        });
         let mut timer = self.timer(model, dg, opts);
         exec::stream_lanes(model, dg, &[self.lane(opts)], SinkReads::Costs, |_, step| {
             timer.time(&step);
@@ -634,22 +628,6 @@ mod tests {
         assert!(!u.mac.is_empty());
         assert!(u.mean_mac() > 0.0);
         assert!(u.mean_mac() <= 1.0);
-    }
-
-    #[test]
-    fn simulation_is_identical_across_host_parallelism() {
-        // The host thread count is an execution knob, not a model parameter:
-        // the full report (cycles, energy, DRAM, ops, trace) must match
-        // exactly between the serial and parallel kernel paths.
-        let (model, dg) = workload();
-        let accel = small_accel();
-        let serial = accel
-            .simulate(&model, &dg, &SimOptions { parallelism: Some(1), ..Default::default() })
-            .unwrap();
-        let parallel = accel
-            .simulate(&model, &dg, &SimOptions { parallelism: Some(4), ..Default::default() })
-            .unwrap();
-        assert_eq!(serial, parallel);
     }
 
     /// `simulate` as it was before the executor lent its operators: execute

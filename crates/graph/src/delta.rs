@@ -359,7 +359,7 @@ mod tests {
     #[test]
     fn apply_is_bitwise_the_add_then_prune_composition() {
         use crate::generate::{generate_dynamic_graph, GraphConfig, StreamConfig};
-        use idgnn_sparse::{ops, parallel::kernel_scope, Parallelism};
+        use idgnn_sparse::ops;
         let bits = |m: &CsrMatrix| {
             let values: Vec<u32> = m.values().iter().map(|v| v.to_bits()).collect();
             (m.indptr().to_vec(), m.indices().to_vec(), values)
@@ -368,7 +368,7 @@ mod tests {
         // cancels to an exact zero that must not be stored.
         let mut cases =
             vec![(base(), GraphDelta::builder().add_edge(1, 3).remove_edge(1, 2).build())];
-        // A generated stream with rows enough for the row-blocked merge.
+        // A generated stream's deltas, applied to its snapshots.
         let dg = generate_dynamic_graph(
             &GraphConfig::power_law(400, 1600, 4),
             &StreamConfig { deltas: 3, dissimilarity: 0.1, ..Default::default() },
@@ -381,11 +381,8 @@ mod tests {
             let expected = ops::sp_add(base.adjacency(), &delta.delta_matrix(base).unwrap())
                 .unwrap()
                 .pruned(0.0);
-            for threads in [1, 4] {
-                let _scope = kernel_scope(Parallelism::new(threads));
-                let next = delta.apply(base).unwrap();
-                assert_eq!(bits(next.adjacency()), bits(&expected), "case {i} threads={threads}");
-            }
+            let next = delta.apply(base).unwrap();
+            assert_eq!(bits(next.adjacency()), bits(&expected), "case {i}");
         }
         let next = cases[0].1.apply(&cases[0].0).unwrap();
         assert_eq!(next.adjacency().row_indices(1), [0, 3]);

@@ -14,8 +14,7 @@ use std::collections::HashSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use idgnn_sparse::parallel::kernel_scope;
-use idgnn_sparse::{CooMatrix, DenseMatrix, Parallelism};
+use idgnn_sparse::{CooMatrix, DenseMatrix};
 
 use crate::delta::GraphDelta;
 use crate::dynamic::DynamicGraph;
@@ -233,11 +232,6 @@ pub fn generate_dynamic_graph(
     let mut rng = StdRng::seed_from_u64(seed.wrapping_add(0x9E37_79B9_7F4A_7C15));
     let mut dg = DynamicGraph::new(initial);
     let mut current = dg.initial().clone();
-    // Each step merges one small delta into the current adjacency. Forked
-    // onto worker threads, those merges took twice as long as serial ones
-    // (399 deltas of a 20k-edge graph: 0.72 against 0.37 s on two cores),
-    // and the workers' allocator arenas scattered the stored stream.
-    let _serial = kernel_scope(Parallelism::serial());
     for _ in 0..stream.deltas {
         let delta = random_delta(&current, stream, &mut rng);
         current = delta.apply(&current)?;

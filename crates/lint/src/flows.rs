@@ -21,8 +21,8 @@
 //!   containers (`unordered-iteration`), accumulate floats in an unpinned
 //!   order (`float-reduction-order`), or read wall-clock/thread/env state
 //!   (`ambient-nondeterminism`); and *no* library function may spawn
-//!   threads outside the audited fixed-order merge helpers
-//!   (`block-merge-order`). Suppression is fn-scoped:
+//!   threads outside the audited fixed-order merge helper,
+//!   `parallel::map_items` (`block-merge-order`). Suppression is fn-scoped:
 //!   `// lint: order-insensitive -- <reason>` for the first two,
 //!   `// lint: timing-carrier -- <reason>` for ambient reads, and
 //!   `// lint: ordered-merge -- <reason>` declaring an audited spawner.
@@ -387,8 +387,7 @@ impl<'a> FlowAnalysis<'a> {
         // Unlike the path-scoped rules, this one is global over library
         // code: *any* direct thread fan-out outside an audited
         // `// lint: ordered-merge` helper can merge results in completion
-        // order and must be routed through `parallel::fork_join`/
-        // `map_blocks*` instead.
+        // order and must be routed through `parallel::map_items` instead.
         for (idx, node) in self.engine.graph.fns.iter().enumerate() {
             if !self.det_scope(idx) || self.ordered_merges.contains(&idx) {
                 continue;
@@ -399,10 +398,10 @@ impl<'a> FlowAnalysis<'a> {
                     file: node.file.clone(),
                     line: ev.line,
                     message: format!(
-                        "`{}` spawns threads outside the audited fixed-order merge helpers, \
-                         so per-block results may merge in completion order; route the work \
-                         through `parallel::fork_join`/`map_blocks*`, or audit the merge and \
-                         declare `// lint: ordered-merge -- <why block order is preserved>`",
+                        "`{}` spawns threads outside the audited fixed-order merge helper, \
+                         so per-item results may merge in completion order; route the work \
+                         through `parallel::map_items`, or audit the merge and declare \
+                         `// lint: ordered-merge -- <why declared order is preserved>`",
                         node.item.qual_name()
                     ),
                 });

@@ -67,8 +67,9 @@ those files with every rule in scope.
 options:
   --json              write the machine-readable report to results/lint.json
   --json-out PATH     write the JSON report to PATH (implies --json)
-  --timing            profile per-rule wall-clock; fail when one rule runs
-                      past 5x the median (workspace mode only)
+  --timing            profile per-rule wall-clock (fastest of 5 interleaved
+                      rounds); fail when one rule runs past 5x the median
+                      (workspace mode only)
   --explain RULE      print the rationale for one rule, the `determinism`
                       family, or `all`, and exit
   -h, --help          print this help and exit

@@ -18,7 +18,7 @@
 //! | `unordered-iteration` | `HashMap`/`HashSet` on deterministic paths ([`crate::flows`]) |
 //! | `float-reduction-order` | float reductions whose addition order is unpinned ([`crate::flows`]) |
 //! | `ambient-nondeterminism` | wall-clock / thread-id / env reads on deterministic paths ([`crate::flows`]) |
-//! | `block-merge-order` | thread fan-out outside the audited fixed-order merge helpers ([`crate::flows`]) |
+//! | `block-merge-order` | thread fan-out outside the audited fixed-order merge helper ([`crate::flows`]) |
 //! | `malformed-marker` | a `// lint:` marker the tool cannot honor |
 //!
 //! Suppression: `// lint: allow(<slug>) -- <reason>` silences findings of
@@ -62,7 +62,7 @@ pub enum Rule {
     /// R10: wall-clock, thread-identity, or environment reads on
     /// deterministic paths.
     AmbientNondeterminism,
-    /// R11: thread fan-out outside the audited fixed-order merge helpers.
+    /// R11: thread fan-out outside the audited fixed-order merge helper.
     BlockMergeOrder,
     /// A `// lint:` marker the tool cannot parse or honor.
     MalformedMarker,
@@ -225,8 +225,8 @@ impl Rule {
                 iterates an *unordered* container (per the same def/use taint as\n\
                 unordered-iteration) can change bits run-to-run even on one thread.\n\
                 Reductions over slices, `Vec`s, ranges, and CSR rows are declared-order\n\
-                and fine; cross-block reductions belong in the fixed block-merge order\n\
-                of sparse/parallel.rs (see block-merge-order). Pin the order by sorting\n\
+                and fine; results gathered across threads belong in the fixed item\n\
+                order of sparse/parallel.rs (see block-merge-order). Pin the order by sorting\n\
                 first, or declare the enclosing function\n\
                 `// lint: order-insensitive -- <why>` when the reduction provably\n\
                 commutes in exact arithmetic (integers reduced through floats do not).",
@@ -242,17 +242,17 @@ impl Rule {
                 documents that the measurement feeds timings, never result bytes.\n\
                 One-off configuration reads carry a line-scoped\n\
                 `// lint: allow(ambient-nondeterminism) -- <reason>`.",
-            Rule::BlockMergeOrder => "block-merge-order — every thread fan-out merges in declared block order.\n\n\
+            Rule::BlockMergeOrder => "block-merge-order — every thread fan-out merges in declared order.\n\n\
                 Fourth determinism sub-rule (DESIGN.md §15). The bit-identity argument\n\
-                for the parallel kernels is structural: work is split into contiguous\n\
-                blocks and partial results are merged in *declared* block order, never\n\
-                thread completion order. That proof only covers fan-out that goes\n\
-                through the audited fixed-order merge helpers in sparse/parallel.rs\n\
-                (`map_blocks`, `map_blocks_by_cost`, `map_items` / `fork_join`), each\n\
-                carrying a `// lint: ordered-merge -- <audit argument>` marker. Any\n\
-                other function that calls `spawn` or `thread::scope` directly is a\n\
-                finding: route the fan-out through the helpers, or hand-audit the\n\
-                merge and add the marker with its argument.",
+                for host parallelism is structural: independent items (figure cells,\n\
+                DSE candidates) run on workers and their results are assembled in\n\
+                *declared* item order, never thread completion order. That proof only\n\
+                covers fan-out that goes through the one audited spawner,\n\
+                `map_items` in sparse/parallel.rs, which carries a\n\
+                `// lint: ordered-merge -- <audit argument>` marker. Any other\n\
+                function that calls `spawn` or `thread::scope` directly is a finding:\n\
+                route the fan-out through `map_items`, or hand-audit the merge and\n\
+                add the marker with its argument.",
             Rule::MalformedMarker => "malformed-marker — the lint's own markers must be well-formed.\n\n\
                 A `// lint:` comment the tool cannot honor (unknown rule, missing\n\
                 mandatory `-- <reason>`, `hot-path`/`buffer-carrier` not followed by a\n\

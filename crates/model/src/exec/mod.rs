@@ -603,7 +603,6 @@ mod tests {
 
     #[test]
     fn streamed_steps_equal_the_collected_run_bit_for_bit() {
-        use idgnn_sparse::{parallel::kernel_scope, Parallelism};
         let dg = generate_dynamic_graph(
             &GraphConfig::power_law(40, 120, 6),
             &StreamConfig { deltas: 4, dissimilarity: 0.1, ..Default::default() },
@@ -646,14 +645,11 @@ mod tests {
             let normalization = model.normalization();
             let layers = model.dims().gnn_layers;
             for (algorithm, options) in cases {
-                let reference = {
-                    let _serial = kernel_scope(Parallelism::new(1));
-                    match algorithm {
-                        Algorithm::OnePass => run_onepass_with(&model, &dg, &mem, &options),
-                        other => run(other, &model, &dg, &mem),
-                    }
-                    .unwrap()
-                };
+                let reference = match algorithm {
+                    Algorithm::OnePass => run_onepass_with(&model, &dg, &mem, &options),
+                    other => run(other, &model, &dg, &mem),
+                }
+                .unwrap();
                 if algorithm == Algorithm::OnePass {
                     // At L = 3, refresh off takes the delta path on every
                     // transition; refresh on takes the refresh (no AComb
@@ -666,35 +662,32 @@ mod tests {
                         assert_eq!(refreshed > 0, options.adaptive_refresh, "{normalization:?}");
                     }
                 }
-                for threads in [1, 4] {
-                    let _scope = kernel_scope(Parallelism::new(threads));
-                    let mut seen = 0;
-                    stream(algorithm, &model, &dg, &mem, &options, SinkReads::Outputs, |step| {
-                        let case =
-                            format!("{algorithm} {normalization:?} L={layers} {options:?} t={seen}");
-                        assert_eq!(step.t, seen, "{case}");
-                        let out = &reference.outputs[step.t];
-                        let state = step.state.expect("an Outputs stream lends the state");
-                        let z = step.z.expect("an Outputs stream lends Z");
-                        assert_eq!(bits(z), bits(&out.z), "{case}");
-                        assert_eq!(bits(&state.h), bits(&out.state.h), "{case}");
-                        assert_eq!(bits(&state.c), bits(&out.state.c), "{case}");
-                        assert_eq!(step.cost, &reference.costs[step.t], "{case}");
-                        assert_eq!(
-                            step.operator.csr_bytes(),
-                            reference.operator_bytes[step.t],
-                            "{case}"
-                        );
-                        assert_eq!(
-                            step.delta.is_some(),
-                            algorithm == Algorithm::OnePass && step.t > 0,
-                            "{case}"
-                        );
-                        seen += 1;
-                    })
-                    .unwrap();
-                    assert_eq!(seen, dg.num_snapshots());
-                }
+                let mut seen = 0;
+                stream(algorithm, &model, &dg, &mem, &options, SinkReads::Outputs, |step| {
+                    let case =
+                        format!("{algorithm} {normalization:?} L={layers} {options:?} t={seen}");
+                    assert_eq!(step.t, seen, "{case}");
+                    let out = &reference.outputs[step.t];
+                    let state = step.state.expect("an Outputs stream lends the state");
+                    let z = step.z.expect("an Outputs stream lends Z");
+                    assert_eq!(bits(z), bits(&out.z), "{case}");
+                    assert_eq!(bits(&state.h), bits(&out.state.h), "{case}");
+                    assert_eq!(bits(&state.c), bits(&out.state.c), "{case}");
+                    assert_eq!(step.cost, &reference.costs[step.t], "{case}");
+                    assert_eq!(
+                        step.operator.csr_bytes(),
+                        reference.operator_bytes[step.t],
+                        "{case}"
+                    );
+                    assert_eq!(
+                        step.delta.is_some(),
+                        algorithm == Algorithm::OnePass && step.t > 0,
+                        "{case}"
+                    );
+                    seen += 1;
+                })
+                .unwrap();
+                assert_eq!(seen, dg.num_snapshots());
             }
         }
     }
@@ -751,7 +744,6 @@ mod tests {
     #[test]
     fn lockstep_lanes_equal_solo_streams_bit_for_bit() {
         use idgnn_graph::GraphDelta;
-        use idgnn_sparse::{parallel::kernel_scope, Parallelism};
         let dg = generate_dynamic_graph(
             &GraphConfig::power_law(160, 480, 6),
             &StreamConfig { deltas: 4, dissimilarity: 0.1, ..Default::default() },
@@ -810,43 +802,40 @@ mod tests {
             .unwrap();
             for (graph, snapshots) in [(&dg, 5), (&conflicting, 4)] {
                 for reads in [SinkReads::Costs, SinkReads::Outputs] {
-                    for threads in [1, 4] {
-                        let _scope = kernel_scope(Parallelism::new(threads));
-                        let case = format!(
-                            "{:?} L={layers} {reads:?} threads={threads} snapshots={snapshots}",
-                            model.normalization()
-                        );
-                        let mut shared: Vec<Vec<OwnedStep>> = lanes.iter().map(|_| Vec::new()).collect();
-                        let (walks, runs) = (walks_on_this_thread(), runs_on_this_thread());
-                        let outcome = stream_lanes(&model, graph, &lanes, reads, |lane, step| {
-                            shared[lane].push(OwnedStep::of(&step));
-                        });
-                        assert_eq!(walks_on_this_thread() - walks, 1, "{case}");
-                        let started: Vec<u64> =
-                            runs_on_this_thread().iter().zip(runs).map(|(a, b)| a - b).collect();
-                        assert_eq!(started, [1, 2, 3], "{case}");
-                        let error = outcome.err().map(|e| format!("{e:?}"));
-                        assert_eq!(error.is_some(), snapshots < graph.num_snapshots(), "{case}");
-                        for (lane, steps) in lanes.iter().zip(&shared) {
-                            let (solo, solo_error) = solo_steps(&model, graph, lane, reads);
-                            assert_eq!(steps.len(), snapshots, "{case} {lane:?}");
-                            assert_eq!(steps, &solo, "{case} {lane:?}");
-                            assert_eq!(error, solo_error, "{case} {lane:?}");
-                            // At L = 3, refresh on takes the refresh (no AComb
-                            // work) on some transition; refresh off never does.
-                            let refreshed = steps[1..]
-                                .iter()
-                                .any(|step| step.cost.ops_of(crate::Phase::AComb).total() == 0);
-                            if lane.algorithm == Algorithm::OnePass && layers == 3 {
-                                assert_eq!(refreshed, lane.onepass.adaptive_refresh, "{case}");
-                            }
-                            for step in steps {
-                                let executed = reads == SinkReads::Outputs;
-                                assert_eq!(step.z.is_some(), executed, "{case} {lane:?}");
-                                assert_eq!(step.state.is_some(), executed, "{case} {lane:?}");
-                                let one_pass = lane.algorithm == Algorithm::OnePass;
-                                assert_eq!(step.delta.is_some(), one_pass && step.t > 0, "{case}");
-                            }
+                    let case = format!(
+                        "{:?} L={layers} {reads:?} snapshots={snapshots}",
+                        model.normalization()
+                    );
+                    let mut shared: Vec<Vec<OwnedStep>> = lanes.iter().map(|_| Vec::new()).collect();
+                    let (walks, runs) = (walks_on_this_thread(), runs_on_this_thread());
+                    let outcome = stream_lanes(&model, graph, &lanes, reads, |lane, step| {
+                        shared[lane].push(OwnedStep::of(&step));
+                    });
+                    assert_eq!(walks_on_this_thread() - walks, 1, "{case}");
+                    let started: Vec<u64> =
+                        runs_on_this_thread().iter().zip(runs).map(|(a, b)| a - b).collect();
+                    assert_eq!(started, [1, 2, 3], "{case}");
+                    let error = outcome.err().map(|e| format!("{e:?}"));
+                    assert_eq!(error.is_some(), snapshots < graph.num_snapshots(), "{case}");
+                    for (lane, steps) in lanes.iter().zip(&shared) {
+                        let (solo, solo_error) = solo_steps(&model, graph, lane, reads);
+                        assert_eq!(steps.len(), snapshots, "{case} {lane:?}");
+                        assert_eq!(steps, &solo, "{case} {lane:?}");
+                        assert_eq!(error, solo_error, "{case} {lane:?}");
+                        // At L = 3, refresh on takes the refresh (no AComb
+                        // work) on some transition; refresh off never does.
+                        let refreshed = steps[1..]
+                            .iter()
+                            .any(|step| step.cost.ops_of(crate::Phase::AComb).total() == 0);
+                        if lane.algorithm == Algorithm::OnePass && layers == 3 {
+                            assert_eq!(refreshed, lane.onepass.adaptive_refresh, "{case}");
+                        }
+                        for step in steps {
+                            let executed = reads == SinkReads::Outputs;
+                            assert_eq!(step.z.is_some(), executed, "{case} {lane:?}");
+                            assert_eq!(step.state.is_some(), executed, "{case} {lane:?}");
+                            let one_pass = lane.algorithm == Algorithm::OnePass;
+                            assert_eq!(step.delta.is_some(), one_pass && step.t > 0, "{case}");
                         }
                     }
                 }
@@ -857,7 +846,6 @@ mod tests {
     #[test]
     fn costs_only_runs_charge_exactly_what_executed_runs_do() {
         use idgnn_graph::GraphDelta;
-        use idgnn_sparse::{parallel::kernel_scope, Parallelism};
         let mut dg = generate_dynamic_graph(
             &GraphConfig::power_law(40, 120, 6),
             &StreamConfig { deltas: 4, dissimilarity: 0.1, ..Default::default() },
@@ -924,46 +912,42 @@ mod tests {
                     .unwrap();
                     for &(algorithm, options) in &cases {
                         for mem in &memories {
-                            for threads in [1, 4] {
-                                let _scope = kernel_scope(Parallelism::new(threads));
-                                let case = format!(
-                                    "{algorithm} {activation:?} {rnn_kernel:?} \
-                                     {normalization:?} L={gnn_layers} {options:?} {mem:?} \
-                                     threads={threads}"
-                                );
-                                let executed = collect_steps(
-                                    algorithm,
-                                    &model,
-                                    &dg,
-                                    mem,
-                                    &options,
-                                    SinkReads::Outputs,
-                                )
-                                .unwrap();
-                                assert_eq!(executed.outputs.len(), dg.num_snapshots(), "{case}");
-                                assert!(
-                                    executed.costs.iter().all(|c| c.rnn_ops().total() > 0),
-                                    "{case}"
-                                );
-                                let mut counted = ExecutionResult {
-                                    outputs: Vec::new(),
-                                    costs: Vec::new(),
-                                    operator_bytes: Vec::new(),
-                                };
-                                let reads = SinkReads::Costs;
-                                stream(algorithm, &model, &dg, mem, &options, reads, |step| {
-                                    assert!(step.z.is_none(), "{case} t={}", step.t);
-                                    assert!(step.state.is_none(), "{case} t={}", step.t);
-                                    counted.costs.push(step.cost.clone());
-                                    counted.operator_bytes.push(step.operator.csr_bytes());
-                                })
-                                .unwrap();
-                                let expected = ExecutionResult { outputs: Vec::new(), ..executed };
-                                assert_eq!(counted, expected, "{case}");
-                                if options == OnePassOptions::default() {
-                                    let costs = run_costs(algorithm, &model, &dg, mem).unwrap();
-                                    assert_eq!(costs, expected, "{case}");
-                                }
+                            let case = format!(
+                                "{algorithm} {activation:?} {rnn_kernel:?} \
+                                 {normalization:?} L={gnn_layers} {options:?} {mem:?}"
+                            );
+                            let executed = collect_steps(
+                                algorithm,
+                                &model,
+                                &dg,
+                                mem,
+                                &options,
+                                SinkReads::Outputs,
+                            )
+                            .unwrap();
+                            assert_eq!(executed.outputs.len(), dg.num_snapshots(), "{case}");
+                            assert!(
+                                executed.costs.iter().all(|c| c.rnn_ops().total() > 0),
+                                "{case}"
+                            );
+                            let mut counted = ExecutionResult {
+                                outputs: Vec::new(),
+                                costs: Vec::new(),
+                                operator_bytes: Vec::new(),
+                            };
+                            let reads = SinkReads::Costs;
+                            stream(algorithm, &model, &dg, mem, &options, reads, |step| {
+                                assert!(step.z.is_none(), "{case} t={}", step.t);
+                                assert!(step.state.is_none(), "{case} t={}", step.t);
+                                counted.costs.push(step.cost.clone());
+                                counted.operator_bytes.push(step.operator.csr_bytes());
+                            })
+                            .unwrap();
+                            let expected = ExecutionResult { outputs: Vec::new(), ..executed };
+                            assert_eq!(counted, expected, "{case}");
+                            if options == OnePassOptions::default() {
+                                let costs = run_costs(algorithm, &model, &dg, mem).unwrap();
+                                assert_eq!(costs, expected, "{case}");
                             }
                         }
                     }

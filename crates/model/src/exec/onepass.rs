@@ -215,7 +215,7 @@ fn fold_combination(
     cb_ops
 }
 
-/// What AG takes from one row block of the streamed `ΔA_C`.
+/// What AG takes from the streamed `ΔA_C`.
 #[derive(Default)]
 struct AgSum {
     /// Op counts of `ΔA_C·x` ([`ops::spmm_row_stats`] per row).
@@ -232,7 +232,7 @@ struct AgSum {
     d_p: Vec<f32>,
 }
 
-/// The [`RowSink`] AComb streams `ΔA_C` into: AG over one row block.
+/// The [`RowSink`] AComb streams `ΔA_C` into: AG, one row at a time.
 ///
 /// Each row `r` of `ΔA_C` is charged as a row of the SpMM `ΔA_C·x` and
 /// joined with row `r` of the chained term. When outputs are read it forms
@@ -263,20 +263,6 @@ impl<'a> AgRows<'a> {
         combine: Option<&'a DenseMatrix>,
     ) -> Self {
         Self { x, chained, executing, combine, row: Vec::new(), sum: AgSum::default() }
-    }
-
-    /// The blocks' sums in block order: counts added, rows concatenated.
-    fn fold_blocks(blocks: Vec<Self>) -> AgSum {
-        let mut blocks = blocks.into_iter().map(|b| b.sum);
-        let mut total = blocks.next().unwrap_or_default();
-        for b in blocks {
-            total.spmm += b.spmm;
-            total.nnz += b.nnz;
-            total.support += b.support;
-            total.involved.extend(b.involved);
-            total.d_p.extend(b.d_p);
-        }
-        total
     }
 }
 
@@ -594,11 +580,9 @@ impl OnePass {
         // Â^{t+1} this lane advances to never equals the `Â^t + ΔA` a
         // PowerCache keys on (DESIGN.md §8).
         let combine = (executing && !comb_first).then_some(&*w_c);
-        let Dissimilarity { delta_ac: sinks, ops: ac_ops, saved, .. } =
-            fused_dissimilarity_rows(a_prev, d_op, l, *strategy, |_, _| {
-                AgRows::new(x, chained, executing, combine)
-            })?;
-        let ag = AgRows::fold_blocks(sinks);
+        let sink = AgRows::new(x, chained, executing, combine);
+        let Dissimilarity { delta_ac: AgRows { sum: ag, .. }, ops: ac_ops, saved, .. } =
+            fused_dissimilarity_rows(a_prev, d_op, l, *strategy, sink)?;
         cost.add_saved(saved);
         let mut t_ac = Traffic::none();
         if spilled {
@@ -982,9 +966,7 @@ mod tests {
         for executing in [false, true] {
             for combine in [None, Some(&w_c)] {
                 let ctx = format!("executing={executing} combine={}", combine.is_some());
-                let blocks =
-                    ops::sp_rows(&delta_ac, |_, _| AgRows::new(&x, &chained, executing, combine));
-                let sum = AgRows::fold_blocks(blocks);
+                let sum = ops::sp_rows(&delta_ac, AgRows::new(&x, &chained, executing, combine)).sum;
                 assert_eq!(sum.involved, want, "{ctx}");
                 assert_eq!(sum.spmm, spmm_ops, "{ctx}");
                 assert_eq!((sum.nnz, sum.support), (delta_ac.nnz(), support), "{ctx}");

@@ -74,8 +74,6 @@
 //! The hit path serves callers that maintain the operator additively, such
 //! as the `kernels` bench's warm power chain.
 
-use std::ops::Range;
-
 use idgnn_sparse::ops::{CsrRows, RowSink};
 use idgnn_sparse::{ops, workspace, CsrMatrix, DenseMatrix, OpStats};
 
@@ -102,8 +100,8 @@ pub struct Dissimilarity<D = CsrMatrix> {
     /// entries ([`fused_dissimilarity`], [`fused_dissimilarity_cached`])
     /// build it, as a [`CsrMatrix`], for tests, benches and the
     /// walkthrough; the one-pass executor never does. From
-    /// [`fused_dissimilarity_rows`] it is the row sinks `ΔA_C` streamed
-    /// into, in ascending block order.
+    /// [`fused_dissimilarity_rows`] it is the row sink `ΔA_C` streamed
+    /// into.
     pub delta_ac: D,
     /// Exact multiply/add counts of the evaluation. Work avoided by reuse
     /// (cache hits, transpose substitution) is still *included* here at its
@@ -135,12 +133,11 @@ impl<D> Dissimilarity<D> {
     }
 }
 
-impl Dissimilarity<Vec<CsrRows>> {
-    /// Assembles the streamed rows of an `a`-shaped `ΔA_C` into a matrix.
-    fn into_matrix(self, a: &CsrMatrix) -> Dissimilarity {
+impl Dissimilarity<CsrRows> {
+    /// Assembles the streamed rows of `ΔA_C` into a matrix.
+    fn into_matrix(self) -> Dissimilarity {
         let Self { delta_ac, ops, products, transposes, saved } = self;
-        let delta_ac = CsrRows::assemble(a.rows(), a.cols(), delta_ac);
-        Dissimilarity { delta_ac, ops, products, transposes, saved }
+        Dissimilarity { delta_ac: delta_ac.into_matrix(), ops, products, transposes, saved }
     }
 }
 
@@ -238,33 +235,29 @@ pub fn fused_dissimilarity(
     num_layers: u32,
     strategy: DissimilarityStrategy,
 ) -> Result<Dissimilarity> {
-    Ok(dissimilarity_impl(a, da, num_layers, strategy, None, &CsrRows::with_capacity)?.into_matrix(a))
+    let sink = CsrRows::new(a.rows(), a.cols());
+    Ok(dissimilarity_impl(a, da, num_layers, strategy, None, sink)?.into_matrix())
 }
 
-/// Computes `ΔA_C = (A + ΔA)^L − A^L` and streams its rows into sinks
-/// instead of storing it. `sink(rows, max_nnz)` builds the [`RowSink`] of
-/// a row block, which receives each row of `ΔA_C` in `rows` (empty ones
-/// included) with at most `max_nnz` entries in all; the returned
-/// [`Dissimilarity::delta_ac`] holds the sinks in ascending block order.
+/// Computes `ΔA_C = (A + ΔA)^L − A^L` and streams its rows into `sink`
+/// instead of storing it: the sink receives every row of `ΔA_C` once, in
+/// ascending order (empty ones included), and comes back as
+/// [`Dissimilarity::delta_ac`].
 ///
 /// The rows are those [`fused_dissimilarity`] collects, bit for bit, and
-/// every other field is the same, at any parallelism.
+/// every other field is the same.
 ///
 /// # Errors
 ///
 /// Same conditions as [`fused_dissimilarity`].
-pub fn fused_dissimilarity_rows<S, F>(
+pub fn fused_dissimilarity_rows<S: RowSink>(
     a: &CsrMatrix,
     da: &CsrMatrix,
     num_layers: u32,
     strategy: DissimilarityStrategy,
-    sink: F,
-) -> Result<Dissimilarity<Vec<S>>>
-where
-    S: RowSink,
-    F: Fn(Range<usize>, usize) -> S + Sync,
-{
-    dissimilarity_impl(a, da, num_layers, strategy, None, &sink)
+    sink: S,
+) -> Result<Dissimilarity<S>> {
+    dissimilarity_impl(a, da, num_layers, strategy, None, sink)
 }
 
 /// [`fused_dissimilarity`] with a cross-snapshot [`PowerCache`].
@@ -285,22 +278,18 @@ pub fn fused_dissimilarity_cached(
     strategy: DissimilarityStrategy,
     cache: &mut PowerCache,
 ) -> Result<Dissimilarity> {
-    let rows = &CsrRows::with_capacity;
-    Ok(dissimilarity_impl(a, da, num_layers, strategy, Some(cache), rows)?.into_matrix(a))
+    let sink = CsrRows::new(a.rows(), a.cols());
+    Ok(dissimilarity_impl(a, da, num_layers, strategy, Some(cache), sink)?.into_matrix())
 }
 
-fn dissimilarity_impl<S, F>(
+fn dissimilarity_impl<S: RowSink>(
     a: &CsrMatrix,
     da: &CsrMatrix,
     num_layers: u32,
     strategy: DissimilarityStrategy,
     cache: Option<&mut PowerCache>,
-    sink: &F,
-) -> Result<Dissimilarity<Vec<S>>>
-where
-    S: RowSink,
-    F: Fn(Range<usize>, usize) -> S + Sync,
-{
+    sink: S,
+) -> Result<Dissimilarity<S>> {
     if a.shape() != da.shape() {
         return Err(ModelError::Sparse(idgnn_sparse::SparseError::DimensionMismatch {
             op: "fused_dissimilarity",
@@ -338,17 +327,13 @@ where
 /// counted at the kernel's cost for it ([`identity_stats`]).
 ///
 /// [`spgemm_with_stats`]: ops::spgemm_with_stats
-fn general<S, F>(
+fn general<S: RowSink>(
     a: &CsrMatrix,
     da: &CsrMatrix,
     l: u32,
     mut cache: Option<&mut PowerCache>,
-    sink: &F,
-) -> Result<Dissimilarity<Vec<S>>>
-where
-    S: RowSink,
-    F: Fn(Range<usize>, usize) -> S + Sync,
-{
+    sink: S,
+) -> Result<Dissimilarity<S>> {
     let l_us = l as usize;
     let top = l_us - 1;
     let mut ops = OpStats::default();
@@ -549,11 +534,7 @@ fn pattern_product_stats(x: &CsrMatrix, b: &CsrMatrix, bitmap_budget: u64) -> Op
 
 /// `L = 2`: `ΔA·A + (ΔA·A)ᵀ + ΔA·ΔA` — two products and one transpose
 /// instead of three products.
-fn optimized_l2<S, F>(a: &CsrMatrix, da: &CsrMatrix, sink: &F) -> Result<Dissimilarity<Vec<S>>>
-where
-    S: RowSink,
-    F: Fn(Range<usize>, usize) -> S + Sync,
-{
+fn optimized_l2<S: RowSink>(a: &CsrMatrix, da: &CsrMatrix, sink: S) -> Result<Dissimilarity<S>> {
     debug_assert!(a.is_symmetric(1e-5) && da.is_symmetric(1e-5));
     let mut ops = OpStats::default();
     let (p, s1) = ops::spgemm_with_stats(da, a)?; // ΔA·A
@@ -580,11 +561,7 @@ where
 /// Every product has the hyper-sparse `ΔA` as one operand (directly or
 /// through `P = ΔA·A`), so the chains never touch the dense-ish
 /// `(A + ΔA)²` that the general path must build.
-fn optimized_l3<S, F>(a: &CsrMatrix, da: &CsrMatrix, sink: &F) -> Result<Dissimilarity<Vec<S>>>
-where
-    S: RowSink,
-    F: Fn(Range<usize>, usize) -> S + Sync,
-{
+fn optimized_l3<S: RowSink>(a: &CsrMatrix, da: &CsrMatrix, sink: S) -> Result<Dissimilarity<S>> {
     debug_assert!(a.is_symmetric(1e-5) && da.is_symmetric(1e-5));
     let mut ops = OpStats::default();
     let mut products = 0u32;
@@ -1067,8 +1044,8 @@ mod tests {
         }
     }
 
-    /// A 200-vertex ring with two chords added under `D̃⁻¹(A + I)`: an
-    /// asymmetric operator large enough for four row blocks.
+    /// A 200-vertex ring with two chords added under `D̃⁻¹(A + I)`: a
+    /// larger asymmetric operator.
     fn large_row_stochastic_setup() -> (CsrMatrix, CsrMatrix) {
         let edges: Vec<(usize, usize)> = (0..200).map(|i| (i, (i + 1) % 200)).collect();
         let base = GraphSnapshot::new(adjacency_from_edges(200, &edges).unwrap(), DenseMatrix::zeros(200, 1))
@@ -1082,11 +1059,9 @@ mod tests {
     }
 
     #[test]
-    fn streamed_rows_equal_the_collected_dissimilarity_at_every_parallelism() {
-        use idgnn_sparse::{parallel::kernel_scope, Parallelism};
+    fn streamed_rows_equal_the_collected_dissimilarity() {
         // Every arm the sink serves: L = 0 and 1 (no sum), Eq. 15 at L = 2
-        // and 3 (symmetric operators only), and the general path at every
-        // L; the 200-vertex cases split into row blocks at four threads.
+        // and 3 (symmetric operators only), and the general path at every L.
         let both = [DissimilarityStrategy::TransposeOptimized, DissimilarityStrategy::General];
         let general = [DissimilarityStrategy::General];
         for (name, (a, d), strategies) in [
@@ -1097,35 +1072,25 @@ mod tests {
         ] {
             for l in 0..=5u32 {
                 for &strategy in strategies {
-                    let want = {
-                        let _serial = kernel_scope(Parallelism::serial());
-                        fused_dissimilarity(&a, &d, l, strategy).unwrap()
-                    };
+                    let want = fused_dissimilarity(&a, &d, l, strategy).unwrap();
                     if l > 0 && name != "signed zeros" {
                         assert!(want.delta_ac.nnz() > 0, "{name} L={l}: an empty ΔA_C pins nothing");
                     }
-                    for threads in [1, 4] {
-                        let ctx = format!("{name} L={l} {strategy:?} threads={threads}");
-                        let _scope = kernel_scope(Parallelism::new(threads));
-                        let got = fused_dissimilarity_rows(&a, &d, l, strategy, |_, _| {
-                            Recorded(Vec::new())
-                        })
-                        .unwrap();
-                        assert_eq!(got.delta_ac.len() > 1, threads > 1 && a.rows() >= 128, "{ctx}");
-                        let rows: Vec<_> = got.delta_ac.into_iter().flat_map(|s| s.0).collect();
-                        assert_eq!(rows.len(), a.rows(), "{ctx}: every row, once");
-                        for (i, (r, cols, vals)) in rows.iter().enumerate() {
-                            assert_eq!(*r, i, "{ctx}: rows ascend");
-                            assert_eq!(cols.as_slice(), want.delta_ac.row_indices(i), "{ctx} row {i}");
-                            let bits: Vec<u32> =
-                                want.delta_ac.row_values(i).iter().map(|v| v.to_bits()).collect();
-                            assert_eq!(vals, &bits, "{ctx} row {i}");
-                        }
-                        assert_eq!(got.ops, want.ops, "{ctx}");
-                        assert_eq!(got.products, want.products, "{ctx}");
-                        assert_eq!(got.transposes, want.transposes, "{ctx}");
-                        assert_eq!(got.saved, want.saved, "{ctx}");
+                    let ctx = format!("{name} L={l} {strategy:?}");
+                    let got = fused_dissimilarity_rows(&a, &d, l, strategy, Recorded(Vec::new())).unwrap();
+                    let rows = &got.delta_ac.0;
+                    assert_eq!(rows.len(), a.rows(), "{ctx}: every row, once");
+                    for (i, (r, cols, vals)) in rows.iter().enumerate() {
+                        assert_eq!(*r, i, "{ctx}: rows ascend");
+                        assert_eq!(cols.as_slice(), want.delta_ac.row_indices(i), "{ctx} row {i}");
+                        let bits: Vec<u32> =
+                            want.delta_ac.row_values(i).iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(vals, &bits, "{ctx} row {i}");
                     }
+                    assert_eq!(got.ops, want.ops, "{ctx}");
+                    assert_eq!(got.products, want.products, "{ctx}");
+                    assert_eq!(got.transposes, want.transposes, "{ctx}");
+                    assert_eq!(got.saved, want.saved, "{ctx}");
                 }
             }
         }

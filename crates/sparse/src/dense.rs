@@ -150,60 +150,13 @@ impl DenseMatrix {
         self.data.chunks_exact(self.cols.max(1))
     }
 
-    /// The GEMM inner loop over one contiguous row block of `self` — the same
-    /// code path in the serial and every parallel configuration.
-    fn matmul_block(&self, rhs: &DenseMatrix, row_range: std::ops::Range<usize>) -> Vec<f32> {
-        let base = row_range.start;
-        let mut out = vec![0.0f32; row_range.len() * rhs.cols];
-        for i in row_range {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                let rrow = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                let orow = &mut out[(i - base) * rhs.cols..(i - base + 1) * rhs.cols];
-                for (o, &b) in orow.iter_mut().zip(rrow) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
-    }
-
-    /// Matrix product `self * rhs`.
-    ///
-    /// Dispatches between the serial and row-blocked parallel paths based on
-    /// [`parallel::current`](crate::parallel::current) and the row count; both
-    /// paths produce bit-identical results (see `crate::ops` module docs).
+    /// Matrix product `self * rhs`: each output row accumulates the rows of
+    /// `rhs` in ascending `k`, skipping exact-zero entries of `self`.
     ///
     /// # Errors
     ///
     /// Returns [`SparseError::DimensionMismatch`] if `self.cols != rhs.rows`.
     pub fn matmul(&self, rhs: &DenseMatrix) -> Result<DenseMatrix> {
-        let par = crate::parallel::current();
-        if par.is_serial() || self.rows < crate::parallel::PARALLEL_MIN_ROWS {
-            self.matmul_par(rhs, crate::Parallelism::serial())
-        } else {
-            self.matmul_par(rhs, par)
-        }
-    }
-
-    /// Matrix product on the legacy serial path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::DimensionMismatch`] if `self.cols != rhs.rows`.
-    pub fn matmul_serial(&self, rhs: &DenseMatrix) -> Result<DenseMatrix> {
-        self.matmul_par(rhs, crate::Parallelism::serial())
-    }
-
-    /// Matrix product with an explicit worker count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::DimensionMismatch`] if `self.cols != rhs.rows`.
-    pub fn matmul_par(&self, rhs: &DenseMatrix, par: crate::Parallelism) -> Result<DenseMatrix> {
         if self.cols != rhs.rows {
             return Err(SparseError::DimensionMismatch {
                 op: "matmul",
@@ -211,14 +164,20 @@ impl DenseMatrix {
                 rhs: rhs.shape(),
             });
         }
-        let mut blocks =
-            crate::parallel::map_blocks(self.rows, par, |range| self.matmul_block(rhs, range));
-        let data = if blocks.len() == 1 {
-            // Single block (the serial path): the block *is* the output — move it.
-            blocks.pop().unwrap_or_default()
-        } else {
-            blocks.concat()
-        };
+        let mut data = vec![0.0f32; self.rows * rhs.cols];
+        for i in 0..self.rows {
+            for k in 0..self.cols {
+                let a = self.data[i * self.cols + k];
+                if a == 0.0 {
+                    continue;
+                }
+                let rrow = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
+                let orow = &mut data[i * rhs.cols..(i + 1) * rhs.cols];
+                for (o, &b) in orow.iter_mut().zip(rrow) {
+                    *o += a * b;
+                }
+            }
+        }
         Ok(DenseMatrix { rows: self.rows, cols: rhs.cols, data })
     }
 
@@ -493,29 +452,6 @@ mod tests {
         let a = DenseMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
         let rows: Vec<&[f32]> = a.iter_rows().collect();
         assert_eq!(rows, vec![&[1.0, 2.0][..], &[3.0, 4.0][..]]);
-    }
-
-    #[test]
-    fn matmul_parallel_is_bit_identical_to_serial() {
-        let a = DenseMatrix::from_vec(
-            60,
-            40,
-            (0..60 * 40).map(|i| ((i * 31 % 17) as f32 - 8.0) * 0.13).collect(),
-        )
-        .unwrap();
-        let b = DenseMatrix::from_vec(
-            40,
-            23,
-            (0..40 * 23).map(|i| ((i * 7 % 13) as f32 - 6.0) * 0.29).collect(),
-        )
-        .unwrap();
-        let serial = a.matmul_serial(&b).unwrap();
-        for threads in [2, 3, 8, 60, 100] {
-            let par = a.matmul_par(&b, crate::Parallelism::new(threads)).unwrap();
-            let sb: Vec<u32> = serial.as_slice().iter().map(|v| v.to_bits()).collect();
-            let pb: Vec<u32> = par.as_slice().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(sb, pb, "threads={threads}");
-        }
     }
 
     #[test]

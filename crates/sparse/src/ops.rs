@@ -9,16 +9,12 @@
 //! accelerator model uses these counts directly — the paper's simulator
 //! "monitors the number of arithmetic operations" (§VI-A), and so do we.
 //!
-//! ## Execution modes
+//! ## One thread per call
 //!
-//! Every entry runs the row-blocked parallel path when [`parallel::current`]
-//! selects more than one thread *and* the output has at least
-//! [`parallel::PARALLEL_MIN_ROWS`] rows, else the serial path. Both are
-//! **bit-identical**: rows are computed by the same per-row code in every
-//! mode and merged in ascending row-block order; the only cross-block
-//! reduction is the exact integer [`OpStats`] fold. See DESIGN.md §7. The
-//! hidden `reference` module holds what only tests need: forced worker
-//! counts and the scalar oracles.
+//! Every entry runs its rows in ascending order on the calling thread. Host
+//! parallelism lives one level up, where whole simulations fan out
+//! ([`crate::parallel::map_items`]; DESIGN.md §7). The hidden `reference`
+//! module holds the scalar oracles only tests need.
 //!
 //! ## Allocation discipline
 //!
@@ -65,76 +61,36 @@
 //! §8 and §13.
 
 use crate::error::{Result, SparseError};
-use crate::parallel::{self, Parallelism};
 use crate::workspace::{self, Workspace};
 use crate::{CsrMatrix, DenseMatrix};
 
-/// The parallelism the kernel entry points use for an output with
-/// `rows` rows: the ambient [`parallel::current`] selection, demoted to
-/// serial below the [`parallel::PARALLEL_MIN_ROWS`] threshold.
-fn auto_parallelism(rows: usize) -> Parallelism {
-    let par = parallel::current();
-    if par.is_serial() || rows < parallel::PARALLEL_MIN_ROWS {
-        Parallelism::serial()
-    } else {
-        par
-    }
-}
-
 pub use crate::stats::OpStats;
 
-/// Per-row-block partial CSR output produced by a worker.
-struct CsrBlock {
-    /// nnz of each row in the block, in row order.
+/// A CSR output under construction: each row's length and its entries, in
+/// row order, in pooled buffers.
+#[derive(Default)]
+struct CsrParts {
+    /// nnz of each row, in row order.
     row_lens: Vec<usize>,
     indices: Vec<usize>,
     values: Vec<f32>,
     stats: OpStats,
 }
 
-/// Concatenates per-block partial CSR outputs (in block order) into a full
-/// matrix. Deterministic: blocks arrive in ascending row order by
-/// construction ([`parallel::map_blocks`]).
-fn assemble_csr(rows: usize, cols: usize, blocks: Vec<CsrBlock>) -> (CsrMatrix, OpStats) {
-    let total_nnz: usize = blocks.iter().map(|b| b.indices.len()).sum();
+/// Turns the row lengths of `parts` into `indptr` and moves its buffers into
+/// a `rows × cols` matrix.
+fn assemble_csr(rows: usize, cols: usize, parts: CsrParts) -> (CsrMatrix, OpStats) {
+    let CsrParts { row_lens, indices, values, stats } = parts;
     let mut indptr = workspace::take_index_buffer(rows + 1);
     indptr.push(0usize);
-    let mut stats = OpStats::default();
-    let (indices, values) = if blocks.len() == 1 {
-        // Single block (the serial path): the block's buffers already hold
-        // the full output — move them instead of copying.
-        let CsrBlock { row_lens, indices, values, stats: s } = blocks
-            .into_iter()
-            .next()
-            // lint: allow(panic-surface) -- this branch runs only when `blocks.len() == 1`
-            .expect("length checked above");
-        for len in &row_lens {
-            // lint: allow(panic-surface) -- `indptr` starts with the pushed 0 and only grows
-            indptr.push(indptr.last().expect("indptr non-empty") + len);
-        }
-        stats += s;
-        workspace::recycle_index_buffer(row_lens);
-        (indices, values)
-    } else {
-        let mut indices = workspace::take_index_buffer(total_nnz);
-        let mut values = workspace::take_value_buffer(total_nnz);
-        for block in blocks {
-            for len in &block.row_lens {
-                // lint: allow(panic-surface) -- `indptr` starts with the pushed 0 and only grows
-                indptr.push(indptr.last().expect("indptr non-empty") + len);
-            }
-            indices.extend_from_slice(&block.indices);
-            values.extend_from_slice(&block.values);
-            stats += block.stats;
-            workspace::recycle_index_buffer(block.row_lens);
-            workspace::recycle_index_buffer(block.indices);
-            workspace::recycle_value_buffer(block.values);
-        }
-        (indices, values)
-    };
+    for len in &row_lens {
+        // lint: allow(panic-surface) -- `indptr` starts with the pushed 0 and only grows
+        indptr.push(indptr.last().expect("indptr non-empty") + len);
+    }
+    workspace::recycle_index_buffer(row_lens);
     let m = CsrMatrix::from_raw_parts(rows, cols, indptr, indices, values)
-        // lint: allow(panic-surface) -- blocks cover rows in ascending order with sorted in-range columns, so indptr is monotone and ends at nnz
-        .expect("blocked CSR output is valid by construction");
+        // lint: allow(panic-surface) -- rows arrive in ascending order with sorted in-range columns, so indptr is monotone and ends at nnz
+        .expect("CSR output is valid by construction");
     m.debug_validate("ops::assemble_csr");
     (m, stats)
 }
@@ -149,21 +105,9 @@ fn assemble_csr(rows: usize, cols: usize, blocks: Vec<CsrBlock>) -> (CsrMatrix, 
 /// not what each row computes or the order entries are emitted.
 pub const CACHE_BLOCK_ENTRIES: usize = 16 * 1024;
 
-/// The Gustavson SpGEMM inner loop over one contiguous row block — the same
-/// code path in the serial and every parallel configuration. Checks a
-/// [`Workspace`] out of the global pool for the duration of the block.
-fn spgemm_block<const FUSED: bool>(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    rows: std::ops::Range<usize>,
-) -> CsrBlock {
-    workspace::with_workspace(|ws| spgemm_block_in::<FUSED>(a, b, rows, ws))
-}
-
 /// The scalar oracle's private first-touch marks: `stamp[c] == generation`
-/// means column `c` was touched in the current pass. One array per row
-/// block, fresh at zero, so a generation (bumped per row pass) never
-/// aliases.
+/// means column `c` was touched in the current pass. One array per product,
+/// fresh at zero, so a generation (bumped per row pass) never aliases.
 struct Stamps {
     stamp: Vec<usize>,
     generation: usize,
@@ -200,12 +144,12 @@ fn spgemm_numeric_batch(
     }
 }
 
-/// Gustavson SpGEMM over one row block, using a caller-provided workspace
-/// arena.
+/// Gustavson SpGEMM over every row of `a`, using a caller-provided
+/// workspace arena.
 ///
 /// `FUSED = true` (the default path) runs the fused single-visit pass per
 /// row: one traversal of the B segments accumulates values and marks
-/// structure ([`spgemm_row_fused`]). A block's adds are its multiplies
+/// structure ([`spgemm_row_fused`]). The product's adds are its multiplies
 /// minus its output nnz: each output entry's first product lands on the
 /// `-0.0` rest value, every later one is an add.
 ///
@@ -221,15 +165,11 @@ fn spgemm_numeric_batch(
 /// ascending-`k` order, the discovered structure is sorted identically, and
 /// blocking only changes when rows are visited, never what they compute.
 /// Both leave `ws` at rest.
-fn spgemm_block_in<const FUSED: bool>(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    rows: std::ops::Range<usize>,
-    ws: &mut Workspace,
-) -> CsrBlock {
+fn spgemm_in<const FUSED: bool>(a: &CsrMatrix, b: &CsrMatrix, ws: &mut Workspace) -> CsrParts {
+    let rows = 0..a.rows();
     ws.ensure_width(b.cols());
-    // Upper bound on the block's output nnz, so the output buffers are sized
-    // once instead of grown by doubling: a row stores at most one entry per
+    // Upper bound on the output nnz, so the output buffers are sized once
+    // instead of grown by doubling: a row stores at most one entry per
     // multiply, and at most `b.cols()` entries.
     let cap: usize = rows
         .clone()
@@ -247,9 +187,9 @@ fn spgemm_block_in<const FUSED: bool>(
             stats.mults += spgemm_row_fused(a, b, r, ws, &mut indices, &mut values, &mut row_lens);
         }
         stats.adds = stats.mults - indices.len() as u64;
-        return CsrBlock { row_lens, indices, values, stats };
+        return CsrParts { row_lens, indices, values, stats };
     }
-    // lint: allow(hot-path-alloc) -- scalar oracle: one stamp array per row block, not per element
+    // lint: allow(hot-path-alloc) -- scalar oracle: one stamp array per product, not per element
     let mut stamps = Stamps { stamp: vec![0; b.cols()], generation: 0 };
     let mut emitted = 0usize;
     let mut batch_start = rows.start;
@@ -285,7 +225,7 @@ fn spgemm_block_in<const FUSED: bool>(
         &mut values,
         &mut stats,
     );
-    CsrBlock { row_lens, indices, values, stats }
+    CsrParts { row_lens, indices, values, stats }
 }
 
 /// Adds `value(v)` for each entry `(c, v)` of one CSR row segment into SPA
@@ -376,7 +316,7 @@ fn drain_row(
 /// products in the same ascending-`k` order, and `-0.0 + x == x`). Returns
 /// the row's multiplies.
 ///
-/// Kept out of line: inlined into [`spgemm_block_in`], its only caller, the
+/// Kept out of line: inlined into [`spgemm_in`], its only caller, the
 /// row loop measured 5–10 % slower on the `kernels` bench SpGEMM rows.
 #[inline(never)]
 fn spgemm_row_fused(
@@ -471,14 +411,12 @@ fn spgemm_row_numeric_scalar(
 ///
 /// Returns [`SparseError::DimensionMismatch`] if `a.cols() != b.rows()`.
 pub fn spgemm_with_stats(a: &CsrMatrix, b: &CsrMatrix) -> Result<(CsrMatrix, OpStats)> {
-    spgemm_par_impl::<true>(a, b, auto_parallelism(a.rows()))
+    spgemm_impl::<true>(a, b)
 }
 
-fn spgemm_par_impl<const FUSED: bool>(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    par: Parallelism,
-) -> Result<(CsrMatrix, OpStats)> {
+/// SpGEMM on the fused pass or, with `FUSED` off, the scalar reference, with
+/// a [`Workspace`] checked out of the global pool for the call.
+fn spgemm_impl<const FUSED: bool>(a: &CsrMatrix, b: &CsrMatrix) -> Result<(CsrMatrix, OpStats)> {
     if a.cols() != b.rows() {
         return Err(SparseError::DimensionMismatch {
             op: "spgemm",
@@ -486,93 +424,78 @@ fn spgemm_par_impl<const FUSED: bool>(
             rhs: b.shape(),
         });
     }
-    // Cost-balance by lhs row nnz: Gustavson's per-row work is proportional
-    // to the entries visited in `a`'s row, not the row count.
-    let blocks = parallel::map_blocks_by_cost(
-        a.rows(),
-        par,
-        |r| a.row_nnz(r) as u64,
-        |range| spgemm_block::<FUSED>(a, b, range),
-    );
-    Ok(assemble_csr(a.rows(), b.cols(), blocks))
+    let parts = workspace::with_workspace(|ws| spgemm_in::<FUSED>(a, b, ws));
+    Ok(assemble_csr(a.rows(), b.cols(), parts))
 }
 
-/// The two-pointer row-merge inner loop of `sp_axpby` over one contiguous
-/// row block — the same code path in every execution mode.
+/// The two-pointer row-merge of `sp_axpby` over every row.
 ///
 /// With `PRUNE` the merge drops entries whose combined value fails
 /// `v.abs() > 0.0` (exact zeros of either sign, and NaN) as it goes, matching
 /// [`CsrMatrix::pruned`]`(0.0)` applied to the unpruned result without a
 /// second pass over the output.
-fn sp_axpby_block<const PRUNE: bool>(
-    alpha: f32,
-    a: &CsrMatrix,
-    beta: f32,
-    b: &CsrMatrix,
-    rows: std::ops::Range<usize>,
-) -> CsrBlock {
-    // Upper bound on the block's output nnz: every merged entry survives.
-    let cap = (a.indptr()[rows.end] - a.indptr()[rows.start])
-        + (b.indptr()[rows.end] - b.indptr()[rows.start]);
-    let mut block = CsrBlock {
-        row_lens: workspace::take_index_buffer(rows.len()),
+fn sp_axpby_rows<const PRUNE: bool>(alpha: f32, a: &CsrMatrix, beta: f32, b: &CsrMatrix) -> CsrParts {
+    // Upper bound on the output nnz: every merged entry survives.
+    let cap = a.nnz() + b.nnz();
+    let mut out = CsrParts {
+        row_lens: workspace::take_index_buffer(a.rows()),
         indices: workspace::take_index_buffer(cap),
         values: workspace::take_value_buffer(cap),
         stats: OpStats::default(),
     };
-    let push = |block: &mut CsrBlock, c: usize, v: f32| {
+    let push = |out: &mut CsrParts, c: usize, v: f32| {
         if !PRUNE || v.abs() > 0.0 {
-            block.indices.push(c);
-            block.values.push(v);
+            out.indices.push(c);
+            out.values.push(v);
         }
     };
-    for r in rows {
-        let start = block.indices.len();
+    for r in 0..a.rows() {
+        let start = out.indices.len();
         let mut ia = a.row_iter(r).peekable();
         let mut ib = b.row_iter(r).peekable();
         loop {
             match (ia.peek().copied(), ib.peek().copied()) {
                 (None, None) => break,
                 (Some((ca, va)), None) => {
-                    push(&mut block, ca, alpha * va);
+                    push(&mut out, ca, alpha * va);
                     ia.next();
                 }
                 (None, Some((cb, vb))) => {
-                    push(&mut block, cb, beta * vb);
+                    push(&mut out, cb, beta * vb);
                     ib.next();
                 }
                 (Some((ca, va)), Some((cb, vb))) => {
                     if ca == cb {
-                        push(&mut block, ca, alpha * va + beta * vb);
+                        push(&mut out, ca, alpha * va + beta * vb);
                         ia.next();
                         ib.next();
                     } else if ca < cb {
-                        push(&mut block, ca, alpha * va);
+                        push(&mut out, ca, alpha * va);
                         ia.next();
                     } else {
-                        push(&mut block, cb, beta * vb);
+                        push(&mut out, cb, beta * vb);
                         ib.next();
                     }
                 }
             }
         }
-        block.row_lens.push(block.indices.len() - start);
+        out.row_lens.push(out.indices.len() - start);
     }
-    block
+    out
 }
 
 /// Linear combination of two sparse matrices: `alpha * a + beta * b`, the
 /// merge behind [`sp_add`] and [`sp_sub`].
 fn sp_axpby(alpha: f32, a: &CsrMatrix, beta: f32, b: &CsrMatrix) -> Result<CsrMatrix> {
-    sp_axpby_par_impl::<false>(alpha, a, beta, b, auto_parallelism(a.rows()))
+    sp_axpby_impl::<false>(alpha, a, beta, b)
 }
 
-fn sp_axpby_par_impl<const PRUNE: bool>(
+/// `alpha * a + beta * b`, dropping exact zeros during the merge with `PRUNE`.
+fn sp_axpby_impl<const PRUNE: bool>(
     alpha: f32,
     a: &CsrMatrix,
     beta: f32,
     b: &CsrMatrix,
-    par: Parallelism,
 ) -> Result<CsrMatrix> {
     if a.shape() != b.shape() {
         return Err(SparseError::DimensionMismatch {
@@ -581,14 +504,7 @@ fn sp_axpby_par_impl<const PRUNE: bool>(
             rhs: b.shape(),
         });
     }
-    // The two-pointer merge touches every stored entry of both rows.
-    let blocks = parallel::map_blocks_by_cost(
-        a.rows(),
-        par,
-        |r| (a.row_nnz(r) + b.row_nnz(r)) as u64,
-        |range| sp_axpby_block::<PRUNE>(alpha, a, beta, b, range),
-    );
-    Ok(assemble_csr(a.rows(), a.cols(), blocks).0)
+    Ok(assemble_csr(a.rows(), a.cols(), sp_axpby_rows::<PRUNE>(alpha, a, beta, b)).0)
 }
 
 /// Sparse matrix sum `a + b`.
@@ -620,7 +536,7 @@ pub fn sp_sub(a: &CsrMatrix, b: &CsrMatrix) -> Result<CsrMatrix> {
 ///
 /// Returns [`SparseError::DimensionMismatch`] if shapes differ.
 pub fn sp_add_pruned(a: &CsrMatrix, b: &CsrMatrix) -> Result<CsrMatrix> {
-    let out = sp_axpby_par_impl::<true>(1.0, a, 1.0, b, auto_parallelism(a.rows()))?;
+    let out = sp_axpby_impl::<true>(1.0, a, 1.0, b)?;
     out.debug_validate_pruned("ops::sp_add_pruned");
     Ok(out)
 }
@@ -636,94 +552,91 @@ pub fn sp_add_pruned(a: &CsrMatrix, b: &CsrMatrix) -> Result<CsrMatrix> {
 ///
 /// Returns [`SparseError::DimensionMismatch`] if shapes differ.
 pub fn sp_sub_pruned(a: &CsrMatrix, b: &CsrMatrix) -> Result<CsrMatrix> {
-    let out = sp_axpby_par_impl::<true>(1.0, a, -1.0, b, auto_parallelism(a.rows()))?;
+    let out = sp_axpby_impl::<true>(1.0, a, -1.0, b)?;
     out.debug_validate_pruned("ops::sp_sub_pruned");
     Ok(out)
 }
 
-/// A consumer of a row stream: the rows of one contiguous row block, handed
-/// over in ascending order. The streaming entries ([`sp_sum_pruned_rows`],
-/// [`sp_rows`]) build one sink per row block with a factory, run the blocks
-/// on the worker threads [`parallel::current`] selects, and return the
-/// sinks in ascending block order, so whatever a caller folds from them in
-/// that order is the same at every parallelism.
-pub trait RowSink: Send {
+/// A consumer of a row stream: every row of a matrix, handed over once, in
+/// ascending order. The streaming entries ([`sp_sum_pruned_rows`],
+/// [`sp_rows`]) drive one sink and hand it back.
+pub trait RowSink {
+    /// Called once, before the first row, with an upper bound on the entries
+    /// the rows will hold; a sink that stores them can size its buffers
+    /// here. Does nothing by default.
+    fn reserve(&mut self, _max_nnz: usize) {}
+
     /// Receives row `r`: its stored columns in ascending order and their
     /// values. Empty rows are handed over too.
     fn push_row(&mut self, r: usize, cols: &[usize], vals: &[f32]);
 }
 
-/// The [`RowSink`] that assembles a CSR matrix: each block's sink appends
-/// its rows to pooled output buffers, and [`CsrRows::assemble`] concatenates
-/// the blocks.
-pub struct CsrRows(CsrBlock);
+/// The [`RowSink`] that assembles a CSR matrix: it appends the rows to
+/// pooled output buffers, and [`CsrRows::into_matrix`] moves them into the
+/// matrix.
+pub struct CsrRows {
+    rows: usize,
+    cols: usize,
+    parts: CsrParts,
+}
 
 impl CsrRows {
-    /// A sink for the rows `rows` that will receive at most `max_nnz`
-    /// entries — the signature of the streaming entries' sink factory.
-    // lint: buffer-carrier -- the buffers move into the returned sink, which `assemble` hands to assemble_csr
-    pub fn with_capacity(rows: std::ops::Range<usize>, max_nnz: usize) -> Self {
-        Self(CsrBlock {
-            indices: workspace::take_index_buffer(max_nnz),
-            values: workspace::take_value_buffer(max_nnz),
-            row_lens: workspace::take_index_buffer(rows.len()),
-            stats: OpStats::default(),
-        })
+    /// A sink for the rows of a `rows × cols` matrix. It takes its buffers
+    /// from the pool when [`RowSink::reserve`] sizes them.
+    pub fn new(rows: usize, cols: usize) -> Self {
+        Self { rows, cols, parts: CsrParts::default() }
     }
 
-    /// The `rows × cols` matrix whose rows the `blocks` received, in block
-    /// order.
-    pub fn assemble(rows: usize, cols: usize, blocks: Vec<CsrRows>) -> CsrMatrix {
-        // lint: allow(hot-path-alloc) -- one entry per row block, not per element
-        assemble_csr(rows, cols, blocks.into_iter().map(|b| b.0).collect()).0
+    /// The matrix whose rows the sink received.
+    pub fn into_matrix(self) -> CsrMatrix {
+        assemble_csr(self.rows, self.cols, self.parts).0
     }
 }
 
 impl RowSink for CsrRows {
+    // lint: buffer-carrier -- the buffers move into the sink, which `into_matrix` hands to assemble_csr
+    fn reserve(&mut self, max_nnz: usize) {
+        self.parts.indices = workspace::take_index_buffer(max_nnz);
+        self.parts.values = workspace::take_value_buffer(max_nnz);
+        self.parts.row_lens = workspace::take_index_buffer(self.rows);
+    }
+
     fn push_row(&mut self, _r: usize, cols: &[usize], vals: &[f32]) {
-        self.0.indices.extend_from_slice(cols);
-        self.0.values.extend_from_slice(vals);
-        self.0.row_lens.push(cols.len());
+        self.parts.indices.extend_from_slice(cols);
+        self.parts.values.extend_from_slice(vals);
+        self.parts.row_lens.push(cols.len());
     }
 }
 
-/// The SPA term sum of [`sp_sum_pruned_rows`] over one contiguous row block.
+/// The SPA term sum of [`sp_sum_pruned_rows`].
 ///
 /// Each row adds the terms' entries into their resting slots in term order
 /// (so a slot holds `((t₀ + t₁) + t₂) + …` over the terms that store it —
 /// the pairwise fold's order, `-0.0 + t₀` being `t₀`) and marks their
-/// columns, counting the bits each term newly sets (the unpruned prefix-sum
-/// nnz). It drains the row through [`drain_row`], which resets every slot,
-/// keeps only values with `v.abs() > 0.0`, and hands the row to the block's
-/// sink.
+/// columns, adding the bits each term newly sets to its `prefix_nnz` slot
+/// (the unpruned prefix-sum nnz). It drains the row through [`drain_row`],
+/// which resets every slot, keeps only values with `v.abs() > 0.0`, and
+/// hands the row to `sink`.
 ///
-/// Returns the sink with the block's `k` prefix counts in a pooled index
-/// buffer, which [`sp_sum_pruned_rows`] sums over blocks and recycles. The
-/// sink is built first, so a sink that takes pooled output buffers
+/// The sink is sized first, so a sink that takes pooled output buffers
 /// ([`CsrRows`]) gets the most recently recycled buffer — a recycled
-/// matrix's `indices`, usually the largest — rather than the row scratch or
-/// the counts.
-fn sp_sum_block<S: RowSink>(
+/// matrix's `indices`, usually the largest — rather than the row scratch.
+fn sp_sum_rows_in<S: RowSink>(
     terms: &[&CsrMatrix],
-    rows: std::ops::Range<usize>,
+    prefix_nnz: &mut [usize],
     ws: &mut Workspace,
-    sink: impl FnOnce(std::ops::Range<usize>, usize) -> S,
-) -> (S, Vec<usize>) {
+    sink: &mut S,
+) {
     ws.ensure_width(terms[0].cols());
-    // Upper bound on the block's output nnz: every term entry is distinct.
-    let cap: usize = terms
-        .iter()
-        .map(|t| t.indptr()[rows.end] - t.indptr()[rows.start])
-        .sum();
-    let mut sink = sink(rows.clone(), cap);
+    // Upper bound on the output nnz: every term entry is distinct.
+    sink.reserve(terms.iter().map(|t| t.nnz()).sum());
     let mut cols = workspace::take_index_buffer(0);
     let mut vals = workspace::take_value_buffer(0);
-    let mut prefix = workspace::take_index_buffer(terms.len());
-    prefix.resize(terms.len(), 0);
-    for r in rows {
+    prefix_nnz.fill(0);
+    for r in 0..terms[0].rows() {
         let mut words = (usize::MAX, 0usize);
         let mut distinct = 0usize;
-        for (term, count) in terms.iter().zip(prefix.iter_mut()) {
+        for (term, count) in terms.iter().zip(prefix_nnz.iter_mut()) {
             distinct +=
                 accumulate_segment(ws, &mut words, term.row_indices(r), term.row_values(r), |v| v);
             *count += distinct;
@@ -741,7 +654,6 @@ fn sp_sum_block<S: RowSink>(
     }
     workspace::recycle_index_buffer(cols);
     workspace::recycle_value_buffer(vals);
-    (sink, prefix)
 }
 
 /// Checks the inputs of a term sum: at least one term, one prefix slot per
@@ -768,7 +680,7 @@ fn check_sum_terms(terms: &[&CsrMatrix], prefix_nnz: &[usize]) -> Result<()> {
 }
 
 /// Sum of `k` same-shape sparse matrices with exact zeros dropped, streamed
-/// row by row into sinks instead of stored: the rows [`sp_sum_pruned`]
+/// row by row into `sink` instead of stored: the rows [`sp_sum_pruned`]
 /// assembles, bit for bit, with the same prefix counts.
 ///
 /// Every stored value accumulates its terms in term order through a shared
@@ -780,59 +692,24 @@ fn check_sum_terms(terms: &[&CsrMatrix], prefix_nnz: &[usize]) -> Result<()> {
 /// accumulator after term `j` — so callers can account the fold's adds
 /// exactly.
 ///
-/// `sink(rows, max_nnz)` builds the [`RowSink`] of the row block `rows`,
-/// which receives at most `max_nnz` entries; the sinks come back in
-/// ascending block order. This is the Eq. 13/15 `ΔA_C` term sum of the
-/// one-pass kernel: the executor's sink aggregates each row as it arrives
-/// and never stores `ΔA_C`.
+/// `sink` is first [reserved](RowSink::reserve) for the terms' total nnz,
+/// then receives every row, and is handed back. This is the Eq. 13/15
+/// `ΔA_C` term sum of the one-pass kernel: the executor's sink aggregates
+/// each row as it arrives and never stores `ΔA_C`.
 ///
 /// # Errors
 ///
 /// Returns [`SparseError::InvalidStructure`] if `terms` is empty or
 /// `prefix_nnz.len() != terms.len()`, and
 /// [`SparseError::DimensionMismatch`] if the terms differ in shape.
-pub fn sp_sum_pruned_rows<S, F>(
+pub fn sp_sum_pruned_rows<S: RowSink>(
     terms: &[&CsrMatrix],
     prefix_nnz: &mut [usize],
-    sink: F,
-) -> Result<Vec<S>>
-where
-    S: RowSink,
-    F: Fn(std::ops::Range<usize>, usize) -> S + Sync,
-{
+    mut sink: S,
+) -> Result<S> {
     check_sum_terms(terms, prefix_nnz)?;
-    let rows = terms[0].rows();
-    Ok(sp_sum_rows_impl(terms, prefix_nnz, sink, auto_parallelism(rows)))
-}
-
-fn sp_sum_rows_impl<S, F>(
-    terms: &[&CsrMatrix],
-    prefix_nnz: &mut [usize],
-    sink: F,
-    par: Parallelism,
-) -> Vec<S>
-where
-    S: RowSink,
-    F: Fn(std::ops::Range<usize>, usize) -> S + Sync,
-{
-    let blocks = parallel::map_blocks_by_cost(
-        terms[0].rows(),
-        par,
-        |r| terms.iter().map(|t| t.row_nnz(r) as u64).sum(),
-        |range| workspace::with_workspace(|ws| sp_sum_block(terms, range, ws, &sink)),
-    );
-    prefix_nnz.fill(0);
-    blocks
-        .into_iter()
-        .map(|(block, counts)| {
-            for (p, &c) in prefix_nnz.iter_mut().zip(&counts) {
-                *p += c;
-            }
-            workspace::recycle_index_buffer(counts);
-            block
-        })
-        // lint: allow(hot-path-alloc) -- one entry per row block, not per element
-        .collect()
+    workspace::with_workspace(|ws| sp_sum_rows_in(terms, prefix_nnz, ws, &mut sink));
+    Ok(sink)
 }
 
 /// Sum of `k` same-shape sparse matrices with exact zeros dropped, in one
@@ -845,53 +722,20 @@ where
 ///
 /// As [`sp_sum_pruned_rows`].
 pub fn sp_sum_pruned(terms: &[&CsrMatrix], prefix_nnz: &mut [usize]) -> Result<CsrMatrix> {
-    let blocks = sp_sum_pruned_rows(terms, prefix_nnz, CsrRows::with_capacity)?;
-    let out = CsrRows::assemble(terms[0].rows(), terms[0].cols(), blocks);
+    let (rows, cols) = terms.first().map_or((0, 0), |t| t.shape());
+    let out = sp_sum_pruned_rows(terms, prefix_nnz, CsrRows::new(rows, cols))?.into_matrix();
     out.debug_validate_pruned("ops::sp_sum_pruned");
     Ok(out)
 }
 
-/// Streams the stored rows of `m`, unchanged, into sinks built by
-/// `sink(rows, max_nnz)` as in [`sp_sum_pruned_rows`], and returns them in
-/// ascending block order.
-pub fn sp_rows<S, F>(m: &CsrMatrix, sink: F) -> Vec<S>
-where
-    S: RowSink,
-    F: Fn(std::ops::Range<usize>, usize) -> S + Sync,
-{
-    parallel::map_blocks_by_cost(
-        m.rows(),
-        auto_parallelism(m.rows()),
-        |r| m.row_nnz(r) as u64,
-        |range| {
-            let mut s = sink(range.clone(), m.indptr()[range.end] - m.indptr()[range.start]);
-            for r in range {
-                s.push_row(r, m.row_indices(r), m.row_values(r));
-            }
-            s
-        },
-    )
-}
-
-/// The SpMM inner loop over one contiguous row block, returning the dense
-/// output rows of the block — the same code path in every execution mode.
-/// `CHUNKED` selects the vectorizable AXPY in [`crate::simd`] (the default)
-/// or the scalar reference; both are bit-identical because every output
-/// slot accumulates its products in unchanged ascending-`k` order.
-// lint: buffer-carrier -- the checked-out buffer becomes the returned block, which spmm_par_impl moves into the output or recycles
-fn spmm_block<const CHUNKED: bool>(
-    a: &CsrMatrix,
-    x: &DenseMatrix,
-    rows: std::ops::Range<usize>,
-) -> Vec<f32> {
-    let k = x.cols();
-    let mut out = workspace::take_value_buffer(rows.len() * k);
-    out.resize(rows.len() * k, 0.0);
-    for (i, r) in rows.enumerate() {
-        let orow = &mut out[i * k..(i + 1) * k];
-        spmm_row_in::<CHUNKED>(orow, a.row_indices(r), a.row_values(r), x);
+/// Streams the stored rows of `m`, unchanged, into `sink` — first
+/// [reserved](RowSink::reserve) for `m.nnz()` entries — and hands it back.
+pub fn sp_rows<S: RowSink>(m: &CsrMatrix, mut sink: S) -> S {
+    sink.reserve(m.nnz());
+    for r in 0..m.rows() {
+        sink.push_row(r, m.row_indices(r), m.row_values(r));
     }
-    out
+    sink
 }
 
 /// One SpMM output row: `out += Σ_i vals[i] · x[cols[i], :]`, adding the
@@ -953,14 +797,13 @@ pub fn spmm_stats(a: &CsrMatrix, k: usize) -> OpStats {
 ///
 /// Returns [`SparseError::DimensionMismatch`] if `a.cols() != x.rows()`.
 pub fn spmm_with_stats(a: &CsrMatrix, x: &DenseMatrix) -> Result<(DenseMatrix, OpStats)> {
-    spmm_par_impl::<true>(a, x, auto_parallelism(a.rows()))
+    spmm_impl::<true>(a, x)
 }
 
-fn spmm_par_impl<const CHUNKED: bool>(
-    a: &CsrMatrix,
-    x: &DenseMatrix,
-    par: Parallelism,
-) -> Result<(DenseMatrix, OpStats)> {
+/// SpMM on the chunked AXPY or, with `CHUNKED` off, the scalar reference
+/// loop; both are bit-identical because every output slot accumulates its
+/// products in unchanged ascending-`k` order.
+fn spmm_impl<const CHUNKED: bool>(a: &CsrMatrix, x: &DenseMatrix) -> Result<(DenseMatrix, OpStats)> {
     if a.cols() != x.rows() {
         return Err(SparseError::DimensionMismatch {
             op: "spmm",
@@ -969,28 +812,16 @@ fn spmm_par_impl<const CHUNKED: bool>(
         });
     }
     let k = x.cols();
-    // Cost-balance by row nnz: each stored entry drives one width-`k` AXPY.
-    let mut blocks = parallel::map_blocks_by_cost(
-        a.rows(),
-        par,
-        |r| a.row_nnz(r) as u64,
-        |range| spmm_block::<CHUNKED>(a, x, range),
-    );
-    let data = if blocks.len() == 1 {
-        // Single block (the serial path): the chunk *is* the output — move it.
-        // lint: allow(panic-surface) -- this branch runs only when `blocks.len() == 1`
-        blocks.pop().expect("length checked above")
-    } else {
-        let mut data = workspace::take_value_buffer(a.rows() * k);
-        for chunk in blocks {
-            data.extend_from_slice(&chunk);
-            workspace::recycle_value_buffer(chunk);
+    let mut data = workspace::take_value_buffer(a.rows() * k);
+    data.resize(a.rows() * k, 0.0);
+    if k > 0 {
+        for (r, orow) in data.chunks_exact_mut(k).enumerate() {
+            spmm_row_in::<CHUNKED>(orow, a.row_indices(r), a.row_values(r), x);
         }
-        data
-    };
+    }
     let out = DenseMatrix::from_vec(a.rows(), k, data)
-        // lint: allow(panic-surface) -- the blocks tile all `a.rows()` rows with `k` values each, so `data` has rows·k values
-        .expect("blocked SpMM output has the declared shape");
+        // lint: allow(panic-surface) -- `data` holds `a.rows()` rows of `k` values
+        .expect("SpMM output has the declared shape");
     Ok((out, spmm_stats(a, k)))
 }
 
@@ -1036,91 +867,26 @@ pub fn gemm_with_stats(a: &DenseMatrix, b: &DenseMatrix) -> Result<(DenseMatrix,
     Ok((out, OpStats::gemm(a.rows() as u64, b.cols() as u64, a.cols() as u64)))
 }
 
-/// Entry points only tests need; each fails as the production entry it
-/// mirrors does.
-///
-/// The `*_at` functions run the production code at `par` workers with no
-/// [`parallel::PARALLEL_MIN_ROWS`] threshold, so small inputs still take the
-/// row-blocked path; `Parallelism::serial()` gives the serial run. The
-/// `*_scalar` functions run the scalar inner loops the default fused
-/// (SpGEMM) and chunked (SpMM) paths are proven bit-identical to, at any
-/// worker count.
+/// The scalar oracles only tests need: they run the scalar inner loops the
+/// default fused (SpGEMM) and chunked (SpMM) paths are proven bit-identical
+/// to, and each fails as the production entry it mirrors does.
 #[doc(hidden)]
 pub mod reference {
     use super::*;
-
-    /// [`spgemm_with_stats`] at an explicit worker count.
-    // lint: allow(opstats-flow) -- forced-worker-count path; only the parallel-equivalence tests run it
-    pub fn spgemm_at(
-        a: &CsrMatrix,
-        b: &CsrMatrix,
-        par: Parallelism,
-    ) -> Result<(CsrMatrix, OpStats)> {
-        spgemm_par_impl::<true>(a, b, par)
-    }
-
-    /// [`spmm_with_stats`] at an explicit worker count.
-    // lint: allow(opstats-flow) -- forced-worker-count path; only the parallel-equivalence tests run it
-    pub fn spmm_at(
-        a: &CsrMatrix,
-        x: &DenseMatrix,
-        par: Parallelism,
-    ) -> Result<(DenseMatrix, OpStats)> {
-        spmm_par_impl::<true>(a, x, par)
-    }
-
-    /// The `alpha * a + beta * b` merge behind [`sp_add`] and [`sp_sub`] at
-    /// an explicit worker count.
-    pub fn sp_axpby_at(
-        alpha: f32,
-        a: &CsrMatrix,
-        beta: f32,
-        b: &CsrMatrix,
-        par: Parallelism,
-    ) -> Result<CsrMatrix> {
-        sp_axpby_par_impl::<false>(alpha, a, beta, b, par)
-    }
-
-    /// [`sp_sum_pruned_rows`] at an explicit worker count.
-    ///
-    /// # Errors
-    ///
-    /// As [`sp_sum_pruned_rows`].
-    pub fn sp_sum_pruned_rows_at<S, F>(
-        terms: &[&CsrMatrix],
-        prefix_nnz: &mut [usize],
-        sink: F,
-        par: Parallelism,
-    ) -> Result<Vec<S>>
-    where
-        S: RowSink,
-        F: Fn(std::ops::Range<usize>, usize) -> S + Sync,
-    {
-        check_sum_terms(terms, prefix_nnz)?;
-        Ok(sp_sum_rows_impl(terms, prefix_nnz, sink, par))
-    }
 
     /// SpGEMM on the cache-blocked two-phase *scalar* pass — the oracle the
     /// fused path is proven bit-identical to (see the module docs and
     /// `tests/proptests.rs`).
     // lint: allow(opstats-flow) -- scalar oracle; only the chunked-equivalence tests run it
-    pub fn spgemm_scalar(
-        a: &CsrMatrix,
-        b: &CsrMatrix,
-        par: Parallelism,
-    ) -> Result<(CsrMatrix, OpStats)> {
-        spgemm_par_impl::<false>(a, b, par)
+    pub fn spgemm_scalar(a: &CsrMatrix, b: &CsrMatrix) -> Result<(CsrMatrix, OpStats)> {
+        spgemm_impl::<false>(a, b)
     }
 
     /// SpMM on the *scalar* inner loop — the oracle the chunked AXPY is
     /// proven bit-identical to.
     // lint: allow(opstats-flow) -- scalar oracle; only the chunked-equivalence tests run it
-    pub fn spmm_scalar(
-        a: &CsrMatrix,
-        x: &DenseMatrix,
-        par: Parallelism,
-    ) -> Result<(DenseMatrix, OpStats)> {
-        spmm_par_impl::<false>(a, x, par)
+    pub fn spmm_scalar(a: &CsrMatrix, x: &DenseMatrix) -> Result<(DenseMatrix, OpStats)> {
+        spmm_impl::<false>(a, x)
     }
 }
 
@@ -1259,12 +1025,7 @@ mod tests {
         let wide = random_sparse(90, 300, 11);
         let xw = DenseMatrix::from_vec(90, 4, (0..360).map(|i| (i as f32).cos()).collect()).unwrap();
         for (m, x) in [(&a, &x), (&wide, &xw)] {
-            for threads in [1, 4] {
-                let par = Parallelism::new(threads);
-                let _scope = parallel::kernel_scope(par);
-                assert_eq!(spmm_with_stats(m, x).unwrap().1, spmm_stats(m, x.cols()));
-                assert_eq!(spmm_at(m, x, par).unwrap().1, spmm_stats(m, x.cols()));
-            }
+            assert_eq!(spmm_with_stats(m, x).unwrap().1, spmm_stats(m, x.cols()));
         }
     }
 
@@ -1336,71 +1097,14 @@ mod tests {
     }
 
     #[test]
-    fn spgemm_parallel_is_bit_identical_to_serial() {
-        let a = random_sparse(97, 600, 1);
-        let b = random_sparse(97, 500, 2);
-        let (serial, st_s) = spgemm_at(&a, &b, Parallelism::serial()).unwrap();
-        for threads in [2, 3, 8, 97, 200] {
-            let (par, st_p) = spgemm_at(&a, &b, Parallelism::new(threads)).unwrap();
-            assert_csr_identical(&serial, &par);
-            assert_eq!(st_s, st_p, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn sp_axpby_parallel_is_bit_identical_to_serial() {
-        let a = random_sparse(80, 400, 3);
-        let b = random_sparse(80, 300, 4);
-        let serial = sp_axpby_at(1.5, &a, -0.25, &b, Parallelism::serial()).unwrap();
-        for threads in [2, 5, 80] {
-            let par = sp_axpby_at(1.5, &a, -0.25, &b, Parallelism::new(threads)).unwrap();
-            assert_csr_identical(&serial, &par);
-        }
-    }
-
-    #[test]
-    fn spmm_parallel_is_bit_identical_to_serial() {
-        let a = random_sparse(90, 700, 5);
-        let x = DenseMatrix::from_vec(
-            90,
-            7,
-            (0..90 * 7).map(|i| (i as f32 * 0.37).sin()).collect(),
-        )
-        .unwrap();
-        let (serial, st_s) = spmm_at(&a, &x, Parallelism::serial()).unwrap();
-        for threads in [2, 4, 90] {
-            let (par, st_p) = spmm_at(&a, &x, Parallelism::new(threads)).unwrap();
-            assert_eq!(bits(serial.as_slice()), bits(par.as_slice()), "threads={threads}");
-            assert_eq!(st_s, st_p);
-        }
-    }
-
-    #[test]
-    fn parallel_kernels_handle_empty_and_tiny_inputs() {
+    fn kernels_handle_empty_and_tiny_inputs() {
         let empty = CsrMatrix::zeros(0, 0);
-        let (m, st) = spgemm_at(&empty, &empty, Parallelism::new(4)).unwrap();
+        let (m, st) = spgemm_with_stats(&empty, &empty).unwrap();
         assert_eq!(m.shape(), (0, 0));
         assert_eq!(st, OpStats::default());
         let one = CsrMatrix::identity(1);
-        let (m, _) = spgemm_at(&one, &one, Parallelism::new(4)).unwrap();
+        let (m, _) = spgemm_with_stats(&one, &one).unwrap();
         assert_eq!(m, one);
-    }
-
-    #[test]
-    fn dispatching_entry_points_respect_kernel_scope() {
-        // Under a serial scope the dispatcher must produce the serial result;
-        // under a 4-thread scope the same call must match it bit-for-bit.
-        let a = random_sparse(150, 900, 6);
-        let serial = {
-            let _guard = parallel::kernel_scope(Parallelism::serial());
-            spgemm_with_stats(&a, &a).unwrap()
-        };
-        let parallel = {
-            let _guard = parallel::kernel_scope(Parallelism::new(4));
-            spgemm_with_stats(&a, &a).unwrap()
-        };
-        assert_csr_identical(&serial.0, &parallel.0);
-        assert_eq!(serial.1, parallel.1);
     }
 
     #[test]
@@ -1418,25 +1122,16 @@ mod tests {
     }
 
     #[test]
-    fn sp_sub_pruned_parallel_matches_serial_composition() {
-        let a = random_sparse(200, 1500, 42);
-        let b = random_sparse(200, 1400, 43);
-        let reference = sp_sub(&a, &b).unwrap().pruned(0.0);
-        let _guard = parallel::kernel_scope(Parallelism::new(4));
-        assert_csr_identical(&reference, &sp_sub_pruned(&a, &b).unwrap());
-    }
-
-    #[test]
     fn one_workspace_reused_across_shapes_matches_the_pooled_path() {
         let a = random_sparse(70, 500, 9);
         let b = random_sparse(70, 450, 10);
-        let (reference, st_ref) = spgemm_at(&a, &b, Parallelism::serial()).unwrap();
+        let (reference, st_ref) = spgemm_with_stats(&a, &b).unwrap();
         let mut ws = Workspace::new();
         // Reuse the same arena across calls of different shapes in between.
         let small = random_sparse(5, 10, 11);
         let mut run = |x: &CsrMatrix, y: &CsrMatrix| {
-            let block = spgemm_block_in::<true>(x, y, 0..x.rows(), &mut ws);
-            assemble_csr(x.rows(), y.cols(), vec![block])
+            let parts = spgemm_in::<true>(x, y, &mut ws);
+            assemble_csr(x.rows(), y.cols(), parts)
         };
         for _ in 0..3 {
             let (m, st) = run(&a, &b);
@@ -1470,13 +1165,10 @@ mod tests {
         // several of the reference's cache blocks when batched.
         let a = random_sparse(300, 20_000, 77);
         let b = random_sparse(300, 18_000, 78);
-        for threads in [1usize, 4] {
-            let par = Parallelism::new(threads);
-            let (scalar, st_s) = spgemm_scalar(&a, &b, par).unwrap();
-            let (chunked, st_c) = spgemm_at(&a, &b, par).unwrap();
-            assert_csr_identical(&scalar, &chunked);
-            assert_eq!(st_s, st_c, "threads={threads}");
-        }
+        let (scalar, st_s) = spgemm_scalar(&a, &b).unwrap();
+        let (chunked, st_c) = spgemm_with_stats(&a, &b).unwrap();
+        assert_csr_identical(&scalar, &chunked);
+        assert_eq!(st_s, st_c);
     }
 
     #[test]
@@ -1490,13 +1182,10 @@ mod tests {
                 (0..150 * k).map(|i| (i as f32 * 0.11).cos()).collect(),
             )
             .unwrap();
-            for threads in [1usize, 4] {
-                let par = Parallelism::new(threads);
-                let (scalar, st_s) = spmm_scalar(&a, &x, par).unwrap();
-                let (chunked, st_c) = spmm_at(&a, &x, par).unwrap();
-                assert_eq!(bits(scalar.as_slice()), bits(chunked.as_slice()), "k={k}");
-                assert_eq!(st_s, st_c);
-            }
+            let (scalar, st_s) = spmm_scalar(&a, &x).unwrap();
+            let (chunked, st_c) = spmm_with_stats(&a, &x).unwrap();
+            assert_eq!(bits(scalar.as_slice()), bits(chunked.as_slice()), "k={k}");
+            assert_eq!(st_s, st_c);
         }
     }
 
@@ -1531,7 +1220,7 @@ mod tests {
             "test needs multiple cache blocks, got {} entries",
             chunked.nnz()
         );
-        let (scalar, st_s) = spgemm_scalar(&a, &a, Parallelism::serial()).unwrap();
+        let (scalar, st_s) = spgemm_scalar(&a, &a).unwrap();
         assert_csr_identical(&scalar, &chunked);
         assert_eq!(st_s, st_c);
     }
@@ -1604,29 +1293,23 @@ mod tests {
         let mut ws = Workspace::new();
         for (i, (a, b)) in cases.iter().enumerate() {
             for fused in [true, false] {
-                let block = if fused {
-                    spgemm_block_in::<true>(a, b, 0..a.rows(), &mut ws)
+                let parts = if fused {
+                    spgemm_in::<true>(a, b, &mut ws)
                 } else {
-                    spgemm_block_in::<false>(a, b, 0..a.rows(), &mut ws)
+                    spgemm_in::<false>(a, b, &mut ws)
                 };
                 crate::workspace::assert_at_rest(&ws, &format!("case {i} spgemm fused={fused}"));
-                let (p, _) = assemble_csr(a.rows(), b.cols(), vec![block]);
+                let (p, _) = assemble_csr(a.rows(), b.cols(), parts);
                 let neg = p.scale(-1.0);
-                let (block, prefix) =
-                    sp_sum_block(&[&p, &neg, &p], 0..p.rows(), &mut ws, CsrRows::with_capacity);
+                let mut sink = CsrRows::new(p.rows(), p.cols());
+                sp_sum_rows_in(&[&p, &neg, &p], &mut [0; 3], &mut ws, &mut sink);
                 crate::workspace::assert_at_rest(&ws, &format!("case {i} sum"));
-                workspace::recycle_index_buffer(prefix);
-                workspace::recycle(CsrRows::assemble(p.rows(), p.cols(), vec![block]));
+                workspace::recycle(sink.into_matrix());
             }
-            // The pooled entry points, serial and at four workers.
-            for threads in [1usize, 4] {
-                let par = Parallelism::new(threads);
-                let (p, _) = spgemm_at(a, b, par).unwrap();
-                spgemm_scalar(a, b, par).unwrap();
-                let _guard = parallel::kernel_scope(par);
-                sp_sum_pruned(&[&p, &p.scale(f32::NAN)], &mut [0, 0]).unwrap();
-                spgemm_with_stats(a, b).unwrap();
-            }
+            // The pooled entry points.
+            let (p, _) = spgemm_with_stats(a, b).unwrap();
+            spgemm_scalar(a, b).unwrap();
+            sp_sum_pruned(&[&p, &p.scale(f32::NAN)], &mut [0, 0]).unwrap();
             crate::workspace::for_each_pooled_workspace(|ws| {
                 crate::workspace::assert_at_rest(ws, &format!("case {i} pooled"));
             });
@@ -1634,62 +1317,53 @@ mod tests {
     }
 
     #[test]
-    fn sp_sum_pruned_parallel_matches_serial_fold() {
+    fn sp_sum_pruned_matches_the_pairwise_fold() {
         let terms: Vec<CsrMatrix> = (0..4).map(|i| random_sparse(300, 9_000, 90 + i)).collect();
         let refs: Vec<&CsrMatrix> = terms.iter().collect();
         let mut acc = terms[0].clone();
         let mut want_prefix = vec![acc.nnz()];
         for t in &terms[1..] {
-            acc = sp_axpby_at(1.0, &acc, 1.0, t, Parallelism::serial()).unwrap();
+            acc = sp_add(&acc, t).unwrap();
             want_prefix.push(acc.nnz());
         }
         let want = acc.pruned(0.0);
-        for threads in [1usize, 4] {
-            let _guard = parallel::kernel_scope(Parallelism::new(threads));
-            let mut prefix = [0usize; 4];
-            let got = sp_sum_pruned(&refs, &mut prefix).unwrap();
-            assert_csr_identical(&want, &got);
-            assert_eq!(prefix.to_vec(), want_prefix, "threads={threads}");
-        }
+        let mut prefix = [0usize; 4];
+        let got = sp_sum_pruned(&refs, &mut prefix).unwrap();
+        assert_csr_identical(&want, &got);
+        assert_eq!(prefix.to_vec(), want_prefix);
     }
 
     /// A row sink recording the rows it receives, as value bits, and the
-    /// block it was built for.
+    /// entry bound it was reserved for.
+    #[derive(Default)]
     struct Recorded {
-        block: std::ops::Range<usize>,
-        max_nnz: usize,
+        max_nnz: Option<usize>,
         rows: Vec<(usize, Vec<usize>, Vec<u32>)>,
     }
 
-    impl Recorded {
-        fn new(block: std::ops::Range<usize>, max_nnz: usize) -> Self {
-            Self { block, max_nnz, rows: Vec::new() }
-        }
-    }
-
     impl RowSink for Recorded {
+        fn reserve(&mut self, max_nnz: usize) {
+            assert!(self.max_nnz.is_none() && self.rows.is_empty(), "reserved once, first");
+            self.max_nnz = Some(max_nnz);
+        }
+
         fn push_row(&mut self, r: usize, cols: &[usize], vals: &[f32]) {
             self.rows.push((r, cols.to_vec(), bits(vals)));
         }
     }
 
-    /// Requires `blocks` to tile `m`'s rows in ascending order, each block
-    /// receiving only its own rows, every row once, as `m` stores it.
-    fn assert_streams(blocks: &[Recorded], m: &CsrMatrix, ctx: &str) {
-        let mut next = 0;
-        for block in blocks {
-            assert_eq!(block.block.start, next, "{ctx}: blocks must tile the rows");
-            let received: usize = block.rows.iter().map(|(_, cols, _)| cols.len()).sum();
-            assert!(received <= block.max_nnz, "{ctx}: {received} > {}", block.max_nnz);
-            for (r, cols, vals) in &block.rows {
-                assert_eq!(*r, next, "{ctx}: rows must arrive once, ascending");
-                assert_eq!(cols.as_slice(), m.row_indices(*r), "{ctx}: row {r}");
-                assert_eq!(vals, &bits(m.row_values(*r)), "{ctx}: row {r}");
-                next += 1;
-            }
-            assert_eq!(next, block.block.end, "{ctx}: a block hands over all its rows");
+    /// Requires `sink` to have received `m`'s rows in ascending order, every
+    /// row once, as `m` stores them, within its reserved bound.
+    fn assert_streams(sink: &Recorded, m: &CsrMatrix, ctx: &str) {
+        let received: usize = sink.rows.iter().map(|(_, cols, _)| cols.len()).sum();
+        let max_nnz = sink.max_nnz.expect("the sink is reserved");
+        assert!(received <= max_nnz, "{ctx}: {received} > {max_nnz}");
+        for (next, (r, cols, vals)) in sink.rows.iter().enumerate() {
+            assert_eq!(*r, next, "{ctx}: rows must arrive once, ascending");
+            assert_eq!(cols.as_slice(), m.row_indices(*r), "{ctx}: row {r}");
+            assert_eq!(vals, &bits(m.row_values(*r)), "{ctx}: row {r}");
         }
-        assert_eq!(next, m.rows(), "{ctx}");
+        assert_eq!(sink.rows.len(), m.rows(), "{ctx}");
     }
 
     #[test]
@@ -1722,32 +1396,13 @@ mod tests {
             ("∞ − ∞", vec![&specials, &b, &neg_specials]),
         ];
         for (name, terms) in cases {
-            let (want, want_prefix) = {
-                let _serial = parallel::kernel_scope(Parallelism::serial());
-                let mut prefix = vec![0; terms.len()];
-                (sp_sum_pruned(&terms, &mut prefix).unwrap(), prefix)
-            };
-            for threads in [1usize, 4] {
-                let ctx = format!("{name}, threads={threads}");
-                let mut prefix = vec![usize::MAX; terms.len()];
-                let blocks = sp_sum_pruned_rows_at(
-                    &terms,
-                    &mut prefix,
-                    Recorded::new,
-                    Parallelism::new(threads),
-                )
-                .unwrap();
-                assert_eq!(blocks.len() > 1, threads > 1, "{ctx}");
-                assert_streams(&blocks, &want, &ctx);
-                assert_eq!(prefix, want_prefix, "{ctx}");
-                // The dispatching entry, under the same worker count.
-                let _scope = parallel::kernel_scope(Parallelism::new(threads));
-                prefix.fill(usize::MAX);
-                let blocks = sp_sum_pruned_rows(&terms, &mut prefix, Recorded::new).unwrap();
-                assert_streams(&blocks, &want, &ctx);
-                assert_eq!(prefix, want_prefix, "{ctx}");
-                assert_streams(&sp_rows(&want, Recorded::new), &want, &ctx);
-            }
+            let mut want_prefix = vec![0; terms.len()];
+            let want = sp_sum_pruned(&terms, &mut want_prefix).unwrap();
+            let mut prefix = vec![usize::MAX; terms.len()];
+            let sink = sp_sum_pruned_rows(&terms, &mut prefix, Recorded::default()).unwrap();
+            assert_streams(&sink, &want, name);
+            assert_eq!(prefix, want_prefix, "{name}");
+            assert_streams(&sp_rows(&want, Recorded::default()), &want, name);
         }
         // Some case must prune a non-empty row to nothing, and the stored
         // zeros alone must prune to an empty matrix.
@@ -1763,7 +1418,7 @@ mod tests {
         let b = CsrMatrix::identity(4);
         assert!(matches!(sp_sum_pruned(&[], &mut []), Err(SparseError::InvalidStructure { .. })));
         assert!(matches!(
-            sp_sum_pruned_rows(&[&a, &b], &mut [0, 0], CsrRows::with_capacity),
+            sp_sum_pruned_rows(&[&a, &b], &mut [0, 0], CsrRows::new(3, 3)),
             Err(SparseError::DimensionMismatch { .. })
         ));
         assert!(matches!(

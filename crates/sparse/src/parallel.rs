@@ -1,36 +1,24 @@
-//! Deterministic parallel execution layer.
+//! Host parallelism: one level, over independent work items.
 //!
-//! Everything in this module is built on [`std::thread::scope`] — no external
-//! dependencies — and preserves **bit-identical results** with respect to the
-//! serial path:
+//! The sparse kernels in [`crate::ops`] always run their serial per-row
+//! code. Host threads fan out only where whole independent units of work
+//! exist — figure cells (one simulation each) and DSE candidates — through
+//! [`map_items`], built on [`std::thread::scope`] with no external
+//! dependencies. Its results are **bit-identical** to the serial loop: each
+//! item is computed by the same code whichever worker claims it, and results
+//! are assembled in declared item order, never in completion order.
 //!
-//! * work is split into *contiguous index blocks* whose per-item computation
-//!   is byte-for-byte the same code the serial path runs;
-//! * partial results are merged in **declared block order**, never in thread
-//!   completion order;
-//! * scalar accumulations that cross blocks are restricted to exact
-//!   (integer) reductions folded left-to-right.
-//!
-//! Two knobs pick the degree of parallelism (see [`Parallelism`]):
-//! a process-wide default (initialised from the `IDGNN_PARALLELISM`
-//! environment variable, falling back to [`std::thread::available_parallelism`])
-//! and a thread-local override installed with [`kernel_scope`] so nested
-//! fan-out (an experiment driver running simulations on worker threads)
-//! can force its kernels serial without oversubscribing the machine.
-//! `IDGNN_PARALLELISM=1` forces the legacy serial path everywhere.
+//! The fan-out width comes from a process-wide default ([`process_default`]),
+//! set once by the command-line layer ([`set_process_default`]) or resolved
+//! from the `IDGNN_PARALLELISM` environment variable, falling back to
+//! [`std::thread::available_parallelism`]. `IDGNN_PARALLELISM=1` runs every
+//! item inline, in order.
 
-use std::cell::Cell;
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Environment variable holding the process-wide default thread count.
 pub const PARALLELISM_ENV: &str = "IDGNN_PARALLELISM";
-
-/// Minimum number of rows before the kernel entry points in [`crate::ops`]
-/// switch to the blocked parallel path. The test-only `ops::reference::*_at`
-/// entries, which take an explicit worker count, ignore this threshold.
-pub const PARALLEL_MIN_ROWS: usize = 128;
 
 /// A worker-count selection (always ≥ 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -39,7 +27,7 @@ pub struct Parallelism {
 }
 
 impl Parallelism {
-    /// The legacy serial path: one thread, no pool.
+    /// One worker: items run inline, in order, on the calling thread.
     pub const fn serial() -> Self {
         Self { threads: 1 }
     }
@@ -74,11 +62,6 @@ impl Parallelism {
         self.threads
     }
 
-    /// Whether this selects the serial path.
-    pub fn is_serial(self) -> bool {
-        self.threads == 1
-    }
-
     /// Workers actually useful for `items` units of work.
     pub fn effective(self, items: usize) -> usize {
         self.threads.min(items).max(1)
@@ -100,25 +83,16 @@ impl std::fmt::Display for Parallelism {
 /// Process-wide default (0 = not yet resolved from the environment).
 static PROCESS_DEFAULT: AtomicUsize = AtomicUsize::new(0);
 
-thread_local! {
-    /// Per-thread override (0 = inherit the process default).
-    static KERNEL_THREADS: Cell<usize> = const { Cell::new(0) };
-}
-
-/// Sets the process-wide default parallelism (the CLI layer calls this once
-/// at startup). Worker threads without a [`kernel_scope`] override inherit it.
+/// Sets the process-wide default parallelism: the fan-out [`process_default`]
+/// returns to drivers that take no explicit width (the CLI layer calls this
+/// once at startup).
 pub fn set_process_default(par: Parallelism) {
     PROCESS_DEFAULT.store(par.threads(), Ordering::Relaxed);
 }
 
-/// The parallelism the [`crate::ops`] kernel entry points use on this thread:
-/// the innermost [`kernel_scope`] override, else the process default
-/// (resolved from the environment on first use).
-pub fn current() -> Parallelism {
-    let local = KERNEL_THREADS.with(Cell::get);
-    if local != 0 {
-        return Parallelism::new(local);
-    }
+/// The process-wide default fan-out: the last [`set_process_default`], else
+/// [`Parallelism::from_env`] (resolved on first use).
+pub fn process_default() -> Parallelism {
     let global = PROCESS_DEFAULT.load(Ordering::Relaxed);
     if global != 0 {
         return Parallelism::new(global);
@@ -129,202 +103,28 @@ pub fn current() -> Parallelism {
     resolved
 }
 
-/// RAII guard restoring the previous thread-local parallelism on drop.
+/// The guard [`kernel_scope`] returns; it changes nothing.
 #[derive(Debug)]
 pub struct KernelScope {
-    previous: usize,
+    _inert: (),
 }
 
-/// Overrides [`current`] for the calling thread until the guard drops.
+/// Returns an inert guard: kernels always run serially, so there is no
+/// per-thread kernel width left to override.
 ///
-/// Used by drivers that fan work out at a coarser granularity (one simulation
-/// per worker) to force their inner kernels serial, and by equivalence tests
-/// to pin both modes regardless of the ambient configuration.
-#[must_use = "the override lasts only while the guard is alive"]
-pub fn kernel_scope(par: Parallelism) -> KernelScope {
-    let previous = KERNEL_THREADS.with(|c| c.replace(par.threads()));
-    KernelScope { previous }
-}
-
-impl Drop for KernelScope {
-    fn drop(&mut self) {
-        KERNEL_THREADS.with(|c| c.set(self.previous));
-    }
-}
-
-/// Splits `0..items` into at most `blocks` contiguous, balanced, non-empty
-/// ranges, in ascending order.
-pub fn partition(items: usize, blocks: usize) -> Vec<Range<usize>> {
-    let blocks = blocks.min(items).max(1);
-    if items == 0 {
-        // One empty block: callers always get at least one range to run.
-        #[allow(clippy::single_range_in_vec_init)]
-        // lint: allow(hot-path-alloc) -- one range list per kernel call, returned to the caller
-        return vec![0..0];
-    }
-    let base = items / blocks;
-    let extra = items % blocks;
-    // lint: allow(hot-path-alloc) -- one range list per kernel call, returned to the caller
-    let mut out = Vec::with_capacity(blocks);
-    let mut start = 0;
-    for b in 0..blocks {
-        let len = base + usize::from(b < extra);
-        out.push(start..start + len);
-        start += len;
-    }
-    out
-}
-
-/// Splits `0..items` into at most `blocks` contiguous, non-empty ranges in
-/// ascending order, balancing the **sum of `cost(item)`** per block instead
-/// of the item count.
-///
-/// The cut points are the cost quantiles: block `b` ends at the first item
-/// whose cumulative cost reaches `total * (b + 1) / blocks`, so every block's
-/// cost is at most `total / blocks + max_item_cost` — on a skewed row-nnz
-/// distribution this keeps the heaviest worker within one hub row of the
-/// mean, where a row-count split can be arbitrarily lopsided. When every
-/// item costs zero the split degrades to the uniform [`partition`].
-///
-/// Only the block *boundaries* differ from [`partition`]; per-item work and
-/// the declared merge order are unchanged, so kernels built on this split
-/// stay bit-identical to the serial path at every worker count.
-pub fn partition_by_cost<C>(items: usize, blocks: usize, cost: C) -> Vec<Range<usize>>
-where
-    C: Fn(usize) -> u64,
-{
-    let blocks = blocks.min(items).max(1);
-    if items == 0 {
-        // One empty block: callers always get at least one range to run.
-        #[allow(clippy::single_range_in_vec_init)]
-        // lint: allow(hot-path-alloc) -- one range list per kernel call, returned to the caller
-        return vec![0..0];
-    }
-    let total: u64 = (0..items).map(&cost).sum();
-    if total == 0 {
-        return partition(items, blocks);
-    }
-    let (total, blocks_u128) = (u128::from(total), blocks as u128);
-    // lint: allow(hot-path-alloc) -- one range list per kernel call, returned to the caller
-    let mut out = Vec::with_capacity(blocks);
-    let mut start = 0usize;
-    let mut acc = 0u128;
-    for b in 0..blocks - 1 {
-        let target = total * (b as u128 + 1) / blocks_u128;
-        // Reserve one item for each block still to come so none ends empty.
-        let max_end = items - (blocks - 1 - b);
-        let mut end = start + 1;
-        acc += u128::from(cost(start));
-        while end < max_end && acc < target {
-            acc += u128::from(cost(end));
-            end += 1;
-        }
-        out.push(start..end);
-        start = end;
-    }
-    out.push(start..items);
-    out
-}
-
-/// Forks `ranges` onto scoped worker threads and joins the results in the
-/// declared range order.
-///
-/// # Panics
-///
-/// Re-raises a worker panic on the calling thread.
-// lint: ordered-merge -- joins handles in declared block order, so results assemble independent of completion order
-fn fork_join<R, F>(ranges: Vec<Range<usize>>, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(Range<usize>) -> R + Sync,
-{
-    #[cfg(any(test, feature = "schedule-perturbation"))]
-    let gate = perturb::gate(ranges.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .enumerate()
-            .map(|(block, range)| {
-                let f = &f;
-                #[cfg(any(test, feature = "schedule-perturbation"))]
-                let gate = gate.as_ref();
-                scope.spawn(move || {
-                    #[cfg(not(any(test, feature = "schedule-perturbation")))]
-                    let _ = block;
-                    // Adversarial schedule: hold this block's completion until
-                    // every block the seeded permutation ranks earlier is done.
-                    // The turn is taken when the guard drops, after `f`
-                    // returns or while it unwinds, so a panicking block still
-                    // releases the blocks ranked after it.
-                    #[cfg(any(test, feature = "schedule-perturbation"))]
-                    let _turn = gate.map(|g| g.turn_on_drop(block));
-                    f(range)
-                })
-            })
-            // lint: allow(hot-path-alloc) -- one join-handle vec per fork, O(workers) not O(rows)
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            // lint: allow(hot-path-alloc) -- block results in order, returned to the caller
-            .collect()
-    })
-}
-
-/// Runs `f` over contiguous index blocks on scoped worker threads and returns
-/// the per-block results **in block order** (deterministic regardless of
-/// thread scheduling). With one effective worker the closure runs inline on
-/// the calling thread — the legacy serial path, no pool.
-///
-/// Worker threads are freshly spawned per call and carry no thread-local
-/// state, which is why the kernel closures check their scratch
-/// [`Workspace`](crate::workspace::Workspace) out of the global
-/// [`workspace`](crate::workspace) pool (one checkout per block) instead of
-/// relying on thread-locals that would die with the scope.
-///
-/// # Panics
-///
-/// Re-raises a worker panic on the calling thread.
-pub fn map_blocks<R, F>(items: usize, par: Parallelism, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(Range<usize>) -> R + Sync,
-{
-    let workers = par.effective(items);
-    if workers <= 1 {
-        // lint: allow(hot-path-alloc) -- single-block result vec, returned to the caller
-        return vec![f(0..items)];
-    }
-    fork_join(partition(items, workers), f)
-}
-
-/// [`map_blocks`] with **cost-balanced** block boundaries: blocks are cut by
-/// [`partition_by_cost`] over `cost(item)` (row nnz for the sparse kernels)
-/// instead of item count, so a hub-heavy dataset no longer leaves all but
-/// one worker idle. Merge order and per-item computation are identical to
-/// [`map_blocks`], preserving bit-identity with the serial path.
-///
-/// # Panics
-///
-/// Re-raises a worker panic on the calling thread.
-pub fn map_blocks_by_cost<R, F, C>(items: usize, par: Parallelism, cost: C, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(Range<usize>) -> R + Sync,
-    C: Fn(usize) -> u64,
-{
-    let workers = par.effective(items);
-    if workers <= 1 {
-        // lint: allow(hot-path-alloc) -- single-block result vec, returned to the caller
-        return vec![f(0..items)];
-    }
-    fork_join(partition_by_cost(items, workers, cost), f)
+/// Kept only because the benchmark crate under `perfbench/` (which builds
+/// against this crate unedited) still names it; no code in the workspace
+/// calls it.
+pub fn kernel_scope(_par: Parallelism) -> KernelScope {
+    KernelScope { _inert: () }
 }
 
 /// Runs `f(index, &item)` for every item on a scoped worker pool fed by an
 /// atomic work queue (good load balance for heterogeneous items, e.g. one
 /// simulation per cell) and returns results **in item order**. With one
-/// effective worker the items run inline, in order — the legacy serial path.
+/// effective worker the items run inline, in order — the serial path.
+///
+/// This is the crate's only thread spawner.
 ///
 /// # Panics
 ///
@@ -342,10 +142,11 @@ where
         return items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
     }
     let next = AtomicUsize::new(0);
-    // Adversarial schedule: when a perturbation scope is installed, the queue
-    // hands out item indices in a seeded permuted order instead of 0..n; the
-    // keyed slot buffer must still assemble the identical in-order result.
-    #[cfg(any(test, feature = "schedule-perturbation"))]
+    // Adversarial schedule (tests only): while a perturbation scope is
+    // installed, the queue hands out item indices in a seeded permuted order
+    // instead of 0..n; the keyed slot buffer must still assemble the
+    // identical in-order result.
+    #[cfg(test)]
     let order = perturb::permutation(items.len());
     // lint: allow(hot-path-alloc) -- one result slot per item, the queue's only shared state
     let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
@@ -353,7 +154,7 @@ where
         for _ in 0..workers {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                #[cfg(any(test, feature = "schedule-perturbation"))]
+                #[cfg(test)]
                 let i = match order.as_deref() {
                     Some(p) => match p.get(i) {
                         Some(&j) => j,
@@ -378,24 +179,14 @@ where
         .collect()
 }
 
-/// Schedule-perturbation harness: forces the parallel helpers through
-/// adversarial worker schedules so completion-order bugs cannot hide behind a
-/// cooperative OS scheduler.
-///
-/// While a [`scoped`] guard is alive, every [`fork_join`] fork derives a
-/// seeded permutation of its blocks and holds each block's completion at a
-/// turnstile until all blocks ranked earlier have finished, and [`map_items`]
-/// hands out item indices in a seeded permuted order. The declared-order
-/// merge contract (DESIGN.md §15) means results must stay **bit-identical**
-/// under every such schedule; the proptests in
-/// `crates/sparse/tests/perturbation.rs` assert exactly that against the
-/// serial path.
-///
-/// Compiled only under `cfg(test)` or the `schedule-perturbation` feature;
-/// release builds carry no trace of the turnstile.
-#[cfg(any(test, feature = "schedule-perturbation"))]
-pub mod perturb {
-    use std::sync::{Condvar, Mutex, MutexGuard};
+/// Schedule-perturbation harness (tests only): while a [`scoped`] guard is
+/// alive, [`map_items`] hands out item indices in a seeded permuted order,
+/// so a completion-order bug cannot hide behind a cooperative OS scheduler.
+/// The declared-order contract (DESIGN.md §15) means results must stay
+/// bit-identical under every such order.
+#[cfg(test)]
+mod perturb {
+    use std::sync::{Mutex, MutexGuard};
 
     /// The installed perturbation seed (`None` = harness inert).
     static SEED: Mutex<Option<u64>> = Mutex::new(None);
@@ -406,7 +197,7 @@ pub mod perturb {
     /// RAII guard for an active perturbation scope; dropping it clears the
     /// seed and releases the scope lock.
     #[must_use = "the perturbation is active only while the guard is alive"]
-    pub struct PerturbScope {
+    pub(super) struct PerturbScope {
         _lock: MutexGuard<'static, ()>,
     }
 
@@ -419,7 +210,7 @@ pub mod perturb {
     /// Installs `seed` as the process-wide perturbation seed for the lifetime
     /// of the returned guard. Scopes are mutually exclusive: a second caller
     /// blocks until the first guard drops.
-    pub fn scoped(seed: u64) -> PerturbScope {
+    pub(super) fn scoped(seed: u64) -> PerturbScope {
         let lock = SCOPE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         *SEED.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(seed);
         PerturbScope { _lock: lock }
@@ -427,8 +218,7 @@ pub mod perturb {
 
     /// Holds the scope lock with no seed installed, so a test can observe
     /// the inert harness without racing a concurrent scope.
-    #[cfg(test)]
-    pub(crate) fn inert() -> PerturbScope {
+    pub(super) fn inert() -> PerturbScope {
         PerturbScope {
             _lock: SCOPE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner),
         }
@@ -443,8 +233,8 @@ pub mod perturb {
 
     /// A seeded Fisher–Yates permutation of `0..n`, or `None` when no
     /// perturbation scope is installed.
-    // lint: allow(hot-path-alloc) -- test-harness only; O(workers) once per fork, never in release builds
-    pub fn permutation(n: usize) -> Option<Vec<usize>> {
+    // lint: allow(hot-path-alloc) -- test harness only; O(items) once per fan-out
+    pub(super) fn permutation(n: usize) -> Option<Vec<usize>> {
         let seed = (*SEED.lock().unwrap_or_else(std::sync::PoisonError::into_inner))?;
         let mut state = seed ^ (n as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         let mut perm: Vec<usize> = (0..n).collect();
@@ -454,163 +244,11 @@ pub mod perturb {
         }
         Some(perm)
     }
-
-    /// A completion-order turnstile over `blocks` forked workers: worker `b`
-    /// calls [`Gate::wait_turn`]`(b)` after computing its result and is held
-    /// until every block with an earlier seeded rank has passed through.
-    /// Deadlock-free because [`super::fork_join`] keeps all blocks' threads
-    /// alive concurrently under [`std::thread::scope`].
-    pub struct Gate {
-        /// `ranks[block]` = position of `block` in the adversarial order.
-        ranks: Vec<usize>,
-        /// The rank currently allowed to complete.
-        turn: Mutex<usize>,
-        /// Signals `turn` advancing.
-        cv: Condvar,
-    }
-
-    /// Builds the turnstile for a fork of `blocks` workers, or `None` when no
-    /// perturbation scope is installed.
-    // lint: allow(hot-path-alloc) -- test-harness only; O(workers) once per fork, never in release builds
-    pub fn gate(blocks: usize) -> Option<Gate> {
-        let perm = permutation(blocks)?;
-        let mut ranks = vec![0usize; blocks];
-        for (rank, &block) in perm.iter().enumerate() {
-            if let Some(r) = ranks.get_mut(block) {
-                *r = rank;
-            }
-        }
-        Some(Gate { ranks, turn: Mutex::new(0), cv: Condvar::new() })
-    }
-
-    impl Gate {
-        /// Blocks until `block` is the next allowed completion, then passes
-        /// the turn to the next rank.
-        pub fn wait_turn(&self, block: usize) {
-            let rank = self.ranks.get(block).copied().unwrap_or(0);
-            let mut turn = self.turn.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            while *turn != rank {
-                turn = self
-                    .cv
-                    .wait(turn)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-            *turn += 1;
-            self.cv.notify_all();
-        }
-
-        /// A guard that calls [`Gate::wait_turn`]`(block)` when dropped,
-        /// including during a panic unwind.
-        pub fn turn_on_drop(&self, block: usize) -> Turn<'_> {
-            Turn { gate: self, block }
-        }
-    }
-
-    /// Takes `block`'s turn at the [`Gate`] on drop; see
-    /// [`Gate::turn_on_drop`].
-    pub struct Turn<'a> {
-        gate: &'a Gate,
-        block: usize,
-    }
-
-    impl Drop for Turn<'_> {
-        fn drop(&mut self) {
-            self.gate.wait_turn(self.block);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn partition_covers_disjointly() {
-        for items in [0usize, 1, 7, 64, 1000] {
-            for blocks in [1usize, 2, 3, 8, 200] {
-                let ranges = partition(items, blocks);
-                let mut expect = 0;
-                for r in &ranges {
-                    assert_eq!(r.start, expect, "{items}/{blocks}");
-                    expect = r.end;
-                }
-                assert_eq!(expect, items);
-                if items > 0 {
-                    assert!(ranges.iter().all(|r| !r.is_empty()));
-                    let lens: Vec<usize> = ranges.iter().map(ExactSizeIterator::len).collect();
-                    let (min, max) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
-                    assert!(max - min <= 1, "balanced: {lens:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn partition_by_cost_covers_disjointly_and_bounds_spread() {
-        // A deterministic skewed cost profile: a few hubs, a long flat tail.
-        let cost = |i: usize| -> u64 {
-            match i % 97 {
-                0 => 64,
-                1..=4 => 16,
-                _ => 1,
-            }
-        };
-        for items in [0usize, 1, 7, 97, 1000] {
-            for blocks in [1usize, 2, 3, 8, 200] {
-                let ranges = partition_by_cost(items, blocks, cost);
-                let mut expect = 0;
-                for r in &ranges {
-                    assert_eq!(r.start, expect, "{items}/{blocks}");
-                    expect = r.end;
-                }
-                assert_eq!(expect, items);
-                if items > 0 {
-                    assert!(ranges.iter().all(|r| !r.is_empty()));
-                    let total: u64 = (0..items).map(cost).sum();
-                    let max_item = (0..items).map(cost).max().unwrap();
-                    let heaviest = ranges
-                        .iter()
-                        .map(|r| r.clone().map(cost).sum::<u64>())
-                        .max()
-                        .unwrap();
-                    let effective = ranges.len() as u64;
-                    assert!(
-                        heaviest <= total / effective + max_item,
-                        "{items}/{blocks}: heaviest {heaviest} vs bound {}",
-                        total / effective + max_item
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn partition_by_cost_zero_costs_fall_back_to_uniform() {
-        assert_eq!(partition_by_cost(100, 7, |_| 0), partition(100, 7));
-        assert_eq!(partition_by_cost(0, 4, |_| 3), vec![0..0]);
-        // Uniform costs reproduce the uniform split's balance (±1 item).
-        let ranges = partition_by_cost(100, 7, |_| 5);
-        let lens: Vec<usize> = ranges.iter().map(ExactSizeIterator::len).collect();
-        let (min, max) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
-        assert!(max - min <= 1, "balanced: {lens:?}");
-    }
-
-    #[test]
-    fn map_blocks_by_cost_preserves_block_order() {
-        let cost = |i: usize| if i < 10 { 50u64 } else { 1 };
-        let got = map_blocks_by_cost(100, Parallelism::new(4), cost, |r| r.clone());
-        assert_eq!(got, partition_by_cost(100, 4, cost));
-        let serial = map_blocks_by_cost(100, Parallelism::serial(), cost, |r| r.clone());
-        assert_eq!(serial, vec![0..100]);
-    }
-
-    #[test]
-    fn map_blocks_preserves_block_order() {
-        let got = map_blocks(100, Parallelism::new(7), |r| r.clone());
-        assert_eq!(got, partition(100, 7));
-        let serial = map_blocks(100, Parallelism::serial(), |r| r.clone());
-        assert_eq!(serial, vec![0..100]);
-    }
 
     #[test]
     fn map_items_preserves_item_order() {
@@ -646,44 +284,6 @@ mod tests {
     fn perturb_inert_without_scope() {
         let _inert = perturb::inert();
         assert!(perturb::permutation(8).is_none());
-        assert!(perturb::gate(8).is_none());
-    }
-
-    #[test]
-    fn gate_ranks_blocks_by_the_seeded_permutation() {
-        for seed in 0..8u64 {
-            let _scope = perturb::scoped(seed);
-            let perm = perturb::permutation(6).expect("scope installed");
-            // Visiting blocks in permutation order never blocks: each call is
-            // exactly the rank the turnstile expects next. Any rank mismatch
-            // would deadlock this single-threaded walk immediately.
-            let gate = perturb::gate(6).expect("scope installed");
-            for &block in &perm {
-                gate.wait_turn(block);
-            }
-            // And under real concurrency the turnstile stays deadlock-free
-            // because every block has a live thread.
-            let gate = perturb::gate(6).expect("scope installed");
-            std::thread::scope(|scope| {
-                for block in 0..6 {
-                    let gate = &gate;
-                    scope.spawn(move || gate.wait_turn(block));
-                }
-            });
-        }
-    }
-
-    #[test]
-    fn perturbed_fork_join_keeps_results_in_declared_block_order() {
-        for seed in 0..8u64 {
-            let _scope = perturb::scoped(seed);
-            let got = map_blocks(64, Parallelism::new(4), |r| (r.clone(), r.sum::<usize>()));
-            let blocks: Vec<Range<usize>> = got.iter().map(|(r, _)| r.clone()).collect();
-            assert_eq!(blocks, partition(64, 4), "seed {seed}");
-            for (r, sum) in &got {
-                assert_eq!(*sum, r.clone().sum::<usize>(), "seed {seed}");
-            }
-        }
     }
 
     #[test]
@@ -698,23 +298,8 @@ mod tests {
     }
 
     #[test]
-    fn kernel_scope_overrides_and_restores() {
-        let outer = current();
-        {
-            let _guard = kernel_scope(Parallelism::new(3));
-            assert_eq!(current().threads(), 3);
-            {
-                let _inner = kernel_scope(Parallelism::serial());
-                assert!(current().is_serial());
-            }
-            assert_eq!(current().threads(), 3);
-        }
-        assert_eq!(current(), outer);
-    }
-
-    #[test]
     fn parallelism_resolution() {
-        assert!(Parallelism::serial().is_serial());
+        assert_eq!(Parallelism::serial().threads(), 1);
         assert_eq!(Parallelism::new(0), Parallelism::available());
         assert_eq!(Parallelism::new(8).effective(3), 3);
         assert_eq!(Parallelism::new(2).effective(0), 1);
@@ -722,27 +307,12 @@ mod tests {
     }
 
     #[test]
-    fn worker_panic_under_perturbation_releases_the_turnstile() {
-        // Whichever rank the panicking block gets, the blocks ranked after
-        // it must still complete and the panic must reach the caller.
-        for seed in 0..8u64 {
-            let _scope = perturb::scoped(seed);
-            let run = std::panic::catch_unwind(|| {
-                map_blocks(8, Parallelism::new(4), |r| {
-                    assert!(!r.contains(&0), "boom");
-                    r.len()
-                })
-            });
-            assert!(run.is_err(), "seed {seed}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "boom")]
+    #[should_panic(expected = "a scoped thread panicked")]
     fn worker_panics_propagate() {
-        let _ = map_blocks(10, Parallelism::new(2), |r| {
-            assert!(!r.contains(&9), "boom");
-            r.len()
+        let items: Vec<usize> = (0..10).collect();
+        let _ = map_items(&items, Parallelism::new(2), |_, &x| {
+            assert_ne!(x, 9, "boom");
+            x
         });
     }
 }

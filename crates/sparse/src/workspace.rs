@@ -8,11 +8,13 @@
 //! from empty on every call. This module removes that cost:
 //!
 //! * [`Workspace`] owns the dense accumulator (SPA) and the column bitmap a
-//!   Gustavson SpGEMM block (or a [`crate::ops::sp_sum_pruned`] term sum)
-//!   needs. It is checked out of a global pool per row-block invocation
-//!   ([`with_workspace`]) and returned afterwards, so the `O(n)` scratch is
-//!   written once and reused across calls — including across the fresh
-//!   scoped threads [`crate::parallel::map_blocks`] spawns per kernel call.
+//!   Gustavson SpGEMM (or a [`crate::ops::sp_sum_pruned`] term sum) needs.
+//!   It is checked out of a global pool per kernel call ([`with_workspace`])
+//!   and returned afterwards, so the `O(n)` scratch is written once and
+//!   reused across calls. The pool is global rather than thread-local
+//!   because the [`crate::parallel::map_items`] workers that run whole
+//!   simulations are fresh scoped threads: a thread-local arena would die
+//!   with each fan-out, a pooled one serves the next.
 //! * A global buffer pool recycles `Vec<usize>` / `Vec<f32>` storage for CSR
 //!   outputs. Kernels draw exactly-sized buffers via
 //!   `take_index_buffer` / `take_value_buffer`; callers that consume an
@@ -74,8 +76,8 @@ impl Workspace {
 }
 
 /// The global recycling pool. A plain mutex is fine here: kernels lock it a
-/// handful of times per row *block* (not per row), so contention is dwarfed
-/// by the block's arithmetic.
+/// handful of times per call (not per row), so contention is dwarfed by the
+/// call's arithmetic.
 struct Pool {
     workspaces: Vec<Workspace>,
     index_buffers: Vec<Vec<usize>>,

@@ -5,7 +5,7 @@
 //! generated sparse matrices, with the dense implementation as the oracle.
 
 use idgnn_sparse::ops::reference;
-use idgnn_sparse::{ops, CooMatrix, CsrMatrix, DenseMatrix, OpStats, Parallelism};
+use idgnn_sparse::{ops, CooMatrix, CsrMatrix, DenseMatrix, OpStats};
 use proptest::prelude::*;
 
 /// Strategy: random sparse n×n matrix with up to `max_nnz` entries.
@@ -259,23 +259,6 @@ proptest! {
     }
 
     #[test]
-    fn parallel_kernels_match_serial_on_random_inputs(
-        a in sparse_square(10, 40),
-        b in sparse_square(10, 40),
-        threads in 2usize..6,
-    ) {
-        let par = Parallelism::new(threads);
-        let (s, s_st) = reference::spgemm_at(&a, &b, Parallelism::serial()).unwrap();
-        let (p, p_st) = reference::spgemm_at(&a, &b, par).unwrap();
-        prop_assert_eq!(s.indptr(), p.indptr());
-        prop_assert_eq!(s.indices(), p.indices());
-        let sv: Vec<u32> = s.values().iter().map(|v| v.to_bits()).collect();
-        let pv: Vec<u32> = p.values().iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(sv, pv);
-        prop_assert_eq!(s_st, p_st);
-    }
-
-    #[test]
     fn pruned_never_increases_nnz(a in sparse_square(8, 30), tol in 0.0f32..2.0) {
         let p = a.pruned(tol);
         prop_assert!(p.nnz() <= a.nnz());
@@ -337,7 +320,7 @@ proptest! {
             let a = wide_rows(m, k, &mut rng);
             let b = wide_rows(k, n, &mut rng);
             let (pooled, pooled_st) = ops::spgemm_with_stats(&a, &b).unwrap();
-            let (want, want_st) = reference::spgemm_scalar(&a, &b, Parallelism::serial()).unwrap();
+            let (want, want_st) = reference::spgemm_scalar(&a, &b).unwrap();
             assert_bit_identical(&want, &pooled);
             prop_assert_eq!(pooled_st, want_st);
         }
@@ -378,15 +361,13 @@ proptest! {
     fn fused_chunked_spgemm_matches_scalar_reference(
         a in sparse_square(14, 80),
         b in sparse_square(14, 80),
-        threads in (0u8..2).prop_map(|i| if i == 0 { 1usize } else { 4 }),
     ) {
         // The default path (fused single-visit, LANES-chunked inner loops)
-        // against the blocked two-phase scalar reference, at serial and
-        // 4-way parallelism: one property pins fusion, chunking, and cache
-        // blocking to bit-identical values AND identical OpStats.
-        let par = Parallelism::new(threads);
-        let (s, s_st) = reference::spgemm_scalar(&a, &b, par).unwrap();
-        let (c, c_st) = reference::spgemm_at(&a, &b, par).unwrap();
+        // against the blocked two-phase scalar reference: one property pins
+        // fusion, chunking, and cache blocking to bit-identical values AND
+        // identical OpStats.
+        let (s, s_st) = reference::spgemm_scalar(&a, &b).unwrap();
+        let (c, c_st) = ops::spgemm_with_stats(&a, &b).unwrap();
         prop_assert_eq!(s.indptr(), c.indptr());
         prop_assert_eq!(s.indices(), c.indices());
         let sv: Vec<u32> = s.values().iter().map(|v| v.to_bits()).collect();
@@ -404,74 +385,26 @@ proptest! {
         // subnormal products that underflow to ±0.0, over a 70-column B that
         // crosses a bitmap word: the branchless SPA resting at -0.0 must
         // emit the bits and OpStats of the oracle's first-touch store.
-        for threads in [1usize, 4] {
-            let par = Parallelism::new(threads);
-            let (want, want_st) = reference::spgemm_scalar(&a, &b, par).unwrap();
-            let (got, got_st) = reference::spgemm_at(&a, &b, par).unwrap();
-            assert_bit_identical(&want, &got);
-            prop_assert_eq!(got_st, want_st, "threads={}", threads);
-        }
+        let (want, want_st) = reference::spgemm_scalar(&a, &b).unwrap();
+        let (got, got_st) = ops::spgemm_with_stats(&a, &b).unwrap();
+        assert_bit_identical(&want, &got);
+        prop_assert_eq!(got_st, want_st);
     }
 
     #[test]
     fn chunked_spmm_matches_scalar_reference(
         a in sparse_square(10, 40),
         xs in prop::collection::vec(-2.0f32..2.0, 10 * 9),
-        threads in (0u8..2).prop_map(|i| if i == 0 { 1usize } else { 4 }),
     ) {
         // Nine feature columns: one full LANES chunk plus a ragged tail, so
         // both the chunked body and the remainder loop are exercised.
         let x = DenseMatrix::from_vec(10, 9, xs).unwrap();
-        let par = Parallelism::new(threads);
-        let (s, s_st) = reference::spmm_scalar(&a, &x, par).unwrap();
-        let (c, c_st) = reference::spmm_at(&a, &x, par).unwrap();
+        let (s, s_st) = reference::spmm_scalar(&a, &x).unwrap();
+        let (c, c_st) = ops::spmm_with_stats(&a, &x).unwrap();
         prop_assert_eq!(s_st, c_st);
         let sv: Vec<u32> = s.into_vec().iter().map(|v| v.to_bits()).collect();
         let cv: Vec<u32> = c.into_vec().iter().map(|v| v.to_bits()).collect();
         prop_assert_eq!(sv, cv);
-    }
-
-    #[test]
-    fn cost_partition_covers_disjointly_with_bounded_spread(
-        raw in prop::collection::vec(0u64..40, 1..300),
-        blocks in 1usize..9,
-    ) {
-        // Skew the raw draws into a long flat tail plus rare heavy hubs
-        // (~1 in 10 items carries 16–64 units, the rest 0–3).
-        let costs: Vec<u64> =
-            raw.iter().map(|&v| if v >= 36 { 16 + v * 12 } else { v % 4 }).collect();
-        // The nnz-weighted split must cover 0..items disjointly in order with
-        // non-empty blocks, and the heaviest block may exceed the mean cost
-        // by at most one item (heaviest ≤ total/blocks + max_item) — which
-        // caps the spread at 2× the mean whenever no single row outweighs a
-        // whole block's fair share.
-        let items = costs.len();
-        let ranges =
-            idgnn_sparse::parallel::partition_by_cost(items, blocks, |i| costs[i]);
-        let mut expect = 0;
-        for r in &ranges {
-            prop_assert_eq!(r.start, expect);
-            prop_assert!(!r.is_empty());
-            expect = r.end;
-        }
-        prop_assert_eq!(expect, items);
-        let total: u128 = costs.iter().map(|&c| u128::from(c)).sum();
-        if total > 0 {
-            let eff = ranges.len() as u128;
-            let max_item = u128::from(*costs.iter().max().unwrap());
-            let heaviest: u128 = ranges
-                .iter()
-                .map(|r| r.clone().map(|i| u128::from(costs[i])).sum())
-                .max()
-                .unwrap();
-            prop_assert!(
-                heaviest * eff <= total + max_item * eff,
-                "heaviest {heaviest} × {eff} blocks vs total {total} + max {max_item}"
-            );
-            if max_item * eff <= total {
-                prop_assert!(heaviest * eff <= 2 * total, "spread over 2× the mean");
-            }
-        }
     }
 
     #[test]
@@ -519,17 +452,15 @@ proptest! {
     ) {
         // Output rows discover 0..=cols columns in scrambled order, on both
         // sides of a 64-column word; at 700 columns short rows span many
-        // bitmap words. Every fused path (serial and pooled parallel) must
-        // equal the scalar two-phase reference, which always sorts.
+        // bitmap words. The fused path must equal the scalar two-phase
+        // reference, which always sorts.
         let mut rng = Lcg(seed);
         let a = wide_rows(10, 12, &mut rng);
         let b = wide_rows(12, cols, &mut rng);
-        let (want, want_st) = reference::spgemm_scalar(&a, &b, Parallelism::serial()).unwrap();
-        for threads in [1usize, 4] {
-            let (got, st) = reference::spgemm_at(&a, &b, Parallelism::new(threads)).unwrap();
-            assert_bit_identical(&want, &got);
-            prop_assert_eq!(st, want_st);
-        }
+        let (want, want_st) = reference::spgemm_scalar(&a, &b).unwrap();
+        let (got, st) = ops::spgemm_with_stats(&a, &b).unwrap();
+        assert_bit_identical(&want, &got);
+        prop_assert_eq!(st, want_st);
 
         // The term sum shares the emission: summing wide rows must still
         // match the pairwise fold.

@@ -109,7 +109,6 @@ fn child(snapshots: usize) -> Result<(), Box<dyn Error>> {
     let accel = IdgnnAccelerator::new(AcceleratorConfig::paper_default().scaled_down(scale))?;
     let opts = SimOptions {
         onepass: OnePassOptions { adaptive_refresh: false, ..Default::default() },
-        parallelism: Some(1),
         ..Default::default()
     };
     let report = accel.simulate(&model, &dg, &opts)?;

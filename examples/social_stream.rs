@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let idgnn = IdgnnAccelerator::new(config)?.simulate(&model, &dg, &SimOptions::default())?;
     // One Recompute run feeds ReaDy and DGNN-Booster; one Incremental run
     // feeds RACE.
-    let [ready, booster, race] = simulate_baselines(config, &model, &dg, None)?;
+    let [ready, booster, race] = simulate_baselines(config, &model, &dg)?;
 
     println!(
         "{:<14} {:>12} {:>10} {:>12} {:>12}",

@@ -6,27 +6,23 @@
 # 2. full test suite (unit, integration, proptests, equivalence suites);
 # 3. sparse suite again with strict-invariants (runtime CsrMatrix::validate
 #    re-asserted at every construction/assemble site);
-# 4. sparse suite under schedule-perturbation: the parallel helpers run
-#    through seeded adversarial worker schedules and must stay bit-identical
-#    to the serial path (the runtime half of the determinism contract,
-#    DESIGN.md §15);
-# 5. idgnn-lint workspace scan (with --timing): any finding fails, with the
+# 4. idgnn-lint workspace scan (with --timing): any finding fails, with the
 #    determinism family on;
-# 6. kernel-benchmark smoke run + structural JSON validation;
-# 7. DSE smoke sweep regenerating results/dse.json + structural validation;
-# 8. `all` regenerating every figure JSON and results/report.txt, which must
+# 5. kernel-benchmark smoke run + structural JSON validation;
+# 6. DSE smoke sweep regenerating results/dse.json + structural validation;
+# 7. `all` regenerating every figure JSON and results/report.txt, which must
 #    match the committed files byte for byte;
-# 9. the `walkthrough` toy example, which exits non-zero if any Eq. 13-15
+# 8. the `walkthrough` toy example, which exits non-zero if any Eq. 13-15
 #    identity fails;
-# 10. the long-stream memory gate: peak RSS of the one-pass simulation at
+# 9. the long-stream memory gate: peak RSS of the one-pass simulation at
 #    400 snapshots within 1.10x of its peak at 40 (examples/long_stream_rss.rs);
-# 11. the repo benchmark's own tests (perfbench is a separate workspace, so
+# 10. the repo benchmark's own tests (perfbench is a separate workspace, so
 #    `cargo test --workspace` never reaches its exact-reference checks);
-# 12. perfbench --record-reference at seeds 0, 7, 42: every simulated
+# 11. perfbench --record-reference at seeds 0, 7, 42: every simulated
 #    statistic must already be in perfbench/reference.txt;
-# 13. clippy over every target with warnings denied;
-# 14. rustdoc over the first-party crates with warnings denied;
-# 15. a syntax check of scripts/perf_pairs.sh (the A/B timing script is not
+# 12. clippy over every target with warnings denied;
+# 13. rustdoc over the first-party crates with warnings denied;
+# 14. a syntax check of scripts/perf_pairs.sh (the A/B timing script is not
 #    run here: it builds perfbench twice and times it for minutes).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -57,11 +53,6 @@ cargo test -q --workspace
 
 stage "cargo test -p idgnn-sparse --features strict-invariants"
 cargo test -q -p idgnn-sparse --features strict-invariants
-
-stage "cargo test -p idgnn-sparse --features schedule-perturbation"
-# Adversarial schedule proptests: a small fixed budget (8 seeds per kernel
-# invocation at parallelism 4, 16 proptest cases) keeps this a few seconds.
-cargo test -q -p idgnn-sparse --features schedule-perturbation --test perturbation
 
 stage "idgnn-lint (zero findings + per-rule timing + results/lint.json)"
 # --timing profiles each rule in isolation and fails the run when any rule

@@ -10,15 +10,12 @@
 //!           [snapshots=T] [dissim=0.02] [addfrac=0.75]
 //!           [layers=3] [hidden=32] [rnn=32] [rnn-kernel=lstm|gru]
 //!           [pes=64] [scale=16] [seed=42] [algorithm=onepass|inc|re]
-//!           [parallelism=N]                # host threads; 1 = legacy serial
 //!
 //! cargo run --release --bin idgnn-sim -- dataset=WD accel=all
 //! ```
 //!
-//! `parallelism` (or the `IDGNN_PARALLELISM` environment variable) only
-//! changes host wall-clock time — every report is bit-identical across
-//! settings. A reader that closes stdout early (`idgnn-sim … | head`) ends
-//! the run quietly with exit code 0.
+//! One simulation runs on one host thread. A reader that closes stdout
+//! early (`idgnn-sim … | head`) ends the run quietly with exit code 0.
 
 use std::collections::HashMap;
 use std::io::{self, Write};
@@ -172,33 +169,29 @@ fn run(out: &mut impl Write) -> Result<(), Box<dyn std::error::Error>> {
         Some("inc") | Some("incremental") => Some(Algorithm::Incremental),
         _ => None, // OnePass
     };
-    let parallelism = args.get("parallelism").map(|v| v.parse::<usize>()).transpose()?;
-    if let Some(n) = parallelism {
-        writeln!(out, "parallelism: {} host threads", idgnn::sparse::Parallelism::new(n))?;
-    }
-    let opts = SimOptions { algorithm, parallelism, ..Default::default() };
+    let opts = SimOptions { algorithm, ..Default::default() };
 
     let which = args.get("accel").cloned().unwrap_or_else(|| "idgnn".into());
     let idgnn_report = IdgnnAccelerator::new(config)?.simulate(&model, &dg, &opts)?;
     match which.as_str() {
         "idgnn" => print_report(out, "I-DGNN", &idgnn_report, config.frequency_hz, None)?,
         "ready" => {
-            let r = Ready::new(config)?.simulate_with(&model, &dg, parallelism)?;
+            let r = Ready::new(config)?.simulate(&model, &dg)?;
             print_report(out, "ReaDy", &r, config.frequency_hz, Some(&idgnn_report))?;
         }
         "booster" => {
-            let r = Booster::new(config)?.simulate_with(&model, &dg, parallelism)?;
+            let r = Booster::new(config)?.simulate(&model, &dg)?;
             print_report(out, "DGNN-Booster", &r, config.frequency_hz, Some(&idgnn_report))?;
         }
         "race" => {
-            let r = Race::new(config)?.simulate_with(&model, &dg, parallelism)?;
+            let r = Race::new(config)?.simulate(&model, &dg)?;
             print_report(out, "RACE", &r, config.frequency_hz, Some(&idgnn_report))?;
         }
         "all" => {
             print_report(out, "I-DGNN", &idgnn_report, config.frequency_hz, None)?;
             // One Recompute run serves ReaDy and DGNN-Booster, one
             // Incremental run serves RACE.
-            let reports = simulate_baselines(config, &model, &dg, parallelism)?;
+            let reports = simulate_baselines(config, &model, &dg)?;
             for (name, r) in ["ReaDy", "DGNN-Booster", "RACE"].iter().zip(&reports) {
                 print_report(out, name, r, config.frequency_hz, Some(&idgnn_report))?;
             }
