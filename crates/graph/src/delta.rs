@@ -115,6 +115,16 @@ impl GraphDelta {
         self.features.iter()
     }
 
+    /// Bytes the delta's change lists hold, counted by stored length: its
+    /// edge pairs, its feature rows and their `(vertex, end)` index. A
+    /// [`DynamicGraph`](crate::DynamicGraph) keeps every delta of its
+    /// stream, so this is how much a stream's input grows per snapshot.
+    pub fn stored_bytes(&self) -> usize {
+        let pair = std::mem::size_of::<(usize, usize)>();
+        (self.added_edges.len() + self.removed_edges.len() + self.features.rows.len()) * pair
+            + self.features.values.len() * std::mem::size_of::<f32>()
+    }
+
     /// Number of changed (added + removed) edges.
     pub fn num_changed_edges(&self) -> usize {
         self.added_edges.len() + self.removed_edges.len()
@@ -483,6 +493,21 @@ mod tests {
         assert!((d.addition_fraction() - 2.0 / 3.0).abs() < 1e-12);
         assert!((d.dissimilarity_ratio(&base()) - 0.75).abs() < 1e-12);
         assert_eq!(GraphDelta::empty().addition_fraction(), 1.0);
+    }
+
+    #[test]
+    fn stored_bytes_count_every_list_by_its_length() {
+        let pair = std::mem::size_of::<(usize, usize)>();
+        assert_eq!(GraphDelta::empty().stored_bytes(), 0);
+        // A duplicate edge is dropped before it is stored.
+        let d = GraphDelta::builder()
+            .add_edge(0, 4)
+            .add_edge(4, 0)
+            .remove_edge(1, 2)
+            .update_feature(3, vec![1.0, 2.0, 3.0])
+            .update_feature(0, Vec::new())
+            .build();
+        assert_eq!(d.stored_bytes(), (2 + 2) * pair + 3 * std::mem::size_of::<f32>());
     }
 
     #[test]

@@ -15,7 +15,8 @@
 # 8. the `walkthrough` toy example, which exits non-zero if any Eq. 13-15
 #    identity fails;
 # 9. the long-stream memory gate: peak RSS of the one-pass simulation at
-#    400 snapshots within 1.10x of its peak at 40 (examples/long_stream_rss.rs);
+#    400 snapshots within 1.10x of its peak at 40, each net of the bytes its
+#    stored input stream holds (examples/long_stream_rss.rs);
 # 10. the repo benchmark's own tests (perfbench is a separate workspace, so
 #    `cargo test --workspace` never reaches its exact-reference checks);
 # 11. perfbench --record-reference at seeds 0, 7, 42: every simulated
@@ -118,11 +119,13 @@ stage "bench walkthrough (every Eq. 13-15 identity on the paper's toy graph)"
 # recomputation; any identity that fails makes the binary exit 1.
 cargo run --release -q -p idgnn-bench --bin walkthrough >/dev/null
 
-stage "long-stream memory gate (peak RSS at 400 snapshots <= 1.10x at 40)"
+stage "long-stream memory gate (peak RSS net of the stored stream at 400 snapshots <= 1.10x at 40)"
 # The executors stream snapshots and the simulator keeps no per-snapshot
 # matrices, so host memory must not grow with the stream. Each length runs
 # in its own child process on a size-stationary stream (additions balance
-# deletions); the example exits 1 when the long run's peak exceeds the gate.
+# deletions). The input stream keeps every delta by design, so each child
+# also reports the bytes its deltas store, and the example exits 1 when the
+# long run's peak minus its stored stream exceeds 1.10x the short run's.
 cargo run --release -q --example long_stream_rss
 
 stage "cargo test --manifest-path perfbench/Cargo.toml"
