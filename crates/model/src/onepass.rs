@@ -27,7 +27,13 @@
 //! Every path — `L ≤ 1`, Eq. 15 at `L = 2, 3`, and the general path with or
 //! without a [`PowerCache`] — ends by handing `ΔA_C` row by row to a
 //! [`RowSink`] ([`ops::sp_sum_pruned_rows`], or [`ops::sp_rows`] for
-//! `L ≤ 1`, whose `ΔA_C` is `0` or `ΔA`). The paper's AComb feeds AG the
+//! `L ≤ 1`, whose `ΔA_C` is `0` or `ΔA`). Eq. 15 at `L = 3` and the general
+//! path never form their first term either: `A·ΔA·A = Pᵀ·A` and
+//! `ΔA·(A+ΔA)^{L−1}` are the sum's lead product
+//! ([`ops::sp_sum_pruned_rows_led`]), whose Gustavson segments are added
+//! straight into the sum's accumulator, bit-identical to forming the
+//! product and summing it, with the product's exact [`OpStats`]. The
+//! paper's AComb feeds AG the
 //! same way (§V): [`fused_dissimilarity_rows`] lets the one-pass executor
 //! aggregate each row as it arrives and never store the matrix, while
 //! [`fused_dissimilarity`] and [`fused_dissimilarity_cached`] collect the
@@ -324,7 +330,10 @@ fn dissimilarity_impl<S: RowSink>(
 /// ([`pattern_product_stats`]). The products by the identity in the chains
 /// and terms — `I·A`, `I·(A+ΔA)`, `I·ΔA` and `(A^{L-1}·ΔA)·I` — are not
 /// executed: the first two are clones, the last two skipped, and each is
-/// counted at the kernel's cost for it ([`identity_stats`]).
+/// counted at the kernel's cost for it ([`identity_stats`]). Term 0,
+/// `ΔA·(A+ΔA)^{L-1}`, is the term sum's lead product `(ΔA, slice)`
+/// ([`ops::sp_sum_pruned_rows_led`]): it is accumulated into the sum, never
+/// formed, and enters `ops` at the product's own cost.
 ///
 /// [`spgemm_with_stats`]: ops::spgemm_with_stats
 fn general<S: RowSink>(
@@ -391,13 +400,12 @@ fn general<S: RowSink>(
     drop((a_cols, n_rows));
 
     // Term i is A^i·ΔA·(A+ΔA)^{L-1-i}. The identity factors of terms 0 and
-    // L − 1 are skipped and counted at the kernel's cost for them.
-    let mut terms = Vec::with_capacity(l_us);
-    for i in 0..l_us {
-        let (term, s1, s2) = if i == 0 {
-            let (term, s2) = ops::spgemm_with_stats(da, &n_top)?;
-            (term, identity_stats(da), s2)
-        } else if i == top {
+    // L − 1 are skipped and counted at the kernel's cost for them. Term 0,
+    // ΔA·(A+ΔA)^{L-1}, is the sum's lead product (below): it is never
+    // formed.
+    let mut terms = Vec::with_capacity(top);
+    for i in 1..l_us {
+        let (term, s1, s2) = if i == top {
             let (term, s1) = ops::spgemm_with_stats(&a_top, da)?;
             let s2 = identity_stats(&term);
             (term, s1, s2)
@@ -416,18 +424,22 @@ fn general<S: RowSink>(
     // pool: the pool hands buffers out last in, first out whatever their
     // size, and pooling these odd-sized ones let later large outputs grow
     // each of them (perfbench `powerchain-l4` peak RSS about 2× higher).
-    drop((pow_a, a_top, n_top));
+    drop((pow_a, a_top));
     let mut prefix = vec![0usize; l_us];
-    let delta_ac = ops::sp_sum_pruned_rows(&terms.iter().collect::<Vec<_>>(), &mut prefix, sink)?;
+    let term_refs: Vec<&CsrMatrix> = terms.iter().collect();
+    let (delta_ac, s_lead) = ops::sp_sum_pruned_rows_led((da, &n_top), &term_refs, &mut prefix, sink)?;
+    drop(term_refs);
+    ops += identity_stats(da) + s_lead;
+    products += 2;
     // Reported adds follow a left-to-right merge: term i joins the unpruned
     // sum of terms 0..i at min(term nnz, sum nnz) adds; term 0 costs none.
-    for (term, &acc_nnz) in terms.iter().skip(1).zip(&prefix) {
+    for (term, &acc_nnz) in terms.iter().zip(&prefix) {
         ops.adds += term.nnz().min(acc_nnz) as u64;
     }
     // The terms go back to the allocator too, for the reason above: pooled,
     // they ran perfbench `powerchain-l4` about 15 % faster but took its peak
     // RSS from about 30 MB to 44-48 MB.
-    drop(terms);
+    drop((terms, n_top));
     if let Some(c) = cache {
         c.install(a_next, pow_n, pn_stats);
     }
@@ -560,7 +572,10 @@ fn optimized_l2<S: RowSink>(a: &CsrMatrix, da: &CsrMatrix, sink: S) -> Result<Di
 ///
 /// Every product has the hyper-sparse `ΔA` as one operand (directly or
 /// through `P = ΔA·A`), so the chains never touch the dense-ish
-/// `(A + ΔA)²` that the general path must build.
+/// `(A + ΔA)²` that the general path must build. The largest of the seven,
+/// `A·ΔA·A = Pᵀ·A`, is never formed: it leads the term sum
+/// ([`ops::sp_sum_pruned_rows_led`]), which adds its rows straight into the
+/// sum's accumulator and reports its exact cost for `ops`.
 fn optimized_l3<S: RowSink>(a: &CsrMatrix, da: &CsrMatrix, sink: S) -> Result<Dissimilarity<S>> {
     debug_assert!(a.is_symmetric(1e-5) && da.is_symmetric(1e-5));
     let mut ops = OpStats::default();
@@ -573,7 +588,7 @@ fn optimized_l3<S: RowSink>(a: &CsrMatrix, da: &CsrMatrix, sink: S) -> Result<Di
     };
 
     let (p, _) = mm(da, a)?; // P = ΔA·A (shared)
-    let (ada_a, _) = mm(&p.transpose(), a)?; // A·ΔA·A   (palindrome, self-transpose)
+    let pt = p.transpose(); // = A·ΔA by symmetry; Pᵀ·A = A·ΔA·A is the sum's lead
     let (da_a_da, _) = mm(&p, da)?; // ΔA·A·ΔA (palindrome)
     let (dd, _) = mm(da, da)?; // ΔA²
     let (dda, s_dda) = mm(&dd, a)?; // ΔA·ΔA·A  → its T gives A·ΔA·ΔA
@@ -581,16 +596,20 @@ fn optimized_l3<S: RowSink>(a: &CsrMatrix, da: &CsrMatrix, sink: S) -> Result<Di
     let (ddd, _) = mm(&dd, da)?; // ΔA³
 
     let (dda_t, daa_t) = (dda.transpose(), daa.transpose());
-    let terms = [&ada_a, &da_a_da, &dda, &dda_t, &daa, &daa_t, &ddd];
+    // A·ΔA·A (palindrome, self-transpose) leads the sum as the product
+    // Pᵀ·A, accumulated into the sum's SPA instead of formed.
+    let terms = [&da_a_da, &dda, &dda_t, &daa, &daa_t, &ddd];
     let mut prefix = [0usize; 7];
-    let delta_ac = ops::sp_sum_pruned_rows(&terms, &mut prefix, sink)?;
+    let (delta_ac, s_lead) = ops::sp_sum_pruned_rows_led((&pt, a), &terms, &mut prefix, sink)?;
+    ops += s_lead;
+    products += 1;
     // Reported adds follow a left-to-right merge: the first two terms
     // combine uncounted, then each later term joins the unpruned sum of
     // the terms before it at min(term nnz, max(sum nnz, 1)) adds.
-    for (term, &acc_nnz) in terms.iter().skip(2).zip(prefix.iter().skip(1)) {
+    for (term, &acc_nnz) in terms.iter().skip(1).zip(prefix.iter().skip(1)) {
         ops.adds += term.nnz().min(acc_nnz.max(1)) as u64;
     }
-    for m in [p, ada_a, da_a_da, dd, dda, dda_t, daa, daa_t, ddd] {
+    for m in [p, da_a_da, dd, dda, dda_t, daa, daa_t, ddd] {
         workspace::recycle(m);
     }
     // The two transposes substitute for the mirror products A·ΔA·ΔA and

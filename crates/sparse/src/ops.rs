@@ -3,7 +3,8 @@
 //! Each op has one entry point: [`spgemm_with_stats`], [`spmm_with_stats`],
 //! [`gemm_with_stats`], [`sp_pow_with_stats`], [`sp_add`], [`sp_sub`],
 //! [`sp_add_pruned`], [`sp_sub_pruned`] and [`sp_sum_pruned`] (whose rows
-//! [`sp_sum_pruned_rows`] streams into a sink). Every entry
+//! [`sp_sum_pruned_rows`] streams into a sink, and
+//! [`sp_sum_pruned_rows_led`] after a lead product). Every entry
 //! that multiplies returns the exact number of scalar multiply and add
 //! operations it performed ([`OpStats`]; callers that drop them write `?.0`). The
 //! accelerator model uses these counts directly — the paper's simulator
@@ -48,6 +49,9 @@
 //! terms in one pass — the `ΔA_C` term sum of Eqs. 13/15 — and hands each
 //! pruned row to a [`RowSink`] instead of storing it; [`sp_sum_pruned`] is
 //! that sum with the sink that assembles a CSR ([`CsrRows`]).
+//! [`sp_sum_pruned_rows_led`] is the same row loop with a lead product
+//! `x · b` as the first term, accumulated straight into the sum's SPA by
+//! the fused SpGEMM's own row accumulation instead of formed.
 //!
 //! The scalar reference (`reference::spgemm_scalar`) keeps the explicit
 //! two-phase structure the fused pass superseded — a private stamp array
@@ -280,6 +284,29 @@ fn accumulate_segment(
     new + or_word(run_w, run)
 }
 
+/// Adds row `r` of the product `x · b` into the SPA, Gustavson style: for
+/// each `x[r, k]` in ascending `k`, the segment `b[k, :]` times `x[r, k]`
+/// ([`accumulate_segment`]). Returns the row's multiplies and the bits it
+/// newly set. Each slot receives its products in ascending-`k` order, which
+/// is what makes every consumer of this row accumulation bit-identical to
+/// [`spgemm_with_stats`].
+#[inline(always)]
+fn accumulate_product_row(
+    ws: &mut Workspace,
+    words: &mut (usize, usize),
+    x: &CsrMatrix,
+    b: &CsrMatrix,
+    r: usize,
+) -> (u64, usize) {
+    let (mut mults, mut new) = (0u64, 0usize);
+    for (k, va) in x.row_iter(r) {
+        let cols = b.row_indices(k);
+        new += accumulate_segment(ws, words, cols, b.row_values(k), |vb| va * vb);
+        mults += cols.len() as u64;
+    }
+    (mults, new)
+}
+
 /// Drains the row marked in [`Workspace`]'s bitmap words `lo..=hi`: calls
 /// `emit(c, slot)` for each marked column `c` in ascending order with its
 /// accumulator slot, clearing each word as it is read. `emit` must reset
@@ -308,7 +335,7 @@ fn drain_row(
 
 /// The fused single-visit pass over one output row: for each `a[r, k]` the
 /// B segment is multiplied and each product added into its resting slot
-/// ([`accumulate_segment`]), marking its column in the same traversal. The
+/// ([`accumulate_product_row`]), marking its column in the same traversal. The
 /// row's columns are then drained in ascending order ([`drain_row`]) and
 /// the accumulator gathered in that order by one exact-size `extend`,
 /// resetting each slot to `-0.0`. That is the emission the two-phase reference
@@ -329,12 +356,7 @@ fn spgemm_row_fused(
     row_lens: &mut Vec<usize>,
 ) -> u64 {
     let mut words = (usize::MAX, 0usize);
-    let mut mults = 0u64;
-    for (k, va) in a.row_iter(r) {
-        let cols = b.row_indices(k);
-        accumulate_segment(ws, &mut words, cols, b.row_values(k), |vb| va * vb);
-        mults += cols.len() as u64;
-    }
+    let (mults, _) = accumulate_product_row(ws, &mut words, a, b, r);
     let start = indices.len();
     drain_row(ws, words, |c, _| indices.push(c));
     row_lens.push(indices.len() - start);
@@ -608,35 +630,57 @@ impl RowSink for CsrRows {
     }
 }
 
-/// The SPA term sum of [`sp_sum_pruned_rows`].
+/// The SPA term sum behind [`sp_sum_pruned_rows`] and
+/// [`sp_sum_pruned_rows_led`], over a `shape` sum.
 ///
-/// Each row adds the terms' entries into their resting slots in term order
-/// (so a slot holds `((t₀ + t₁) + t₂) + …` over the terms that store it —
-/// the pairwise fold's order, `-0.0 + t₀` being `t₀`) and marks their
-/// columns, adding the bits each term newly sets to its `prefix_nnz` slot
-/// (the unpruned prefix-sum nnz). It drains the row through [`drain_row`],
-/// which resets every slot, keeps only values with `v.abs() > 0.0`, and
-/// hands the row to `sink`.
+/// Each row first adds the lead product's row, if there is one, straight
+/// into its resting slots ([`accumulate_product_row`], the row SpGEMM
+/// would form), then the terms' entries in term order. So a slot holds
+/// `((t₀ + t₁) + t₂) + …` over the terms that store it: the pairwise fold's
+/// order, with `t₀` the lead product or the first term (`-0.0 + t₀` being
+/// `t₀`). Every addend marks its column, and the bits the lead and each
+/// term newly set are added to their `prefix_nnz` slot (the unpruned
+/// prefix-sum nnz). The row is drained through [`drain_row`], which resets
+/// every slot, keeps only values with `v.abs() > 0.0`, and hands the row to
+/// `sink`. Returns the lead product's [`OpStats`] as [`spgemm_with_stats`]
+/// reports them (zero without a lead): its multiplies, and its adds, the
+/// multiplies minus its structural nnz `prefix_nnz[0]`.
 ///
 /// The sink is sized first, so a sink that takes pooled output buffers
 /// ([`CsrRows`]) gets the most recently recycled buffer — a recycled
 /// matrix's `indices`, usually the largest — rather than the row scratch.
 fn sp_sum_rows_in<S: RowSink>(
+    lead: Option<(&CsrMatrix, &CsrMatrix)>,
     terms: &[&CsrMatrix],
+    (rows, width): (usize, usize),
     prefix_nnz: &mut [usize],
     ws: &mut Workspace,
     sink: &mut S,
-) {
-    ws.ensure_width(terms[0].cols());
-    // Upper bound on the output nnz: every term entry is distinct.
-    sink.reserve(terms.iter().map(|t| t.nnz()).sum());
+) -> OpStats {
+    ws.ensure_width(width);
+    // Upper bound on the output nnz: every lead row holds at most one entry
+    // per multiply and at most `width`, and every term entry is distinct.
+    let lead_cap: usize = lead.map_or(0, |(x, b)| {
+        (0..rows)
+            .map(|r| x.row_indices(r).iter().map(|&k| b.row_nnz(k)).sum::<usize>().min(width))
+            .sum()
+    });
+    sink.reserve(lead_cap + terms.iter().map(|t| t.nnz()).sum::<usize>());
     let mut cols = workspace::take_index_buffer(0);
     let mut vals = workspace::take_value_buffer(0);
     prefix_nnz.fill(0);
-    for r in 0..terms[0].rows() {
+    let (lead_nnz, term_nnz) = prefix_nnz.split_at_mut(usize::from(lead.is_some()));
+    let mut lead_mults = 0u64;
+    for r in 0..rows {
         let mut words = (usize::MAX, 0usize);
         let mut distinct = 0usize;
-        for (term, count) in terms.iter().zip(prefix_nnz.iter_mut()) {
+        if let (Some((x, b)), Some(count)) = (lead, lead_nnz.first_mut()) {
+            let (mults, new) = accumulate_product_row(ws, &mut words, x, b, r);
+            lead_mults += mults;
+            distinct += new;
+            *count += distinct;
+        }
+        for (term, count) in terms.iter().zip(term_nnz.iter_mut()) {
             distinct +=
                 accumulate_segment(ws, &mut words, term.row_indices(r), term.row_values(r), |v| v);
             *count += distinct;
@@ -654,34 +698,55 @@ fn sp_sum_rows_in<S: RowSink>(
     }
     workspace::recycle_index_buffer(cols);
     workspace::recycle_value_buffer(vals);
+    let lead_nnz = lead_nnz.first().map_or(0, |&n| n as u64);
+    OpStats::counted(lead_mults, lead_mults - lead_nnz)
 }
 
-/// Checks the inputs of a term sum: at least one term, one prefix slot per
-/// term, and one shape.
-fn check_sum_terms(terms: &[&CsrMatrix], prefix_nnz: &[usize]) -> Result<()> {
-    let Some(first) = terms.first() else {
-        return Err(SparseError::InvalidStructure {
-            reason: "sp_sum_pruned needs at least one term".into(),
-        });
+/// Checks the inputs of a term sum and returns the sum's shape: a lead
+/// product whose factors chain, at least one addend, one prefix slot per
+/// addend (the lead included), and one shape for the lead product and
+/// every term.
+fn check_sum_terms(
+    lead: Option<(&CsrMatrix, &CsrMatrix)>,
+    terms: &[&CsrMatrix],
+    prefix_nnz: &[usize],
+) -> Result<(usize, usize)> {
+    let shape = match (lead, terms.first()) {
+        (Some((x, b)), _) if x.cols() != b.rows() => {
+            return Err(SparseError::DimensionMismatch {
+                op: "sp_sum_pruned lead product",
+                lhs: x.shape(),
+                rhs: b.shape(),
+            });
+        }
+        (Some((x, b)), _) => (x.rows(), b.cols()),
+        (None, Some(first)) => first.shape(),
+        (None, None) => {
+            return Err(SparseError::InvalidStructure {
+                reason: "sp_sum_pruned needs at least one term".into(),
+            });
+        }
     };
-    if prefix_nnz.len() != terms.len() {
+    let addends = terms.len() + usize::from(lead.is_some());
+    if prefix_nnz.len() != addends {
         return Err(SparseError::InvalidStructure {
-            reason: format!("{} prefix slots for {} terms", prefix_nnz.len(), terms.len()),
+            reason: format!("{} prefix slots for {addends} terms", prefix_nnz.len()),
         });
     }
-    if let Some(other) = terms.iter().find(|t| t.shape() != first.shape()) {
+    if let Some(other) = terms.iter().find(|t| t.shape() != shape) {
         return Err(SparseError::DimensionMismatch {
             op: "sp_sum_pruned",
-            lhs: first.shape(),
+            lhs: shape,
             rhs: other.shape(),
         });
     }
-    Ok(())
+    Ok(shape)
 }
 
 /// Sum of `k` same-shape sparse matrices with exact zeros dropped, streamed
 /// row by row into `sink` instead of stored: the rows [`sp_sum_pruned`]
-/// assembles, bit for bit, with the same prefix counts.
+/// assembles, bit for bit, with the same prefix counts. It is
+/// [`sp_sum_pruned_rows_led`] without a lead product.
 ///
 /// Every stored value accumulates its terms in term order through a shared
 /// [`Workspace`] SPA resting at `-0.0`, which is the order a left-to-right
@@ -705,11 +770,60 @@ fn check_sum_terms(terms: &[&CsrMatrix], prefix_nnz: &[usize]) -> Result<()> {
 pub fn sp_sum_pruned_rows<S: RowSink>(
     terms: &[&CsrMatrix],
     prefix_nnz: &mut [usize],
-    mut sink: S,
+    sink: S,
 ) -> Result<S> {
-    check_sum_terms(terms, prefix_nnz)?;
-    workspace::with_workspace(|ws| sp_sum_rows_in(terms, prefix_nnz, ws, &mut sink));
-    Ok(sink)
+    sp_sum_rows_checked(None, terms, prefix_nnz, sink).map(|(sink, _)| sink)
+}
+
+/// [`sp_sum_pruned_rows`] of the product `x · b` followed by `terms`,
+/// without forming `x · b`: each row's Gustavson segments are added
+/// straight into the sum's SPA, then the terms on top. `x · b` is the
+/// sum's first term `t₀` and takes `prefix_nnz[0]`, so `prefix_nnz` holds
+/// `terms.len() + 1` slots; `terms` may be empty.
+///
+/// The rows are bit for bit those of [`spgemm_with_stats`]`(x, b)` passed
+/// as the first term to [`sp_sum_pruned_rows`], and so are the prefix
+/// counts: the materialised product forms each `t₀` entry from `-0.0` in
+/// ascending-`k` order and the sum adds it to a `-0.0` slot, which gives
+/// `t₀` exactly; here the same additions run in the same order in the
+/// sum's slot. `prefix_nnz[0]` is the product's structural nnz (stored
+/// zeros included), so the returned [`OpStats`] are the product's own, as
+/// [`spgemm_with_stats`] reports them: `mults` the segment lengths summed,
+/// `adds = mults − prefix_nnz[0]`.
+///
+/// The sink is [reserved](RowSink::reserve) for an upper bound on the
+/// product's nnz plus the terms' total. This is the Eq. 15 `ΔA_C` sum whose
+/// lead term `A·ΔA·A = Pᵀ·A` would otherwise be the largest matrix
+/// AComb materialises, and the Eq. 13 term `ΔA·(A+ΔA)^{L−1}`.
+///
+/// # Errors
+///
+/// Returns [`SparseError::DimensionMismatch`] if `x.cols() != b.rows()` or
+/// a term's shape is not `x.rows() × b.cols()`, and
+/// [`SparseError::InvalidStructure`] if
+/// `prefix_nnz.len() != terms.len() + 1`.
+pub fn sp_sum_pruned_rows_led<S: RowSink>(
+    (x, b): (&CsrMatrix, &CsrMatrix),
+    terms: &[&CsrMatrix],
+    prefix_nnz: &mut [usize],
+    sink: S,
+) -> Result<(S, OpStats)> {
+    sp_sum_rows_checked(Some((x, b)), terms, prefix_nnz, sink)
+}
+
+/// Validates a term sum ([`check_sum_terms`]) and runs it on a pooled
+/// workspace, returning the sink and the lead product's [`OpStats`].
+fn sp_sum_rows_checked<S: RowSink>(
+    lead: Option<(&CsrMatrix, &CsrMatrix)>,
+    terms: &[&CsrMatrix],
+    prefix_nnz: &mut [usize],
+    mut sink: S,
+) -> Result<(S, OpStats)> {
+    let shape = check_sum_terms(lead, terms, prefix_nnz)?;
+    let stats = workspace::with_workspace(|ws| {
+        sp_sum_rows_in(lead, terms, shape, prefix_nnz, ws, &mut sink)
+    });
+    Ok((sink, stats))
 }
 
 /// Sum of `k` same-shape sparse matrices with exact zeros dropped, in one
@@ -1302,14 +1416,22 @@ mod tests {
                 let (p, _) = assemble_csr(a.rows(), b.cols(), parts);
                 let neg = p.scale(-1.0);
                 let mut sink = CsrRows::new(p.rows(), p.cols());
-                sp_sum_rows_in(&[&p, &neg, &p], &mut [0; 3], &mut ws, &mut sink);
+                sp_sum_rows_in(None, &[&p, &neg, &p], p.shape(), &mut [0; 3], &mut ws, &mut sink);
                 crate::workspace::assert_at_rest(&ws, &format!("case {i} sum"));
+                workspace::recycle(sink.into_matrix());
+                // The lead product a·b, cancelled by its negation and refilled.
+                let mut sink = CsrRows::new(p.rows(), p.cols());
+                sp_sum_rows_in(Some((a, b)), &[&neg, &p], p.shape(), &mut [0; 3], &mut ws, &mut sink);
+                crate::workspace::assert_at_rest(&ws, &format!("case {i} lead sum"));
                 workspace::recycle(sink.into_matrix());
             }
             // The pooled entry points.
             let (p, _) = spgemm_with_stats(a, b).unwrap();
             spgemm_scalar(a, b).unwrap();
             sp_sum_pruned(&[&p, &p.scale(f32::NAN)], &mut [0, 0]).unwrap();
+            let nan = p.scale(f32::NAN);
+            sp_sum_pruned_rows_led((a, b), &[&nan], &mut [0, 0], CsrRows::new(p.rows(), p.cols()))
+                .unwrap();
             crate::workspace::for_each_pooled_workspace(|ws| {
                 crate::workspace::assert_at_rest(ws, &format!("case {i} pooled"));
             });
@@ -1410,6 +1532,103 @@ mod tests {
         assert_eq!(zero_sum.nnz(), 0);
         let cancelled = sp_sum_pruned(&[&a, &neg_a], &mut [0, 0]).unwrap();
         assert_eq!(cancelled.nnz(), 0);
+    }
+
+    /// The lead-product sum of `x · b` and `terms` against SpGEMM's product
+    /// materialised as the first term of [`sp_sum_pruned`]: rows (streamed
+    /// and collected), value bits, prefix counts and the product's stats.
+    fn assert_lead_sum_matches(x: &CsrMatrix, b: &CsrMatrix, terms: &[&CsrMatrix], ctx: &str) {
+        let (t0, want_st) = spgemm_with_stats(x, b).unwrap();
+        let mut refs = vec![&t0];
+        refs.extend_from_slice(terms);
+        let mut want_prefix = vec![0; refs.len()];
+        let want = sp_sum_pruned(&refs, &mut want_prefix).unwrap();
+        let mut prefix = vec![usize::MAX; refs.len()];
+        let (sink, st) = sp_sum_pruned_rows_led((x, b), terms, &mut prefix, Recorded::default()).unwrap();
+        assert_streams(&sink, &want, ctx);
+        assert_eq!(prefix, want_prefix, "{ctx}");
+        assert_eq!(st, want_st, "{ctx}");
+        assert_eq!(st.adds, st.mults - prefix[0] as u64, "{ctx}");
+        let (sink, _) =
+            sp_sum_pruned_rows_led((x, b), terms, &mut prefix, CsrRows::new(t0.rows(), t0.cols())).unwrap();
+        assert_csr_identical(&want, &sink.into_matrix());
+    }
+
+    #[test]
+    fn lead_product_sum_matches_the_materialised_product_then_the_sum() {
+        let n = 200;
+        let x = random_sparse(n, 1_500, 41);
+        let b = random_sparse(n, 1_500, 42);
+        let t = random_sparse(n, 3_000, 43);
+        let xb = spgemm_with_stats(&x, &b).unwrap().0;
+        let neg_xb = xb.scale(-1.0);
+        // Stored ±0.0 and NaN/∞ in the lead operands, on every seventh row.
+        let mut coo = CooMatrix::new(n, n);
+        for r in (0..n).step_by(7) {
+            coo.push(r, (r * 3) % n, 0.0).unwrap();
+            coo.push(r, (r * 3 + 1) % n, -0.0).unwrap();
+            coo.push(r, (r * 5 + 2) % n, f32::NAN).unwrap();
+            coo.push(r, (r * 5 + 4) % n, f32::INFINITY).unwrap();
+        }
+        let specials = coo.to_csr();
+        let x_special = sp_add(&x, &specials).unwrap();
+        let b_special = sp_add(&b, &specials.transpose()).unwrap();
+        // Lead rows 100.. are empty.
+        let x_half = CsrMatrix::from_raw_parts(
+            n,
+            n,
+            (0..=n).map(|r| x.indptr()[r.min(100)]).collect(),
+            x.indices()[..x.indptr()[100]].to_vec(),
+            x.values()[..x.indptr()[100]].to_vec(),
+        )
+        .unwrap();
+        assert_lead_sum_matches(&x, &b, &[&t], "lead, then a term");
+        assert_lead_sum_matches(&x, &b, &[], "lead only");
+        assert_lead_sum_matches(&x, &b, &[&neg_xb], "exact cancellation");
+        assert_lead_sum_matches(&x, &b, &[&neg_xb, &t], "cancel, then refill");
+        assert_lead_sum_matches(&x_special, &b_special, &[&t, &specials], "±0.0, NaN and ∞");
+        assert_lead_sum_matches(&x_half, &b, &[&t], "empty lead rows");
+        let cancelled =
+            sp_sum_pruned_rows_led((&x, &b), &[&neg_xb], &mut [0, 0], CsrRows::new(n, n)).unwrap();
+        assert_eq!(cancelled.0.into_matrix().nnz(), 0, "the lead must cancel exactly");
+        // Empty operands: no rows, no columns, and an empty shared dimension.
+        let (e0, e3x0, e0x4) = (CsrMatrix::zeros(0, 0), CsrMatrix::zeros(3, 0), CsrMatrix::zeros(0, 4));
+        assert_lead_sum_matches(&e0, &e0, &[], "0×0");
+        assert_lead_sum_matches(&e3x0, &e0x4, &[&CsrMatrix::zeros(3, 4)], "3×0 · 0×4");
+        assert_lead_sum_matches(&CsrMatrix::zeros(3, 5), &CsrMatrix::zeros(5, 2), &[], "all-empty rows");
+    }
+
+    #[test]
+    fn lead_product_sum_rejects_mismatched_shapes() {
+        let (a3, a4) = (CsrMatrix::identity(3), CsrMatrix::identity(4));
+        let wide = CsrMatrix::zeros(3, 4);
+        let sink = || CsrRows::new(3, 3);
+        // x.cols() ≠ b.rows().
+        assert!(matches!(
+            sp_sum_pruned_rows_led((&a3, &a4), &[], &mut [0], sink()),
+            Err(SparseError::DimensionMismatch { .. })
+        ));
+        // The lead product is 3×3, a term 3×4 or 4×4.
+        for term in [&wide, &a4] {
+            assert!(matches!(
+                sp_sum_pruned_rows_led((&a3, &a3), &[&a3, term], &mut [0; 3], sink()),
+                Err(SparseError::DimensionMismatch { .. })
+            ));
+        }
+        // A 3×4 lead product (3×3 · 3×4) against 3×3 terms.
+        assert!(matches!(
+            sp_sum_pruned_rows_led((&a3, &wide), &[&a3], &mut [0, 0], sink()),
+            Err(SparseError::DimensionMismatch { .. })
+        ));
+        // One prefix slot for the lead and one per term.
+        for slots in [1usize, 3] {
+            assert!(matches!(
+                sp_sum_pruned_rows_led((&a3, &a3), &[&a3], &mut vec![0; slots], sink()),
+                Err(SparseError::InvalidStructure { .. })
+            ));
+        }
+        let (sink, _) = sp_sum_pruned_rows_led((&a3, &wide), &[&wide], &mut [0, 0], CsrRows::new(3, 4)).unwrap();
+        assert_eq!(sink.into_matrix().nnz(), 0);
     }
 
     #[test]

@@ -446,6 +446,34 @@ proptest! {
     }
 
     #[test]
+    fn lead_product_sum_matches_the_materialised_product_then_the_sum(
+        x in palette_matrix(&SUM_PALETTE, 5, 4),
+        b in palette_matrix(&SUM_PALETTE, 4, 7),
+        terms in prop::collection::vec(palette_matrix(&SUM_PALETTE, 5, 7), 0..4),
+    ) {
+        // `x · b` accumulated straight into the sum against SpGEMM's product
+        // passed to the sum as its first term: rows, bits, prefix counts and
+        // the product's OpStats, with ±0.0, NaN and ∞ in every operand.
+        let (t0, want_st) = ops::spgemm_with_stats(&x, &b).unwrap();
+        let mut refs: Vec<&CsrMatrix> = vec![&t0];
+        refs.extend(terms.iter());
+        let mut want_prefix = vec![0usize; refs.len()];
+        let want = ops::sp_sum_pruned(&refs, &mut want_prefix).unwrap();
+        let rest: Vec<&CsrMatrix> = terms.iter().collect();
+        let mut prefix = vec![usize::MAX; refs.len()];
+        let (sink, st) = ops::sp_sum_pruned_rows_led(
+            (&x, &b),
+            &rest,
+            &mut prefix,
+            ops::CsrRows::new(5, 7),
+        )
+        .unwrap();
+        assert_bit_identical(&want, &sink.into_matrix());
+        prop_assert_eq!(prefix, want_prefix);
+        prop_assert_eq!(st, want_st);
+    }
+
+    #[test]
     fn bitmap_emission_matches_sorted_emission_on_every_spgemm_path(
         seed in 0u64..1_000_000,
         cols in (0usize..7).prop_map(|i| [31usize, 63, 64, 65, 128, 129, 700][i]),
