@@ -27,17 +27,17 @@
 //! Every path — `L ≤ 1`, Eq. 15 at `L = 2, 3`, and the general path with or
 //! without a [`PowerCache`] — ends by handing `ΔA_C` row by row to a
 //! [`RowSink`] ([`ops::sp_sum_pruned_rows`], or [`ops::sp_rows`] for
-//! `L ≤ 1`, whose `ΔA_C` is `0` or `ΔA`). Eq. 15 at `L = 3` and the general
-//! path never form their first term either: `A·ΔA·A = Pᵀ·A` and
-//! `ΔA·(A+ΔA)^{L−1}` are the sum's lead product
-//! ([`ops::sp_sum_pruned_rows_led`]), whose Gustavson segments are added
-//! straight into the sum's accumulator, bit-identical to forming the
-//! product and summing it, with the product's exact [`OpStats`]. The
-//! paper's AComb feeds AG the
-//! same way (§V): [`fused_dissimilarity_rows`] lets the one-pass executor
-//! aggregate each row as it arrives and never store the matrix, while
-//! [`fused_dissimilarity`] and [`fused_dissimilarity_cached`] collect the
-//! rows into a [`CsrMatrix`] for tests, benches and the walkthrough.
+//! `L ≤ 1`, whose `ΔA_C` is `0` or `ΔA`). Nor is every term stored: the
+//! sum takes a term as a product addend ([`Addend::Product`]) whose rows it
+//! builds one at a time and adds into its accumulator, bit-identical to
+//! forming the product and summing it, with the product's exact
+//! [`OpStats`]. Eq. 15 at `L = 3` passes its largest term `A·ΔA·A = Pᵀ·A`
+//! that way, and the general path every Eq. 13 term (below). The paper's
+//! AComb feeds AG the same way (§V): [`fused_dissimilarity_rows`] lets the
+//! one-pass executor aggregate each row as it arrives and never store the
+//! matrix, while [`fused_dissimilarity`] and [`fused_dissimilarity_cached`]
+//! collect the rows into a [`CsrMatrix`] for tests, benches and the
+//! walkthrough.
 //!
 //! ## The general path builds only what `ΔA` reads
 //!
@@ -56,6 +56,9 @@
 //! stored patterns (both operands are powers of one pattern, so the
 //! product's row counts are unions of row bitmaps). Products by the
 //! identity are not executed but counted at the kernel's cost for them.
+//! No Eq. 13 term is formed: term `i` enters the sum as the product of the
+//! thin left factor `A^i·ΔA` (or the `A^{L−1}` slice, or `ΔA`) with its
+//! right factor, so only those factors are stored next to the chains.
 //!
 //! ## Cross-snapshot power caching
 //!
@@ -80,7 +83,7 @@
 //! The hit path serves callers that maintain the operator additively, such
 //! as the `kernels` bench's warm power chain.
 
-use idgnn_sparse::ops::{CsrRows, RowSink};
+use idgnn_sparse::ops::{Addend, CsrRows, RowSink};
 use idgnn_sparse::{ops, workspace, CsrMatrix, DenseMatrix, OpStats};
 
 use crate::error::{ModelError, Result};
@@ -330,10 +333,15 @@ fn dissimilarity_impl<S: RowSink>(
 /// ([`pattern_product_stats`]). The products by the identity in the chains
 /// and terms — `I·A`, `I·(A+ΔA)`, `I·ΔA` and `(A^{L-1}·ΔA)·I` — are not
 /// executed: the first two are clones, the last two skipped, and each is
-/// counted at the kernel's cost for it ([`identity_stats`]). Term 0,
-/// `ΔA·(A+ΔA)^{L-1}`, is the term sum's lead product `(ΔA, slice)`
-/// ([`ops::sp_sum_pruned_rows_led`]): it is accumulated into the sum, never
-/// formed, and enters `ops` at the product's own cost.
+/// counted at the kernel's cost for it ([`identity_stats`]).
+///
+/// No term is formed. Each enters the term sum ([`ops::sp_sum_pruned_rows`])
+/// as a product addend whose rows are built one at a time and added into
+/// the sum: term 0 as `(ΔA, (A+ΔA)^{L-1}[S_c, :])`, term `i` for
+/// `0 < i < L − 1` as `(A^i·ΔA, (A+ΔA)^{L-1-i})` and term `L − 1` as
+/// `(A^{L-1}[:, S_r], ΔA)`. Only the thin left factors `A^i·ΔA` and the two
+/// slices are stored. Each product enters `ops` at its own cost, as
+/// [`spgemm_with_stats`] reports it, and its nnz prices the fold's adds.
 ///
 /// [`spgemm_with_stats`]: ops::spgemm_with_stats
 fn general<S: RowSink>(
@@ -399,47 +407,34 @@ fn general<S: RowSink>(
     let n_top = ops::spgemm_with_stats(&n_rows, &a_next)?.0;
     drop((a_cols, n_rows));
 
-    // Term i is A^i·ΔA·(A+ΔA)^{L-1-i}. The identity factors of terms 0 and
-    // L − 1 are skipped and counted at the kernel's cost for them. Term 0,
-    // ΔA·(A+ΔA)^{L-1}, is the sum's lead product (below): it is never
-    // formed.
-    let mut terms = Vec::with_capacity(top);
-    for i in 1..l_us {
-        let (term, s1, s2) = if i == top {
-            let (term, s1) = ops::spgemm_with_stats(&a_top, da)?;
-            let s2 = identity_stats(&term);
-            (term, s1, s2)
-        } else {
-            let (a_pow, n_pow) = (&pow_a[i], &pow_n[top - i]);
-            let (left, s1) = ops::spgemm_with_stats(a_pow, da)?;
-            let (term, s2) = ops::spgemm_with_stats(&left, n_pow)?;
-            workspace::recycle(left);
-            (term, s1, s2)
-        };
-        ops += s1 + s2;
-        products += 2;
-        terms.push(term);
+    // Term i is A^i·ΔA·(A+ΔA)^{L-1-i}; every term enters the sum as a
+    // product addend, and only the left factors A^i·ΔA of the terms
+    // 0 < i < L − 1 are formed. The identity factors of terms 0 and L − 1
+    // are skipped and counted at the kernel's cost for them.
+    let mut lefts = Vec::with_capacity(top.saturating_sub(1));
+    for a_pow in &pow_a[1..top] {
+        let (left, s1) = ops::spgemm_with_stats(a_pow, da)?;
+        ops += s1;
+        lefts.push(left);
     }
-    // The chains and slices go back to the allocator, not to the buffer
-    // pool: the pool hands buffers out last in, first out whatever their
-    // size, and pooling these odd-sized ones let later large outputs grow
-    // each of them (perfbench `powerchain-l4` peak RSS about 2× higher).
-    drop((pow_a, a_top));
+    drop(pow_a);
+    let mut addends = Vec::with_capacity(l_us);
+    addends.push(Addend::Product(da, &n_top));
+    for (left, n_pow) in lefts.iter().zip(pow_n[1..].iter().rev()) {
+        addends.push(Addend::Product(left, n_pow));
+    }
+    addends.push(Addend::Product(&a_top, da));
     let mut prefix = vec![0usize; l_us];
-    let term_refs: Vec<&CsrMatrix> = terms.iter().collect();
-    let (delta_ac, s_lead) = ops::sp_sum_pruned_rows_led((da, &n_top), &term_refs, &mut prefix, sink)?;
-    drop(term_refs);
-    ops += identity_stats(da) + s_lead;
-    products += 2;
+    let mut stats = vec![OpStats::default(); l_us];
+    let (delta_ac, s_terms) = ops::sp_sum_pruned_rows(&addends, &mut prefix, &mut stats, sink)?;
+    // I·ΔA, every term's product, and (A^{L-1}·ΔA)·I; two products per term.
+    ops += identity_stats(da) + s_terms + OpStats::counted(product_nnz(stats[top]), 0);
+    products += 2 * l;
     // Reported adds follow a left-to-right merge: term i joins the unpruned
     // sum of terms 0..i at min(term nnz, sum nnz) adds; term 0 costs none.
-    for (term, &acc_nnz) in terms.iter().zip(&prefix) {
-        ops.adds += term.nnz().min(acc_nnz) as u64;
+    for (&term, &acc_nnz) in stats[1..].iter().zip(&prefix) {
+        ops.adds += product_nnz(term).min(acc_nnz as u64);
     }
-    // The terms go back to the allocator too, for the reason above: pooled,
-    // they ran perfbench `powerchain-l4` about 15 % faster but took its peak
-    // RSS from about 30 MB to 44-48 MB.
-    drop((terms, n_top));
     if let Some(c) = cache {
         c.install(a_next, pow_n, pn_stats);
     }
@@ -465,6 +460,12 @@ fn power_chain(m: &CsrMatrix, l: usize) -> Result<(Vec<CsrMatrix>, Vec<OpStats>)
         stats.push(pattern_product_stats(last, m, last.csr_bytes()));
     }
     Ok((powers, stats))
+}
+
+/// The structural nnz of a product whose [`OpStats`] are `s`: every output
+/// entry takes one multiply without an add.
+fn product_nnz(s: OpStats) -> u64 {
+    s.mults - s.adds
 }
 
 /// What [`ops::spgemm_with_stats`] reports for `I·m` or `m·I`: one multiply
@@ -554,7 +555,9 @@ fn optimized_l2<S: RowSink>(a: &CsrMatrix, da: &CsrMatrix, sink: S) -> Result<Di
     let pt = p.transpose(); // = A·ΔA by symmetry
     let (dd, s2) = ops::spgemm_with_stats(da, da)?; // ΔA²
     ops += s2;
-    let delta_ac = ops::sp_sum_pruned_rows(&[&p, &pt, &dd], &mut [0; 3], sink)?;
+    let addends = [Addend::Stored(&p), Addend::Stored(&pt), Addend::Stored(&dd)];
+    let stats = &mut [OpStats::default(); 3];
+    let (delta_ac, _) = ops::sp_sum_pruned_rows(&addends, &mut [0; 3], stats, sink)?;
     ops.adds += (p.nnz() + dd.nnz()) as u64;
     for m in [p, pt, dd] {
         workspace::recycle(m);
@@ -573,9 +576,10 @@ fn optimized_l2<S: RowSink>(a: &CsrMatrix, da: &CsrMatrix, sink: S) -> Result<Di
 /// Every product has the hyper-sparse `ΔA` as one operand (directly or
 /// through `P = ΔA·A`), so the chains never touch the dense-ish
 /// `(A + ΔA)²` that the general path must build. The largest of the seven,
-/// `A·ΔA·A = Pᵀ·A`, is never formed: it leads the term sum
-/// ([`ops::sp_sum_pruned_rows_led`]), which adds its rows straight into the
-/// sum's accumulator and reports its exact cost for `ops`.
+/// `A·ΔA·A = Pᵀ·A`, is never formed: it is the term sum's first addend, a
+/// product ([`ops::sp_sum_pruned_rows`]) whose rows accumulate straight into
+/// the sum's accumulator and whose exact cost goes to `ops`. `ΔA·A·A` and
+/// `ΔA·ΔA·A` stay stored, because their transposes read them.
 fn optimized_l3<S: RowSink>(a: &CsrMatrix, da: &CsrMatrix, sink: S) -> Result<Dissimilarity<S>> {
     debug_assert!(a.is_symmetric(1e-5) && da.is_symmetric(1e-5));
     let mut ops = OpStats::default();
@@ -599,8 +603,11 @@ fn optimized_l3<S: RowSink>(a: &CsrMatrix, da: &CsrMatrix, sink: S) -> Result<Di
     // A·ΔA·A (palindrome, self-transpose) leads the sum as the product
     // Pᵀ·A, accumulated into the sum's SPA instead of formed.
     let terms = [&da_a_da, &dda, &dda_t, &daa, &daa_t, &ddd];
+    let [t1, t2, t3, t4, t5, t6] = terms.map(Addend::Stored);
+    let addends = [Addend::Product(&pt, a), t1, t2, t3, t4, t5, t6];
     let mut prefix = [0usize; 7];
-    let (delta_ac, s_lead) = ops::sp_sum_pruned_rows_led((&pt, a), &terms, &mut prefix, sink)?;
+    let mut stats = [OpStats::default(); 7];
+    let (delta_ac, s_lead) = ops::sp_sum_pruned_rows(&addends, &mut prefix, &mut stats, sink)?;
     ops += s_lead;
     products += 1;
     // Reported adds follow a left-to-right merge: the first two terms

@@ -3,12 +3,12 @@
 //! Each op has one entry point: [`spgemm_with_stats`], [`spmm_with_stats`],
 //! [`gemm_with_stats`], [`sp_pow_with_stats`], [`sp_add`], [`sp_sub`],
 //! [`sp_add_pruned`], [`sp_sub_pruned`] and [`sp_sum_pruned`] (whose rows
-//! [`sp_sum_pruned_rows`] streams into a sink, and
-//! [`sp_sum_pruned_rows_led`] after a lead product). Every entry
-//! that multiplies returns the exact number of scalar multiply and add
-//! operations it performed ([`OpStats`]; callers that drop them write `?.0`). The
-//! accelerator model uses these counts directly — the paper's simulator
-//! "monitors the number of arithmetic operations" (§VI-A), and so do we.
+//! [`sp_sum_pruned_rows`] streams into a sink, over addends that may be
+//! unformed products). Every entry that multiplies returns the exact
+//! number of scalar multiply and add operations it performed
+//! ([`OpStats`]; callers that drop them write `?.0`). The accelerator
+//! model uses these counts directly — the paper's simulator "monitors the
+//! number of arithmetic operations" (§VI-A), and so do we.
 //!
 //! ## One thread per call
 //!
@@ -45,13 +45,16 @@
 //! rounding step matches, and every [`OpStats`] count matches with adds
 //! equal to multiplies minus output nnz.
 //!
-//! [`sp_sum_pruned_rows`] reuses the same SPA and emission to add `k` CSR
-//! terms in one pass — the `ΔA_C` term sum of Eqs. 13/15 — and hands each
-//! pruned row to a [`RowSink`] instead of storing it; [`sp_sum_pruned`] is
-//! that sum with the sink that assembles a CSR ([`CsrRows`]).
-//! [`sp_sum_pruned_rows_led`] is the same row loop with a lead product
-//! `x · b` as the first term, accumulated straight into the sum's SPA by
-//! the fused SpGEMM's own row accumulation instead of formed.
+//! [`sp_sum_pruned_rows`] reuses the same SPA and emission to add `k`
+//! addends in one pass — the `ΔA_C` term sum of Eqs. 13/15 — and hands
+//! each pruned row to a [`RowSink`] instead of storing it. An addend is a
+//! stored CSR or a product `x · b` ([`Addend`]) that is never formed: each
+//! of its rows is built by the fused SpGEMM's own row accumulation in a
+//! second pooled [`Workspace`] and added whole into the sum's slots (a
+//! product in first place accumulates straight into them). So every term
+//! value is the one SpGEMM would have stored. [`sp_sum_pruned`] is the
+//! collecting form over stored terms, with the sink that assembles a CSR
+//! ([`CsrRows`]).
 //!
 //! The scalar reference (`reference::spgemm_scalar`) keeps the explicit
 //! two-phase structure the fused pass superseded — a private stamp array
@@ -630,59 +633,140 @@ impl RowSink for CsrRows {
     }
 }
 
-/// The SPA term sum behind [`sp_sum_pruned_rows`] and
-/// [`sp_sum_pruned_rows_led`], over a `shape` sum.
+/// One addend of a term sum ([`sp_sum_pruned_rows`]): a stored matrix, or
+/// a product that is never stored.
+#[derive(Debug, Clone, Copy)]
+pub enum Addend<'a> {
+    /// A stored matrix, whose entries are added as they are.
+    Stored(&'a CsrMatrix),
+    /// The product `x · b`, formed one row at a time and added row by row.
+    Product(&'a CsrMatrix, &'a CsrMatrix),
+}
+
+impl<'a> From<&'a CsrMatrix> for Addend<'a> {
+    fn from(m: &'a CsrMatrix) -> Self {
+        Addend::Stored(m)
+    }
+}
+
+impl Addend<'_> {
+    /// The addend's shape, or [`SparseError::DimensionMismatch`] for a
+    /// product whose factors do not chain.
+    fn shape(self) -> Result<(usize, usize)> {
+        match self {
+            Addend::Stored(t) => Ok(t.shape()),
+            Addend::Product(x, b) if x.cols() != b.rows() => Err(SparseError::DimensionMismatch {
+                op: "sp_sum_pruned product addend",
+                lhs: x.shape(),
+                rhs: b.shape(),
+            }),
+            Addend::Product(x, b) => Ok((x.rows(), b.cols())),
+        }
+    }
+
+    /// An upper bound on the entries of row `r`: its stored nnz, or for a
+    /// product the row's multiplies.
+    fn row_bound(self, r: usize) -> usize {
+        match self {
+            Addend::Stored(t) => t.row_nnz(r),
+            Addend::Product(x, b) => x.row_indices(r).iter().map(|&k| b.row_nnz(k)).sum(),
+        }
+    }
+}
+
+/// Adds the row marked in `src`'s bitmap words `lo..=hi` into `dst`, whose
+/// row spans `words`: each marked slot's value is added whole into `dst`'s
+/// slot, in ascending column order, and its bit is set in `dst`. `src` is
+/// left at rest. Returns the row's entries and the bits newly set in `dst`.
+#[inline(always)]
+fn add_row_into(
+    src: &mut Workspace,
+    (lo, hi): (usize, usize),
+    dst: &mut Workspace,
+    words: &mut (usize, usize),
+) -> (usize, usize) {
+    let (mut nnz, mut new) = (0usize, 0usize);
+    for w in lo..=hi {
+        let (word, dst_word) = (src.bits[w], &mut dst.bits[w]);
+        nnz += word.count_ones() as usize;
+        new += (word & !*dst_word).count_ones() as usize;
+        *dst_word |= word;
+    }
+    *words = (words.0.min(lo), words.1.max(hi));
+    let acc = &mut dst.acc;
+    drain_row(src, (lo, hi), |c, slot| acc[c] += std::mem::replace(slot, -0.0));
+    (nnz, new)
+}
+
+/// The SPA row loop of every term sum, over a `rows × width` sum: the one
+/// behind [`sp_sum_pruned_rows`] and [`sp_sum_pruned`].
 ///
-/// Each row first adds the lead product's row, if there is one, straight
-/// into its resting slots ([`accumulate_product_row`], the row SpGEMM
-/// would form), then the terms' entries in term order. So a slot holds
-/// `((t₀ + t₁) + t₂) + …` over the terms that store it: the pairwise fold's
-/// order, with `t₀` the lead product or the first term (`-0.0 + t₀` being
-/// `t₀`). Every addend marks its column, and the bits the lead and each
-/// term newly set are added to their `prefix_nnz` slot (the unpruned
-/// prefix-sum nnz). The row is drained through [`drain_row`], which resets
-/// every slot, keeps only values with `v.abs() > 0.0`, and hands the row to
-/// `sink`. Returns the lead product's [`OpStats`] as [`spgemm_with_stats`]
-/// reports them (zero without a lead): its multiplies, and its adds, the
-/// multiplies minus its structural nnz `prefix_nnz[0]`.
+/// Each row adds the addends' rows in addend order into `ws`'s resting
+/// slots. A stored addend adds its entries ([`accumulate_segment`]). A
+/// product forms its row in `pws` from `-0.0`, adding its Gustavson
+/// segments in ascending `k` ([`accumulate_product_row`]), which is the row
+/// [`spgemm_with_stats`] stores; the row is then added whole into `ws`
+/// ([`add_row_into`]), which leaves `pws` at rest. A product in first place
+/// accumulates straight into `ws` instead: its slots rest at `-0.0`, so the
+/// same additions in the same order give the same bits. So a slot holds
+/// `((t₀ + t₁) + t₂) + …` over the addends that store it: the pairwise
+/// fold's order (`-0.0 + t₀` being `t₀`).
+///
+/// Every addend marks its columns, and the bits it newly sets are added to
+/// its `prefix_nnz` slot (the unpruned prefix-sum nnz). A product's
+/// [`OpStats`] go to its `stats` slot as [`spgemm_with_stats`] reports
+/// them: its multiplies, and the multiplies minus its structural row nnz as
+/// adds. `stats` may be empty when no addend is a product. The row is
+/// drained through [`drain_row`], which resets every slot, keeps only values
+/// with `v.abs() > 0.0`, and hands the row to `sink`.
 ///
 /// The sink is sized first, so a sink that takes pooled output buffers
 /// ([`CsrRows`]) gets the most recently recycled buffer — a recycled
 /// matrix's `indices`, usually the largest — rather than the row scratch.
-fn sp_sum_rows_in<S: RowSink>(
-    lead: Option<(&CsrMatrix, &CsrMatrix)>,
-    terms: &[&CsrMatrix],
+fn sp_sum_rows_in<'a, A: Copy + Into<Addend<'a>>, S: RowSink>(
+    addends: &[A],
     (rows, width): (usize, usize),
     prefix_nnz: &mut [usize],
-    ws: &mut Workspace,
+    stats: &mut [OpStats],
+    (ws, pws): (&mut Workspace, &mut Workspace),
     sink: &mut S,
-) -> OpStats {
+) {
     ws.ensure_width(width);
-    // Upper bound on the output nnz: every lead row holds at most one entry
-    // per multiply and at most `width`, and every term entry is distinct.
-    let lead_cap: usize = lead.map_or(0, |(x, b)| {
-        (0..rows)
-            .map(|r| x.row_indices(r).iter().map(|&k| b.row_nnz(k)).sum::<usize>().min(width))
-            .sum()
-    });
-    sink.reserve(lead_cap + terms.iter().map(|t| t.nnz()).sum::<usize>());
+    if addends.iter().skip(1).any(|&a| matches!(a.into(), Addend::Product(..))) {
+        pws.ensure_width(width);
+    }
+    // Upper bound on the output nnz: a row holds at most `width` entries,
+    // and at most one per stored entry or product multiply.
+    let bound = (0..rows)
+        .map(|r| addends.iter().map(|&a| a.into().row_bound(r)).sum::<usize>().min(width))
+        .sum();
+    sink.reserve(bound);
     let mut cols = workspace::take_index_buffer(0);
     let mut vals = workspace::take_value_buffer(0);
     prefix_nnz.fill(0);
-    let (lead_nnz, term_nnz) = prefix_nnz.split_at_mut(usize::from(lead.is_some()));
-    let mut lead_mults = 0u64;
+    stats.fill(OpStats::default());
     for r in 0..rows {
         let mut words = (usize::MAX, 0usize);
         let mut distinct = 0usize;
-        if let (Some((x, b)), Some(count)) = (lead, lead_nnz.first_mut()) {
-            let (mults, new) = accumulate_product_row(ws, &mut words, x, b, r);
-            lead_mults += mults;
-            distinct += new;
-            *count += distinct;
-        }
-        for (term, count) in terms.iter().zip(term_nnz.iter_mut()) {
-            distinct +=
-                accumulate_segment(ws, &mut words, term.row_indices(r), term.row_values(r), |v| v);
+        for (j, (&addend, count)) in addends.iter().zip(prefix_nnz.iter_mut()).enumerate() {
+            match addend.into() {
+                Addend::Stored(t) => {
+                    let (t_cols, t_vals) = (t.row_indices(r), t.row_values(r));
+                    distinct += accumulate_segment(ws, &mut words, t_cols, t_vals, |v| v);
+                }
+                Addend::Product(x, b) if j == 0 => {
+                    let (mults, new) = accumulate_product_row(ws, &mut words, x, b, r);
+                    stats[j] += OpStats::counted(mults, mults - new as u64);
+                    distinct += new;
+                }
+                Addend::Product(x, b) => {
+                    let mut row_words = (usize::MAX, 0usize);
+                    let (mults, _) = accumulate_product_row(pws, &mut row_words, x, b, r);
+                    let (nnz, new) = add_row_into(pws, row_words, ws, &mut words);
+                    stats[j] += OpStats::counted(mults, mults - nnz as u64);
+                    distinct += new;
+                }
+            }
             *count += distinct;
         }
         cols.clear();
@@ -698,146 +782,123 @@ fn sp_sum_rows_in<S: RowSink>(
     }
     workspace::recycle_index_buffer(cols);
     workspace::recycle_value_buffer(vals);
-    let lead_nnz = lead_nnz.first().map_or(0, |&n| n as u64);
-    OpStats::counted(lead_mults, lead_mults - lead_nnz)
 }
 
-/// Checks the inputs of a term sum and returns the sum's shape: a lead
-/// product whose factors chain, at least one addend, one prefix slot per
-/// addend (the lead included), and one shape for the lead product and
-/// every term.
-fn check_sum_terms(
-    lead: Option<(&CsrMatrix, &CsrMatrix)>,
-    terms: &[&CsrMatrix],
+/// Checks the addends of a term sum and returns the sum's shape: at least
+/// one addend, products whose factors chain, one shape for every addend,
+/// and one prefix slot per addend.
+fn check_sum_addends<'a, A: Copy + Into<Addend<'a>>>(
+    addends: &[A],
     prefix_nnz: &[usize],
 ) -> Result<(usize, usize)> {
-    let shape = match (lead, terms.first()) {
-        (Some((x, b)), _) if x.cols() != b.rows() => {
-            return Err(SparseError::DimensionMismatch {
-                op: "sp_sum_pruned lead product",
-                lhs: x.shape(),
-                rhs: b.shape(),
-            });
-        }
-        (Some((x, b)), _) => (x.rows(), b.cols()),
-        (None, Some(first)) => first.shape(),
-        (None, None) => {
-            return Err(SparseError::InvalidStructure {
-                reason: "sp_sum_pruned needs at least one term".into(),
-            });
-        }
-    };
-    let addends = terms.len() + usize::from(lead.is_some());
-    if prefix_nnz.len() != addends {
+    let Some((&first, rest)) = addends.split_first() else {
         return Err(SparseError::InvalidStructure {
-            reason: format!("{} prefix slots for {addends} terms", prefix_nnz.len()),
+            reason: "sp_sum_pruned needs at least one addend".into(),
         });
+    };
+    let shape = first.into().shape()?;
+    for &addend in rest {
+        let other = addend.into().shape()?;
+        if other != shape {
+            return Err(SparseError::DimensionMismatch {
+                op: "sp_sum_pruned",
+                lhs: shape,
+                rhs: other,
+            });
+        }
     }
-    if let Some(other) = terms.iter().find(|t| t.shape() != shape) {
-        return Err(SparseError::DimensionMismatch {
-            op: "sp_sum_pruned",
-            lhs: shape,
-            rhs: other.shape(),
+    if prefix_nnz.len() != addends.len() {
+        return Err(SparseError::InvalidStructure {
+            reason: format!("{} prefix slots for {} addends", prefix_nnz.len(), addends.len()),
         });
     }
     Ok(shape)
 }
 
-/// Sum of `k` same-shape sparse matrices with exact zeros dropped, streamed
-/// row by row into `sink` instead of stored: the rows [`sp_sum_pruned`]
-/// assembles, bit for bit, with the same prefix counts. It is
-/// [`sp_sum_pruned_rows_led`] without a lead product.
+/// Runs [`sp_sum_rows_in`] on two pooled workspaces: the sum's, and the
+/// one a product row is formed in.
+fn sp_sum_pooled<'a, A: Copy + Into<Addend<'a>>, S: RowSink>(
+    addends: &[A],
+    shape: (usize, usize),
+    prefix_nnz: &mut [usize],
+    stats: &mut [OpStats],
+    sink: &mut S,
+) {
+    workspace::with_workspace(|ws| {
+        workspace::with_workspace(|pws| {
+            sp_sum_rows_in(addends, shape, prefix_nnz, stats, (ws, pws), sink);
+        });
+    });
+}
+
+/// Sum of same-shape addends with exact zeros dropped, streamed row by row
+/// into `sink` instead of stored. Each addend is a stored matrix or a
+/// product `x · b` ([`Addend`]), and no product is formed: its rows are
+/// built one at a time and added into the sum.
 ///
-/// Every stored value accumulates its terms in term order through a shared
-/// [`Workspace`] SPA resting at `-0.0`, which is the order a left-to-right
-/// [`sp_add`] fold adds them in, and each row's columns ascend. Entries
-/// whose sum fails `v.abs() > 0.0` (`+0.0`, `-0.0`, NaN) are dropped before
-/// the row is handed over. `prefix_nnz[j]` receives the nnz of the
-/// *unpruned* prefix sum `t₀ + … + t_j` — the size of the fold's
-/// accumulator after term `j` — so callers can account the fold's adds
-/// exactly.
+/// The rows are bit for bit those [`sp_sum_pruned`] assembles from the
+/// addends with every product materialised by [`spgemm_with_stats`], and
+/// so are the prefix counts. Every stored value accumulates its addends in
+/// addend order through a [`Workspace`] SPA resting at `-0.0`, which is
+/// the order a left-to-right [`sp_add`] fold adds them in, and each row's
+/// columns ascend. A product's row is formed as SpGEMM forms it, from
+/// `-0.0` in ascending-`k` order, and each of its values is added whole
+/// into the sum's slot, so every `t_j` is the value SpGEMM would have
+/// stored. Entries whose sum fails `v.abs() > 0.0` (`+0.0`, `-0.0`, NaN)
+/// are dropped before the row is handed over.
 ///
-/// `sink` is first [reserved](RowSink::reserve) for the terms' total nnz,
-/// then receives every row, and is handed back. This is the Eq. 13/15
-/// `ΔA_C` term sum of the one-pass kernel: the executor's sink aggregates
-/// each row as it arrives and never stores `ΔA_C`.
+/// `prefix_nnz[j]` receives the nnz of the *unpruned* prefix sum `t₀ + … +
+/// t_j` — the size of the fold's accumulator after addend `j` — so callers
+/// can account the fold's adds exactly. `stats[j]` receives a product's
+/// [`OpStats`] as [`spgemm_with_stats`] reports them (`mults` the segment
+/// lengths summed, `adds = mults − nnz(x · b)`, structural nnz), and zero
+/// for a stored addend; the products' total is returned next to the sink.
+///
+/// `sink` is first [reserved](RowSink::reserve) for an upper bound on the
+/// entries, then receives every row, and is handed back. This is the
+/// Eq. 13/15 `ΔA_C` term sum of the one-pass kernel: the executor's sink
+/// aggregates each row as it arrives and never stores `ΔA_C`, and the
+/// general path passes every Eq. 13 term as a product.
+///
+/// # Errors
+///
+/// Returns [`SparseError::DimensionMismatch`] if a product's
+/// `x.cols() != b.rows()` or the addends differ in shape, and
+/// [`SparseError::InvalidStructure`] if `addends` is empty or
+/// `prefix_nnz` or `stats` is not one slot per addend.
+pub fn sp_sum_pruned_rows<S: RowSink>(
+    addends: &[Addend<'_>],
+    prefix_nnz: &mut [usize],
+    stats: &mut [OpStats],
+    mut sink: S,
+) -> Result<(S, OpStats)> {
+    let shape = check_sum_addends(addends, prefix_nnz)?;
+    if stats.len() != addends.len() {
+        return Err(SparseError::InvalidStructure {
+            reason: format!("{} stats slots for {} addends", stats.len(), addends.len()),
+        });
+    }
+    sp_sum_pooled(addends, shape, prefix_nnz, stats, &mut sink);
+    Ok((sink, stats.iter().fold(OpStats::default(), |total, &s| total + s)))
+}
+
+/// Sum of `k` same-shape sparse matrices with exact zeros dropped, in one
+/// pass: bit-identical to folding the terms left to right with [`sp_add`]
+/// and calling [`CsrMatrix::pruned`]`(0.0)` on the result, without the
+/// `k − 1` intermediate matrices. The collecting form of
+/// [`sp_sum_pruned_rows`] over stored addends, with the [`CsrRows`] sink;
+/// `prefix_nnz` as there.
 ///
 /// # Errors
 ///
 /// Returns [`SparseError::InvalidStructure`] if `terms` is empty or
 /// `prefix_nnz.len() != terms.len()`, and
 /// [`SparseError::DimensionMismatch`] if the terms differ in shape.
-pub fn sp_sum_pruned_rows<S: RowSink>(
-    terms: &[&CsrMatrix],
-    prefix_nnz: &mut [usize],
-    sink: S,
-) -> Result<S> {
-    sp_sum_rows_checked(None, terms, prefix_nnz, sink).map(|(sink, _)| sink)
-}
-
-/// [`sp_sum_pruned_rows`] of the product `x · b` followed by `terms`,
-/// without forming `x · b`: each row's Gustavson segments are added
-/// straight into the sum's SPA, then the terms on top. `x · b` is the
-/// sum's first term `t₀` and takes `prefix_nnz[0]`, so `prefix_nnz` holds
-/// `terms.len() + 1` slots; `terms` may be empty.
-///
-/// The rows are bit for bit those of [`spgemm_with_stats`]`(x, b)` passed
-/// as the first term to [`sp_sum_pruned_rows`], and so are the prefix
-/// counts: the materialised product forms each `t₀` entry from `-0.0` in
-/// ascending-`k` order and the sum adds it to a `-0.0` slot, which gives
-/// `t₀` exactly; here the same additions run in the same order in the
-/// sum's slot. `prefix_nnz[0]` is the product's structural nnz (stored
-/// zeros included), so the returned [`OpStats`] are the product's own, as
-/// [`spgemm_with_stats`] reports them: `mults` the segment lengths summed,
-/// `adds = mults − prefix_nnz[0]`.
-///
-/// The sink is [reserved](RowSink::reserve) for an upper bound on the
-/// product's nnz plus the terms' total. This is the Eq. 15 `ΔA_C` sum whose
-/// lead term `A·ΔA·A = Pᵀ·A` would otherwise be the largest matrix
-/// AComb materialises, and the Eq. 13 term `ΔA·(A+ΔA)^{L−1}`.
-///
-/// # Errors
-///
-/// Returns [`SparseError::DimensionMismatch`] if `x.cols() != b.rows()` or
-/// a term's shape is not `x.rows() × b.cols()`, and
-/// [`SparseError::InvalidStructure`] if
-/// `prefix_nnz.len() != terms.len() + 1`.
-pub fn sp_sum_pruned_rows_led<S: RowSink>(
-    (x, b): (&CsrMatrix, &CsrMatrix),
-    terms: &[&CsrMatrix],
-    prefix_nnz: &mut [usize],
-    sink: S,
-) -> Result<(S, OpStats)> {
-    sp_sum_rows_checked(Some((x, b)), terms, prefix_nnz, sink)
-}
-
-/// Validates a term sum ([`check_sum_terms`]) and runs it on a pooled
-/// workspace, returning the sink and the lead product's [`OpStats`].
-fn sp_sum_rows_checked<S: RowSink>(
-    lead: Option<(&CsrMatrix, &CsrMatrix)>,
-    terms: &[&CsrMatrix],
-    prefix_nnz: &mut [usize],
-    mut sink: S,
-) -> Result<(S, OpStats)> {
-    let shape = check_sum_terms(lead, terms, prefix_nnz)?;
-    let stats = workspace::with_workspace(|ws| {
-        sp_sum_rows_in(lead, terms, shape, prefix_nnz, ws, &mut sink)
-    });
-    Ok((sink, stats))
-}
-
-/// Sum of `k` same-shape sparse matrices with exact zeros dropped, in one
-/// pass: bit-identical to folding the terms left to right with [`sp_add`]
-/// and calling [`CsrMatrix::pruned`]`(0.0)` on the result, without the
-/// `k − 1` intermediate matrices. [`sp_sum_pruned_rows`] with the
-/// [`CsrRows`] sink; `prefix_nnz` as there.
-///
-/// # Errors
-///
-/// As [`sp_sum_pruned_rows`].
 pub fn sp_sum_pruned(terms: &[&CsrMatrix], prefix_nnz: &mut [usize]) -> Result<CsrMatrix> {
-    let (rows, cols) = terms.first().map_or((0, 0), |t| t.shape());
-    let out = sp_sum_pruned_rows(terms, prefix_nnz, CsrRows::new(rows, cols))?.into_matrix();
+    let (rows, cols) = check_sum_addends(terms, prefix_nnz)?;
+    let mut sink = CsrRows::new(rows, cols);
+    sp_sum_pooled(terms, (rows, cols), prefix_nnz, &mut [], &mut sink);
+    let out = sink.into_matrix();
     out.debug_validate_pruned("ops::sp_sum_pruned");
     Ok(out)
 }
@@ -1404,7 +1465,7 @@ mod tests {
                 rows_of(200, &[&full, &[0, 63, 64, 199]], -1.0),
             ),
         ];
-        let mut ws = Workspace::new();
+        let (mut ws, mut pws) = (Workspace::new(), Workspace::new());
         for (i, (a, b)) in cases.iter().enumerate() {
             for fused in [true, false] {
                 let parts = if fused {
@@ -1415,23 +1476,30 @@ mod tests {
                 crate::workspace::assert_at_rest(&ws, &format!("case {i} spgemm fused={fused}"));
                 let (p, _) = assemble_csr(a.rows(), b.cols(), parts);
                 let neg = p.scale(-1.0);
-                let mut sink = CsrRows::new(p.rows(), p.cols());
-                sp_sum_rows_in(None, &[&p, &neg, &p], p.shape(), &mut [0; 3], &mut ws, &mut sink);
-                crate::workspace::assert_at_rest(&ws, &format!("case {i} sum"));
-                workspace::recycle(sink.into_matrix());
-                // The lead product a·b, cancelled by its negation and refilled.
-                let mut sink = CsrRows::new(p.rows(), p.cols());
-                sp_sum_rows_in(Some((a, b)), &[&neg, &p], p.shape(), &mut [0; 3], &mut ws, &mut sink);
-                crate::workspace::assert_at_rest(&ws, &format!("case {i} lead sum"));
-                workspace::recycle(sink.into_matrix());
+                // Stored terms; then the product a·b first, cancelled by its
+                // negation and refilled by a·b again as a later product.
+                let sums: [&[Addend]; 2] = [
+                    &[(&p).into(), (&neg).into(), (&p).into()],
+                    &[Addend::Product(a, b), (&neg).into(), Addend::Product(a, b)],
+                ];
+                for (k, addends) in sums.into_iter().enumerate() {
+                    let mut sink = CsrRows::new(p.rows(), p.cols());
+                    let mut stats = [OpStats::default(); 3];
+                    let (workspaces, prefix) = ((&mut ws, &mut pws), &mut [0; 3]);
+                    sp_sum_rows_in(addends, p.shape(), prefix, &mut stats, workspaces, &mut sink);
+                    crate::workspace::assert_at_rest(&ws, &format!("case {i} sum {k}"));
+                    crate::workspace::assert_at_rest(&pws, &format!("case {i} sum {k} products"));
+                    workspace::recycle(sink.into_matrix());
+                }
             }
-            // The pooled entry points.
+            // The pooled entry points; the NaN products sum to NaN.
             let (p, _) = spgemm_with_stats(a, b).unwrap();
             spgemm_scalar(a, b).unwrap();
             sp_sum_pruned(&[&p, &p.scale(f32::NAN)], &mut [0, 0]).unwrap();
-            let nan = p.scale(f32::NAN);
-            sp_sum_pruned_rows_led((a, b), &[&nan], &mut [0, 0], CsrRows::new(p.rows(), p.cols()))
-                .unwrap();
+            let (nan, nan_b) = (p.scale(f32::NAN), b.scale(f32::NAN));
+            let addends = [Addend::Product(a, b), (&nan).into(), Addend::Product(a, &nan_b)];
+            let sink = CsrRows::new(p.rows(), p.cols());
+            sp_sum_pruned_rows(&addends, &mut [0; 3], &mut [OpStats::default(); 3], sink).unwrap();
             crate::workspace::for_each_pooled_workspace(|ws| {
                 crate::workspace::assert_at_rest(ws, &format!("case {i} pooled"));
             });
@@ -1520,9 +1588,14 @@ mod tests {
         for (name, terms) in cases {
             let mut want_prefix = vec![0; terms.len()];
             let want = sp_sum_pruned(&terms, &mut want_prefix).unwrap();
+            let addends: Vec<Addend> = terms.iter().map(|&t| t.into()).collect();
             let mut prefix = vec![usize::MAX; terms.len()];
-            let sink = sp_sum_pruned_rows(&terms, &mut prefix, Recorded::default()).unwrap();
+            let mut stats = vec![OpStats::counted(1, 1); terms.len()];
+            let (sink, total) =
+                sp_sum_pruned_rows(&addends, &mut prefix, &mut stats, Recorded::default()).unwrap();
             assert_streams(&sink, &want, name);
+            assert_eq!(total, OpStats::default(), "{name}: stored terms cost nothing");
+            assert!(stats.iter().all(|&s| s == OpStats::default()), "{name}");
             assert_eq!(prefix, want_prefix, "{name}");
             assert_streams(&sp_rows(&want, Recorded::default()), &want, name);
         }
@@ -1534,35 +1607,47 @@ mod tests {
         assert_eq!(cancelled.nnz(), 0);
     }
 
-    /// The lead-product sum of `x · b` and `terms` against SpGEMM's product
-    /// materialised as the first term of [`sp_sum_pruned`]: rows (streamed
-    /// and collected), value bits, prefix counts and the product's stats.
-    fn assert_lead_sum_matches(x: &CsrMatrix, b: &CsrMatrix, terms: &[&CsrMatrix], ctx: &str) {
-        let (t0, want_st) = spgemm_with_stats(x, b).unwrap();
-        let mut refs = vec![&t0];
-        refs.extend_from_slice(terms);
+    /// The addend sum against each product materialised by
+    /// [`spgemm_with_stats`] and the stored terms summed by
+    /// [`sp_sum_pruned`]: rows (streamed and collected), value bits, prefix
+    /// counts, and each product's [`OpStats`] (zero for a stored addend).
+    fn assert_addend_sum_matches(addends: &[Addend], ctx: &str) {
+        let formed: Vec<(CsrMatrix, OpStats)> = addends
+            .iter()
+            .map(|&a| match a {
+                Addend::Stored(t) => (t.clone(), OpStats::default()),
+                Addend::Product(x, b) => spgemm_with_stats(x, b).unwrap(),
+            })
+            .collect();
+        let refs: Vec<&CsrMatrix> = formed.iter().map(|(t, _)| t).collect();
+        let want_stats: Vec<OpStats> = formed.iter().map(|&(_, s)| s).collect();
         let mut want_prefix = vec![0; refs.len()];
         let want = sp_sum_pruned(&refs, &mut want_prefix).unwrap();
         let mut prefix = vec![usize::MAX; refs.len()];
-        let (sink, st) = sp_sum_pruned_rows_led((x, b), terms, &mut prefix, Recorded::default()).unwrap();
+        let mut stats = vec![OpStats::counted(7, 7); refs.len()];
+        let (sink, total) =
+            sp_sum_pruned_rows(addends, &mut prefix, &mut stats, Recorded::default()).unwrap();
         assert_streams(&sink, &want, ctx);
         assert_eq!(prefix, want_prefix, "{ctx}");
-        assert_eq!(st, want_st, "{ctx}");
-        assert_eq!(st.adds, st.mults - prefix[0] as u64, "{ctx}");
-        let (sink, _) =
-            sp_sum_pruned_rows_led((x, b), terms, &mut prefix, CsrRows::new(t0.rows(), t0.cols())).unwrap();
+        assert_eq!(stats, want_stats, "{ctx}");
+        assert_eq!(total, want_stats.iter().fold(OpStats::default(), |t, &s| t + s), "{ctx}");
+        let sink = CsrRows::new(want.rows(), want.cols());
+        let (sink, _) = sp_sum_pruned_rows(addends, &mut prefix, &mut stats, sink).unwrap();
         assert_csr_identical(&want, &sink.into_matrix());
     }
 
     #[test]
-    fn lead_product_sum_matches_the_materialised_product_then_the_sum() {
+    fn addend_sum_matches_the_materialised_products_then_the_sum() {
+        use Addend::{Product, Stored};
         let n = 200;
         let x = random_sparse(n, 1_500, 41);
         let b = random_sparse(n, 1_500, 42);
         let t = random_sparse(n, 3_000, 43);
+        let y = random_sparse(n, 1_200, 44);
         let xb = spgemm_with_stats(&x, &b).unwrap().0;
         let neg_xb = xb.scale(-1.0);
-        // Stored ±0.0 and NaN/∞ in the lead operands, on every seventh row.
+        let neg_x = x.scale(-1.0);
+        // Stored ±0.0 and NaN/∞ in both operands, on every seventh row.
         let mut coo = CooMatrix::new(n, n);
         for r in (0..n).step_by(7) {
             coo.push(r, (r * 3) % n, 0.0).unwrap();
@@ -1573,7 +1658,7 @@ mod tests {
         let specials = coo.to_csr();
         let x_special = sp_add(&x, &specials).unwrap();
         let b_special = sp_add(&b, &specials.transpose()).unwrap();
-        // Lead rows 100.. are empty.
+        // Rows 100.. of x are empty, so are those product rows.
         let x_half = CsrMatrix::from_raw_parts(
             n,
             n,
@@ -1582,52 +1667,93 @@ mod tests {
             x.values()[..x.indptr()[100]].to_vec(),
         )
         .unwrap();
-        assert_lead_sum_matches(&x, &b, &[&t], "lead, then a term");
-        assert_lead_sum_matches(&x, &b, &[], "lead only");
-        assert_lead_sum_matches(&x, &b, &[&neg_xb], "exact cancellation");
-        assert_lead_sum_matches(&x, &b, &[&neg_xb, &t], "cancel, then refill");
-        assert_lead_sum_matches(&x_special, &b_special, &[&t, &specials], "±0.0, NaN and ∞");
-        assert_lead_sum_matches(&x_half, &b, &[&t], "empty lead rows");
-        let cancelled =
-            sp_sum_pruned_rows_led((&x, &b), &[&neg_xb], &mut [0, 0], CsrRows::new(n, n)).unwrap();
-        assert_eq!(cancelled.0.into_matrix().nnz(), 0, "the lead must cancel exactly");
+        let cases: [(&str, Vec<Addend>); 13] = [
+            ("product alone", vec![Product(&x, &b)]),
+            ("product first", vec![Product(&x, &b), Stored(&t)]),
+            ("product in the middle", vec![Stored(&t), Product(&x, &b), Stored(&y)]),
+            ("product last", vec![Stored(&t), Stored(&y), Product(&y, &b)]),
+            (
+                "products back to back",
+                vec![Product(&x, &b), Product(&y, &x), Product(&t, &y), Stored(&t)],
+            ),
+            ("later products only", vec![Stored(&t), Product(&x, &b), Product(&y, &t)]),
+            ("a product cancels a stored term", vec![Stored(&neg_xb), Product(&x, &b)]),
+            (
+                "two products cancel, then refill",
+                vec![Product(&x, &b), Product(&neg_x, &b), Stored(&t)],
+            ),
+            (
+                "a stored term cancels the lead",
+                vec![Product(&x, &b), Stored(&neg_xb), Product(&y, &x)],
+            ),
+            ("±0.0, NaN and ∞ first", vec![Product(&x_special, &b_special), Stored(&specials)]),
+            (
+                "±0.0, NaN and ∞ later",
+                vec![Stored(&t), Product(&x_special, &b_special), Product(&b_special, &x_special)],
+            ),
+            ("empty product rows first", vec![Product(&x_half, &b), Stored(&t)]),
+            (
+                "empty product rows later",
+                vec![Stored(&t), Product(&x_half, &b), Product(&y, &x_half)],
+            ),
+        ];
+        for (ctx, addends) in &cases {
+            assert_addend_sum_matches(addends, ctx);
+        }
+        for addends in [[Product(&x, &b), Product(&neg_x, &b)], [Stored(&xb), Product(&neg_x, &b)]] {
+            let (stats, sink) = (&mut [OpStats::default(); 2], CsrRows::new(n, n));
+            let (sink, _) = sp_sum_pruned_rows(&addends, &mut [0; 2], stats, sink).unwrap();
+            assert_eq!(sink.into_matrix().nnz(), 0, "the products must cancel exactly");
+        }
         // Empty operands: no rows, no columns, and an empty shared dimension.
         let (e0, e3x0, e0x4) = (CsrMatrix::zeros(0, 0), CsrMatrix::zeros(3, 0), CsrMatrix::zeros(0, 4));
-        assert_lead_sum_matches(&e0, &e0, &[], "0×0");
-        assert_lead_sum_matches(&e3x0, &e0x4, &[&CsrMatrix::zeros(3, 4)], "3×0 · 0×4");
-        assert_lead_sum_matches(&CsrMatrix::zeros(3, 5), &CsrMatrix::zeros(5, 2), &[], "all-empty rows");
+        let z3x4 = CsrMatrix::zeros(3, 4);
+        let (z3x5, z5x2) = (CsrMatrix::zeros(3, 5), CsrMatrix::zeros(5, 2));
+        assert_addend_sum_matches(&[Product(&e0, &e0)], "0×0");
+        assert_addend_sum_matches(&[Stored(&e0), Product(&e0, &e0)], "0×0 later");
+        assert_addend_sum_matches(&[Product(&e3x0, &e0x4), Stored(&z3x4)], "3×0 · 0×4");
+        assert_addend_sum_matches(&[Stored(&z3x4), Product(&e3x0, &e0x4)], "3×0 · 0×4 later");
+        let all_empty = [Product(&z3x5, &z5x2), Product(&z3x5, &z5x2)];
+        assert_addend_sum_matches(&all_empty, "all-empty rows");
     }
 
     #[test]
-    fn lead_product_sum_rejects_mismatched_shapes() {
+    fn addend_sum_rejects_mismatched_shapes_and_slot_counts() {
+        use Addend::{Product, Stored};
         let (a3, a4) = (CsrMatrix::identity(3), CsrMatrix::identity(4));
         let wide = CsrMatrix::zeros(3, 4);
-        let sink = || CsrRows::new(3, 3);
-        // x.cols() ≠ b.rows().
-        assert!(matches!(
-            sp_sum_pruned_rows_led((&a3, &a4), &[], &mut [0], sink()),
-            Err(SparseError::DimensionMismatch { .. })
-        ));
-        // The lead product is 3×3, a term 3×4 or 4×4.
-        for term in [&wide, &a4] {
-            assert!(matches!(
-                sp_sum_pruned_rows_led((&a3, &a3), &[&a3, term], &mut [0; 3], sink()),
-                Err(SparseError::DimensionMismatch { .. })
-            ));
+        let run = |addends: &[Addend], prefix: usize, stats: usize| {
+            let sink = CsrRows::new(3, 3);
+            let (prefix, stats) = (&mut vec![0; prefix], &mut vec![OpStats::default(); stats]);
+            sp_sum_pruned_rows(addends, prefix, stats, sink).map(|_| ())
+        };
+        let mismatched: [&[Addend]; 6] = [
+            // x.cols() ≠ b.rows(), in first and in later place.
+            &[Product(&a3, &a4)],
+            &[Stored(&a3), Product(&a3, &a4)],
+            // A 3×3 sum with a 3×4 or 4×4 stored term.
+            &[Product(&a3, &a3), Stored(&a3), Stored(&wide)],
+            &[Product(&a3, &a3), Stored(&a3), Stored(&a4)],
+            // A 3×4 product (3×3 · 3×4) against 3×3 addends.
+            &[Product(&a3, &wide), Stored(&a3)],
+            &[Stored(&a3), Product(&a3, &wide)],
+        ];
+        for addends in mismatched {
+            let n = addends.len();
+            assert!(matches!(run(addends, n, n), Err(SparseError::DimensionMismatch { .. })));
         }
-        // A 3×4 lead product (3×3 · 3×4) against 3×3 terms.
-        assert!(matches!(
-            sp_sum_pruned_rows_led((&a3, &wide), &[&a3], &mut [0, 0], sink()),
-            Err(SparseError::DimensionMismatch { .. })
-        ));
-        // One prefix slot for the lead and one per term.
-        for slots in [1usize, 3] {
-            assert!(matches!(
-                sp_sum_pruned_rows_led((&a3, &a3), &[&a3], &mut vec![0; slots], sink()),
-                Err(SparseError::InvalidStructure { .. })
-            ));
+        // One prefix slot and one stats slot per addend.
+        let addends = [Product(&a3, &a3), Stored(&a3)];
+        for (prefix, stats) in [(1, 2), (3, 2), (2, 1), (2, 3), (2, 0)] {
+            let got = run(&addends, prefix, stats);
+            assert!(matches!(got, Err(SparseError::InvalidStructure { .. })), "{prefix}, {stats}");
         }
-        let (sink, _) = sp_sum_pruned_rows_led((&a3, &wide), &[&wide], &mut [0, 0], CsrRows::new(3, 4)).unwrap();
+        assert!(matches!(run(&[], 0, 0), Err(SparseError::InvalidStructure { .. })));
+        assert!(run(&addends, 2, 2).is_ok());
+        let sink = CsrRows::new(3, 4);
+        let addends = [Product(&a3, &wide), Stored(&wide)];
+        let stats = &mut [OpStats::default(); 2];
+        let (sink, _) = sp_sum_pruned_rows(&addends, &mut [0, 0], stats, sink).unwrap();
         assert_eq!(sink.into_matrix().nnz(), 0);
     }
 
@@ -1636,8 +1762,9 @@ mod tests {
         let a = CsrMatrix::identity(3);
         let b = CsrMatrix::identity(4);
         assert!(matches!(sp_sum_pruned(&[], &mut []), Err(SparseError::InvalidStructure { .. })));
+        let (stats, sink) = (&mut [OpStats::default(); 2], CsrRows::new(3, 3));
         assert!(matches!(
-            sp_sum_pruned_rows(&[&a, &b], &mut [0, 0], CsrRows::new(3, 3)),
+            sp_sum_pruned_rows(&[(&a).into(), (&b).into()], &mut [0, 0], stats, sink),
             Err(SparseError::DimensionMismatch { .. })
         ));
         assert!(matches!(

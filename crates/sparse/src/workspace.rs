@@ -8,7 +8,8 @@
 //! from empty on every call. This module removes that cost:
 //!
 //! * [`Workspace`] owns the dense accumulator (SPA) and the column bitmap a
-//!   Gustavson SpGEMM (or a [`crate::ops::sp_sum_pruned`] term sum) needs.
+//!   Gustavson SpGEMM (or a [`crate::ops::sp_sum_pruned_rows`] term sum,
+//!   with a second one to form its product rows in) needs.
 //!   It is checked out of a global pool per kernel call ([`with_workspace`])
 //!   and returned afterwards, so the `O(n)` scratch is written once and
 //!   reused across calls. The pool is global rather than thread-local

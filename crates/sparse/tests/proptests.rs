@@ -446,31 +446,45 @@ proptest! {
     }
 
     #[test]
-    fn lead_product_sum_matches_the_materialised_product_then_the_sum(
-        x in palette_matrix(&SUM_PALETTE, 5, 4),
-        b in palette_matrix(&SUM_PALETTE, 4, 7),
-        terms in prop::collection::vec(palette_matrix(&SUM_PALETTE, 5, 7), 0..4),
+    fn addend_sum_matches_the_materialised_products_then_the_sum(
+        draws in prop::collection::vec(
+            (
+                any::<bool>(),
+                palette_matrix(&SUM_PALETTE, 5, 7),
+                palette_matrix(&SPGEMM_PALETTE, 5, 4),
+                palette_matrix(&SPGEMM_PALETTE, 4, 7),
+            ),
+            1..6,
+        ),
     ) {
-        // `x · b` accumulated straight into the sum against SpGEMM's product
-        // passed to the sum as its first term: rows, bits, prefix counts and
-        // the product's OpStats, with ±0.0, NaN and ∞ in every operand.
-        let (t0, want_st) = ops::spgemm_with_stats(&x, &b).unwrap();
-        let mut refs: Vec<&CsrMatrix> = vec![&t0];
-        refs.extend(terms.iter());
+        // Stored terms and products `x · b` in any order, against each
+        // product formed by SpGEMM and the stored terms summed: rows, bits,
+        // prefix counts and each product's OpStats, with ±0.0, subnormals,
+        // NaN and ∞ in every operand.
+        let addends: Vec<ops::Addend> = draws
+            .iter()
+            .map(|(product, t, x, b)| if *product { ops::Addend::Product(x, b) } else { t.into() })
+            .collect();
+        let formed: Vec<(CsrMatrix, OpStats)> = addends
+            .iter()
+            .map(|&a| match a {
+                ops::Addend::Stored(t) => (t.clone(), OpStats::default()),
+                ops::Addend::Product(x, b) => ops::spgemm_with_stats(x, b).unwrap(),
+            })
+            .collect();
+        let refs: Vec<&CsrMatrix> = formed.iter().map(|(t, _)| t).collect();
         let mut want_prefix = vec![0usize; refs.len()];
         let want = ops::sp_sum_pruned(&refs, &mut want_prefix).unwrap();
-        let rest: Vec<&CsrMatrix> = terms.iter().collect();
         let mut prefix = vec![usize::MAX; refs.len()];
-        let (sink, st) = ops::sp_sum_pruned_rows_led(
-            (&x, &b),
-            &rest,
-            &mut prefix,
-            ops::CsrRows::new(5, 7),
-        )
-        .unwrap();
+        let mut stats = vec![OpStats::counted(1, 1); refs.len()];
+        let sink = ops::CsrRows::new(5, 7);
+        let (sink, total) =
+            ops::sp_sum_pruned_rows(&addends, &mut prefix, &mut stats, sink).unwrap();
         assert_bit_identical(&want, &sink.into_matrix());
         prop_assert_eq!(prefix, want_prefix);
-        prop_assert_eq!(st, want_st);
+        let want_stats: Vec<OpStats> = formed.iter().map(|&(_, s)| s).collect();
+        prop_assert_eq!(total, want_stats.iter().fold(OpStats::default(), |t, &s| t + s));
+        prop_assert_eq!(stats, want_stats);
     }
 
     #[test]
